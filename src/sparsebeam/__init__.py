@@ -57,10 +57,6 @@ from .problem import (
     SinrConstraint,
     StopbandConstraint,
     assemble,
-    build_passband_constraint,
-    build_power_constraint,
-    build_sinr_constraint,
-    build_stopband_constraint,
     group_norms,
     objective,
     user_blocks,
@@ -102,8 +98,6 @@ __all__ = [
     "ProjectionError", "ProjectionResult", "QuadraticConstraint", "Scenario",
     "SinrConstraint", "StopbandConstraint", "UserChannel", "WeakPenaltyWarning",
     "antenna_power", "assemble", "beampattern", "build_grids",
-    "build_passband_constraint", "build_power_constraint",
-    "build_sinr_constraint", "build_stopband_constraint",
     "bundled_scenario_path", "check_penalty_ratio", "cyclic_projection",
     "db_to_linear", "dbm_to_watts", "design_report", "feasibility_report",
     "find_feasible_point", "group_norms", "group_shrink", "initialize",

@@ -3,13 +3,11 @@
 Per iteration the consensus variable is the closed-form average
 w = rho/(2 + rho*L) * sum_l (v_l + u_l); each auxiliary copy then shrinks
 w - u_l groupwise and projects onto its own constraint set, and the scaled
-duals absorb the disagreement.  The L copy updates are independent and may
-run on a thread pool; results are gathered by constraint index and summed in
-a fixed order, so histories are bit-identical for any parallelism width.
+duals absorb the disagreement.  The L copy updates run in constraint order,
+so a run is reproduced bit for bit from its seed.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +34,9 @@ class AdmmConfig:
     """Solver knobs: shrinkage weight, penalty, iteration budget, tolerances.
 
     ``primal_tol``/``dual_tol`` enable early stopping only when both are set;
-    the default is a fixed ``k_max`` iteration budget.  ``parallel`` is the
-    thread-pool width for the per-constraint updates.
+    the default is a fixed ``k_max`` iteration budget.  ``parallel`` is
+    accepted and validated for compatibility with older scenario files; it
+    has no effect.
     """
 
     eta: float
@@ -72,13 +71,17 @@ class IterationRecord:
 
 @dataclass(eq=False)
 class AdmmState:
-    """Consensus variable, auxiliary copies, scaled duals, and the history."""
+    """Consensus variable, auxiliary copies, scaled duals, and the history.
+
+    ``start`` is the feasible point the run was initialized from.
+    """
 
     w: np.ndarray
     v: np.ndarray  # (L, M*N)
     u: np.ndarray  # (L, M*N)
     k: int = 0
     history: list = field(default_factory=list)
+    start: np.ndarray = None
 
 
 def check_penalty_ratio(config, L):
@@ -106,45 +109,39 @@ def update_u(u, v_new, w_new):
 
 
 def update_v(problem, w, u, eta, rho, parallel=1):
-    """Shrink-then-project every auxiliary copy; independent across l."""
-    L = problem.L
+    """Shrink-then-project every auxiliary copy, in constraint order.
 
-    def one(l):
-        c = w - u[l]
-        vbar = group_shrink(c, eta, rho, L, problem.M, problem.N)
+    ``parallel`` is accepted for compatibility and has no effect.
+    """
+    L = problem.L
+    v = np.empty((L, problem.size), dtype=complex)
+    for l, constraint in enumerate(problem.constraints):
+        vbar = group_shrink(w - u[l], eta, rho, L, problem.M, problem.N)
         try:
-            return project(problem.constraints[l], vbar).v
+            v[l] = project(constraint, vbar).v
         except ProjectionError as err:
             raise ProjectionError(
-                f"constraint l={l} ({problem.constraints[l].describe()}): {err}",
+                f"constraint l={l} ({constraint.describe()}): {err}",
                 dict(err.diagnostics, constraint_index=l),
             ) from err
-
-    if parallel > 1 and L > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(one, range(L)))
-    else:
-        rows = [one(l) for l in range(L)]
-    if not rows:
-        return np.zeros((0, problem.size), dtype=complex)
-    return np.array(rows)
+    return v
 
 
 def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, stall_window=25):
     """Feasibility restoration by cyclic nearest-point projections.
 
-    Sweeps the constraints in their fixed order, projecting whenever one is
-    violated, until the worst violation falls below ``tol``; gives up early
-    when ``stall_window`` consecutive sweeps fail to improve the best worst
-    violation by at least 0.1%.  Returns (w, max_violation, converged).
+    Sweeps the constraints in their fixed order, projecting onto each (a
+    satisfied constraint leaves the point as it is), until the worst
+    violation falls below ``tol``; gives up early when ``stall_window``
+    consecutive sweeps fail to improve the best worst violation by at least
+    0.1%.  Returns (w, max_violation, converged).
     """
     w = np.asarray(w, dtype=complex).copy()
     best = np.inf
     stalled = 0
     for _ in range(max_sweeps):
         for c in problem.constraints:
-            if c.violation(w) > 0.0:
-                w = project(c, w).v
+            w = project(c, w).v
         current = problem.max_violation(w)
         if current <= tol:
             return w, current, True
@@ -326,18 +323,17 @@ def find_feasible_point(problem, seed=0):
 def initialize(problem, seed=0):
     """Feasible consensus start: every v_l at the feasible point, duals zero."""
     w0 = find_feasible_point(problem, seed)
-    L = problem.L
-    v = np.tile(w0, (L, 1)) if L else np.zeros((0, problem.size), dtype=complex)
-    u = np.zeros((L, problem.size), dtype=complex)
-    return AdmmState(w=w0.copy(), v=v, u=u, k=0, history=[])
+    v = np.tile(w0, (problem.L, 1))
+    u = np.zeros((problem.L, problem.size), dtype=complex)
+    return AdmmState(w=w0.copy(), v=v, u=u, start=w0)
 
 
 def solve(problem, config, seed=0):
     """Run the consensus iteration for k_max rounds (or to the tolerances).
 
-    Deterministic for a fixed seed, constraint order, and any ``parallel``
-    width.  Projection failures abort with the iteration and constraint in
-    the message: silently skipping a constraint would corrupt the consensus.
+    Deterministic for a fixed seed and constraint order.  Projection
+    failures abort with the iteration and constraint in the message:
+    silently skipping a constraint would corrupt the consensus.
     """
     check_penalty_ratio(config, problem.L)
     state = initialize(problem, seed)
@@ -346,7 +342,7 @@ def solve(problem, config, seed=0):
     for k in range(config.k_max):
         w_new = update_w(state.v, state.u, rho)
         try:
-            v_new = update_v(problem, w_new, state.u, eta, rho, config.parallel)
+            v_new = update_v(problem, w_new, state.u, eta, rho)
         except ProjectionError as err:
             raise ProjectionError(
                 f"iteration {k + 1}: {err}", dict(err.diagnostics, iteration=k + 1)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .admm import solve
 from .errors import ConfigurationError, InfeasibleProblemError, ProjectionError
 from .metrics import design_report, msrr, tx_power
@@ -25,8 +26,6 @@ from .selection import random_selection_baseline, refit, select_support
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_INFEASIBLE = 2
-
-PACKAGE_VERSION = "0.1.0"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,7 +66,7 @@ def _provenance(scenario):
     return {
         "scenario_sha256": scenario_sha256(scenario),
         "seed": scenario.seed,
-        "package_version": PACKAGE_VERSION,
+        "package_version": __version__,
         "git_commit": _git_commit(),
     }
 
@@ -285,7 +284,7 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument(
             "--parallel", type=int, default=None,
-            help="override the per-constraint thread-pool width",
+            help="accepted for compatibility with older scripts; has no effect",
         )
 
     p_solve = sub.add_parser("solve", help="single end-to-end design")

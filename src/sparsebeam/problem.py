@@ -322,22 +322,6 @@ class SinrConstraint(QuadraticConstraint):
         return f"sinr(m={self.user})"
 
 
-def build_passband_constraint(steering, threshold, M, angle_deg=float("nan")):
-    return PassbandConstraint(angle_deg, steering, threshold, M, len(steering))
-
-
-def build_stopband_constraint(steering, threshold, M, angle_deg=float("nan")):
-    return StopbandConstraint(angle_deg, steering, threshold, M, len(steering))
-
-
-def build_power_constraint(antenna, limit, M, N):
-    return AntennaPowerConstraint(antenna, limit, M, N)
-
-
-def build_sinr_constraint(h, gamma, noise_variance, user, M):
-    return SinrConstraint(user, h, gamma, noise_variance, M, len(h))
-
-
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """The assembled constraint family plus everything needed to evaluate it.

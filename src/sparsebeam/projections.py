@@ -1,12 +1,14 @@
 """Nearest-point projections onto single quadratic constraint sets.
 
 Each ADMM constraint block needs  argmin ||v - vbar||^2  s.t.  v^H F v <= f.
-Stationarity gives (I + mu*F) v = vbar with a scalar multiplier mu >= 0, so
-everything reduces to root-finding on a secular function of mu over the
-interval where I + mu*F stays positive semidefinite.  For the structured
-constraint kinds F is diagonal or (block) rank-one and the secular function
-involves only the coefficients along one generator direction; components of
-vbar orthogonal to the generator are carried through untouched.
+Stationarity gives (I + mu*F) v = vbar with a scalar multiplier mu >= 0, a
+single equation in mu over the interval where I + mu*F stays positive
+semidefinite.  For the structured constraint kinds F is diagonal or (block)
+rank-one and the equation involves only the coefficients along one generator
+direction; components of vbar orthogonal to the generator are carried
+through untouched.  The antenna-power, stopband and passband equations are
+solved in closed form; the SINR and generic ones by root-finding on a
+secular function.
 
 F negative semidefinite (mainlobe floors) and indefinite (SINR floors) is
 where the set is nonconvex; the multiplier interval is then bounded and a
@@ -53,7 +55,7 @@ class ProjectionResult:
     kkt_residual: float
 
 
-def _secular_root(fun, dfun, lo, hi, scale=1.0, x0=None, context=""):
+def _secular_root(fun, dfun, lo, hi, scale=1.0, context=""):
     """Root of strictly monotone ``fun`` on [lo, hi].
 
     ``fun(lo)`` and ``fun(hi)`` must have opposite signs (zero counts as
@@ -73,7 +75,7 @@ def _secular_root(fun, dfun, lo, hi, scale=1.0, x0=None, context=""):
             {"f_lo": flo, "f_hi": fhi},
         )
     rising = flo < 0
-    mu = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
+    mu = 0.5 * (lo + hi)
     for _ in range(SECULAR_MAX_ITER):
         fm = fun(mu)
         if abs(fm) <= tol:
@@ -122,39 +124,30 @@ def _steering_split(vbar, generator, M, N):
 def project_stopband(vbar, steering, threshold, M, N):
     """Shrink the steering-aligned coefficients until the response ceiling holds.
 
-    The aligned coefficient of every block scales by 1/(1 + mu*||a||^2); the
-    multiplier is the unique root of the strictly decreasing response curve.
+    The aligned coefficient of every block scales by 1/(1 + mu*||a||^2), so
+    the response S0/(1 + mu*||a||^2)^2 meets the ceiling t in closed form:
+    the coefficients scale by sqrt(t/S0) and mu = (sqrt(S0/t) - 1)/||a||^2.
     """
     W, ahat, A, alpha = _steering_split(vbar, steering, M, N)
     S0 = A * float(np.vdot(alpha, alpha).real)
     if S0 <= threshold:
         return np.asarray(vbar, dtype=complex).copy(), 0.0
-
-    def fun(mu):
-        return S0 / (1.0 + mu * A) ** 2 - threshold
-
-    def dfun(mu):
-        return -2.0 * A * S0 / (1.0 + mu * A) ** 3
-
-    guess = (np.sqrt(S0 / threshold) - 1.0) / A
-    hi = max(2.0 * guess, 1e-12)
-    while fun(hi) > 0.0:
-        hi *= 2.0
-    mu = _secular_root(fun, dfun, 0.0, hi, scale=threshold, x0=guess,
-                       context=" (stopband)")
-    beta = alpha / (1.0 + mu * A)
-    V = W + np.outer(beta - alpha, ahat)
-    return V.reshape(-1), mu
+    ratio = np.sqrt(S0 / threshold)
+    V = W + np.outer(alpha / ratio - alpha, ahat)
+    return V.reshape(-1), (ratio - 1.0) / A
 
 
 def project_passband(vbar, steering, threshold, M, N):
     """Amplify the steering-aligned coefficients until the response floor holds.
 
     The aligned coefficient of every block scales by 1/(1 - mu*||a||^2) with
-    mu in [0, 1/||a||^2).  When every block is orthogonal to the steering
-    vector nothing can be amplified: the multiplier saturates and the missing
-    response is injected into user block 0 (a deterministic tie-break; the
-    projection cost is invariant to how the mass is split across blocks).
+    mu in [0, 1/||a||^2), so the response S0/(1 - mu*||a||^2)^2 meets the
+    floor t in closed form: the coefficients scale by sqrt(t/S0) and
+    mu = (1 - sqrt(S0/t))/||a||^2.  When every block is orthogonal to the
+    steering vector nothing can be amplified: the multiplier saturates and
+    the missing response is injected into user block 0 (a deterministic
+    tie-break; the projection cost is invariant to how the mass is split
+    across blocks).
     """
     W, ahat, A, alpha = _steering_split(vbar, steering, M, N)
     S0 = A * float(np.vdot(alpha, alpha).real)
@@ -165,19 +158,9 @@ def project_passband(vbar, steering, threshold, M, N):
         beta[0] = np.sqrt(threshold / A)
         mu = 1.0 / A
     else:
-
-        def fun(mu):
-            return S0 / (1.0 - mu * A) ** 2 - threshold
-
-        def dfun(mu):
-            return 2.0 * A * S0 / (1.0 - mu * A) ** 3
-
-        guess = (1.0 - np.sqrt(S0 / threshold)) / A
-        # at hi the response equals 2*threshold, so the bracket always closes
-        hi = (1.0 - np.sqrt(S0 / (2.0 * threshold))) / A
-        mu = _secular_root(fun, dfun, 0.0, hi, scale=threshold, x0=guess,
-                           context=" (passband)")
-        beta = alpha / (1.0 - mu * A)
+        ratio = np.sqrt(S0 / threshold)
+        beta = alpha / ratio
+        mu = (1.0 - ratio) / A
     V = W + np.outer(beta - alpha, ahat)
     return V.reshape(-1), mu
 

@@ -262,9 +262,9 @@ def write_scenario(scenario, path):
 def scenario_sha256(scenario):
     """Stable hash of the canonical scenario dict, for artifact provenance.
 
-    The thread-pool width is an execution knob, not part of the experiment,
-    so it is normalized out: reruns with different ``--parallel`` values hash
-    (and must reproduce) identically.
+    ``admm.parallel`` is accepted for compatibility and has no effect, so
+    it is normalized out: reruns with different ``--parallel`` values hash
+    (and reproduce) identically.
     """
     data = scenario_to_dict(scenario)
     data["admm"] = {k: v for k, v in data["admm"].items() if k != "parallel"}

@@ -116,6 +116,20 @@ class TestStopband:
             np.sqrt(eps) / norm_a, rel=1e-10
         )
         assert mu > 0
+        # extreme response-to-ceiling ratios: below 1 the input is kept; above,
+        # a^H v cancels entries sqrt(ratio) times larger than itself, so
+        # rounding alone reaches about eps*sqrt(ratio)
+        c = StopbandConstraint(40.0, a, eps, 1, N)
+        for ratio in (1e8, 1e-8):
+            scaled = vbar * np.sqrt(ratio * eps / c.response(vbar))
+            res = project(c, scaled)
+            if ratio < 1.0:
+                assert np.array_equal(res.v, scaled) and not res.active
+                continue
+            rel_tol = 64.0 * np.finfo(float).eps * np.sqrt(ratio)
+            assert c.response(res.v) == pytest.approx(eps, rel=rel_tol)
+            assert res.kkt_residual <= 1e-6 * (1.0 + np.linalg.norm(scaled))
+            assert_kkt(c, scaled, res)
 
     def test_orthogonal_residual_preserved(self):
         rng = np.random.default_rng(2)
@@ -167,6 +181,16 @@ class TestPassband:
         vbar = 0.1 * random_stack(rng, M, N)
         res = project(c, vbar)
         assert c.response(res.v) == pytest.approx(c.threshold, rel=1e-9)
+        # extreme response-to-floor ratios: above 1 the input is kept
+        for ratio in (1e-8, 1e8):
+            scaled = vbar * np.sqrt(ratio * c.threshold / c.response(vbar))
+            res = project(c, scaled)
+            if ratio > 1.0:
+                assert np.array_equal(res.v, scaled) and not res.active
+                continue
+            assert c.response(res.v) == pytest.approx(c.threshold, rel=1e-12)
+            assert res.kkt_residual <= 1e-6 * (1.0 + np.linalg.norm(scaled))
+            assert_kkt(c, scaled, res)
 
     def test_against_penalty_oracle(self):
         rng = np.random.default_rng(5)

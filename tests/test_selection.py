@@ -81,6 +81,24 @@ class TestRefit:
             w_direct = w_init
         assert np.array_equal(stack.w, w_direct)
 
+    def test_feasible_start_searched_once(self, paper_problem, paper_scenario, monkeypatch):
+        import sparsebeam.admm
+        import sparsebeam.selection
+
+        original = sparsebeam.admm.find_feasible_point
+        calls = []
+
+        def counted(problem, seed=0):
+            calls.append(problem.support)
+            return original(problem, seed)
+
+        # patch every binding, so a search from either module is counted
+        monkeypatch.setattr(sparsebeam.admm, "find_feasible_point", counted)
+        monkeypatch.setattr(sparsebeam.selection, "find_feasible_point", counted)
+        support = (0, 2, 3, 4, 5, 6, 8, 9)
+        refit(paper_problem, support, paper_scenario.admm, seed=1)
+        assert calls == [support]
+
     def test_too_few_antennas_for_users_is_infeasible(self, paper_problem, paper_scenario):
         # K=1 < M=2 with gamma=10: adding both SINR floors forces gamma < 1
         with pytest.raises(InfeasibleProblemError) as err:
