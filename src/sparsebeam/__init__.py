@@ -63,7 +63,6 @@ from .problem import (
 )
 from .projections import (
     ProjectionResult,
-    penalty_oracle,
     project,
     project_antenna_power,
     project_generic,
@@ -86,7 +85,7 @@ from .selection import (
     refit,
     select_support,
 )
-from .shrinkage import group_shrink, prox_oracle
+from .shrinkage import group_shrink
 
 __version__ = "0.1.0"
 
@@ -102,8 +101,8 @@ __all__ = [
     "db_to_linear", "dbm_to_watts", "design_report", "feasibility_report",
     "find_feasible_point", "group_norms", "group_shrink", "initialize",
     "linear_to_db", "load_scenario", "los_channel", "msrr", "objective",
-    "penalty_oracle", "project", "project_antenna_power", "project_generic",
-    "project_passband", "project_sinr", "project_stopband", "prox_oracle",
+    "project", "project_antenna_power", "project_generic",
+    "project_passband", "project_sinr", "project_stopband",
     "random_selection_baseline", "rank_groups", "rayleigh_channel", "refit",
     "restore_feasibility",
     "responses", "scenario_sha256", "scenario_to_dict", "select_support",

@@ -3,8 +3,10 @@
 Per iteration the consensus variable is the closed-form average
 w = rho/(2 + rho*L) * sum_l (v_l + u_l); each auxiliary copy then shrinks
 w - u_l groupwise and projects onto its own constraint set, and the scaled
-duals absorb the disagreement.  The L copy updates run in constraint order,
-so a run is reproduced bit for bit from its seed.
+duals absorb the disagreement.  The v-update works per constraint kind: one
+shrinkage call for all L copies, one closed-form kernel call for every beam
+copy and one for every antenna-power copy, then the SINR copies one by one.
+No copy depends on another, so a run is reproduced bit for bit from its seed.
 """
 
 import warnings
@@ -15,8 +17,9 @@ from scipy.optimize import minimize
 
 from .certificate import certify_infeasible
 from .errors import ConfigurationError, InfeasibleProblemError, ProjectionError
-from .problem import objective
-from .projections import project
+from .problem import beam_slacks, objective, sq_norms
+from .projections import KKT_GUARD, project, project_beams, project_powers
+from .projections import stationarity_error
 from .shrinkage import group_shrink
 
 
@@ -108,23 +111,57 @@ def update_u(u, v_new, w_new):
     return u + v_new - w_new[np.newaxis, :]
 
 
-def update_v(problem, w, u, eta, rho, parallel=1):
-    """Shrink-then-project every auxiliary copy, in constraint order.
+def _row_error(problem, l, err):
+    return ProjectionError(
+        f"constraint l={l} ({problem.constraints[l].describe()}): {err}",
+        dict(err.diagnostics, constraint_index=l),
+    )
 
-    ``parallel`` is accepted for compatibility and has no effect.
+
+def update_v(problem, w, u, eta, rho, parallel=1):
+    """Shrink every auxiliary copy, then project each onto its own constraint.
+
+    C = w - u is shrunk as one (L, M*N) batch.  The beam rows of
+    ``problem.families`` go through one ``project_beams`` call, the
+    antenna-power rows through one ``project_powers`` call, and the other
+    rows (SINR, any other class) through ``project`` one at a time, in
+    constraint order.  Rows already feasible pass through unchanged, so the
+    result equals the per-constraint loop bit for bit.  Every kernel row must
+    pass the KKT stationarity guard ||(v - vbar) + mu*F v|| <= 1e-6*(1 +
+    ||vbar||); the first failing row in constraint order raises a
+    ``ProjectionError`` naming it.  ``parallel`` is accepted for
+    compatibility and has no effect.
     """
-    L = problem.L
-    v = np.empty((L, problem.size), dtype=complex)
-    for l, constraint in enumerate(problem.constraints):
-        vbar = group_shrink(w - u[l], eta, rho, L, problem.M, problem.N)
+    L, M, N = problem.L, problem.M, problem.N
+    if L == 0:
+        return np.empty((0, problem.size), dtype=complex)
+    beams, powers, other = problem.families
+    C = group_shrink(w[np.newaxis, :] - u, eta, rho, L, M, N)
+    bound = KKT_GUARD * (1.0 + np.sqrt(sq_norms(C[:, :, np.newaxis]).ravel()))
+    mu, residual = np.zeros(L), np.zeros(L)
+    V = C.reshape(L, M, N)  # a view: each row of C is read before it is written
+    W = V[beams.rows]
+    active = ~(beam_slacks(W, beams) >= 0.0)
+    B, mu[beams.rows], residual[beams.rows] = project_beams(W, beams)
+    V[beams.rows] = np.where(active, B, W)
+    G = V[powers.rows, :, powers.antenna]
+    V[powers.rows, :, powers.antenna], mu[powers.rows], residual[powers.rows] = (
+        project_powers(G, powers.limit)
+    )
+    failed = np.flatnonzero(~np.isfinite(residual) | (residual > bound))
+    first = failed[0] if failed.size else L
+    for l in other:
+        if l > first:
+            break
         try:
-            v[l] = project(constraint, vbar).v
+            V[l] = project(problem.constraints[l], C[l]).v.reshape(M, N)
         except ProjectionError as err:
-            raise ProjectionError(
-                f"constraint l={l} ({constraint.describe()}): {err}",
-                dict(err.diagnostics, constraint_index=l),
-            ) from err
-    return v
+            raise _row_error(problem, l, err) from err
+    if failed.size:
+        c = problem.constraints[first]
+        err = stationarity_error(c, mu[first], residual[first], bound[first])
+        raise _row_error(problem, int(first), err)
+    return V.reshape(L, M * N)
 
 
 def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, stall_window=25):

@@ -9,9 +9,16 @@ materialized in the solver: each kind stores its rank structure (a steering
 or channel generator vector, or a diagonal selector) and evaluates or applies
 F in O(M*N).  ``dense_f_matrix`` builds the explicit matrix, used only for
 verification and by the infeasibility certificate.
+
+``ProblemInstance.families`` regroups the constraints by kind into arrays, so
+slacks and the ADMM v-update take one set of array operations per kind; each
+runs the BLAS product of the constraint's own method once per row, so the
+batched values equal the per-constraint ones bit for bit.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +38,62 @@ def user_blocks(w, M, N):
 def group_norms(w, M, N):
     """Per-antenna l2 norms across users: the N group magnitudes."""
     return np.linalg.norm(user_blocks(w, M, N), axis=0)
+
+
+def sq_norms(X):
+    """||x||^2, shaped (k, 1, 1), of every column x of a stack X (k, n, 1);
+    equal to vdot(x, x).real, as the stacked matmul runs the same BLAS dot."""
+    return (np.conj(X).transpose(0, 2, 1) @ X).real
+
+
+class BeamRows(NamedTuple):
+    """Passband and stopband constraints as arrays shaped to broadcast against
+    stacked points (k, M, N): rows l (k,); the steering vectors a and a/||a||
+    as (k, 1, N) rows and their conjugates as (k, N, 1) columns; ||a||^2, the
+    sign (+1 stopband, -1 passband) and the threshold as (k, 1, 1)."""
+
+    rows: np.ndarray
+    steering: np.ndarray
+    unit: np.ndarray
+    probe: np.ndarray
+    unit_probe: np.ndarray
+    norm2: np.ndarray
+    sign: np.ndarray
+    threshold: np.ndarray
+
+
+def beam_rows(rows, steering, sign, threshold, N):
+    """``BeamRows`` from the raw steering vectors, signs and thresholds."""
+    a = np.asarray(steering, dtype=complex).reshape(len(rows), 1, N)
+    norm2 = np.array([np.vdot(x, x).real for x in a]).reshape(-1, 1, 1)
+    unit = a / np.sqrt(norm2)
+    return BeamRows(
+        np.asarray(rows, dtype=int), a, unit,
+        np.conj(a).transpose(0, 2, 1).copy(), np.conj(unit).transpose(0, 2, 1).copy(),
+        norm2, np.reshape(sign, (-1, 1, 1)).astype(float),
+        np.reshape(threshold, (-1, 1, 1)).astype(float),
+    )
+
+
+def beam_slacks(W, beams):
+    """sign*(threshold - response), (k, 1, 1), of each row at W (k or 1, M, N)."""
+    return beams.sign * beams.threshold - beams.sign * sq_norms(W @ beams.probe)
+
+
+class PowerRows(NamedTuple):
+    """Antenna-power constraints as arrays: row l, antenna index and limit."""
+
+    rows: np.ndarray
+    antenna: np.ndarray
+    limit: np.ndarray
+
+
+class ConstraintFamilies(NamedTuple):
+    """Constraints by kind; ``other`` holds the rows of SINR and other classes."""
+
+    beams: BeamRows
+    powers: PowerRows
+    other: tuple
 
 
 def objective(w, eta, M, N):
@@ -101,8 +164,32 @@ class QuadraticConstraint:
         return self.kind
 
 
+class BeamConstraint(QuadraticConstraint):
+    """A response sum_m |a^H w_m|^2 at one angle, held below (stopband,
+    ``sign`` +1) or above (passband, ``sign`` -1) a threshold."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "steering", np.asarray(self.steering, dtype=complex))
+        if not self.threshold > 0:
+            raise ConfigurationError(
+                f"{self.kind} threshold must be > 0, got {self.threshold}"
+            )
+
+    def response(self, w):
+        coef = user_blocks(w, self.M, self.N) @ np.conj(self.steering)
+        return float(np.vdot(coef, coef).real)
+
+    @cached_property
+    def rows(self):
+        """This constraint as a one-row ``BeamRows``."""
+        return beam_rows([0], self.steering, [self.sign], [self.threshold], self.N)
+
+    def restrict(self, support):
+        return replace(self, steering=self.steering[list(support)], N=len(support))
+
+
 @dataclass(frozen=True, eq=False)
-class PassbandConstraint(QuadraticConstraint):
+class PassbandConstraint(BeamConstraint):
     """Mainlobe floor at one angle: sum_m |a^H w_m|^2 >= threshold.
 
     Normalized with F = -(I_M (x) a a^H), f = -threshold; F is NSD.
@@ -115,21 +202,11 @@ class PassbandConstraint(QuadraticConstraint):
     N: int
 
     kind = "passband"
-
-    def __post_init__(self):
-        object.__setattr__(self, "steering", np.asarray(self.steering, dtype=complex))
-        if not self.threshold > 0:
-            raise ConfigurationError(
-                f"passband threshold must be > 0, got {self.threshold}"
-            )
+    sign = -1.0
 
     @property
     def f(self):
         return -self.threshold
-
-    def response(self, w):
-        coef = user_blocks(w, self.M, self.N) @ np.conj(self.steering)
-        return float(np.vdot(coef, coef).real)
 
     def quad(self, w):
         return -self.response(w)
@@ -142,15 +219,12 @@ class PassbandConstraint(QuadraticConstraint):
         block = np.outer(self.steering, np.conj(self.steering))
         return -np.kron(np.eye(self.M), block)
 
-    def restrict(self, support):
-        return replace(self, steering=self.steering[list(support)], N=len(support))
-
     def describe(self):
         return f"passband(theta={self.angle_deg:g} deg)"
 
 
 @dataclass(frozen=True, eq=False)
-class StopbandConstraint(QuadraticConstraint):
+class StopbandConstraint(BeamConstraint):
     """Sidelobe ceiling at one angle: sum_m |a^H w_m|^2 <= threshold.
 
     F = I_M (x) a a^H is PSD with rank M.
@@ -163,21 +237,11 @@ class StopbandConstraint(QuadraticConstraint):
     N: int
 
     kind = "stopband"
-
-    def __post_init__(self):
-        object.__setattr__(self, "steering", np.asarray(self.steering, dtype=complex))
-        if not self.threshold > 0:
-            raise ConfigurationError(
-                f"stopband threshold must be > 0, got {self.threshold}"
-            )
+    sign = 1.0
 
     @property
     def f(self):
         return self.threshold
-
-    def response(self, w):
-        coef = user_blocks(w, self.M, self.N) @ np.conj(self.steering)
-        return float(np.vdot(coef, coef).real)
 
     def quad(self, w):
         return self.response(w)
@@ -189,9 +253,6 @@ class StopbandConstraint(QuadraticConstraint):
     def dense_f_matrix(self):
         block = np.outer(self.steering, np.conj(self.steering))
         return np.kron(np.eye(self.M), block)
-
-    def restrict(self, support):
-        return replace(self, steering=self.steering[list(support)], N=len(support))
 
     def describe(self):
         return f"stopband(theta={self.angle_deg:g} deg)"
@@ -322,6 +383,9 @@ class SinrConstraint(QuadraticConstraint):
         return f"sinr(m={self.user})"
 
 
+_BEAM_CLASSES = (PassbandConstraint, StopbandConstraint)
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """The assembled constraint family plus everything needed to evaluate it.
@@ -351,18 +415,46 @@ class ProblemInstance:
     def constraints_of_kind(self, kind):
         return [c for c in self.constraints if c.kind == kind]
 
+    @cached_property
+    def families(self):
+        """The constraints by kind, built once per instance.  Only the exact
+        beam and antenna-power classes are batched; subclasses go to ``other``."""
+        cs = self.constraints
+        beams = [l for l, c in enumerate(cs) if type(c) in _BEAM_CLASSES]
+        powers = [l for l, c in enumerate(cs) if type(c) is AntennaPowerConstraint]
+        return ConstraintFamilies(
+            beam_rows(
+                beams, [cs[l].steering for l in beams], [cs[l].sign for l in beams],
+                [cs[l].threshold for l in beams], self.N,
+            ),
+            PowerRows(
+                np.array(powers, dtype=int),
+                np.array([cs[l].antenna for l in powers], dtype=int),
+                np.array([cs[l].limit for l in powers], dtype=float),
+            ),
+            tuple(sorted(set(range(self.L)) - set(beams) - set(powers))),
+        )
+
     def slacks(self, w):
-        return np.array([c.slack(w) for c in self.constraints])
+        """f_l - w^H F_l w per constraint, bit for bit the ``slack`` values."""
+        beams, powers, other = self.families
+        W = user_blocks(np.asarray(w, dtype=complex), self.M, self.N)
+        s = np.empty(self.L)
+        s[beams.rows] = beam_slacks(W[np.newaxis], beams).ravel()
+        s[powers.rows] = powers.limit - sq_norms(W.T[powers.antenna, :, np.newaxis]).ravel()
+        for l in other:
+            s[l] = self.constraints[l].slack(w)
+        return s
 
     def max_violation(self, w):
         if not self.constraints:
             return 0.0
-        return max(c.violation(w) for c in self.constraints)
+        return float(np.fmax(0.0, -self.slacks(w)).max())
 
     def worst_violations(self, w, count=5):
-        pairs = [(c.describe(), c.violation(w)) for c in self.constraints]
-        pairs.sort(key=lambda p: -p[1])
-        return pairs[:count]
+        violations = np.fmax(0.0, -self.slacks(w))
+        order = np.argsort(-violations, kind="stable")[:count]
+        return [(self.constraints[l].describe(), float(violations[l])) for l in order]
 
     def restrict(self, support):
         """The same problem on the antenna subset ``support`` (sorted indices)."""

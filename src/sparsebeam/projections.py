@@ -7,8 +7,11 @@ semidefinite.  For the structured constraint kinds F is diagonal or (block)
 rank-one and the equation involves only the coefficients along one generator
 direction; components of vbar orthogonal to the generator are carried
 through untouched.  The antenna-power, stopband and passband equations are
-solved in closed form; the SINR and generic ones by root-finding on a
-secular function.
+solved in closed form, by batched kernels that take k stacked inputs at once
+(``project_beams``, ``project_powers``): the ADMM v-update projects all its
+beam copies in one call, and the single-constraint functions below are
+batch-of-one calls into the same kernels.  The SINR and generic equations
+are solved one constraint at a time by root-finding on a secular function.
 
 F negative semidefinite (mainlobe floors) and indefinite (SINR floors) is
 where the set is nonconvex; the multiplier interval is then bounded and a
@@ -17,10 +20,10 @@ the degenerate inputs, exactly as in the trust-region "hard case".
 
 ``project_generic`` solves the same problem for any Hermitian F through a
 dense eigendecomposition; it backs tests and exotic constraints, never the
-production dispatch.  ``penalty_oracle`` is an independent multistart
-quadratic-penalty solver used only for verification.
+production dispatch.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +31,10 @@ import numpy as np
 from .errors import ProjectionError
 from .problem import (
     AntennaPowerConstraint,
-    PassbandConstraint,
+    BeamConstraint,
     SinrConstraint,
-    StopbandConstraint,
+    beam_rows,
+    sq_norms,
     user_blocks,
 )
 
@@ -40,7 +44,7 @@ SECULAR_TOL = 1e-12
 SECULAR_MAX_ITER = 200
 
 # production guard on the stationarity residual relative to 1 + ||vbar||
-_KKT_GUARD = 1e-6
+KKT_GUARD = 1e-6
 
 _DEGENERATE_FLOOR = 1e-300
 
@@ -97,72 +101,86 @@ def _secular_root(fun, dfun, lo, hi, scale=1.0, context=""):
     )
 
 
-def project_antenna_power(group, limit):
-    """Radial projection of one antenna group onto the power ball.
+def project_powers(G, limit):
+    """Radial projection of k antenna groups G (k, M) onto their power balls.
 
-    Returns the projected group and the KKT multiplier of the normalized
-    constraint (zero when already inside).
+    Groups within their ``limit`` come back unchanged with multiplier 0.
+    Returns the projected groups, the KKT multipliers of the normalized
+    constraints and the stationarity residuals ||(g' - g) + mu*g'||.
     """
-    group = np.asarray(group, dtype=complex)
-    power = float(np.vdot(group, group).real)
-    if power <= limit:
-        return group.copy(), 0.0
-    scale = np.sqrt(limit / power)
-    return group * scale, 1.0 / scale - 1.0
+    power = sq_norms(G[:, :, np.newaxis]).ravel()
+    scale = np.sqrt(limit / np.maximum(power, limit))  # 1 within the limit
+    mu = 1.0 / scale - 1.0
+    P = np.where((power <= limit)[:, np.newaxis], G, G * scale[:, np.newaxis])
+    D = (P - G) + mu[:, np.newaxis] * P
+    return P, mu, np.sqrt(sq_norms(D[:, :, np.newaxis]).ravel())
 
 
-def _steering_split(vbar, generator, M, N):
-    """Coefficients of each user block along the normalized generator."""
-    g = np.asarray(generator, dtype=complex)
-    A = float(np.vdot(g, g).real)
-    ghat = g / np.sqrt(A)
-    W = user_blocks(np.asarray(vbar, dtype=complex), M, N)
-    coef = W @ np.conj(ghat)
-    return W, ghat, A, coef
+def project_beams(W, beams):
+    """Closed-form projection of k stacked points onto their beam constraints.
+
+    Row i of W (k, M, N) holds the user blocks of the point to project onto
+    row i of ``beams`` (a ``BeamRows``).  The steering-aligned coefficient
+    alpha of every block scales by 1/(1 + sign*mu*||a||^2), so the response
+    S0/(1 + sign*mu*||a||^2)^2 meets the threshold t in closed form: the
+    coefficients scale by sqrt(t/S0) and mu = sign*(sqrt(S0/t) - 1)/||a||^2.
+    A stopband (sign +1) shrinks them; a passband (sign -1) amplifies them
+    with mu in [0, 1/||a||^2).  When every block of a passband point is
+    orthogonal to the steering vector (S0 <= 1e-300) nothing can be
+    amplified: the multiplier saturates at 1/||a||^2 and the missing response
+    is injected into user block 0 (a deterministic tie-break; the projection
+    cost is invariant to how the mass is split across blocks).  A row whose
+    S0 already meets its threshold comes back unchanged with multiplier 0.
+
+    Returns the projected points (k, M, N), the multipliers and the
+    stationarity residuals ||(v - vbar) + mu*F v||.
+    """
+    k, M, N = W.shape
+    sign, t, norm2 = beams.sign, beams.threshold, beams.norm2
+    alpha = W @ beams.unit_probe
+    S0 = norm2 * sq_norms(alpha)
+    move = ~(sign * S0 <= sign * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sqrt(S0 / t)
+        beta = alpha / ratio
+    mu = sign * (ratio - 1.0) / norm2
+    if np.count_nonzero(S0 <= _DEGENERATE_FLOOR):
+        degenerate = (move & (S0 <= _DEGENERATE_FLOOR) & (sign < 0)).ravel()
+        beta[degenerate] = 0.0
+        beta[degenerate, 0, 0] = np.sqrt(t[degenerate, 0, 0] / norm2[degenerate, 0, 0])
+        mu[degenerate] = 1.0 / norm2[degenerate]
+    V = W + (beta - alpha) * beams.unit
+    if not move.all():
+        V, mu = np.where(move, V, W), np.where(move, mu, 0.0)
+    D = (V - W) + (sign * mu) * (V @ beams.probe) * beams.steering
+    return V, mu.ravel(), np.sqrt(sq_norms(D.reshape(k, M * N, 1))).ravel()
+
+
+def project_antenna_power(group, limit):
+    """Radial projection of one antenna group onto the power ball:
+    ``project_powers`` on a batch of one.  Returns the projected group and the
+    KKT multiplier of the normalized constraint (zero when already inside)."""
+    G = np.asarray(group, dtype=complex)[np.newaxis]
+    P, mu, _ = project_powers(G, np.array([limit], dtype=float))
+    return P[0], float(mu[0])
+
+
+def _project_one_beam(vbar, steering, sign, threshold, M, N):
+    W = np.reshape(np.asarray(vbar, dtype=complex), (1, M, N))
+    V, mu, _ = project_beams(W, beam_rows([0], steering, [sign], [threshold], N))
+    return V.reshape(-1), float(mu[0])
 
 
 def project_stopband(vbar, steering, threshold, M, N):
-    """Shrink the steering-aligned coefficients until the response ceiling holds.
-
-    The aligned coefficient of every block scales by 1/(1 + mu*||a||^2), so
-    the response S0/(1 + mu*||a||^2)^2 meets the ceiling t in closed form:
-    the coefficients scale by sqrt(t/S0) and mu = (sqrt(S0/t) - 1)/||a||^2.
-    """
-    W, ahat, A, alpha = _steering_split(vbar, steering, M, N)
-    S0 = A * float(np.vdot(alpha, alpha).real)
-    if S0 <= threshold:
-        return np.asarray(vbar, dtype=complex).copy(), 0.0
-    ratio = np.sqrt(S0 / threshold)
-    V = W + np.outer(alpha / ratio - alpha, ahat)
-    return V.reshape(-1), (ratio - 1.0) / A
+    """Shrink the steering-aligned coefficients until the response ceiling holds:
+    ``project_beams`` on a batch of one with sign +1.  Returns (v, mu)."""
+    return _project_one_beam(vbar, steering, 1.0, threshold, M, N)
 
 
 def project_passband(vbar, steering, threshold, M, N):
-    """Amplify the steering-aligned coefficients until the response floor holds.
-
-    The aligned coefficient of every block scales by 1/(1 - mu*||a||^2) with
-    mu in [0, 1/||a||^2), so the response S0/(1 - mu*||a||^2)^2 meets the
-    floor t in closed form: the coefficients scale by sqrt(t/S0) and
-    mu = (1 - sqrt(S0/t))/||a||^2.  When every block is orthogonal to the
-    steering vector nothing can be amplified: the multiplier saturates and
-    the missing response is injected into user block 0 (a deterministic
-    tie-break; the projection cost is invariant to how the mass is split
-    across blocks).
-    """
-    W, ahat, A, alpha = _steering_split(vbar, steering, M, N)
-    S0 = A * float(np.vdot(alpha, alpha).real)
-    if S0 >= threshold:
-        return np.asarray(vbar, dtype=complex).copy(), 0.0
-    if S0 <= _DEGENERATE_FLOOR:
-        beta = np.zeros(M, dtype=complex)
-        beta[0] = np.sqrt(threshold / A)
-        mu = 1.0 / A
-    else:
-        ratio = np.sqrt(S0 / threshold)
-        beta = alpha / ratio
-        mu = (1.0 - ratio) / A
-    V = W + np.outer(beta - alpha, ahat)
-    return V.reshape(-1), mu
+    """Amplify the steering-aligned coefficients until the response floor holds:
+    ``project_beams`` on a batch of one with sign -1.  Returns (v, mu)."""
+    return _project_one_beam(vbar, steering, -1.0, threshold, M, N)
 
 
 def project_sinr(vbar, h, gamma, noise_variance, user, M, N):
@@ -175,7 +193,11 @@ def project_sinr(vbar, h, gamma, noise_variance, user, M, N):
     component is injected (the cost is strictly increasing in the injected
     magnitude, so the boundary value is optimal).
     """
-    W, hhat, A, z = _steering_split(vbar, h, M, N)
+    h = np.asarray(h, dtype=complex)
+    A = float(np.vdot(h, h).real)
+    hhat = h / np.sqrt(A)
+    W = user_blocks(np.asarray(vbar, dtype=complex), M, N)
+    z = W @ np.conj(hhat)
     power = np.abs(z) ** 2
     pm = float(power[user])
     pI = float(power.sum() - power[user])
@@ -278,10 +300,21 @@ def project_generic(F, f, vbar):
     return Q @ y, mu
 
 
+def stationarity_error(constraint, multiplier, residual, bound):
+    """The ProjectionError for a projection that fails the KKT guard."""
+    return ProjectionError(
+        f"projection onto {constraint.describe()} violates stationarity "
+        f"(residual {residual:g} > {bound:g})",
+        {"kind": constraint.kind, "multiplier": multiplier, "residual": residual},
+    )
+
+
 def project(constraint, vbar):
     """Projection dispatch: keep feasible points, else run the structured path.
 
-    The returned stationarity residual ||(v - vbar) + mu*F v|| is checked
+    Beam and antenna-power constraints go through their batched kernels as a
+    batch of one; SINR and any other constraint are solved here, one at a
+    time.  The stationarity residual ||(v - vbar) + mu*F v|| is checked
     against a loose production guard; tests pin it far tighter.
     """
     vbar = np.asarray(vbar, dtype=complex)
@@ -292,132 +325,23 @@ def project(constraint, vbar):
     if isinstance(constraint, AntennaPowerConstraint):
         v = vbar.copy()
         sel = slice(constraint.antenna, None, constraint.N)
-        v[sel], mu = project_antenna_power(vbar[sel], constraint.limit)
-    elif isinstance(constraint, StopbandConstraint):
-        v, mu = project_stopband(
-            vbar, constraint.steering, constraint.threshold,
-            constraint.M, constraint.N,
-        )
-    elif isinstance(constraint, PassbandConstraint):
-        v, mu = project_passband(
-            vbar, constraint.steering, constraint.threshold,
-            constraint.M, constraint.N,
-        )
-    elif isinstance(constraint, SinrConstraint):
-        v, mu = project_sinr(
-            vbar, constraint.h, constraint.gamma, constraint.noise_variance,
-            constraint.user, constraint.M, constraint.N,
-        )
+        G = vbar[sel][np.newaxis]
+        P, mu, residual = project_powers(G, np.array([constraint.limit], dtype=float))
+        v[sel], mu, residual = P[0], float(mu[0]), float(residual[0])
+    elif isinstance(constraint, BeamConstraint):
+        W = vbar.reshape(1, constraint.M, constraint.N)
+        V, mu, residual = project_beams(W, constraint.rows)
+        v, mu, residual = V.reshape(-1), float(mu[0]), float(residual[0])
     else:
-        v, mu = project_generic(constraint.dense_f_matrix(), constraint.f, vbar)
-    residual = float(np.linalg.norm((v - vbar) + mu * constraint.f_action(v)))
-    bound = _KKT_GUARD * (1.0 + float(np.linalg.norm(vbar)))
-    if not np.isfinite(residual) or residual > bound:
-        raise ProjectionError(
-            f"projection onto {constraint.describe()} violates stationarity "
-            f"(residual {residual:g} > {bound:g})",
-            {"kind": constraint.kind, "multiplier": mu, "residual": residual},
-        )
-    return ProjectionResult(v=v, multiplier=mu, active=mu > 0.0, kkt_residual=residual)
-
-
-def realify_matrix(F):
-    """Hermitian F as the equivalent real symmetric matrix on [Re; Im]."""
-    F = np.asarray(F, dtype=complex)
-    return np.block([[F.real, -F.imag], [F.imag, F.real]])
-
-
-def realify_vector(v):
-    v = np.asarray(v, dtype=complex)
-    return np.concatenate([v.real, v.imag])
-
-
-def _penalty_newton(Fr, f, xbar, x0, tau, max_iter=80):
-    """Damped Newton minimization of ||x - xbar||^2 + tau*max(0, q(x))^2."""
-    x = np.asarray(x0, dtype=float).copy()
-    I = np.eye(x.size)
-
-    def value(x):
-        r = x - xbar
-        q = x @ (Fr @ x) - f
-        viol = max(q, 0.0)
-        return r @ r + tau * viol * viol
-
-    fx = value(x)
-    if not np.isfinite(fx):
-        return np.asarray(x0, dtype=float).copy(), np.inf
-    for _ in range(max_iter):
-        q = x @ (Fr @ x) - f
-        viol = max(q, 0.0)
-        Fx = Fr @ x
-        g = 2.0 * (x - xbar) + (4.0 * tau * viol) * Fx
-        if not np.all(np.isfinite(g)):
-            break
-        if np.linalg.norm(g) <= 1e-13 * (1.0 + abs(fx)):
-            break
-        if q > 0.0:
-            H = 2.0 * I + (4.0 * tau * q) * Fr + (8.0 * tau) * np.outer(Fx, Fx)
+        if isinstance(constraint, SinrConstraint):
+            v, mu = project_sinr(
+                vbar, constraint.h, constraint.gamma, constraint.noise_variance,
+                constraint.user, constraint.M, constraint.N,
+            )
         else:
-            H = 2.0 * I
-        d = None
-        shift = 0.0
-        for _ in range(60):
-            try:
-                np.linalg.cholesky(H + shift * I)
-                d = np.linalg.solve(H + shift * I, -g)
-                break
-            except np.linalg.LinAlgError:
-                shift = max(2.0 * shift, 1e-6 * max(float(np.abs(H).max()), 1.0))
-        if d is None or not np.all(np.isfinite(d)):
-            d = -g / max(float(np.linalg.norm(g)), 1.0)
-        gd = g @ d
-        t, improved = 1.0, False
-        for _ in range(60):
-            xt = x + t * d
-            ft = value(xt)
-            if np.isfinite(ft) and ft <= fx + 1e-4 * t * gd:
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-        moved = float(np.linalg.norm(t * d))
-        x, fx = xt, ft
-        if moved <= 1e-16 * (1.0 + float(np.linalg.norm(x))):
-            break
-    return x, fx
-
-
-def penalty_oracle(F, f, vbar, seed=0, n_starts=32, keep=6):
-    """Reference projection by an escalating quadratic penalty; test use only.
-
-    Minimizes ||v - vbar||^2 + tau*max(0, v^H F v - f)^2 with tau escalating
-    over nine decades.  All random restarts run the first stage; the best few
-    survivors are warm-started through the remaining stages, which keeps the
-    multistart honest for the nonconvex kinds without paying full price on
-    every start.  Intended for dimensions <= 8.
-    """
-    vbar = np.asarray(vbar, dtype=complex)
-    n = vbar.shape[0]
-    if n > 8:
-        raise ValueError(f"penalty oracle limited to dimension <= 8, got {n}")
-    F = np.asarray(F, dtype=complex)
-    norm = max(1.0, abs(f), float(np.abs(F).max()))
-    Fr = realify_matrix(F / norm)
-    fs = f / norm
-    xbar = realify_vector(vbar)
-    rng = np.random.default_rng(seed)
-    taus = [10.0**k for k in range(2, 11)]
-    scale = max(1.0, float(np.linalg.norm(xbar)))
-    starts = [xbar] + [
-        xbar + scale * rng.standard_normal(2 * n) for _ in range(n_starts)
-    ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        pool = [_penalty_newton(Fr, fs, xbar, x0, taus[0]) for x0 in starts]
-        pool.sort(key=lambda entry: entry[1])
-        pool = pool[:keep]
-        for tau in taus[1:]:
-            pool = [_penalty_newton(Fr, fs, xbar, x, tau) for x, _ in pool]
-            pool.sort(key=lambda entry: entry[1])
-    x = pool[0][0]
-    return x[:n] + 1j * x[n:]
+            v, mu = project_generic(constraint.dense_f_matrix(), constraint.f, vbar)
+        residual = float(np.linalg.norm((v - vbar) + mu * constraint.f_action(v)))
+    bound = KKT_GUARD * (1.0 + math.sqrt(np.vdot(vbar, vbar).real))
+    if not math.isfinite(residual) or residual > bound:
+        raise stationarity_error(constraint, mu, residual, bound)
+    return ProjectionResult(v=v, multiplier=mu, active=mu > 0.0, kkt_residual=residual)

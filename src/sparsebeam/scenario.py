@@ -6,6 +6,7 @@ as "<x> dBm" strings, ratios as linear numbers or "<x> dB" strings; the
 loaded Scenario always carries linear units.
 """
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -29,9 +30,14 @@ def bundled_scenario_path(name="paper_sec4"):
     return str(_data_path(f"{name}.json"))
 
 
-def _load_schema():
+@functools.cache
+def _validator():
+    """The schema's validator, checked against its metaschema once per process."""
     with _data_path("scenario.schema.json").open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def parse_power_watts(value, field):
@@ -150,9 +156,8 @@ class Scenario:
 
 def scenario_from_dict(data):
     """Validate a raw config dict against the schema and convert units."""
-    try:
-        jsonschema.validate(data, _load_schema())
-    except jsonschema.ValidationError as err:
+    err = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+    if err is not None:
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigurationError(f"scenario field {where}: {err.message}") from err
 

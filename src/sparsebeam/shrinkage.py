@@ -13,8 +13,6 @@ produce a negative norm.
 
 import numpy as np
 
-from .problem import group_norms, user_blocks
-
 # groups at or below this magnitude are treated as exactly zero
 ZERO_GROUP_FLOOR = 1e-300
 
@@ -24,7 +22,9 @@ def group_shrink(c, eta, rho, L, M, N):
 
     Group n (the M entries of antenna n) is scaled by
     max(0, 1 - eta/(rho*L*g_n)) where g_n is the group's l2 norm; zero groups
-    stay zero.  With eta = 0 the input is returned unchanged.
+    stay zero.  With eta = 0 the input is returned unchanged.  Leading axes
+    are batch axes: ``c`` of shape (..., M*N) shrinks every stack at once,
+    each exactly as it would be on its own.
     """
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
@@ -35,69 +35,9 @@ def group_shrink(c, eta, rho, L, M, N):
     c = np.asarray(c, dtype=complex)
     if eta == 0:
         return c.copy()
-    g = group_norms(c, M, N)
+    C = c.reshape(c.shape[:-1] + (M, N))
+    g = np.linalg.norm(C, axis=-2)
     lam = eta / (rho * L)
-    safe = np.where(g > ZERO_GROUP_FLOOR, g, 1.0)
-    scale = np.where(g > ZERO_GROUP_FLOOR, np.maximum(0.0, 1.0 - lam / safe), 0.0)
-    return (user_blocks(c, M, N) * scale).reshape(-1)
-
-
-def _ray_objective(t, g, lam):
-    """The shrinkage objective restricted to the ray v = (t/g) * c_group.
-
-    Equals lam*t + 0.5*||t*chat - g*chat||^2 with chat the unit direction;
-    evaluated directly so the oracle below never touches the closed form.
-    """
-    return lam * t + 0.5 * (t - g) ** 2
-
-
-def prox_oracle(c, eta, rho, L, M, N):
-    """Reference minimizer of the shrinkage objective; test use only.
-
-    Works per group: for any fixed group norm t, the quadratic term is
-    minimized by keeping the group direction (nearest point on the sphere of
-    radius t to c_group lies along c_group), so the problem reduces to a 1-D
-    convex minimization in t >= 0.  That scalar problem is solved numerically
-    by bisection on a central-difference derivative of the ray-restricted
-    objective, to machine precision, without using the shrinkage formula.
-    """
-    if eta < 0 or not rho > 0 or L < 1:
-        raise ValueError("need eta >= 0, rho > 0, L >= 1")
-    c = np.asarray(c, dtype=complex)
-    if M * N > 16:
-        raise ValueError(f"oracle limited to M*N <= 16 entries, got {M * N}")
-    lam = eta / (rho * L)  # objective scaled by 1/rho; minimizer unchanged
-    C = user_blocks(c, M, N)
-    V = np.zeros_like(C)
-    for n in range(N):
-        g = float(np.linalg.norm(C[:, n]))
-        if g <= ZERO_GROUP_FLOOR:
-            continue
-        h = 1e-7 * max(1.0, g)
-
-        def dpsi(t):
-            # central and one-sided 3-point stencils are exact on the ray
-            # objective (linear + quadratic), leaving only rounding noise
-            if t < h:
-                return (
-                    -3.0 * _ray_objective(t, g, lam)
-                    + 4.0 * _ray_objective(t + h, g, lam)
-                    - _ray_objective(t + 2.0 * h, g, lam)
-                ) / (2.0 * h)
-            return (
-                _ray_objective(t + h, g, lam) - _ray_objective(t - h, g, lam)
-            ) / (2.0 * h)
-
-        if dpsi(0.0) >= 0.0:
-            continue  # the whole group lands in the dead zone
-        lo, hi = 0.0, g
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if dpsi(mid) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-16 * max(1.0, hi):
-                break
-        V[:, n] = (0.5 * (lo + hi) / g) * C[:, n]
-    return V.reshape(-1)
+    nonzero = g > ZERO_GROUP_FLOOR
+    scale = np.where(nonzero, np.maximum(0.0, 1.0 - lam / np.where(nonzero, g, 1.0)), 0.0)
+    return (C * scale[..., np.newaxis, :]).reshape(c.shape)

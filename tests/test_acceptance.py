@@ -43,6 +43,7 @@ from helpers import (
     quad_form,
     random_stack,
 )
+from oracles import penalty_oracle, prox_oracle
 
 _cache = {}
 
@@ -227,7 +228,7 @@ def test_criterion_05_prox_oracle():
             if top > 0:
                 c = c * (lam / top) * rng.uniform(0.5, 1.5)
         got = sb.group_shrink(c, eta, rho, L, M, N)
-        want = sb.prox_oracle(c, eta, rho, L, M, N)
+        want = prox_oracle(c, eta, rho, L, M, N)
         worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst <= 1e-8
     # dead-zone inputs map to exact zeros
@@ -290,7 +291,7 @@ def test_criterion_06_projection_oracle():
             assert quad <= c.f + 1e-8
             assert res.multiplier * abs(quad - c.f) <= 1e-8
             worst_kkt = max(worst_kkt, stat)
-            ref = sb.penalty_oracle(F, c.f, vbar, seed=count)
+            ref = penalty_oracle(F, c.f, vbar, seed=count)
             own = np.linalg.norm(res.v - vbar) ** 2
             other = np.linalg.norm(ref - vbar) ** 2
             assert own <= other + 1e-6, f"{kind}: structured path suboptimal"

@@ -12,12 +12,15 @@ from sparsebeam import (
     PassbandConstraint,
     ProblemInstance,
     ProjectionError,
+    QuadraticConstraint,
     SinrConstraint,
     StopbandConstraint,
     WeakPenaltyWarning,
     check_penalty_ratio,
     find_feasible_point,
     initialize,
+    refit,
+    select_support,
     solve,
     steering_vector,
     update_u,
@@ -28,6 +31,7 @@ import sparsebeam.admm as admm_module
 from sparsebeam.certificate import certify_infeasible
 
 from helpers import certificate_holds, random_stack
+from oracles import update_v_loop
 
 
 def toy_problem(constraints, M, N, eta=0.0):
@@ -123,6 +127,262 @@ class TestUpdateV:
         v1 = update_v(paper_problem, w, u, eta=0.1, rho=50.0, parallel=1)
         v8 = update_v(paper_problem, w, u, eta=0.1, rho=50.0, parallel=8)
         assert np.array_equal(v1, v8)
+
+
+class Ball(QuadraticConstraint):
+    """||w||^2 <= radius: a constraint class the batched kinds do not cover."""
+
+    kind = "ball"
+
+    def __init__(self, radius, size):
+        self.radius, self.size = radius, size
+
+    @property
+    def f(self):
+        return self.radius
+
+    def quad(self, w):
+        return float(np.vdot(w, w).real)
+
+    def f_action(self, w):
+        return np.asarray(w, dtype=complex)
+
+    def dense_f_matrix(self):
+        return np.eye(self.size, dtype=complex)
+
+
+class TaggedStopband(StopbandConstraint):
+    """A stopband subclass: subclasses take the one-at-a-time path."""
+
+    def describe(self):
+        return "tagged " + super().describe()
+
+
+def record_update_v(monkeypatch, run):
+    """(problem, w, u, eta, rho) of every ``update_v`` call made by ``run()``."""
+    calls = []
+    original = admm_module.update_v
+
+    def spy(problem, w, u, eta, rho, parallel=1):
+        calls.append((problem, w.copy(), u.copy(), eta, rho))
+        return original(problem, w, u, eta, rho, parallel)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(admm_module, "update_v", spy)
+        run()
+    return calls
+
+
+def assert_matches_loop(problem, w, u, eta, rho):
+    """Batched ``update_v`` equals the per-constraint loop bit for bit, or
+    both fail on the same constraint."""
+    try:
+        want = update_v_loop(problem, w, u, eta, rho)
+    except ProjectionError as err:
+        with pytest.raises(ProjectionError) as got:
+            update_v(problem, w, u, eta, rho)
+        index = got.value.diagnostics["constraint_index"]
+        assert index == err.diagnostics["constraint_index"]
+        return
+    assert np.array_equal(update_v(problem, w, u, eta, rho), want)
+
+
+def random_duals(rng, L, size, scale=0.3):
+    return scale * (rng.standard_normal((L, size)) + 1j * rng.standard_normal((L, size)))
+
+
+@st.composite
+def mixed_problems(draw):
+    """Every constraint class, thresholds over four decades, in shuffled order."""
+    M = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def level():
+        return float(10.0 ** rng.uniform(-2.0, 2.0))
+
+    constraints = []
+    for cls in (PassbandConstraint, StopbandConstraint, TaggedStopband):
+        for _ in range(draw(st.integers(0, 3))):
+            constraints.append(cls(0.0, random_stack(rng, 1, N), level(), M, N))
+    for n in rng.permutation(N)[: draw(st.integers(0, N))]:
+        constraints.append(AntennaPowerConstraint(int(n), level(), M, N))
+    for m in range(draw(st.integers(0, M))):
+        h = random_stack(rng, 1, N)
+        constraints.append(
+            SinrConstraint(m, h, rng.uniform(0.5, 4.0), rng.uniform(0.3, 2.0), M, N)
+        )
+    if draw(st.booleans()):
+        constraints.append(Ball(level(), M * N))
+    constraints = [constraints[i] for i in rng.permutation(len(constraints))]
+    problem = toy_problem(constraints, M, N)
+    w = random_stack(rng, M, N, scale=draw(st.sampled_from([0.1, 1.0, 5.0])))
+    u = random_duals(rng, problem.L, problem.size)
+    eta = draw(st.sampled_from([0.0, 0.05, 1.0]))
+    return problem, w, u, eta, draw(st.floats(0.5, 60.0))
+
+
+class TestBatchedUpdateV:
+    """The batched v-update against ``update_v_loop``, the per-constraint loop."""
+
+    def test_reference_solve_iterates(self, paper_problem, paper_scenario, monkeypatch):
+        calls = record_update_v(
+            monkeypatch,
+            lambda: solve(paper_problem, paper_scenario.admm, seed=paper_scenario.seed),
+        )
+        assert len(calls) == 100
+        for call in calls:
+            assert_matches_loop(*call)
+
+    def test_refit_iterates(self, paper_problem, paper_scenario, monkeypatch):
+        state = solve(paper_problem, paper_scenario.admm, seed=paper_scenario.seed)
+        support = select_support(
+            state.w, paper_scenario.num_selected, paper_problem.M, paper_problem.N
+        )
+        calls = record_update_v(
+            monkeypatch,
+            lambda: refit(paper_problem, support, paper_scenario.admm, paper_scenario.seed),
+        )
+        assert len(calls) == 300 and calls[0][0].N == paper_scenario.num_selected
+        for call in calls:
+            assert_matches_loop(*call)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_problems())
+    def test_mixed_constraint_order(self, case):
+        assert_matches_loop(*case)
+
+    @settings(max_examples=50, deadline=None)
+    @given(mixed_problems())
+    def test_slacks_match_per_constraint(self, case):
+        problem, w = case[0], case[1]
+        want = np.array([c.slack(w) for c in problem.constraints])
+        assert np.array_equal(problem.slacks(w), want)
+        if problem.L:
+            assert problem.max_violation(w) == max(c.violation(w) for c in problem.constraints)
+
+    def test_families_route_only_exact_classes(self):
+        M, N = 2, 3
+        a = steering_vector(ArrayGeometry(N, 0.5), 30.0)
+        problem = toy_problem(
+            [
+                StopbandConstraint(30.0, a, 1.0, M, N),
+                TaggedStopband(30.0, a, 1.0, M, N),
+                Ball(1.0, M * N),
+                AntennaPowerConstraint(2, 1.0, M, N),
+                PassbandConstraint(30.0, a, 1.0, M, N),
+            ],
+            M, N,
+        )
+        beams, powers, other = problem.families
+        assert beams.rows.tolist() == [0, 4] and beams.sign.ravel().tolist() == [1.0, -1.0]
+        assert powers.rows.tolist() == [3] and powers.antenna.tolist() == [2]
+        assert other == (1, 2)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    def test_zero_aligned_coefficients(self, eta):
+        # the passband hard case: no block has a component along the steering
+        # vector, so the response is injected into user block 0
+        M, N = 2, 4
+        a = np.array([1.0, 1.0j, 0.0, 0.0])
+        passband = PassbandConstraint(0.0, a, 2.0, M, N)
+        problem = toy_problem(
+            [StopbandConstraint(0.0, a, 50.0, M, N), passband, passband], M, N
+        )
+        rng = np.random.default_rng(11)
+        w = random_stack(rng, M, N)
+        u = random_duals(rng, problem.L, problem.size)
+        orthogonal = w.reshape(M, N).copy()
+        orthogonal[:, :2] = 0.0
+        u[1] = w - orthogonal.reshape(-1)  # copy 1 sees a point orthogonal to a
+        u[2] = w  # copy 2 sees the zero point
+        assert_matches_loop(problem, w, u, eta, 2.0)
+        v = update_v(problem, w, u, eta, 2.0)
+        assert passband.response(v[1]) == pytest.approx(2.0, rel=1e-12)
+        assert passband.response(v[2]) == pytest.approx(2.0, rel=1e-12)
+        assert np.all(v[2].reshape(M, N)[1] == 0)  # the injection goes to block 0
+
+    @pytest.mark.parametrize("ratio", [1e-8, 1.0, 1e8])
+    def test_extreme_response_to_threshold_ratios(self, paper_problem, ratio):
+        # response/threshold = 1e8 puts every stopband copy far above its
+        # ceiling, 1e-8 every passband copy far below its floor; at 1 every
+        # copy sits on its boundary, where a rounding-level move must not
+        # replace the pass-through
+        rng = np.random.default_rng(12)
+        w = random_stack(rng, paper_problem.M, paper_problem.N)
+        u = random_duals(rng, paper_problem.L, paper_problem.size)
+        constraints = [
+            replace(c, threshold=c.response(w - u[l]) / ratio)
+            if c.kind in ("passband", "stopband") else c
+            for l, c in enumerate(paper_problem.constraints)
+        ]
+        scaled = replace(paper_problem, constraints=tuple(constraints), eta=0.0)
+        assert_matches_loop(scaled, w, u, 0.0, 50.0)
+
+    @pytest.mark.parametrize("antenna", [0, 4, 9])
+    def test_single_antenna_supports(self, paper_problem, antenna):
+        reduced = paper_problem.restrict((antenna,))
+        rng = np.random.default_rng(13 + antenna)
+        for scale in (0.1, 1.0, 10.0):
+            w = random_stack(rng, reduced.M, reduced.N, scale=scale)
+            u = random_duals(rng, reduced.L, reduced.size, scale=scale)
+            assert_matches_loop(reduced, w, u, 0.1, 50.0)
+
+    @pytest.mark.parametrize("beam_row, scalar_row", [(0, 1), (1, 0)])
+    def test_first_failing_row_is_named(self, monkeypatch, beam_row, scalar_row):
+        M, N = 1, 2
+        rows = [StopbandConstraint(0.0, np.ones(N), 1.0, M, N)] * 2
+        rows[scalar_row] = Ball(1.0, M * N)
+        problem = toy_problem(rows, M, N)
+        kernel = admm_module.project_beams
+
+        def failing_kernel(W, beams):
+            V, mu, residual = kernel(W, beams)
+            return V, mu, np.full_like(residual, np.inf)
+
+        def failing_project(constraint, vbar):
+            raise ProjectionError("synthetic failure", {})
+
+        monkeypatch.setattr(admm_module, "project_beams", failing_kernel)
+        monkeypatch.setattr(admm_module, "project", failing_project)
+        with pytest.raises(ProjectionError) as err:
+            update_v(problem, np.ones(N, dtype=complex), np.zeros((2, N), complex), 0.0, 1.0)
+        assert err.value.diagnostics["constraint_index"] == 0
+        assert ("synthetic" in str(err.value)) == (scalar_row == 0)
+
+    def test_power_guard_names_its_row(self, monkeypatch):
+        M, N = 2, 2
+        problem = toy_problem(
+            [StopbandConstraint(0.0, np.ones(N), 1.0, M, N), AntennaPowerConstraint(1, 1.0, M, N)],
+            M, N,
+        )
+        kernel = admm_module.project_powers
+
+        def failing_kernel(G, limit):
+            P, mu, residual = kernel(G, limit)
+            return P, mu, np.full_like(residual, np.nan)
+
+        monkeypatch.setattr(admm_module, "project_powers", failing_kernel)
+        with pytest.raises(ProjectionError) as err:
+            update_v(problem, np.zeros(M * N, complex), np.zeros((2, M * N), complex), 0.0, 1.0)
+        assert err.value.diagnostics["constraint_index"] == 1
+        assert "l=1 (antenna_power(n=1))" in str(err.value)
+
+    def test_one_shrink_and_only_sinr_projections(self, paper_problem, monkeypatch):
+        counts = {"project": 0, "group_shrink": 0}
+        for name in counts:
+            original = getattr(admm_module, name)
+
+            def counted(*args, _original=original, _name=name):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(admm_module, name, counted)
+        rng = np.random.default_rng(14)
+        w = random_stack(rng, paper_problem.M, paper_problem.N)
+        u = random_duals(rng, paper_problem.L, paper_problem.size, scale=0.1)
+        update_v(paper_problem, w, u, eta=0.1, rho=50.0)
+        assert counts == {"project": paper_problem.M, "group_shrink": 1}
 
 
 class TestFeasiblePoint:
@@ -351,15 +611,16 @@ class TestSolve:
             admm_module, "find_feasible_point", lambda problem, seed=0: w0.copy()
         )
         calls = {"n": 0}
-        original = admm_module.project
+        original = admm_module.project_beams
 
-        def flaky(constraint, vbar):
+        def flaky(W, beams):
             calls["n"] += 1
-            if calls["n"] == 40:  # second iteration, second constraint
-                raise ProjectionError("synthetic failure", {"detail": 1})
-            return original(constraint, vbar)
+            V, mu, residual = original(W, beams)
+            if calls["n"] == 2:  # second iteration, second constraint
+                residual[1] = np.nan
+            return V, mu, residual
 
-        monkeypatch.setattr(admm_module, "project", flaky)
+        monkeypatch.setattr(admm_module, "project_beams", flaky)
         cfg = replace(paper_scenario.admm, k_max=5)
         with pytest.raises(ProjectionError) as err:
             solve(paper_problem, cfg, seed=paper_scenario.seed)

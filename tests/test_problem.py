@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -11,6 +13,7 @@ from sparsebeam import (
     SinrConstraint,
     StopbandConstraint,
     assemble,
+    find_feasible_point,
     group_norms,
     objective,
     steering_vector,
@@ -288,3 +291,35 @@ class TestRestrict:
             assert c_red.quad(w_red) == pytest.approx(
                 c_full.quad(w_full), rel=1e-12, abs=1e-12
             )
+
+
+class TestVectorizedSlacks:
+    """``slacks``, ``max_violation`` and ``worst_violations`` work per kind on
+    arrays; they must equal the per-constraint values bit for bit."""
+
+    @staticmethod
+    def check(problem, w):
+        want = np.array([c.slack(w) for c in problem.constraints])
+        assert np.array_equal(problem.slacks(w), want)
+        violations = [c.violation(w) for c in problem.constraints]
+        assert problem.max_violation(w) == max(violations)
+        pairs = sorted(
+            ((c.describe(), v) for c, v in zip(problem.constraints, violations)),
+            key=lambda p: -p[1],
+        )
+        assert problem.worst_violations(w) == pairs[:5]
+
+    def test_paper_problem(self, paper_problem, paper_scenario):
+        rng = np.random.default_rng(21)
+        self.check(paper_problem, find_feasible_point(paper_problem, paper_scenario.seed))
+        for scale in (0.1, 1.0, 10.0):
+            self.check(paper_problem, random_stack(rng, paper_problem.M, paper_problem.N, scale))
+
+    def test_all_eight_antenna_supports(self, paper_problem):
+        rng = np.random.default_rng(22)
+        supports = list(itertools.combinations(range(paper_problem.N), 8))
+        assert len(supports) == 45
+        for support in supports:
+            reduced = paper_problem.restrict(support)
+            for scale in (0.3, 3.0):
+                self.check(reduced, random_stack(rng, reduced.M, reduced.N, scale))

@@ -7,7 +7,6 @@ from sparsebeam import (
     PassbandConstraint,
     SinrConstraint,
     StopbandConstraint,
-    penalty_oracle,
     project,
     project_antenna_power,
     project_generic,
@@ -18,6 +17,7 @@ from sparsebeam import (
 )
 
 from helpers import quad_form, random_stack
+from oracles import penalty_oracle
 
 
 def steering(N, theta=17.0):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sparsebeam import group_norms, group_shrink, objective, prox_oracle
+from sparsebeam import group_norms, group_shrink, objective
 
 from helpers import random_stack
+from oracles import prox_oracle
 
 
 def shrink_objective(v, c, eta, rho, L, M, N):
