@@ -88,24 +88,3 @@ from .selection import (
 from .shrinkage import group_shrink
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmmConfig", "AdmmState", "AngleGrids", "AntennaPowerConstraint",
-    "ArrayGeometry", "BaselineResult", "BeamformerStack", "ConfigurationError",
-    "DesignReport", "FeasibilityReport", "InfeasibleProblemError",
-    "IterationRecord", "PassbandConstraint", "ProblemInstance",
-    "ProjectionError", "ProjectionResult", "QuadraticConstraint", "Scenario",
-    "SinrConstraint", "StopbandConstraint", "UserChannel", "WeakPenaltyWarning",
-    "antenna_power", "assemble", "beampattern", "build_grids",
-    "bundled_scenario_path", "check_penalty_ratio", "cyclic_projection",
-    "db_to_linear", "dbm_to_watts", "design_report", "feasibility_report",
-    "find_feasible_point", "group_norms", "group_shrink", "initialize",
-    "linear_to_db", "load_scenario", "los_channel", "msrr", "objective",
-    "project", "project_antenna_power", "project_generic",
-    "project_passband", "project_sinr", "project_stopband",
-    "random_selection_baseline", "rank_groups", "rayleigh_channel", "refit",
-    "restore_feasibility",
-    "responses", "scenario_sha256", "scenario_to_dict", "select_support",
-    "sinr_per_user", "solve", "steering_vector", "tx_power", "update_u",
-    "update_v", "update_w", "user_blocks", "write_scenario",
-]

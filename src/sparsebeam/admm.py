@@ -22,6 +22,11 @@ from .projections import KKT_GUARD, project, project_beams, project_powers
 from .projections import stationarity_error
 from .shrinkage import group_shrink
 
+_STALL_WINDOW = 25  # sweeps without progress before cyclic_projection gives up
+_RESTORE_TOL = 1e-9  # restore_feasibility's target, well inside the 1e-6 gate
+_RESCUE_ROUNDS = 3  # violation-descent rounds restore_feasibility may add
+_DESCENT_MAX_ITER = 600  # L-BFGS iteration budget of one violation descent
+
 
 class WeakPenaltyWarning(UserWarning):
     """rho/2 is not comfortably above eta/L.
@@ -56,6 +61,7 @@ class AdmmConfig:
             raise ConfigurationError(f"rho must be > 0, got {self.rho}")
         if int(self.k_max) != self.k_max or self.k_max < 0:
             raise ConfigurationError(f"k_max must be an integer >= 0, got {self.k_max}")
+        object.__setattr__(self, "k_max", int(self.k_max))
         for name in ("primal_tol", "dual_tol"):
             tol = getattr(self, name)
             if tol is not None and not tol > 0:
@@ -164,12 +170,12 @@ def update_v(problem, w, u, eta, rho, parallel=1):
     return V.reshape(L, M * N)
 
 
-def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, stall_window=25):
+def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8):
     """Feasibility restoration by cyclic nearest-point projections.
 
     Sweeps the constraints in their fixed order, projecting onto each (a
     satisfied constraint leaves the point as it is), until the worst
-    violation falls below ``tol``; gives up early when ``stall_window``
+    violation falls below ``tol``; gives up early when ``_STALL_WINDOW``
     consecutive sweeps fail to improve the best worst violation by at least
     0.1%.  Returns (w, max_violation, converged).
     """
@@ -187,7 +193,7 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, stall_window=25):
             stalled = 0
         else:
             stalled += 1
-            if stalled >= stall_window:
+            if stalled >= _STALL_WINDOW:
                 break
     return w, problem.max_violation(w), False
 
@@ -247,23 +253,23 @@ def _mainlobe_boost(problem, w):
     return w
 
 
-def restore_feasibility(problem, w, tol=1e-9, max_rounds=3):
+def restore_feasibility(problem, w):
     """Cyclic projections with violation-descent rescue rounds.
 
     Plain projection sweeps stall on some nonconvex instances; each rescue
     round descends the squared-hinge violation surrogate from the stalled
     point and projects again.  Returns (w, max_violation, converged).
     """
-    w, violation, ok = cyclic_projection(problem, w, max_sweeps=300, tol=tol)
-    for _ in range(max_rounds):
+    w, violation, ok = cyclic_projection(problem, w, max_sweeps=300, tol=_RESTORE_TOL)
+    for _ in range(_RESCUE_ROUNDS):
         if ok:
             break
         w = _violation_descent(problem, w)
-        w, violation, ok = cyclic_projection(problem, w, max_sweeps=300, tol=tol)
+        w, violation, ok = cyclic_projection(problem, w, max_sweeps=300, tol=_RESTORE_TOL)
     return w, violation, ok
 
 
-def _violation_descent(problem, w0, max_iter=600):
+def _violation_descent(problem, w0):
     """L-BFGS on the smooth sum of squared constraint violations.
 
     Cyclic projections alone limit-cycle on roughly half the hard subarray
@@ -288,7 +294,7 @@ def _violation_descent(problem, w0, max_iter=600):
     x0 = np.concatenate([w0.real, w0.imag])
     res = minimize(
         fun, x0, jac=True, method="L-BFGS-B",
-        options={"maxiter": max_iter, "gtol": 1e-16, "ftol": 1e-20},
+        options={"maxiter": _DESCENT_MAX_ITER, "gtol": 1e-16, "ftol": 1e-20},
     )
     return res.x[:n] + 1j * res.x[n:]
 
@@ -312,6 +318,10 @@ def find_feasible_point(problem, seed=0):
     if problem.L == 0:
         return np.zeros(problem.size, dtype=complex)
     rng = np.random.default_rng(seed)
+
+    def noise():
+        return rng.standard_normal(problem.size) + 1j * rng.standard_normal(problem.size)
+
     w = _zero_forcing_start(problem)
     w = _mainlobe_boost(problem, w)
     w, violation, ok = cyclic_projection(problem, w)
@@ -331,17 +341,10 @@ def find_feasible_point(problem, seed=0):
         if restarts == 1:
             start = best_w
         elif restarts % 2 == 0:
-            scale = rng.uniform(0.3, 3.0)
-            start = scale * (
-                rng.standard_normal(problem.size)
-                + 1j * rng.standard_normal(problem.size)
-            )
+            start = rng.uniform(0.3, 3.0) * noise()
         else:
             scale = 0.25 * restarts * (1.0 + np.linalg.norm(best_w))
-            noise = rng.standard_normal(problem.size) + 1j * rng.standard_normal(
-                problem.size
-            )
-            start = best_w + scale * noise / np.sqrt(problem.size)
+            start = best_w + scale * noise() / np.sqrt(problem.size)
         start = _violation_descent(problem, start)
         w, violation, ok = cyclic_projection(problem, start)
         if violation < best_violation:
@@ -375,7 +378,6 @@ def solve(problem, config, seed=0):
     check_penalty_ratio(config, problem.L)
     state = initialize(problem, seed)
     eta, rho = config.eta, config.rho
-    w_prev = state.w
     for k in range(config.k_max):
         w_new = update_w(state.v, state.u, rho)
         try:
@@ -388,7 +390,7 @@ def solve(problem, config, seed=0):
         primal = float(
             np.max(np.linalg.norm(v_new - w_new[np.newaxis, :], axis=1))
         ) if problem.L else 0.0
-        dual = rho * float(np.linalg.norm(w_new - w_prev))
+        dual = rho * float(np.linalg.norm(w_new - state.w))
         state.w, state.v, state.u = w_new, v_new, u_new
         state.k = k + 1
         state.history.append(
@@ -399,7 +401,6 @@ def solve(problem, config, seed=0):
                 dual_residual=dual,
             )
         )
-        w_prev = w_new
         if (
             config.primal_tol is not None
             and config.dual_tol is not None

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .admm import solve
+from .admm import IterationRecord, solve
 from .errors import ConfigurationError, InfeasibleProblemError, ProjectionError
-from .metrics import design_report, msrr, tx_power
+from .metrics import CONSTRAINT_KINDS, design_report, msrr, tx_power
 from .problem import assemble
 from .scenario import load_scenario, scenario_sha256, scenario_to_dict
 from .selection import random_selection_baseline, refit, select_support
@@ -43,7 +43,9 @@ def _fmt(value):
     return str(value)
 
 
-def _write_csv(path, header, rows, meta):
+def _write_csv(path, header, rows, scenario, **meta):
+    """CSV led by '#'-comment lines: the scenario hash, the seed, then ``meta``."""
+    meta = {"scenario_sha256": scenario_sha256(scenario), "seed": scenario.seed, **meta}
     lines = [f"# {key}={value}" for key, value in meta.items()]
     lines.append(",".join(header))
     for row in rows:
@@ -52,10 +54,11 @@ def _write_csv(path, header, rows, meta):
 
 
 def _git_commit():
+    """HEAD of the checkout the package runs from, whatever the caller's cwd."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=5,
+            capture_output=True, text=True, timeout=5, cwd=Path(__file__).parent,
         )
     except (OSError, subprocess.SubprocessError):
         return None
@@ -76,10 +79,10 @@ def _json_ready(value):
         return [_json_ready(x) for x in value.tolist()]
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if isinstance(value, complex):
-        return f"{value.real!r}{value.imag:+}j"
-    if isinstance(value, float) and not np.isfinite(value):
-        return repr(value)
+    if isinstance(value, complex) or (
+        isinstance(value, float) and not np.isfinite(value)
+    ):
+        return _fmt(value)
     if isinstance(value, dict):
         return {k: _json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -96,35 +99,30 @@ def cmd_solve(scenario, out_dir):
     support = select_support(state.w, scenario.num_selected, problem.M, problem.N)
     stack = refit(problem, support, scenario.admm, seed=[scenario.seed, 1])
     report = design_report(stack.w, problem, support=support)
-    meta = _provenance(scenario)
-
+    last = state.history[-1] if state.history else IterationRecord(0, None, None, None)
     payload = {
-        "provenance": meta,
+        "provenance": _provenance(scenario),
         "scenario": scenario_to_dict(scenario),
         "support": list(support),
         "metrics": {
             "tx_power_w": report.tx_power_w,
             "msrr": report.msrr,
             "msrr_db": report.msrr_db,
-            "sinr": _json_ready(report.sinr),
-            "antenna_power_w": _json_ready(report.antenna_power_w),
-            "max_violation_by_kind": _json_ready(report.max_violation_by_kind),
+            "sinr": report.sinr,
+            "antenna_power_w": report.antenna_power_w,
+            "max_violation_by_kind": report.max_violation_by_kind,
             "feasible": report.feasible,
         },
         "beamformers": {
-            "stack": _json_ready([complex(z) for z in stack.w]),
+            "stack": stack.w,
             "num_users": problem.M,
             "num_antennas": problem.N,
         },
         "solver": {
             "iterations": state.k,
-            "final_objective": state.history[-1].objective if state.history else None,
-            "final_primal_residual": (
-                state.history[-1].primal_residual if state.history else None
-            ),
-            "final_dual_residual": (
-                state.history[-1].dual_residual if state.history else None
-            ),
+            "final_objective": last.objective,
+            "final_primal_residual": last.primal_residual,
+            "final_dual_residual": last.dual_residual,
         },
     }
     (out / "report.json").write_text(
@@ -135,7 +133,7 @@ def cmd_solve(scenario, out_dir):
         out / "beampattern.csv",
         ["angle_deg", "response"],
         list(zip(report.pattern_angles_deg, report.pattern_response)),
-        meta={"scenario_sha256": meta["scenario_sha256"], "seed": meta["seed"]},
+        scenario,
     )
     _write_csv(
         out / "history.csv",
@@ -144,7 +142,7 @@ def cmd_solve(scenario, out_dir):
             (r.k, r.objective, r.primal_residual, r.dual_residual)
             for r in state.history
         ],
-        meta={"scenario_sha256": meta["scenario_sha256"], "seed": meta["seed"]},
+        scenario,
     )
     print(
         f"solve: K={scenario.num_selected} support={list(support)} "
@@ -152,6 +150,16 @@ def cmd_solve(scenario, out_dir):
         f"feasible={report.feasible}"
     )
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
+
+
+def _proposed_row(key, problem, design):
+    """The "proposed" sweep row of the stack ``design()`` returns, or a NaN
+    row counting one infeasible design when it raises that it is infeasible."""
+    try:
+        stack = design()
+    except InfeasibleProblemError:
+        return (key, "proposed", float("nan"), float("nan"), 1)
+    return (key, "proposed", tx_power(stack.w), msrr(stack.w, problem), 0)
 
 
 def cmd_sweep_k(scenario, k_list, trials, out_dir):
@@ -169,11 +177,9 @@ def cmd_sweep_k(scenario, k_list, trials, out_dir):
     certified = {}  # K -> certified random draws; stdout only, the CSV is fixed
     for K in k_list:
         support = select_support(state.w, K, problem.M, problem.N)
-        try:
-            stack = refit(problem, support, scenario.admm, seed=[scenario.seed, 2, K])
-            rows.append((K, "proposed", tx_power(stack.w), msrr(stack.w, problem), 0))
-        except InfeasibleProblemError:
-            rows.append((K, "proposed", float("nan"), float("nan"), 1))
+        rows.append(_proposed_row(K, problem, lambda: refit(
+            problem, support, scenario.admm, seed=[scenario.seed, 2, K]
+        )))
         base = random_selection_baseline(
             problem, K, trials, scenario.seed, scenario.admm
         )
@@ -181,16 +187,12 @@ def cmd_sweep_k(scenario, k_list, trials, out_dir):
             (K, "random", base.tx_power_mean, base.msrr_mean, base.infeasible_count)
         )
         certified[K] = base.certified_count
-    meta = _provenance(scenario)
     _write_csv(
         out / "sweep.csv",
         ["K", "method", "mean_tx_power_w", "mean_msrr", "infeasible_count"],
         rows,
-        meta={
-            "scenario_sha256": meta["scenario_sha256"],
-            "seed": meta["seed"],
-            "trials": trials,
-        },
+        scenario,
+        trials=trials,
     )
     for row in rows:
         line = (
@@ -238,20 +240,19 @@ def cmd_sweep_m(scenario, m_list, out_dir):
         if M < 1:
             raise ConfigurationError(f"M={M} must be >= 1")
         sc = scenario_with_users(scenario, M)
-        try:
-            problem = assemble(sc)
+        problem = assemble(sc)
+
+        def design():
             state = solve(problem, sc.admm, seed=sc.seed)
             support = select_support(state.w, sc.num_selected, problem.M, problem.N)
-            stack = refit(problem, support, sc.admm, seed=[sc.seed, 3, M])
-            rows.append((M, "proposed", tx_power(stack.w), msrr(stack.w, problem), 0))
-        except InfeasibleProblemError:
-            rows.append((M, "proposed", float("nan"), float("nan"), 1))
-    meta = _provenance(scenario)
+            return refit(problem, support, sc.admm, seed=[sc.seed, 3, M])
+
+        rows.append(_proposed_row(M, problem, design))
     _write_csv(
         out / "sweep.csv",
         ["M", "method", "tx_power_w", "msrr", "infeasible_count"],
         rows,
-        meta={"scenario_sha256": meta["scenario_sha256"], "seed": meta["seed"]},
+        scenario,
     )
     for row in rows:
         print(
@@ -263,13 +264,12 @@ def cmd_sweep_m(scenario, m_list, out_dir):
 
 def cmd_check_config(scenario):
     problem = assemble(scenario)
+    counts = ", ".join(
+        f"{kind}={len(problem.constraints_of_kind(kind))}" for kind in CONSTRAINT_KINDS
+    )
     print(
         f"check-config: N={problem.N} M={problem.M} K={scenario.num_selected} "
-        f"L={problem.L} constraints "
-        f"(passband={len(problem.constraints_of_kind('passband'))}, "
-        f"stopband={len(problem.constraints_of_kind('stopband'))}, "
-        f"antenna_power={len(problem.constraints_of_kind('antenna_power'))}, "
-        f"sinr={len(problem.constraints_of_kind('sinr'))})"
+        f"L={problem.L} constraints ({counts})"
     )
     return EXIT_OK
 
@@ -311,9 +311,8 @@ def _apply_overrides(scenario, args):
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, seed=args.seed)
     if getattr(args, "parallel", None) is not None:
-        scenario = replace(
-            scenario, admm=replace(scenario.admm, parallel=args.parallel)
-        )
+        # validated, then dropped: it has no effect, so no artifact records it
+        replace(scenario.admm, parallel=args.parallel)
     return scenario
 
 

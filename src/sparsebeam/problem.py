@@ -164,9 +164,20 @@ class QuadraticConstraint:
         return self.kind
 
 
+@dataclass(frozen=True, eq=False)
 class BeamConstraint(QuadraticConstraint):
     """A response sum_m |a^H w_m|^2 at one angle, held below (stopband,
-    ``sign`` +1) or above (passband, ``sign`` -1) a threshold."""
+    ``sign`` +1) or above (passband, ``sign`` -1) a threshold.
+
+    Normalized as F = sign*(I_M (x) a a^H), f = sign*threshold; a subclass
+    sets only ``kind`` and ``sign``.
+    """
+
+    angle_deg: float
+    steering: np.ndarray
+    threshold: float
+    M: int
+    N: int
 
     def __post_init__(self):
         object.__setattr__(self, "steering", np.asarray(self.steering, dtype=complex))
@@ -175,9 +186,29 @@ class BeamConstraint(QuadraticConstraint):
                 f"{self.kind} threshold must be > 0, got {self.threshold}"
             )
 
+    @property
+    def f(self):
+        return self.sign * self.threshold
+
     def response(self, w):
         coef = user_blocks(w, self.M, self.N) @ np.conj(self.steering)
         return float(np.vdot(coef, coef).real)
+
+    def quad(self, w):
+        return self.sign * self.response(w)
+
+    def _signed(self, x):
+        # negated, not multiplied by sign: a complex product by -1.0 would
+        # differ from the negation on signed zeros
+        return x if self.sign > 0 else -x
+
+    def f_action(self, w):
+        coef = user_blocks(w, self.M, self.N) @ np.conj(self.steering)
+        return self._signed(np.outer(coef, self.steering).reshape(-1))
+
+    def dense_f_matrix(self):
+        block = np.outer(self.steering, np.conj(self.steering))
+        return self._signed(np.kron(np.eye(self.M), block))
 
     @cached_property
     def rows(self):
@@ -187,75 +218,28 @@ class BeamConstraint(QuadraticConstraint):
     def restrict(self, support):
         return replace(self, steering=self.steering[list(support)], N=len(support))
 
+    def describe(self):
+        return f"{self.kind}(theta={self.angle_deg:g} deg)"
 
-@dataclass(frozen=True, eq=False)
+
 class PassbandConstraint(BeamConstraint):
     """Mainlobe floor at one angle: sum_m |a^H w_m|^2 >= threshold.
 
     Normalized with F = -(I_M (x) a a^H), f = -threshold; F is NSD.
     """
 
-    angle_deg: float
-    steering: np.ndarray
-    threshold: float
-    M: int
-    N: int
-
     kind = "passband"
     sign = -1.0
 
-    @property
-    def f(self):
-        return -self.threshold
 
-    def quad(self, w):
-        return -self.response(w)
-
-    def f_action(self, w):
-        coef = user_blocks(w, self.M, self.N) @ np.conj(self.steering)
-        return -np.outer(coef, self.steering).reshape(-1)
-
-    def dense_f_matrix(self):
-        block = np.outer(self.steering, np.conj(self.steering))
-        return -np.kron(np.eye(self.M), block)
-
-    def describe(self):
-        return f"passband(theta={self.angle_deg:g} deg)"
-
-
-@dataclass(frozen=True, eq=False)
 class StopbandConstraint(BeamConstraint):
     """Sidelobe ceiling at one angle: sum_m |a^H w_m|^2 <= threshold.
 
     F = I_M (x) a a^H is PSD with rank M.
     """
 
-    angle_deg: float
-    steering: np.ndarray
-    threshold: float
-    M: int
-    N: int
-
     kind = "stopband"
     sign = 1.0
-
-    @property
-    def f(self):
-        return self.threshold
-
-    def quad(self, w):
-        return self.response(w)
-
-    def f_action(self, w):
-        coef = user_blocks(w, self.M, self.N) @ np.conj(self.steering)
-        return np.outer(coef, self.steering).reshape(-1)
-
-    def dense_f_matrix(self):
-        block = np.outer(self.steering, np.conj(self.steering))
-        return np.kron(np.eye(self.M), block)
-
-    def describe(self):
-        return f"stopband(theta={self.angle_deg:g} deg)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,20 +509,14 @@ def assemble(scenario):
     channels = _build_channels(scenario, geometry)
 
     constraints = []
-    for theta in grids.mainlobe:
-        constraints.append(
-            PassbandConstraint(
-                theta, steering_vector(geometry, theta),
-                scenario.mainlobe_threshold, M, N,
+    for cls, angles, threshold in (
+        (PassbandConstraint, grids.mainlobe, scenario.mainlobe_threshold),
+        (StopbandConstraint, grids.stopband, scenario.stopband_threshold),
+    ):
+        for theta in angles:
+            constraints.append(
+                cls(theta, steering_vector(geometry, theta), threshold, M, N)
             )
-        )
-    for theta in grids.stopband:
-        constraints.append(
-            StopbandConstraint(
-                theta, steering_vector(geometry, theta),
-                scenario.stopband_threshold, M, N,
-            )
-        )
     for n in range(N):
         constraints.append(
             AntennaPowerConstraint(n, scenario.antenna_power_limit_w[n], M, N)

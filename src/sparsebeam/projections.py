@@ -19,8 +19,8 @@ saturated multiplier with an injected critical-direction component handles
 the degenerate inputs, exactly as in the trust-region "hard case".
 
 ``project_generic`` solves the same problem for any Hermitian F through a
-dense eigendecomposition; it backs tests and exotic constraints, never the
-production dispatch.
+dense eigendecomposition; ``project`` routes to it every constraint that is
+not an instance of the four built-in kinds.
 """
 
 import math

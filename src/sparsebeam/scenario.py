@@ -40,38 +40,30 @@ def _validator():
     return cls(schema)
 
 
-def parse_power_watts(value, field):
-    """A power given as watts (number), '<x> W', or '<x> dBm'."""
+def _parse_units(value, field, units, expected):
+    """A number, or a '<x> <unit>' string converted by the function ``units`` maps it to."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         text = value.strip().lower().replace(" ", "")
-        try:
-            if text.endswith("dbm"):
-                return dbm_to_watts(float(text[:-3]))
-            if text.endswith("w"):
-                return float(text[:-1])
-        except ValueError:
-            pass
-    raise ConfigurationError(
-        f"{field}: expected watts, '<x> W', or '<x> dBm', got {value!r}"
-    )
+        for suffix, convert in units.items():
+            if text.endswith(suffix):
+                try:
+                    return convert(float(text[: -len(suffix)]))
+                except ValueError:
+                    break
+    raise ConfigurationError(f"{field}: expected {expected}, got {value!r}")
+
+
+def parse_power_watts(value, field):
+    """A power given as watts (number), '<x> W', or '<x> dBm'."""
+    units = {"dbm": dbm_to_watts, "w": float}
+    return _parse_units(value, field, units, "watts, '<x> W', or '<x> dBm'")
 
 
 def parse_ratio_linear(value, field):
     """A ratio given as a linear number or a '<x> dB' string."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
-        text = value.strip().lower().replace(" ", "")
-        if text.endswith("db"):
-            try:
-                return db_to_linear(float(text[:-2]))
-            except ValueError:
-                pass
-    raise ConfigurationError(
-        f"{field}: expected a linear ratio or '<x> dB', got {value!r}"
-    )
+    return _parse_units(value, field, {"db": db_to_linear}, "a linear ratio or '<x> dB'")
 
 
 def _per_item(value, count, parser, field):
@@ -124,25 +116,16 @@ class Scenario:
             raise ConfigurationError("mainlobe_threshold must be > 0")
         if not self.stopband_threshold > 0:
             raise ConfigurationError("stopband_threshold must be > 0")
-        for name, values in (
-            ("antenna_power_limit", self.antenna_power_limit_w),
-            ("noise_variance", self.noise_variance),
-            ("sinr_target", self.sinr_target),
+        for name, values, count in (
+            ("antenna_power_limit", self.antenna_power_limit_w, N),
+            ("noise_variance", self.noise_variance, M),
+            ("sinr_target", self.sinr_target, M),
         ):
             if any(not value > 0 for value in values):
                 raise ConfigurationError(f"{name}: every entry must be > 0")
-        if len(self.antenna_power_limit_w) != N:
-            raise ConfigurationError(
-                f"antenna_power_limit: expected {N} entries, got "
-                f"{len(self.antenna_power_limit_w)}"
-            )
-        for name, values in (
-            ("noise_variance", self.noise_variance),
-            ("sinr_target", self.sinr_target),
-        ):
-            if len(values) != M:
+            if len(values) != count:
                 raise ConfigurationError(
-                    f"{name}: expected {M} entries, got {len(values)}"
+                    f"{name}: expected {count} entries, got {len(values)}"
                 )
 
     @property

@@ -641,3 +641,9 @@ class TestAdmmConfig:
             AdmmConfig(eta=0.0, rho=1.0, primal_tol=0.0)
         with pytest.raises(ConfigurationError):
             AdmmConfig(eta=0.0, rho=1.0, parallel=0)
+
+    def test_integral_float_k_max_runs_as_int(self, paper_problem, paper_scenario):
+        cfg = AdmmConfig(eta=0.1, rho=50.0, k_max=3.0)
+        assert type(cfg.k_max) is int
+        state = solve(paper_problem, cfg, seed=paper_scenario.seed)
+        assert state.k == 3 and len(state.history) == 3

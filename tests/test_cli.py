@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sparsebeam
 from sparsebeam import ConfigurationError, bundled_scenario_path, load_scenario
 from sparsebeam.cli import cmd_sweep_k, cmd_sweep_m, main, scenario_with_users
 
@@ -166,6 +167,37 @@ class TestSweepM:
         assert rows[2][4] == "1" and rows[2][2] == "nan"
         powers = [float(r[2]) for r in rows if r[4] == "0"]
         assert powers == sorted(powers)
+
+
+class TestProvenance:
+    def test_parallel_width_does_not_change_report(self, fast_scenario_path, tmp_path):
+        reports = []
+        for width in ("1", "4"):
+            out = tmp_path / f"p{width}"
+            assert main([
+                "solve", "--scenario", fast_scenario_path, "--out", str(out),
+                "--parallel", width,
+            ]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert main([
+            "solve", "--scenario", fast_scenario_path, "--out", str(tmp_path / "p0"),
+            "--parallel", "0",
+        ]) == 1
+
+    def test_git_commit_names_the_package_checkout(
+        self, fast_scenario_path, tmp_path, monkeypatch
+    ):
+        package_dir = Path(sparsebeam.__file__).parent
+        head = subprocess.run(
+            ["git", "-C", str(package_dir), "rev-parse", "HEAD"],
+            capture_output=True, text=True,
+        )
+        expected = head.stdout.strip() if head.returncode == 0 else None
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--scenario", fast_scenario_path, "--out", "run"]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+        assert report["provenance"]["git_commit"] == expected
 
 
 class TestSeedOverride:
