@@ -5,7 +5,7 @@ w = rho/(2 + rho*L) * sum_l (v_l + u_l); each auxiliary copy then shrinks
 w - u_l groupwise and projects onto its own constraint set, and the scaled
 duals absorb the disagreement.  The v-update works per constraint kind: one
 shrinkage call for all L copies, one closed-form kernel call for every beam
-copy and one for every antenna-power copy, then the SINR copies one by one.
+copy and one for every antenna-power copy, then a one-row kernel per SINR copy.
 No copy depends on another, so a run is reproduced bit for bit from its seed.
 """
 
@@ -18,8 +18,8 @@ from scipy.optimize import minimize
 from .certificate import certify_infeasible
 from .errors import ConfigurationError, InfeasibleProblemError, ProjectionError
 from .problem import beam_slacks, objective, sq_norms
-from .projections import KKT_GUARD, project, project_beams, project_powers
-from .projections import stationarity_error
+from .projections import KKT_GUARD, check_stationarity, project, project_beams
+from .projections import project_powers, stationarity_error
 from .shrinkage import group_shrink
 
 _STALL_WINDOW = 25  # sweeps without progress before cyclic_projection gives up
@@ -130,7 +130,7 @@ def update_v(problem, w, u, eta, rho, parallel=1):
     C = w - u is shrunk as one (L, M*N) batch.  The beam rows of
     ``problem.families`` go through one ``project_beams`` call, the
     antenna-power rows through one ``project_powers`` call, and the other
-    rows (SINR, any other class) through ``project`` one at a time, in
+    rows (a SINR row through its one-row kernel) through ``project``, in
     constraint order.  Rows already feasible pass through unchanged, so the
     result equals the per-constraint loop bit for bit.  Every kernel row must
     pass the KKT stationarity guard ||(v - vbar) + mu*F v|| <= 1e-6*(1 +
@@ -173,21 +173,26 @@ def update_v(problem, w, u, eta, rho, parallel=1):
 def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8):
     """Feasibility restoration by cyclic nearest-point projections.
 
-    Sweeps the constraints in their fixed order, projecting onto each (a
-    satisfied constraint leaves the point as it is), until the worst
-    violation falls below ``tol``; gives up early when ``_STALL_WINDOW``
-    consecutive sweeps fail to improve the best worst violation by at least
-    0.1%.  Returns (w, max_violation, converged).
+    Sweeps the constraints in their fixed order, each row's one-row kernel
+    from ``problem.plan`` starting where the previous one left the point,
+    until the worst violation falls below ``tol``; gives up early when
+    ``_STALL_WINDOW`` consecutive sweeps fail to improve the best worst
+    violation by at least 0.1%.  A satisfied row leaves the point as it is; a
+    moved row that fails the KKT guard raises a ``ProjectionError`` naming
+    it.  Returns (w, max_violation, converged).
     """
-    w = np.asarray(w, dtype=complex).copy()
+    W = np.array(w, dtype=complex).reshape(problem.M, problem.N)
     best = np.inf
     stalled = 0
     for _ in range(max_sweeps):
-        for c in problem.constraints:
-            w = project(c, w).v
-        current = problem.max_violation(w)
+        for constraint, kernel in problem.plan:
+            moved = kernel(W, constraint)
+            if moved is not None:
+                check_stationarity(constraint, W, moved[1], moved[2])
+                W = moved[0]
+        current = problem.max_violation(W.reshape(-1))
         if current <= tol:
-            return w, current, True
+            return W.reshape(-1), current, True
         if current < best * (1.0 - 1e-3):
             best = current
             stalled = 0
@@ -195,7 +200,7 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8):
             stalled += 1
             if stalled >= _STALL_WINDOW:
                 break
-    return w, problem.max_violation(w), False
+    return W.reshape(-1), problem.max_violation(W.reshape(-1)), False
 
 
 def _zero_forcing_start(problem):

@@ -13,7 +13,8 @@ verification and by the infeasibility certificate.
 ``ProblemInstance.families`` regroups the constraints by kind into arrays, so
 slacks and the ADMM v-update take one set of array operations per kind; each
 runs the BLAS product of the constraint's own method once per row, so the
-batched values equal the per-constraint ones bit for bit.
+batched values equal the per-constraint ones bit for bit.  ``plan`` pairs each
+constraint with its one-row projection kernel, which runs on ``row`` data.
 """
 
 from dataclasses import dataclass, replace
@@ -211,9 +212,10 @@ class BeamConstraint(QuadraticConstraint):
         return self._signed(np.kron(np.eye(self.M), block))
 
     @cached_property
-    def rows(self):
-        """This constraint as a one-row ``BeamRows``."""
-        return beam_rows([0], self.steering, [self.sign], [self.threshold], self.N)
+    def row(self):
+        """The one-row kernel's data: conj(a), a/||a||, conj(a/||a||), ||a||^2."""
+        b = beam_rows([0], self.steering, [self.sign], [self.threshold], self.N)
+        return b.probe[0], b.unit[0], b.unit_probe[0], float(b.norm2[0, 0, 0])
 
     def restrict(self, support):
         return replace(self, steering=self.steering[list(support)], N=len(support))
@@ -348,17 +350,26 @@ class SinrConstraint(QuadraticConstraint):
         signal, interference = self.signal_and_interference(w)
         return -(signal - self.gamma * interference)
 
-    def f_action(self, w):
-        coef = self._coef(w)
+    @cached_property
+    def weights(self):
+        """F's weight on each user block: -1 on block m, gamma elsewhere."""
         scale = np.full(self.M, self.gamma)
         scale[self.user] = -1.0
-        return np.outer(scale * coef, self.h).reshape(-1)
+        return scale
+
+    @cached_property
+    def row(self):
+        """The one-row kernel's data: conj(h), h/||h||, conj(h/||h||), ||h||^2."""
+        norm2 = float(np.vdot(self.h, self.h).real)
+        unit = self.h / np.sqrt(norm2)
+        return np.conj(self.h), unit, np.conj(unit), norm2
+
+    def f_action(self, w):
+        return np.outer(self.weights * self._coef(w), self.h).reshape(-1)
 
     def dense_f_matrix(self):
-        scale = np.full(self.M, self.gamma)
-        scale[self.user] = -1.0
         block = np.outer(self.h, np.conj(self.h))
-        return np.kron(np.diag(scale), block)
+        return np.kron(np.diag(self.weights), block)
 
     def restrict(self, support):
         return replace(self, h=self.h[list(support)], N=len(support))
@@ -418,6 +429,12 @@ class ProblemInstance:
             ),
             tuple(sorted(set(range(self.L)) - set(beams) - set(powers))),
         )
+
+    @cached_property
+    def plan(self):
+        """(constraint, one-row projection kernel) of every row, in order."""
+        from .projections import row_kernel  # projections imports this module
+        return tuple((c, row_kernel(c)) for c in self.constraints)
 
     def slacks(self, w):
         """f_l - w^H F_l w per constraint, bit for bit the ``slack`` values."""

@@ -7,11 +7,12 @@ semidefinite.  For the structured constraint kinds F is diagonal or (block)
 rank-one and the equation involves only the coefficients along one generator
 direction; components of vbar orthogonal to the generator are carried
 through untouched.  The antenna-power, stopband and passband equations are
-solved in closed form, by batched kernels that take k stacked inputs at once
-(``project_beams``, ``project_powers``): the ADMM v-update projects all its
-beam copies in one call, and the single-constraint functions below are
-batch-of-one calls into the same kernels.  The SINR and generic equations
-are solved one constraint at a time by root-finding on a secular function.
+solved in closed form by batched kernels (``project_beams``,
+``project_powers``), which the ADMM v-update calls once for all its copies.
+One point goes through a one-row kernel per constraint (``row_kernel``) on
+data the constraint precomputed, in ``project`` and the projection sweep;
+there the SINR equation is solved by a safeguarded Newton iteration in
+plain floats.
 
 F negative semidefinite (mainlobe floors) and indefinite (SINR floors) is
 where the set is nonconvex; the multiplier interval is then bounded and a
@@ -29,19 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProjectionError
-from .problem import (
-    AntennaPowerConstraint,
-    BeamConstraint,
-    SinrConstraint,
-    beam_rows,
-    sq_norms,
-    user_blocks,
-)
+from .problem import AntennaPowerConstraint, BeamConstraint, PassbandConstraint
+from .problem import SinrConstraint, StopbandConstraint, sq_norms
 
 # absolute tolerance on the secular residual; max iterations of the
-# safeguarded Newton/bisection loop
+# safeguarded Newton/bisection loop; machine epsilon, its narrowest bracket
 SECULAR_TOL = 1e-12
 SECULAR_MAX_ITER = 200
+EPS = float(np.finfo(float).eps)
 
 # production guard on the stationarity residual relative to 1 + ||vbar||
 KKT_GUARD = 1e-6
@@ -59,18 +55,18 @@ class ProjectionResult:
     kkt_residual: float
 
 
-def _secular_root(fun, dfun, lo, hi, scale=1.0, context=""):
-    """Root of strictly monotone ``fun`` on [lo, hi].
+def _secular_root(fun, dfun, lo, hi, scale=1.0, context="", args=()):
+    """Root of strictly monotone ``fun(x, *args)`` on [lo, hi].
 
     ``fun(lo)`` and ``fun(hi)`` must have opposite signs (zero counts as
     either).  Newton steps are taken whenever they land inside the current
     bracket, otherwise the bracket is bisected; the bracket never widens.
     """
     tol = SECULAR_TOL * max(1.0, abs(scale))
-    flo = fun(lo)
+    flo = fun(lo, *args)
     if abs(flo) <= tol:
         return lo
-    fhi = fun(hi)
+    fhi = fun(hi, *args)
     if abs(fhi) <= tol:
         return hi
     if flo * fhi > 0:
@@ -81,23 +77,23 @@ def _secular_root(fun, dfun, lo, hi, scale=1.0, context=""):
     rising = flo < 0
     mu = 0.5 * (lo + hi)
     for _ in range(SECULAR_MAX_ITER):
-        fm = fun(mu)
+        fm = fun(mu, *args)
         if abs(fm) <= tol:
             return mu
         if (fm < 0) == rising:
             lo = mu
         else:
             hi = mu
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(hi)):
+        if hi - lo <= 4.0 * EPS * max(1.0, abs(hi)):
             return 0.5 * (lo + hi)
-        d = dfun(mu)
+        d = dfun(mu, *args)
         step = mu - fm / d if d != 0.0 else None
         mu = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
     if hi - lo <= 1e-9 * max(1.0, abs(hi)):
         return 0.5 * (lo + hi)
     raise ProjectionError(
         f"secular root did not converge in {SECULAR_MAX_ITER} iterations{context}",
-        {"bracket": (lo, hi), "residual": fun(0.5 * (lo + hi))},
+        {"bracket": (lo, hi), "residual": fun(0.5 * (lo + hi), *args)},
     )
 
 
@@ -114,6 +110,22 @@ def project_powers(G, limit):
     P = np.where((power <= limit)[:, np.newaxis], G, G * scale[:, np.newaxis])
     D = (P - G) + mu[:, np.newaxis] * P
     return P, mu, np.sqrt(sq_norms(D[:, :, np.newaxis]).ravel())
+
+
+def _power_row(W, c):
+    """``project_powers`` on antenna n of W (M, N), unless it is within limit."""
+    G = W[:, c.antenna]
+    if np.vdot(G, G).real <= c.limit:
+        return None
+    V = W.copy()
+    V[:, c.antenna], mu, residual = project_powers(G[np.newaxis], np.array([c.limit]))
+    return V, mu[0], residual[0]
+
+
+def _beam_scale(S0, sign, threshold, norm2):
+    """sqrt(S0/t), dividing the aligned coefficients, and mu of a beam row."""
+    ratio = np.sqrt(S0 / threshold)
+    return ratio, sign * (ratio - 1.0) / norm2
 
 
 def project_beams(W, beams):
@@ -141,9 +153,8 @@ def project_beams(W, beams):
     S0 = norm2 * sq_norms(alpha)
     move = ~(sign * S0 <= sign * t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sqrt(S0 / t)
+        ratio, mu = _beam_scale(S0, sign, t, norm2)
         beta = alpha / ratio
-    mu = sign * (ratio - 1.0) / norm2
     if np.count_nonzero(S0 <= _DEGENERATE_FLOOR):
         degenerate = (move & (S0 <= _DEGENERATE_FLOOR) & (sign < 0)).ravel()
         beta[degenerate] = 0.0
@@ -156,83 +167,107 @@ def project_beams(W, beams):
     return V, mu.ravel(), np.sqrt(sq_norms(D.reshape(k, M * N, 1))).ravel()
 
 
+def _beam_row(W, c):
+    """``project_beams`` for one point W (M, N), run only when the response
+    along a (``c.quad``) and S0, along a/||a||, both miss the threshold: the
+    two round differently, and a point on the boundary must pass through."""
+    probe, unit, unit_probe, norm2 = c.row
+    sign, t = c.sign, c.threshold
+    coef = W @ probe
+    if sign * np.vdot(coef, coef).real <= sign * t:
+        return None
+    alpha = W @ unit_probe
+    S0 = norm2 * np.vdot(alpha, alpha).real
+    if sign * S0 <= sign * t:
+        return None
+    if S0 <= _DEGENERATE_FLOOR and sign < 0:
+        beta, mu = np.zeros_like(alpha), 1.0 / norm2
+        beta[0, 0] = np.sqrt(t / norm2)
+    else:
+        ratio, mu = _beam_scale(S0, sign, t, norm2)
+        beta = alpha / ratio
+    V = W + (beta - alpha) * unit
+    D = (V - W) + (sign * mu) * (V @ probe) * c.steering
+    return V, mu, math.sqrt(np.vdot(D, D).real)
+
+
 def project_antenna_power(group, limit):
-    """Radial projection of one antenna group onto the power ball:
-    ``project_powers`` on a batch of one.  Returns the projected group and the
-    KKT multiplier of the normalized constraint (zero when already inside)."""
-    G = np.asarray(group, dtype=complex)[np.newaxis]
-    P, mu, _ = project_powers(G, np.array([limit], dtype=float))
-    return P[0], float(mu[0])
-
-
-def _project_one_beam(vbar, steering, sign, threshold, M, N):
-    W = np.reshape(np.asarray(vbar, dtype=complex), (1, M, N))
-    V, mu, _ = project_beams(W, beam_rows([0], steering, [sign], [threshold], N))
-    return V.reshape(-1), float(mu[0])
+    """Radial projection of one antenna group onto the power ball; returns it and
+    the KKT multiplier of the normalized constraint (zero when already inside)."""
+    res = project(AntennaPowerConstraint(0, limit, np.size(group), 1), group)
+    return res.v, res.multiplier
 
 
 def project_stopband(vbar, steering, threshold, M, N):
     """Shrink the steering-aligned coefficients until the response ceiling holds:
-    ``project_beams`` on a batch of one with sign +1.  Returns (v, mu)."""
-    return _project_one_beam(vbar, steering, 1.0, threshold, M, N)
+    the one-row beam kernel with sign +1.  Returns (v, mu)."""
+    res = project(StopbandConstraint(0.0, steering, threshold, M, N), vbar)
+    return res.v, res.multiplier
 
 
 def project_passband(vbar, steering, threshold, M, N):
     """Amplify the steering-aligned coefficients until the response floor holds:
-    ``project_beams`` on a batch of one with sign -1.  Returns (v, mu)."""
-    return _project_one_beam(vbar, steering, -1.0, threshold, M, N)
+    the one-row beam kernel with sign -1.  Returns (v, mu)."""
+    res = project(PassbandConstraint(0.0, steering, threshold, M, N), vbar)
+    return res.v, res.multiplier
+
+
+def _sinr_secular(nu, A, pm, pI, gamma, target):
+    """A*(pm/(1 - nu)^2 - gamma*pI/(1 + nu*gamma)^2) - target; +inf at nu = 1."""
+    if nu == 1.0:
+        return math.inf
+    return A * (pm / (1.0 - nu) ** 2 - gamma * pI / (1.0 + nu * gamma) ** 2) - target
+
+
+def _sinr_slope(nu, A, pm, pI, gamma, target):
+    return A * (2.0 * pm / (1.0 - nu) ** 3 + 2.0 * gamma**2 * pI / (1.0 + nu * gamma) ** 3)
+
+
+def _sinr_row(W, c):
+    """``project_sinr`` for one point W (M, N), unless its floor holds."""
+    probe, hhat, hhat_probe, A = c.row
+    m, gamma = c.user, c.gamma
+    target = gamma * c.noise_variance
+    z = W @ hhat_probe
+    power = np.abs(z) ** 2
+    pm = float(power[m])
+    pI = float(power.sum() - power[m])
+    if A * (pm - gamma * pI) >= target:
+        return None
+    if pm <= _DEGENERATE_FLOOR:
+        znew = z / (1.0 + gamma)
+        interference = A * pI / (1.0 + gamma) ** 2
+        t = np.sqrt((target + gamma * interference) / A)
+        phase = z[m] / abs(z[m]) if abs(z[m]) > 0 else 1.0
+        znew[m] = t * phase
+        nu = 1.0
+    else:
+        # at hi the served term alone reaches 2*(target + gamma*A*pI), which
+        # exceeds the worst-case interference deficit, closing the bracket
+        hi = 1.0 - math.sqrt(A * pm / (2.0 * (target + gamma * A * pI)))
+        nu = _secular_root(_sinr_secular, _sinr_slope, 0.0, hi, scale=target,
+                           context=" (sinr)", args=(A, pm, pI, gamma, target))
+        znew = z / (1.0 + nu * gamma)
+        znew[m] = z[m] / (1.0 - nu)
+    V = W + np.outer(znew - z, hhat)
+    mu = nu / A
+    D = (V - W) + (mu * c.weights * (V @ probe))[:, np.newaxis] * c.h
+    return V, mu, math.sqrt(np.vdot(D, D).real)
 
 
 def project_sinr(vbar, h, gamma, noise_variance, user, M, N):
     """Move the channel-aligned coefficients until the SINR floor holds.
 
     The served block's coefficient amplifies by 1/(1 - nu), every interfering
-    block's shrinks by 1/(1 + nu*gamma), with nu = mu*||h||^2 in [0, 1).  A
-    zero served-block coefficient is the hard case: nu saturates at 1, the
-    interference is shrunk accordingly, and the smallest feasible served
-    component is injected (the cost is strictly increasing in the injected
-    magnitude, so the boundary value is optimal).
+    block's shrinks by 1/(1 + nu*gamma), with nu = mu*||h||^2 in [0, 1) the
+    root of a secular equation.  A zero served-block coefficient is the hard
+    case: nu saturates at 1, the interference is shrunk accordingly, and the
+    smallest feasible served component is injected (the cost is strictly
+    increasing in the injected magnitude, so the boundary value is optimal).
+    Returns (v, mu).
     """
-    h = np.asarray(h, dtype=complex)
-    A = float(np.vdot(h, h).real)
-    hhat = h / np.sqrt(A)
-    W = user_blocks(np.asarray(vbar, dtype=complex), M, N)
-    z = W @ np.conj(hhat)
-    power = np.abs(z) ** 2
-    pm = float(power[user])
-    pI = float(power.sum() - power[user])
-    target = gamma * noise_variance
-    if A * (pm - gamma * pI) >= target:
-        return np.asarray(vbar, dtype=complex).copy(), 0.0
-
-    if pm <= _DEGENERATE_FLOOR:
-        znew = z / (1.0 + gamma)
-        interference = A * pI / (1.0 + gamma) ** 2
-        t = np.sqrt((target + gamma * interference) / A)
-        phase = z[user] / abs(z[user]) if abs(z[user]) > 0 else 1.0
-        znew[user] = t * phase
-        nu = 1.0
-    else:
-
-        def fun(nu):
-            return A * (
-                pm / (1.0 - nu) ** 2 - gamma * pI / (1.0 + nu * gamma) ** 2
-            ) - target
-
-        def dfun(nu):
-            return A * (
-                2.0 * pm / (1.0 - nu) ** 3
-                + 2.0 * gamma**2 * pI / (1.0 + nu * gamma) ** 3
-            )
-
-        # at hi the served term alone reaches 2*(target + gamma*A*pI), which
-        # exceeds the worst-case interference deficit, closing the bracket
-        hi = 1.0 - np.sqrt(A * pm / (2.0 * (target + gamma * A * pI)))
-        nu = _secular_root(fun, dfun, 0.0, hi, scale=target, context=" (sinr)")
-        znew = z / (1.0 + nu * gamma)
-        znew[user] = z[user] / (1.0 - nu)
-    V = W + np.outer(znew - z, hhat)
-    return V.reshape(-1), nu / A
+    res = project(SinrConstraint(user, h, gamma, noise_variance, M, N), vbar)
+    return res.v, res.multiplier
 
 
 def project_generic(F, f, vbar):
@@ -309,39 +344,41 @@ def stationarity_error(constraint, multiplier, residual, bound):
     )
 
 
-def project(constraint, vbar):
-    """Projection dispatch: keep feasible points, else run the structured path.
-
-    Beam and antenna-power constraints go through their batched kernels as a
-    batch of one; SINR and any other constraint are solved here, one at a
-    time.  The stationarity residual ||(v - vbar) + mu*F v|| is checked
-    against a loose production guard; tests pin it far tighter.
-    """
-    vbar = np.asarray(vbar, dtype=complex)
-    if constraint.quad(vbar) <= constraint.f:
-        return ProjectionResult(
-            v=vbar.copy(), multiplier=0.0, active=False, kkt_residual=0.0
-        )
-    if isinstance(constraint, AntennaPowerConstraint):
-        v = vbar.copy()
-        sel = slice(constraint.antenna, None, constraint.N)
-        G = vbar[sel][np.newaxis]
-        P, mu, residual = project_powers(G, np.array([constraint.limit], dtype=float))
-        v[sel], mu, residual = P[0], float(mu[0]), float(residual[0])
-    elif isinstance(constraint, BeamConstraint):
-        W = vbar.reshape(1, constraint.M, constraint.N)
-        V, mu, residual = project_beams(W, constraint.rows)
-        v, mu, residual = V.reshape(-1), float(mu[0]), float(residual[0])
-    else:
-        if isinstance(constraint, SinrConstraint):
-            v, mu = project_sinr(
-                vbar, constraint.h, constraint.gamma, constraint.noise_variance,
-                constraint.user, constraint.M, constraint.N,
-            )
-        else:
-            v, mu = project_generic(constraint.dense_f_matrix(), constraint.f, vbar)
-        residual = float(np.linalg.norm((v - vbar) + mu * constraint.f_action(v)))
+def check_stationarity(constraint, vbar, multiplier, residual):
+    """The loose production KKT guard, residual <= 1e-6*(1 + ||vbar||)."""
     bound = KKT_GUARD * (1.0 + math.sqrt(np.vdot(vbar, vbar).real))
     if not math.isfinite(residual) or residual > bound:
-        raise stationarity_error(constraint, mu, residual, bound)
-    return ProjectionResult(v=v, multiplier=mu, active=mu > 0.0, kkt_residual=residual)
+        raise stationarity_error(constraint, multiplier, residual, bound)
+
+
+def _dense_row(W, c):
+    """Any other class, whose W may be any shape: ``project_generic`` on F."""
+    w = W.reshape(-1)
+    if c.quad(w) <= c.f:
+        return None
+    v, mu = project_generic(c.dense_f_matrix(), c.f, w)
+    return v.reshape(W.shape), mu, float(np.linalg.norm((v - w) + mu * c.f_action(v)))
+
+
+def row_kernel(constraint):
+    """``kernel(W, constraint)`` for one point W (M, N): None if the constraint
+    holds at W, else the projected point, the multiplier and the residual."""
+    if isinstance(constraint, BeamConstraint):
+        return _beam_row
+    if isinstance(constraint, AntennaPowerConstraint):
+        return _power_row
+    return _sinr_row if isinstance(constraint, SinrConstraint) else _dense_row
+
+
+def project(constraint, vbar):
+    """Projection of one stacked point onto one constraint by its one-row
+    kernel; a point that satisfies the constraint comes back as a copy.  The
+    stationarity residual ||(v - vbar) + mu*F v|| must pass the KKT guard."""
+    vbar = np.asarray(vbar, dtype=complex)
+    W = vbar.reshape(-1, getattr(constraint, "N", vbar.size))
+    moved = row_kernel(constraint)(W, constraint)
+    if moved is None:
+        return ProjectionResult(v=vbar.copy(), multiplier=0.0, active=False, kkt_residual=0.0)
+    V, mu, residual = moved
+    check_stationarity(constraint, vbar, mu, residual)
+    return ProjectionResult(V.reshape(-1), float(mu), float(mu) > 0.0, residual)

@@ -203,7 +203,8 @@ def load_scenario(path):
 
 
 def scenario_to_dict(scenario):
-    """Canonical dict form (linear units) that round-trips through the loader."""
+    """Canonical dict form (linear units) that round-trips through the loader;
+    ``admm.parallel``, which has no effect, is left out."""
     return {
         "array": {
             "num_antennas": scenario.geometry.num_antennas,
@@ -234,7 +235,6 @@ def scenario_to_dict(scenario):
             "k_max": scenario.admm.k_max,
             "primal_tol": scenario.admm.primal_tol,
             "dual_tol": scenario.admm.dual_tol,
-            "parallel": scenario.admm.parallel,
         },
         "seed": scenario.seed,
         "sweep": {"user_span_deg": list(scenario.sweep_user_span_deg)},
@@ -248,13 +248,6 @@ def write_scenario(scenario, path):
 
 
 def scenario_sha256(scenario):
-    """Stable hash of the canonical scenario dict, for artifact provenance.
-
-    ``admm.parallel`` is accepted for compatibility and has no effect, so
-    it is normalized out: reruns with different ``--parallel`` values hash
-    (and reproduce) identically.
-    """
-    data = scenario_to_dict(scenario)
-    data["admm"] = {k: v for k, v in data["admm"].items() if k != "parallel"}
-    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    """Stable hash of the canonical scenario dict, for artifact provenance."""
+    canonical = json.dumps(scenario_to_dict(scenario), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -1,16 +1,38 @@
 """Reference implementations the tests check the package against.
 
 None of these run in production: an independent multistart penalty solver
-for the projections, a bisection minimizer for the group shrinkage, and the
+for the projections, a bisection minimizer for the group shrinkage, the
 per-constraint v-update loop that the batched ``update_v`` must reproduce
+bit for bit, and the projection path the one-row kernels replaced (the
+constraint's ``quad`` test, then the batched kernels on a batch of one or
+the SINR secular equation through closures on numpy scalars), with the
+projection sweep built on it, which ``cyclic_projection`` must reproduce
 bit for bit.
 """
 
+import math
+
 import numpy as np
 
+from sparsebeam.admm import _STALL_WINDOW
 from sparsebeam.errors import ProjectionError
-from sparsebeam.projections import project
-from sparsebeam.problem import user_blocks
+from sparsebeam.problem import (
+    AntennaPowerConstraint,
+    BeamConstraint,
+    SinrConstraint,
+    beam_rows,
+    user_blocks,
+)
+from sparsebeam.projections import (
+    KKT_GUARD,
+    ProjectionResult,
+    _secular_root,
+    project,
+    project_beams,
+    project_generic,
+    project_powers,
+    stationarity_error,
+)
 from sparsebeam.shrinkage import ZERO_GROUP_FLOOR, group_shrink
 
 
@@ -191,3 +213,101 @@ def prox_oracle(c, eta, rho, L, M, N):
                 break
         V[:, n] = (0.5 * (lo + hi) / g) * C[:, n]
     return V.reshape(-1)
+
+
+def project_sinr_reference(vbar, h, gamma, noise_variance, user, M, N):
+    """The SINR projection through closures on numpy scalars: the iteration
+    the plain-float kernel must reproduce bit for bit.  Returns (v, mu)."""
+    h = np.asarray(h, dtype=complex)
+    A = float(np.vdot(h, h).real)
+    hhat = h / np.sqrt(A)
+    W = user_blocks(np.asarray(vbar, dtype=complex), M, N)
+    z = W @ np.conj(hhat)
+    power = np.abs(z) ** 2
+    pm = float(power[user])
+    pI = float(power.sum() - power[user])
+    target = gamma * noise_variance
+    if A * (pm - gamma * pI) >= target:
+        return np.asarray(vbar, dtype=complex).copy(), 0.0
+
+    if pm <= 1e-300:
+        znew = z / (1.0 + gamma)
+        interference = A * pI / (1.0 + gamma) ** 2
+        t = np.sqrt((target + gamma * interference) / A)
+        phase = z[user] / abs(z[user]) if abs(z[user]) > 0 else 1.0
+        znew[user] = t * phase
+        nu = 1.0
+    else:
+
+        def fun(nu):
+            return A * (
+                pm / (1.0 - nu) ** 2 - gamma * pI / (1.0 + nu * gamma) ** 2
+            ) - target
+
+        def dfun(nu):
+            return A * (
+                2.0 * pm / (1.0 - nu) ** 3
+                + 2.0 * gamma**2 * pI / (1.0 + nu * gamma) ** 3
+            )
+
+        hi = 1.0 - np.sqrt(A * pm / (2.0 * (target + gamma * A * pI)))
+        with np.errstate(divide="ignore"):  # fun(1.0) is +inf
+            nu = _secular_root(fun, dfun, 0.0, hi, scale=target, context=" (sinr)")
+        znew = z / (1.0 + nu * gamma)
+        znew[user] = z[user] / (1.0 - nu)
+    V = W + np.outer(znew - z, hhat)
+    return V.reshape(-1), nu / A
+
+
+def project_reference(constraint, vbar):
+    """One projection as the per-constraint path computed it: the
+    constraint's ``quad`` test, then ``project_powers`` or ``project_beams``
+    on a batch of one, ``project_sinr_reference``, or ``project_generic``,
+    and the KKT guard."""
+    vbar = np.asarray(vbar, dtype=complex)
+    if constraint.quad(vbar) <= constraint.f:
+        return ProjectionResult(v=vbar.copy(), multiplier=0.0, active=False, kkt_residual=0.0)
+    if isinstance(constraint, AntennaPowerConstraint):
+        v = vbar.copy()
+        sel = slice(constraint.antenna, None, constraint.N)
+        P, mu, residual = project_powers(vbar[sel][np.newaxis], np.array([constraint.limit]))
+        v[sel], mu, residual = P[0], float(mu[0]), float(residual[0])
+    elif isinstance(constraint, BeamConstraint):
+        c = constraint
+        rows = beam_rows([0], c.steering, [c.sign], [c.threshold], c.N)
+        V, mu, residual = project_beams(vbar.reshape(1, c.M, c.N), rows)
+        v, mu, residual = V.reshape(-1), float(mu[0]), float(residual[0])
+    else:
+        if isinstance(constraint, SinrConstraint):
+            c = constraint
+            v, mu = project_sinr_reference(
+                vbar, c.h, c.gamma, c.noise_variance, c.user, c.M, c.N
+            )
+        else:
+            v, mu = project_generic(constraint.dense_f_matrix(), constraint.f, vbar)
+        residual = float(np.linalg.norm((v - vbar) + mu * constraint.f_action(v)))
+    bound = KKT_GUARD * (1.0 + math.sqrt(np.vdot(vbar, vbar).real))
+    if not math.isfinite(residual) or residual > bound:
+        raise stationarity_error(constraint, mu, residual, bound)
+    return ProjectionResult(v=v, multiplier=mu, active=mu > 0.0, kkt_residual=residual)
+
+
+def cyclic_projection_loop(problem, w, max_sweeps=500, tol=1e-8):
+    """The projection sweep one ``project_reference`` call per constraint."""
+    w = np.asarray(w, dtype=complex).copy()
+    best = np.inf
+    stalled = 0
+    for _ in range(max_sweeps):
+        for c in problem.constraints:
+            w = project_reference(c, w).v
+        current = problem.max_violation(w)
+        if current <= tol:
+            return w, current, True
+        if current < best * (1.0 - 1e-3):
+            best = current
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= _STALL_WINDOW:
+                break
+    return w, problem.max_violation(w), False

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -31,7 +33,7 @@ import sparsebeam.admm as admm_module
 from sparsebeam.certificate import certify_infeasible
 
 from helpers import certificate_holds, random_stack
-from oracles import update_v_loop
+from oracles import cyclic_projection_loop, update_v_loop
 
 
 def toy_problem(constraints, M, N, eta=0.0):
@@ -383,6 +385,59 @@ class TestBatchedUpdateV:
         u = random_duals(rng, paper_problem.L, paper_problem.size, scale=0.1)
         update_v(paper_problem, w, u, eta=0.1, rho=50.0)
         assert counts == {"project": paper_problem.M, "group_shrink": 1}
+
+
+def assert_sweep_matches_loop(problem):
+    """``cyclic_projection`` from the feasibility search's stage-3 start returns
+    the bytes of the per-constraint sweep ``cyclic_projection_loop``."""
+    w0 = admm_module._mainlobe_boost(problem, admm_module._zero_forcing_start(problem))
+    w, violation, converged = admm_module.cyclic_projection(problem, w0)
+    w_ref, violation_ref, converged_ref = cyclic_projection_loop(problem, w0)
+    assert w.tobytes() == w_ref.tobytes()
+    assert (violation, converged) == (violation_ref, converged_ref)
+    return converged
+
+
+class TestProjectionSweep:
+    """The sweep of one-row kernels against the per-constraint reference."""
+
+    def test_paper_problem_and_every_k8_support(self, paper_problem):
+        supports = itertools.combinations(range(paper_problem.N), 8)
+        problems = [paper_problem] + [paper_problem.restrict(s) for s in supports]
+        converged = [assert_sweep_matches_loop(problem) for problem in problems]
+        assert len(converged) == 46 and 0 < sum(converged) < 46  # stalls included
+
+    @pytest.mark.parametrize("K", [4, 6])
+    def test_sample_of_small_supports(self, paper_problem, K):
+        supports = list(itertools.combinations(range(paper_problem.N), K))
+        rng = np.random.default_rng(K)
+        for i in rng.choice(len(supports), 6, replace=False):
+            assert_sweep_matches_loop(paper_problem.restrict(supports[i]))
+
+    def test_plan_follows_constraint_order(self, paper_problem):
+        assert [c for c, _ in paper_problem.plan] == list(paper_problem.constraints)
+
+    def test_first_failing_row_is_named(self, monkeypatch):
+        import sparsebeam.projections as projections_module
+
+        M, N = 2, 3
+        a = steering_vector(ArrayGeometry(N, 0.5), 30.0)
+        problem = toy_problem(
+            [AntennaPowerConstraint(0, 0.5, M, N), StopbandConstraint(30.0, a, 0.1, M, N),
+             StopbandConstraint(-30.0, a, 0.1, M, N)],
+            M, N,
+        )
+        kernel = projections_module._beam_row
+
+        def failing_kernel(W, c):
+            moved = kernel(W, c)
+            return moved and (moved[0], moved[1], np.inf)
+
+        monkeypatch.setattr(projections_module, "_beam_row", failing_kernel)
+        with pytest.raises(ProjectionError) as err:
+            admm_module.cyclic_projection(problem, 3.0 * np.ones(M * N, dtype=complex))
+        assert "stopband(theta=30 deg)" in str(err.value)
+        assert err.value.diagnostics["kind"] == "stopband"
 
 
 class TestFeasiblePoint:

@@ -185,6 +185,19 @@ class TestProvenance:
             "--parallel", "0",
         ]) == 1
 
+    def test_parallel_field_does_not_change_report(self, fast_scenario_path, tmp_path):
+        with open(fast_scenario_path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        reports = []
+        for width in (1, 4):
+            data["admm"]["parallel"] = width
+            path = tmp_path / f"parallel{width}.json"
+            path.write_text(json.dumps(data), encoding="utf-8")
+            out = tmp_path / f"q{width}"
+            assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_git_commit_names_the_package_checkout(
         self, fast_scenario_path, tmp_path, monkeypatch
     ):
