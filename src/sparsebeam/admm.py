@@ -19,7 +19,7 @@ from .certificate import certify_infeasible
 from .errors import ConfigurationError, InfeasibleProblemError, ProjectionError
 from .problem import beam_slacks, objective, sq_norms
 from .projections import KKT_GUARD, check_stationarity, project, project_beams
-from .projections import project_powers, stationarity_error
+from .projections import project_powers, row_kernel, stationarity_error
 from .shrinkage import group_shrink
 
 _STALL_WINDOW = 25  # sweeps without progress before cyclic_projection gives up
@@ -173,8 +173,8 @@ def update_v(problem, w, u, eta, rho, parallel=1):
 def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8):
     """Feasibility restoration by cyclic nearest-point projections.
 
-    Sweeps the constraints in their fixed order, each row's one-row kernel
-    from ``problem.plan`` starting where the previous one left the point,
+    Sweeps the constraints in their fixed order, each row's one-point kernel
+    (``row_kernel``) starting where the previous one left the point,
     until the worst violation falls below ``tol``; gives up early when
     ``_STALL_WINDOW`` consecutive sweeps fail to improve the best worst
     violation by at least 0.1%.  A satisfied row leaves the point as it is; a
@@ -182,10 +182,11 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8):
     it.  Returns (w, max_violation, converged).
     """
     W = np.array(w, dtype=complex).reshape(problem.M, problem.N)
+    plan = [(c, row_kernel(c)) for c in problem.constraints]
     best = np.inf
     stalled = 0
     for _ in range(max_sweeps):
-        for constraint, kernel in problem.plan:
+        for constraint, kernel in plan:
             moved = kernel(W, constraint)
             if moved is not None:
                 check_stationarity(constraint, W, moved[1], moved[2])

@@ -13,8 +13,7 @@ verification and by the infeasibility certificate.
 ``ProblemInstance.families`` regroups the constraints by kind into arrays, so
 slacks and the ADMM v-update take one set of array operations per kind; each
 runs the BLAS product of the constraint's own method once per row, so the
-batched values equal the per-constraint ones bit for bit.  ``plan`` pairs each
-constraint with its one-row projection kernel, which runs on ``row`` data.
+batched values equal the per-constraint ones bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -42,9 +41,9 @@ def group_norms(w, M, N):
 
 
 def sq_norms(X):
-    """||x||^2, shaped (k, 1, 1), of every column x of a stack X (k, n, 1);
+    """||x||^2, shaped (..., 1, 1), of every column x of a stack X (..., n, 1);
     equal to vdot(x, x).real, as the stacked matmul runs the same BLAS dot."""
-    return (np.conj(X).transpose(0, 2, 1) @ X).real
+    return (np.conj(X).swapaxes(-1, -2) @ X).real
 
 
 class BeamRows(NamedTuple):
@@ -61,6 +60,10 @@ class BeamRows(NamedTuple):
     norm2: np.ndarray
     sign: np.ndarray
     threshold: np.ndarray
+
+    def row(self, i):
+        """Row i without the leading axis, to broadcast against one point (M, N)."""
+        return BeamRows(*(field[i] for field in self))
 
 
 def beam_rows(rows, steering, sign, threshold, N):
@@ -212,10 +215,9 @@ class BeamConstraint(QuadraticConstraint):
         return self._signed(np.kron(np.eye(self.M), block))
 
     @cached_property
-    def row(self):
-        """The one-row kernel's data: conj(a), a/||a||, conj(a/||a||), ||a||^2."""
-        b = beam_rows([0], self.steering, [self.sign], [self.threshold], self.N)
-        return b.probe[0], b.unit[0], b.unit_probe[0], float(b.norm2[0, 0, 0])
+    def rows(self):
+        """This constraint as one ``BeamRows`` row, without the leading axis."""
+        return beam_rows([0], self.steering, [self.sign], [self.threshold], self.N).row(0)
 
     def restrict(self, support):
         return replace(self, steering=self.steering[list(support)], N=len(support))
@@ -429,12 +431,6 @@ class ProblemInstance:
             ),
             tuple(sorted(set(range(self.L)) - set(beams) - set(powers))),
         )
-
-    @cached_property
-    def plan(self):
-        """(constraint, one-row projection kernel) of every row, in order."""
-        from .projections import row_kernel  # projections imports this module
-        return tuple((c, row_kernel(c)) for c in self.constraints)
 
     def slacks(self, w):
         """f_l - w^H F_l w per constraint, bit for bit the ``slack`` values."""

@@ -8,11 +8,12 @@ rank-one and the equation involves only the coefficients along one generator
 direction; components of vbar orthogonal to the generator are carried
 through untouched.  The antenna-power, stopband and passband equations are
 solved in closed form by batched kernels (``project_beams``,
-``project_powers``), which the ADMM v-update calls once for all its copies.
-One point goes through a one-row kernel per constraint (``row_kernel``) on
-data the constraint precomputed, in ``project`` and the projection sweep;
-there the SINR equation is solved by a safeguarded Newton iteration in
-plain floats.
+``project_powers``), which the ADMM v-update calls once for all its copies
+and which take one point without a batch axis.  ``row_kernel`` gives the
+one-point kernel of a constraint, used by ``project`` and the projection
+sweep: a pass-through test, then the closed form on data the constraint
+precomputed; the SINR equation is solved by a safeguarded Newton iteration
+in plain floats.
 
 F negative semidefinite (mainlobe floors) and indefinite (SINR floors) is
 where the set is nonconvex; the multiplier interval is then bounded and a
@@ -100,16 +101,18 @@ def _secular_root(fun, dfun, lo, hi, scale=1.0, context="", args=()):
 def project_powers(G, limit):
     """Radial projection of k antenna groups G (k, M) onto their power balls.
 
+    The leading axis may be omitted: one group G (M,) with a scalar limit.
     Groups within their ``limit`` come back unchanged with multiplier 0.
     Returns the projected groups, the KKT multipliers of the normalized
     constraints and the stationarity residuals ||(g' - g) + mu*g'||.
     """
-    power = sq_norms(G[:, :, np.newaxis]).ravel()
+    power = sq_norms(G[..., np.newaxis])[..., 0]
+    limit = np.asarray(limit, dtype=float)[..., np.newaxis]
     scale = np.sqrt(limit / np.maximum(power, limit))  # 1 within the limit
     mu = 1.0 / scale - 1.0
-    P = np.where((power <= limit)[:, np.newaxis], G, G * scale[:, np.newaxis])
-    D = (P - G) + mu[:, np.newaxis] * P
-    return P, mu, np.sqrt(sq_norms(D[:, :, np.newaxis]).ravel())
+    P = np.where(power <= limit, G, G * scale)
+    D = (P - G) + mu * P
+    return P, mu[..., 0], np.sqrt(sq_norms(D[..., np.newaxis]))[..., 0, 0]
 
 
 def _power_row(W, c):
@@ -118,84 +121,71 @@ def _power_row(W, c):
     if np.vdot(G, G).real <= c.limit:
         return None
     V = W.copy()
-    V[:, c.antenna], mu, residual = project_powers(G[np.newaxis], np.array([c.limit]))
-    return V, mu[0], residual[0]
-
-
-def _beam_scale(S0, sign, threshold, norm2):
-    """sqrt(S0/t), dividing the aligned coefficients, and mu of a beam row."""
-    ratio = np.sqrt(S0 / threshold)
-    return ratio, sign * (ratio - 1.0) / norm2
+    V[:, c.antenna], mu, residual = project_powers(G, c.limit)
+    return V, float(mu), float(residual)
 
 
 def project_beams(W, beams):
     """Closed-form projection of k stacked points onto their beam constraints.
 
     Row i of W (k, M, N) holds the user blocks of the point to project onto
-    row i of ``beams`` (a ``BeamRows``).  The steering-aligned coefficient
-    alpha of every block scales by 1/(1 + sign*mu*||a||^2), so the response
-    S0/(1 + sign*mu*||a||^2)^2 meets the threshold t in closed form: the
-    coefficients scale by sqrt(t/S0) and mu = sign*(sqrt(S0/t) - 1)/||a||^2.
-    A stopband (sign +1) shrinks them; a passband (sign -1) amplifies them
-    with mu in [0, 1/||a||^2).  When every block of a passband point is
-    orthogonal to the steering vector (S0 <= 1e-300) nothing can be
-    amplified: the multiplier saturates at 1/||a||^2 and the missing response
-    is injected into user block 0 (a deterministic tie-break; the projection
-    cost is invariant to how the mass is split across blocks).  A row whose
-    S0 already meets its threshold comes back unchanged with multiplier 0.
+    row i of ``beams`` (a ``BeamRows``); the leading axis may be omitted, one
+    point W (M, N) against one row (``BeamRows.row``).  The steering-aligned
+    coefficient alpha of every block scales by 1/(1 + sign*mu*||a||^2), so
+    the response S0/(1 + sign*mu*||a||^2)^2 meets the threshold t in closed
+    form: the coefficients scale by sqrt(t/S0) and
+    mu = sign*(sqrt(S0/t) - 1)/||a||^2.  A stopband (sign +1) shrinks them; a
+    passband (sign -1) amplifies them with mu in [0, 1/||a||^2).  When every
+    block of a passband point is orthogonal to the steering vector
+    (S0 <= 1e-300) nothing can be amplified: the multiplier saturates at
+    1/||a||^2 and the missing response is injected into user block 0 (a
+    deterministic tie-break; the projection cost is invariant to how the mass
+    is split across blocks).  A row whose S0 already meets its threshold
+    comes back unchanged with multiplier 0.
 
-    Returns the projected points (k, M, N), the multipliers and the
-    stationarity residuals ||(v - vbar) + mu*F v||.
+    Returns the projected points, the multipliers and the stationarity
+    residuals ||(v - vbar) + mu*F v||.
     """
-    k, M, N = W.shape
+    *k, M, N = W.shape
     sign, t, norm2 = beams.sign, beams.threshold, beams.norm2
     alpha = W @ beams.unit_probe
     S0 = norm2 * sq_norms(alpha)
     move = ~(sign * S0 <= sign * t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio, mu = _beam_scale(S0, sign, t, norm2)
+        ratio = np.sqrt(S0 / t)
         beta = alpha / ratio
+    mu = sign * (ratio - 1.0) / norm2
     if np.count_nonzero(S0 <= _DEGENERATE_FLOOR):
-        degenerate = (move & (S0 <= _DEGENERATE_FLOOR) & (sign < 0)).ravel()
-        beta[degenerate] = 0.0
-        beta[degenerate, 0, 0] = np.sqrt(t[degenerate, 0, 0] / norm2[degenerate, 0, 0])
-        mu[degenerate] = 1.0 / norm2[degenerate]
+        degenerate = move & (S0 <= _DEGENERATE_FLOOR) & (sign < 0)
+        block0 = np.zeros(alpha.shape[-2:])
+        block0[0, 0] = 1.0
+        beta = np.where(degenerate, np.sqrt(t / norm2) * block0, beta)
+        mu = np.where(degenerate, 1.0 / norm2, mu)
     V = W + (beta - alpha) * beams.unit
     if not move.all():
         V, mu = np.where(move, V, W), np.where(move, mu, 0.0)
     D = (V - W) + (sign * mu) * (V @ beams.probe) * beams.steering
-    return V, mu.ravel(), np.sqrt(sq_norms(D.reshape(k, M * N, 1))).ravel()
+    residual = np.sqrt(sq_norms(D.reshape(*k, M * N, 1)))
+    return V, mu[..., 0, 0], residual[..., 0, 0]
 
 
 def _beam_row(W, c):
-    """``project_beams`` for one point W (M, N), run only when the response
-    along a (``c.quad``) and S0, along a/||a||, both miss the threshold: the
-    two round differently, and a point on the boundary must pass through."""
-    probe, unit, unit_probe, norm2 = c.row
-    sign, t = c.sign, c.threshold
-    coef = W @ probe
-    if sign * np.vdot(coef, coef).real <= sign * t:
+    """``project_beams`` on one point W (M, N), behind the pass-through test
+    on the response along a that ``quad`` makes: S0, along a/||a||, rounds
+    differently, and a point on the boundary must pass through unchanged."""
+    coef = W @ c.rows.probe
+    if c.sign * np.vdot(coef, coef).real <= c.sign * c.threshold:
         return None
-    alpha = W @ unit_probe
-    S0 = norm2 * np.vdot(alpha, alpha).real
-    if sign * S0 <= sign * t:
-        return None
-    if S0 <= _DEGENERATE_FLOOR and sign < 0:
-        beta, mu = np.zeros_like(alpha), 1.0 / norm2
-        beta[0, 0] = np.sqrt(t / norm2)
-    else:
-        ratio, mu = _beam_scale(S0, sign, t, norm2)
-        beta = alpha / ratio
-    V = W + (beta - alpha) * unit
-    D = (V - W) + (sign * mu) * (V @ probe) * c.steering
-    return V, mu, math.sqrt(np.vdot(D, D).real)
+    V, mu, residual = project_beams(W, c.rows)
+    return V, float(mu), float(residual)
 
 
 def project_antenna_power(group, limit):
-    """Radial projection of one antenna group onto the power ball; returns it and
-    the KKT multiplier of the normalized constraint (zero when already inside)."""
-    res = project(AntennaPowerConstraint(0, limit, np.size(group), 1), group)
-    return res.v, res.multiplier
+    """Radial projection of one antenna group onto the power ball: ``project_powers``
+    on one group.  Returns the projected group and the KKT multiplier of the
+    normalized constraint (zero when already inside)."""
+    P, mu, _ = project_powers(np.asarray(group, dtype=complex), limit)
+    return P, float(mu)
 
 
 def project_stopband(vbar, steering, threshold, M, N):

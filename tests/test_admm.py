@@ -414,9 +414,6 @@ class TestProjectionSweep:
         for i in rng.choice(len(supports), 6, replace=False):
             assert_sweep_matches_loop(paper_problem.restrict(supports[i]))
 
-    def test_plan_follows_constraint_order(self, paper_problem):
-        assert [c for c, _ in paper_problem.plan] == list(paper_problem.constraints)
-
     def test_first_failing_row_is_named(self, monkeypatch):
         import sparsebeam.projections as projections_module
 
