@@ -50,7 +50,8 @@ class BeamRows(NamedTuple):
     """Passband and stopband constraints as arrays shaped to broadcast against
     stacked points (k, M, N): rows l (k,); the steering vectors a and a/||a||
     as (k, 1, N) rows and their conjugates as (k, N, 1) columns; ||a||^2, the
-    sign (+1 stopband, -1 passband) and the threshold as (k, 1, 1)."""
+    sign (+1 stopband, -1 passband) and the threshold as (k, 1, 1), or floats
+    in one ``row`` for one point (M, N)."""
 
     rows: np.ndarray
     steering: np.ndarray
@@ -62,8 +63,10 @@ class BeamRows(NamedTuple):
     threshold: np.ndarray
 
     def row(self, i):
-        """Row i without the leading axis, to broadcast against one point (M, N)."""
-        return BeamRows(*(field[i] for field in self))
+        """Row i without the leading axis, to broadcast against one point (M, N);
+        ||a||^2, sign and threshold as floats."""
+        *vectors, norm2, sign, threshold = (field[i] for field in self)
+        return BeamRows(*vectors, norm2.item(), sign.item(), threshold.item())
 
 
 def beam_rows(rows, steering, sign, threshold, N):
@@ -432,21 +435,36 @@ class ProblemInstance:
             tuple(sorted(set(range(self.L)) - set(beams) - set(powers))),
         )
 
+    @cached_property
+    def sinr_rows(self):
+        """``families.other`` split for ``slacks``: the ``SinrConstraint`` rows,
+        conj(h) as (s, N, 1) columns, the (row, user) index of each served
+        user, gamma and f; then the rows of other classes."""
+        cs, other = self.constraints, self.families.other
+        rows = [l for l in other if type(cs[l]) is SinrConstraint]
+        user, gamma, f = (np.array([getattr(cs[l], a) for l in rows], dtype=float)
+                          for a in ("user", "gamma", "f"))
+        probe = np.array([np.conj(cs[l].h) for l in rows]).reshape(-1, self.N, 1)
+        served = (np.arange(len(rows)), user.astype(int))
+        return np.array(rows, dtype=int), probe, served, gamma, f, [l for l in other if l not in rows]
+
     def slacks(self, w):
         """f_l - w^H F_l w per constraint, bit for bit the ``slack`` values."""
-        beams, powers, other = self.families
+        beams, powers, _ = self.families
+        sinr, probe, served, gamma, f, rest = self.sinr_rows
         W = user_blocks(np.asarray(w, dtype=complex), self.M, self.N)
         s = np.empty(self.L)
         s[beams.rows] = beam_slacks(W[np.newaxis], beams).ravel()
         s[powers.rows] = powers.limit - sq_norms(W.T[powers.antenna, :, np.newaxis]).ravel()
-        for l in other:
+        power = np.abs(W @ probe)[..., 0] ** 2  # (s, M): |h^H w_m|^2 of every user
+        signal = power[served]
+        s[sinr] = f + (signal - gamma * (power.sum(axis=1) - signal))
+        for l in rest:
             s[l] = self.constraints[l].slack(w)
         return s
 
     def max_violation(self, w):
-        if not self.constraints:
-            return 0.0
-        return float(np.fmax(0.0, -self.slacks(w)).max())
+        return float(np.fmax(0.0, -self.slacks(w)).max(initial=0.0))
 
     def worst_violations(self, w, count=5):
         violations = np.fmax(0.0, -self.slacks(w))
@@ -462,16 +480,10 @@ class ProblemInstance:
             raise ConfigurationError(
                 f"support {support} outside antenna range 0..{self.N - 1}"
             )
-        reduced = []
-        for c in self.constraints:
-            rc = c.restrict(support)
-            if rc is not None:
-                reduced.append(rc)
-        channels = tuple(
-            replace(ch, h=ch.h[list(support)]) for ch in self.channels
-        )
+        reduced = (c.restrict(support) for c in self.constraints)
+        channels = tuple(replace(ch, h=ch.h[list(support)]) for ch in self.channels)
         return ProblemInstance(
-            constraints=tuple(reduced),
+            constraints=tuple(c for c in reduced if c is not None),
             eta=self.eta,
             M=self.M,
             N=len(support),

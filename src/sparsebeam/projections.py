@@ -1,28 +1,22 @@
 """Nearest-point projections onto single quadratic constraint sets.
 
 Each ADMM constraint block needs  argmin ||v - vbar||^2  s.t.  v^H F v <= f.
-Stationarity gives (I + mu*F) v = vbar with a scalar multiplier mu >= 0, a
-single equation in mu over the interval where I + mu*F stays positive
-semidefinite.  For the structured constraint kinds F is diagonal or (block)
-rank-one and the equation involves only the coefficients along one generator
-direction; components of vbar orthogonal to the generator are carried
-through untouched.  The antenna-power, stopband and passband equations are
-solved in closed form by batched kernels (``project_beams``,
-``project_powers``), which the ADMM v-update calls once for all its copies
-and which take one point without a batch axis.  ``row_kernel`` gives the
-one-point kernel of a constraint, used by ``project`` and the projection
-sweep: a pass-through test, then the closed form on data the constraint
-precomputed; the SINR equation is solved by a safeguarded Newton iteration
-in plain floats.
-
-F negative semidefinite (mainlobe floors) and indefinite (SINR floors) is
-where the set is nonconvex; the multiplier interval is then bounded and a
-saturated multiplier with an injected critical-direction component handles
-the degenerate inputs, exactly as in the trust-region "hard case".
-
-``project_generic`` solves the same problem for any Hermitian F through a
-dense eigendecomposition; ``project`` routes to it every constraint that is
-not an instance of the four built-in kinds.
+Stationarity gives (I + mu*F) v = vbar with a multiplier mu >= 0 on the
+interval where I + mu*F stays positive semidefinite.  For the structured
+kinds F is diagonal or (block) rank-one, so only the coefficients along one
+generator direction move.  The antenna-power and beam equations are solved in
+closed form by batched kernels (``project_beams``, ``project_powers``), which
+the ADMM v-update calls once for all its copies and which also take one point
+without the batch axis, its scalar row data as floats.  ``row_kernel`` gives
+a constraint's one-point kernel for ``project`` and the projection sweep: a
+pass-through test, then the closed form on data the constraint precomputed;
+the SINR equation is solved by a safeguarded Newton iteration on floats.
+Where F is negative semidefinite (mainlobe floors) or indefinite (SINR
+floors) the set is nonconvex: a saturated multiplier with an injected
+critical-direction component handles the degenerate inputs, as in the
+trust-region "hard case".  ``project_generic`` solves the problem for any
+Hermitian F by a dense eigendecomposition; ``project`` routes every other
+class to it.
 """
 
 import math
@@ -125,59 +119,66 @@ def _power_row(W, c):
     return V, float(mu), float(residual)
 
 
+def _sq_norm(X):
+    """||X||^2 over the last two axes: a float for one point (m, n), (k, 1, 1)
+    for a stack (k, m, n); both run the BLAS dot of ``sq_norms``."""
+    *k, m, n = X.shape
+    return float(np.vdot(X, X).real) if not k else sq_norms(X.reshape(*k, m * n, 1))
+
+
 def project_beams(W, beams):
     """Closed-form projection of k stacked points onto their beam constraints.
 
-    Row i of W (k, M, N) holds the user blocks of the point to project onto
-    row i of ``beams`` (a ``BeamRows``); the leading axis may be omitted, one
-    point W (M, N) against one row (``BeamRows.row``).  The steering-aligned
-    coefficient alpha of every block scales by 1/(1 + sign*mu*||a||^2), so
-    the response S0/(1 + sign*mu*||a||^2)^2 meets the threshold t in closed
-    form: the coefficients scale by sqrt(t/S0) and
+    Row i of W (k, M, N) is projected onto row i of ``beams`` (a
+    ``BeamRows``); one point W (M, N) goes with one ``BeamRows.row``, whose
+    scalars are floats: the same formula lines, only the masking of rows that
+    do not move or are degenerate differs.  The steering-aligned coefficient
+    of every block scales by 1/(1 + sign*mu*||a||^2), so the response S0 meets
+    the threshold t in closed form: the coefficients scale by sqrt(t/S0) and
     mu = sign*(sqrt(S0/t) - 1)/||a||^2.  A stopband (sign +1) shrinks them; a
-    passband (sign -1) amplifies them with mu in [0, 1/||a||^2).  When every
-    block of a passband point is orthogonal to the steering vector
-    (S0 <= 1e-300) nothing can be amplified: the multiplier saturates at
-    1/||a||^2 and the missing response is injected into user block 0 (a
-    deterministic tie-break; the projection cost is invariant to how the mass
-    is split across blocks).  A row whose S0 already meets its threshold
-    comes back unchanged with multiplier 0.
-
+    passband (sign -1) amplifies them with mu in [0, 1/||a||^2).  A passband
+    point orthogonal to a in every block (S0 <= 1e-300) saturates mu at
+    1/||a||^2 and gets the missing response injected into user block 0 (a
+    deterministic tie-break; the cost does not depend on the split).  A row
+    whose S0 already meets its threshold comes back unchanged, with mu = 0.
     Returns the projected points, the multipliers and the stationarity
     residuals ||(v - vbar) + mu*F v||.
     """
-    *k, M, N = W.shape
+    point = W.ndim == 2
+    sqrt = math.sqrt if point else np.sqrt  # both correctly rounded
     sign, t, norm2 = beams.sign, beams.threshold, beams.norm2
     alpha = W @ beams.unit_probe
-    S0 = norm2 * sq_norms(alpha)
-    move = ~(sign * S0 <= sign * t)
+    S0 = norm2 * _sq_norm(alpha)
+    holds = sign * S0 <= sign * t
+    degenerate = (S0 <= _DEGENERATE_FLOOR) & (sign < 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sqrt(S0 / t)
+        ratio = sqrt(S0 / t)
         beta = alpha / ratio
     mu = sign * (ratio - 1.0) / norm2
-    if np.count_nonzero(S0 <= _DEGENERATE_FLOOR):
-        degenerate = move & (S0 <= _DEGENERATE_FLOOR) & (sign < 0)
-        block0 = np.zeros(alpha.shape[-2:])
-        block0[0, 0] = 1.0
-        beta = np.where(degenerate, np.sqrt(t / norm2) * block0, beta)
+    if point and degenerate and not holds:
+        beta, mu = sqrt(t / norm2) * np.eye(W.shape[-2], 1), 1.0 / norm2
+    elif not point and degenerate.any():
+        degenerate &= ~holds
+        beta = np.where(degenerate, sqrt(t / norm2) * np.eye(W.shape[-2], 1), beta)
         mu = np.where(degenerate, 1.0 / norm2, mu)
     V = W + (beta - alpha) * beams.unit
-    if not move.all():
-        V, mu = np.where(move, V, W), np.where(move, mu, 0.0)
+    if point and holds:
+        V, mu = W.copy(), 0.0
+    elif not point and holds.any():
+        V, mu = np.where(holds, W, V), np.where(holds, 0.0, mu)
     D = (V - W) + (sign * mu) * (V @ beams.probe) * beams.steering
-    residual = np.sqrt(sq_norms(D.reshape(*k, M * N, 1)))
-    return V, mu[..., 0, 0], residual[..., 0, 0]
+    residual = sqrt(_sq_norm(D))
+    return (V, mu, residual) if point else (V, mu[..., 0, 0], residual[..., 0, 0])
 
 
 def _beam_row(W, c):
-    """``project_beams`` on one point W (M, N), behind the pass-through test
-    on the response along a that ``quad`` makes: S0, along a/||a||, rounds
-    differently, and a point on the boundary must pass through unchanged."""
-    coef = W @ c.rows.probe
-    if c.sign * np.vdot(coef, coef).real <= c.sign * c.threshold:
+    """``project_beams`` on one point W (M, N), behind ``quad``'s pass-through
+    test along a: S0, along a/||a||, rounds differently; boundary points pass."""
+    rows = c.rows
+    coef = W @ rows.probe
+    if rows.sign * np.vdot(coef, coef).real <= rows.sign * rows.threshold:
         return None
-    V, mu, residual = project_beams(W, c.rows)
-    return V, float(mu), float(residual)
+    return project_beams(W, rows)
 
 
 def project_antenna_power(group, limit):
@@ -224,7 +225,7 @@ def _sinr_row(W, c):
     pI = float(power.sum() - power[m])
     if A * (pm - gamma * pI) >= target:
         return None
-    if pm <= _DEGENERATE_FLOOR:
+    if pm <= _DEGENERATE_FLOOR or A * pm <= EPS * (target + gamma * A * pI):
         znew = z / (1.0 + gamma)
         interference = A * pI / (1.0 + gamma) ** 2
         t = np.sqrt((target + gamma * interference) / A)
@@ -250,11 +251,12 @@ def project_sinr(vbar, h, gamma, noise_variance, user, M, N):
 
     The served block's coefficient amplifies by 1/(1 - nu), every interfering
     block's shrinks by 1/(1 + nu*gamma), with nu = mu*||h||^2 in [0, 1) the
-    root of a secular equation.  A zero served-block coefficient is the hard
-    case: nu saturates at 1, the interference is shrunk accordingly, and the
-    smallest feasible served component is injected (the cost is strictly
-    increasing in the injected magnitude, so the boundary value is optimal).
-    Returns (v, mu).
+    root of a secular equation.  A served response below machine precision of
+    the level it must reach (zero among them), where that root would lie
+    closer to 1 than double precision resolves, is the hard case: nu
+    saturates at 1, the interference is shrunk accordingly, and the smallest
+    feasible served component is injected (the cost is strictly increasing in
+    the injected magnitude, so the boundary value is optimal).  Returns (v, mu).
     """
     res = project(SinrConstraint(user, h, gamma, noise_variance, M, N), vbar)
     return res.v, res.multiplier

@@ -24,6 +24,7 @@ from sparsebeam.problem import (
     user_blocks,
 )
 from sparsebeam.projections import (
+    EPS,
     KKT_GUARD,
     ProjectionResult,
     _secular_root,
@@ -230,7 +231,9 @@ def project_sinr_reference(vbar, h, gamma, noise_variance, user, M, N):
     if A * (pm - gamma * pI) >= target:
         return np.asarray(vbar, dtype=complex).copy(), 0.0
 
-    if pm <= 1e-300:
+    # the hard case: a served response below machine precision of the level
+    # it must reach, where the root would round to the pole at nu = 1
+    if pm <= 1e-300 or A * pm <= EPS * (target + gamma * A * pI):
         znew = z / (1.0 + gamma)
         interference = A * pI / (1.0 + gamma) ** 2
         t = np.sqrt((target + gamma * interference) / A)

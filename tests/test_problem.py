@@ -293,6 +293,28 @@ class TestRestrict:
             )
 
 
+class TestBeamRowData:
+    """One-point callers (``BeamConstraint.rows``, ``BeamRows.row``) and the
+    batched v-update (``families.beams``) must read the same row data."""
+
+    @pytest.mark.parametrize("support", [None, (0, 2, 3, 4, 5, 6, 8, 9)])
+    def test_rows_match_families(self, paper_problem, support):
+        problem = paper_problem if support is None else paper_problem.restrict(support)
+        beams = problem.families.beams
+        assert len(beams.rows) == sum(c.kind.endswith("band") for c in problem.constraints)
+        for i, l in enumerate(beams.rows):
+            assert beams.row(i).rows == l  # a constraint's own row is 0
+            for one in (problem.constraints[l].rows, beams.row(i)):
+                for name, got, want in zip(beams._fields[1:], one[1:], beams[1:]):
+                    want = want[i]
+                    if name in ("norm2", "sign", "threshold"):
+                        assert type(got) is float, name
+                        got = np.float64(got)
+                    else:
+                        assert got.shape == want.shape, name
+                    assert got.tobytes() == want.tobytes(), name
+
+
 class TestVectorizedSlacks:
     """``slacks``, ``max_violation`` and ``worst_violations`` work per kind on
     arrays; they must equal the per-constraint values bit for bit."""

@@ -304,16 +304,17 @@ class TestSinrKernel:
         assert residual <= 1e-6 * (1.0 + np.linalg.norm(vbar))
 
     def test_tiny_served_coefficient_reaches_the_pole(self):
-        # |h^H w_m|^2 = 1e-40 of the target puts the bracket's end at nu = 1,
-        # where the secular function has its pole: the solve must neither
-        # divide by zero nor return a non-finite point, and the guard holds.
-        # Feasibility is not asserted: the root lies closer to 1 than double
-        # precision resolves, so the point returned still misses the floor
-        # (the hard-case injection would be the right answer here)
-        h = np.array([1.0, 0.5j])
-        vbar = np.array([1e-20, 0.0, 0.3, 0.2], dtype=complex)
-        res = project(SinrConstraint(0, h, 2.0, 1.0, 2, 2), vbar)  # runs the guard
-        assert np.all(np.isfinite(res.v)) and 0.0 < res.multiplier < np.inf
+        # a served coefficient with |h^H w_m|^2 from 1e-16 down to 1e-40
+        # (target 2) puts the root nu closer to the pole at 1 than double
+        # precision resolves: the point must be finite, pass the guard and
+        # reach the floor, which the hard-case injection does
+        h, gamma, sigma2 = np.array([1.0, 0.5j]), 2.0, 1.0
+        c = SinrConstraint(0, h, gamma, sigma2, 2, 2)
+        for served in [1e-8, 1e-16, 1e-20]:
+            vbar = np.array([served, 0.0, 0.3, 0.2], dtype=complex)
+            res = project(c, vbar)  # runs the guard
+            assert np.all(np.isfinite(res.v)) and 0.0 < res.multiplier < np.inf
+            assert c.slack(res.v) >= -1e-12 * gamma * sigma2
 
 
 class TestOnePointKernels:
@@ -333,6 +334,35 @@ class TestOnePointKernels:
                 V1, mu1, residual1 = project_beams(W[0], rows.row(0))
                 assert V1.tobytes() == V[0].tobytes()
                 assert (mu1, residual1) == (mu[0], residual[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.sampled_from([1.0, -1.0]),
+        st.floats(-3.0, 3.0), st.one_of(st.floats(-3.0, 2.0), st.none()),
+        st.booleans(),
+    )
+    def test_project_beams_on_one_row(self, seed, sign, log_threshold, log_scale, boundary):
+        # scale None is the zero point (a degenerate passband); on the boundary
+        # the threshold is the point's own S0, so the row passes through
+        rng = np.random.default_rng(seed)
+        M, N = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        scale = 0.0 if log_scale is None else 10.0**log_scale
+        W = scale * random_stack(rng, M, N).reshape(1, M, N)
+        a = random_stack(rng, 1, N)
+        threshold = 10.0**log_threshold
+        if boundary and scale > 0.0:
+            row = beam_rows([0], a, [sign], [1.0], N).row(0)
+            alpha = W @ row.unit_probe
+            threshold = row.norm2 * float(np.vdot(alpha, alpha).real)
+        rows = beam_rows([0], a, [sign], [threshold], N)
+        V, mu, residual = project_beams(W, rows)
+        V1, mu1, residual1 = project_beams(W[0], rows.row(0))
+        assert V1.tobytes() == V[0].tobytes()
+        assert type(mu1) is float and type(residual1) is float
+        assert np.float64(mu1).tobytes() == mu[0].tobytes()
+        assert np.float64(residual1).tobytes() == residual[0].tobytes()
+        if boundary and scale > 0.0:
+            assert V1.tobytes() == W[0].tobytes() and mu1 == 0.0
 
     def test_project_powers(self):
         rng = np.random.default_rng(zlib.crc32(b"project_powers"))
