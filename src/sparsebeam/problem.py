@@ -446,7 +446,8 @@ class ProblemInstance:
                           for a in ("user", "gamma", "f"))
         probe = np.array([np.conj(cs[l].h) for l in rows]).reshape(-1, self.N, 1)
         served = (np.arange(len(rows)), user.astype(int))
-        return np.array(rows, dtype=int), probe, served, gamma, f, [l for l in other if l not in rows]
+        rest = [l for l in other if l not in rows]
+        return np.array(rows, dtype=int), probe, served, gamma, f, rest
 
     def slacks(self, w):
         """f_l - w^H F_l w per constraint, bit for bit the ``slack`` values."""

@@ -231,7 +231,7 @@ def _sinr_row(W, c):
         t = np.sqrt((target + gamma * interference) / A)
         phase = z[m] / abs(z[m]) if abs(z[m]) > 0 else 1.0
         znew[m] = t * phase
-        nu = 1.0
+        nu = 1.0 - abs(z[m]) / t  # z[m]/(1 - nu) = znew[m]: the served block is stationary
     else:
         # at hi the served term alone reaches 2*(target + gamma*A*pI), which
         # exceeds the worst-case interference deficit, closing the bracket
@@ -252,11 +252,10 @@ def project_sinr(vbar, h, gamma, noise_variance, user, M, N):
     The served block's coefficient amplifies by 1/(1 - nu), every interfering
     block's shrinks by 1/(1 + nu*gamma), with nu = mu*||h||^2 in [0, 1) the
     root of a secular equation.  A served response below machine precision of
-    the level it must reach (zero among them), where that root would lie
-    closer to 1 than double precision resolves, is the hard case: nu
-    saturates at 1, the interference is shrunk accordingly, and the smallest
-    feasible served component is injected (the cost is strictly increasing in
-    the injected magnitude, so the boundary value is optimal).  Returns (v, mu).
+    the level it must reach (the root then rounds to 1) is the hard case: the
+    interference shrinks as at nu = 1, the smallest feasible served component
+    is injected (the cost grows with its magnitude, so the boundary value is
+    optimal) and nu = 1 - |served|/|injected|.  Returns (v, mu).
     """
     res = project(SinrConstraint(user, h, gamma, noise_variance, M, N), vbar)
     return res.v, res.multiplier

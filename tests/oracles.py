@@ -239,7 +239,7 @@ def project_sinr_reference(vbar, h, gamma, noise_variance, user, M, N):
         t = np.sqrt((target + gamma * interference) / A)
         phase = z[user] / abs(z[user]) if abs(z[user]) > 0 else 1.0
         znew[user] = t * phase
-        nu = 1.0
+        nu = 1.0 - abs(z[user]) / t
     else:
 
         def fun(nu):

@@ -315,6 +315,12 @@ class TestSinrKernel:
             res = project(c, vbar)  # runs the guard
             assert np.all(np.isfinite(res.v)) and 0.0 < res.multiplier < np.inf
             assert c.slack(res.v) >= -1e-12 * gamma * sigma2
+        # a weak channel routes a served coefficient of 1e-4 there too, with
+        # a served component far above the guard's scale: it must stay
+        # stationary, not just the interference
+        weak = SinrConstraint(0, 1e-4 * h, gamma, sigma2, 2, 2)
+        res = project(weak, np.array([1e-4, 0.0, 0.3, 0.2], dtype=complex))
+        assert weak.slack(res.v) >= -1e-12 * gamma * sigma2
 
 
 class TestOnePointKernels:
