@@ -150,21 +150,21 @@ def project_beams(W, beams):
     alpha = W @ beams.unit_probe
     S0 = norm2 * _sq_norm(alpha)
     holds = sign * S0 <= sign * t
-    degenerate = (S0 <= _DEGENERATE_FLOOR) & (sign < 0)
+    degenerate = S0 <= _DEGENERATE_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = sqrt(S0 / t)
         beta = alpha / ratio
     mu = sign * (ratio - 1.0) / norm2
-    if point and degenerate and not holds:
+    if point and degenerate and sign < 0 and not holds:
         beta, mu = sqrt(t / norm2) * np.eye(W.shape[-2], 1), 1.0 / norm2
-    elif not point and degenerate.any():
-        degenerate &= ~holds
+    elif not point and np.count_nonzero(degenerate):
+        degenerate &= (sign < 0) & ~holds
         beta = np.where(degenerate, sqrt(t / norm2) * np.eye(W.shape[-2], 1), beta)
         mu = np.where(degenerate, 1.0 / norm2, mu)
     V = W + (beta - alpha) * beams.unit
     if point and holds:
         V, mu = W.copy(), 0.0
-    elif not point and holds.any():
+    elif not point and np.count_nonzero(holds):
         V, mu = np.where(holds, W, V), np.where(holds, 0.0, mu)
     D = (V - W) + (sign * mu) * (V @ beams.probe) * beams.steering
     residual = sqrt(_sq_norm(D))
