@@ -442,10 +442,10 @@ class ProblemInstance:
         user, gamma and f; then the rows of other classes."""
         cs, other = self.constraints, self.families.other
         rows = [l for l in other if type(cs[l]) is SinrConstraint]
-        user, gamma, f = (np.array([getattr(cs[l], a) for l in rows], dtype=float)
-                          for a in ("user", "gamma", "f"))
         probe = np.array([np.conj(cs[l].h) for l in rows]).reshape(-1, self.N, 1)
-        served = (np.arange(len(rows)), user.astype(int))
+        served = (np.arange(len(rows)), np.array([cs[l].user for l in rows], dtype=int))
+        gamma = np.array([cs[l].gamma for l in rows], dtype=float)
+        f = np.array([cs[l].f for l in rows], dtype=float)
         rest = [l for l in other if l not in rows]
         return np.array(rows, dtype=int), probe, served, gamma, f, rest
 
