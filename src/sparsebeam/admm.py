@@ -6,7 +6,7 @@ w - u_l groupwise and projects onto its own constraint set, and the scaled
 duals absorb the disagreement.  The v-update works per constraint kind: one
 shrinkage call for all L copies, one closed-form kernel call for every beam
 copy and one for every antenna-power copy, then a one-row kernel per SINR copy.
-No copy depends on another, so a run is reproduced bit for bit from its seed.
+No copy depends on another and nothing is random, so runs repeat bit for bit.
 """
 
 import warnings
@@ -24,7 +24,6 @@ from .shrinkage import group_shrink
 
 _STALL_WINDOW = 25  # sweeps without progress before cyclic_projection gives up
 _RESTORE_TOL = 1e-9  # restore_feasibility's target, well inside the 1e-6 gate
-_RESCUE_ROUNDS = 3  # violation-descent rounds restore_feasibility may add
 _DESCENT_MAX_ITER = 600  # L-BFGS iteration budget of one violation descent
 
 
@@ -124,7 +123,7 @@ def _row_error(problem, l, err):
     )
 
 
-def update_v(problem, w, u, eta, rho, parallel=1):
+def update_v(problem, w, u, eta, rho):
     """Shrink every auxiliary copy, then project each onto its own constraint.
 
     C = w - u is shrunk as one (L, M*N) batch.  The beam rows of
@@ -135,8 +134,7 @@ def update_v(problem, w, u, eta, rho, parallel=1):
     result equals the per-constraint loop bit for bit.  Every kernel row must
     pass the KKT stationarity guard ||(v - vbar) + mu*F v|| <= 1e-6*(1 +
     ||vbar||); the first failing row in constraint order raises a
-    ``ProjectionError`` naming it.  ``parallel`` is accepted for
-    compatibility and has no effect.
+    ``ProjectionError`` naming it.
     """
     L, M, N = problem.L, problem.M, problem.N
     if L == 0:
@@ -260,16 +258,14 @@ def _mainlobe_boost(problem, w):
 
 
 def restore_feasibility(problem, w):
-    """Cyclic projections with violation-descent rescue rounds.
+    """Cyclic projections, with one violation-descent rescue should they stall.
 
-    Plain projection sweeps stall on some nonconvex instances; each rescue
-    round descends the squared-hinge violation surrogate from the stalled
-    point and projects again.  Returns (w, max_violation, converged).
+    Plain projection sweeps stall on some nonconvex instances; the rescue
+    descends the squared-hinge violation surrogate from the stalled point and
+    projects again.  Returns (w, max_violation, converged).
     """
     w, violation, ok = cyclic_projection(problem, w, max_sweeps=300, tol=_RESTORE_TOL)
-    for _ in range(_RESCUE_ROUNDS):
-        if ok:
-            break
+    if not ok:
         w = _violation_descent(problem, w)
         w, violation, ok = cyclic_projection(problem, w, max_sweeps=300, tol=_RESTORE_TOL)
     return w, violation, ok
@@ -305,7 +301,7 @@ def _violation_descent(problem, w0):
     return res.x[:n] + 1j * res.x[n:]
 
 
-def find_feasible_point(problem, seed=0):
+def find_feasible_point(problem):
     """A point satisfying every constraint, for initializing the consensus.
 
     Stage 1 builds zero-forcing user beams with doubled SINR targets, stage 2
@@ -314,75 +310,54 @@ def find_feasible_point(problem, seed=0):
     Lagrangian proof that no feasible point exists; if it finds one the
     search stops with a certified ``InfeasibleProblemError``.  It never
     finds one on a feasible problem, so feasible results do not depend on
-    it.  Otherwise stage 4 retries from fresh random starts and perturbations
-    of the best point, each pushed through a violation descent before the
-    projections.  The search gives up, with an uncertified error, when 20
-    restarts are exhausted, or sooner when eight independent basins all floor
-    far from feasibility.  Either error carries the worst violations of the
-    best point reached.
+    it.  Otherwise stage 4 descends the violation surrogate from the stalled
+    point and projects again; should that stall too, the search gives up
+    with an uncertified error.  Either error carries the worst violations of
+    the better point reached.  No stage draws random numbers.
     """
     if problem.L == 0:
         return np.zeros(problem.size, dtype=complex)
-    rng = np.random.default_rng(seed)
-
-    def noise():
-        return rng.standard_normal(problem.size) + 1j * rng.standard_normal(problem.size)
-
     w = _zero_forcing_start(problem)
     w = _mainlobe_boost(problem, w)
     w, violation, ok = cyclic_projection(problem, w)
-    if not ok:
-        certificate = certify_infeasible(problem)
-        if certificate is not None:
-            raise InfeasibleProblemError(
-                f"certified infeasible ({certificate.describe()}; "
-                f"max violation {violation:.3e} at the stalled point)",
-                problem.worst_violations(w),
-                certificate,
-            )
-    best_w, best_violation = w, violation
-    restarts = 0
-    while not ok and restarts < 20:
-        restarts += 1
-        if restarts == 1:
-            start = best_w
-        elif restarts % 2 == 0:
-            start = rng.uniform(0.3, 3.0) * noise()
-        else:
-            scale = 0.25 * restarts * (1.0 + np.linalg.norm(best_w))
-            start = best_w + scale * noise() / np.sqrt(problem.size)
-        start = _violation_descent(problem, start)
-        w, violation, ok = cyclic_projection(problem, start)
-        if violation < best_violation:
-            best_w, best_violation = w, violation
-        if restarts >= 8 and best_violation > 1e-2:
-            break
-    if not ok:
+    if ok:
+        return w
+    certificate = certify_infeasible(problem)
+    if certificate is not None:
         raise InfeasibleProblemError(
-            f"search gave up after {restarts} restarts "
-            f"(best max violation {best_violation:.3e})",
-            problem.worst_violations(best_w),
+            f"certified infeasible ({certificate.describe()}; "
+            f"max violation {violation:.3e} at the stalled point)",
+            problem.worst_violations(w),
+            certificate,
         )
-    return w
+    stalled = (w, violation)
+    w, violation, ok = cyclic_projection(problem, _violation_descent(problem, w))
+    if ok:
+        return w
+    w, violation = min(stalled, (w, violation), key=lambda point: point[1])
+    raise InfeasibleProblemError(
+        f"search gave up after a violation descent (best max violation {violation:.3e})",
+        problem.worst_violations(w),
+    )
 
 
-def initialize(problem, seed=0):
+def initialize(problem):
     """Feasible consensus start: every v_l at the feasible point, duals zero."""
-    w0 = find_feasible_point(problem, seed)
+    w0 = find_feasible_point(problem)
     v = np.tile(w0, (problem.L, 1))
     u = np.zeros((problem.L, problem.size), dtype=complex)
     return AdmmState(w=w0.copy(), v=v, u=u, start=w0)
 
 
-def solve(problem, config, seed=0):
+def solve(problem, config):
     """Run the consensus iteration for k_max rounds (or to the tolerances).
 
-    Deterministic for a fixed seed and constraint order.  Projection
+    Deterministic for a fixed problem and configuration.  Projection
     failures abort with the iteration and constraint in the message:
     silently skipping a constraint would corrupt the consensus.
     """
     check_penalty_ratio(config, problem.L)
-    state = initialize(problem, seed)
+    state = initialize(problem)
     eta, rho = config.eta, config.rho
     for k in range(config.k_max):
         w_new = update_w(state.v, state.u, rho)

@@ -95,9 +95,9 @@ def cmd_solve(scenario, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem = assemble(scenario)
-    state = solve(problem, scenario.admm, seed=scenario.seed)
+    state = solve(problem, scenario.admm)
     support = select_support(state.w, scenario.num_selected, problem.M, problem.N)
-    stack = refit(problem, support, scenario.admm, seed=[scenario.seed, 1])
+    stack = refit(problem, support, scenario.admm)
     report = design_report(stack.w, problem, support=support)
     last = state.history[-1] if state.history else IterationRecord(0, None, None, None)
     payload = {
@@ -172,14 +172,12 @@ def cmd_sweep_k(scenario, k_list, trials, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem = assemble(scenario)
-    state = solve(problem, scenario.admm, seed=scenario.seed)
+    state = solve(problem, scenario.admm)
     rows = []
     certified = {}  # K -> certified random draws; stdout only, the CSV is fixed
     for K in k_list:
         support = select_support(state.w, K, problem.M, problem.N)
-        rows.append(_proposed_row(K, problem, lambda: refit(
-            problem, support, scenario.admm, seed=[scenario.seed, 2, K]
-        )))
+        rows.append(_proposed_row(K, problem, lambda: refit(problem, support, scenario.admm)))
         base = random_selection_baseline(
             problem, K, trials, scenario.seed, scenario.admm
         )
@@ -243,9 +241,9 @@ def cmd_sweep_m(scenario, m_list, out_dir):
         problem = assemble(sc)
 
         def design():
-            state = solve(problem, sc.admm, seed=sc.seed)
+            state = solve(problem, sc.admm)
             support = select_support(state.w, sc.num_selected, problem.M, problem.N)
-            return refit(problem, support, sc.admm, seed=[sc.seed, 3, M])
+            return refit(problem, support, sc.admm)
 
         rows.append(_proposed_row(M, problem, design))
     _write_csv(

@@ -391,7 +391,7 @@ class ProblemInstance:
     """The assembled constraint family plus everything needed to evaluate it.
 
     Constraint order is fixed (passband grid, stopband grid, antenna powers,
-    SINRs) so that run logs, dual variables, and seeds are reproducible.
+    SINRs) so that run logs and dual variables are reproducible.
     """
 
     constraints: tuple

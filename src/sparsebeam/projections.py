@@ -226,12 +226,16 @@ def _sinr_row(W, c):
     if A * (pm - gamma * pI) >= target:
         return None
     if pm <= _DEGENERATE_FLOOR or A * pm <= EPS * (target + gamma * A * pI):
-        znew = z / (1.0 + gamma)
-        interference = A * pI / (1.0 + gamma) ** 2
-        t = np.sqrt((target + gamma * interference) / A)
+        # znew[m] = z[m]/(1 - nu) keeps the served block stationary; from
+        # nu = 1, two passes settle nu, t and the 1/(1 + nu*gamma) shrink
+        nu = 1.0
+        for _ in range(2):
+            interference = A * pI / (1.0 + nu * gamma) ** 2
+            t = np.sqrt((target + gamma * interference) / A)
+            nu = 1.0 - abs(z[m]) / t
+        znew = z / (1.0 + nu * gamma)
         phase = z[m] / abs(z[m]) if abs(z[m]) > 0 else 1.0
         znew[m] = t * phase
-        nu = 1.0 - abs(z[m]) / t  # z[m]/(1 - nu) = znew[m]: the served block is stationary
     else:
         # at hi the served term alone reaches 2*(target + gamma*A*pI), which
         # exceeds the worst-case interference deficit, closing the bracket
@@ -253,9 +257,10 @@ def project_sinr(vbar, h, gamma, noise_variance, user, M, N):
     block's shrinks by 1/(1 + nu*gamma), with nu = mu*||h||^2 in [0, 1) the
     root of a secular equation.  A served response below machine precision of
     the level it must reach (the root then rounds to 1) is the hard case: the
-    interference shrinks as at nu = 1, the smallest feasible served component
-    is injected (the cost grows with its magnitude, so the boundary value is
-    optimal) and nu = 1 - |served|/|injected|.  Returns (v, mu).
+    smallest feasible served component is injected (the cost grows with its
+    magnitude, so the boundary value is optimal), nu = 1 - |served|/|injected|,
+    and the interference shrinks by 1/(1 + nu*gamma) with that nu.  Returns
+    (v, mu).
     """
     res = project(SinrConstraint(user, h, gamma, noise_variance, M, N), vbar)
     return res.v, res.multiplier

@@ -39,15 +39,17 @@ def embed_support(w_reduced, support, M, N):
     return w_full.reshape(M * N)
 
 
-def refit(problem, support, config, seed=0):
+def refit(problem, support, config):
     """Re-solve on the selected subarray with the sparsity weight removed.
 
     Runs the same consensus solver on the support-restricted problem with
-    eta = 0, then restores exact feasibility by cyclic projection (a finite
-    iteration budget leaves a small consensus gap that the 1e-6 feasibility
-    gate would not forgive).  Should the polish fail, or end above the
-    power of the run's own feasible start, that start is returned instead.
-    The returned stack is full-size with exact zeros off the support.
+    eta = 0, then restores exact feasibility with ``restore_feasibility`` (a
+    finite iteration budget leaves a small consensus gap that the 1e-6
+    feasibility gate would not forgive).  Should the polish fail, or end
+    above the power of the run's own feasible start, that start is returned
+    instead.  Nothing here draws random numbers, so one support always refits
+    to the same bytes.  The returned stack is full-size with exact zeros off
+    the support.
     """
     support = tuple(sorted(set(int(n) for n in support)))
     reduced = replace(problem.restrict(support), eta=0.0)
@@ -56,7 +58,7 @@ def refit(problem, support, config, seed=0):
         k_max=max(config.k_max, _REFIT_MIN_ITERATIONS),
     )
     try:
-        state = solve(reduced, cfg, seed)
+        state = solve(reduced, cfg)
     except InfeasibleProblemError as err:
         raise InfeasibleProblemError(
             f"refit on support {support} is infeasible: {err}",
@@ -94,9 +96,9 @@ class BaselineResult:
 def random_selection_baseline(problem, K, trials, seed, config):
     """Refit on uniformly drawn K-subsets; infeasible draws counted, excluded.
 
-    Trial t draws its subset from default_rng([seed, K, t]) and solves with a
-    seed derived from the same key, so results are reproducible and
-    independent of execution order.
+    Trial t draws its subset from default_rng([seed, K, t]); the refit draws
+    no random numbers, so results are reproducible and independent of
+    execution order.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
@@ -106,7 +108,7 @@ def random_selection_baseline(problem, K, trials, seed, config):
         rng = np.random.default_rng([seed, K, t])
         support = tuple(sorted(rng.choice(problem.N, size=K, replace=False).tolist()))
         try:
-            stack = refit(problem, support, config, seed=[seed, K, t, 1])
+            stack = refit(problem, support, config)
         except InfeasibleProblemError as err:
             infeasible += 1
             certified += err.certificate is not None

@@ -234,12 +234,14 @@ def project_sinr_reference(vbar, h, gamma, noise_variance, user, M, N):
     # the hard case: a served response below machine precision of the level
     # it must reach, where the root would round to the pole at nu = 1
     if pm <= 1e-300 or A * pm <= EPS * (target + gamma * A * pI):
-        znew = z / (1.0 + gamma)
-        interference = A * pI / (1.0 + gamma) ** 2
-        t = np.sqrt((target + gamma * interference) / A)
+        nu = 1.0
+        for _ in range(2):
+            interference = A * pI / (1.0 + nu * gamma) ** 2
+            t = np.sqrt((target + gamma * interference) / A)
+            nu = 1.0 - abs(z[user]) / t
+        znew = z / (1.0 + nu * gamma)
         phase = z[user] / abs(z[user]) if abs(z[user]) > 0 else 1.0
         znew[user] = t * phase
-        nu = 1.0 - abs(z[user]) / t
     else:
 
         def fun(nu):

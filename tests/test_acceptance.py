@@ -59,11 +59,11 @@ def _pipeline(scenario):
     if "design" not in _cache:
         problem = sb.assemble(scenario)
         t0 = time.perf_counter()
-        state = sb.solve(problem, scenario.admm, seed=scenario.seed)
+        state = sb.solve(problem, scenario.admm)
         support = sb.select_support(
             state.w, scenario.num_selected, problem.M, problem.N
         )
-        stack = sb.refit(problem, support, scenario.admm, seed=[scenario.seed, 1])
+        stack = sb.refit(problem, support, scenario.admm)
         elapsed = time.perf_counter() - t0
         _cache["design"] = (problem, state, support, stack, elapsed)
     return _cache["design"]
@@ -144,9 +144,7 @@ def test_criterion_03_sweep_ordering(paper_scenario):
         support = sb.select_support(state.w, K, problem.M, problem.N)
         refit_error = None
         try:
-            stack = sb.refit(
-                problem, support, paper_scenario.admm, seed=[paper_scenario.seed, 2, K]
-            )
+            stack = sb.refit(problem, support, paper_scenario.admm)
             tx_prop = sb.tx_power(stack.w)
             msrr_prop = sb.msrr(stack.w, problem)
         except sb.InfeasibleProblemError as err:

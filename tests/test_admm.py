@@ -106,7 +106,7 @@ class TestUpdateV:
         problem = toy_problem([c], M, N)
         w = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
         u = w[np.newaxis, :].copy()  # c_l = w - u_l = 0
-        v = update_v(problem, w, u, eta=0.5, rho=1.0, parallel=1)
+        v = update_v(problem, w, u, eta=0.5, rho=1.0)
         assert np.all(v == 0)
 
     def test_feasible_shrunk_point_passes_through(self):
@@ -116,19 +116,8 @@ class TestUpdateV:
         rng = np.random.default_rng(4)
         w = random_stack(rng, M, N)
         u = np.zeros((1, M * N), dtype=complex)
-        v = update_v(problem, w, u, eta=0.0, rho=1.0, parallel=1)
+        v = update_v(problem, w, u, eta=0.0, rho=1.0)
         assert np.array_equal(v[0], w)  # eta=0 shrink is identity, constraint loose
-
-    def test_parallel_matches_serial(self, paper_problem):
-        rng = np.random.default_rng(5)
-        w = random_stack(rng, paper_problem.M, paper_problem.N)
-        u = 0.1 * (
-            rng.standard_normal((paper_problem.L, paper_problem.size))
-            + 1j * rng.standard_normal((paper_problem.L, paper_problem.size))
-        )
-        v1 = update_v(paper_problem, w, u, eta=0.1, rho=50.0, parallel=1)
-        v8 = update_v(paper_problem, w, u, eta=0.1, rho=50.0, parallel=8)
-        assert np.array_equal(v1, v8)
 
 
 class Ball(QuadraticConstraint):
@@ -165,9 +154,9 @@ def record_update_v(monkeypatch, run):
     calls = []
     original = admm_module.update_v
 
-    def spy(problem, w, u, eta, rho, parallel=1):
+    def spy(problem, w, u, eta, rho):
         calls.append((problem, w.copy(), u.copy(), eta, rho))
-        return original(problem, w, u, eta, rho, parallel)
+        return original(problem, w, u, eta, rho)
 
     with monkeypatch.context() as patch:
         patch.setattr(admm_module, "update_v", spy)
@@ -230,20 +219,20 @@ class TestBatchedUpdateV:
     def test_reference_solve_iterates(self, paper_problem, paper_scenario, monkeypatch):
         calls = record_update_v(
             monkeypatch,
-            lambda: solve(paper_problem, paper_scenario.admm, seed=paper_scenario.seed),
+            lambda: solve(paper_problem, paper_scenario.admm),
         )
         assert len(calls) == 100
         for call in calls:
             assert_matches_loop(*call)
 
     def test_refit_iterates(self, paper_problem, paper_scenario, monkeypatch):
-        state = solve(paper_problem, paper_scenario.admm, seed=paper_scenario.seed)
+        state = solve(paper_problem, paper_scenario.admm)
         support = select_support(
             state.w, paper_scenario.num_selected, paper_problem.M, paper_problem.N
         )
         calls = record_update_v(
             monkeypatch,
-            lambda: refit(paper_problem, support, paper_scenario.admm, paper_scenario.seed),
+            lambda: refit(paper_problem, support, paper_scenario.admm),
         )
         assert len(calls) == 300 and calls[0][0].N == paper_scenario.num_selected
         for call in calls:
@@ -439,7 +428,7 @@ class TestProjectionSweep:
 
 class TestFeasiblePoint:
     def test_paper_scenario(self, paper_problem, paper_scenario):
-        w0 = find_feasible_point(paper_problem, seed=paper_scenario.seed)
+        w0 = find_feasible_point(paper_problem)
         assert paper_problem.max_violation(w0) <= 1e-6
 
     def test_small_loose_problem(self):
@@ -463,19 +452,19 @@ class TestFeasiblePoint:
             N=N,
             channels=(UserChannel(0, h, 1.0, 2.0),),
         )
-        w0 = find_feasible_point(problem, seed=0)
+        w0 = find_feasible_point(problem)
         assert problem.max_violation(w0) <= 1e-8
 
     def test_contradictory_thresholds_reported(self):
         problem = contradictory_problem()
         with pytest.raises(InfeasibleProblemError) as err:
-            find_feasible_point(problem, seed=0)
+            find_feasible_point(problem)
         assert err.value.worst_violations
         assert any(v > 0 for _, v in err.value.worst_violations)
 
     def test_no_constraints_gives_zero(self):
         problem = toy_problem([], 2, 3)
-        state = initialize(problem, seed=0)
+        state = initialize(problem)
         assert np.all(state.w == 0)
         assert state.v.shape == (0, 6)
 
@@ -483,17 +472,46 @@ class TestFeasiblePoint:
     def test_certified_verdict_stops_the_search(self):
         problem = contradictory_problem()
         with pytest.raises(InfeasibleProblemError) as err:
-            find_feasible_point(problem, seed=0)
+            find_feasible_point(problem)
         assert "certified infeasible" in str(err.value)
         assert certificate_holds(problem, err.value.certificate.multipliers)
 
     def test_uncertified_verdict_says_search_gave_up(self, monkeypatch):
         monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem: None)
+        descents = count_calls(monkeypatch, "_violation_descent")
         with pytest.raises(InfeasibleProblemError) as err:
-            find_feasible_point(contradictory_problem(), seed=0)
+            find_feasible_point(contradictory_problem())
         assert err.value.certificate is None
         assert "search gave up after" in str(err.value)
         assert err.value.worst_violations
+        assert len(descents) == 1
+
+    def test_stalled_subarray_needs_one_violation_descent(self, paper_problem, monkeypatch):
+        # a feasible K=8 subarray on which the projections stall: the
+        # certificate search finds nothing, and one descent from the stalled
+        # point lets the projections finish
+        problem = paper_problem.restrict((0, 1, 2, 3, 4, 5, 6, 8))
+        sweeps = count_calls(monkeypatch, "cyclic_projection")
+        certificates = count_calls(monkeypatch, "certify_infeasible")
+        descents = count_calls(monkeypatch, "_violation_descent")
+        w0 = find_feasible_point(problem)
+        assert problem.max_violation(w0) <= 1e-6
+        assert [ok for _, _, ok in sweeps] == [False, True]
+        assert certificates == [None]
+        assert len(descents) == 1
+
+
+def count_calls(monkeypatch, name):
+    """The results of every call to ``admm.<name>`` from now on, in order."""
+    results = []
+    original = getattr(admm_module, name)
+
+    def spy(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(admm_module, name, spy)
+    return results
 
 
 def contradictory_problem():
@@ -574,7 +592,7 @@ class TestCertificate:
 
 class TestInitialize:
     def test_duals_zero_and_copies_equal(self, paper_problem, paper_scenario):
-        state = initialize(paper_problem, seed=paper_scenario.seed)
+        state = initialize(paper_problem)
         assert np.all(state.u == 0)
         assert all(np.array_equal(state.v[l], state.w) for l in range(paper_problem.L))
 
@@ -587,7 +605,7 @@ class TestInitialize:
         from sparsebeam import assemble
 
         with pytest.raises(InfeasibleProblemError):
-            initialize(assemble(sc), seed=0)
+            initialize(assemble(sc))
 
 
 class TestPenaltyRatioWarning:
@@ -608,7 +626,7 @@ class TestPenaltyRatioWarning:
 class TestSolve:
     def test_zero_iterations_returns_initial_state(self, paper_problem, paper_scenario):
         cfg = replace(paper_scenario.admm, k_max=0)
-        state = solve(paper_problem, cfg, seed=paper_scenario.seed)
+        state = solve(paper_problem, cfg)
         assert state.k == 0 and state.history == []
         assert paper_problem.max_violation(state.w) <= 1e-6
 
@@ -618,7 +636,7 @@ class TestSolve:
         M, N = 1, 2
         problem = toy_problem([AntennaPowerConstraint(0, 1e12, M, N)], M, N)
         cfg = AdmmConfig(eta=0.0, rho=2.0, k_max=12)
-        state = solve(problem, cfg, seed=0)
+        state = solve(problem, cfg)
         # w0 = 0 for this problem (no channels, no passband), so drive it by hand
         w = np.array([1.0, 1.0j], dtype=complex)
         state.v[0] = w
@@ -635,7 +653,7 @@ class TestSolve:
 
     def test_paper_scenario_residual_trend(self, paper_problem, paper_scenario):
         cfg = replace(paper_scenario.admm, k_max=1000)
-        state = solve(paper_problem, cfg, seed=paper_scenario.seed)
+        state = solve(paper_problem, cfg)
         h = state.history
         # the consensus-initialized run starts AT consensus, so the primal
         # residual first grows from near zero before decaying; the tenfold
@@ -647,20 +665,20 @@ class TestSolve:
     def test_parallel_determinism(self, paper_problem, paper_scenario):
         cfg1 = replace(paper_scenario.admm, k_max=12, parallel=1)
         cfg8 = replace(paper_scenario.admm, k_max=12, parallel=8)
-        s1 = solve(paper_problem, cfg1, seed=paper_scenario.seed)
-        s8 = solve(paper_problem, cfg8, seed=paper_scenario.seed)
+        s1 = solve(paper_problem, cfg1)
+        s8 = solve(paper_problem, cfg8)
         assert np.array_equal(s1.w, s8.w)
         assert s1.history == s8.history
 
     def test_early_stopping_requires_both_tolerances(self, paper_problem, paper_scenario):
         cfg = replace(paper_scenario.admm, k_max=50, primal_tol=1e3, dual_tol=1e3)
-        state = solve(paper_problem, cfg, seed=paper_scenario.seed)
+        state = solve(paper_problem, cfg)
         assert state.k == 1  # both residuals trivially below huge tolerances
 
     def test_projection_failure_aborts_with_context(self, paper_problem, paper_scenario, monkeypatch):
-        w0 = find_feasible_point(paper_problem, seed=paper_scenario.seed)
+        w0 = find_feasible_point(paper_problem)
         monkeypatch.setattr(
-            admm_module, "find_feasible_point", lambda problem, seed=0: w0.copy()
+            admm_module, "find_feasible_point", lambda problem: w0.copy()
         )
         calls = {"n": 0}
         original = admm_module.project_beams
@@ -675,7 +693,7 @@ class TestSolve:
         monkeypatch.setattr(admm_module, "project_beams", flaky)
         cfg = replace(paper_scenario.admm, k_max=5)
         with pytest.raises(ProjectionError) as err:
-            solve(paper_problem, cfg, seed=paper_scenario.seed)
+            solve(paper_problem, cfg)
         assert "iteration 2" in str(err.value)
         assert "l=1" in str(err.value)
         assert err.value.diagnostics.get("iteration") == 2
@@ -697,5 +715,5 @@ class TestAdmmConfig:
     def test_integral_float_k_max_runs_as_int(self, paper_problem, paper_scenario):
         cfg = AdmmConfig(eta=0.1, rho=50.0, k_max=3.0)
         assert type(cfg.k_max) is int
-        state = solve(paper_problem, cfg, seed=paper_scenario.seed)
+        state = solve(paper_problem, cfg)
         assert state.k == 3 and len(state.history) == 3

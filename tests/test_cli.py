@@ -222,3 +222,17 @@ class TestSeedOverride:
         ]) == 0
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["provenance"]["seed"] == 777
+
+    def test_seed_does_not_change_the_design(self, fast_scenario_path, tmp_path):
+        # on line-of-sight channels the seed only labels the artifacts: the
+        # feasibility search and the refit draw no random numbers
+        reports = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            assert main([
+                "solve", "--scenario", fast_scenario_path, "--out", str(out),
+                "--seed", seed,
+            ]) == 0
+            reports.append(json.loads((out / "report.json").read_text(encoding="utf-8")))
+        assert reports[0]["support"] == reports[1]["support"]
+        assert reports[0]["beamformers"] == reports[1]["beamformers"]

@@ -128,7 +128,7 @@ class TestSinrPerUser:
 
 class TestFeasibilityReport:
     def test_feasible_point_passes(self, paper_problem, paper_scenario):
-        w0 = find_feasible_point(paper_problem, seed=paper_scenario.seed)
+        w0 = find_feasible_point(paper_problem)
         report = feasibility_report(w0, paper_problem)
         assert report.passed
         assert np.all(report.slacks >= -1e-6)
@@ -153,7 +153,7 @@ class TestFeasibilityReport:
 
 class TestDesignReport:
     def test_bundle_consistency(self, paper_problem, paper_scenario):
-        w0 = find_feasible_point(paper_problem, seed=paper_scenario.seed)
+        w0 = find_feasible_point(paper_problem)
         report = design_report(w0, paper_problem, support=(0, 1, 2))
         assert report.tx_power_w == pytest.approx(tx_power(w0))
         assert report.tx_power_w == pytest.approx(report.antenna_power_w.sum(), rel=1e-10)

@@ -333,7 +333,7 @@ class TestVectorizedSlacks:
 
     def test_paper_problem(self, paper_problem, paper_scenario):
         rng = np.random.default_rng(21)
-        self.check(paper_problem, find_feasible_point(paper_problem, paper_scenario.seed))
+        self.check(paper_problem, find_feasible_point(paper_problem))
         for scale in (0.1, 1.0, 10.0):
             self.check(paper_problem, random_stack(rng, paper_problem.M, paper_problem.N, scale))
 

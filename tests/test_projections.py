@@ -321,6 +321,11 @@ class TestSinrKernel:
         weak = SinrConstraint(0, 1e-4 * h, gamma, sigma2, 2, 2)
         res = project(weak, np.array([1e-4, 0.0, 0.3, 0.2], dtype=complex))
         assert weak.slack(res.v) >= -1e-12 * gamma * sigma2
+        # at a high target the hard case must shrink the interference with
+        # the nu it returns, not as at nu = 1, or the guard fails
+        strict = SinrConstraint(0, h, 1e3, sigma2, 2, 2)
+        res = project(strict, np.array([1e-4, 0.0, 300.0, 200.0], dtype=complex))
+        assert strict.slack(res.v) >= -1e-12 * 1e3 * sigma2
 
 
 class TestOnePointKernels:

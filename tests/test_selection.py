@@ -70,11 +70,11 @@ class TestRefit:
         from sparsebeam import restore_feasibility, find_feasible_point
 
         support = tuple(range(paper_problem.N))
-        stack = refit(paper_problem, support, paper_scenario.admm, seed=7)
+        stack = refit(paper_problem, support, paper_scenario.admm)
         cfg = replace(paper_scenario.admm, eta=0.0, rho=5.0, k_max=300)
         reduced = replace(paper_problem.restrict(support), eta=0.0)
-        w_init = find_feasible_point(reduced, 7)
-        state = solve(reduced, cfg, seed=7)
+        w_init = find_feasible_point(reduced)
+        state = solve(reduced, cfg)
         w_direct, _, ok = restore_feasibility(reduced, state.w)
         assert ok
         if tx_power(w_init) < tx_power(w_direct):
@@ -88,29 +88,29 @@ class TestRefit:
         original = sparsebeam.admm.find_feasible_point
         calls = []
 
-        def counted(problem, seed=0):
+        def counted(problem):
             calls.append(problem.support)
-            return original(problem, seed)
+            return original(problem)
 
         # patch every binding, so a search from either module is counted
         monkeypatch.setattr(sparsebeam.admm, "find_feasible_point", counted)
         monkeypatch.setattr(sparsebeam.selection, "find_feasible_point", counted)
         support = (0, 2, 3, 4, 5, 6, 8, 9)
-        refit(paper_problem, support, paper_scenario.admm, seed=1)
+        refit(paper_problem, support, paper_scenario.admm)
         assert calls == [support]
 
     def test_too_few_antennas_for_users_is_infeasible(self, paper_problem, paper_scenario):
         # K=1 < M=2 with gamma=10: adding both SINR floors forces gamma < 1
         with pytest.raises(InfeasibleProblemError) as err:
-            refit(paper_problem, (4,), paper_scenario.admm, seed=0)
+            refit(paper_problem, (4,), paper_scenario.admm)
         assert "(4,)" in str(err.value)
         certificate = err.value.certificate
         assert certificate_holds(paper_problem.restrict((4,)), certificate.multipliers)
 
     def test_paper_k8_design_feasible_and_sparse(self, paper_problem, paper_scenario):
-        state = solve(paper_problem, paper_scenario.admm, seed=paper_scenario.seed)
+        state = solve(paper_problem, paper_scenario.admm)
         support = select_support(state.w, 8, paper_problem.M, paper_problem.N)
-        stack = refit(paper_problem, support, paper_scenario.admm, seed=1)
+        stack = refit(paper_problem, support, paper_scenario.admm)
         report = feasibility_report(stack.w, paper_problem, tol=1e-6)
         assert report.passed
         off = sorted(set(range(paper_problem.N)) - set(support))
@@ -118,12 +118,10 @@ class TestRefit:
             assert np.all(stack.antenna_group(n) == 0)
 
     def test_k8_within_five_percent_of_full_array(self, paper_problem, paper_scenario):
-        state = solve(paper_problem, paper_scenario.admm, seed=paper_scenario.seed)
+        state = solve(paper_problem, paper_scenario.admm)
         support = select_support(state.w, 8, paper_problem.M, paper_problem.N)
-        stack8 = refit(paper_problem, support, paper_scenario.admm, seed=1)
-        stack10 = refit(
-            paper_problem, tuple(range(10)), paper_scenario.admm, seed=1
-        )
+        stack8 = refit(paper_problem, support, paper_scenario.admm)
+        stack10 = refit(paper_problem, tuple(range(10)), paper_scenario.admm)
         tx8, tx10 = tx_power(stack8.w), tx_power(stack10.w)
         assert abs(tx8 - tx10) / tx10 <= 0.05
 
