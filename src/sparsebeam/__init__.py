@@ -5,7 +5,8 @@ ceiling), serve downlink users at target SINRs, and respect per-antenna power
 limits, while driving all users onto a common K-antenna support through an
 l2,1 regularizer.  The nonconvex quadratically constrained program is solved
 by consensus ADMM with closed-form primal updates and per-constraint
-nearest-point projections.
+nearest-point projections; the power on the K selected antennas is then
+minimized by sequential quadratic programming.
 """
 
 from .admm import (

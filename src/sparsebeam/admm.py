@@ -79,17 +79,13 @@ class IterationRecord:
 
 @dataclass(eq=False)
 class AdmmState:
-    """Consensus variable, auxiliary copies, scaled duals, and the history.
-
-    ``start`` is the feasible point the run was initialized from.
-    """
+    """Consensus variable, auxiliary copies, scaled duals, and the history."""
 
     w: np.ndarray
     v: np.ndarray  # (L, M*N)
     u: np.ndarray  # (L, M*N)
     k: int = 0
     history: list = field(default_factory=list)
-    start: np.ndarray = None
 
 
 def check_penalty_ratio(config, L):
@@ -346,7 +342,7 @@ def initialize(problem):
     w0 = find_feasible_point(problem)
     v = np.tile(w0, (problem.L, 1))
     u = np.zeros((problem.L, problem.size), dtype=complex)
-    return AdmmState(w=w0.copy(), v=v, u=u, start=w0)
+    return AdmmState(w=w0.copy(), v=v, u=u)
 
 
 def solve(problem, config):

@@ -7,6 +7,7 @@ CSVs as leading '#'-comment lines.  Complex values are written as 're+imj'.
 """
 
 import argparse
+import functools
 import json
 import subprocess
 import sys
@@ -53,8 +54,10 @@ def _write_csv(path, header, rows, scenario, **meta):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@functools.cache
 def _git_commit():
-    """HEAD of the checkout the package runs from, whatever the caller's cwd."""
+    """HEAD of the checkout the package runs from, whatever the caller's cwd;
+    asked once per process."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -11,9 +11,10 @@ F in O(M*N).  ``dense_f_matrix`` builds the explicit matrix, used only for
 verification and by the infeasibility certificate.
 
 ``ProblemInstance.families`` regroups the constraints by kind into arrays, so
-slacks and the ADMM v-update take one set of array operations per kind; each
-runs the BLAS product of the constraint's own method once per row, so the
-batched values equal the per-constraint ones bit for bit.
+slacks, the F_l w products and the ADMM v-update take one set of array
+operations per kind; slacks and the v-update run the BLAS product of the
+constraint's own method once per row, so their batched values equal the
+per-constraint ones bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -463,6 +464,21 @@ class ProblemInstance:
         for l in rest:
             s[l] = self.constraints[l].slack(w)
         return s
+
+    def f_actions(self, w):
+        """F_l w of every constraint as an (L, M*N) array, no F_l formed."""
+        beams, powers, _ = self.families
+        sinr, probe, served, gamma, _, rest = self.sinr_rows
+        W = user_blocks(np.asarray(w, dtype=complex), self.M, self.N)
+        out = np.zeros((self.L, self.M, self.N), dtype=complex)
+        out[beams.rows] = beams.sign * (W @ beams.probe) * beams.steering
+        out[powers.rows, :, powers.antenna] = W[:, powers.antenna].T
+        weights = np.repeat(gamma[:, np.newaxis], self.M, axis=1)
+        weights[served] = -1.0
+        out[sinr] = (weights[..., np.newaxis] * (W @ probe)) * np.conj(probe).swapaxes(1, 2)
+        for l in rest:
+            out[l] = self.constraints[l].f_action(w).reshape(self.M, self.N)
+        return out.reshape(self.L, self.size)
 
     def max_violation(self, w):
         return float(np.fmax(0.0, -self.slacks(w)).max(initial=0.0))

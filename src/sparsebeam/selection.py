@@ -1,22 +1,21 @@
-"""Antenna selection and refit: from a regularized solution to a K-antenna design."""
+"""Antenna selection and refit: from a regularized solution to a K-antenna design.
 
-from dataclasses import dataclass, replace
+``select_support`` keeps the K strongest antenna groups; ``refit`` solves the
+small QCQP min ||w||^2 s.t. w^H F_l w <= f_l on that subarray by sequential
+quadratic programming (SLSQP) from a feasible start.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 
-from .admm import restore_feasibility, solve
-from .admm import find_feasible_point  # noqa: F401  (perfbench/selftest.py patches this binding)
+from .admm import find_feasible_point, restore_feasibility
 from .errors import ConfigurationError, InfeasibleProblemError
 from .metrics import msrr, tx_power
 from .problem import BeamformerStack, group_norms
 
-# The caller's rho is tuned so the quadratic penalty dominates the shrinkage
-# weight; with eta = 0 that coupling is vacuous and a lighter penalty converges
-# an order of magnitude faster, so the refit runs its own rho and at least 300
-# iterations (on the reference scenario this reaches the subarray's certified
-# minimum power).
-_REFIT_RHO = 5.0
-_REFIT_MIN_ITERATIONS = 300
+_SQP_OPTIONS = {"ftol": 1e-12, "maxiter": 200}
 
 
 def rank_groups(w, M, N):
@@ -40,36 +39,43 @@ def embed_support(w_reduced, support, M, N):
 
 
 def refit(problem, support, config):
-    """Re-solve on the selected subarray with the sparsity weight removed.
+    """Minimum-power design on the selected subarray, sparsity weight removed.
 
-    Runs the same consensus solver on the support-restricted problem with
-    eta = 0, then restores exact feasibility with ``restore_feasibility`` (a
-    finite iteration budget leaves a small consensus gap that the 1e-6
-    feasibility gate would not forgive).  Should the polish fail, or end
-    above the power of the run's own feasible start, that start is returned
-    instead.  Nothing here draws random numbers, so one support always refits
-    to the same bytes.  The returned stack is full-size with exact zeros off
-    the support.
+    One SLSQP run from ``find_feasible_point``'s start minimizes ||w||^2 over
+    x = [Re w, Im w] under f_l - w^H F_l w >= 0 (gradients 2x and
+    -2[Re F_l w, Im F_l w]); ``restore_feasibility`` closes the violations
+    its tolerance leaves.  Should that polish fail, or end above the start's
+    power, the start is returned.  ``config`` is no longer read.  Nothing is
+    random, so one support always refits to the same bytes.  The returned
+    stack is full-size with exact zeros off the support.
     """
     support = tuple(sorted(set(int(n) for n in support)))
-    reduced = replace(problem.restrict(support), eta=0.0)
-    cfg = replace(
-        config, eta=0.0, rho=_REFIT_RHO,
-        k_max=max(config.k_max, _REFIT_MIN_ITERATIONS),
-    )
+    reduced = problem.restrict(support)
     try:
-        state = solve(reduced, cfg)
+        start = find_feasible_point(reduced)
     except InfeasibleProblemError as err:
         raise InfeasibleProblemError(
             f"refit on support {support} is infeasible: {err}",
             err.worst_violations,
             err.certificate,
         ) from err
-    # the feasible start is the fallback should the consensus run wander
-    # somewhere the polish cannot repair on a hard subarray
-    w_red, _, ok = restore_feasibility(reduced, state.w)
-    if not ok or tx_power(state.start) < tx_power(w_red):
-        w_red = state.start
+    w_red = start
+    if reduced.L:  # with no constraint the start, zero, is already optimal
+        n = reduced.size
+
+        def slacks_jac(x):
+            A = reduced.f_actions(x[:n] + 1j * x[n:])
+            return -2.0 * np.hstack([A.real, A.imag])
+
+        x = minimize(
+            lambda x: (x @ x, 2.0 * x), np.concatenate([start.real, start.imag]),
+            jac=True, method="SLSQP", options=_SQP_OPTIONS,
+            constraints={"type": "ineq", "jac": slacks_jac,
+                         "fun": lambda x: reduced.slacks(x[:n] + 1j * x[n:])},
+        ).x
+        w_red, _, ok = restore_feasibility(reduced, x[:n] + 1j * x[n:])
+        if not ok or tx_power(start) < tx_power(w_red):
+            w_red = start
     return BeamformerStack(
         embed_support(w_red, support, problem.M, problem.N), problem.M, problem.N
     )

@@ -7,14 +7,16 @@ bit for bit, and the projection path the one-row kernels replaced (the
 constraint's ``quad`` test, then the batched kernels on a batch of one or
 the SINR secular equation through closures on numpy scalars), with the
 projection sweep built on it, which ``cyclic_projection`` must reproduce
-bit for bit.
+bit for bit.  ``refit_admm_reference`` is the consensus-ADMM refit that the
+SLSQP refit replaced; the refit must never end above it.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from sparsebeam.admm import _STALL_WINDOW
+from sparsebeam.admm import _STALL_WINDOW, find_feasible_point, restore_feasibility, solve
 from sparsebeam.errors import ProjectionError
 from sparsebeam.problem import (
     AntennaPowerConstraint,
@@ -34,6 +36,7 @@ from sparsebeam.projections import (
     project_powers,
     stationarity_error,
 )
+from sparsebeam.selection import embed_support
 from sparsebeam.shrinkage import ZERO_GROUP_FLOOR, group_shrink
 
 
@@ -316,3 +319,17 @@ def cyclic_projection_loop(problem, w, max_sweeps=500, tol=1e-8):
             if stalled >= _STALL_WINDOW:
                 break
     return w, problem.max_violation(w), False
+
+
+def refit_admm_reference(problem, support, config):
+    """The refit as consensus ADMM: eta = 0, rho = 5, at least 300 iterations
+    on the subarray, polished by ``restore_feasibility``, falling back to the
+    feasible start should the polish fail or end above the start's power.
+    Returns the full-size stack."""
+    reduced = replace(problem.restrict(support), eta=0.0)
+    cfg = replace(config, eta=0.0, rho=5.0, k_max=max(config.k_max, 300))
+    start = find_feasible_point(reduced)
+    w, _, ok = restore_feasibility(reduced, solve(reduced, cfg).w)
+    if not ok or np.vdot(start, start).real < np.vdot(w, w).real:
+        w = start
+    return embed_support(w, reduced.support, problem.M, problem.N)

@@ -21,7 +21,6 @@ from sparsebeam import (
     check_penalty_ratio,
     find_feasible_point,
     initialize,
-    refit,
     select_support,
     solve,
     steering_vector,
@@ -226,14 +225,15 @@ class TestBatchedUpdateV:
             assert_matches_loop(*call)
 
     def test_refit_iterates(self, paper_problem, paper_scenario, monkeypatch):
+        # the eta = 0 run on the selected subarray, as in
+        # oracles.refit_admm_reference: light penalty, longer budget
         state = solve(paper_problem, paper_scenario.admm)
         support = select_support(
             state.w, paper_scenario.num_selected, paper_problem.M, paper_problem.N
         )
-        calls = record_update_v(
-            monkeypatch,
-            lambda: refit(paper_problem, support, paper_scenario.admm),
-        )
+        reduced = replace(paper_problem.restrict(support), eta=0.0)
+        cfg = replace(paper_scenario.admm, eta=0.0, rho=5.0, k_max=300)
+        calls = record_update_v(monkeypatch, lambda: solve(reduced, cfg))
         assert len(calls) == 300 and calls[0][0].N == paper_scenario.num_selected
         for call in calls:
             assert_matches_loop(*call)
@@ -251,6 +251,19 @@ class TestBatchedUpdateV:
         assert np.array_equal(problem.slacks(w), want)
         if problem.L:
             assert problem.max_violation(w) == max(c.violation(w) for c in problem.constraints)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_problems())
+    def test_f_actions_match_dense_matrices(self, case):
+        # row for row, within 1e-12 of ||F_l|| ||w||, the scale of a rounding
+        # error in F_l w
+        problem, w = case[0], case[1]
+        got = problem.f_actions(w)
+        assert got.shape == (problem.L, problem.size)
+        for l, c in enumerate(problem.constraints):
+            F = c.dense_f_matrix()
+            scale = np.linalg.norm(F, 2) * np.linalg.norm(w)
+            assert np.linalg.norm(got[l] - F @ w) <= 1e-12 * scale
 
     def test_families_route_only_exact_classes(self):
         M, N = 2, 3

@@ -213,6 +213,30 @@ class TestProvenance:
         assert report["provenance"]["git_commit"] == expected
 
 
+    def test_git_commit_asked_once_per_process(
+        self, fast_scenario_path, tmp_path, monkeypatch
+    ):
+        import sparsebeam.cli
+
+        calls = []
+        run = subprocess.run
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        sparsebeam.cli._git_commit.cache_clear()
+        monkeypatch.setattr(sparsebeam.cli.subprocess, "run", counted)
+        commits = []
+        for name in ("first", "second"):
+            out = tmp_path / name
+            assert main(["solve", "--scenario", fast_scenario_path, "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+            commits.append(report["provenance"]["git_commit"])
+        assert len(calls) == 1
+        assert commits[0] == commits[1]
+
+
 class TestSeedOverride:
     def test_seed_flag_changes_provenance(self, fast_scenario_path, tmp_path):
         out = tmp_path / "s"

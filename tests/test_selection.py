@@ -1,21 +1,30 @@
 import numpy as np
 import pytest
-from dataclasses import replace
+from scipy.optimize import OptimizeResult, minimize
 
+import sparsebeam.selection
 from sparsebeam import (
     ConfigurationError,
     InfeasibleProblemError,
     feasibility_report,
+    find_feasible_point,
     group_norms,
     random_selection_baseline,
     rank_groups,
     refit,
+    restore_feasibility,
     select_support,
     solve,
     tx_power,
 )
+from sparsebeam.selection import _SQP_OPTIONS, embed_support
 
 from helpers import certificate_holds, random_stack
+from oracles import refit_admm_reference
+
+PAPER_K8 = (0, 2, 3, 4, 5, 6, 8, 9)
+# mirror images of each other under the scenario's symmetry
+MIRROR_K8 = ((0, 1, 2, 3, 4, 5, 7, 8), (1, 2, 4, 5, 6, 7, 8, 9))
 
 
 class TestRankGroups:
@@ -66,24 +75,72 @@ class TestSelectSupport:
 
 
 class TestRefit:
-    def test_full_support_matches_direct_eta0_solve(self, paper_problem, paper_scenario):
-        from sparsebeam import restore_feasibility, find_feasible_point
-
-        support = tuple(range(paper_problem.N))
+    @pytest.mark.parametrize("support", [tuple(range(10)), PAPER_K8], ids=["full", "paper"])
+    def test_refit_is_one_sqp_run_from_the_feasible_start(
+        self, paper_problem, paper_scenario, support
+    ):
         stack = refit(paper_problem, support, paper_scenario.admm)
-        cfg = replace(paper_scenario.admm, eta=0.0, rho=5.0, k_max=300)
-        reduced = replace(paper_problem.restrict(support), eta=0.0)
-        w_init = find_feasible_point(reduced)
-        state = solve(reduced, cfg)
-        w_direct, _, ok = restore_feasibility(reduced, state.w)
-        assert ok
-        if tx_power(w_init) < tx_power(w_direct):
-            w_direct = w_init
-        assert np.array_equal(stack.w, w_direct)
+        reduced = paper_problem.restrict(support)
+        n = reduced.size
+
+        def complex_w(x):
+            return x[:n] + 1j * x[n:]
+
+        def jac(x):
+            A = reduced.f_actions(complex_w(x))
+            return -2.0 * np.hstack([A.real, A.imag])
+
+        start = find_feasible_point(reduced)
+        result = minimize(
+            lambda x: (x @ x, 2.0 * x), np.concatenate([start.real, start.imag]),
+            jac=True, method="SLSQP", options=_SQP_OPTIONS,
+            constraints={"type": "ineq", "jac": jac,
+                         "fun": lambda x: reduced.slacks(complex_w(x))},
+        )
+        w_direct, _, ok = restore_feasibility(reduced, complex_w(result.x))
+        assert ok and tx_power(w_direct) <= tx_power(start)
+        want = embed_support(w_direct, support, paper_problem.M, paper_problem.N)
+        assert np.array_equal(stack.w, want)
+
+    @pytest.mark.parametrize("support", [
+        tuple(range(10)), PAPER_K8, *MIRROR_K8, (2, 3, 4, 5, 6, 7, 8, 9),
+        (0, 1, 2, 3, 5, 6, 8, 9), (0, 1, 4, 5, 6, 7, 8, 9), (0, 1, 2, 3, 4, 5, 6, 8),
+    ], ids=lambda support: "".join(map(str, support)))
+    def test_no_worse_than_the_admm_refit(self, paper_problem, paper_scenario, support):
+        stack = refit(paper_problem, support, paper_scenario.admm)
+        oracle = refit_admm_reference(paper_problem, support, paper_scenario.admm)
+        assert feasibility_report(stack.w, paper_problem, tol=1e-6).passed
+        assert tx_power(stack.w) <= tx_power(oracle) * (1.0 + 1e-9)
+
+    def test_reaches_the_known_optima(self, paper_problem, paper_scenario):
+        # the certified minimum powers of the supports: paper 3.76546 W,
+        # full array 3.65853 W, both mirror supports 4.01947 W
+        def power(support):
+            stack = refit(paper_problem, support, paper_scenario.admm)
+            assert feasibility_report(stack.w, paper_problem, tol=1e-6).passed
+            return tx_power(stack.w)
+
+        assert power(PAPER_K8) <= 3.7656
+        assert power(tuple(range(10))) <= 3.6586
+        left, right = (power(support) for support in MIRROR_K8)
+        assert right == pytest.approx(left, rel=1e-6)
+
+    def test_falls_back_to_the_start(self, paper_problem, paper_scenario, monkeypatch):
+        reduced = paper_problem.restrict(PAPER_K8)
+        start = find_feasible_point(reduced)
+        far = 10.0 * np.concatenate([start.real, start.imag])
+        assert reduced.max_violation(10.0 * start) > 1.0
+
+        def not_converged(fun, x0, **kwargs):
+            return OptimizeResult(x=far, success=False, status=9, nit=200)
+
+        monkeypatch.setattr(sparsebeam.selection, "minimize", not_converged)
+        stack = refit(paper_problem, PAPER_K8, paper_scenario.admm)
+        want = embed_support(start, PAPER_K8, paper_problem.M, paper_problem.N)
+        assert np.array_equal(stack.w, want)
 
     def test_feasible_start_searched_once(self, paper_problem, paper_scenario, monkeypatch):
         import sparsebeam.admm
-        import sparsebeam.selection
 
         original = sparsebeam.admm.find_feasible_point
         calls = []
@@ -95,9 +152,8 @@ class TestRefit:
         # patch every binding, so a search from either module is counted
         monkeypatch.setattr(sparsebeam.admm, "find_feasible_point", counted)
         monkeypatch.setattr(sparsebeam.selection, "find_feasible_point", counted)
-        support = (0, 2, 3, 4, 5, 6, 8, 9)
-        refit(paper_problem, support, paper_scenario.admm)
-        assert calls == [support]
+        refit(paper_problem, PAPER_K8, paper_scenario.admm)
+        assert calls == [PAPER_K8]
 
     def test_too_few_antennas_for_users_is_infeasible(self, paper_problem, paper_scenario):
         # K=1 < M=2 with gamma=10: adding both SINR floors forces gamma < 1
