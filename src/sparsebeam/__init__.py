@@ -6,7 +6,8 @@ limits, while driving all users onto a common K-antenna support through an
 l2,1 regularizer.  The nonconvex quadratically constrained program is solved
 by consensus ADMM with closed-form primal updates and per-constraint
 nearest-point projections; the power on the K selected antennas is then
-minimized by sequential quadratic programming.
+minimized by sequential quadratic programming, the one local solver, which
+also finishes the feasibility search where the projections stall.
 """
 
 from .admm import (

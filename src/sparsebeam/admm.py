@@ -24,7 +24,7 @@ from .shrinkage import group_shrink
 
 _STALL_WINDOW = 25  # sweeps without progress before cyclic_projection gives up
 _RESTORE_TOL = 1e-9  # restore_feasibility's target, well inside the 1e-6 gate
-_DESCENT_MAX_ITER = 600  # L-BFGS iteration budget of one violation descent
+_SQP_OPTIONS = {"ftol": 1e-12, "maxiter": 200}  # the one SLSQP run of minimum_power
 
 
 class WeakPenaltyWarning(UserWarning):
@@ -254,47 +254,31 @@ def _mainlobe_boost(problem, w):
 
 
 def restore_feasibility(problem, w):
-    """Cyclic projections, with one violation-descent rescue should they stall.
-
-    Plain projection sweeps stall on some nonconvex instances; the rescue
-    descends the squared-hinge violation surrogate from the stalled point and
-    projects again.  Returns (w, max_violation, converged).
-    """
-    w, violation, ok = cyclic_projection(problem, w, max_sweeps=300, tol=_RESTORE_TOL)
-    if not ok:
-        w = _violation_descent(problem, w)
-        w, violation, ok = cyclic_projection(problem, w, max_sweeps=300, tol=_RESTORE_TOL)
-    return w, violation, ok
+    """Cyclic projections to within ``_RESTORE_TOL``: (w, max_violation, converged)."""
+    return cyclic_projection(problem, w, max_sweeps=300, tol=_RESTORE_TOL)
 
 
-def _violation_descent(problem, w0):
-    """L-BFGS on the smooth sum of squared constraint violations.
+def minimum_power(problem, w0):
+    """min ||w||^2 s.t. w^H F_l w <= f_l by one SLSQP run from w0, feasible or not.
 
-    Cyclic projections alone limit-cycle on roughly half the hard subarray
-    instances (the passband and SINR sets are nonconvex); descending the
-    squared-hinge surrogate first lands inside the right basin, after which
-    the projections finish the job.
+    Runs over x = [Re w, Im w] with gradient 2x and constraint Jacobian
+    -2[Re F_l w, Im F_l w] from ``problem.f_actions``, then polishes the
+    result with ``restore_feasibility``, whose (w, max_violation, converged)
+    it returns.
     """
     n = problem.size
-    constraints = problem.constraints
 
-    def fun(x):
-        v = x[:n] + 1j * x[n:]
-        value = 0.0
-        grad = np.zeros(n, dtype=complex)
-        for c in constraints:
-            violation = c.quad(v) - c.f
-            if violation > 0.0:
-                value += violation * violation
-                grad += (2.0 * violation) * c.f_action(v)
-        return value, 2.0 * np.concatenate([grad.real, grad.imag])
+    def slacks_jac(x):
+        A = problem.f_actions(x[:n] + 1j * x[n:])
+        return -2.0 * np.hstack([A.real, A.imag])
 
-    x0 = np.concatenate([w0.real, w0.imag])
-    res = minimize(
-        fun, x0, jac=True, method="L-BFGS-B",
-        options={"maxiter": _DESCENT_MAX_ITER, "gtol": 1e-16, "ftol": 1e-20},
-    )
-    return res.x[:n] + 1j * res.x[n:]
+    x = minimize(
+        lambda x: (x @ x, 2.0 * x), np.concatenate([w0.real, w0.imag]),
+        jac=True, method="SLSQP", options=_SQP_OPTIONS,
+        constraints={"type": "ineq", "jac": slacks_jac,
+                     "fun": lambda x: problem.slacks(x[:n] + 1j * x[n:])},
+    ).x
+    return restore_feasibility(problem, x[:n] + 1j * x[n:])
 
 
 def find_feasible_point(problem):
@@ -306,10 +290,11 @@ def find_feasible_point(problem):
     Lagrangian proof that no feasible point exists; if it finds one the
     search stops with a certified ``InfeasibleProblemError``.  It never
     finds one on a feasible problem, so feasible results do not depend on
-    it.  Otherwise stage 4 descends the violation surrogate from the stalled
-    point and projects again; should that stall too, the search gives up
-    with an uncertified error.  Either error carries the worst violations of
-    the better point reached.  No stage draws random numbers.
+    it.  Otherwise stage 4 runs ``minimum_power`` from the stalled point, an
+    SQP solve that needs no feasible start; should its polish stall too, the
+    search gives up with an uncertified error.  Either error carries the
+    worst violations of the better point reached.  No stage draws random
+    numbers.
     """
     if problem.L == 0:
         return np.zeros(problem.size, dtype=complex)
@@ -327,12 +312,12 @@ def find_feasible_point(problem):
             certificate,
         )
     stalled = (w, violation)
-    w, violation, ok = cyclic_projection(problem, _violation_descent(problem, w))
+    w, violation, ok = minimum_power(problem, w)
     if ok:
         return w
     w, violation = min(stalled, (w, violation), key=lambda point: point[1])
     raise InfeasibleProblemError(
-        f"search gave up after a violation descent (best max violation {violation:.3e})",
+        f"search gave up after an SQP run (best max violation {violation:.3e})",
         problem.worst_violations(w),
     )
 

@@ -30,14 +30,16 @@ class Certificate:
     """Multipliers proving that a constraint family has no feasible point.
 
     ``multipliers`` are aligned with ``problem.constraints`` and scaled so
-    that ``combined_f`` = sum_l lambda_l f_l is -1.  ``min_eigenvalue`` is
-    the computed lambda_min of S = sum_l lambda_l F_l and ``rounding`` the
-    bound used for its floating-point error (n * L * eps * sum_l lambda_l
-    ||F_l||_2, which exceeds the backward error of forming S and of ``eigh``).
-    ``norm_bound`` is R in ||w||^2 <= R, the sum of the per-antenna power
-    limits when every antenna has one, else None.
+    that ``combined_f`` = sum_l lambda_l f_l is -1; ``combined_rounding``
+    bounds its floating-point error by L * eps * sum_l lambda_l |f_l|.
+    ``min_eigenvalue`` is the computed lambda_min of S = sum_l lambda_l F_l
+    and ``rounding`` the bound used for its floating-point error (n * L *
+    eps * sum_l lambda_l ||F_l||_2, which exceeds the backward error of
+    forming S and of ``eigh``).  ``norm_bound`` is R in ||w||^2 <= R, the sum
+    of the per-antenna power limits when every antenna has one, else None.
 
-    Acceptance rule (``excludes_every_point``):
+    Acceptance rule (``excludes_every_point``), with s = combined_f +
+    combined_rounding < 0 the largest value the exact sum can take:
 
     * with a norm bound R: s + R * (max(0, -lambda_min) + rounding) < 0.  For
       any feasible w, w^H S w >= (lambda_min - rounding) * ||w||^2 >=
@@ -45,26 +47,30 @@ class Certificate:
       negative computed eigenvalue still excludes every feasible w.
       Equivalently, adding the deficit to every antenna-power multiplier
       gives an exact certificate with a PSD sum (the selectors sum to I).
-    * without one: s < 0 and lambda_min >= -rounding, i.e. S must be
-      positive semidefinite to within what floating point can tell apart
-      from zero.  Nothing then bounds ||w||, so the certificate holds for
+    * without one: lambda_min >= -rounding, i.e. S must be positive
+      semidefinite to within what floating point can tell apart from zero.
+      Nothing then bounds ||w||, so the certificate holds for
       S + rounding*I and excludes every w with ||w||^2 < -s / rounding.
+      A sum at rounding level would let multipliers of 1e16 pass off a
+      feasible family as infeasible; s < 0 rules that out.
     """
 
     multipliers: np.ndarray
     combined_f: float
+    combined_rounding: float
     min_eigenvalue: float
     rounding: float
     norm_bound: float
 
     @property
     def excludes_every_point(self):
-        if not self.combined_f < 0.0:
+        s = self.combined_f + self.combined_rounding
+        if not s < 0.0:
             return False
         if self.norm_bound is None:
             return self.min_eigenvalue >= -self.rounding
         deficit = max(0.0, -self.min_eigenvalue) + self.rounding
-        return self.combined_f + self.norm_bound * deficit < 0.0
+        return s + self.norm_bound * deficit < 0.0
 
     def describe(self):
         return (
@@ -125,11 +131,13 @@ def certify_infeasible(problem):
         if combined < 0.0:
             # the rule is invariant to scaling lambda; report s = -1
             k = -1.0 / combined
+            eps = np.finfo(float).eps
             certificate = Certificate(
                 multipliers=k * lam / scale,
                 combined_f=k * combined,
+                combined_rounding=k * L * eps * float(lam @ np.abs(fs)),
                 min_eigenvalue=k * float(eigvals[0]),
-                rounding=k * n * L * np.finfo(float).eps * float(lam.sum()),
+                rounding=k * n * L * eps * float(lam.sum()),
                 norm_bound=R,
             )
             if certificate.excludes_every_point:

@@ -234,12 +234,13 @@ def cmd_sweep_m(scenario, m_list, out_dir):
     """Solve the full pipeline for each user count."""
     if not m_list:
         raise ConfigurationError("sweep-m needs at least one M value")
+    for M in m_list:
+        if M < 1:
+            raise ConfigurationError(f"M={M} must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for M in m_list:
-        if M < 1:
-            raise ConfigurationError(f"M={M} must be >= 1")
         sc = scenario_with_users(scenario, M)
         problem = assemble(sc)
 

@@ -1,21 +1,18 @@
 """Antenna selection and refit: from a regularized solution to a K-antenna design.
 
 ``select_support`` keeps the K strongest antenna groups; ``refit`` solves the
-small QCQP min ||w||^2 s.t. w^H F_l w <= f_l on that subarray by sequential
-quadratic programming (SLSQP) from a feasible start.
+small QCQP min ||w||^2 s.t. w^H F_l w <= f_l on that subarray with
+``admm.minimum_power`` (SLSQP) from a feasible start.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .admm import find_feasible_point, restore_feasibility
+from .admm import find_feasible_point, minimum_power
 from .errors import ConfigurationError, InfeasibleProblemError
 from .metrics import msrr, tx_power
 from .problem import BeamformerStack, group_norms
-
-_SQP_OPTIONS = {"ftol": 1e-12, "maxiter": 200}
 
 
 def rank_groups(w, M, N):
@@ -41,13 +38,11 @@ def embed_support(w_reduced, support, M, N):
 def refit(problem, support, config):
     """Minimum-power design on the selected subarray, sparsity weight removed.
 
-    One SLSQP run from ``find_feasible_point``'s start minimizes ||w||^2 over
-    x = [Re w, Im w] under f_l - w^H F_l w >= 0 (gradients 2x and
-    -2[Re F_l w, Im F_l w]); ``restore_feasibility`` closes the violations
-    its tolerance leaves.  Should that polish fail, or end above the start's
-    power, the start is returned.  ``config`` is no longer read.  Nothing is
-    random, so one support always refits to the same bytes.  The returned
-    stack is full-size with exact zeros off the support.
+    ``minimum_power`` runs from ``find_feasible_point``'s start.  Should its
+    polish fail, or end above the start's power, the start is returned.
+    ``config`` is no longer read.  Nothing is random, so one support always
+    refits to the same bytes.  The returned stack is full-size with exact
+    zeros off the support.
     """
     support = tuple(sorted(set(int(n) for n in support)))
     reduced = problem.restrict(support)
@@ -59,23 +54,9 @@ def refit(problem, support, config):
             err.worst_violations,
             err.certificate,
         ) from err
-    w_red = start
-    if reduced.L:  # with no constraint the start, zero, is already optimal
-        n = reduced.size
-
-        def slacks_jac(x):
-            A = reduced.f_actions(x[:n] + 1j * x[n:])
-            return -2.0 * np.hstack([A.real, A.imag])
-
-        x = minimize(
-            lambda x: (x @ x, 2.0 * x), np.concatenate([start.real, start.imag]),
-            jac=True, method="SLSQP", options=_SQP_OPTIONS,
-            constraints={"type": "ineq", "jac": slacks_jac,
-                         "fun": lambda x: reduced.slacks(x[:n] + 1j * x[n:])},
-        ).x
-        w_red, _, ok = restore_feasibility(reduced, x[:n] + 1j * x[n:])
-        if not ok or tx_power(start) < tx_power(w_red):
-            w_red = start
+    w_red, _, ok = minimum_power(reduced, start)
+    if not ok or tx_power(start) < tx_power(w_red):
+        w_red = start
     return BeamformerStack(
         embed_support(w_red, support, problem.M, problem.N), problem.M, problem.N
     )
@@ -106,6 +87,8 @@ def random_selection_baseline(problem, K, trials, seed, config):
     no random numbers, so results are reproducible and independent of
     execution order.
     """
+    if not 1 <= K <= problem.N:
+        raise ConfigurationError(f"K must be in 1..{problem.N}, got {K}")
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     tx_powers, msrrs = [], []

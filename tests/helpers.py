@@ -77,10 +77,12 @@ def dense_constraint(c):
 def certificate_holds(problem, multipliers, rel_tol=1e-12):
     """Does lambda prove ``problem`` infeasible?  Checked densely.
 
-    Needs lambda >= 0, s = sum lambda_l f_l < 0, and S = sum lambda_l F_l
-    PSD up to ``rel_tol`` * sum lambda_l ||F_l||_2.  When every antenna has a
-    power limit, ||w||^2 <= R = sum of the limits on the feasible set and a
-    negative lambda_min(S) is forgiven while s + R * (deficit + tol) < 0.
+    Needs lambda >= 0, s = sum lambda_l f_l below minus its rounding bound
+    L * eps * sum lambda_l |f_l|, and S = sum lambda_l F_l PSD up to
+    ``rel_tol`` * sum lambda_l ||F_l||_2.  When every antenna has a power
+    limit, ||w||^2 <= R = sum of the limits on the feasible set and a
+    negative lambda_min(S) is forgiven while s + bound + R * (deficit + tol)
+    < 0.
     """
     lam = np.asarray(multipliers, dtype=float)
     if lam.shape != (len(problem.constraints),) or np.any(lam < 0):
@@ -88,6 +90,7 @@ def certificate_holds(problem, multipliers, rel_tol=1e-12):
     pairs = [dense_constraint(c) for c in problem.constraints]
     S = sum(l * F for l, (F, _) in zip(lam, pairs))
     s = sum(l * f for l, (_, f) in zip(lam, pairs))
+    s += len(lam) * np.finfo(float).eps * sum(l * abs(f) for l, (_, f) in zip(lam, pairs))
     tol = rel_tol * sum(l * np.linalg.norm(F, 2) for l, (F, _) in zip(lam, pairs))
     lam_min = np.linalg.eigvalsh(S)[0]
     limits = {}

@@ -491,27 +491,43 @@ class TestFeasiblePoint:
 
     def test_uncertified_verdict_says_search_gave_up(self, monkeypatch):
         monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem: None)
-        descents = count_calls(monkeypatch, "_violation_descent")
+        sqp_runs = count_calls(monkeypatch, "minimum_power")
         with pytest.raises(InfeasibleProblemError) as err:
             find_feasible_point(contradictory_problem())
         assert err.value.certificate is None
         assert "search gave up after" in str(err.value)
         assert err.value.worst_violations
-        assert len(descents) == 1
+        assert len(sqp_runs) == 1
 
-    def test_stalled_subarray_needs_one_violation_descent(self, paper_problem, monkeypatch):
+    def test_stalled_subarray_needs_one_sqp_run(self, paper_problem, monkeypatch):
         # a feasible K=8 subarray on which the projections stall: the
-        # certificate search finds nothing, and one descent from the stalled
-        # point lets the projections finish
+        # certificate search finds nothing, and one minimum-power SQP run
+        # from the stalled point lets the projections finish
         problem = paper_problem.restrict((0, 1, 2, 3, 4, 5, 6, 8))
         sweeps = count_calls(monkeypatch, "cyclic_projection")
         certificates = count_calls(monkeypatch, "certify_infeasible")
-        descents = count_calls(monkeypatch, "_violation_descent")
+        sqp_runs = count_calls(monkeypatch, "minimum_power")
         w0 = find_feasible_point(problem)
         assert problem.max_violation(w0) <= 1e-6
         assert [ok for _, _, ok in sweeps] == [False, True]
         assert certificates == [None]
-        assert len(descents) == 1
+        assert len(sqp_runs) == 1
+
+    def test_stalled_search_finishes_from_the_sqp_run(self):
+        # a known-feasible draw on which the projections stall; an L-BFGS
+        # violation descent from the stalled point gave up at max violation 0.239
+        problem, w0 = beam_problem(
+            2, 2,
+            passbands=[(-40.50551377691314, 8.646173540612184),
+                       (28.337942677606662, 8.677071177018291)],
+            stopbands=[(11.207819300477041, 17.150853293321397),
+                       (-62.9887926050395, 6.932835498437345)],
+            w0=[0.18905338179353307 + 1.799707382720902j, -0.5227484414807474 + 1.1441658720372287j,
+                -0.41306354339189344 - 0.32542283686782436j, -2.4414673826398556 + 0.7738065867276614j],
+        )
+        assert problem.max_violation(w0) <= 0.0
+        w = find_feasible_point(problem)
+        assert problem.max_violation(w) <= 1e-8
 
 
 def count_calls(monkeypatch, name):
@@ -537,6 +553,17 @@ def contradictory_problem():
         StopbandConstraint(10.0, a.copy(), 1e-12, M, N),
     ]
     return toy_problem(constraints, M, N)
+
+
+def beam_problem(M, N, passbands, stopbands, w0):
+    """Beam constraints at (angle, threshold) pairs, with a point that meets them."""
+    geom = ArrayGeometry(N, 0.5)
+    constraints = [
+        PassbandConstraint(theta, steering_vector(geom, theta), f, M, N) for theta, f in passbands
+    ] + [
+        StopbandConstraint(theta, steering_vector(geom, theta), f, M, N) for theta, f in stopbands
+    ]
+    return toy_problem(constraints, M, N), np.array(w0)
 
 
 @st.composite
@@ -600,6 +627,22 @@ class TestCertificate:
     def test_never_found_with_a_known_feasible_point(self, case):
         problem, w0 = case
         assert problem.max_violation(w0) <= 1e-9 * (1 + np.vdot(w0, w0).real)
+        assert certify_infeasible(problem) is None
+
+    def test_rounding_level_sum_is_no_proof(self):
+        # a feasible draw with no antenna-power limit on which the cutting
+        # planes reach sum lambda*f < 0 only at rounding level (multipliers
+        # near 1e16 once the sum is scaled to -1)
+        problem, w0 = beam_problem(
+            1, 2,
+            passbands=[(-57.961088522139455, 0.44766850688501175),
+                       (-51.07071061611053, 0.5346683361847152),
+                       (73.41291023545796, 0.3516280088818093)],
+            stopbands=[(-52.10244142831337, 0.525191130243456),
+                       (64.18140785566496, 0.3290121696941595)],
+            w0=[0.27613448693948495 + 0.6888010160971537j, 0.1626850403199335 + 0.08900791565352355j],
+        )
+        assert problem.max_violation(w0) <= 0.0
         assert certify_infeasible(problem) is None
 
 

@@ -135,6 +135,15 @@ class TestSweepM:
         assert float(rows[0][2]) == pytest.approx(report["metrics"]["tx_power_w"], rel=1e-9)
         assert float(rows[0][3]) == pytest.approx(report["metrics"]["msrr"], rel=1e-9)
 
+    def test_every_m_checked_before_any_solve(self, fast_scenario_path, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran before M=0 was rejected")
+
+        monkeypatch.setattr(sparsebeam.cli, "solve", no_solve)
+        scenario = load_scenario(fast_scenario_path)
+        with pytest.raises(ConfigurationError, match="M=0"):
+            cmd_sweep_m(scenario, [2, 0], out_dir=tmp_path / "m20")
+
     def test_single_user_runs(self, fast_scenario_path, tmp_path):
         scenario = load_scenario(fast_scenario_path)
         out = tmp_path / "m1"

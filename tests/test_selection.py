@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult, minimize
 
-import sparsebeam.selection
+import sparsebeam.admm
 from sparsebeam import (
     ConfigurationError,
     InfeasibleProblemError,
@@ -17,7 +17,8 @@ from sparsebeam import (
     solve,
     tx_power,
 )
-from sparsebeam.selection import _SQP_OPTIONS, embed_support
+from sparsebeam.admm import _SQP_OPTIONS
+from sparsebeam.selection import embed_support
 
 from helpers import certificate_holds, random_stack
 from oracles import refit_admm_reference
@@ -134,7 +135,7 @@ class TestRefit:
         def not_converged(fun, x0, **kwargs):
             return OptimizeResult(x=far, success=False, status=9, nit=200)
 
-        monkeypatch.setattr(sparsebeam.selection, "minimize", not_converged)
+        monkeypatch.setattr(sparsebeam.admm, "minimize", not_converged)
         stack = refit(paper_problem, PAPER_K8, paper_scenario.admm)
         want = embed_support(start, PAPER_K8, paper_problem.M, paper_problem.N)
         assert np.array_equal(stack.w, want)
@@ -202,6 +203,11 @@ class TestRandomBaseline:
     def test_trials_validated(self, paper_problem, paper_scenario):
         with pytest.raises(ConfigurationError):
             random_selection_baseline(paper_problem, 8, 0, 1, paper_scenario.admm)
+
+    @pytest.mark.parametrize("K", [-1, 0, 11])
+    def test_k_validated(self, paper_problem, paper_scenario, K):
+        with pytest.raises(ConfigurationError, match=f"K must be in 1..10, got {K}"):
+            random_selection_baseline(paper_problem, K, 1, 1, paper_scenario.admm)
 
     def test_infeasible_draws_counted_and_excluded(self, paper_problem, paper_scenario):
         # K=2 subsets are all provably infeasible on this scenario
