@@ -25,6 +25,7 @@ from .shrinkage import group_shrink
 _STALL_WINDOW = 25  # sweeps without progress before cyclic_projection gives up
 _RESTORE_TOL = 1e-9  # restore_feasibility's target, well inside the 1e-6 gate
 _SQP_OPTIONS = {"ftol": 1e-12, "maxiter": 200}  # the one SLSQP run of minimum_power
+_START_TOL = 1e-8  # find_feasible_point's default: the ADMM start's worst violation
 
 
 class WeakPenaltyWarning(UserWarning):
@@ -281,26 +282,30 @@ def minimum_power(problem, w0):
     return restore_feasibility(problem, x[:n] + 1j * x[n:])
 
 
-def find_feasible_point(problem):
-    """A point satisfying every constraint, for initializing the consensus.
+def find_feasible_point(problem, tol=_START_TOL):
+    """A point within ``tol`` of every constraint, or a verdict that none exists.
 
     Stage 1 builds zero-forcing user beams with doubled SINR targets, stage 2
     lifts the mainlobe floor with a steering injection, stage 3 runs cyclic
-    projections.  When stage 3 stalls, ``certify_infeasible`` looks for a
-    Lagrangian proof that no feasible point exists; if it finds one the
+    projections until the worst violation is at most ``tol``.  Stage 3 has
+    two roles: at the default 1e-8 it gives ADMM its consensus start, and at
+    ``refit``'s looser hand-off tolerance it tells near-feasible subarrays
+    from ones that stall.  When stage 3 stalls, ``certify_infeasible`` looks
+    for a Lagrangian proof that no feasible point exists; if it finds one the
     search stops with a certified ``InfeasibleProblemError``.  It never
     finds one on a feasible problem, so feasible results do not depend on
     it.  Otherwise stage 4 runs ``minimum_power`` from the stalled point, an
     SQP solve that needs no feasible start; should its polish stall too, the
     search gives up with an uncertified error.  Either error carries the
     worst violations of the better point reached.  No stage draws random
-    numbers.
+    numbers, and ``tol`` only decides when stage 3 stops: the sweeps, the
+    stall and the stages after it do not depend on it.
     """
     if problem.L == 0:
         return np.zeros(problem.size, dtype=complex)
     w = _zero_forcing_start(problem)
     w = _mainlobe_boost(problem, w)
-    w, violation, ok = cyclic_projection(problem, w)
+    w, violation, ok = cyclic_projection(problem, w, tol=tol)
     if ok:
         return w
     certificate = certify_infeasible(problem)

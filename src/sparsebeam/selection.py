@@ -1,18 +1,24 @@
 """Antenna selection and refit: from a regularized solution to a K-antenna design.
 
 ``select_support`` keeps the K strongest antenna groups; ``refit`` solves the
-small QCQP min ||w||^2 s.t. w^H F_l w <= f_l on that subarray with
-``admm.minimum_power`` (SLSQP) from a feasible start.
+small QCQP min ||w||^2 s.t. w^H F_l w <= f_l on that subarray with one
+``admm.minimum_power`` (SLSQP) run.  Stage 3 of the feasibility search, the
+cyclic projections, has two roles: run to 1e-8 it gives ADMM its consensus
+start; stopped at a loose hand-off tolerance it is the refit's feasibility
+test, since feasible subarrays become near-feasible within a few sweeps and
+infeasible ones stall.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import find_feasible_point, minimum_power
+from .admm import _START_TOL, find_feasible_point, minimum_power
 from .errors import ConfigurationError, InfeasibleProblemError
 from .metrics import msrr, tx_power
 from .problem import BeamformerStack, group_norms
+
+_HANDOFF_REL = 1e-3  # refit's stage 3 stops at this fraction of max_l |f_l|
 
 
 def rank_groups(w, M, N):
@@ -35,28 +41,42 @@ def embed_support(w_reduced, support, M, N):
     return w_full.reshape(M * N)
 
 
+def _handoff_tol(problem):
+    """Where a refit's stage 3 hands off: ``_HANDOFF_REL`` * max_l |f_l|,
+    never below the ADMM start's 1e-8."""
+    f_max = max((abs(c.f) for c in problem.constraints), default=0.0)
+    return max(_HANDOFF_REL * f_max, _START_TOL)
+
+
 def refit(problem, support, config):
     """Minimum-power design on the selected subarray, sparsity weight removed.
 
-    ``minimum_power`` runs from ``find_feasible_point``'s start.  Should its
-    polish fail, or end above the start's power, the start is returned.
-    ``config`` is no longer read.  Nothing is random, so one support always
-    refits to the same bytes.  The returned stack is full-size with exact
-    zeros off the support.
+    The feasibility search runs only until the subarray is near-feasible:
+    stage 3 hands off once the worst violation is at most ``_handoff_tol``,
+    and one ``minimum_power`` run starts from that point, as SLSQP needs no
+    feasible start.  A subarray on which stage 3 stalls goes through the
+    certificate and stage 4 as in ``find_feasible_point``.  Should the SQP
+    run fail, the search is run on to 1e-8 and its start returned.  A
+    hand-off point within 1e-8 is that start, bit for bit, and is returned
+    should the SQP design cost more.  ``config`` is no longer read.  Nothing
+    is random, so one support always refits to the same bytes.  The returned
+    stack is full-size with exact zeros off the support.
     """
     support = tuple(sorted(set(int(n) for n in support)))
     reduced = problem.restrict(support)
     try:
-        start = find_feasible_point(reduced)
+        start = find_feasible_point(reduced, tol=_handoff_tol(reduced))
+        w_red, _, ok = minimum_power(reduced, start)
+        if not ok:
+            w_red = find_feasible_point(reduced)
+        elif reduced.max_violation(start) <= _START_TOL:
+            w_red = min(w_red, start, key=tx_power)
     except InfeasibleProblemError as err:
         raise InfeasibleProblemError(
             f"refit on support {support} is infeasible: {err}",
             err.worst_violations,
             err.certificate,
         ) from err
-    w_red, _, ok = minimum_power(reduced, start)
-    if not ok or tx_power(start) < tx_power(w_red):
-        w_red = start
     return BeamformerStack(
         embed_support(w_red, support, problem.M, problem.N), problem.M, problem.N
     )
@@ -85,25 +105,32 @@ def random_selection_baseline(problem, K, trials, seed, config):
 
     Trial t draws its subset from default_rng([seed, K, t]); the refit draws
     no random numbers, so results are reproducible and independent of
-    execution order.
+    execution order, and each distinct support is refitted once per call.
     """
     if not 1 <= K <= problem.N:
         raise ConfigurationError(f"K must be in 1..{problem.N}, got {K}")
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    outcomes = {}  # support -> (tx power, MSRR), or whether its verdict is certified
     tx_powers, msrrs = [], []
     infeasible = certified = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, K, t])
         support = tuple(sorted(rng.choice(problem.N, size=K, replace=False).tolist()))
-        try:
-            stack = refit(problem, support, config)
-        except InfeasibleProblemError as err:
+        if support not in outcomes:
+            try:
+                stack = refit(problem, support, config)
+            except InfeasibleProblemError as err:
+                outcomes[support] = err.certificate is not None
+            else:
+                outcomes[support] = (tx_power(stack.w), msrr(stack.w, problem))
+        outcome = outcomes[support]
+        if isinstance(outcome, bool):
             infeasible += 1
-            certified += err.certificate is not None
+            certified += outcome
             continue
-        tx_powers.append(tx_power(stack.w))
-        msrrs.append(msrr(stack.w, problem))
+        tx_powers.append(outcome[0])
+        msrrs.append(outcome[1])
     return BaselineResult(
         K=K,
         trials=trials,

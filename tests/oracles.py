@@ -11,6 +11,10 @@ bit for bit.  ``refit_admm_reference`` is the consensus-ADMM refit that the
 SLSQP refit replaced; the refit must never end above it.  It polishes with
 the projections and the L-BFGS violation descent (``_violation_descent``)
 that the feasibility search used before ``minimum_power`` replaced it.
+``refit_from_start`` is the SLSQP refit before it handed off early: the
+same SQP run, started from the feasibility search run to 1e-8; the refit
+must reach the same verdicts and powers.  ``baseline_loop`` is the random
+baseline that refits every trial, which the memoized one must reproduce.
 """
 
 import math
@@ -20,8 +24,15 @@ import numpy as np
 
 from scipy.optimize import minimize
 
-from sparsebeam.admm import _STALL_WINDOW, find_feasible_point, restore_feasibility, solve
-from sparsebeam.errors import ProjectionError
+from sparsebeam.admm import (
+    _STALL_WINDOW,
+    find_feasible_point,
+    minimum_power,
+    restore_feasibility,
+    solve,
+)
+from sparsebeam.errors import InfeasibleProblemError, ProjectionError
+from sparsebeam.metrics import msrr, tx_power
 from sparsebeam.problem import (
     AntennaPowerConstraint,
     BeamConstraint,
@@ -40,7 +51,7 @@ from sparsebeam.projections import (
     project_powers,
     stationarity_error,
 )
-from sparsebeam.selection import embed_support
+from sparsebeam.selection import BaselineResult, embed_support
 from sparsebeam.shrinkage import ZERO_GROUP_FLOOR, group_shrink
 
 
@@ -376,3 +387,42 @@ def refit_admm_reference(problem, support, config):
     if not ok or np.vdot(start, start).real < np.vdot(w, w).real:
         w = start
     return embed_support(w, reduced.support, problem.M, problem.N)
+
+
+def refit_from_start(problem, support):
+    """``minimum_power`` from the 1e-8 feasible start, falling back to that
+    start should its polish fail or end above the start's power.  Returns
+    the full-size stack; an infeasible support raises the search's error."""
+    reduced = problem.restrict(support)
+    start = find_feasible_point(reduced)
+    w, _, ok = minimum_power(reduced, start)
+    if not ok or np.vdot(start, start).real < np.vdot(w, w).real:
+        w = start
+    return embed_support(w, reduced.support, problem.M, problem.N)
+
+
+def baseline_loop(problem, K, trials, seed, refit, config):
+    """The random-subset baseline with one ``refit`` call per trial."""
+    tx_powers, msrrs = [], []
+    infeasible = certified = 0
+    for t in range(trials):
+        rng = np.random.default_rng([seed, K, t])
+        support = tuple(sorted(rng.choice(problem.N, size=K, replace=False).tolist()))
+        try:
+            stack = refit(problem, support, config)
+        except InfeasibleProblemError as err:
+            infeasible += 1
+            certified += err.certificate is not None
+            continue
+        tx_powers.append(tx_power(stack.w))
+        msrrs.append(msrr(stack.w, problem))
+    return BaselineResult(
+        K=K,
+        trials=trials,
+        tx_power_mean=float(np.mean(tx_powers)) if tx_powers else float("nan"),
+        msrr_mean=float(np.mean(msrrs)) if msrrs else float("nan"),
+        infeasible_count=infeasible,
+        certified_count=certified,
+        tx_powers=tuple(tx_powers),
+        msrrs=tuple(msrrs),
+    )

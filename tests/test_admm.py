@@ -19,17 +19,21 @@ from sparsebeam import (
     StopbandConstraint,
     WeakPenaltyWarning,
     check_penalty_ratio,
+    feasibility_report,
     find_feasible_point,
     initialize,
+    refit,
     select_support,
     solve,
     steering_vector,
+    tx_power,
     update_u,
     update_v,
     update_w,
 )
 import sparsebeam.admm as admm_module
 from sparsebeam.certificate import certify_infeasible
+from sparsebeam.selection import _handoff_tol
 
 from helpers import certificate_holds, random_stack
 from oracles import cyclic_projection_loop, update_v_loop
@@ -644,6 +648,26 @@ class TestCertificate:
         )
         assert problem.max_violation(w0) <= 0.0
         assert certify_infeasible(problem) is None
+
+
+class TestRefitHandOff:
+    @settings(max_examples=60, deadline=None)
+    @given(feasible_toy_problems())
+    def test_refit_passes_the_gate_wherever_the_search_succeeds(self, case):
+        problem, _ = case
+        try:
+            start = find_feasible_point(problem)
+        except InfeasibleProblemError:
+            return  # the search gave up: no start to compare with
+        stack = refit(problem, range(problem.N), AdmmConfig(eta=0.0, rho=5.0))
+        assert feasibility_report(stack.w, problem, tol=1e-6).passed
+        # a hand-off point within 1e-8 is the start itself, which the refit
+        # returns should the SQP design cost more; from a looser hand-off
+        # point SLSQP may settle in another local minimum, dearer or cheaper
+        handoff = find_feasible_point(problem, tol=_handoff_tol(problem))
+        if problem.max_violation(handoff) <= 1e-8:
+            assert np.array_equal(handoff, start)
+            assert tx_power(stack.w) <= tx_power(start)
 
 
 class TestInitialize:

@@ -1,8 +1,12 @@
+import itertools
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult, minimize
 
 import sparsebeam.admm
+import sparsebeam.selection
 from sparsebeam import (
     ConfigurationError,
     InfeasibleProblemError,
@@ -18,14 +22,20 @@ from sparsebeam import (
     tx_power,
 )
 from sparsebeam.admm import _SQP_OPTIONS
-from sparsebeam.selection import embed_support
+from sparsebeam.selection import _handoff_tol, embed_support
 
 from helpers import certificate_holds, random_stack
-from oracles import refit_admm_reference
+from oracles import baseline_loop, refit_admm_reference, refit_from_start
 
 PAPER_K8 = (0, 2, 3, 4, 5, 6, 8, 9)
 # mirror images of each other under the scenario's symmetry
 MIRROR_K8 = ((0, 1, 2, 3, 4, 5, 7, 8), (1, 2, 4, 5, 6, 7, 8, 9))
+# every K=8 subarray, and every 42nd K=4 and K=6 one (all infeasible)
+REGRESSION_SUPPORTS = [
+    *itertools.combinations(range(10), 8),
+    *list(itertools.combinations(range(10), 4))[::42],
+    *list(itertools.combinations(range(10), 6))[::42],
+]
 
 
 class TestRankGroups:
@@ -77,7 +87,7 @@ class TestSelectSupport:
 
 class TestRefit:
     @pytest.mark.parametrize("support", [tuple(range(10)), PAPER_K8], ids=["full", "paper"])
-    def test_refit_is_one_sqp_run_from_the_feasible_start(
+    def test_refit_is_one_sqp_run_from_the_hand_off_point(
         self, paper_problem, paper_scenario, support
     ):
         stack = refit(paper_problem, support, paper_scenario.admm)
@@ -91,7 +101,8 @@ class TestRefit:
             A = reduced.f_actions(complex_w(x))
             return -2.0 * np.hstack([A.real, A.imag])
 
-        start = find_feasible_point(reduced)
+        start = find_feasible_point(reduced, tol=_handoff_tol(reduced))
+        assert 1e-8 < reduced.max_violation(start) <= _handoff_tol(reduced)
         result = minimize(
             lambda x: (x @ x, 2.0 * x), np.concatenate([start.real, start.imag]),
             jac=True, method="SLSQP", options=_SQP_OPTIONS,
@@ -131,6 +142,9 @@ class TestRefit:
         start = find_feasible_point(reduced)
         far = 10.0 * np.concatenate([start.real, start.imag])
         assert reduced.max_violation(10.0 * start) > 1.0
+        # the hand-off point is not the start: the fallback searches on to 1e-8
+        handoff = find_feasible_point(reduced, tol=_handoff_tol(reduced))
+        assert not np.array_equal(handoff, start)
 
         def not_converged(fun, x0, **kwargs):
             return OptimizeResult(x=far, success=False, status=9, nit=200)
@@ -141,22 +155,45 @@ class TestRefit:
         assert np.array_equal(stack.w, want)
 
     def test_feasible_start_searched_once(self, paper_problem, paper_scenario, monkeypatch):
-        import sparsebeam.admm
-        import sparsebeam.selection
+        search, run_sqp = sparsebeam.admm.find_feasible_point, sparsebeam.admm.minimize
+        searches, sqp_runs = [], []
 
-        original = sparsebeam.admm.find_feasible_point
-        calls = []
+        def counted_search(problem, **kwargs):
+            searches.append((problem.support, kwargs.get("tol")))
+            return search(problem, **kwargs)
 
-        def counted(problem):
-            calls.append(problem.support)
-            return original(problem)
+        def counted_sqp(*args, **kwargs):
+            sqp_runs.append(kwargs["method"])
+            return run_sqp(*args, **kwargs)
 
         # patch every binding, so a search from either module is counted
-        monkeypatch.setattr(sparsebeam.admm, "find_feasible_point", counted)
-        monkeypatch.setattr(sparsebeam.selection, "find_feasible_point", counted)
-        support = (0, 2, 3, 4, 5, 6, 8, 9)
-        refit(paper_problem, support, paper_scenario.admm)
-        assert calls == [support]
+        monkeypatch.setattr(sparsebeam.admm, "find_feasible_point", counted_search)
+        monkeypatch.setattr(sparsebeam.selection, "find_feasible_point", counted_search)
+        monkeypatch.setattr(sparsebeam.admm, "minimize", counted_sqp)
+        refit(paper_problem, PAPER_K8, paper_scenario.admm)
+        # one search, stopped at 1e-3 of the largest threshold, then one SQP run
+        assert searches == [(PAPER_K8, pytest.approx(0.01))]
+        assert sqp_runs == ["SLSQP"]
+
+    @pytest.mark.parametrize(
+        "support", REGRESSION_SUPPORTS, ids=lambda support: "".join(map(str, support))
+    )
+    def test_same_verdicts_and_powers_as_the_refit_from_the_start(
+        self, paper_problem, paper_scenario, support
+    ):
+        def outcome(design):
+            try:
+                return tx_power(design()), None
+            except InfeasibleProblemError as err:
+                return None, err.certificate is not None
+
+        power, certified = outcome(lambda: refit(paper_problem, support, paper_scenario.admm).w)
+        want_power, want_certified = outcome(lambda: refit_from_start(paper_problem, support))
+        assert certified == want_certified
+        if want_power is None:
+            assert power is None
+        else:
+            assert power == pytest.approx(want_power, rel=1e-9, abs=0.0)
 
     def test_too_few_antennas_for_users_is_infeasible(self, paper_problem, paper_scenario):
         # K=1 < M=2 with gamma=10: adding both SINR floors forces gamma < 1
@@ -208,6 +245,23 @@ class TestRandomBaseline:
     def test_k_validated(self, paper_problem, paper_scenario, K):
         with pytest.raises(ConfigurationError, match=f"K must be in 1..10, got {K}"):
             random_selection_baseline(paper_problem, K, 1, 1, paper_scenario.admm)
+
+    @pytest.mark.parametrize("K, trials", [(9, 15), (1, 12)])
+    def test_each_support_refitted_once(self, paper_problem, paper_scenario, monkeypatch, K, trials):
+        # only 10 supports of size 1 or 9 exist, so some of the draws repeat
+        refit_once = sparsebeam.selection.refit
+        calls = []
+
+        def counted(problem, support, config):
+            calls.append(support)
+            return refit_once(problem, support, config)
+
+        monkeypatch.setattr(sparsebeam.selection, "refit", counted)
+        seed, config = paper_scenario.seed, paper_scenario.admm
+        base = random_selection_baseline(paper_problem, K, trials, seed, config)
+        want = baseline_loop(paper_problem, K, trials, seed, refit_once, config)
+        np.testing.assert_equal(asdict(base), asdict(want))
+        assert len(set(calls)) == len(calls) < trials
 
     def test_infeasible_draws_counted_and_excluded(self, paper_problem, paper_scenario):
         # K=2 subsets are all provably infeasible on this scenario
