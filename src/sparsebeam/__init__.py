@@ -47,7 +47,6 @@ from .metrics import (
     feasibility_report,
     msrr,
     responses,
-    sinr_per_user,
     tx_power,
 )
 from .problem import (
@@ -63,15 +62,7 @@ from .problem import (
     objective,
     user_blocks,
 )
-from .projections import (
-    ProjectionResult,
-    project,
-    project_antenna_power,
-    project_generic,
-    project_passband,
-    project_sinr,
-    project_stopband,
-)
+from .projections import ProjectionResult, project
 from .scenario import (
     Scenario,
     bundled_scenario_path,

@@ -125,18 +125,18 @@ def update_v(problem, w, u, eta, rho):
 
     C = w - u is shrunk as one (L, M*N) batch.  The beam rows of
     ``problem.families`` go through one ``project_beams`` call, the
-    antenna-power rows through one ``project_powers`` call, and the other
-    rows (a SINR row through its one-row kernel) through ``project``, in
-    constraint order.  Rows already feasible pass through unchanged, so the
-    result equals the per-constraint loop bit for bit.  Every kernel row must
-    pass the KKT stationarity guard ||(v - vbar) + mu*F v|| <= 1e-6*(1 +
-    ||vbar||); the first failing row in constraint order raises a
-    ``ProjectionError`` naming it.
+    antenna-power rows through one ``project_powers`` call, and the SINR rows
+    through ``project``, their one-row kernel, in constraint order.  Rows
+    already feasible pass through unchanged, so the result equals the
+    per-constraint loop bit for bit.  Every kernel row must pass the KKT
+    stationarity guard ||(v - vbar) + mu*F v|| <= 1e-6*(1 + ||vbar||); the
+    first failing row in constraint order raises a ``ProjectionError`` naming
+    it.
     """
     L, M, N = problem.L, problem.M, problem.N
     if L == 0:
         return np.empty((0, problem.size), dtype=complex)
-    beams, powers, other = problem.families
+    beams, powers, sinrs = problem.families
     C = group_shrink(w[np.newaxis, :] - u, eta, rho, L, M, N)
     bound = KKT_GUARD * (1.0 + np.sqrt(sq_norms(C[:, :, np.newaxis]).ravel()))
     mu, residual = np.zeros(L), np.zeros(L)
@@ -151,7 +151,7 @@ def update_v(problem, w, u, eta, rho):
     )
     failed = np.flatnonzero(~np.isfinite(residual) | (residual > bound))
     first = failed[0] if failed.size else L
-    for l in other:
+    for l in sinrs.rows.tolist():
         if l > first:
             break
         try:

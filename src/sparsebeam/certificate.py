@@ -7,12 +7,15 @@ is the easy direction of the S-lemma (Polik & Terlaky, "A survey of the
 S-lemma", SIAM Review 2007); lambda is a dual point of the semidefinite
 relaxation (Luo et al., IEEE Signal Processing Magazine 2010).
 
-The multipliers come from Kelley's cutting-plane method.  A linear program
-over lambda on the unit simplex maximizes t subject to t <= -s and
-t <= x^H S x for every cut x gathered so far; each round adds the
-eigenvectors of S whose eigenvalues fall below t as new cuts.  The cuts only
-relax lambda_min(S), so the LP value bounds min(lambda_min(S), -s) from
-above: once it is negative no certificate exists and the search ends.
+Every F_l is block-diagonal over users with blocks C[l, m] g_l g_l^H, read
+from ``problem.families``, so S is PSD exactly when each block S_m is (Huang
+& Palomar, IEEE Trans. Signal Processing 2010) and no MN x MN matrix is
+formed.  The multipliers come from Kelley's cutting-plane method.  A linear
+program over lambda on the unit simplex maximizes t subject to t <= -s and
+t <= y^H S_m y for every cut (m, y) gathered so far; each round adds the
+eigenvectors of each S_m whose eigenvalues fall below t as new cuts.  The
+cuts only relax lambda_min(S), so the LP value bounds min(lambda_min(S), -s)
+from above: once it is negative no certificate exists and the search ends.
 Nothing is random: the same problem always gives the same answer.
 """
 
@@ -33,10 +36,10 @@ class Certificate:
     that ``combined_f`` = sum_l lambda_l f_l is -1; ``combined_rounding``
     bounds its floating-point error by L * eps * sum_l lambda_l |f_l|.
     ``min_eigenvalue`` is the computed lambda_min of S = sum_l lambda_l F_l
-    and ``rounding`` the bound used for its floating-point error (n * L *
-    eps * sum_l lambda_l ||F_l||_2, which exceeds the backward error of
-    forming S and of ``eigh``).  ``norm_bound`` is R in ||w||^2 <= R, the sum
-    of the per-antenna power limits when every antenna has one, else None.
+    and ``rounding`` the bound used for its floating-point error (M * N * L
+    * eps * sum_l lambda_l ||F_l||_2, above the backward error of forming S
+    and of ``eigh``).  ``norm_bound`` is R in ||w||^2 <= R, the sum of the
+    per-antenna power limits when every antenna has one, else None.
 
     Acceptance rule (``excludes_every_point``), with s = combined_f +
     combined_rounding < 0 the largest value the exact sum can take:
@@ -79,14 +82,11 @@ class Certificate:
         )
 
 
-def _norm_bound(problem):
+def _norm_bound(powers, N):
     """R with ||w||^2 <= R on the feasible set, from per-antenna limits."""
-    limits = {}
-    for c in problem.constraints_of_kind("antenna_power"):
-        limits[c.antenna] = min(c.limit, limits.get(c.antenna, np.inf))
-    if len(limits) < problem.N:
-        return None
-    return float(sum(limits.values()))
+    limits = np.full(N, np.inf)
+    np.minimum.at(limits, powers.antenna, powers.limit)
+    return float(sum(limits.tolist())) if np.all(limits < np.inf) else None
 
 
 def certify_infeasible(problem):
@@ -99,23 +99,34 @@ def certify_infeasible(problem):
     f = np.array([c.f for c in problem.constraints], dtype=float)
     if not np.any(f < 0.0):
         return None  # w = 0 meets every constraint
-    F = np.array([c.dense_f_matrix() for c in problem.constraints])
-    scale = np.linalg.norm(F, ord=2, axis=(1, 2))
+    L, M, N = problem.L, problem.M, problem.N
+    beams, powers, sinrs = problem.families
+    # block m of F_l is C[l, m] g_l g_l^H, with g_l row l of G
+    G = np.zeros((L, N), dtype=complex)
+    C = np.ones((L, M))
+    G[beams.rows] = beams.steering[:, 0]
+    C[beams.rows] = beams.sign[:, 0]
+    G[powers.rows, powers.antenna] = 1.0
+    G[sinrs.rows] = np.conj(sinrs.probe[..., 0])
+    C[sinrs.rows] = sinrs.weights
+    # ||F_l||_2 = max_m |C[l, m]| ||g_l||^2
+    scale = np.abs(C).max(axis=1) * (np.abs(G) ** 2).sum(axis=1)
     scale[scale == 0.0] = 1.0
-    Fs, fs = F / scale[:, None, None], f / scale
-    L, n = len(f), problem.size
-    R = _norm_bound(problem)
+    Cs, fs = C / scale[:, None], f / scale
+    R = _norm_bound(powers, N)
 
     # variables (lambda_1..lambda_L, t) with lambda on the unit simplex;
-    # maximize t <= x^H S x over the cuts x and t <= -s
+    # maximize t <= y^H S_m y over the cuts (m, y) and t <= -s
     cost = np.zeros(L + 1)
     cost[-1] = -1.0
     a_eq = np.append(np.ones(L), 0.0)[np.newaxis, :]
     bounds = [(0.0, None)] * L + [(None, None)]
-    cuts = np.eye(n, dtype=complex)  # start from the coordinate directions
+    # start from the coordinate directions of every block
+    block = np.repeat(np.arange(M), N)
+    cuts = np.tile(np.eye(N, dtype=complex), (M, 1))
     rows = [np.append(fs, 1.0)]
     for _ in range(_MAX_ROUNDS):
-        values = np.einsum("ik,lij,jk->kl", cuts.conj(), Fs, cuts).real
+        values = Cs.T[block] * np.abs(cuts.conj() @ G.T) ** 2  # y^H (C g g^H) y
         rows.extend(np.hstack([-values, np.ones((values.shape[0], 1))]))
         a_ub = np.array(rows)
         lp = linprog(
@@ -125,7 +136,7 @@ def certify_infeasible(problem):
         if lp.status != 0:
             return None
         lam, t = lp.x[:L], lp.x[L]
-        S = np.tensordot(lam, Fs, axes=1)
+        S = np.einsum("lm,li,lj->mij", lam[:, None] * Cs, G, G.conj())
         eigvals, eigvecs = np.linalg.eigh(S)
         combined = float(lam @ fs)
         if combined < 0.0:
@@ -136,13 +147,14 @@ def certify_infeasible(problem):
                 multipliers=k * lam / scale,
                 combined_f=k * combined,
                 combined_rounding=k * L * eps * float(lam @ np.abs(fs)),
-                min_eigenvalue=k * float(eigvals[0]),
-                rounding=k * n * L * eps * float(lam.sum()),
+                min_eigenvalue=k * float(eigvals.min()),
+                rounding=k * M * N * L * eps * float(lam.sum()),
                 norm_bound=R,
             )
             if certificate.excludes_every_point:
                 return certificate
-        cuts = eigvecs[:, eigvals < t]
-        if t < 0.0 or not cuts.size:
+        block, column = np.nonzero(eigvals < t)
+        cuts = eigvecs[block, :, column]
+        if t < 0.0 or not block.size:
             return None
     return None

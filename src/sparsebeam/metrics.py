@@ -48,19 +48,6 @@ def beampattern(w, problem, step_deg=0.5):
     return angles, responses(w, problem.geometry, angles, problem.M)
 
 
-def sinr_per_user(w, channels, M, N):
-    """Achieved downlink SINR of every user (linear)."""
-    W = user_blocks(w, M, N)
-    out = np.zeros(len(channels))
-    for i, ch in enumerate(channels):
-        coef = W @ np.conj(ch.h)
-        power = np.abs(coef) ** 2
-        signal = float(power[ch.index])
-        interference = float(power.sum() - power[ch.index])
-        out[i] = signal / (interference + ch.noise_variance)
-    return out
-
-
 def antenna_power(w, M, N):
     """Radiated power per antenna: squared group norms."""
     return group_norms(w, M, N) ** 2
@@ -81,15 +68,12 @@ def feasibility_report(w, problem, tol=1e-6):
     """Evaluate every constraint; a design passes when no violation exceeds tol."""
     slacks = problem.slacks(w)
     violations = np.maximum(0.0, -slacks)
-    by_kind = {}
-    for kind in CONSTRAINT_KINDS:
-        vals = [
-            violations[l]
-            for l, c in enumerate(problem.constraints)
-            if c.kind == kind
-        ]
-        if vals:
-            by_kind[kind] = float(max(vals))
+    beams, powers, sinrs = problem.families
+    passband = beams.sign.ravel() < 0
+    rows = (beams.rows[passband], beams.rows[~passband], powers.rows, sinrs.rows)
+    by_kind = {
+        kind: float(violations[r].max()) for kind, r in zip(CONSTRAINT_KINDS, rows) if r.size
+    }
     return FeasibilityReport(
         slacks=slacks,
         violations=violations,
@@ -125,7 +109,7 @@ def design_report(w, problem, support=None, tol=1e-6, pattern_step_deg=0.5):
         tx_power_w=tx_power(w),
         msrr=ratio,
         msrr_db=linear_to_db(ratio) if np.isfinite(ratio) and ratio > 0 else float("nan"),
-        sinr=sinr_per_user(w, problem.channels, problem.M, problem.N),
+        sinr=np.array([c.sinr(w) for c in problem.constraints_of_kind("sinr")]),
         antenna_power_w=antenna_power(w, problem.M, problem.N),
         max_violation_by_kind=feas.max_violation_by_kind,
         feasible=feas.passed,

@@ -5,16 +5,18 @@ length M*N.  Block m (one user's weights) occupies entries [m*N, (m+1)*N);
 antenna group n gathers entries {n, n+N, ..., n+(M-1)*N}.
 
 Every constraint is held in the normalized sense  w^H F w <= f.  F is never
-materialized in the solver: each kind stores its rank structure (a steering
-or channel generator vector, or a diagonal selector) and evaluates or applies
-F in O(M*N).  ``dense_f_matrix`` builds the explicit matrix, used only for
-verification and by the infeasibility certificate.
+materialized: it is block-diagonal over users, with block m equal to
+C[m] g g^H for one generator g (a steering vector, the selector e_n of one
+antenna, or a channel), so each kind stores g and evaluates or applies F in
+O(M*N).
 
-``ProblemInstance.families`` regroups the constraints by kind into arrays, so
-slacks, the F_l w products and the ADMM v-update take one set of array
-operations per kind; slacks and the v-update run the BLAS product of the
-constraint's own method once per row, so their batched values equal the
-per-constraint ones bit for bit.
+The family has four kinds: beam floors and ceilings, antenna powers and SINR
+floors.  ``ProblemInstance.families`` holds them as per-kind arrays, routed
+by ``isinstance`` (a subclass joins its kind; any other class is a
+``ConfigurationError``), for the slacks, the F_l w products, the ADMM
+v-update and the infeasibility certificate.  Slacks and the v-update run the
+BLAS product of the constraint's own method once per row, so their batched
+values equal the per-constraint ones bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -96,12 +98,25 @@ class PowerRows(NamedTuple):
     limit: np.ndarray
 
 
+class SinrRows(NamedTuple):
+    """SINR constraints as arrays: rows l (s,); conj(h) as (s, N, 1) columns;
+    the (row, user) index of each served user; F's weight on each user block,
+    -1 served and gamma elsewhere (s, M); gamma and f (s,)."""
+
+    rows: np.ndarray
+    probe: np.ndarray
+    served: tuple
+    weights: np.ndarray
+    gamma: np.ndarray
+    f: np.ndarray
+
+
 class ConstraintFamilies(NamedTuple):
-    """Constraints by kind; ``other`` holds the rows of SINR and other classes."""
+    """Every constraint of a problem, by kind."""
 
     beams: BeamRows
     powers: PowerRows
-    other: tuple
+    sinrs: SinrRows
 
 
 def objective(w, eta, M, N):
@@ -139,8 +154,6 @@ class BeamformerStack:
 class QuadraticConstraint:
     """Base for one constraint in the normalized sense w^H F w <= f."""
 
-    kind = "generic"
-
     @property
     def f(self):
         raise NotImplementedError
@@ -151,10 +164,6 @@ class QuadraticConstraint:
 
     def f_action(self, w):
         """F @ w without forming F."""
-        raise NotImplementedError
-
-    def dense_f_matrix(self):
-        """Explicit Hermitian F; for verification and certificates only."""
         raise NotImplementedError
 
     def restrict(self, support):
@@ -205,18 +214,12 @@ class BeamConstraint(QuadraticConstraint):
     def quad(self, w):
         return self.sign * self.response(w)
 
-    def _signed(self, x):
-        # negated, not multiplied by sign: a complex product by -1.0 would
-        # differ from the negation on signed zeros
-        return x if self.sign > 0 else -x
-
     def f_action(self, w):
         coef = user_blocks(w, self.M, self.N) @ np.conj(self.steering)
-        return self._signed(np.outer(coef, self.steering).reshape(-1))
-
-    def dense_f_matrix(self):
-        block = np.outer(self.steering, np.conj(self.steering))
-        return self._signed(np.kron(np.eye(self.M), block))
+        out = np.outer(coef, self.steering).reshape(-1)
+        # negated, not multiplied by sign: a complex product by -1.0 would
+        # differ from the negation on signed zeros
+        return out if self.sign > 0 else -out
 
     @cached_property
     def rows(self):
@@ -289,12 +292,6 @@ class AntennaPowerConstraint(QuadraticConstraint):
         out = np.zeros(self.M * self.N, dtype=complex)
         out[self.antenna :: self.N] = np.asarray(w)[self.antenna :: self.N]
         return out
-
-    def dense_f_matrix(self):
-        F = np.zeros((self.M * self.N, self.M * self.N), dtype=complex)
-        idx = np.arange(self.antenna, self.M * self.N, self.N)
-        F[idx, idx] = 1.0
-        return F
 
     def restrict(self, support):
         support = list(support)
@@ -373,10 +370,6 @@ class SinrConstraint(QuadraticConstraint):
     def f_action(self, w):
         return np.outer(self.weights * self._coef(w), self.h).reshape(-1)
 
-    def dense_f_matrix(self):
-        block = np.outer(self.h, np.conj(self.h))
-        return np.kron(np.diag(self.weights), block)
-
     def restrict(self, support):
         return replace(self, h=self.h[list(support)], N=len(support))
 
@@ -384,7 +377,16 @@ class SinrConstraint(QuadraticConstraint):
         return f"sinr(m={self.user})"
 
 
-_BEAM_CLASSES = (PassbandConstraint, StopbandConstraint)
+def family_of(constraint):
+    """The position in ``ConstraintFamilies`` of the constraint's kind (0 beams,
+    1 antenna powers, 2 SINRs); any other class is a ``ConfigurationError``."""
+    for i, cls in enumerate((BeamConstraint, AntennaPowerConstraint, SinrConstraint)):
+        if isinstance(constraint, cls):
+            return i
+    raise ConfigurationError(
+        f"unsupported constraint class {type(constraint).__name__}: a constraint "
+        "must be a beam, antenna-power or SINR constraint"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,11 +420,10 @@ class ProblemInstance:
 
     @cached_property
     def families(self):
-        """The constraints by kind, built once per instance.  Only the exact
-        beam and antenna-power classes are batched; subclasses go to ``other``."""
+        """The constraints by kind as arrays, built once per instance."""
         cs = self.constraints
-        beams = [l for l, c in enumerate(cs) if type(c) in _BEAM_CLASSES]
-        powers = [l for l, c in enumerate(cs) if type(c) is AntennaPowerConstraint]
+        kinds = [family_of(c) for c in cs]
+        beams, powers, sinrs = ([l for l, k in enumerate(kinds) if k == i] for i in range(3))
         return ConstraintFamilies(
             beam_rows(
                 beams, [cs[l].steering for l in beams], [cs[l].sign for l in beams],
@@ -433,51 +434,39 @@ class ProblemInstance:
                 np.array([cs[l].antenna for l in powers], dtype=int),
                 np.array([cs[l].limit for l in powers], dtype=float),
             ),
-            tuple(sorted(set(range(self.L)) - set(beams) - set(powers))),
+            SinrRows(
+                np.array(sinrs, dtype=int),
+                np.array([np.conj(cs[l].h) for l in sinrs]).reshape(-1, self.N, 1),
+                (np.arange(len(sinrs)), np.array([cs[l].user for l in sinrs], dtype=int)),
+                np.array([cs[l].weights for l in sinrs]).reshape(-1, self.M),
+                np.array([cs[l].gamma for l in sinrs], dtype=float),
+                np.array([cs[l].f for l in sinrs], dtype=float),
+            ),
         )
-
-    @cached_property
-    def sinr_rows(self):
-        """``families.other`` split for ``slacks``: the ``SinrConstraint`` rows,
-        conj(h) as (s, N, 1) columns, the (row, user) index of each served
-        user, gamma and f; then the rows of other classes."""
-        cs, other = self.constraints, self.families.other
-        rows = [l for l in other if type(cs[l]) is SinrConstraint]
-        probe = np.array([np.conj(cs[l].h) for l in rows]).reshape(-1, self.N, 1)
-        served = (np.arange(len(rows)), np.array([cs[l].user for l in rows], dtype=int))
-        gamma = np.array([cs[l].gamma for l in rows], dtype=float)
-        f = np.array([cs[l].f for l in rows], dtype=float)
-        rest = [l for l in other if l not in rows]
-        return np.array(rows, dtype=int), probe, served, gamma, f, rest
 
     def slacks(self, w):
         """f_l - w^H F_l w per constraint, bit for bit the ``slack`` values."""
-        beams, powers, _ = self.families
-        sinr, probe, served, gamma, f, rest = self.sinr_rows
+        beams, powers, sinrs = self.families
         W = user_blocks(np.asarray(w, dtype=complex), self.M, self.N)
         s = np.empty(self.L)
         s[beams.rows] = beam_slacks(W[np.newaxis], beams).ravel()
         s[powers.rows] = powers.limit - sq_norms(W.T[powers.antenna, :, np.newaxis]).ravel()
-        power = np.abs(W @ probe)[..., 0] ** 2  # (s, M): |h^H w_m|^2 of every user
-        signal = power[served]
-        s[sinr] = f + (signal - gamma * (power.sum(axis=1) - signal))
-        for l in rest:
-            s[l] = self.constraints[l].slack(w)
+        power = np.abs(W @ sinrs.probe)[..., 0] ** 2  # (s, M): |h^H w_m|^2 of every user
+        signal = power[sinrs.served]
+        s[sinrs.rows] = sinrs.f + (signal - sinrs.gamma * (power.sum(axis=1) - signal))
         return s
 
     def f_actions(self, w):
         """F_l w of every constraint as an (L, M*N) array, no F_l formed."""
-        beams, powers, _ = self.families
-        sinr, probe, served, gamma, _, rest = self.sinr_rows
+        beams, powers, sinrs = self.families
         W = user_blocks(np.asarray(w, dtype=complex), self.M, self.N)
         out = np.zeros((self.L, self.M, self.N), dtype=complex)
         out[beams.rows] = beams.sign * (W @ beams.probe) * beams.steering
         out[powers.rows, :, powers.antenna] = W[:, powers.antenna].T
-        weights = np.repeat(gamma[:, np.newaxis], self.M, axis=1)
-        weights[served] = -1.0
-        out[sinr] = (weights[..., np.newaxis] * (W @ probe)) * np.conj(probe).swapaxes(1, 2)
-        for l in rest:
-            out[l] = self.constraints[l].f_action(w).reshape(self.M, self.N)
+        out[sinrs.rows] = (
+            (sinrs.weights[..., np.newaxis] * (W @ sinrs.probe))
+            * np.conj(sinrs.probe).swapaxes(1, 2)
+        )
         return out.reshape(self.L, self.size)
 
     def max_violation(self, w):

@@ -2,7 +2,7 @@
 
 Each ADMM constraint block needs  argmin ||v - vbar||^2  s.t.  v^H F v <= f.
 Stationarity gives (I + mu*F) v = vbar with a multiplier mu >= 0 on the
-interval where I + mu*F stays positive semidefinite.  For the structured
+interval where I + mu*F stays positive semidefinite.  For each of the four
 kinds F is diagonal or (block) rank-one, so only the coefficients along one
 generator direction move.  The antenna-power and beam equations are solved in
 closed form by batched kernels (``project_beams``, ``project_powers``), which
@@ -14,9 +14,7 @@ the SINR equation is solved by a safeguarded Newton iteration on floats.
 Where F is negative semidefinite (mainlobe floors) or indefinite (SINR
 floors) the set is nonconvex: a saturated multiplier with an injected
 critical-direction component handles the degenerate inputs, as in the
-trust-region "hard case".  ``project_generic`` solves the problem for any
-Hermitian F by a dense eigendecomposition; ``project`` routes every other
-class to it.
+trust-region "hard case".  A class outside the four kinds has no kernel.
 """
 
 import math
@@ -25,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProjectionError
-from .problem import AntennaPowerConstraint, BeamConstraint, PassbandConstraint
-from .problem import SinrConstraint, StopbandConstraint, sq_norms
+from .problem import family_of, sq_norms
 
 # absolute tolerance on the secular residual; max iterations of the
 # safeguarded Newton/bisection loop; machine epsilon, its narrowest bracket
@@ -181,28 +178,6 @@ def _beam_row(W, c):
     return project_beams(W, rows)
 
 
-def project_antenna_power(group, limit):
-    """Radial projection of one antenna group onto the power ball: ``project_powers``
-    on one group.  Returns the projected group and the KKT multiplier of the
-    normalized constraint (zero when already inside)."""
-    P, mu, _ = project_powers(np.asarray(group, dtype=complex), limit)
-    return P, float(mu)
-
-
-def project_stopband(vbar, steering, threshold, M, N):
-    """Shrink the steering-aligned coefficients until the response ceiling holds:
-    the one-row beam kernel with sign +1.  Returns (v, mu)."""
-    res = project(StopbandConstraint(0.0, steering, threshold, M, N), vbar)
-    return res.v, res.multiplier
-
-
-def project_passband(vbar, steering, threshold, M, N):
-    """Amplify the steering-aligned coefficients until the response floor holds:
-    the one-row beam kernel with sign -1.  Returns (v, mu)."""
-    res = project(PassbandConstraint(0.0, steering, threshold, M, N), vbar)
-    return res.v, res.multiplier
-
-
 def _sinr_secular(nu, A, pm, pI, gamma, target):
     """A*(pm/(1 - nu)^2 - gamma*pI/(1 + nu*gamma)^2) - target; +inf at nu = 1."""
     if nu == 1.0:
@@ -215,7 +190,17 @@ def _sinr_slope(nu, A, pm, pI, gamma, target):
 
 
 def _sinr_row(W, c):
-    """``project_sinr`` for one point W (M, N), unless its floor holds."""
+    """Move the channel-aligned coefficients of one point W (M, N) until the
+    SINR floor holds, unless it already does.
+
+    The served block's coefficient amplifies by 1/(1 - nu), every interfering
+    block's shrinks by 1/(1 + nu*gamma), with nu = mu*||h||^2 in [0, 1) the
+    root of a secular equation.  A served response below machine precision of
+    the level it must reach (the root then rounds to 1) is the hard case: the
+    smallest feasible served component is injected (the cost grows with its
+    magnitude, so the boundary value is optimal), nu = 1 - |served|/|injected|,
+    and the interference shrinks by 1/(1 + nu*gamma) with that nu.
+    """
     probe, hhat, hhat_probe, A = c.row
     m, gamma = c.user, c.gamma
     target = gamma * c.noise_variance
@@ -250,87 +235,6 @@ def _sinr_row(W, c):
     return V, mu, math.sqrt(np.vdot(D, D).real)
 
 
-def project_sinr(vbar, h, gamma, noise_variance, user, M, N):
-    """Move the channel-aligned coefficients until the SINR floor holds.
-
-    The served block's coefficient amplifies by 1/(1 - nu), every interfering
-    block's shrinks by 1/(1 + nu*gamma), with nu = mu*||h||^2 in [0, 1) the
-    root of a secular equation.  A served response below machine precision of
-    the level it must reach (the root then rounds to 1) is the hard case: the
-    smallest feasible served component is injected (the cost grows with its
-    magnitude, so the boundary value is optimal), nu = 1 - |served|/|injected|,
-    and the interference shrinks by 1/(1 + nu*gamma) with that nu.  Returns
-    (v, mu).
-    """
-    res = project(SinrConstraint(user, h, gamma, noise_variance, M, N), vbar)
-    return res.v, res.multiplier
-
-
-def project_generic(F, f, vbar):
-    """Projection onto {v : v^H F v <= f} for any Hermitian F.
-
-    Eigendecomposes F and solves the secular equation over the multiplier
-    range keeping I + mu*F PSD.  Handles the trust-region-style hard case
-    (vbar orthogonal to the most-negative eigenspace) by saturating the
-    multiplier and injecting a critical eigenvector component of exactly the
-    magnitude that activates the constraint.
-    """
-    F = np.asarray(F, dtype=complex)
-    vbar = np.asarray(vbar, dtype=complex)
-    herm_gap = np.linalg.norm(F - F.conj().T)
-    if herm_gap > 1e-10 * max(1.0, np.linalg.norm(F)):
-        raise ValueError(f"constraint matrix is not Hermitian (gap {herm_gap:g})")
-    quad0 = float((vbar.conj() @ (F @ vbar)).real)
-    if quad0 <= f:
-        return vbar.copy(), 0.0
-
-    lam, Q = np.linalg.eigh(F)
-    b = Q.conj().T @ vbar
-    b2 = np.abs(b) ** 2
-    lam_scale = max(1.0, float(np.abs(lam).max()))
-
-    def phi(mu):
-        return float(np.sum(lam * b2 / (1.0 + mu * lam) ** 2) - f)
-
-    def dphi(mu):
-        return float(-2.0 * np.sum(lam**2 * b2 / (1.0 + mu * lam) ** 3))
-
-    lam_min = float(lam[0])
-    if lam_min >= -1e-14 * lam_scale:
-        # PSD (within tolerance): phi decreases toward -f
-        if f < 0:
-            raise ValueError(
-                "empty feasible set: PSD constraint matrix with negative bound"
-            )
-        if f == 0:
-            null = np.abs(lam) <= 1e-12 * lam_scale
-            y = np.where(null, b, 0.0)
-            return Q @ y, np.inf
-        hi = 1.0
-        while phi(hi) > 0.0:
-            hi *= 2.0
-        mu = _secular_root(phi, dphi, 0.0, hi, scale=max(1.0, abs(f)),
-                           context=" (generic psd)")
-    else:
-        mu_max = -1.0 / lam_min
-        hi = mu_max * (1.0 - 1e-12)
-        if phi(hi) > 0.0:
-            # hard case: no root below mu_max, so saturate and inject
-            crit = lam <= lam_min + 1e-12 * lam_scale
-            y = np.zeros_like(b)
-            y[~crit] = b[~crit] / (1.0 + mu_max * lam[~crit])
-            quad_pseudo = float(np.sum(lam[~crit] * np.abs(y[~crit]) ** 2))
-            t2 = max((f - quad_pseudo) / lam_min, 0.0)
-            i0 = int(np.argmax(crit))
-            phase = b[i0] / abs(b[i0]) if abs(b[i0]) > 0 else 1.0
-            y[i0] = np.sqrt(t2) * phase
-            return Q @ y, mu_max
-        mu = _secular_root(phi, dphi, 0.0, hi, scale=max(1.0, abs(f)),
-                           context=" (generic)")
-    y = b / (1.0 + mu * lam)
-    return Q @ y, mu
-
-
 def stationarity_error(constraint, multiplier, residual, bound):
     """The ProjectionError for a projection that fails the KKT guard."""
     return ProjectionError(
@@ -347,32 +251,19 @@ def check_stationarity(constraint, vbar, multiplier, residual):
         raise stationarity_error(constraint, multiplier, residual, bound)
 
 
-def _dense_row(W, c):
-    """Any other class, whose W may be any shape: ``project_generic`` on F."""
-    w = W.reshape(-1)
-    if c.quad(w) <= c.f:
-        return None
-    v, mu = project_generic(c.dense_f_matrix(), c.f, w)
-    return v.reshape(W.shape), mu, float(np.linalg.norm((v - w) + mu * c.f_action(v)))
-
-
 def row_kernel(constraint):
     """``kernel(W, constraint)`` for one point W (M, N): None if the constraint
     holds at W, else the projected point, the multiplier and the residual."""
-    if isinstance(constraint, BeamConstraint):
-        return _beam_row
-    if isinstance(constraint, AntennaPowerConstraint):
-        return _power_row
-    return _sinr_row if isinstance(constraint, SinrConstraint) else _dense_row
+    return (_beam_row, _power_row, _sinr_row)[family_of(constraint)]
 
 
 def project(constraint, vbar):
     """Projection of one stacked point onto one constraint by its one-row
     kernel; a point that satisfies the constraint comes back as a copy.  The
     stationarity residual ||(v - vbar) + mu*F v|| must pass the KKT guard."""
+    kernel = row_kernel(constraint)
     vbar = np.asarray(vbar, dtype=complex)
-    W = vbar.reshape(-1, getattr(constraint, "N", vbar.size))
-    moved = row_kernel(constraint)(W, constraint)
+    moved = kernel(vbar.reshape(-1, constraint.N), constraint)
     if moved is None:
         return ProjectionResult(v=vbar.copy(), multiplier=0.0, active=False, kkt_residual=0.0)
     V, mu, residual = moved

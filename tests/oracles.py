@@ -1,9 +1,11 @@
 """Reference implementations the tests check the package against.
 
 None of these run in production: an independent multistart penalty solver
-for the projections, a bisection minimizer for the group shrinkage, the
-per-constraint v-update loop that the batched ``update_v`` must reproduce
-bit for bit, and the projection path the one-row kernels replaced (the
+for the projections, ``project_generic`` (the projection onto any Hermitian
+F by a dense eigendecomposition, which the closed forms of the four
+constraint kinds must agree with), a bisection minimizer for the group
+shrinkage, the per-constraint v-update loop that the batched ``update_v``
+must reproduce bit for bit, and the projection path the one-row kernels replaced (the
 constraint's ``quad`` test, then the batched kernels on a batch of one or
 the SINR secular equation through closures on numpy scalars), with the
 projection sweep built on it, which ``cyclic_projection`` must reproduce
@@ -36,7 +38,6 @@ from sparsebeam.metrics import msrr, tx_power
 from sparsebeam.problem import (
     AntennaPowerConstraint,
     BeamConstraint,
-    SinrConstraint,
     beam_rows,
     user_blocks,
 )
@@ -47,7 +48,6 @@ from sparsebeam.projections import (
     _secular_root,
     project,
     project_beams,
-    project_generic,
     project_powers,
     stationarity_error,
 )
@@ -173,6 +173,71 @@ def penalty_oracle(F, f, vbar, seed=0, n_starts=32, keep=6):
     return x[:n] + 1j * x[n:]
 
 
+def project_generic(F, f, vbar):
+    """Projection onto {v : v^H F v <= f} for any Hermitian F.
+
+    Eigendecomposes F and solves the secular equation over the multiplier
+    range keeping I + mu*F PSD.  Handles the trust-region-style hard case
+    (vbar orthogonal to the most-negative eigenspace) by saturating the
+    multiplier and injecting a critical eigenvector component of exactly the
+    magnitude that activates the constraint.
+    """
+    F = np.asarray(F, dtype=complex)
+    vbar = np.asarray(vbar, dtype=complex)
+    herm_gap = np.linalg.norm(F - F.conj().T)
+    if herm_gap > 1e-10 * max(1.0, np.linalg.norm(F)):
+        raise ValueError(f"constraint matrix is not Hermitian (gap {herm_gap:g})")
+    quad0 = float((vbar.conj() @ (F @ vbar)).real)
+    if quad0 <= f:
+        return vbar.copy(), 0.0
+
+    lam, Q = np.linalg.eigh(F)
+    b = Q.conj().T @ vbar
+    b2 = np.abs(b) ** 2
+    lam_scale = max(1.0, float(np.abs(lam).max()))
+
+    def phi(mu):
+        return float(np.sum(lam * b2 / (1.0 + mu * lam) ** 2) - f)
+
+    def dphi(mu):
+        return float(-2.0 * np.sum(lam**2 * b2 / (1.0 + mu * lam) ** 3))
+
+    lam_min = float(lam[0])
+    if lam_min >= -1e-14 * lam_scale:
+        # PSD (within tolerance): phi decreases toward -f
+        if f < 0:
+            raise ValueError(
+                "empty feasible set: PSD constraint matrix with negative bound"
+            )
+        if f == 0:
+            null = np.abs(lam) <= 1e-12 * lam_scale
+            y = np.where(null, b, 0.0)
+            return Q @ y, np.inf
+        hi = 1.0
+        while phi(hi) > 0.0:
+            hi *= 2.0
+        mu = _secular_root(phi, dphi, 0.0, hi, scale=max(1.0, abs(f)),
+                           context=" (generic psd)")
+    else:
+        mu_max = -1.0 / lam_min
+        hi = mu_max * (1.0 - 1e-12)
+        if phi(hi) > 0.0:
+            # hard case: no root below mu_max, so saturate and inject
+            crit = lam <= lam_min + 1e-12 * lam_scale
+            y = np.zeros_like(b)
+            y[~crit] = b[~crit] / (1.0 + mu_max * lam[~crit])
+            quad_pseudo = float(np.sum(lam[~crit] * np.abs(y[~crit]) ** 2))
+            t2 = max((f - quad_pseudo) / lam_min, 0.0)
+            i0 = int(np.argmax(crit))
+            phase = b[i0] / abs(b[i0]) if abs(b[i0]) > 0 else 1.0
+            y[i0] = np.sqrt(t2) * phase
+            return Q @ y, mu_max
+        mu = _secular_root(phi, dphi, 0.0, hi, scale=max(1.0, abs(f)),
+                           context=" (generic)")
+    y = b / (1.0 + mu * lam)
+    return Q @ y, mu
+
+
 def _ray_objective(t, g, lam):
     """The shrinkage objective restricted to the ray v = (t/g) * c_group.
 
@@ -285,8 +350,7 @@ def project_sinr_reference(vbar, h, gamma, noise_variance, user, M, N):
 def project_reference(constraint, vbar):
     """One projection as the per-constraint path computed it: the
     constraint's ``quad`` test, then ``project_powers`` or ``project_beams``
-    on a batch of one, ``project_sinr_reference``, or ``project_generic``,
-    and the KKT guard."""
+    on a batch of one, or ``project_sinr_reference``, and the KKT guard."""
     vbar = np.asarray(vbar, dtype=complex)
     if constraint.quad(vbar) <= constraint.f:
         return ProjectionResult(v=vbar.copy(), multiplier=0.0, active=False, kkt_residual=0.0)
@@ -301,14 +365,9 @@ def project_reference(constraint, vbar):
         V, mu, residual = project_beams(vbar.reshape(1, c.M, c.N), rows)
         v, mu, residual = V.reshape(-1), float(mu[0]), float(residual[0])
     else:
-        if isinstance(constraint, SinrConstraint):
-            c = constraint
-            v, mu = project_sinr_reference(
-                vbar, c.h, c.gamma, c.noise_variance, c.user, c.M, c.N
-            )
-        else:
-            v, mu = project_generic(constraint.dense_f_matrix(), constraint.f, vbar)
-        residual = float(np.linalg.norm((v - vbar) + mu * constraint.f_action(v)))
+        c = constraint
+        v, mu = project_sinr_reference(vbar, c.h, c.gamma, c.noise_variance, c.user, c.M, c.N)
+        residual = float(np.linalg.norm((v - vbar) + mu * c.f_action(v)))
     bound = KKT_GUARD * (1.0 + math.sqrt(np.vdot(vbar, vbar).real))
     if not math.isfinite(residual) or residual > bound:
         raise stationarity_error(constraint, mu, residual, bound)

@@ -38,6 +38,7 @@ from sparsebeam.cli import main as cli_main
 
 from helpers import (
     certificate_holds,
+    dense_constraint,
     dense_response_matrix,
     dense_selector_matrix,
     dense_sinr_matrix,
@@ -93,7 +94,7 @@ def test_criterion_02_end_to_end_design(paper_scenario):
         assert c.response(w) >= sc.mainlobe_threshold * (1 - 1e-2)
     for c in problem.constraints_of_kind("antenna_power"):
         assert c.quad(w) <= c.limit * (1 + 1e-6)
-    sinr = sb.sinr_per_user(w, problem.channels, problem.M, problem.N)
+    sinr = np.array([c.sinr(w) for c in problem.constraints_of_kind("sinr")])
     assert np.all(sinr >= np.array(sc.sinr_target) * (1 - 1e-2))
     assert elapsed <= 10.0, f"pipeline took {elapsed:.1f}s (budget 10s)"
     _announce(
@@ -282,7 +283,7 @@ def test_criterion_06_projection_oracle():
                 continue
             count += 1
             res = sb.project(c, vbar)
-            F = c.dense_f_matrix()
+            F = dense_constraint(c)[0]
             # KKT at 1e-8: stationarity, feasibility, complementarity
             stat = np.linalg.norm((res.v - vbar) + res.multiplier * (F @ res.v))
             assert stat <= 1e-8 * (1 + np.linalg.norm(vbar))

@@ -22,6 +22,7 @@ from sparsebeam import (
     feasibility_report,
     find_feasible_point,
     initialize,
+    project,
     refit,
     select_support,
     solve,
@@ -35,7 +36,7 @@ import sparsebeam.admm as admm_module
 from sparsebeam.certificate import certify_infeasible
 from sparsebeam.selection import _handoff_tol
 
-from helpers import certificate_holds, random_stack
+from helpers import certificate_holds, dense_constraint, random_stack
 from oracles import cyclic_projection_loop, update_v_loop
 
 
@@ -124,7 +125,7 @@ class TestUpdateV:
 
 
 class Ball(QuadraticConstraint):
-    """||w||^2 <= radius: a constraint class the batched kinds do not cover."""
+    """||w||^2 <= radius: a constraint class outside the four kinds."""
 
     kind = "ball"
 
@@ -141,12 +142,9 @@ class Ball(QuadraticConstraint):
     def f_action(self, w):
         return np.asarray(w, dtype=complex)
 
-    def dense_f_matrix(self):
-        return np.eye(self.size, dtype=complex)
-
 
 class TaggedStopband(StopbandConstraint):
-    """A stopband subclass: subclasses take the one-at-a-time path."""
+    """A stopband subclass: it joins the batched beam rows."""
 
     def describe(self):
         return "tagged " + super().describe()
@@ -187,7 +185,8 @@ def random_duals(rng, L, size, scale=0.3):
 
 @st.composite
 def mixed_problems(draw):
-    """Every constraint class, thresholds over four decades, in shuffled order."""
+    """Every constraint kind and a subclass, thresholds over four decades, in
+    shuffled order."""
     M = draw(st.integers(1, 3))
     N = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -206,8 +205,6 @@ def mixed_problems(draw):
         constraints.append(
             SinrConstraint(m, h, rng.uniform(0.5, 4.0), rng.uniform(0.3, 2.0), M, N)
         )
-    if draw(st.booleans()):
-        constraints.append(Ball(level(), M * N))
     constraints = [constraints[i] for i in rng.permutation(len(constraints))]
     problem = toy_problem(constraints, M, N)
     w = random_stack(rng, M, N, scale=draw(st.sampled_from([0.1, 1.0, 5.0])))
@@ -265,27 +262,35 @@ class TestBatchedUpdateV:
         got = problem.f_actions(w)
         assert got.shape == (problem.L, problem.size)
         for l, c in enumerate(problem.constraints):
-            F = c.dense_f_matrix()
+            F = dense_constraint(c)[0]
             scale = np.linalg.norm(F, 2) * np.linalg.norm(w)
             assert np.linalg.norm(got[l] - F @ w) <= 1e-12 * scale
 
-    def test_families_route_only_exact_classes(self):
+    def test_families_route_by_kind(self):
         M, N = 2, 3
         a = steering_vector(ArrayGeometry(N, 0.5), 30.0)
-        problem = toy_problem(
-            [
-                StopbandConstraint(30.0, a, 1.0, M, N),
-                TaggedStopband(30.0, a, 1.0, M, N),
-                Ball(1.0, M * N),
-                AntennaPowerConstraint(2, 1.0, M, N),
-                PassbandConstraint(30.0, a, 1.0, M, N),
-            ],
-            M, N,
-        )
-        beams, powers, other = problem.families
-        assert beams.rows.tolist() == [0, 4] and beams.sign.ravel().tolist() == [1.0, -1.0]
+        h = random_stack(np.random.default_rng(15), 1, N)
+        constraints = [
+            StopbandConstraint(30.0, a, 1.0, M, N),
+            TaggedStopband(-30.0, a, 2.0, M, N),
+            SinrConstraint(1, h, 3.0, 0.5, M, N),
+            AntennaPowerConstraint(2, 1.0, M, N),
+            PassbandConstraint(30.0, a, 1.0, M, N),
+        ]
+        beams, powers, sinrs = toy_problem(constraints, M, N).families
+        assert beams.rows.tolist() == [0, 1, 4]
+        assert beams.sign.ravel().tolist() == [1.0, 1.0, -1.0]
+        assert beams.threshold.ravel().tolist() == [1.0, 2.0, 1.0]
         assert powers.rows.tolist() == [3] and powers.antenna.tolist() == [2]
-        assert other == (1, 2)
+        assert sinrs.rows.tolist() == [2] and sinrs.weights.tolist() == [[3.0, -1.0]]
+        rejected = toy_problem(constraints + [Ball(1.0, M * N)], M, N)
+        for run in (
+            lambda: rejected.families,
+            lambda: find_feasible_point(rejected),
+            lambda: project(Ball(1.0, M * N), np.ones(M * N, dtype=complex)),
+        ):
+            with pytest.raises(ConfigurationError, match="Ball"):
+                run()
 
     @pytest.mark.parametrize("eta", [0.0, 0.3])
     def test_zero_aligned_coefficients(self, eta):
@@ -340,7 +345,7 @@ class TestBatchedUpdateV:
     def test_first_failing_row_is_named(self, monkeypatch, beam_row, scalar_row):
         M, N = 1, 2
         rows = [StopbandConstraint(0.0, np.ones(N), 1.0, M, N)] * 2
-        rows[scalar_row] = Ball(1.0, M * N)
+        rows[scalar_row] = SinrConstraint(0, np.ones(N), 1.0, 1.0, M, N)
         problem = toy_problem(rows, M, N)
         kernel = admm_module.project_beams
 
@@ -602,6 +607,27 @@ def feasible_toy_problems(draw):
     return toy_problem(constraints, M, N), w0
 
 
+def crowded_toy_problem(seed):
+    """Every kind, M >= 2 users: two mainlobe floors up to 10, two sidelobe
+    ceilings from 0.1, antenna powers of at most 1 and SINR targets up to 10
+    on a 2-4 antenna array, so that most draws are infeasible."""
+    rng = np.random.default_rng(seed)
+    M, N = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+    geom = ArrayGeometry(N, 0.5)
+    constraints = []
+    for cls, span, levels in ((PassbandConstraint, 60.0, (0.0, 1.0)),
+                              (StopbandConstraint, 90.0, (-1.0, 0.5))):
+        for theta in rng.uniform(-span, span, size=2):
+            threshold = float(10.0 ** rng.uniform(*levels))
+            constraints.append(cls(theta, steering_vector(geom, theta), threshold, M, N))
+    for n in range(N):
+        constraints.append(AntennaPowerConstraint(n, float(10.0 ** rng.uniform(-1.0, 0.0)), M, N))
+    for m in range(M):
+        h = random_stack(rng, 1, N)
+        constraints.append(SinrConstraint(m, h, float(10.0 ** rng.uniform(0.0, 1.0)), 1.0, M, N))
+    return toy_problem(constraints, M, N)
+
+
 class TestCertificate:
     """Lagrangian proofs of infeasibility, each re-checked densely."""
 
@@ -632,6 +658,22 @@ class TestCertificate:
         problem, w0 = case
         assert problem.max_violation(w0) <= 1e-9 * (1 + np.vdot(w0, w0).real)
         assert certify_infeasible(problem) is None
+
+    def test_random_problems_of_every_kind(self):
+        # the per-user blocks against the dense check, with every kind and
+        # more than one user; across the certificates, every kind carries weight
+        certified, kinds = 0, set()
+        for seed in range(40):
+            problem = crowded_toy_problem(seed)
+            certificate = certify_infeasible(problem)
+            if certificate is None:
+                continue
+            certified += 1
+            lam = certificate.multipliers
+            assert certificate_holds(problem, lam)
+            kinds |= {problem.constraints[l].kind for l in np.flatnonzero(lam > 0.0)}
+        assert certified >= 20
+        assert kinds == {"passband", "stopband", "antenna_power", "sinr"}
 
     def test_rounding_level_sum_is_no_proof(self):
         # a feasible draw with no antenna-power limit on which the cutting

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from sparsebeam import (
     ArrayGeometry,
+    SinrConstraint,
     UserChannel,
     beampattern,
     design_report,
@@ -11,12 +12,19 @@ from sparsebeam import (
     find_feasible_point,
     msrr,
     responses,
-    sinr_per_user,
     steering_vector,
     tx_power,
 )
 
-from helpers import quad_form, random_stack
+from helpers import dense_constraint, quad_form, random_stack
+
+
+def sinr_per_user(w, channels, M, N):
+    """Achieved SINR of every user, read from its ``SinrConstraint``."""
+    return [
+        SinrConstraint(ch.index, ch.h, ch.sinr_target, ch.noise_variance, M, N).sinr(w)
+        for ch in channels
+    ]
 
 
 class TestTxPower:
@@ -147,7 +155,7 @@ class TestFeasibilityReport:
         w = random_stack(rng, paper_problem.M, paper_problem.N)
         report = feasibility_report(w, paper_problem)
         for l, c in enumerate(paper_problem.constraints):
-            dense = c.f - quad_form(c.dense_f_matrix(), w)
+            dense = c.f - quad_form(dense_constraint(c)[0], w)
             assert report.slacks[l] == pytest.approx(dense, rel=1e-10, abs=1e-10)
 
 

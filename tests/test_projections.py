@@ -11,18 +11,19 @@ from sparsebeam import (
     SinrConstraint,
     StopbandConstraint,
     project,
-    project_antenna_power,
-    project_generic,
-    project_passband,
-    project_sinr,
-    project_stopband,
     steering_vector,
 )
 from sparsebeam.problem import beam_rows
 from sparsebeam.projections import project_beams, project_powers
 
-from helpers import quad_form, random_stack
-from oracles import penalty_oracle, project_sinr_reference
+from helpers import dense_constraint, quad_form, random_stack
+from oracles import penalty_oracle, project_generic, project_sinr_reference
+
+
+def projected(constraint, vbar):
+    """(v, mu) of ``project``."""
+    res = project(constraint, vbar)
+    return res.v, res.multiplier
 
 
 def steering(N, theta=17.0):
@@ -50,7 +51,7 @@ def random_constraint(kind, rng, M, N):
 
 
 def assert_kkt(constraint, vbar, result, tol=1e-8):
-    F = constraint.dense_f_matrix()
+    F = dense_constraint(constraint)[0]
     v, mu = result.v, result.multiplier
     stationarity = np.linalg.norm((v - vbar) + mu * (F @ v))
     assert stationarity <= tol * (1.0 + np.linalg.norm(vbar))
@@ -85,12 +86,12 @@ class TestAntennaPower:
         assert res.v[1] == vbar[1] and res.v[3] == vbar[3]
 
     def test_zero_group(self):
-        g, mu = project_antenna_power(np.zeros(3, dtype=complex), 0.5)
+        g, mu = projected(AntennaPowerConstraint(0, 0.5, 3, 1), np.zeros(3, dtype=complex))
         assert np.all(g == 0) and mu == 0.0
 
     def test_boundary_group_unchanged(self):
         g = np.array([1.0, 1.0], dtype=complex)
-        out, mu = project_antenna_power(g, 2.0)
+        out, mu = projected(AntennaPowerConstraint(0, 2.0, 2, 1), g)
         assert np.array_equal(out, g) and mu == 0.0
 
     def test_kkt_residual_tiny(self):
@@ -113,7 +114,7 @@ class TestStopband:
         norm_a = np.linalg.norm(a)
         eps = 0.3
         vbar = (2.0 * a / norm_a**2 * norm_a).astype(complex)  # aligned, response 4
-        v, mu = project_stopband(vbar, a, eps, 1, N)
+        v, mu = projected(StopbandConstraint(0.0, a, eps, 1, N), vbar)
         # response after projection is exactly eps
         assert abs(np.vdot(a, v)) ** 2 == pytest.approx(eps, rel=1e-10)
         # coefficient magnitude sqrt(eps)/||a||
@@ -162,7 +163,7 @@ class TestStopband:
             if c.quad(vbar) <= c.f:
                 continue
             res = project(c, vbar)
-            ref = penalty_oracle(c.dense_f_matrix(), c.f, vbar, seed=i)
+            ref = penalty_oracle(dense_constraint(c)[0], c.f, vbar, seed=i)
             own = np.linalg.norm(res.v - vbar) ** 2
             assert own <= np.linalg.norm(ref - vbar) ** 2 + 1e-6
             assert_kkt(c, vbar, res)
@@ -174,7 +175,7 @@ class TestPassband:
         a = np.array([2.0], dtype=complex)
         M, N = 2, 1
         vbar = np.zeros(2, dtype=complex)
-        v, mu = project_passband(vbar, a, 4.0, M, N)
+        v, mu = projected(PassbandConstraint(0.0, a, 4.0, M, N), vbar)
         assert np.allclose(v, [1.0, 0.0])  # a*0.5 = 1.0 in block 0
         assert np.linalg.norm(v - vbar) ** 2 == pytest.approx(1.0)
         assert mu == pytest.approx(0.25)  # 1/||a||^2
@@ -206,7 +207,7 @@ class TestPassband:
             if c.quad(vbar) <= c.f:
                 continue
             res = project(c, vbar)
-            ref = penalty_oracle(c.dense_f_matrix(), c.f, vbar, seed=i)
+            ref = penalty_oracle(dense_constraint(c)[0], c.f, vbar, seed=i)
             own = np.linalg.norm(res.v - vbar) ** 2
             assert own <= np.linalg.norm(ref - vbar) ** 2 + 1e-6
             assert_kkt(c, vbar, res)
@@ -217,7 +218,7 @@ class TestSinr:
         # ||h|| = 1, zbar = 1, gamma*sigma^2 = 4 -> zhat = 2
         h = np.array([1.0], dtype=complex)
         vbar = np.array([1.0], dtype=complex)
-        v, mu = project_sinr(vbar, h, gamma=4.0, noise_variance=1.0, user=0, M=1, N=1)
+        v, mu = projected(SinrConstraint(0, h, 4.0, 1.0, 1, 1), vbar)
         assert np.allclose(v, [2.0])
         assert 0 < mu < 1
 
@@ -246,13 +247,13 @@ class TestSinr:
         vbar[1] = 3.0  # served block 0 orthogonal to h
         vbar[2] = 1.0  # interfering block along h
         gamma, sigma2 = 2.0, 1.0
-        v, mu = project_sinr(vbar, h, gamma, sigma2, 0, M, N)
+        v, mu = projected(SinrConstraint(0, h, gamma, sigma2, M, N), vbar)
         c = SinrConstraint(0, h, gamma, sigma2, M, N)
         assert abs(c.slack(v)) <= 1e-9
         assert mu == pytest.approx(1.0)  # 1/||h||^2
         assert v[1] == vbar[1]  # orthogonal part untouched
         # optimal against the penalty oracle
-        ref = penalty_oracle(c.dense_f_matrix(), c.f, vbar, seed=0)
+        ref = penalty_oracle(dense_constraint(c)[0], c.f, vbar, seed=0)
         assert np.linalg.norm(v - vbar) ** 2 <= np.linalg.norm(ref - vbar) ** 2 + 1e-6
 
     def test_against_penalty_oracle(self):
@@ -264,7 +265,7 @@ class TestSinr:
             if c.quad(vbar) <= c.f:
                 continue
             res = project(c, vbar)
-            ref = penalty_oracle(c.dense_f_matrix(), c.f, vbar, seed=i)
+            ref = penalty_oracle(dense_constraint(c)[0], c.f, vbar, seed=i)
             own = np.linalg.norm(res.v - vbar) ** 2
             assert own <= np.linalg.norm(ref - vbar) ** 2 + 1e-6
             assert_kkt(c, vbar, res)
@@ -296,11 +297,11 @@ class TestSinrKernel:
     @given(sinr_cases())
     def test_matches_reference_and_passes_guard(self, case):
         vbar, h, gamma, sigma2, user, M, N = case
-        v, mu = project_sinr(*case)  # through project: raises if the guard fails
+        c = SinrConstraint(user, h, gamma, sigma2, M, N)
+        v, mu = projected(c, vbar)  # raises if the guard fails
         v_ref, mu_ref = project_sinr_reference(*case)
         assert v.tobytes() == v_ref.tobytes() and mu == mu_ref
-        c = SinrConstraint(user, h, gamma, sigma2, M, N)
-        residual = np.linalg.norm((v - vbar) + mu * (c.dense_f_matrix() @ v))
+        residual = np.linalg.norm((v - vbar) + mu * (dense_constraint(c)[0] @ v))
         assert residual <= 1e-6 * (1.0 + np.linalg.norm(vbar))
 
     def test_tiny_served_coefficient_reaches_the_pole(self):
@@ -445,7 +446,7 @@ class TestGeneric:
                 continue
             found += 1
             res = project(c, vbar)
-            v_gen, mu_gen = project_generic(c.dense_f_matrix(), c.f, vbar)
+            v_gen, mu_gen = project_generic(dense_constraint(c)[0], c.f, vbar)
             assert np.max(np.abs(res.v - v_gen)) <= 1e-8 * (1 + np.linalg.norm(vbar))
             assert res.multiplier == pytest.approx(mu_gen, rel=1e-6, abs=1e-10)
 
@@ -482,7 +483,7 @@ class TestPenaltyOracle:
             if c.quad(vbar) <= c.f:
                 continue
             ref = project(c, vbar).v
-            out = penalty_oracle(c.dense_f_matrix(), c.f, vbar, seed=i)
+            out = penalty_oracle(dense_constraint(c)[0], c.f, vbar, seed=i)
             gap = abs(
                 np.linalg.norm(out - vbar) ** 2 - np.linalg.norm(ref - vbar) ** 2
             )
