@@ -165,7 +165,7 @@ def update_v(problem, w, u, eta, rho):
     return V.reshape(L, M * N)
 
 
-def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8):
+def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, *, on_stall=None):
     """Feasibility restoration by cyclic nearest-point projections.
 
     Sweeps the constraints in their fixed order, each row's one-point kernel
@@ -174,13 +174,16 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8):
     ``_STALL_WINDOW`` consecutive sweeps fail to improve the best worst
     violation by at least 0.1%.  A satisfied row leaves the point as it is; a
     moved row that fails the KKT guard raises a ``ProjectionError`` naming
-    it.  Returns (w, max_violation, converged).
+    it.  ``on_stall(w, max_violation, sweep)``, the feasibility search's
+    hook, is called once, at the first sweep that fails to improve; it may
+    raise to end the sweeps, and if it returns they go on unchanged.
+    Returns (w, max_violation, converged).
     """
     W = np.array(w, dtype=complex).reshape(problem.M, problem.N)
     plan = [(c, row_kernel(c)) for c in problem.constraints]
     best = np.inf
     stalled = 0
-    for _ in range(max_sweeps):
+    for sweep in range(1, max_sweeps + 1):
         for constraint, kernel in plan:
             moved = kernel(W, constraint)
             if moved is not None:
@@ -193,6 +196,9 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8):
             best = current
             stalled = 0
         else:
+            if on_stall is not None:
+                on_stall(W.reshape(-1), current, sweep)
+                on_stall = None
             stalled += 1
             if stalled >= _STALL_WINDOW:
                 break
@@ -290,32 +296,43 @@ def find_feasible_point(problem, tol=_START_TOL):
     projections until the worst violation is at most ``tol``.  Stage 3 has
     two roles: at the default 1e-8 it gives ADMM its consensus start, and at
     ``refit``'s looser hand-off tolerance it tells near-feasible subarrays
-    from ones that stall.  When stage 3 stalls, ``certify_infeasible`` looks
-    for a Lagrangian proof that no feasible point exists; if it finds one the
-    search stops with a certified ``InfeasibleProblemError``.  It never
-    finds one on a feasible problem, so feasible results do not depend on
-    it.  Otherwise stage 4 runs ``minimum_power`` from the stalled point, an
-    SQP solve that needs no feasible start; should its polish stall too, the
-    search gives up with an uncertified error.  Either error carries the
-    worst violations of the better point reached.  No stage draws random
-    numbers, and ``tol`` only decides when stage 3 stops: the sweeps, the
-    stall and the stages after it do not depend on it.
+    from ones that stall.  At stage 3's first sweep without progress (or at
+    its end, if it runs out of sweeps without one), ``certify_infeasible``
+    looks for a Lagrangian proof that no feasible point exists by
+    warm-started linear programs; if it finds one the search stops with a
+    certified ``InfeasibleProblemError`` carrying that sweep's worst
+    violations.  It never finds one on a feasible problem, and finding none
+    leaves the sweeps as they were, so feasible results do not depend on it.
+    Otherwise stage 4 runs ``minimum_power`` from the stalled point, an SQP
+    solve that needs no feasible start; should its polish stall too, the
+    search gives up with an uncertified error carrying the worst violations
+    of the better point reached.  No stage draws random numbers, and ``tol``
+    only decides when stage 3 stops: the sweeps, the stall and the stages
+    after it do not depend on it.
     """
     if problem.L == 0:
         return np.zeros(problem.size, dtype=complex)
+    asked = []
+
+    def certify(w, violation, sweep):
+        asked.append(sweep)
+        certificate = certify_infeasible(problem)
+        if certificate is not None:
+            where = f"sweep {sweep}, the first without progress" if sweep else "last sweep"
+            raise InfeasibleProblemError(
+                f"certified infeasible ({certificate.describe()}; "
+                f"max violation {violation:.3e} at stage 3's {where})",
+                problem.worst_violations(w),
+                certificate,
+            )
+
     w = _zero_forcing_start(problem)
     w = _mainlobe_boost(problem, w)
-    w, violation, ok = cyclic_projection(problem, w, tol=tol)
+    w, violation, ok = cyclic_projection(problem, w, tol=tol, on_stall=certify)
     if ok:
         return w
-    certificate = certify_infeasible(problem)
-    if certificate is not None:
-        raise InfeasibleProblemError(
-            f"certified infeasible ({certificate.describe()}; "
-            f"max violation {violation:.3e} at the stalled point)",
-            problem.worst_violations(w),
-            certificate,
-        )
+    if not asked:
+        certify(w, violation, None)
     stalled = (w, violation)
     w, violation, ok = minimum_power(problem, w)
     if ok:

@@ -16,13 +16,17 @@ t <= y^H S_m y for every cut (m, y) gathered so far; each round adds the
 eigenvectors of each S_m whose eigenvalues fall below t as new cuts.  The
 cuts only relax lambda_min(S), so the LP value bounds min(lambda_min(S), -s)
 from above: once it is negative no certificate exists and the search ends.
-Nothing is random: the same problem always gives the same answer.
+One HiGHS model serves the whole search: each round appends its cuts as rows
+and re-solves from the previous optimal basis (a warm start), so a round costs
+a few dual simplex pivots rather than a fresh LP.  The feasibility search asks
+for a certificate at the first sweep of its cyclic projections that makes no
+progress.  Nothing is random: the same problem always gives the same answer.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus, ObjSense, _Highs
 
 # Kelley rounds before giving up on an undecided relaxation
 _MAX_ROUNDS = 200
@@ -117,25 +121,26 @@ def certify_infeasible(problem):
 
     # variables (lambda_1..lambda_L, t) with lambda on the unit simplex;
     # maximize t <= y^H S_m y over the cuts (m, y) and t <= -s
-    cost = np.zeros(L + 1)
-    cost[-1] = -1.0
-    a_eq = np.append(np.ones(L), 0.0)[np.newaxis, :]
-    bounds = [(0.0, None)] * L + [(None, None)]
+    lp = _Highs()
+    lp.setOptionValue("output_flag", False)
+    lp.addVars(L + 1, np.append(np.zeros(L), -np.inf), np.full(L + 1, np.inf))
+    lp.changeColCost(L, 1.0)
+    lp.changeObjectiveSense(ObjSense.kMaximize)
+    _add_rows(lp, np.append(np.ones(L), 0.0)[np.newaxis, :], 1.0, 1.0)
+    _add_rows(lp, np.append(fs, 1.0)[np.newaxis, :], -np.inf, 0.0)
     # start from the coordinate directions of every block
     block = np.repeat(np.arange(M), N)
     cuts = np.tile(np.eye(N, dtype=complex), (M, 1))
-    rows = [np.append(fs, 1.0)]
     for _ in range(_MAX_ROUNDS):
         values = Cs.T[block] * np.abs(cuts.conj() @ G.T) ** 2  # y^H (C g g^H) y
-        rows.extend(np.hstack([-values, np.ones((values.shape[0], 1))]))
-        a_ub = np.array(rows)
-        lp = linprog(
-            cost, A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq, b_eq=[1.0],
-            bounds=bounds, method="highs",
-        )
-        if lp.status != 0:
+        _add_rows(lp, np.hstack([-values, np.ones((values.shape[0], 1))]), -np.inf, 0.0)
+        lp.run()
+        if lp.getModelStatus() != HighsModelStatus.kOptimal:
             return None
-        lam, t = lp.x[:L], lp.x[L]
+        x = np.array(lp.getSolution().col_value)
+        # a basic multiplier may sit a rounding error below 0, which would
+        # void the proof; the certificate is formed from the clipped one
+        lam, t = np.maximum(x[:L], 0.0), x[L]
         S = np.einsum("lm,li,lj->mij", lam[:, None] * Cs, G, G.conj())
         eigvals, eigvecs = np.linalg.eigh(S)
         combined = float(lam @ fs)
@@ -158,3 +163,13 @@ def certify_infeasible(problem):
         if t < 0.0 or not block.size:
             return None
     return None
+
+
+def _add_rows(lp, A, lower, upper):
+    """Append the rows of dense A, bounded by lower <= A x <= upper, to ``lp``."""
+    row, col = np.nonzero(A)
+    starts = np.searchsorted(row, np.arange(len(A))).astype(np.int32)
+    lp.addRows(
+        len(A), np.full(len(A), lower), np.full(len(A), upper),
+        len(row), starts, col.astype(np.int32), A[row, col],
+    )

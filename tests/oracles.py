@@ -17,6 +17,9 @@ that the feasibility search used before ``minimum_power`` replaced it.
 same SQP run, started from the feasibility search run to 1e-8; the refit
 must reach the same verdicts and powers.  ``baseline_loop`` is the random
 baseline that refits every trial, which the memoized one must reproduce.
+``certify_infeasible_cold`` is the Kelley loop that solved every round's
+linear program from scratch with ``linprog``; the warm-started
+``certify_infeasible`` must reach the same verdicts.
 """
 
 import math
@@ -24,7 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from sparsebeam.admm import (
     _STALL_WINDOW,
@@ -33,6 +36,7 @@ from sparsebeam.admm import (
     restore_feasibility,
     solve,
 )
+from sparsebeam.certificate import _MAX_ROUNDS, Certificate, _norm_bound
 from sparsebeam.errors import InfeasibleProblemError, ProjectionError
 from sparsebeam.metrics import msrr, tx_power
 from sparsebeam.problem import (
@@ -485,3 +489,63 @@ def baseline_loop(problem, K, trials, seed, refit, config):
         tx_powers=tuple(tx_powers),
         msrrs=tuple(msrrs),
     )
+
+
+def certify_infeasible_cold(problem):
+    """``certify_infeasible`` with one cold ``linprog`` call per Kelley round,
+    each rebuilding the dense constraint matrix of every cut so far."""
+    f = np.array([c.f for c in problem.constraints], dtype=float)
+    if not np.any(f < 0.0):
+        return None
+    L, M, N = problem.L, problem.M, problem.N
+    beams, powers, sinrs = problem.families
+    G = np.zeros((L, N), dtype=complex)
+    C = np.ones((L, M))
+    G[beams.rows] = beams.steering[:, 0]
+    C[beams.rows] = beams.sign[:, 0]
+    G[powers.rows, powers.antenna] = 1.0
+    G[sinrs.rows] = np.conj(sinrs.probe[..., 0])
+    C[sinrs.rows] = sinrs.weights
+    scale = np.abs(C).max(axis=1) * (np.abs(G) ** 2).sum(axis=1)
+    scale[scale == 0.0] = 1.0
+    Cs, fs = C / scale[:, None], f / scale
+    R = _norm_bound(powers, N)
+    cost = np.zeros(L + 1)
+    cost[-1] = -1.0
+    a_eq = np.append(np.ones(L), 0.0)[np.newaxis, :]
+    bounds = [(0.0, None)] * L + [(None, None)]
+    block = np.repeat(np.arange(M), N)
+    cuts = np.tile(np.eye(N, dtype=complex), (M, 1))
+    rows = [np.append(fs, 1.0)]
+    for _ in range(_MAX_ROUNDS):
+        values = Cs.T[block] * np.abs(cuts.conj() @ G.T) ** 2
+        rows.extend(np.hstack([-values, np.ones((values.shape[0], 1))]))
+        a_ub = np.array(rows)
+        lp = linprog(
+            cost, A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq, b_eq=[1.0],
+            bounds=bounds, method="highs",
+        )
+        if lp.status != 0:
+            return None
+        lam, t = lp.x[:L], lp.x[L]
+        S = np.einsum("lm,li,lj->mij", lam[:, None] * Cs, G, G.conj())
+        eigvals, eigvecs = np.linalg.eigh(S)
+        combined = float(lam @ fs)
+        if combined < 0.0:
+            k = -1.0 / combined
+            eps = np.finfo(float).eps
+            certificate = Certificate(
+                multipliers=k * lam / scale,
+                combined_f=k * combined,
+                combined_rounding=k * L * eps * float(lam @ np.abs(fs)),
+                min_eigenvalue=k * float(eigvals.min()),
+                rounding=k * M * N * L * eps * float(lam.sum()),
+                norm_bound=R,
+            )
+            if certificate.excludes_every_point:
+                return certificate
+        block, column = np.nonzero(eigvals < t)
+        cuts = eigvecs[block, :, column]
+        if t < 0.0 or not block.size:
+            return None
+    return None

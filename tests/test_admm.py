@@ -37,7 +37,7 @@ from sparsebeam.certificate import certify_infeasible
 from sparsebeam.selection import _handoff_tol
 
 from helpers import certificate_holds, dense_constraint, random_stack
-from oracles import cyclic_projection_loop, update_v_loop
+from oracles import certify_infeasible_cold, cyclic_projection_loop, update_v_loop
 
 
 def toy_problem(constraints, M, N, eta=0.0):
@@ -522,6 +522,78 @@ class TestFeasiblePoint:
         assert certificates == [None]
         assert len(sqp_runs) == 1
 
+    def test_certificate_asked_at_the_first_stalled_sweep(self, paper_problem, monkeypatch):
+        # an infeasible K=4 subarray: the certificate is asked a few sweeps in,
+        # not after _STALL_WINDOW sweeps without progress, and the error
+        # carries the worst violations of the point at that sweep
+        problem = paper_problem.restrict((0, 2, 3, 4))
+        sweeps, asked_after = [], []
+        max_violation, certify = ProblemInstance.max_violation, admm_module.certify_infeasible
+
+        def counted_max_violation(self, w):
+            sweeps.append(None)  # one call per sweep
+            return max_violation(self, w)
+
+        def counted_certify(problem):
+            asked_after.append(len(sweeps))
+            return certify(problem)
+
+        monkeypatch.setattr(ProblemInstance, "max_violation", counted_max_violation)
+        monkeypatch.setattr(admm_module, "certify_infeasible", counted_certify)
+        with pytest.raises(InfeasibleProblemError) as err:
+            find_feasible_point(problem)
+        monkeypatch.undo()
+        [n] = asked_after
+        assert 1 <= n < admm_module._STALL_WINDOW
+        assert err.value.certificate is not None
+        assert f"at stage 3's sweep {n}, the first without progress" in str(err.value)
+        start = admm_module._mainlobe_boost(problem, admm_module._zero_forcing_start(problem))
+        w, _, _ = admm_module.cyclic_projection(problem, start, max_sweeps=n)
+        assert err.value.worst_violations == problem.worst_violations(w)
+
+    def test_fruitless_certificate_leaves_the_search_unchanged(self, paper_problem, monkeypatch):
+        # a feasible K=7 subarray whose fifth sweep makes no progress and whose
+        # thirteenth converges: the one certificate, asked at sweep 5, finds
+        # nothing, and the search returns the bytes it returns without it
+        problem = paper_problem.restrict((0, 1, 3, 4, 6, 7, 9))
+        certificates = count_calls(monkeypatch, "certify_infeasible")
+        w = find_feasible_point(problem)
+        assert certificates == [None]
+        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem: None)
+        assert find_feasible_point(problem).tobytes() == w.tobytes()
+
+    def test_fruitless_certificate_is_asked_once(self, paper_problem, monkeypatch):
+        # with no certificate to be found, stage 3 on an infeasible K=4
+        # subarray sweeps on to its stall and hands that point to stage 4
+        problem = paper_problem.restrict((0, 2, 3, 4))
+        asked, sqp_starts = [], []
+        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem: asked.append(1))
+        minimum_power = admm_module.minimum_power
+        monkeypatch.setattr(admm_module, "minimum_power",
+                            lambda problem, w: sqp_starts.append(w) or minimum_power(problem, w))
+        with pytest.raises(InfeasibleProblemError) as err:
+            find_feasible_point(problem)
+        assert err.value.certificate is None
+        assert len(asked) == 1 and len(sqp_starts) == 1
+        start = admm_module._mainlobe_boost(problem, admm_module._zero_forcing_start(problem))
+        w, _, ok = admm_module.cyclic_projection(problem, start)
+        assert not ok and sqp_starts[0].tobytes() == w.tobytes()
+
+    def test_certificate_asked_once_when_stage_3_runs_out_of_sweeps(self, monkeypatch):
+        # a stage 3 that ends unconverged with no sweep short of progress
+        # (one sweep always improves on none) asks once, at its end
+        sweeps = admm_module.cyclic_projection
+
+        def one_sweep(problem, w, tol, on_stall):
+            return sweeps(problem, w, max_sweeps=1, tol=tol, on_stall=on_stall)
+
+        monkeypatch.setattr(admm_module, "cyclic_projection", one_sweep)
+        certificates = count_calls(monkeypatch, "certify_infeasible")
+        with pytest.raises(InfeasibleProblemError) as err:
+            find_feasible_point(contradictory_problem())
+        assert len(certificates) == 1 and certificates[0] is not None
+        assert "at stage 3's last sweep" in str(err.value)
+
     def test_stalled_search_finishes_from_the_sqp_run(self):
         # a known-feasible draw on which the projections stall; an L-BFGS
         # violation descent from the stalled point gave up at max violation 0.239
@@ -637,10 +709,11 @@ class TestCertificate:
         assert certificate is not None and certificate.norm_bound is None
         assert certificate_holds(problem, certificate.multipliers)
 
-    @pytest.mark.parametrize("support", [(4,), (0, 2, 3, 4)])
+    @pytest.mark.parametrize("support", [(4,), (0, 2, 3, 4), (0, 1, 4, 6)])
     def test_paper_subarrays(self, paper_problem, support):
         # K=1 cannot serve M=2 users at gamma=10; no K=4 subarray meets the
-        # sidelobe ceiling next to both user beams
+        # sidelobe ceiling next to both user beams.  On (0, 1, 4, 6) the
+        # simplex leaves a basic multiplier at -2e-15, which must not pass
         reduced = paper_problem.restrict(support)
         certificate = certify_infeasible(reduced)
         assert certificate is not None
@@ -658,6 +731,7 @@ class TestCertificate:
         problem, w0 = case
         assert problem.max_violation(w0) <= 1e-9 * (1 + np.vdot(w0, w0).real)
         assert certify_infeasible(problem) is None
+        assert certify_infeasible_cold(problem) is None
 
     def test_random_problems_of_every_kind(self):
         # the per-user blocks against the dense check, with every kind and
@@ -674,6 +748,22 @@ class TestCertificate:
             kinds |= {problem.constraints[l].kind for l in np.flatnonzero(lam > 0.0)}
         assert certified >= 20
         assert kinds == {"passband", "stopband", "antenna_power", "sinr"}
+
+    @pytest.mark.parametrize("K", [4, 5, 6, 7])
+    def test_same_verdicts_as_the_cold_lp(self, paper_problem, K):
+        # every 5th K-subarray: the warm-started LP against one cold linprog
+        # call per round
+        for support in list(itertools.combinations(range(paper_problem.N), K))[::5]:
+            reduced = paper_problem.restrict(support)
+            certificate = certify_infeasible(reduced)
+            assert (certificate is None) == (certify_infeasible_cold(reduced) is None), support
+            if certificate is not None:
+                assert certificate_holds(reduced, certificate.multipliers), support
+
+    def test_contradictory_thresholds_as_the_cold_lp(self):
+        problem = contradictory_problem()
+        assert certify_infeasible_cold(problem) is not None
+        assert certificate_holds(problem, certify_infeasible(problem).multipliers)
 
     def test_rounding_level_sum_is_no_proof(self):
         # a feasible draw with no antenna-power limit on which the cutting
