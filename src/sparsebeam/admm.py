@@ -5,7 +5,8 @@ w = rho/(2 + rho*L) * sum_l (v_l + u_l); each auxiliary copy then shrinks
 w - u_l groupwise and projects onto its own constraint set, and the scaled
 duals absorb the disagreement.  The v-update works per constraint kind: one
 shrinkage call for all L copies, one closed-form kernel call for every beam
-copy and one for every antenna-power copy, then a one-row kernel per SINR copy.
+copy and one for every antenna-power copy, then a one-point kernel per SINR
+copy, and one KKT guard over all of them.
 No copy depends on another and nothing is random, so runs repeat bit for bit.
 """
 
@@ -18,8 +19,8 @@ from scipy.optimize import minimize
 from .certificate import certify_infeasible
 from .errors import ConfigurationError, InfeasibleProblemError, ProjectionError
 from .problem import beam_slacks, objective, sq_norms
-from .projections import KKT_GUARD, check_stationarity, project, project_beams
-from .projections import project_powers, row_kernel, stationarity_error
+from .projections import KKT_GUARD, _sinr_row, check_stationarity, project_beams
+from .projections import project_powers, stationarity_error
 from .shrinkage import group_shrink
 
 _STALL_WINDOW = 25  # sweeps without progress before cyclic_projection gives up
@@ -126,12 +127,12 @@ def update_v(problem, w, u, eta, rho):
     C = w - u is shrunk as one (L, M*N) batch.  The beam rows of
     ``problem.families`` go through one ``project_beams`` call, the
     antenna-power rows through one ``project_powers`` call, and the SINR rows
-    through ``project``, their one-row kernel, in constraint order.  Rows
-    already feasible pass through unchanged, so the result equals the
-    per-constraint loop bit for bit.  Every kernel row must pass the KKT
-    stationarity guard ||(v - vbar) + mu*F v|| <= 1e-6*(1 + ||vbar||); the
-    first failing row in constraint order raises a ``ProjectionError`` naming
-    it.
+    through their one-point kernel on the row data of ``problem.sweep_plan``,
+    in constraint order.  Rows already feasible pass through unchanged, so
+    the result equals the per-constraint loop bit for bit.  One KKT
+    stationarity guard ||(v - vbar) + mu*F v|| <= 1e-6*(1 + ||vbar||) covers
+    every row: the first failing row in constraint order, or a SINR kernel
+    that fails before it, raises a ``ProjectionError`` naming it.
     """
     L, M, N = problem.L, problem.M, problem.N
     if L == 0:
@@ -149,15 +150,19 @@ def update_v(problem, w, u, eta, rho):
     V[powers.rows, :, powers.antenna], mu[powers.rows], residual[powers.rows] = (
         project_powers(G, powers.limit)
     )
+    error = None
+    for l in sinrs.rows.tolist():
+        try:
+            moved = _sinr_row(V[l], problem.sweep_plan[l][1])
+        except ProjectionError as err:
+            error = (l, err)
+            break
+        if moved is not None:
+            V[l], mu[l], residual[l] = moved
     failed = np.flatnonzero(~np.isfinite(residual) | (residual > bound))
     first = failed[0] if failed.size else L
-    for l in sinrs.rows.tolist():
-        if l > first:
-            break
-        try:
-            V[l] = project(problem.constraints[l], C[l]).v.reshape(M, N)
-        except ProjectionError as err:
-            raise _row_error(problem, l, err) from err
+    if error is not None and error[0] < first:
+        raise _row_error(problem, *error) from error[1]
     if failed.size:
         c = problem.constraints[first]
         err = stationarity_error(c, mu[first], residual[first], bound[first])
@@ -168,24 +173,26 @@ def update_v(problem, w, u, eta, rho):
 def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, *, on_stall=None):
     """Feasibility restoration by cyclic nearest-point projections.
 
-    Sweeps the constraints in their fixed order, each row's one-point kernel
-    (``row_kernel``) starting where the previous one left the point,
-    until the worst violation falls below ``tol``; gives up early when
-    ``_STALL_WINDOW`` consecutive sweeps fail to improve the best worst
+    Sweeps the constraints in their fixed order (Bauschke & Borwein, SIAM
+    Review 1996), each row's one-point kernel from ``problem.sweep_plan``,
+    built once per problem instance, starting where the previous one left
+    the point, until the worst violation falls below ``tol``; gives up early
+    when ``_STALL_WINDOW`` consecutive sweeps fail to improve the best worst
     violation by at least 0.1%.  A satisfied row leaves the point as it is; a
     moved row that fails the KKT guard raises a ``ProjectionError`` naming
     it.  ``on_stall(w, max_violation, sweep)``, the feasibility search's
     hook, is called once, at the first sweep that fails to improve; it may
     raise to end the sweeps, and if it returns they go on unchanged.
-    Returns (w, max_violation, converged).
+    Returns (w, max_violation, converged), the violation being the last sweep's.
     """
     W = np.array(w, dtype=complex).reshape(problem.M, problem.N)
-    plan = [(c, row_kernel(c)) for c in problem.constraints]
+    plan = problem.sweep_plan
+    current = problem.max_violation(W.reshape(-1)) if max_sweeps < 1 else None
     best = np.inf
     stalled = 0
     for sweep in range(1, max_sweeps + 1):
-        for constraint, kernel in plan:
-            moved = kernel(W, constraint)
+        for kernel, row, constraint in plan:
+            moved = kernel(W, row)
             if moved is not None:
                 check_stationarity(constraint, W, moved[1], moved[2])
                 W = moved[0]
@@ -202,7 +209,7 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, *, on_stall=None):
             stalled += 1
             if stalled >= _STALL_WINDOW:
                 break
-    return W.reshape(-1), problem.max_violation(W.reshape(-1)), False
+    return W.reshape(-1), current, False
 
 
 def _zero_forcing_start(problem):

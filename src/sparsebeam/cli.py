@@ -44,9 +44,11 @@ def _fmt(value):
     return str(value)
 
 
-def _write_csv(path, header, rows, scenario, **meta):
-    """CSV led by '#'-comment lines: the scenario hash, the seed, then ``meta``."""
-    meta = {"scenario_sha256": scenario_sha256(scenario), "seed": scenario.seed, **meta}
+def _write_csv(path, header, rows, scenario, digest=None, **meta):
+    """CSV led by '#'-comment lines: the scenario hash (``digest`` if the
+    caller has it), the seed, then ``meta``."""
+    meta = {"scenario_sha256": digest or scenario_sha256(scenario), "seed": scenario.seed,
+            **meta}
     lines = [f"# {key}={value}" for key, value in meta.items()]
     lines.append(",".join(header))
     for row in rows:
@@ -68,9 +70,9 @@ def _git_commit():
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def _provenance(scenario):
+def _provenance(scenario, digest):
     return {
-        "scenario_sha256": scenario_sha256(scenario),
+        "scenario_sha256": digest,
         "seed": scenario.seed,
         "package_version": __version__,
         "git_commit": _git_commit(),
@@ -103,8 +105,9 @@ def cmd_solve(scenario, out_dir):
     stack = refit(problem, support, scenario.admm)
     report = design_report(stack.w, problem, support=support)
     last = state.history[-1] if state.history else IterationRecord(0, None, None, None)
+    digest = scenario_sha256(scenario)  # one hash for the report and both CSVs
     payload = {
-        "provenance": _provenance(scenario),
+        "provenance": _provenance(scenario, digest),
         "scenario": scenario_to_dict(scenario),
         "support": list(support),
         "metrics": {
@@ -137,6 +140,7 @@ def cmd_solve(scenario, out_dir):
         ["angle_deg", "response"],
         list(zip(report.pattern_angles_deg, report.pattern_response)),
         scenario,
+        digest,
     )
     _write_csv(
         out / "history.csv",
@@ -146,6 +150,7 @@ def cmd_solve(scenario, out_dir):
             for r in state.history
         ],
         scenario,
+        digest,
     )
     print(
         f"solve: K={scenario.num_selected} support={list(support)} "

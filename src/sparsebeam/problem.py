@@ -14,9 +14,10 @@ The family has four kinds: beam floors and ceilings, antenna powers and SINR
 floors.  ``ProblemInstance.families`` holds them as per-kind arrays, routed
 by ``isinstance`` (a subclass joins its kind; any other class is a
 ``ConfigurationError``), for the slacks, the F_l w products, the ADMM
-v-update and the infeasibility certificate.  Slacks and the v-update run the
-BLAS product of the constraint's own method once per row, so their batched
-values equal the per-constraint ones bit for bit.
+v-update, the infeasibility certificate and, one row each, the projection
+sweep's ``sweep_plan``.  Slacks and the v-update run the BLAS product of the
+constraint's own method once per row, so their batched values equal the
+per-constraint ones bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -73,8 +74,9 @@ class BeamRows(NamedTuple):
 
 
 def beam_rows(rows, steering, sign, threshold, N):
-    """``BeamRows`` from the raw steering vectors, signs and thresholds."""
-    a = np.asarray(steering, dtype=complex).reshape(len(rows), 1, N)
+    """``BeamRows`` from the raw steering vectors, signs and thresholds, copied
+    to C order: a strided view would round ||a||^2 differently."""
+    a = np.asarray(steering, dtype=complex, order="C").reshape(len(rows), 1, N)
     norm2 = np.array([np.vdot(x, x).real for x in a]).reshape(-1, 1, 1)
     unit = a / np.sqrt(norm2)
     return BeamRows(
@@ -97,6 +99,10 @@ class PowerRows(NamedTuple):
     antenna: np.ndarray
     limit: np.ndarray
 
+    def row(self, i):
+        """Row i with Python scalars."""
+        return PowerRows(*(field[i].item() for field in self))
+
 
 class SinrRows(NamedTuple):
     """SINR constraints as arrays: rows l (s,); conj(h) as (s, N, 1) columns;
@@ -109,6 +115,16 @@ class SinrRows(NamedTuple):
     weights: np.ndarray
     gamma: np.ndarray
     f: np.ndarray
+
+    def row(self, i):
+        """Row i as one SINR kernel reads it: conj(h), h/||h|| and its conjugate
+        as (N,) vectors, ||h||^2, the served user, gamma, the target -f =
+        gamma*sigma^2, F's block weights (M,) and h."""
+        h = np.conj(self.probe[i, :, 0])
+        norm2 = float(np.vdot(h, h).real)
+        unit = h / np.sqrt(norm2)
+        return (np.conj(h), unit, np.conj(unit), norm2, self.served[1][i].item(),
+                self.gamma[i].item(), -self.f[i].item(), self.weights[i], h)
 
 
 class ConstraintFamilies(NamedTuple):
@@ -177,6 +193,11 @@ class QuadraticConstraint:
     def violation(self, w):
         return max(0.0, -self.slack(w))
 
+    @cached_property
+    def rows(self):
+        """The data its one-point kernel reads: its row of a one-constraint problem."""
+        return ProblemInstance((self,), 0.0, self.M, self.N).families[family_of(self)].row(0)
+
     def describe(self):
         return self.kind
 
@@ -220,11 +241,6 @@ class BeamConstraint(QuadraticConstraint):
         # negated, not multiplied by sign: a complex product by -1.0 would
         # differ from the negation on signed zeros
         return out if self.sign > 0 else -out
-
-    @cached_property
-    def rows(self):
-        """This constraint as one ``BeamRows`` row, without the leading axis."""
-        return beam_rows([0], self.steering, [self.sign], [self.threshold], self.N).row(0)
 
     def restrict(self, support):
         return replace(self, steering=self.steering[list(support)], N=len(support))
@@ -360,13 +376,6 @@ class SinrConstraint(QuadraticConstraint):
         scale[self.user] = -1.0
         return scale
 
-    @cached_property
-    def row(self):
-        """The one-row kernel's data: conj(h), h/||h||, conj(h/||h||), ||h||^2."""
-        norm2 = float(np.vdot(self.h, self.h).real)
-        unit = self.h / np.sqrt(norm2)
-        return np.conj(self.h), unit, np.conj(unit), norm2
-
     def f_action(self, w):
         return np.outer(self.weights * self._coef(w), self.h).reshape(-1)
 
@@ -443,6 +452,14 @@ class ProblemInstance:
                 np.array([cs[l].f for l in sinrs], dtype=float),
             ),
         )
+
+    @cached_property
+    def sweep_plan(self):
+        """(kernel, row data from ``families``, constraint) of every row in
+        order, for the projection sweep and the v-update's SINR rows."""
+        from .projections import sweep_plan  # projections imports this module
+
+        return sweep_plan(self)
 
     def slacks(self, w):
         """f_l - w^H F_l w per constraint, bit for bit the ``slack`` values."""

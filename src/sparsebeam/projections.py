@@ -6,15 +6,15 @@ interval where I + mu*F stays positive semidefinite.  For each of the four
 kinds F is diagonal or (block) rank-one, so only the coefficients along one
 generator direction move.  The antenna-power and beam equations are solved in
 closed form by batched kernels (``project_beams``, ``project_powers``), which
-the ADMM v-update calls once for all its copies and which also take one point
-without the batch axis, its scalar row data as floats.  ``row_kernel`` gives
-a constraint's one-point kernel for ``project`` and the projection sweep: a
-pass-through test, then the closed form on data the constraint precomputed;
-the SINR equation is solved by a safeguarded Newton iteration on floats.
-Where F is negative semidefinite (mainlobe floors) or indefinite (SINR
-floors) the set is nonconvex: a saturated multiplier with an injected
-critical-direction component handles the degenerate inputs, as in the
-trust-region "hard case".  A class outside the four kinds has no kernel.
+the ADMM v-update calls once for all its copies.  Each kind also has a
+one-point kernel: a pass-through test, then the closed form on floats and
+row vectors, or the SINR secular equation by a safeguarded Newton loop on
+floats.  ``sweep_plan`` slices their row data once per problem from
+``families``; ``project`` uses a constraint's own (``rows``).  Where F is
+negative semidefinite (mainlobe floors) or indefinite (SINR floors) the set
+is nonconvex: a saturated multiplier with an injected critical-direction
+component handles the degenerate inputs, as in the trust-region "hard
+case".  A class outside the four kinds has no kernel.
 """
 
 import math
@@ -47,48 +47,6 @@ class ProjectionResult:
     kkt_residual: float
 
 
-def _secular_root(fun, dfun, lo, hi, scale=1.0, context="", args=()):
-    """Root of strictly monotone ``fun(x, *args)`` on [lo, hi].
-
-    ``fun(lo)`` and ``fun(hi)`` must have opposite signs (zero counts as
-    either).  Newton steps are taken whenever they land inside the current
-    bracket, otherwise the bracket is bisected; the bracket never widens.
-    """
-    tol = SECULAR_TOL * max(1.0, abs(scale))
-    flo = fun(lo, *args)
-    if abs(flo) <= tol:
-        return lo
-    fhi = fun(hi, *args)
-    if abs(fhi) <= tol:
-        return hi
-    if flo * fhi > 0:
-        raise ProjectionError(
-            f"secular bracket [{lo:g}, {hi:g}] does not change sign{context}",
-            {"f_lo": flo, "f_hi": fhi},
-        )
-    rising = flo < 0
-    mu = 0.5 * (lo + hi)
-    for _ in range(SECULAR_MAX_ITER):
-        fm = fun(mu, *args)
-        if abs(fm) <= tol:
-            return mu
-        if (fm < 0) == rising:
-            lo = mu
-        else:
-            hi = mu
-        if hi - lo <= 4.0 * EPS * max(1.0, abs(hi)):
-            return 0.5 * (lo + hi)
-        d = dfun(mu, *args)
-        step = mu - fm / d if d != 0.0 else None
-        mu = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
-    if hi - lo <= 1e-9 * max(1.0, abs(hi)):
-        return 0.5 * (lo + hi)
-    raise ProjectionError(
-        f"secular root did not converge in {SECULAR_MAX_ITER} iterations{context}",
-        {"bracket": (lo, hi), "residual": fun(0.5 * (lo + hi), *args)},
-    )
-
-
 def project_powers(G, limit):
     """Radial projection of k antenna groups G (k, M) onto their power balls.
 
@@ -106,21 +64,15 @@ def project_powers(G, limit):
     return P, mu[..., 0], np.sqrt(sq_norms(D[..., np.newaxis]))[..., 0, 0]
 
 
-def _power_row(W, c):
-    """``project_powers`` on antenna n of W (M, N), unless it is within limit."""
-    G = W[:, c.antenna]
-    if np.vdot(G, G).real <= c.limit:
+def _power_row(W, r):
+    """``project_powers`` on antenna r.antenna of W (M, N), a ``PowerRows``
+    row, unless it is within r.limit."""
+    G = W[:, r.antenna]
+    if np.vdot(G, G).real <= r.limit:
         return None
     V = W.copy()
-    V[:, c.antenna], mu, residual = project_powers(G, c.limit)
+    V[:, r.antenna], mu, residual = project_powers(G, r.limit)
     return V, float(mu), float(residual)
-
-
-def _sq_norm(X):
-    """||X||^2 over the last two axes: a float for one point (m, n), (k, 1, 1)
-    for a stack (k, m, n); both run the BLAS dot of ``sq_norms``."""
-    *k, m, n = X.shape
-    return float(np.vdot(X, X).real) if not k else sq_norms(X.reshape(*k, m * n, 1))
 
 
 def project_beams(W, beams):
@@ -128,10 +80,10 @@ def project_beams(W, beams):
 
     Row i of W (k, M, N) is projected onto row i of ``beams`` (a
     ``BeamRows``); one point W (M, N) goes with one ``BeamRows.row``, whose
-    scalars are floats: the same formula lines, only the masking of rows that
-    do not move or are degenerate differs.  The steering-aligned coefficient
-    of every block scales by 1/(1 + sign*mu*||a||^2), so the response S0 meets
-    the threshold t in closed form: the coefficients scale by sqrt(t/S0) and
+    scalars are floats: the same formulas, evaluating only the branch taken.
+    The steering-aligned coefficient of every block scales by 1/(1 +
+    sign*mu*||a||^2), so the response S0 meets the threshold t in closed
+    form: the coefficients scale by sqrt(t/S0) and
     mu = sign*(sqrt(S0/t) - 1)/||a||^2.  A stopband (sign +1) shrinks them; a
     passband (sign -1) amplifies them with mu in [0, 1/||a||^2).  A passband
     point orthogonal to a in every block (S0 <= 1e-300) saturates mu at
@@ -141,69 +93,72 @@ def project_beams(W, beams):
     Returns the projected points, the multipliers and the stationarity
     residuals ||(v - vbar) + mu*F v||.
     """
-    point = W.ndim == 2
-    sqrt = math.sqrt if point else np.sqrt  # both correctly rounded
+    if W.ndim == 2:
+        return _beam_point(W, beams)
+    k, M, N = W.shape
     sign, t, norm2 = beams.sign, beams.threshold, beams.norm2
     alpha = W @ beams.unit_probe
-    S0 = norm2 * _sq_norm(alpha)
+    S0 = norm2 * sq_norms(alpha)
     holds = sign * S0 <= sign * t
     degenerate = S0 <= _DEGENERATE_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = sqrt(S0 / t)
+        ratio = np.sqrt(S0 / t)
         beta = alpha / ratio
     mu = sign * (ratio - 1.0) / norm2
-    if point and degenerate and sign < 0 and not holds:
-        beta, mu = sqrt(t / norm2) * np.eye(W.shape[-2], 1), 1.0 / norm2
-    elif not point and np.count_nonzero(degenerate):
+    if np.count_nonzero(degenerate):
         degenerate &= (sign < 0) & ~holds
-        beta = np.where(degenerate, sqrt(t / norm2) * np.eye(W.shape[-2], 1), beta)
+        beta = np.where(degenerate, np.sqrt(t / norm2) * np.eye(M, 1), beta)
         mu = np.where(degenerate, 1.0 / norm2, mu)
     V = W + (beta - alpha) * beams.unit
-    if point and holds:
-        V, mu = W.copy(), 0.0
-    elif not point and np.count_nonzero(holds):
+    if np.count_nonzero(holds):
         V, mu = np.where(holds, W, V), np.where(holds, 0.0, mu)
     D = (V - W) + (sign * mu) * (V @ beams.probe) * beams.steering
-    residual = sqrt(_sq_norm(D))
-    return (V, mu, residual) if point else (V, mu[..., 0, 0], residual[..., 0, 0])
+    residual = np.sqrt(sq_norms(D.reshape(k, M * N, 1)))
+    return V, mu[..., 0, 0], residual[..., 0, 0]
 
 
-def _beam_row(W, c):
-    """``project_beams`` on one point W (M, N), behind ``quad``'s pass-through
-    test along a: S0, along a/||a||, rounds differently; boundary points pass."""
-    rows = c.rows
-    coef = W @ rows.probe
-    if rows.sign * np.vdot(coef, coef).real <= rows.sign * rows.threshold:
+def _beam_point(W, r):
+    """``project_beams`` on one point W (M, N) and one ``BeamRows.row`` r."""
+    sign, t, norm2 = r.sign, r.threshold, r.norm2
+    alpha = W @ r.unit_probe
+    S0 = norm2 * np.vdot(alpha, alpha).real
+    if sign * S0 <= sign * t:
+        V, mu = W.copy(), 0.0
+    else:
+        if S0 <= _DEGENERATE_FLOOR and sign < 0:
+            beta, mu = math.sqrt(t / norm2) * np.eye(W.shape[0], 1), 1.0 / norm2
+        else:
+            ratio = math.sqrt(S0 / t)
+            beta, mu = alpha / ratio, sign * (ratio - 1.0) / norm2
+        V = W + (beta - alpha) * r.unit
+    D = (V - W) + (sign * mu) * (V @ r.probe) * r.steering
+    return V, mu, math.sqrt(np.vdot(D, D).real)
+
+
+def _beam_row(W, r):
+    """``_beam_point`` behind ``quad``'s pass-through test along a: S0, along
+    a/||a||, rounds differently; boundary points pass."""
+    coef = W @ r.probe
+    if r.sign * np.vdot(coef, coef).real <= r.sign * r.threshold:
         return None
-    return project_beams(W, rows)
+    return _beam_point(W, r)
 
 
-def _sinr_secular(nu, A, pm, pI, gamma, target):
-    """A*(pm/(1 - nu)^2 - gamma*pI/(1 + nu*gamma)^2) - target; +inf at nu = 1."""
-    if nu == 1.0:
-        return math.inf
-    return A * (pm / (1.0 - nu) ** 2 - gamma * pI / (1.0 + nu * gamma) ** 2) - target
-
-
-def _sinr_slope(nu, A, pm, pI, gamma, target):
-    return A * (2.0 * pm / (1.0 - nu) ** 3 + 2.0 * gamma**2 * pI / (1.0 + nu * gamma) ** 3)
-
-
-def _sinr_row(W, c):
+def _sinr_row(W, r):
     """Move the channel-aligned coefficients of one point W (M, N) until the
-    SINR floor holds, unless it already does.
+    SINR floor of r (a ``SinrRows.row``) holds, unless it already does.
 
     The served block's coefficient amplifies by 1/(1 - nu), every interfering
     block's shrinks by 1/(1 + nu*gamma), with nu = mu*||h||^2 in [0, 1) the
-    root of a secular equation.  A served response below machine precision of
-    the level it must reach (the root then rounds to 1) is the hard case: the
-    smallest feasible served component is injected (the cost grows with its
-    magnitude, so the boundary value is optimal), nu = 1 - |served|/|injected|,
-    and the interference shrinks by 1/(1 + nu*gamma) with that nu.
+    root of A*(pm/(1 - nu)^2 - gamma*pI/(1 + nu*gamma)^2) = target: Newton
+    steps inside the bracket, bisection otherwise.  A served response below
+    machine precision of the level it must reach (the root then rounds to 1)
+    is the hard case: the smallest feasible served component is injected (the
+    cost grows with its magnitude, so the boundary value is optimal), nu = 1 -
+    |served|/|injected|, and the interference shrinks by 1/(1 + nu*gamma)
+    with that nu.
     """
-    probe, hhat, hhat_probe, A = c.row
-    m, gamma = c.user, c.gamma
-    target = gamma * c.noise_variance
+    probe, hhat, hhat_probe, A, m, gamma, target, weights, h = r
     z = W @ hhat_probe
     power = np.abs(z) ** 2
     pm = float(power[m])
@@ -222,17 +177,59 @@ def _sinr_row(W, c):
         phase = z[m] / abs(z[m]) if abs(z[m]) > 0 else 1.0
         znew[m] = t * phase
     else:
-        # at hi the served term alone reaches 2*(target + gamma*A*pI), which
-        # exceeds the worst-case interference deficit, closing the bracket
-        hi = 1.0 - math.sqrt(A * pm / (2.0 * (target + gamma * A * pI)))
-        nu = _secular_root(_sinr_secular, _sinr_slope, 0.0, hi, scale=target,
-                           context=" (sinr)", args=(A, pm, pI, gamma, target))
+        # the secular function rises on [0, hi] from below zero; at hi the
+        # served term alone reaches 2*(target + gamma*A*pI), which exceeds the
+        # worst-case interference deficit, closing the bracket
+        lo, hi = 0.0, 1.0 - math.sqrt(A * pm / (2.0 * (target + gamma * A * pI)))
+        tol = SECULAR_TOL * max(1.0, abs(target))
+        f_lo = A * (pm / (1.0 - lo) ** 2 - gamma * pI / (1.0 + lo * gamma) ** 2) - target
+        if abs(f_lo) <= tol:
+            nu = lo
+        elif abs(f_hi := A * (pm / (1.0 - hi) ** 2 - gamma * pI / (1.0 + hi * gamma) ** 2)
+                 - target) <= tol:
+            nu = hi
+        elif f_lo * f_hi > 0:
+            raise ProjectionError(
+                f"secular bracket [{lo:g}, {hi:g}] does not change sign (sinr)",
+                {"f_lo": f_lo, "f_hi": f_hi},
+            )
+        else:
+            nu = 0.5 * (lo + hi)
+            for _ in range(SECULAR_MAX_ITER):
+                f = A * (pm / (1.0 - nu) ** 2 - gamma * pI / (1.0 + nu * gamma) ** 2) - target
+                if abs(f) <= tol:
+                    break
+                lo, hi = (nu, hi) if f < 0 else (lo, nu)
+                if hi - lo <= 4.0 * EPS * max(1.0, abs(hi)):
+                    nu = 0.5 * (lo + hi)
+                    break
+                d = A * (2.0 * pm / (1.0 - nu) ** 3
+                         + 2.0 * gamma**2 * pI / (1.0 + nu * gamma) ** 3)
+                step = nu - f / d if d != 0.0 else None
+                nu = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+            else:
+                nu = 0.5 * (lo + hi)
+                if hi - lo > 1e-9 * max(1.0, abs(hi)):
+                    f = A * (pm / (1.0 - nu) ** 2 - gamma * pI / (1.0 + nu * gamma) ** 2) - target
+                    raise ProjectionError(
+                        f"secular root did not converge in {SECULAR_MAX_ITER} iterations (sinr)",
+                        {"bracket": (lo, hi), "residual": f})
         znew = z / (1.0 + nu * gamma)
         znew[m] = z[m] / (1.0 - nu)
     V = W + np.outer(znew - z, hhat)
     mu = nu / A
-    D = (V - W) + (mu * c.weights * (V @ probe))[:, np.newaxis] * c.h
+    D = (V - W) + (mu * weights * (V @ probe))[:, np.newaxis] * h
     return V, mu, math.sqrt(np.vdot(D, D).real)
+
+
+def sweep_plan(problem):
+    """``ProblemInstance.sweep_plan``: (kernel, row data, constraint) per
+    constraint in order, each row read once from ``problem.families``."""
+    plan = [None] * problem.L
+    for kernel, family in zip((_beam_row, _power_row, _sinr_row), problem.families):
+        for i, l in enumerate(family.rows.tolist()):
+            plan[l] = (kernel, family.row(i), problem.constraints[l])
+    return tuple(plan)
 
 
 def stationarity_error(constraint, multiplier, residual, bound):
@@ -251,19 +248,14 @@ def check_stationarity(constraint, vbar, multiplier, residual):
         raise stationarity_error(constraint, multiplier, residual, bound)
 
 
-def row_kernel(constraint):
-    """``kernel(W, constraint)`` for one point W (M, N): None if the constraint
-    holds at W, else the projected point, the multiplier and the residual."""
-    return (_beam_row, _power_row, _sinr_row)[family_of(constraint)]
-
-
 def project(constraint, vbar):
-    """Projection of one stacked point onto one constraint by its one-row
-    kernel; a point that satisfies the constraint comes back as a copy.  The
-    stationarity residual ||(v - vbar) + mu*F v|| must pass the KKT guard."""
-    kernel = row_kernel(constraint)
+    """Projection of one stacked point onto one constraint by its one-point
+    kernel on the constraint's own row data (``rows``); a point that
+    satisfies the constraint comes back as a copy.  The stationarity residual
+    ||(v - vbar) + mu*F v|| must pass the KKT guard."""
+    kernel = (_beam_row, _power_row, _sinr_row)[family_of(constraint)]
     vbar = np.asarray(vbar, dtype=complex)
-    moved = kernel(vbar.reshape(-1, constraint.N), constraint)
+    moved = kernel(vbar.reshape(-1, constraint.N), constraint.rows)
     if moved is None:
         return ProjectionResult(v=vbar.copy(), multiplier=0.0, active=False, kkt_residual=0.0)
     V, mu, residual = moved

@@ -5,7 +5,10 @@ for the projections, ``project_generic`` (the projection onto any Hermitian
 F by a dense eigendecomposition, which the closed forms of the four
 constraint kinds must agree with), a bisection minimizer for the group
 shrinkage, the per-constraint v-update loop that the batched ``update_v``
-must reproduce bit for bit, and the projection path the one-row kernels replaced (the
+must reproduce bit for bit, the safeguarded Newton root-finder
+``_secular_root`` with the SINR kernel that called it
+(``sinr_row_reference``), which the kernel with its loop written out must
+reproduce bit for bit, and the projection path the one-row kernels replaced (the
 constraint's ``quad`` test, then the batched kernels on a batch of one or
 the SINR secular equation through closures on numpy scalars), with the
 projection sweep built on it, which ``cyclic_projection`` must reproduce
@@ -46,10 +49,12 @@ from sparsebeam.problem import (
     user_blocks,
 )
 from sparsebeam.projections import (
+    _DEGENERATE_FLOOR,
     EPS,
     KKT_GUARD,
+    SECULAR_MAX_ITER,
+    SECULAR_TOL,
     ProjectionResult,
-    _secular_root,
     project,
     project_beams,
     project_powers,
@@ -175,6 +180,92 @@ def penalty_oracle(F, f, vbar, seed=0, n_starts=32, keep=6):
             pool.sort(key=lambda entry: entry[1])
     x = pool[0][0]
     return x[:n] + 1j * x[n:]
+
+
+def _secular_root(fun, dfun, lo, hi, scale=1.0, context="", args=()):
+    """Root of strictly monotone ``fun(x, *args)`` on [lo, hi].
+
+    ``fun(lo)`` and ``fun(hi)`` must have opposite signs (zero counts as
+    either).  Newton steps are taken whenever they land inside the current
+    bracket, otherwise the bracket is bisected; the bracket never widens.
+    """
+    tol = SECULAR_TOL * max(1.0, abs(scale))
+    flo = fun(lo, *args)
+    if abs(flo) <= tol:
+        return lo
+    fhi = fun(hi, *args)
+    if abs(fhi) <= tol:
+        return hi
+    if flo * fhi > 0:
+        raise ProjectionError(
+            f"secular bracket [{lo:g}, {hi:g}] does not change sign{context}",
+            {"f_lo": flo, "f_hi": fhi},
+        )
+    rising = flo < 0
+    mu = 0.5 * (lo + hi)
+    for _ in range(SECULAR_MAX_ITER):
+        fm = fun(mu, *args)
+        if abs(fm) <= tol:
+            return mu
+        if (fm < 0) == rising:
+            lo = mu
+        else:
+            hi = mu
+        if hi - lo <= 4.0 * EPS * max(1.0, abs(hi)):
+            return 0.5 * (lo + hi)
+        d = dfun(mu, *args)
+        step = mu - fm / d if d != 0.0 else None
+        mu = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+    if hi - lo <= 1e-9 * max(1.0, abs(hi)):
+        return 0.5 * (lo + hi)
+    raise ProjectionError(
+        f"secular root did not converge in {SECULAR_MAX_ITER} iterations{context}",
+        {"bracket": (lo, hi), "residual": fun(0.5 * (lo + hi), *args)},
+    )
+
+
+def _sinr_secular(nu, A, pm, pI, gamma, target):
+    """A*(pm/(1 - nu)^2 - gamma*pI/(1 + nu*gamma)^2) - target; +inf at nu = 1."""
+    if nu == 1.0:
+        return math.inf
+    return A * (pm / (1.0 - nu) ** 2 - gamma * pI / (1.0 + nu * gamma) ** 2) - target
+
+
+def _sinr_slope(nu, A, pm, pI, gamma, target):
+    return A * (2.0 * pm / (1.0 - nu) ** 3 + 2.0 * gamma**2 * pI / (1.0 + nu * gamma) ** 3)
+
+
+def sinr_row_reference(W, r):
+    """The SINR one-point kernel with its secular equation solved through
+    ``_secular_root`` and the callbacks above, on a ``SinrRows.row`` r: what the
+    package's kernel, with that loop written out, must return bit for bit,
+    errors included."""
+    probe, hhat, hhat_probe, A, m, gamma, target, weights, h = r
+    z = W @ hhat_probe
+    power = np.abs(z) ** 2
+    pm = float(power[m])
+    pI = float(power.sum() - power[m])
+    if A * (pm - gamma * pI) >= target:
+        return None
+    if pm <= _DEGENERATE_FLOOR or A * pm <= EPS * (target + gamma * A * pI):
+        nu = 1.0
+        for _ in range(2):
+            interference = A * pI / (1.0 + nu * gamma) ** 2
+            t = np.sqrt((target + gamma * interference) / A)
+            nu = 1.0 - abs(z[m]) / t
+        znew = z / (1.0 + nu * gamma)
+        phase = z[m] / abs(z[m]) if abs(z[m]) > 0 else 1.0
+        znew[m] = t * phase
+    else:
+        hi = 1.0 - math.sqrt(A * pm / (2.0 * (target + gamma * A * pI)))
+        nu = _secular_root(_sinr_secular, _sinr_slope, 0.0, hi, scale=target,
+                           context=" (sinr)", args=(A, pm, pI, gamma, target))
+        znew = z / (1.0 + nu * gamma)
+        znew[m] = z[m] / (1.0 - nu)
+    V = W + np.outer(znew - z, hhat)
+    mu = nu / A
+    D = (V - W) + (mu * weights * (V @ probe))[:, np.newaxis] * h
+    return V, mu, math.sqrt(np.vdot(D, D).real)
 
 
 def project_generic(F, f, vbar):

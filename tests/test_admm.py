@@ -18,6 +18,7 @@ from sparsebeam import (
     SinrConstraint,
     StopbandConstraint,
     WeakPenaltyWarning,
+    assemble,
     check_penalty_ratio,
     feasibility_report,
     find_feasible_point,
@@ -34,6 +35,7 @@ from sparsebeam import (
 )
 import sparsebeam.admm as admm_module
 from sparsebeam.certificate import certify_infeasible
+from sparsebeam.problem import BeamConstraint
 from sparsebeam.selection import _handoff_tol
 
 from helpers import certificate_holds, dense_constraint, random_stack
@@ -353,11 +355,11 @@ class TestBatchedUpdateV:
             V, mu, residual = kernel(W, beams)
             return V, mu, np.full_like(residual, np.inf)
 
-        def failing_project(constraint, vbar):
+        def failing_project(W, row):
             raise ProjectionError("synthetic failure", {})
 
         monkeypatch.setattr(admm_module, "project_beams", failing_kernel)
-        monkeypatch.setattr(admm_module, "project", failing_project)
+        monkeypatch.setattr(admm_module, "_sinr_row", failing_project)
         with pytest.raises(ProjectionError) as err:
             update_v(problem, np.ones(N, dtype=complex), np.zeros((2, N), complex), 0.0, 1.0)
         assert err.value.diagnostics["constraint_index"] == 0
@@ -382,15 +384,17 @@ class TestBatchedUpdateV:
         assert "l=1 (antenna_power(n=1))" in str(err.value)
 
     def test_one_shrink_and_only_sinr_projections(self, paper_problem, monkeypatch):
+        # "project" counts the SINR rows' one-point kernel, which update_v
+        # calls in place of ``project``
         counts = {"project": 0, "group_shrink": 0}
-        for name in counts:
-            original = getattr(admm_module, name)
+        for name, target in (("project", "_sinr_row"), ("group_shrink", "group_shrink")):
+            original = getattr(admm_module, target)
 
             def counted(*args, _original=original, _name=name):
                 counts[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(admm_module, name, counted)
+            monkeypatch.setattr(admm_module, target, counted)
         rng = np.random.default_rng(14)
         w = random_stack(rng, paper_problem.M, paper_problem.N)
         u = random_duals(rng, paper_problem.L, paper_problem.size, scale=0.1)
@@ -409,8 +413,70 @@ def assert_sweep_matches_loop(problem):
     return converged
 
 
+def assert_same_row_data(got, want):
+    """Two one-row kernel data tuples hold the same bytes, field for field,
+    the ``rows`` index of ``BeamRows`` and ``PowerRows`` aside."""
+    assert type(got) is type(want) and len(got) == len(want)
+    skip = 1 if hasattr(got, "_fields") else 0  # field 0 of both is ``rows``
+    for i, (x, y) in enumerate(zip(got[skip:], want[skip:])):
+        assert type(x) is type(y), i
+        assert np.shape(x) == np.shape(y), i
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), i
+
+
+@st.composite
+def sweep_cases(draw):
+    """A problem of every kind for the projection sweep and a point to start
+    it from: the mixed rows (with a stopband subclass) on all antennas or on
+    a subset (``restrict``), started from a random point, from zero, with no
+    component along one beam row's steering vector (zero aligned
+    coefficients), or with one SINR row's served block zero (its hard case)."""
+    problem, w = draw(mixed_problems())[:2]
+    M, N = problem.M, problem.N
+    W = w.reshape(M, N)
+    if N > 1 and draw(st.booleans()):
+        support = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N - 1, unique=True))
+        problem = problem.restrict(support)
+        W = W[:, sorted(support)]
+    W = W.copy()
+    start = draw(st.sampled_from(["random", "zero", "aligned", "served"]))
+    rows = {
+        "aligned": [c for c in problem.constraints if isinstance(c, BeamConstraint)],
+        "served": [c for c in problem.constraints if isinstance(c, SinrConstraint)],
+    }.get(start, [None])
+    c = rows[draw(st.integers(0, len(rows) - 1))] if rows else None
+    if start == "zero":
+        W[:] = 0.0
+    elif start == "aligned" and c is not None:
+        a = c.steering
+        W -= np.outer(W @ np.conj(a), a) / np.vdot(a, a).real
+    elif start == "served" and c is not None:
+        W[c.user] = 0.0
+    return problem, W.reshape(-1)
+
+
 class TestProjectionSweep:
     """The sweep of one-row kernels against the per-constraint reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_cases())
+    def test_every_kind_matches_the_loop(self, case):
+        problem, w = case
+        assert len(problem.sweep_plan) == problem.L
+        for (kernel, row, c), constraint in zip(problem.sweep_plan, problem.constraints):
+            assert c is constraint
+            assert_same_row_data(row, c.rows)
+        try:
+            want = cyclic_projection_loop(problem, w)
+        except ProjectionError as err:
+            with pytest.raises(ProjectionError) as got:
+                admm_module.cyclic_projection(problem, w)
+            assert str(got.value) == str(err)
+            return
+        got = admm_module.cyclic_projection(problem, w)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+        assert got[2] == want[2]
 
     def test_paper_problem_and_every_k8_support(self, paper_problem):
         supports = itertools.combinations(range(paper_problem.N), 8)
@@ -424,6 +490,35 @@ class TestProjectionSweep:
         rng = np.random.default_rng(K)
         for i in rng.choice(len(supports), 6, replace=False):
             assert_sweep_matches_loop(paper_problem.restrict(supports[i]))
+
+    def test_violation_computed_once_per_sweep(self, paper_problem, monkeypatch):
+        # an infeasible K=4 subarray stalls; the sweeps return the worst
+        # violation their last sweep computed instead of computing it again
+        import sparsebeam.projections as projections_module
+
+        problem = paper_problem.restrict((0, 2, 3, 4))
+        start = admm_module._mainlobe_boost(problem, admm_module._zero_forcing_start(problem))
+        sweeps, calls = [], []
+        beam_row, max_violation = projections_module._beam_row, ProblemInstance.max_violation
+
+        def counted_beam_row(W, row):
+            if row.rows == 0:  # the first row: once per sweep
+                sweeps.append(None)
+            return beam_row(W, row)
+
+        def counted_max_violation(self, w):
+            calls.append(None)
+            return max_violation(self, w)
+
+        monkeypatch.setattr(projections_module, "_beam_row", counted_beam_row)
+        monkeypatch.setattr(ProblemInstance, "max_violation", counted_max_violation)
+        for max_sweeps in (0, 3, 500):
+            sweeps.clear()
+            calls.clear()
+            w, violation, converged = admm_module.cyclic_projection(problem, start, max_sweeps)
+            assert not converged and violation == max_violation(problem, w)
+            assert len(calls) == max(len(sweeps), 1) and len(sweeps) <= max_sweeps
+        assert admm_module._STALL_WINDOW < len(sweeps) < 500  # the last run stalled
 
     def test_first_failing_row_is_named(self, monkeypatch):
         import sparsebeam.projections as projections_module
@@ -780,6 +875,50 @@ class TestCertificate:
         )
         assert problem.max_violation(w0) <= 0.0
         assert certify_infeasible(problem) is None
+
+
+def count_plans(monkeypatch):
+    """The problems whose sweep plan is built from now on, in order."""
+    import sparsebeam.projections as projections_module
+
+    built = []
+    original = projections_module.sweep_plan
+
+    def counted(problem):
+        built.append(problem)
+        return original(problem)
+
+    monkeypatch.setattr(projections_module, "sweep_plan", counted)
+    return built
+
+
+class TestSweepPlan:
+    """The sweep plan is built lazily, once per problem instance."""
+
+    def test_assemble_builds_no_plan(self, paper_scenario, monkeypatch):
+        built = count_plans(monkeypatch)
+        problem = assemble(paper_scenario)
+        assert built == [] and "sweep_plan" not in vars(problem)
+        problem.families
+        assert built == []
+
+    @pytest.mark.parametrize("support", [(0, 2, 3, 4, 5, 6, 7, 9), tuple(range(8))])
+    def test_one_plan_per_refit(self, paper_problem, paper_scenario, monkeypatch, support):
+        # the paper support hands off to the SQP run, whose polish sweeps
+        # again; 01234567 stalls, so stage 4's polish and the refit's own
+        # sweep the same reduced problem too
+        built = count_plans(monkeypatch)
+        sweeps = []
+        original = admm_module.cyclic_projection
+
+        def counted(problem, *args, **kwargs):
+            sweeps.append(problem)
+            return original(problem, *args, **kwargs)
+
+        monkeypatch.setattr(admm_module, "cyclic_projection", counted)
+        refit(paper_problem, support, paper_scenario.admm)
+        assert len(built) == 1 and built[0].support == support
+        assert len(sweeps) >= 2 and all(problem is built[0] for problem in sweeps)
 
 
 class TestRefitHandOff:

@@ -245,6 +245,26 @@ class TestProvenance:
         assert len(calls) == 1
         assert commits[0] == commits[1]
 
+    def test_scenario_hashed_once(self, fast_scenario_path, tmp_path, monkeypatch):
+        # the report's provenance and both CSV headers carry one hash
+        import sparsebeam.cli
+
+        calls = []
+        digest = sparsebeam.cli.scenario_sha256
+
+        def counted(scenario):
+            calls.append(scenario)
+            return digest(scenario)
+
+        monkeypatch.setattr(sparsebeam.cli, "scenario_sha256", counted)
+        out = tmp_path / "once"
+        assert main(["solve", "--scenario", fast_scenario_path, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        want = f"# scenario_sha256={report['provenance']['scenario_sha256']}"
+        for name in ("history.csv", "beampattern.csv"):
+            assert want in read_csv(out / name)[0]
+
 
 class TestSeedOverride:
     def test_seed_flag_changes_provenance(self, fast_scenario_path, tmp_path):

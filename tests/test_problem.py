@@ -19,6 +19,7 @@ from sparsebeam import (
     steering_vector,
     user_blocks,
 )
+from sparsebeam.problem import beam_rows
 
 from helpers import (
     dense_response_matrix,
@@ -310,6 +311,19 @@ class TestBeamRowData:
                     else:
                         assert got.shape == want.shape, name
                     assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("support", [tuple(range(8)), tuple(range(10)), (0, 2, 4, 5, 6, 7, 8, 9)])
+    def test_strided_steering_gives_the_rows_of_a_copy(self, paper_problem, support):
+        # a column-strided view once rounded ||a||^2 differently in the
+        # per-row dot
+        beams = paper_problem.families.beams
+        strided = beams.steering[:, 0, list(support)]
+        assert not strided.flags.c_contiguous
+        args = (beams.sign.ravel(), beams.threshold.ravel(), len(support))
+        got = beam_rows(beams.rows, strided, *args)
+        want = beam_rows(beams.rows, strided.copy(), *args)
+        for name, x, y in zip(got._fields, got, want):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
 class TestVectorizedSlacks:

@@ -8,16 +8,19 @@ from sparsebeam import (
     AntennaPowerConstraint,
     ArrayGeometry,
     PassbandConstraint,
+    ProjectionError,
     SinrConstraint,
     StopbandConstraint,
     project,
     steering_vector,
 )
 from sparsebeam.problem import beam_rows
+import sparsebeam.projections as projections_module
 from sparsebeam.projections import project_beams, project_powers
 
 from helpers import dense_constraint, quad_form, random_stack
-from oracles import penalty_oracle, project_generic, project_sinr_reference
+import oracles
+from oracles import penalty_oracle, project_generic, project_sinr_reference, sinr_row_reference
 
 
 def projected(constraint, vbar):
@@ -303,6 +306,32 @@ class TestSinrKernel:
         assert v.tobytes() == v_ref.tobytes() and mu == mu_ref
         residual = np.linalg.norm((v - vbar) + mu * (dense_constraint(c)[0] @ v))
         assert residual <= 1e-6 * (1.0 + np.linalg.norm(vbar))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sinr_cases(), st.sampled_from([None, 1, 2, 3]))
+    def test_written_out_loop_matches_secular_root(self, case, max_iter):
+        # the kernel's own Newton/bisection loop against the root-finder it
+        # replaced, also when an iteration budget cut short makes both fail
+        vbar, h, gamma, sigma2, user, M, N = case
+        row = SinrConstraint(user, h, gamma, sigma2, M, N).rows
+        W = vbar.reshape(M, N)
+        with pytest.MonkeyPatch.context() as patch:
+            if max_iter is not None:
+                patch.setattr(projections_module, "SECULAR_MAX_ITER", max_iter)
+                patch.setattr(oracles, "SECULAR_MAX_ITER", max_iter)
+            try:
+                want = sinr_row_reference(W, row)
+            except ProjectionError as err:
+                with pytest.raises(ProjectionError) as got:
+                    projections_module._sinr_row(W, row)
+                assert str(got.value) == str(err)
+                assert repr(got.value.diagnostics) == repr(err.diagnostics)
+                return
+            got = projections_module._sinr_row(W, row)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got[0].tobytes() == want[0].tobytes()
+            assert (type(got[1]), got[1], got[2]) == (type(want[1]), want[1], want[2])
 
     def test_tiny_served_coefficient_reaches_the_pole(self):
         # a served coefficient with |h^H w_m|^2 from 1e-16 down to 1e-40
