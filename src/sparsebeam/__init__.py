@@ -28,7 +28,6 @@ from .admm import (
 from .arrays import (
     AngleGrids,
     ArrayGeometry,
-    UserChannel,
     build_grids,
     db_to_linear,
     dbm_to_watts,
@@ -46,7 +45,6 @@ from .metrics import (
     design_report,
     feasibility_report,
     msrr,
-    responses,
     tx_power,
 )
 from .problem import (

@@ -213,23 +213,26 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, *, on_stall=None):
 
 
 def _zero_forcing_start(problem):
-    """Per-user zero-forcing beams scaled to twice each SINR target."""
+    """Zero-forcing beams over the SINR rows' channels, each scaled to twice
+    its row's SINR target and put in its served user's block."""
     M, N = problem.M, problem.N
+    sinrs = problem.families.sinrs
     w = np.zeros(M * N, dtype=complex)
-    if not problem.channels:
+    if not sinrs.rows.size:
         return w
-    H = np.column_stack([ch.h for ch in problem.channels])
+    channels = np.conj(sinrs.probe[:, :, 0])  # h of each row
+    H = np.ascontiguousarray(channels.T)  # C order: BLAS may round a view differently
     gram = H.conj().T @ H
     try:
-        X = np.linalg.solve(gram, np.eye(M, dtype=complex))
+        X = np.linalg.solve(gram, np.eye(len(channels), dtype=complex))
     except np.linalg.LinAlgError:
         X = np.linalg.pinv(gram)
     W_zf = H @ X
-    for m, ch in enumerate(problem.channels):
-        col = W_zf[:, m]
-        gain = np.vdot(ch.h, col)  # h^H w, equals 1 when the inverse is exact
+    for i, (h, m) in enumerate(zip(channels, sinrs.served[1].tolist())):
+        col = W_zf[:, i]
+        gain = np.vdot(h, col)  # h^H w, equals 1 when the inverse is exact
         if abs(gain) > 1e-12:
-            col = col * (np.sqrt(2.0 * ch.sinr_target * ch.noise_variance) / gain)
+            col = col * (np.sqrt(-2.0 * sinrs.f[i]) / gain)  # 2*gamma*sigma^2, bit for bit
         w[m * N : (m + 1) * N] = col
     return w
 

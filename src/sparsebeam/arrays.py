@@ -32,33 +32,6 @@ class ArrayGeometry:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class UserChannel:
-    """Downlink channel of one user together with its QoS targets.
-
-    ``noise_variance`` and ``sinr_target`` are linear quantities.
-    """
-
-    index: int
-    h: np.ndarray
-    noise_variance: float
-    sinr_target: float
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
-        object.__setattr__(self, "h", h)
-        if not self.noise_variance > 0:
-            raise ConfigurationError(
-                f"user {self.index}: noise variance must be > 0, got {self.noise_variance}"
-            )
-        if not self.sinr_target > 0:
-            raise ConfigurationError(
-                f"user {self.index}: SINR target must be > 0, got {self.sinr_target}"
-            )
-        if not np.linalg.norm(h) > 0:
-            raise ConfigurationError(f"user {self.index}: channel vector is zero")
-
-
 @dataclass(frozen=True)
 class AngleGrids:
     """Mainlobe and stopband angle samples (degrees), kept as flat tuples."""

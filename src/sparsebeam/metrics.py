@@ -16,36 +16,42 @@ def tx_power(w):
     return float(np.vdot(w, w).real)
 
 
-def responses(w, geometry, angles_deg, M):
-    """Transmit response sum_m |a(theta)^H w_m|^2 at each angle."""
-    N = geometry.num_antennas
-    A = np.column_stack([steering_vector(geometry, t) for t in angles_deg])
-    W = user_blocks(w, M, N)
-    proj = W.conj() @ A  # (M, n_angles) of w_m^H a
+def _responses(w, A, M):
+    """Transmit response sum_m |a^H w_m|^2 for each steering column a of A."""
+    proj = user_blocks(w, M, A.shape[0]).conj() @ A  # (M, n_angles) of w_m^H a
     return (np.abs(proj) ** 2).sum(axis=0)
 
 
 def msrr(w, problem):
-    """Mainlobe-to-sidelobe response ratio over the constraint grids.
+    """Mainlobe-to-sidelobe response ratio over the problem's beam rows: the
+    summed response at its passband angles over that at its stopband angles,
+    each angle's steering vector read from ``problem.families``.
 
     Returns +inf when the stopband response vanishes but the mainlobe does
     not, and nan for the all-zero beamformer (0/0).
     """
-    main = float(responses(w, problem.geometry, problem.grids.mainlobe, problem.M).sum())
-    stop = float(responses(w, problem.geometry, problem.grids.stopband, problem.M).sum())
+    beams = problem.families.beams
+    passband = beams.sign.ravel() < 0
+    main, stop = (
+        float(_responses(w, np.column_stack(beams.steering[rows, 0]), problem.M).sum())
+        for rows in (passband, ~passband)
+    )
     if stop == 0.0:
         return float("inf") if main > 0.0 else float("nan")
     return main / stop
 
 
 def beampattern(w, problem, step_deg=0.5):
-    """(angles, responses) over a fine display grid spanning [-90, 90].
+    """(angles, responses) over a fine display grid spanning [-90, 90], with
+    the steering vectors of the full array of ``problem.scenario``.
 
     The display grid is finer than the constraint grid on purpose, so
     between-grid sidelobe excursions show up in reports.
     """
     angles = np.arange(-90.0, 90.0 + step_deg / 2.0, step_deg)
-    return angles, responses(w, problem.geometry, angles, problem.M)
+    geometry = problem.scenario.geometry
+    A = np.column_stack([steering_vector(geometry, t) for t in angles])
+    return angles, _responses(w, A, problem.M)
 
 
 def antenna_power(w, M, N):

@@ -4,20 +4,25 @@ The per-user weight vectors w_1..w_M are stacked into one complex vector of
 length M*N.  Block m (one user's weights) occupies entries [m*N, (m+1)*N);
 antenna group n gathers entries {n, n+N, ..., n+(M-1)*N}.
 
+A problem holds its constraints, the sizes M and N, the antenna support of a
+subarray and the scenario it was assembled from, and nothing else: the angle
+grids are the beam rows' angles, each user's channel, SINR target and noise
+are its SINR row, and every other quantity is derived from the constraints.
+
 Every constraint is held in the normalized sense  w^H F w <= f.  F is never
 materialized: it is block-diagonal over users, with block m equal to
-C[m] g g^H for one generator g (a steering vector, the selector e_n of one
-antenna, or a channel), so each kind stores g and evaluates or applies F in
-O(M*N).
+C[m] g g^H for one nonzero generator g (a steering vector, the selector e_n
+of one antenna, or a channel), so each kind stores g and evaluates or
+applies F in O(M*N).
 
 The family has four kinds: beam floors and ceilings, antenna powers and SINR
 floors.  ``ProblemInstance.families`` holds them as per-kind arrays, routed
 by ``isinstance`` (a subclass joins its kind; any other class is a
 ``ConfigurationError``), for the slacks, the F_l w products, the ADMM
-v-update, the infeasibility certificate and, one row each, the projection
-sweep's ``sweep_plan``.  Slacks and the v-update run the BLAS product of the
-constraint's own method once per row, so their batched values equal the
-per-constraint ones bit for bit.
+v-update, the feasible start, the MSRR, the infeasibility certificate and,
+one row each, the projection sweep's ``sweep_plan``.  Slacks and the
+v-update run the BLAS product of the constraint's own method once per row,
+so their batched values equal the per-constraint ones bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -26,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import ArrayGeometry, AngleGrids, UserChannel  # noqa: F401  (re-exported context)
 from .arrays import build_grids, los_channel, rayleigh_channel, steering_vector
 from .errors import ConfigurationError
 
@@ -196,7 +200,7 @@ class QuadraticConstraint:
     @cached_property
     def rows(self):
         """The data its one-point kernel reads: its row of a one-constraint problem."""
-        return ProblemInstance((self,), 0.0, self.M, self.N).families[family_of(self)].row(0)
+        return ProblemInstance((self,), self.M, self.N).families[family_of(self)].row(0)
 
     def describe(self):
         return self.kind
@@ -219,6 +223,8 @@ class BeamConstraint(QuadraticConstraint):
 
     def __post_init__(self):
         object.__setattr__(self, "steering", np.asarray(self.steering, dtype=complex))
+        if not self.steering.any():
+            raise ConfigurationError(f"{self.kind} steering vector is zero")
         if not self.threshold > 0:
             raise ConfigurationError(
                 f"{self.kind} threshold must be > 0, got {self.threshold}"
@@ -341,6 +347,8 @@ class SinrConstraint(QuadraticConstraint):
         object.__setattr__(self, "h", np.asarray(self.h, dtype=complex))
         if not 0 <= self.user < self.M:
             raise ConfigurationError(f"user index {self.user} outside 0..{self.M - 1}")
+        if not self.h.any():
+            raise ConfigurationError(f"user {self.user}: channel vector is zero")
         if not self.gamma > 0:
             raise ConfigurationError(f"SINR target must be > 0, got {self.gamma}")
         if not self.noise_variance > 0:
@@ -400,19 +408,19 @@ def family_of(constraint):
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """The assembled constraint family plus everything needed to evaluate it.
+    """One QCQP: its constraints, M users, N antennas, the antenna ``support``
+    of a subarray (None for the full array) and the ``scenario`` it was
+    assembled from (None for a hand-built problem; no solver reads it).
 
-    Constraint order is fixed (passband grid, stopband grid, antenna powers,
-    SINRs) so that run logs and dual variables are reproducible.
+    The constraints are the only record of what the problem requires;
+    ``families`` and ``sweep_plan`` are derived from them.  Constraint order
+    is fixed (passband grid, stopband grid, antenna powers, SINRs) so that
+    run logs and dual variables are reproducible.
     """
 
     constraints: tuple
-    eta: float
     M: int
     N: int
-    geometry: ArrayGeometry = None
-    grids: AngleGrids = None
-    channels: tuple = ()
     support: tuple = None
     scenario: object = None
 
@@ -504,46 +512,21 @@ class ProblemInstance:
                 f"support {support} outside antenna range 0..{self.N - 1}"
             )
         reduced = (c.restrict(support) for c in self.constraints)
-        channels = tuple(replace(ch, h=ch.h[list(support)]) for ch in self.channels)
         return ProblemInstance(
             constraints=tuple(c for c in reduced if c is not None),
-            eta=self.eta,
             M=self.M,
             N=len(support),
-            geometry=self.geometry,
-            grids=self.grids,
-            channels=channels,
             support=support,
             scenario=self.scenario,
         )
-
-
-def _build_channels(scenario, geometry):
-    channels = []
-    for m, angle in enumerate(scenario.user_angles_deg):
-        if scenario.channel_model == "los":
-            h = los_channel(geometry, angle, scenario.channel_gain)
-        elif scenario.channel_model == "rayleigh":
-            h = rayleigh_channel(geometry, seed=[scenario.seed, 101, m])
-        else:
-            raise ConfigurationError(
-                f"unknown channel model {scenario.channel_model!r}"
-            )
-        channels.append(
-            UserChannel(
-                index=m,
-                h=h,
-                noise_variance=scenario.noise_variance[m],
-                sinr_target=scenario.sinr_target[m],
-            )
-        )
-    return tuple(channels)
 
 
 def assemble(scenario):
     """Build the full constraint family from a scenario.
 
     Order: passband grid, stopband grid, antenna powers 0..N-1, SINRs 0..M-1.
+    User m's SINR row carries its channel: LoS toward its angle, or Rayleigh
+    drawn from default_rng([seed, 101, m]).
     """
     geometry = scenario.geometry
     N = geometry.num_antennas
@@ -554,7 +537,6 @@ def assemble(scenario):
         scenario.mainlobe_step_deg,
         scenario.stopband_step_deg,
     )
-    channels = _build_channels(scenario, geometry)
 
     constraints = []
     for cls, angles, threshold in (
@@ -569,18 +551,12 @@ def assemble(scenario):
         constraints.append(
             AntennaPowerConstraint(n, scenario.antenna_power_limit_w[n], M, N)
         )
-    for ch in channels:
+    for m, angle in enumerate(scenario.user_angles_deg):
+        if scenario.channel_model == "los":
+            h = los_channel(geometry, angle, scenario.channel_gain)
+        else:  # "rayleigh", the one other model a Scenario accepts
+            h = rayleigh_channel(geometry, seed=[scenario.seed, 101, m])
         constraints.append(
-            SinrConstraint(ch.index, ch.h, ch.sinr_target, ch.noise_variance, M, N)
+            SinrConstraint(m, h, scenario.sinr_target[m], scenario.noise_variance[m], M, N)
         )
-
-    return ProblemInstance(
-        constraints=tuple(constraints),
-        eta=scenario.admm.eta,
-        M=M,
-        N=N,
-        geometry=geometry,
-        grids=grids,
-        channels=channels,
-        scenario=scenario,
-    )
+    return ProblemInstance(constraints=tuple(constraints), M=M, N=N, scenario=scenario)

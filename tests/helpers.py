@@ -1,7 +1,14 @@
 """Shared test oracles: dense constraint matrices built from the selection
-matrices Phi_m, independently of the package's structured evaluation paths."""
+matrices Phi_m, independently of the package's structured evaluation paths,
+and the set of paper-derived problems several tests check readers on."""
+
+import itertools
+from dataclasses import replace
 
 import numpy as np
+
+from sparsebeam import assemble
+from sparsebeam.cli import scenario_with_users
 
 
 def phi_matrix(m, M, N):
@@ -102,3 +109,17 @@ def certificate_holds(problem, multipliers, rel_tol=1e-12):
     if len(limits) < problem.N:
         return lam_min >= -tol
     return s + sum(limits.values()) * (max(0.0, -lam_min) + tol) < 0
+
+
+def paper_variants(paper_problem):
+    """The paper problem, its 45 K=8 subarrays, and the paper scenario with
+    M = 1..4 users (``scenario_with_users``) under LoS and Rayleigh channels."""
+    problems = [paper_problem] + [
+        paper_problem.restrict(support)
+        for support in itertools.combinations(range(paper_problem.N), 8)
+    ]
+    for model in ("los", "rayleigh"):
+        for M in range(1, 5):
+            sc = scenario_with_users(paper_problem.scenario, M)
+            problems.append(assemble(replace(sc, channel_model=model)))
+    return problems

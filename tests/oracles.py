@@ -22,7 +22,11 @@ must reach the same verdicts and powers.  ``baseline_loop`` is the random
 baseline that refits every trial, which the memoized one must reproduce.
 ``certify_infeasible_cold`` is the Kelley loop that solved every round's
 linear program from scratch with ``linprog``; the warm-started
-``certify_infeasible`` must reach the same verdicts.
+``certify_infeasible`` must reach the same verdicts.  ``msrr_reference`` and
+``zero_forcing_reference`` rebuild the MSRR and the stage-1 start from the
+scenario (its angle grids and user channels, cut to the problem's support)
+rather than from the constraint rows; ``msrr`` and ``_zero_forcing_start``
+must reproduce them bit for bit.
 """
 
 import math
@@ -39,6 +43,7 @@ from sparsebeam.admm import (
     restore_feasibility,
     solve,
 )
+from sparsebeam.arrays import build_grids, los_channel, rayleigh_channel, steering_vector
 from sparsebeam.certificate import _MAX_ROUNDS, Certificate, _norm_bound
 from sparsebeam.errors import InfeasibleProblemError, ProjectionError
 from sparsebeam.metrics import msrr, tx_power
@@ -534,7 +539,7 @@ def refit_admm_reference(problem, support, config):
     on the subarray, polished by ``restore_with_rescue``, falling back to the
     feasible start should the polish fail or end above the start's power.
     Returns the full-size stack."""
-    reduced = replace(problem.restrict(support), eta=0.0)
+    reduced = problem.restrict(support)
     cfg = replace(config, eta=0.0, rho=5.0, k_max=max(config.k_max, 300))
     start = find_feasible_point(reduced)
     w, _, ok = restore_with_rescue(reduced, solve(reduced, cfg).w)
@@ -640,3 +645,53 @@ def certify_infeasible_cold(problem):
         if t < 0.0 or not block.size:
             return None
     return None
+
+
+def _support_index(problem):
+    return list(problem.support) if problem.support is not None else slice(None)
+
+
+def msrr_reference(w, problem):
+    """The MSRR summed angle by angle over the scenario's ``build_grids``, one
+    steering vector per angle, cut to the problem's support."""
+    sc, idx = problem.scenario, _support_index(problem)
+    grids = build_grids(
+        sc.mainlobe_region, sc.stopband_regions, sc.mainlobe_step_deg, sc.stopband_step_deg
+    )
+
+    def total(angles):
+        A = np.column_stack([steering_vector(sc.geometry, t)[idx] for t in angles])
+        proj = user_blocks(w, problem.M, problem.N).conj() @ A
+        return float((np.abs(proj) ** 2).sum(axis=0).sum())
+
+    main, stop = total(grids.mainlobe), total(grids.stopband)
+    if stop == 0.0:
+        return float("inf") if main > 0.0 else float("nan")
+    return main / stop
+
+
+def zero_forcing_reference(problem):
+    """The stage-1 start over the scenario's user channels (LoS, or Rayleigh
+    from default_rng([seed, 101, m])), cut to the problem's support: zero-
+    forcing beams, user m's scaled to 2 * gamma_m * sigma_m^2."""
+    sc, idx, M, N = problem.scenario, _support_index(problem), problem.M, problem.N
+    channels = [
+        (los_channel(sc.geometry, angle, sc.channel_gain) if sc.channel_model == "los"
+         else rayleigh_channel(sc.geometry, seed=[sc.seed, 101, m]))[idx]
+        for m, angle in enumerate(sc.user_angles_deg)
+    ]
+    H = np.column_stack(channels)
+    gram = H.conj().T @ H
+    try:
+        X = np.linalg.solve(gram, np.eye(M, dtype=complex))
+    except np.linalg.LinAlgError:
+        X = np.linalg.pinv(gram)
+    W_zf = H @ X
+    w = np.zeros(M * N, dtype=complex)
+    for m, h in enumerate(channels):
+        col = W_zf[:, m]
+        gain = np.vdot(h, col)
+        if abs(gain) > 1e-12:
+            col = col * (np.sqrt(2.0 * sc.sinr_target[m] * sc.noise_variance[m]) / gain)
+        w[m * N : (m + 1) * N] = col
+    return w

@@ -38,12 +38,17 @@ from sparsebeam.certificate import certify_infeasible
 from sparsebeam.problem import BeamConstraint
 from sparsebeam.selection import _handoff_tol
 
-from helpers import certificate_holds, dense_constraint, random_stack
-from oracles import certify_infeasible_cold, cyclic_projection_loop, update_v_loop
+from helpers import certificate_holds, dense_constraint, paper_variants, random_stack
+from oracles import (
+    certify_infeasible_cold,
+    cyclic_projection_loop,
+    update_v_loop,
+    zero_forcing_reference,
+)
 
 
-def toy_problem(constraints, M, N, eta=0.0):
-    return ProblemInstance(constraints=tuple(constraints), eta=eta, M=M, N=N)
+def toy_problem(constraints, M, N):
+    return ProblemInstance(constraints=tuple(constraints), M=M, N=N)
 
 
 class TestUpdateW:
@@ -234,7 +239,7 @@ class TestBatchedUpdateV:
         support = select_support(
             state.w, paper_scenario.num_selected, paper_problem.M, paper_problem.N
         )
-        reduced = replace(paper_problem.restrict(support), eta=0.0)
+        reduced = paper_problem.restrict(support)
         cfg = replace(paper_scenario.admm, eta=0.0, rho=5.0, k_max=300)
         calls = record_update_v(monkeypatch, lambda: solve(reduced, cfg))
         assert len(calls) == 300 and calls[0][0].N == paper_scenario.num_selected
@@ -331,7 +336,7 @@ class TestBatchedUpdateV:
             if c.kind in ("passband", "stopband") else c
             for l, c in enumerate(paper_problem.constraints)
         ]
-        scaled = replace(paper_problem, constraints=tuple(constraints), eta=0.0)
+        scaled = replace(paper_problem, constraints=tuple(constraints))
         assert_matches_loop(scaled, w, u, 0.0, 50.0)
 
     @pytest.mark.parametrize("antenna", [0, 4, 9])
@@ -553,8 +558,6 @@ class TestFeasiblePoint:
         geom = ArrayGeometry(2, 0.5)
         M, N = 1, 2
         h = steering_vector(geom, 0.0)
-        from sparsebeam import SinrConstraint, UserChannel
-
         constraints = [
             PassbandConstraint(0.0, steering_vector(geom, 0.0), 0.5, M, N),
             StopbandConstraint(60.0, steering_vector(geom, 60.0), 4.0, M, N),
@@ -562,15 +565,26 @@ class TestFeasiblePoint:
             AntennaPowerConstraint(1, 10.0, M, N),
             SinrConstraint(0, h, 2.0, 1.0, M, N),
         ]
-        problem = ProblemInstance(
-            constraints=tuple(constraints),
-            eta=0.0,
-            M=M,
-            N=N,
-            channels=(UserChannel(0, h, 1.0, 2.0),),
-        )
+        problem = ProblemInstance(constraints=tuple(constraints), M=M, N=N)
         w0 = find_feasible_point(problem)
         assert problem.max_violation(w0) <= 1e-8
+
+    def test_zero_forcing_start_matches_the_channel_reference(self, paper_problem):
+        for problem in paper_variants(paper_problem):
+            got = admm_module._zero_forcing_start(problem)
+            assert got.tobytes() == zero_forcing_reference(problem).tobytes()
+
+    def test_zero_forcing_start_of_a_hand_built_problem(self):
+        # two users on orthogonal channels, no scenario: the SINR rows alone
+        # define the start, at which each user's SINR is twice its target
+        M, N = 2, 3
+        sinrs = [
+            SinrConstraint(0, np.array([1.0, 0.0, 0.0]), 1.5, 0.5, M, N),
+            SinrConstraint(1, np.array([0.0, 2.0j, 0.0]), 4.0, 2.0, M, N),
+        ]
+        w = admm_module._zero_forcing_start(toy_problem(sinrs, M, N))
+        for c in sinrs:
+            assert c.sinr(w) == pytest.approx(2.0 * c.gamma, rel=1e-12)
 
     def test_contradictory_thresholds_reported(self):
         problem = contradictory_problem()

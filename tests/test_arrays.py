@@ -5,7 +5,7 @@ from sparsebeam import (
     AngleGrids,
     ArrayGeometry,
     ConfigurationError,
-    UserChannel,
+    SinrConstraint,
     build_grids,
     db_to_linear,
     dbm_to_watts,
@@ -87,11 +87,11 @@ class TestChannels:
 
     def test_user_channel_invariants(self):
         with pytest.raises(ConfigurationError):
-            UserChannel(0, np.ones(3), noise_variance=0.0, sinr_target=1.0)
+            SinrConstraint(0, np.ones(3), gamma=1.0, noise_variance=0.0, M=1, N=3)
         with pytest.raises(ConfigurationError):
-            UserChannel(0, np.ones(3), noise_variance=1.0, sinr_target=-1.0)
+            SinrConstraint(0, np.ones(3), gamma=-1.0, noise_variance=1.0, M=1, N=3)
         with pytest.raises(ConfigurationError):
-            UserChannel(0, np.zeros(3), noise_variance=1.0, sinr_target=1.0)
+            SinrConstraint(0, np.zeros(3), gamma=1.0, noise_variance=1.0, M=1, N=3)
 
 
 class TestConversions:

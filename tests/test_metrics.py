@@ -5,26 +5,33 @@ from dataclasses import replace
 from sparsebeam import (
     ArrayGeometry,
     SinrConstraint,
-    UserChannel,
     beampattern,
     design_report,
     feasibility_report,
     find_feasible_point,
     msrr,
-    responses,
     steering_vector,
     tx_power,
 )
+from sparsebeam.metrics import _responses
 
-from helpers import dense_constraint, quad_form, random_stack
+from helpers import dense_constraint, paper_variants, quad_form, random_stack
+from oracles import msrr_reference, zero_forcing_reference
 
 
-def sinr_per_user(w, channels, M, N):
+def responses(w, geometry, angles_deg, M):
+    """Transmit response at each angle, through the metrics' own helper."""
+    return _responses(w, np.column_stack([steering_vector(geometry, t) for t in angles_deg]), M)
+
+
+def row_angles(problem, kind):
+    """The angles of the problem's passband or stopband rows."""
+    return [c.angle_deg for c in problem.constraints_of_kind(kind)]
+
+
+def sinr_per_user(w, sinrs):
     """Achieved SINR of every user, read from its ``SinrConstraint``."""
-    return [
-        SinrConstraint(ch.index, ch.h, ch.sinr_target, ch.noise_variance, M, N).sinr(w)
-        for ch in channels
-    ]
+    return [c.sinr(w) for c in sinrs]
 
 
 class TestTxPower:
@@ -63,8 +70,8 @@ class TestMsrr:
         # if every mainlobe response sat at 10 and every stopband at 0.5,
         # the ratio would be (10*6)/(0.5*20) = 6; verify the grid counts feed
         # the definition that way by synthesizing exactly-threshold responses
-        main = 10.0 * len(paper_problem.grids.mainlobe)
-        stop = 0.5 * len(paper_problem.grids.stopband)
+        main = 10.0 * len(row_angles(paper_problem, "passband"))
+        stop = 0.5 * len(row_angles(paper_problem, "stopband"))
         assert main / stop == pytest.approx(6.0)
 
     def test_invariant_under_global_phase_and_scaling(self, paper_problem):
@@ -77,14 +84,21 @@ class TestMsrr:
         c = 3.7 * np.exp(1j * 0.4)
         assert msrr(c * w, paper_problem) == pytest.approx(base, rel=1e-10)
         # the responses themselves scale by |c|^2
-        r1 = responses(w, paper_problem.geometry, paper_problem.grids.mainlobe, paper_problem.M)
-        r2 = responses(c * w, paper_problem.geometry, paper_problem.grids.mainlobe, paper_problem.M)
+        geometry, mainlobe = paper_problem.scenario.geometry, row_angles(paper_problem, "passband")
+        r1 = responses(w, geometry, mainlobe, paper_problem.M)
+        r2 = responses(c * w, geometry, mainlobe, paper_problem.M)
         assert np.allclose(r2, abs(c) ** 2 * r1, rtol=1e-10)
+
+    def test_beam_rows_give_the_grid_reference_bit_for_bit(self, paper_problem):
+        rng = np.random.default_rng(7)
+        for problem in paper_variants(paper_problem):
+            for w in (random_stack(rng, problem.M, problem.N), zero_forcing_reference(problem)):
+                assert msrr(w, problem) == msrr_reference(w, problem)
 
 
 class TestBeampattern:
     def test_peak_at_steered_angle(self, paper_problem):
-        a = steering_vector(paper_problem.geometry, 0.0)
+        a = steering_vector(paper_problem.scenario.geometry, 0.0)
         w = np.zeros(paper_problem.size, dtype=complex)
         w[: paper_problem.N] = a
         angles, pattern = beampattern(w, paper_problem)
@@ -100,10 +114,10 @@ class TestBeampattern:
         rng = np.random.default_rng(4)
         w = random_stack(rng, paper_problem.M, paper_problem.N)
         for c in paper_problem.constraints_of_kind("stopband")[:5]:
-            r = responses(w, paper_problem.geometry, [c.angle_deg], paper_problem.M)
+            r = responses(w, paper_problem.scenario.geometry, [c.angle_deg], paper_problem.M)
             assert r[0] == pytest.approx(c.quad(w), rel=1e-12)
         for c in paper_problem.constraints_of_kind("passband")[:3]:
-            r = responses(w, paper_problem.geometry, [c.angle_deg], paper_problem.M)
+            r = responses(w, paper_problem.scenario.geometry, [c.angle_deg], paper_problem.M)
             assert r[0] == pytest.approx(-c.quad(w), rel=1e-12)
 
 
@@ -111,23 +125,24 @@ class TestSinrPerUser:
     def test_single_user_snr(self):
         geom = ArrayGeometry(4, 0.5)
         h = steering_vector(geom, 10.0)
-        ch = (UserChannel(0, h, 0.5, 1.0),)
+        ch = (SinrConstraint(0, h, 1.0, 0.5, 1, 4),)
         w = 0.3 * h  # matched beam
-        got = sinr_per_user(w, ch, 1, 4)
+        got = sinr_per_user(w, ch)
         assert got[0] == pytest.approx(abs(np.vdot(h, w)) ** 2 / 0.5, rel=1e-12)
 
     def test_orthogonal_beams_no_interference(self):
         h = np.array([1.0, 0.0], dtype=complex)
-        ch = (UserChannel(0, h, 1.0, 1.0), UserChannel(1, np.array([0.0, 1.0]), 1.0, 1.0))
+        ch = (SinrConstraint(0, h, 1.0, 1.0, 2, 2),
+              SinrConstraint(1, np.array([0.0, 1.0]), 1.0, 1.0, 2, 2))
         w = np.array([2.0, 0.0, 0.0, 3.0], dtype=complex)  # block m along user m
-        got = sinr_per_user(w, ch, 2, 2)
+        got = sinr_per_user(w, ch)
         assert got[0] == pytest.approx(4.0)
         assert got[1] == pytest.approx(9.0)
 
     def test_consistent_with_quadratic_form(self, paper_problem):
         rng = np.random.default_rng(5)
         w = random_stack(rng, paper_problem.M, paper_problem.N)
-        got = sinr_per_user(w, paper_problem.channels, paper_problem.M, paper_problem.N)
+        got = sinr_per_user(w, paper_problem.constraints_of_kind("sinr"))
         for c in paper_problem.constraints_of_kind("sinr"):
             # quad form slack sign agrees with the ratio within rounding
             satisfied = got[c.user] >= c.gamma

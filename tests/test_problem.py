@@ -16,6 +16,7 @@ from sparsebeam import (
     find_feasible_point,
     group_norms,
     objective,
+    rayleigh_channel,
     steering_vector,
     user_blocks,
 )
@@ -262,6 +263,31 @@ class TestAssemble:
         sc = replace(paper_scenario, stopband_regions=())
         with pytest.raises(ConfigurationError):
             assemble(sc)
+
+    def test_rayleigh_channels(self, paper_scenario):
+        sc = replace(paper_scenario, channel_model="rayleigh")
+        sinrs = assemble(sc).constraints_of_kind("sinr")
+        assert [c.user for c in sinrs] == list(range(sc.M))
+        for m, c in enumerate(sinrs):
+            assert c.h.tobytes() == rayleigh_channel(sc.geometry, [sc.seed, 101, m]).tobytes()
+        reseeded = assemble(replace(sc, seed=sc.seed + 1)).constraints_of_kind("sinr")
+        for c, other in zip(sinrs, reseeded):
+            assert not np.array_equal(c.h, other.h)
+
+
+class TestZeroGenerators:
+    """A zero steering vector or channel is a ``ConfigurationError``: its
+    passband or SINR floor can never hold and its stopband is vacuous."""
+
+    @pytest.mark.parametrize("build", [
+        lambda g: PassbandConstraint(0.0, g, 1.0, 1, 3),
+        lambda g: StopbandConstraint(0.0, g, 1.0, 1, 3),
+        lambda g: SinrConstraint(0, g, 1.0, 1.0, 1, 3),
+    ], ids=["passband", "stopband", "sinr"])
+    def test_rejected(self, build):
+        with pytest.raises(ConfigurationError, match="is zero"):
+            build(np.zeros(3))
+        build(np.array([0.0, 1e-300j, 0.0]))  # one nonzero entry will do
 
 
 class TestRestrict:
