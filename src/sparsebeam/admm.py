@@ -4,9 +4,10 @@ Per iteration the consensus variable is the closed-form average
 w = rho/(2 + rho*L) * sum_l (v_l + u_l); each auxiliary copy then shrinks
 w - u_l groupwise and projects onto its own constraint set, and the scaled
 duals absorb the disagreement.  The v-update works per constraint kind: one
-shrinkage call for all L copies, one closed-form kernel call for every beam
-copy and one for every antenna-power copy, then a one-point kernel per SINR
-copy, and one KKT guard over all of them.
+shrinkage call for all L copies, one closed-form kernel call for the beam
+copies that violate their constraint and one for the antenna-power copies
+over their limit, then a one-point kernel per SINR copy, and one KKT guard
+over every copy that moved; a copy that already holds keeps its shrunk point.
 No copy depends on another and nothing is random, so runs repeat bit for bit.
 """
 
@@ -124,15 +125,18 @@ def _row_error(problem, l, err):
 def update_v(problem, w, u, eta, rho):
     """Shrink every auxiliary copy, then project each onto its own constraint.
 
-    C = w - u is shrunk as one (L, M*N) batch.  The beam rows of
-    ``problem.families`` go through one ``project_beams`` call, the
-    antenna-power rows through one ``project_powers`` call, and the SINR rows
+    C = w - u is shrunk as one (L, M*N) batch.  Only rows that violate their
+    constraint are projected: the beam rows of ``problem.families`` that fail
+    the ``beam_slacks`` pass-through test go through one ``project_beams``
+    call, the antenna groups over their limit through one ``project_powers``
+    call (neither runs when no row of its kind moves), and the SINR rows
     through their one-point kernel on the row data of ``problem.sweep_plan``,
-    in constraint order.  Rows already feasible pass through unchanged, so
-    the result equals the per-constraint loop bit for bit.  One KKT
-    stationarity guard ||(v - vbar) + mu*F v|| <= 1e-6*(1 + ||vbar||) covers
-    every row: the first failing row in constraint order, or a SINR kernel
-    that fails before it, raises a ``ProjectionError`` naming it.
+    which has its own pass-through test, in constraint order.  Rows that hold
+    keep C's bytes with multiplier and residual 0, so the result equals the
+    per-constraint loop bit for bit.  One KKT stationarity guard
+    ||(v - vbar) + mu*F v|| <= 1e-6*(1 + ||vbar||) covers every moved row:
+    the first failing row in constraint order, or a SINR kernel that fails
+    before it, raises a ``ProjectionError`` naming it.
     """
     L, M, N = problem.L, problem.M, problem.N
     if L == 0:
@@ -143,13 +147,19 @@ def update_v(problem, w, u, eta, rho):
     mu, residual = np.zeros(L), np.zeros(L)
     V = C.reshape(L, M, N)  # a view: each row of C is read before it is written
     W = V[beams.rows]
-    active = ~(beam_slacks(W, beams) >= 0.0)
-    B, mu[beams.rows], residual[beams.rows] = project_beams(W, beams)
-    V[beams.rows] = np.where(active, B, W)
+    active = np.flatnonzero(~(beam_slacks(W, beams) >= 0.0))
+    if active.size:
+        rows = beams.rows[active]
+        V[rows], mu[rows], residual[rows] = project_beams(
+            W[active], beams._make(x[active] for x in beams)
+        )
     G = V[powers.rows, :, powers.antenna]
-    V[powers.rows, :, powers.antenna], mu[powers.rows], residual[powers.rows] = (
-        project_powers(G, powers.limit)
-    )
+    active = np.flatnonzero(~(sq_norms(G[..., np.newaxis])[:, 0, 0] <= powers.limit))
+    if active.size:
+        rows, antenna = powers.rows[active], powers.antenna[active]
+        V[rows, :, antenna], mu[rows], residual[rows] = project_powers(
+            G[active], powers.limit[active]
+        )
     error = None
     for l in sinrs.rows.tolist():
         try:

@@ -60,12 +60,15 @@ def steering_vector(geometry, theta_deg):
     """Unit-modulus array response toward ``theta_deg``.
 
     Entry n is exp(j*2*pi*spacing*n*sin(theta)) for n = 0..N-1; the first
-    element is the phase reference.
+    element is the phase reference.  An array of angles gives one column per
+    angle, (N, k) for k angles, from one evaluation of the same formula.
     """
-    if not -90.0 <= theta_deg <= 90.0:
-        raise ConfigurationError(f"angle {theta_deg} deg outside [-90, 90]")
-    n = np.arange(geometry.num_antennas)
-    phase = 2.0 * np.pi * geometry.element_spacing * n * np.sin(np.deg2rad(theta_deg))
+    theta = np.asarray(theta_deg, dtype=float)
+    inside = (-90.0 <= theta) & (theta <= 90.0)
+    if not inside.all():
+        raise ConfigurationError(f"angle {theta[~inside].flat[0]} deg outside [-90, 90]")
+    n = np.arange(geometry.num_antennas).reshape(-1, *(1,) * theta.ndim)
+    phase = 2.0 * np.pi * geometry.element_spacing * n * np.sin(np.deg2rad(theta))
     return np.exp(1j * phase)
 
 

@@ -37,10 +37,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value):
+    # float() first: numpy's float64 and complex128 scalars pass the
+    # isinstance tests, but numpy >= 2 writes their repr as "np.float64(...)"
     if isinstance(value, complex):
-        return f"{value.real!r}{value.imag:+}j"
+        return f"{float(value.real)!r}{float(value.imag):+}j"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

@@ -27,13 +27,14 @@ def msrr(w, problem):
     summed response at its passband angles over that at its stopband angles,
     each angle's steering vector read from ``problem.families``.
 
-    Returns +inf when the stopband response vanishes but the mainlobe does
-    not, and nan for the all-zero beamformer (0/0).
+    A side without rows has response 0.  Returns 0 when only the mainlobe
+    response vanishes, +inf when only the stopband response does, and nan
+    when both do, as for the all-zero beamformer (0/0).
     """
     beams = problem.families.beams
     passband = beams.sign.ravel() < 0
-    main, stop = (
-        float(_responses(w, np.column_stack(beams.steering[rows, 0]), problem.M).sum())
+    main, stop = (  # C order: BLAS may round a transposed view differently
+        float(_responses(w, np.ascontiguousarray(beams.steering[rows, 0].T), problem.M).sum())
         for rows in (passband, ~passband)
     )
     if stop == 0.0:
@@ -43,14 +44,18 @@ def msrr(w, problem):
 
 def beampattern(w, problem, step_deg=0.5):
     """(angles, responses) over a fine display grid spanning [-90, 90], with
-    the steering vectors of the full array of ``problem.scenario``.
+    the steering vectors of the full array of ``problem.scenario``, built as
+    one matrix by one ``steering_vector`` call over the whole grid.  Both
+    are empty for a problem without a scenario (one built by hand), which
+    has no array geometry to steer.
 
     The display grid is finer than the constraint grid on purpose, so
     between-grid sidelobe excursions show up in reports.
     """
+    if problem.scenario is None:
+        return np.empty(0), np.empty(0)
     angles = np.arange(-90.0, 90.0 + step_deg / 2.0, step_deg)
-    geometry = problem.scenario.geometry
-    A = np.column_stack([steering_vector(geometry, t) for t in angles])
+    A = steering_vector(problem.scenario.geometry, angles)
     return angles, _responses(w, A, problem.M)
 
 

@@ -384,7 +384,8 @@ class TestBatchedUpdateV:
 
         monkeypatch.setattr(admm_module, "project_powers", failing_kernel)
         with pytest.raises(ProjectionError) as err:
-            update_v(problem, np.zeros(M * N, complex), np.zeros((2, M * N), complex), 0.0, 1.0)
+            # antenna 1 carries power M = 2 > 1, so its row is projected
+            update_v(problem, np.ones(M * N, complex), np.zeros((2, M * N), complex), 0.0, 1.0)
         assert err.value.diagnostics["constraint_index"] == 1
         assert "l=1 (antenna_power(n=1))" in str(err.value)
 
@@ -405,6 +406,23 @@ class TestBatchedUpdateV:
         u = random_duals(rng, paper_problem.L, paper_problem.size, scale=0.1)
         update_v(paper_problem, w, u, eta=0.1, rho=50.0)
         assert counts == {"project": paper_problem.M, "group_shrink": 1}
+
+    def test_no_beam_or_power_row_moves_on_the_reference_iterates(
+        self, paper_problem, paper_scenario, monkeypatch
+    ):
+        # from the feasible start every beam and antenna-power copy meets its
+        # constraint in all 100 iterations, so neither batched kernel runs
+        counts = {"project_beams": 0, "project_powers": 0}
+        for name in counts:
+            original = getattr(admm_module, name)
+
+            def counted(*args, _original=original, _name=name):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(admm_module, name, counted)
+        assert solve(paper_problem, paper_scenario.admm).k == 100
+        assert counts == {"project_beams": 0, "project_powers": 0}
 
 
 def assert_sweep_matches_loop(problem):
@@ -1041,9 +1059,11 @@ class TestSolve:
         assert state.k == 1  # both residuals trivially below huge tolerances
 
     def test_projection_failure_aborts_with_context(self, paper_problem, paper_scenario, monkeypatch):
+        # half the feasible point puts every passband copy below its floor, so
+        # each iteration projects beam rows 0-5; from w0 itself no beam row moves
         w0 = find_feasible_point(paper_problem)
         monkeypatch.setattr(
-            admm_module, "find_feasible_point", lambda problem: w0.copy()
+            admm_module, "find_feasible_point", lambda problem: 0.5 * w0
         )
         calls = {"n": 0}
         original = admm_module.project_beams

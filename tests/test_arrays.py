@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,22 @@ class TestSteeringVector:
     def test_out_of_range_rejected(self, theta):
         with pytest.raises(ConfigurationError):
             steering_vector(GEOM2, theta)
+        with pytest.raises(ConfigurationError):
+            steering_vector(GEOM2, np.array([0.0, theta]))
+
+    def test_angle_array_gives_the_per_angle_vectors_bit_for_bit(self):
+        # beampattern builds its display matrix in one call over the 0.5 deg
+        # grid; a vectorized sin that rounds differently from the per-angle
+        # one would change beampattern.csv, so it must fail here
+        angles = np.arange(-90.0, 90.0 + 0.25, 0.5)
+        for N in range(1, 17):
+            for spacing in (0.25, 0.4, 0.5, 0.75, 1.0):
+                # a namespace: ArrayGeometry needs N >= 2
+                geometry = SimpleNamespace(num_antennas=N, element_spacing=spacing)
+                A = steering_vector(geometry, angles)
+                assert A.shape == (N, angles.size) and A.flags.c_contiguous
+                for k, theta in enumerate(angles):
+                    assert A[:, k].tobytes() == steering_vector(geometry, theta).tobytes()
 
 
 class TestChannels:

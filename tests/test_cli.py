@@ -178,6 +178,22 @@ class TestSweepM:
         assert powers == sorted(powers)
 
 
+class TestCsvCells:
+    def test_every_numeric_cell_parses_as_a_float(self, fast_scenario_path, tmp_path):
+        # numpy scalars must be written as plain numbers, not "np.float64(...)"
+        scenario = load_scenario(fast_scenario_path)
+        assert main(["solve", "--scenario", fast_scenario_path, "--out", str(tmp_path / "s")]) == 0
+        assert cmd_sweep_k(scenario, [8], trials=2, out_dir=tmp_path / "k") == 0
+        assert cmd_sweep_m(scenario, [1], out_dir=tmp_path / "m") == 0
+        for path in ("s/beampattern.csv", "s/history.csv", "k/sweep.csv", "m/sweep.csv"):
+            _, header, rows = read_csv(tmp_path / path)
+            assert rows
+            for row in rows:
+                for name, cell in zip(header, row):
+                    if name != "method":  # the sweeps' one text column
+                        float(cell)
+
+
 class TestProvenance:
     def test_parallel_width_does_not_change_report(self, fast_scenario_path, tmp_path):
         reports = []

@@ -3,8 +3,12 @@ import pytest
 from dataclasses import replace
 
 from sparsebeam import (
+    AntennaPowerConstraint,
     ArrayGeometry,
+    PassbandConstraint,
+    ProblemInstance,
     SinrConstraint,
+    StopbandConstraint,
     beampattern,
     design_report,
     feasibility_report,
@@ -32,6 +36,19 @@ def row_angles(problem, kind):
 def sinr_per_user(w, sinrs):
     """Achieved SINR of every user, read from its ``SinrConstraint``."""
     return [c.sinr(w) for c in sinrs]
+
+
+def hand_built(*kinds, N=3):
+    """A one-user problem without a scenario, holding the rows of the named
+    ``kinds``: a passband row at 0 deg, a stopband row at 20 deg, a power
+    row on antenna 0."""
+    a = np.ones(N)
+    rows = {
+        "passband": PassbandConstraint(0.0, a, 1.0, 1, N),
+        "stopband": StopbandConstraint(20.0, a, 1.0, 1, N),
+        "antenna_power": AntennaPowerConstraint(0, 1.0, 1, N),
+    }
+    return ProblemInstance(tuple(rows[k] for k in kinds), M=1, N=N)
 
 
 class TestTxPower:
@@ -94,6 +111,16 @@ class TestMsrr:
         for problem in paper_variants(paper_problem):
             for w in (random_stack(rng, problem.M, problem.N), zero_forcing_reference(problem)):
                 assert msrr(w, problem) == msrr_reference(w, problem)
+
+    @pytest.mark.parametrize("kinds, scale, want", [
+        (("stopband",), 1.0, 0.0),  # no passband row: mainlobe response 0
+        (("passband",), 1.0, float("inf")),  # no stopband row
+        (("antenna_power",), 1.0, float("nan")),  # neither: 0/0
+        (("stopband",), 0.0, float("nan")),  # zero beamformer: 0/0
+    ], ids=["no_passband", "no_stopband", "no_beam_rows", "zero_beamformer"])
+    def test_a_side_without_rows_has_response_zero(self, kinds, scale, want):
+        got = msrr(scale * np.ones(3, dtype=complex), hand_built(*kinds))
+        assert got == want or (np.isnan(want) and np.isnan(got))
 
 
 class TestBeampattern:
@@ -184,3 +211,11 @@ class TestDesignReport:
         assert report.support == (0, 1, 2)
         assert np.isfinite(report.msrr_db)
         assert len(report.pattern_angles_deg) == len(report.pattern_response) == 361
+
+    def test_problem_without_scenario_has_an_empty_pattern(self):
+        problem = hand_built("passband", "stopband", "antenna_power")
+        w = np.array([0.5, 0.5, 0.0], dtype=complex)
+        report = design_report(w, problem)
+        assert report.pattern_angles_deg.size == report.pattern_response.size == 0
+        assert report.feasible
+        assert report.msrr == pytest.approx(1.0)  # one steering vector on both sides
