@@ -52,7 +52,6 @@ from .problem import (
     BeamformerStack,
     PassbandConstraint,
     ProblemInstance,
-    QuadraticConstraint,
     SinrConstraint,
     StopbandConstraint,
     assemble,
@@ -60,7 +59,6 @@ from .problem import (
     objective,
     user_blocks,
 )
-from .projections import ProjectionResult, project
 from .scenario import (
     Scenario,
     bundled_scenario_path,

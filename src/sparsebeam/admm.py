@@ -248,21 +248,23 @@ def _zero_forcing_start(problem):
 
 
 def _mainlobe_boost(problem, w):
-    """Smallest tau so that block 0 plus tau*a(center) clears 1.2x each floor."""
-    passbands = problem.constraints_of_kind("passband")
-    if not passbands:
+    """Smallest tau so that block 0 plus tau*a(center) clears 1.2x each floor,
+    read from the passband rows of ``families``; the angles from the rows'
+    constraints."""
+    beams = problem.families.beams
+    passband = np.flatnonzero(beams.sign.ravel() < 0)
+    if not passband.size:
         return w
-    center = np.mean([c.angle_deg for c in passbands])
-    anchor = min(passbands, key=lambda c: abs(c.angle_deg - center))
-    a_c = anchor.steering
-    N = problem.N
-    block0 = w[:N]
+    angles = [problem.constraints[l].angle_deg for l in beams.rows[passband].tolist()]
+    center = np.mean(angles)
+    steering = beams.steering[passband, 0]
+    a_c = steering[min(range(len(angles)), key=lambda i: abs(angles[i] - center))]
+    block0 = w[: problem.N]
+    responses = sq_norms(w.reshape(problem.M, -1) @ beams.probe[passband]).ravel()
     tau = 0.0
-    for c in passbands:
-        a = c.steering
-        others = c.response(w) - abs(np.vdot(a, block0)) ** 2
-        need = 1.2 * c.threshold - others
+    for a, response, threshold in zip(steering, responses, beams.threshold[passband].ravel()):
         ci = np.vdot(a, block0)  # a^H w_0
+        need = 1.2 * threshold - (response - abs(ci) ** 2)  # less the other blocks' response
         if abs(ci) ** 2 >= need:
             continue
         gi = np.vdot(a, a_c)
@@ -276,7 +278,7 @@ def _mainlobe_boost(problem, w):
         tau = max(tau, root)
     if tau > 0.0:
         w = w.copy()
-        w[:N] = w[:N] + tau * a_c
+        w[: problem.N] = block0 + tau * a_c
     return w
 
 

@@ -51,10 +51,6 @@ class AngleGrids:
                         f"mainlobe and stopband grids share the angle {theta} deg"
                     )
 
-    @property
-    def num_points(self):
-        return len(self.mainlobe) + len(self.stopband)
-
 
 def steering_vector(geometry, theta_deg):
     """Unit-modulus array response toward ``theta_deg``.

@@ -4,8 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import linear_to_db, steering_vector
-from .problem import group_norms, user_blocks
+from .arrays import _sample_interval, linear_to_db, steering_vector
+from .errors import ConfigurationError
+from .problem import group_norms, sinr_powers, user_blocks
 
 CONSTRAINT_KINDS = ("passband", "stopband", "antenna_power", "sinr")
 
@@ -43,18 +44,20 @@ def msrr(w, problem):
 
 
 def beampattern(w, problem, step_deg=0.5):
-    """(angles, responses) over a fine display grid spanning [-90, 90], with
-    the steering vectors of the full array of ``problem.scenario``, built as
-    one matrix by one ``steering_vector`` call over the whole grid.  Both
-    are empty for a problem without a scenario (one built by hand), which
-    has no array geometry to steer.
+    """(angles, responses) over a fine display grid from -90 to exactly 90 in
+    steps of ``step_deg`` > 0, the last one possibly shorter, with the steering
+    vectors of the full array of ``problem.scenario``, built as one matrix by
+    one ``steering_vector`` call.  Both are empty for a problem without a
+    scenario (one built by hand), which has no array geometry to steer.
 
     The display grid is finer than the constraint grid on purpose, so
     between-grid sidelobe excursions show up in reports.
     """
+    if not step_deg > 0:
+        raise ConfigurationError(f"pattern step must be > 0 deg, got {step_deg}")
     if problem.scenario is None:
         return np.empty(0), np.empty(0)
-    angles = np.arange(-90.0, 90.0 + step_deg / 2.0, step_deg)
+    angles = np.array(_sample_interval(-90.0, 90.0, step_deg))
     A = steering_vector(problem.scenario.geometry, angles)
     return angles, _responses(w, A, problem.M)
 
@@ -111,8 +114,12 @@ class DesignReport:
 
 
 def design_report(w, problem, support=None, tol=1e-6, pattern_step_deg=0.5):
-    """Full metrics bundle for a stack evaluated against the full problem."""
+    """Full metrics bundle for a stack evaluated against the full problem; the
+    SINRs are signal / (interference + noise variance), one per SINR row."""
     w = np.asarray(w, dtype=complex)
+    sinrs = problem.families.sinrs
+    signal, interference = sinr_powers(user_blocks(w, problem.M, problem.N), sinrs)
+    noise = np.array([problem.constraints[l].noise_variance for l in sinrs.rows.tolist()])
     feas = feasibility_report(w, problem, tol)
     ratio = msrr(w, problem)
     angles, pattern = beampattern(w, problem, pattern_step_deg)
@@ -120,7 +127,7 @@ def design_report(w, problem, support=None, tol=1e-6, pattern_step_deg=0.5):
         tx_power_w=tx_power(w),
         msrr=ratio,
         msrr_db=linear_to_db(ratio) if np.isfinite(ratio) and ratio > 0 else float("nan"),
-        sinr=np.array([c.sinr(w) for c in problem.constraints_of_kind("sinr")]),
+        sinr=signal / (interference + noise),
         antenna_power_w=antenna_power(w, problem.M, problem.N),
         max_violation_by_kind=feas.max_violation_by_kind,
         feasible=feas.passed,

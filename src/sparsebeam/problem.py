@@ -12,17 +12,16 @@ are its SINR row, and every other quantity is derived from the constraints.
 Every constraint is held in the normalized sense  w^H F w <= f.  F is never
 materialized: it is block-diagonal over users, with block m equal to
 C[m] g g^H for one nonzero generator g (a steering vector, the selector e_n
-of one antenna, or a channel), so each kind stores g and evaluates or
-applies F in O(M*N).
+of one antenna, or a channel).  A constraint object is data: its fields,
+their validation, f, and its restriction to a subarray.
 
 The family has four kinds: beam floors and ceilings, antenna powers and SINR
 floors.  ``ProblemInstance.families`` holds them as per-kind arrays, routed
 by ``isinstance`` (a subclass joins its kind; any other class is a
-``ConfigurationError``), for the slacks, the F_l w products, the ADMM
-v-update, the feasible start, the MSRR, the infeasibility certificate and,
-one row each, the projection sweep's ``sweep_plan``.  Slacks and the
-v-update run the BLAS product of the constraint's own method once per row,
-so their batched values equal the per-constraint ones bit for bit.
+``ConfigurationError``), and every evaluation reads them: the slacks, the
+F_l w products, the SINRs of a design, the ADMM v-update, the feasible
+start, the MSRR, the infeasibility certificate and, one row each, the
+projection sweep's ``sweep_plan``.
 """
 
 from dataclasses import dataclass, replace
@@ -131,6 +130,14 @@ class SinrRows(NamedTuple):
                 self.gamma[i].item(), -self.f[i].item(), self.weights[i], h)
 
 
+def sinr_powers(W, sinrs):
+    """|h^H w_m|^2 of each SINR row's served user and that summed over the
+    other users (its interference), (s,) each, at one point W (M, N)."""
+    power = np.abs(W @ sinrs.probe)[..., 0] ** 2  # (s, M): |h^H w_m|^2 of every user
+    signal = power[sinrs.served]
+    return signal, power.sum(axis=1) - signal
+
+
 class ConstraintFamilies(NamedTuple):
     """Every constraint of a problem, by kind."""
 
@@ -147,7 +154,7 @@ def objective(w, eta, M, N):
 
 @dataclass(frozen=True, eq=False)
 class BeamformerStack:
-    """Stacked complex beamformer with per-user and per-antenna views."""
+    """Stacked complex beamformer of M users on N antennas."""
 
     w: np.ndarray
     M: int
@@ -161,53 +168,9 @@ class BeamformerStack:
             )
         object.__setattr__(self, "w", w)
 
-    def user_block(self, m):
-        return self.w[m * self.N : (m + 1) * self.N]
-
-    def antenna_group(self, n):
-        return self.w[n :: self.N]
-
-    def group_norms(self):
-        return group_norms(self.w, self.M, self.N)
-
-
-class QuadraticConstraint:
-    """Base for one constraint in the normalized sense w^H F w <= f."""
-
-    @property
-    def f(self):
-        raise NotImplementedError
-
-    def quad(self, w):
-        """The quadratic form w^H F w, evaluated through the structure."""
-        raise NotImplementedError
-
-    def f_action(self, w):
-        """F @ w without forming F."""
-        raise NotImplementedError
-
-    def restrict(self, support):
-        """The same constraint on the subarray ``support`` (None if it drops)."""
-        raise NotImplementedError
-
-    def slack(self, w):
-        """f - w^H F w; nonnegative iff the constraint holds."""
-        return self.f - self.quad(w)
-
-    def violation(self, w):
-        return max(0.0, -self.slack(w))
-
-    @cached_property
-    def rows(self):
-        """The data its one-point kernel reads: its row of a one-constraint problem."""
-        return ProblemInstance((self,), self.M, self.N).families[family_of(self)].row(0)
-
-    def describe(self):
-        return self.kind
-
 
 @dataclass(frozen=True, eq=False)
-class BeamConstraint(QuadraticConstraint):
+class BeamConstraint:
     """A response sum_m |a^H w_m|^2 at one angle, held below (stopband,
     ``sign`` +1) or above (passband, ``sign`` -1) a threshold.
 
@@ -233,20 +196,6 @@ class BeamConstraint(QuadraticConstraint):
     @property
     def f(self):
         return self.sign * self.threshold
-
-    def response(self, w):
-        coef = user_blocks(w, self.M, self.N) @ np.conj(self.steering)
-        return float(np.vdot(coef, coef).real)
-
-    def quad(self, w):
-        return self.sign * self.response(w)
-
-    def f_action(self, w):
-        coef = user_blocks(w, self.M, self.N) @ np.conj(self.steering)
-        out = np.outer(coef, self.steering).reshape(-1)
-        # negated, not multiplied by sign: a complex product by -1.0 would
-        # differ from the negation on signed zeros
-        return out if self.sign > 0 else -out
 
     def restrict(self, support):
         return replace(self, steering=self.steering[list(support)], N=len(support))
@@ -276,7 +225,7 @@ class StopbandConstraint(BeamConstraint):
 
 
 @dataclass(frozen=True, eq=False)
-class AntennaPowerConstraint(QuadraticConstraint):
+class AntennaPowerConstraint:
     """Per-antenna radiated power: sum_m |w_m(n)|^2 <= limit.
 
     F is the 0/1 diagonal selector of antenna group n.
@@ -303,18 +252,6 @@ class AntennaPowerConstraint(QuadraticConstraint):
     def f(self):
         return self.limit
 
-    def group(self, w):
-        return np.asarray(w)[self.antenna :: self.N]
-
-    def quad(self, w):
-        g = self.group(w)
-        return float(np.vdot(g, g).real)
-
-    def f_action(self, w):
-        out = np.zeros(self.M * self.N, dtype=complex)
-        out[self.antenna :: self.N] = np.asarray(w)[self.antenna :: self.N]
-        return out
-
     def restrict(self, support):
         support = list(support)
         if self.antenna not in support:
@@ -326,7 +263,7 @@ class AntennaPowerConstraint(QuadraticConstraint):
 
 
 @dataclass(frozen=True, eq=False)
-class SinrConstraint(QuadraticConstraint):
+class SinrConstraint:
     """Downlink SINR floor for one user.
 
     |h^H w_m|^2 - gamma * sum_{j != m} |h^H w_j|^2 >= gamma * sigma^2,
@@ -360,32 +297,12 @@ class SinrConstraint(QuadraticConstraint):
     def f(self):
         return -self.gamma * self.noise_variance
 
-    def _coef(self, w):
-        return user_blocks(w, self.M, self.N) @ np.conj(self.h)
-
-    def signal_and_interference(self, w):
-        coef = self._coef(w)
-        power = np.abs(coef) ** 2
-        signal = float(power[self.user])
-        return signal, float(power.sum() - power[self.user])
-
-    def sinr(self, w):
-        signal, interference = self.signal_and_interference(w)
-        return signal / (interference + self.noise_variance)
-
-    def quad(self, w):
-        signal, interference = self.signal_and_interference(w)
-        return -(signal - self.gamma * interference)
-
     @cached_property
     def weights(self):
         """F's weight on each user block: -1 on block m, gamma elsewhere."""
         scale = np.full(self.M, self.gamma)
         scale[self.user] = -1.0
         return scale
-
-    def f_action(self, w):
-        return np.outer(self.weights * self._coef(w), self.h).reshape(-1)
 
     def restrict(self, support):
         return replace(self, h=self.h[list(support)], N=len(support))
@@ -470,15 +387,14 @@ class ProblemInstance:
         return sweep_plan(self)
 
     def slacks(self, w):
-        """f_l - w^H F_l w per constraint, bit for bit the ``slack`` values."""
+        """f_l - w^H F_l w per constraint, nonnegative where it holds."""
         beams, powers, sinrs = self.families
         W = user_blocks(np.asarray(w, dtype=complex), self.M, self.N)
         s = np.empty(self.L)
         s[beams.rows] = beam_slacks(W[np.newaxis], beams).ravel()
         s[powers.rows] = powers.limit - sq_norms(W.T[powers.antenna, :, np.newaxis]).ravel()
-        power = np.abs(W @ sinrs.probe)[..., 0] ** 2  # (s, M): |h^H w_m|^2 of every user
-        signal = power[sinrs.served]
-        s[sinrs.rows] = sinrs.f + (signal - sinrs.gamma * (power.sum(axis=1) - signal))
+        signal, interference = sinr_powers(W, sinrs)
+        s[sinrs.rows] = sinrs.f + (signal - sinrs.gamma * interference)
         return s
 
     def f_actions(self, w):

@@ -10,7 +10,7 @@ the ADMM v-update calls once for all its copies.  Each kind also has a
 one-point kernel: a pass-through test, then the closed form on floats and
 row vectors, or the SINR secular equation by a safeguarded Newton loop on
 floats.  ``sweep_plan`` slices their row data once per problem from
-``families``; ``project`` uses a constraint's own (``rows``).  Where F is
+``families``; the one-point kernels read nothing else.  Where F is
 negative semidefinite (mainlobe floors) or indefinite (SINR floors) the set
 is nonconvex: a saturated multiplier with an injected critical-direction
 component handles the degenerate inputs, as in the trust-region "hard
@@ -18,12 +18,11 @@ case".  A class outside the four kinds has no kernel.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ProjectionError
-from .problem import family_of, sq_norms
+from .problem import sq_norms
 
 # absolute tolerance on the secular residual; max iterations of the
 # safeguarded Newton/bisection loop; machine epsilon, its narrowest bracket
@@ -35,16 +34,6 @@ EPS = float(np.finfo(float).eps)
 KKT_GUARD = 1e-6
 
 _DEGENERATE_FLOOR = 1e-300
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionResult:
-    """Projected point, KKT multiplier, and the stationarity residual."""
-
-    v: np.ndarray
-    multiplier: float
-    active: bool
-    kkt_residual: float
 
 
 def project_powers(G, limit):
@@ -136,8 +125,8 @@ def _beam_point(W, r):
 
 
 def _beam_row(W, r):
-    """``_beam_point`` behind ``quad``'s pass-through test along a: S0, along
-    a/||a||, rounds differently; boundary points pass."""
+    """``_beam_point`` behind a pass-through test of the response along a:
+    S0, along a/||a||, rounds differently; boundary points pass."""
     coef = W @ r.probe
     if r.sign * np.vdot(coef, coef).real <= r.sign * r.threshold:
         return None
@@ -247,17 +236,3 @@ def check_stationarity(constraint, vbar, multiplier, residual):
     if not math.isfinite(residual) or residual > bound:
         raise stationarity_error(constraint, multiplier, residual, bound)
 
-
-def project(constraint, vbar):
-    """Projection of one stacked point onto one constraint by its one-point
-    kernel on the constraint's own row data (``rows``); a point that
-    satisfies the constraint comes back as a copy.  The stationarity residual
-    ||(v - vbar) + mu*F v|| must pass the KKT guard."""
-    kernel = (_beam_row, _power_row, _sinr_row)[family_of(constraint)]
-    vbar = np.asarray(vbar, dtype=complex)
-    moved = kernel(vbar.reshape(-1, constraint.N), constraint.rows)
-    if moved is None:
-        return ProjectionResult(v=vbar.copy(), multiplier=0.0, active=False, kkt_residual=0.0)
-    V, mu, residual = moved
-    check_stationarity(constraint, vbar, mu, residual)
-    return ProjectionResult(V.reshape(-1), float(mu), float(mu) > 0.0, residual)

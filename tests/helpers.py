@@ -1,14 +1,17 @@
 """Shared test oracles: dense constraint matrices built from the selection
 matrices Phi_m, independently of the package's structured evaluation paths,
-and the set of paper-derived problems several tests check readers on."""
+the paper-derived problems several tests check readers on, and the package's
+slack and projection of one constraint, through a one-constraint problem."""
 
 import itertools
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
 
-from sparsebeam import assemble
+from sparsebeam import ProblemInstance, assemble
 from sparsebeam.cli import scenario_with_users
+from sparsebeam.projections import check_stationarity
 
 
 def phi_matrix(m, M, N):
@@ -123,3 +126,24 @@ def paper_variants(paper_problem):
             sc = scenario_with_users(paper_problem.scenario, M)
             problems.append(assemble(replace(sc, channel_model=model)))
     return problems
+
+
+def slack(c, w):
+    """f - w^H F w of one constraint, by ``ProblemInstance.slacks``."""
+    return ProblemInstance((c,), c.M, c.N).slacks(w)[0]
+
+
+Projection = namedtuple("Projection", "v multiplier active kkt_residual")
+
+
+def project(c, vbar):
+    """One point's projection onto one constraint: the kernel of a one-constraint
+    problem's ``sweep_plan``, then ``check_stationarity``; a point that holds is copied."""
+    kernel, row, _ = ProblemInstance((c,), c.M, c.N).sweep_plan[0]
+    vbar = np.asarray(vbar, dtype=complex)
+    moved = kernel(vbar.reshape(c.M, c.N), row)
+    if moved is None:
+        return Projection(vbar.copy(), 0.0, False, 0.0)
+    V, mu, residual = moved
+    check_stationarity(c, vbar, mu, residual)
+    return Projection(V.reshape(-1), float(mu), float(mu) > 0.0, residual)

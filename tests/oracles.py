@@ -1,32 +1,33 @@
 """Reference implementations the tests check the package against.
 
-None of these run in production: an independent multistart penalty solver
-for the projections, ``project_generic`` (the projection onto any Hermitian
-F by a dense eigendecomposition, which the closed forms of the four
-constraint kinds must agree with), a bisection minimizer for the group
-shrinkage, the per-constraint v-update loop that the batched ``update_v``
-must reproduce bit for bit, the safeguarded Newton root-finder
-``_secular_root`` with the SINR kernel that called it
+None of these run in production: ``response``, ``sinr``, ``quad`` and
+``f_action``, one constraint evaluated from its own fields, which the
+batched ``slacks`` and ``design_report`` must reproduce bit for bit; an
+independent multistart penalty solver for the projections;
+``project_generic`` (the projection onto any Hermitian F by a dense
+eigendecomposition, which the closed forms of the four constraint kinds
+must agree with); a bisection minimizer for the group shrinkage; the
+per-constraint loop of ``helpers.project`` that the batched ``update_v`` must
+reproduce bit for bit; ``_secular_root`` with the SINR kernel that called it
 (``sinr_row_reference``), which the kernel with its loop written out must
-reproduce bit for bit, and the projection path the one-row kernels replaced (the
-constraint's ``quad`` test, then the batched kernels on a batch of one or
-the SINR secular equation through closures on numpy scalars), with the
-projection sweep built on it, which ``cyclic_projection`` must reproduce
-bit for bit.  ``refit_admm_reference`` is the consensus-ADMM refit that the
-SLSQP refit replaced; the refit must never end above it.  It polishes with
-the projections and the L-BFGS violation descent (``_violation_descent``)
-that the feasibility search used before ``minimum_power`` replaced it.
-``refit_from_start`` is the SLSQP refit before it handed off early: the
-same SQP run, started from the feasibility search run to 1e-8; the refit
-must reach the same verdicts and powers.  ``baseline_loop`` is the random
-baseline that refits every trial, which the memoized one must reproduce.
-``certify_infeasible_cold`` is the Kelley loop that solved every round's
-linear program from scratch with ``linprog``; the warm-started
-``certify_infeasible`` must reach the same verdicts.  ``msrr_reference`` and
-``zero_forcing_reference`` rebuild the MSRR and the stage-1 start from the
-scenario (its angle grids and user channels, cut to the problem's support)
-rather than from the constraint rows; ``msrr`` and ``_zero_forcing_start``
-must reproduce them bit for bit.
+reproduce bit for bit; and the projection path the one-row kernels replaced
+(a ``quad`` test, then the batched kernels on a batch of one or the SINR
+secular equation through closures on numpy scalars), with the sweep built on
+it, which ``cyclic_projection`` must reproduce bit for bit.
+``refit_admm_reference`` is the consensus-ADMM refit that the SLSQP refit
+replaced; the refit must never end above it.  It polishes with the
+projections and the L-BFGS violation descent (``_violation_descent``) that
+the feasibility search used before ``minimum_power``.  ``refit_from_start``
+is the SLSQP refit started from the search run to 1e-8; the refit must
+reach its verdicts and powers.  ``baseline_loop`` refits every trial, as the
+memoized baseline must reproduce.  ``certify_infeasible_cold`` solves every
+Kelley round's linear program from scratch with ``linprog``; the
+warm-started ``certify_infeasible`` must reach its verdicts.
+``msrr_reference`` and ``zero_forcing_reference`` rebuild the MSRR and the
+stage-1 start from the scenario, cut to the problem's support, and
+``mainlobe_boost_reference`` runs stage 2 constraint by constraint;
+``msrr``, ``_zero_forcing_start`` and ``_mainlobe_boost`` must reproduce
+them bit for bit.
 """
 
 import math
@@ -59,14 +60,54 @@ from sparsebeam.projections import (
     KKT_GUARD,
     SECULAR_MAX_ITER,
     SECULAR_TOL,
-    ProjectionResult,
-    project,
     project_beams,
     project_powers,
     stationarity_error,
 )
 from sparsebeam.selection import BaselineResult, embed_support
 from sparsebeam.shrinkage import ZERO_GROUP_FLOOR, group_shrink
+
+from helpers import Projection, project
+
+
+def response(c, w):
+    """sum_m |a^H w_m|^2 of a beam constraint."""
+    coef = user_blocks(w, c.M, c.N) @ np.conj(c.steering)
+    return float(np.vdot(coef, coef).real)
+
+
+def sinr_terms(c, w):
+    """(|h^H w_m|^2, sum_{j != m} |h^H w_j|^2) of a SINR constraint."""
+    power = np.abs(user_blocks(w, c.M, c.N) @ np.conj(c.h)) ** 2
+    return float(power[c.user]), float(power.sum() - power[c.user])
+
+
+def sinr(c, w):
+    signal, interference = sinr_terms(c, w)
+    return signal / (interference + c.noise_variance)
+
+
+def quad(c, w):
+    """w^H F w of one constraint from its fields."""
+    if isinstance(c, BeamConstraint):
+        return c.sign * response(c, w)
+    if isinstance(c, AntennaPowerConstraint):
+        g = np.asarray(w)[c.antenna :: c.N]
+        return float(np.vdot(g, g).real)
+    signal, interference = sinr_terms(c, w)
+    return -(signal - c.gamma * interference)
+
+
+def f_action(c, w):
+    """F w of one constraint from its fields, F not formed."""
+    if isinstance(c, AntennaPowerConstraint):
+        out = np.zeros(c.M * c.N, dtype=complex)
+        out[c.antenna :: c.N] = np.asarray(w)[c.antenna :: c.N]
+        return out
+    if isinstance(c, BeamConstraint):
+        out = np.outer(user_blocks(w, c.M, c.N) @ np.conj(c.steering), c.steering).reshape(-1)
+        return out if c.sign > 0 else -out  # negated: -1.0 * z flips signed zeros
+    return np.outer(c.weights * (user_blocks(w, c.M, c.N) @ np.conj(c.h)), c.h).reshape(-1)
 
 
 def update_v_loop(problem, w, u, eta, rho):
@@ -452,8 +493,8 @@ def project_reference(constraint, vbar):
     constraint's ``quad`` test, then ``project_powers`` or ``project_beams``
     on a batch of one, or ``project_sinr_reference``, and the KKT guard."""
     vbar = np.asarray(vbar, dtype=complex)
-    if constraint.quad(vbar) <= constraint.f:
-        return ProjectionResult(v=vbar.copy(), multiplier=0.0, active=False, kkt_residual=0.0)
+    if quad(constraint, vbar) <= constraint.f:
+        return Projection(vbar.copy(), 0.0, False, 0.0)
     if isinstance(constraint, AntennaPowerConstraint):
         v = vbar.copy()
         sel = slice(constraint.antenna, None, constraint.N)
@@ -467,11 +508,11 @@ def project_reference(constraint, vbar):
     else:
         c = constraint
         v, mu = project_sinr_reference(vbar, c.h, c.gamma, c.noise_variance, c.user, c.M, c.N)
-        residual = float(np.linalg.norm((v - vbar) + mu * c.f_action(v)))
+        residual = float(np.linalg.norm((v - vbar) + mu * f_action(c, v)))
     bound = KKT_GUARD * (1.0 + math.sqrt(np.vdot(vbar, vbar).real))
     if not math.isfinite(residual) or residual > bound:
         raise stationarity_error(constraint, mu, residual, bound)
-    return ProjectionResult(v=v, multiplier=mu, active=mu > 0.0, kkt_residual=residual)
+    return Projection(v, mu, mu > 0.0, residual)
 
 
 def cyclic_projection_loop(problem, w, max_sweeps=500, tol=1e-8):
@@ -511,10 +552,10 @@ def _violation_descent(problem, w0):
         value = 0.0
         grad = np.zeros(n, dtype=complex)
         for c in constraints:
-            violation = c.quad(v) - c.f
+            violation = quad(c, v) - c.f
             if violation > 0.0:
                 value += violation * violation
-                grad += (2.0 * violation) * c.f_action(v)
+                grad += (2.0 * violation) * f_action(c, v)
         return value, 2.0 * np.concatenate([grad.real, grad.imag])
 
     x0 = np.concatenate([w0.real, w0.imag])
@@ -695,3 +736,24 @@ def zero_forcing_reference(problem):
             col = col * (np.sqrt(2.0 * sc.sinr_target[m] * sc.noise_variance[m]) / gain)
         w[m * N : (m + 1) * N] = col
     return w
+
+
+def mainlobe_boost_reference(problem, w):
+    """Stage 2 constraint by constraint: the smallest tau so that block 0 plus
+    tau*a(center) clears 1.2x each passband floor, each response and a^H w_0
+    evaluated from the constraint's own steering vector."""
+    passbands = problem.constraints_of_kind("passband")
+    if not passbands:
+        return w
+    center = np.mean([c.angle_deg for c in passbands])
+    a_c = min(passbands, key=lambda c: abs(c.angle_deg - center)).steering
+    block0, tau = w[: problem.N], 0.0
+    for c in passbands:
+        ci = np.vdot(c.steering, block0)  # a^H w_0
+        need = 1.2 * c.threshold - (response(c, w) - abs(ci) ** 2)
+        gi = np.vdot(c.steering, a_c)
+        if abs(ci) ** 2 >= need or abs(gi) == 0.0:
+            continue
+        aa, bb, cc = abs(gi) ** 2, 2.0 * (np.conj(ci) * gi).real, abs(ci) ** 2 - need
+        tau = max(tau, (-bb + np.sqrt(max(bb * bb - 4.0 * aa * cc, 0.0))) / (2.0 * aa))
+    return np.concatenate([block0 + tau * a_c, w[problem.N :]]) if tau > 0.0 else w

@@ -42,10 +42,12 @@ from helpers import (
     dense_response_matrix,
     dense_selector_matrix,
     dense_sinr_matrix,
+    project,
     quad_form,
     random_stack,
+    slack,
 )
-from oracles import penalty_oracle, prox_oracle
+from oracles import penalty_oracle, prox_oracle, response
 
 _cache = {}
 
@@ -89,12 +91,12 @@ def test_criterion_02_end_to_end_design(paper_scenario):
     assert len(support) == 8
     sc = paper_scenario
     for c in problem.constraints_of_kind("stopband"):
-        assert c.response(w) <= sc.stopband_threshold * (1 + 1e-2)
+        assert response(c, w) <= sc.stopband_threshold * (1 + 1e-2)
     for c in problem.constraints_of_kind("passband"):
-        assert c.response(w) >= sc.mainlobe_threshold * (1 - 1e-2)
+        assert response(c, w) >= sc.mainlobe_threshold * (1 - 1e-2)
     for c in problem.constraints_of_kind("antenna_power"):
-        assert c.quad(w) <= c.limit * (1 + 1e-6)
-    sinr = np.array([c.sinr(w) for c in problem.constraints_of_kind("sinr")])
+        assert c.f - slack(c, w) <= c.limit * (1 + 1e-6)
+    sinr = sb.design_report(w, problem).sinr
     assert np.all(sinr >= np.array(sc.sinr_target) * (1 - 1e-2))
     assert elapsed <= 10.0, f"pipeline took {elapsed:.1f}s (budget 10s)"
     _announce(
@@ -204,7 +206,7 @@ def test_criterion_04_beampattern_shape(paper_scenario):
         nearest[name] = distance
         assert distance <= 3.0, f"no local maximum within 3 deg of {name}"
     for c in problem.constraints_of_kind("stopband"):
-        assert c.response(stack.w) <= paper_scenario.stopband_threshold * (1 + 1e-2)
+        assert response(c, stack.w) <= paper_scenario.stopband_threshold * (1 + 1e-2)
     _announce(
         4, True,
         "peak offsets: " + ", ".join(f"{k}: {v:.1f} deg" for k, v in nearest.items()),
@@ -279,10 +281,10 @@ def test_criterion_06_projection_oracle():
         worst_kkt = 0.0
         while count < 200:
             c, vbar = _random_infeasible_case(kind, rng)
-            if c.quad(vbar) <= c.f:
+            if slack(c, vbar) >= 0:
                 continue
             count += 1
-            res = sb.project(c, vbar)
+            res = project(c, vbar)
             F = dense_constraint(c)[0]
             # KKT at 1e-8: stationarity, feasibility, complementarity
             stat = np.linalg.norm((res.v - vbar) + res.multiplier * (F @ res.v))
@@ -379,7 +381,7 @@ def test_criterion_10_dense_oracle_equivalence():
         for _ in range(5):
             w = random_stack(rng, M, N)
             for c, F in zip(structured, dense):
-                got = c.quad(w)
+                got = c.f - slack(c, w)
                 want = quad_form(F, w)
                 err = abs(got - want) / max(1.0, abs(want))
                 worst = max(worst, err)

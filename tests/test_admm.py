@@ -14,7 +14,6 @@ from sparsebeam import (
     PassbandConstraint,
     ProblemInstance,
     ProjectionError,
-    QuadraticConstraint,
     SinrConstraint,
     StopbandConstraint,
     WeakPenaltyWarning,
@@ -23,7 +22,6 @@ from sparsebeam import (
     feasibility_report,
     find_feasible_point,
     initialize,
-    project,
     refit,
     select_support,
     solve,
@@ -38,10 +36,14 @@ from sparsebeam.certificate import certify_infeasible
 from sparsebeam.problem import BeamConstraint
 from sparsebeam.selection import _handoff_tol
 
-from helpers import certificate_holds, dense_constraint, paper_variants, random_stack
+from helpers import certificate_holds, dense_constraint, paper_variants, project, random_stack
 from oracles import (
     certify_infeasible_cold,
     cyclic_projection_loop,
+    mainlobe_boost_reference,
+    quad,
+    response,
+    sinr,
     update_v_loop,
     zero_forcing_reference,
 )
@@ -131,23 +133,13 @@ class TestUpdateV:
         assert np.array_equal(v[0], w)  # eta=0 shrink is identity, constraint loose
 
 
-class Ball(QuadraticConstraint):
+class Ball:
     """||w||^2 <= radius: a constraint class outside the four kinds."""
 
     kind = "ball"
 
-    def __init__(self, radius, size):
-        self.radius, self.size = radius, size
-
-    @property
-    def f(self):
-        return self.radius
-
-    def quad(self, w):
-        return float(np.vdot(w, w).real)
-
-    def f_action(self, w):
-        return np.asarray(w, dtype=complex)
+    def __init__(self, radius, M, N):
+        self.radius, self.M, self.N = radius, M, N
 
 
 class TaggedStopband(StopbandConstraint):
@@ -255,10 +247,10 @@ class TestBatchedUpdateV:
     @given(mixed_problems())
     def test_slacks_match_per_constraint(self, case):
         problem, w = case[0], case[1]
-        want = np.array([c.slack(w) for c in problem.constraints])
+        want = np.array([c.f - quad(c, w) for c in problem.constraints])
         assert np.array_equal(problem.slacks(w), want)
         if problem.L:
-            assert problem.max_violation(w) == max(c.violation(w) for c in problem.constraints)
+            assert problem.max_violation(w) == max(max(0.0, -s) for s in want)
 
     @settings(max_examples=100, deadline=None)
     @given(mixed_problems())
@@ -290,11 +282,11 @@ class TestBatchedUpdateV:
         assert beams.threshold.ravel().tolist() == [1.0, 2.0, 1.0]
         assert powers.rows.tolist() == [3] and powers.antenna.tolist() == [2]
         assert sinrs.rows.tolist() == [2] and sinrs.weights.tolist() == [[3.0, -1.0]]
-        rejected = toy_problem(constraints + [Ball(1.0, M * N)], M, N)
+        rejected = toy_problem(constraints + [Ball(1.0, M, N)], M, N)
         for run in (
             lambda: rejected.families,
             lambda: find_feasible_point(rejected),
-            lambda: project(Ball(1.0, M * N), np.ones(M * N, dtype=complex)),
+            lambda: project(Ball(1.0, M, N), np.ones(M * N, dtype=complex)),
         ):
             with pytest.raises(ConfigurationError, match="Ball"):
                 run()
@@ -318,8 +310,8 @@ class TestBatchedUpdateV:
         u[2] = w  # copy 2 sees the zero point
         assert_matches_loop(problem, w, u, eta, 2.0)
         v = update_v(problem, w, u, eta, 2.0)
-        assert passband.response(v[1]) == pytest.approx(2.0, rel=1e-12)
-        assert passband.response(v[2]) == pytest.approx(2.0, rel=1e-12)
+        assert response(passband, v[1]) == pytest.approx(2.0, rel=1e-12)
+        assert response(passband, v[2]) == pytest.approx(2.0, rel=1e-12)
         assert np.all(v[2].reshape(M, N)[1] == 0)  # the injection goes to block 0
 
     @pytest.mark.parametrize("ratio", [1e-8, 1.0, 1e8])
@@ -332,7 +324,7 @@ class TestBatchedUpdateV:
         w = random_stack(rng, paper_problem.M, paper_problem.N)
         u = random_duals(rng, paper_problem.L, paper_problem.size)
         constraints = [
-            replace(c, threshold=c.response(w - u[l]) / ratio)
+            replace(c, threshold=response(c, w - u[l]) / ratio)
             if c.kind in ("passband", "stopband") else c
             for l, c in enumerate(paper_problem.constraints)
         ]
@@ -488,7 +480,7 @@ class TestProjectionSweep:
         assert len(problem.sweep_plan) == problem.L
         for (kernel, row, c), constraint in zip(problem.sweep_plan, problem.constraints):
             assert c is constraint
-            assert_same_row_data(row, c.rows)
+            assert_same_row_data(row, ProblemInstance((c,), c.M, c.N).sweep_plan[0][1])
         try:
             want = cyclic_projection_loop(problem, w)
         except ProjectionError as err:
@@ -602,7 +594,21 @@ class TestFeasiblePoint:
         ]
         w = admm_module._zero_forcing_start(toy_problem(sinrs, M, N))
         for c in sinrs:
-            assert c.sinr(w) == pytest.approx(2.0 * c.gamma, rel=1e-12)
+            assert sinr(c, w) == pytest.approx(2.0 * c.gamma, rel=1e-12)
+
+    def test_mainlobe_boost_matches_the_constraint_loop(self, paper_problem):
+        for problem in paper_variants(paper_problem):
+            w = admm_module._zero_forcing_start(problem)
+            got = admm_module._mainlobe_boost(problem, w)
+            assert got.tobytes() == mainlobe_boost_reference(problem, w).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_problems())
+    def test_mainlobe_boost_of_mixed_problems(self, case):
+        problem, w = case[:2]
+        for start in (w, 0.01 * w, admm_module._zero_forcing_start(problem)):
+            got = admm_module._mainlobe_boost(problem, start)
+            assert got.tobytes() == mainlobe_boost_reference(problem, start).tobytes()
 
     def test_contradictory_thresholds_reported(self):
         problem = contradictory_problem()
@@ -790,19 +796,19 @@ def feasible_toy_problems(draw):
     constraints = []
     for theta in rng.uniform(-90.0, 90.0, size=draw(st.integers(0, 3))):
         a = steering_vector(geom, theta)
-        response = PassbandConstraint(theta, a, 1.0, M, N).response(w0)
-        constraints.append(PassbandConstraint(theta, a, response / draw(loosen), M, N))
+        level = response(PassbandConstraint(theta, a, 1.0, M, N), w0)
+        constraints.append(PassbandConstraint(theta, a, level / draw(loosen), M, N))
     for theta in rng.uniform(-90.0, 90.0, size=draw(st.integers(0, 3))):
         a = steering_vector(geom, theta)
-        response = StopbandConstraint(theta, a, 1.0, M, N).response(w0)
-        constraints.append(StopbandConstraint(theta, a, response * draw(loosen), M, N))
+        level = response(StopbandConstraint(theta, a, 1.0, M, N), w0)
+        constraints.append(StopbandConstraint(theta, a, level * draw(loosen), M, N))
     for n in range(N if draw(st.booleans()) else 0):
-        limit = AntennaPowerConstraint(n, 1.0, M, N).quad(w0) * draw(loosen)
+        limit = quad(AntennaPowerConstraint(n, 1.0, M, N), w0) * draw(loosen)
         constraints.append(AntennaPowerConstraint(n, limit, M, N))
     for m in range(M if draw(st.booleans()) else 0):
         h = random_stack(rng, 1, N)
-        sinr = SinrConstraint(m, h, 1.0, 1.0, M, N).sinr(w0)
-        constraints.append(SinrConstraint(m, h, sinr / draw(loosen), 1.0, M, N))
+        level = sinr(SinrConstraint(m, h, 1.0, 1.0, M, N), w0)
+        constraints.append(SinrConstraint(m, h, level / draw(loosen), 1.0, M, N))
     return toy_problem(constraints, M, N), w0
 
 

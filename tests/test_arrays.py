@@ -140,7 +140,7 @@ class TestGrids:
     def test_paper_constraint_count_identity(self):
         regions = [(-90, -60), (-30, -20), (20, 30), (60, 90)]
         grids = build_grids((-5, 5), regions, 2.0, 5.0)
-        assert grids.num_points + 10 + 2 == 38
+        assert len(grids.mainlobe) + len(grids.stopband) + 10 + 2 == 38
 
     def test_point_region(self):
         grids = build_grids((0, 0), [(20, 30)], 2.0, 5.0)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from sparsebeam import (
     AntennaPowerConstraint,
     ArrayGeometry,
+    ConfigurationError,
     PassbandConstraint,
     ProblemInstance,
     SinrConstraint,
@@ -19,8 +21,9 @@ from sparsebeam import (
 )
 from sparsebeam.metrics import _responses
 
-from helpers import dense_constraint, paper_variants, quad_form, random_stack
-from oracles import msrr_reference, zero_forcing_reference
+from helpers import dense_constraint, paper_variants, quad_form, random_stack, slack
+from oracles import msrr_reference, sinr, zero_forcing_reference
+from test_admm import feasible_toy_problems, mixed_problems
 
 
 def responses(w, geometry, angles_deg, M):
@@ -34,8 +37,8 @@ def row_angles(problem, kind):
 
 
 def sinr_per_user(w, sinrs):
-    """Achieved SINR of every user, read from its ``SinrConstraint``."""
-    return [c.sinr(w) for c in sinrs]
+    """Achieved SINR of every user, as ``design_report`` reports it."""
+    return design_report(w, ProblemInstance(tuple(sinrs), sinrs[0].M, sinrs[0].N)).sinr
 
 
 def hand_built(*kinds, N=3):
@@ -137,15 +140,31 @@ class TestBeampattern:
         angles, pattern = beampattern(w, paper_problem)
         assert np.allclose(pattern, pattern[::-1], rtol=1e-9, atol=1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.01, 180.0))
+    def test_grid_runs_from_minus_90_to_exactly_90(self, paper_problem, step):
+        angles, pattern = beampattern(np.ones(paper_problem.size, complex), paper_problem, step)
+        assert angles[0] == -90.0 and angles[-1] == 90.0 and np.all(np.diff(angles) > 0)
+        assert pattern.shape == angles.shape
+
+    def test_default_grid_and_bad_steps(self, paper_problem):
+        w = np.ones(paper_problem.size, dtype=complex)
+        assert beampattern(w, paper_problem)[0].tobytes() == np.arange(-90, 90.25, 0.5).tobytes()
+        for step in (0.1, 0.2, 0.4, 7.0):  # where np.arange ends off 90
+            assert beampattern(w, paper_problem, step)[0][-1] == 90.0
+        for step in (0.0, -0.5, float("nan")):
+            with pytest.raises(ConfigurationError, match="pattern step"):
+                beampattern(w, paper_problem, step)
+
     def test_matches_constraint_evaluations_on_grid(self, paper_problem):
         rng = np.random.default_rng(4)
         w = random_stack(rng, paper_problem.M, paper_problem.N)
         for c in paper_problem.constraints_of_kind("stopband")[:5]:
             r = responses(w, paper_problem.scenario.geometry, [c.angle_deg], paper_problem.M)
-            assert r[0] == pytest.approx(c.quad(w), rel=1e-12)
+            assert r[0] == pytest.approx(c.f - slack(c, w), rel=1e-12)
         for c in paper_problem.constraints_of_kind("passband")[:3]:
             r = responses(w, paper_problem.scenario.geometry, [c.angle_deg], paper_problem.M)
-            assert r[0] == pytest.approx(-c.quad(w), rel=1e-12)
+            assert r[0] == pytest.approx(slack(c, w) - c.f, rel=1e-12)
 
 
 class TestSinrPerUser:
@@ -173,7 +192,7 @@ class TestSinrPerUser:
         for c in paper_problem.constraints_of_kind("sinr"):
             # quad form slack sign agrees with the ratio within rounding
             satisfied = got[c.user] >= c.gamma
-            assert satisfied == (c.slack(w) >= 0) or abs(c.slack(w)) < 1e-9
+            assert satisfied == (slack(c, w) >= 0) or abs(slack(c, w)) < 1e-9
 
 
 class TestFeasibilityReport:
@@ -219,3 +238,11 @@ class TestDesignReport:
         assert report.pattern_angles_deg.size == report.pattern_response.size == 0
         assert report.feasible
         assert report.msrr == pytest.approx(1.0)  # one steering vector on both sides
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(mixed_problems(), feasible_toy_problems()))
+    def test_any_hand_built_problem_reports_each_sinr_row(self, case):
+        problem, w = case[:2]
+        report = design_report(w, problem)
+        want = [sinr(c, w) for c in problem.constraints if isinstance(c, SinrConstraint)]
+        assert report.sinr.tobytes() == np.array(want, dtype=float).tobytes()

@@ -8,25 +8,19 @@ from sparsebeam import (
     AntennaPowerConstraint,
     ArrayGeometry,
     PassbandConstraint,
+    ProblemInstance,
     ProjectionError,
     SinrConstraint,
     StopbandConstraint,
-    project,
     steering_vector,
 )
 from sparsebeam.problem import beam_rows
 import sparsebeam.projections as projections_module
 from sparsebeam.projections import project_beams, project_powers
 
-from helpers import dense_constraint, quad_form, random_stack
+from helpers import dense_constraint, project, quad_form, random_stack, slack
 import oracles
-from oracles import penalty_oracle, project_generic, project_sinr_reference, sinr_row_reference
-
-
-def projected(constraint, vbar):
-    """(v, mu) of ``project``."""
-    res = project(constraint, vbar)
-    return res.v, res.multiplier
+from oracles import penalty_oracle, project_generic, project_sinr_reference, quad, response
 
 
 def steering(N, theta=17.0):
@@ -72,7 +66,7 @@ class TestDispatchFeasible:
         for _ in range(50):
             c = random_constraint(kind, rng, M, N)
             vbar = random_stack(rng, M, N)
-            if c.quad(vbar) > c.f:
+            if quad(c, vbar) > c.f:
                 continue
             res = project(c, vbar)
             assert np.array_equal(res.v, vbar)
@@ -89,12 +83,12 @@ class TestAntennaPower:
         assert res.v[1] == vbar[1] and res.v[3] == vbar[3]
 
     def test_zero_group(self):
-        g, mu = projected(AntennaPowerConstraint(0, 0.5, 3, 1), np.zeros(3, dtype=complex))
+        g, mu = project(AntennaPowerConstraint(0, 0.5, 3, 1), np.zeros(3, dtype=complex))[:2]
         assert np.all(g == 0) and mu == 0.0
 
     def test_boundary_group_unchanged(self):
         g = np.array([1.0, 1.0], dtype=complex)
-        out, mu = projected(AntennaPowerConstraint(0, 2.0, 2, 1), g)
+        out, mu = project(AntennaPowerConstraint(0, 2.0, 2, 1), g)[:2]
         assert np.array_equal(out, g) and mu == 0.0
 
     def test_kkt_residual_tiny(self):
@@ -117,7 +111,7 @@ class TestStopband:
         norm_a = np.linalg.norm(a)
         eps = 0.3
         vbar = (2.0 * a / norm_a**2 * norm_a).astype(complex)  # aligned, response 4
-        v, mu = projected(StopbandConstraint(0.0, a, eps, 1, N), vbar)
+        v, mu = project(StopbandConstraint(0.0, a, eps, 1, N), vbar)[:2]
         # response after projection is exactly eps
         assert abs(np.vdot(a, v)) ** 2 == pytest.approx(eps, rel=1e-10)
         # coefficient magnitude sqrt(eps)/||a||
@@ -130,13 +124,13 @@ class TestStopband:
         # rounding alone reaches about eps*sqrt(ratio)
         c = StopbandConstraint(40.0, a, eps, 1, N)
         for ratio in (1e8, 1e-8):
-            scaled = vbar * np.sqrt(ratio * eps / c.response(vbar))
+            scaled = vbar * np.sqrt(ratio * eps / response(c, vbar))
             res = project(c, scaled)
             if ratio < 1.0:
                 assert np.array_equal(res.v, scaled) and not res.active
                 continue
             rel_tol = 64.0 * np.finfo(float).eps * np.sqrt(ratio)
-            assert c.response(res.v) == pytest.approx(eps, rel=rel_tol)
+            assert response(c, res.v) == pytest.approx(eps, rel=rel_tol)
             assert res.kkt_residual <= 1e-6 * (1.0 + np.linalg.norm(scaled))
             assert_kkt(c, scaled, res)
 
@@ -161,9 +155,9 @@ class TestStopband:
         for i in range(25):
             c = random_constraint("stopband", rng, M, N)
             vbar = random_stack(rng, M, N)
-            if c.quad(vbar) <= c.f:
+            if quad(c, vbar) <= c.f:
                 vbar *= 4.0 / np.sqrt(c.f)
-            if c.quad(vbar) <= c.f:
+            if quad(c, vbar) <= c.f:
                 continue
             res = project(c, vbar)
             ref = penalty_oracle(dense_constraint(c)[0], c.f, vbar, seed=i)
@@ -178,7 +172,7 @@ class TestPassband:
         a = np.array([2.0], dtype=complex)
         M, N = 2, 1
         vbar = np.zeros(2, dtype=complex)
-        v, mu = projected(PassbandConstraint(0.0, a, 4.0, M, N), vbar)
+        v, mu = project(PassbandConstraint(0.0, a, 4.0, M, N), vbar)[:2]
         assert np.allclose(v, [1.0, 0.0])  # a*0.5 = 1.0 in block 0
         assert np.linalg.norm(v - vbar) ** 2 == pytest.approx(1.0)
         assert mu == pytest.approx(0.25)  # 1/||a||^2
@@ -189,15 +183,15 @@ class TestPassband:
         c = random_constraint("passband", rng, M, N)
         vbar = 0.1 * random_stack(rng, M, N)
         res = project(c, vbar)
-        assert c.response(res.v) == pytest.approx(c.threshold, rel=1e-9)
+        assert response(c, res.v) == pytest.approx(c.threshold, rel=1e-9)
         # extreme response-to-floor ratios: above 1 the input is kept
         for ratio in (1e-8, 1e8):
-            scaled = vbar * np.sqrt(ratio * c.threshold / c.response(vbar))
+            scaled = vbar * np.sqrt(ratio * c.threshold / response(c, vbar))
             res = project(c, scaled)
             if ratio > 1.0:
                 assert np.array_equal(res.v, scaled) and not res.active
                 continue
-            assert c.response(res.v) == pytest.approx(c.threshold, rel=1e-12)
+            assert response(c, res.v) == pytest.approx(c.threshold, rel=1e-12)
             assert res.kkt_residual <= 1e-6 * (1.0 + np.linalg.norm(scaled))
             assert_kkt(c, scaled, res)
 
@@ -207,7 +201,7 @@ class TestPassband:
         for i in range(25):
             c = random_constraint("passband", rng, M, N)
             vbar = 0.3 * random_stack(rng, M, N)
-            if c.quad(vbar) <= c.f:
+            if quad(c, vbar) <= c.f:
                 continue
             res = project(c, vbar)
             ref = penalty_oracle(dense_constraint(c)[0], c.f, vbar, seed=i)
@@ -221,7 +215,7 @@ class TestSinr:
         # ||h|| = 1, zbar = 1, gamma*sigma^2 = 4 -> zhat = 2
         h = np.array([1.0], dtype=complex)
         vbar = np.array([1.0], dtype=complex)
-        v, mu = projected(SinrConstraint(0, h, 4.0, 1.0, 1, 1), vbar)
+        v, mu = project(SinrConstraint(0, h, 4.0, 1.0, 1, 1), vbar)[:2]
         assert np.allclose(v, [2.0])
         assert 0 < mu < 1
 
@@ -232,7 +226,7 @@ class TestSinr:
         c = SinrConstraint(1, h, 5.0, 1.0, M, N)
         vbar = 0.2 * random_stack(rng, M, N)
         res = project(c, vbar)
-        assert abs(c.slack(res.v)) <= 1e-8
+        assert abs(slack(c, res.v)) <= 1e-8
         hhat = h / np.linalg.norm(h)
         for j in range(M):
             zb = np.vdot(hhat, vbar[j * N : (j + 1) * N])
@@ -250,9 +244,9 @@ class TestSinr:
         vbar[1] = 3.0  # served block 0 orthogonal to h
         vbar[2] = 1.0  # interfering block along h
         gamma, sigma2 = 2.0, 1.0
-        v, mu = projected(SinrConstraint(0, h, gamma, sigma2, M, N), vbar)
+        v, mu = project(SinrConstraint(0, h, gamma, sigma2, M, N), vbar)[:2]
         c = SinrConstraint(0, h, gamma, sigma2, M, N)
-        assert abs(c.slack(v)) <= 1e-9
+        assert abs(slack(c, v)) <= 1e-9
         assert mu == pytest.approx(1.0)  # 1/||h||^2
         assert v[1] == vbar[1]  # orthogonal part untouched
         # optimal against the penalty oracle
@@ -265,7 +259,7 @@ class TestSinr:
         for i in range(25):
             c = random_constraint("sinr", rng, M, N)
             vbar = 0.3 * random_stack(rng, M, N)
-            if c.quad(vbar) <= c.f:
+            if quad(c, vbar) <= c.f:
                 continue
             res = project(c, vbar)
             ref = penalty_oracle(dense_constraint(c)[0], c.f, vbar, seed=i)
@@ -301,7 +295,7 @@ class TestSinrKernel:
     def test_matches_reference_and_passes_guard(self, case):
         vbar, h, gamma, sigma2, user, M, N = case
         c = SinrConstraint(user, h, gamma, sigma2, M, N)
-        v, mu = projected(c, vbar)  # raises if the guard fails
+        v, mu = project(c, vbar)[:2]  # raises if the guard fails
         v_ref, mu_ref = project_sinr_reference(*case)
         assert v.tobytes() == v_ref.tobytes() and mu == mu_ref
         residual = np.linalg.norm((v - vbar) + mu * (dense_constraint(c)[0] @ v))
@@ -313,14 +307,15 @@ class TestSinrKernel:
         # the kernel's own Newton/bisection loop against the root-finder it
         # replaced, also when an iteration budget cut short makes both fail
         vbar, h, gamma, sigma2, user, M, N = case
-        row = SinrConstraint(user, h, gamma, sigma2, M, N).rows
+        c = SinrConstraint(user, h, gamma, sigma2, M, N)
+        row = ProblemInstance((c,), M, N).sweep_plan[0][1]
         W = vbar.reshape(M, N)
         with pytest.MonkeyPatch.context() as patch:
             if max_iter is not None:
                 patch.setattr(projections_module, "SECULAR_MAX_ITER", max_iter)
                 patch.setattr(oracles, "SECULAR_MAX_ITER", max_iter)
             try:
-                want = sinr_row_reference(W, row)
+                want = oracles.sinr_row_reference(W, row)
             except ProjectionError as err:
                 with pytest.raises(ProjectionError) as got:
                     projections_module._sinr_row(W, row)
@@ -344,18 +339,18 @@ class TestSinrKernel:
             vbar = np.array([served, 0.0, 0.3, 0.2], dtype=complex)
             res = project(c, vbar)  # runs the guard
             assert np.all(np.isfinite(res.v)) and 0.0 < res.multiplier < np.inf
-            assert c.slack(res.v) >= -1e-12 * gamma * sigma2
+            assert slack(c, res.v) >= -1e-12 * gamma * sigma2
         # a weak channel routes a served coefficient of 1e-4 there too, with
         # a served component far above the guard's scale: it must stay
         # stationary, not just the interference
         weak = SinrConstraint(0, 1e-4 * h, gamma, sigma2, 2, 2)
         res = project(weak, np.array([1e-4, 0.0, 0.3, 0.2], dtype=complex))
-        assert weak.slack(res.v) >= -1e-12 * gamma * sigma2
+        assert slack(weak, res.v) >= -1e-12 * gamma * sigma2
         # at a high target the hard case must shrink the interference with
         # the nu it returns, not as at nu = 1, or the guard fails
         strict = SinrConstraint(0, h, 1e3, sigma2, 2, 2)
         res = project(strict, np.array([1e-4, 0.0, 300.0, 200.0], dtype=complex))
-        assert strict.slack(res.v) >= -1e-12 * 1e3 * sigma2
+        assert slack(strict, res.v) >= -1e-12 * 1e3 * sigma2
 
 
 class TestOnePointKernels:
@@ -471,7 +466,7 @@ class TestGeneric:
         while found < 20:
             c = random_constraint(kind, rng, M, N)
             vbar = random_stack(rng, M, N) * (0.3 if kind in ("passband", "sinr") else 2.0)
-            if c.quad(vbar) <= c.f:
+            if quad(c, vbar) <= c.f:
                 continue
             found += 1
             res = project(c, vbar)
@@ -509,7 +504,7 @@ class TestPenaltyOracle:
         for i in range(10):
             c = AntennaPowerConstraint(1, float(rng.uniform(0.2, 1.0)), M, N)
             vbar = random_stack(rng, M, N)
-            if c.quad(vbar) <= c.f:
+            if quad(c, vbar) <= c.f:
                 continue
             ref = project(c, vbar).v
             out = penalty_oracle(dense_constraint(c)[0], c.f, vbar, seed=i)
