@@ -100,12 +100,15 @@ def linear_to_db(x):
 
 
 def _sample_interval(lo, hi, step):
-    """Inclusive sampling of [lo, hi]: lo, lo+step, ...; hi always included."""
+    """Inclusive sampling of [lo, hi] in at most 10**6 steps: lo, lo+step, ...; hi included."""
     if hi < lo:
         raise ConfigurationError(f"interval [{lo}, {hi}] has hi < lo")
     if lo == hi:
         return [float(lo)]
-    count = int(np.floor((hi - lo) / step + _GRID_TOL))
+    steps = (hi - lo) / step
+    if not steps <= 1e6:  # also inf and nan; real grids have at most thousands of points
+        raise ConfigurationError(f"interval [{lo}, {hi}] at step {step}: over 10**6 steps")
+    count = int(np.floor(steps + _GRID_TOL))
     points = [float(lo + k * step) for k in range(count + 1)]
     if points[-1] >= hi - _GRID_TOL:
         points[-1] = float(hi)

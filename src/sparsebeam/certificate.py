@@ -12,15 +12,19 @@ from ``problem.families``, so S is PSD exactly when each block S_m is (Huang
 & Palomar, IEEE Trans. Signal Processing 2010) and no MN x MN matrix is
 formed.  The multipliers come from Kelley's cutting-plane method.  A linear
 program over lambda on the unit simplex maximizes t subject to t <= -s and
-t <= y^H S_m y for every cut (m, y) gathered so far; each round adds the
-eigenvectors of each S_m whose eigenvalues fall below t as new cuts.  The
-cuts only relax lambda_min(S), so the LP value bounds min(lambda_min(S), -s)
-from above: once it is negative no certificate exists and the search ends.
-One HiGHS model serves the whole search: each round appends its cuts as rows
-and re-solves from the previous optimal basis (a warm start), so a round costs
-a few dual simplex pivots rather than a fresh LP.  The feasibility search asks
-for a certificate at the first sweep of its cyclic projections that makes no
-progress.  Nothing is random: the same problem always gives the same answer.
+t <= y^H S_m y for every cut (m, y) gathered so far.  The first cuts are
+y = g_l/||g_l|| in each block m with C[l, m] < 0 (passband rows in every
+block, SINR rows in their served user's; constructors reject a zero g_l):
+only these blocks are negative semidefinite, so S_m can lose PSD-ness only
+along them.  Each round adds the eigenvectors of each S_m whose eigenvalues
+fall below t as new cuts.  The cuts only relax lambda_min(S), so the LP
+value bounds min(lambda_min(S), -s) from above: once it is negative no
+certificate exists and the search ends.  One HiGHS model serves the whole
+search: each round appends its cuts as rows and re-solves from the previous
+optimal basis (a warm start), so a round costs a few dual simplex pivots
+rather than a fresh LP.  The feasibility search asks for a certificate at
+the first sweep of its cyclic projections that makes no progress.  Nothing
+is random: the same problem always gives the same answer.
 """
 
 from dataclasses import dataclass
@@ -100,11 +104,14 @@ def certify_infeasible(problem):
     search may run out of rounds.  A returned certificate always satisfies
     its own acceptance rule, so it is never found for a feasible problem.
     """
-    f = np.array([c.f for c in problem.constraints], dtype=float)
-    if not np.any(f < 0.0):
-        return None  # w = 0 meets every constraint
     L, M, N = problem.L, problem.M, problem.N
     beams, powers, sinrs = problem.families
+    f = np.empty(L)
+    f[beams.rows] = (beams.sign * beams.threshold).ravel()
+    f[powers.rows] = powers.limit
+    f[sinrs.rows] = sinrs.f
+    if not np.any(f < 0.0):
+        return None  # w = 0 meets every constraint
     # block m of F_l is C[l, m] g_l g_l^H, with g_l row l of G
     G = np.zeros((L, N), dtype=complex)
     C = np.ones((L, M))
@@ -128,9 +135,8 @@ def certify_infeasible(problem):
     lp.changeObjectiveSense(ObjSense.kMaximize)
     _add_rows(lp, np.append(np.ones(L), 0.0)[np.newaxis, :], 1.0, 1.0)
     _add_rows(lp, np.append(fs, 1.0)[np.newaxis, :], -np.inf, 0.0)
-    # start from the coordinate directions of every block
-    block = np.repeat(np.arange(M), N)
-    cuts = np.tile(np.eye(N, dtype=complex), (M, 1))
+    row, block = np.nonzero(C < 0.0)  # first cuts: g_l/||g_l|| where C[l, m] < 0
+    cuts = G[row] / np.linalg.norm(G[row], axis=1, keepdims=True)
     for _ in range(_MAX_ROUNDS):
         values = Cs.T[block] * np.abs(cuts.conj() @ G.T) ** 2  # y^H (C g g^H) y
         _add_rows(lp, np.hstack([-values, np.ones((values.shape[0], 1))]), -np.inf, 0.0)

@@ -44,8 +44,9 @@ def embed_support(w_reduced, support, M, N):
 def _handoff_tol(problem):
     """Where a refit's stage 3 hands off: ``_HANDOFF_REL`` * max_l |f_l|,
     never below the ADMM start's 1e-8."""
-    f_max = max((abs(c.f) for c in problem.constraints), default=0.0)
-    return max(_HANDOFF_REL * f_max, _START_TOL)
+    beams, powers, sinrs = problem.families
+    f = np.concatenate([(beams.sign * beams.threshold).ravel(), powers.limit, sinrs.f])
+    return max(_HANDOFF_REL * float(np.abs(f).max(initial=0.0)), _START_TOL)
 
 
 def refit(problem, support, config):

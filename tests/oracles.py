@@ -21,8 +21,9 @@ the feasibility search used before ``minimum_power``.  ``refit_from_start``
 is the SLSQP refit started from the search run to 1e-8; the refit must
 reach its verdicts and powers.  ``baseline_loop`` refits every trial, as the
 memoized baseline must reproduce.  ``certify_infeasible_cold`` solves every
-Kelley round's linear program from scratch with ``linprog``; the
-warm-started ``certify_infeasible`` must reach its verdicts.
+Kelley round's linear program from scratch with ``linprog``, from the
+coordinate directions; the warm-started ``certify_infeasible``, seeded
+otherwise, must reach its verdicts.
 ``msrr_reference`` and ``zero_forcing_reference`` rebuild the MSRR and the
 stage-1 start from the scenario, cut to the problem's support, and
 ``mainlobe_boost_reference`` runs stage 2 constraint by constraint;
@@ -630,7 +631,12 @@ def baseline_loop(problem, K, trials, seed, refit, config):
 
 def certify_infeasible_cold(problem):
     """``certify_infeasible`` with one cold ``linprog`` call per Kelley round,
-    each rebuilding the dense constraint matrix of every cut so far."""
+    each rebuilding the dense constraint matrix of every cut so far.
+
+    It keeps the coordinate directions of every block as its first cuts on
+    purpose, where the package starts from the negative blocks' generators:
+    an independent reference must not share the seed it checks.  The targets
+    f come from the constraint objects, not from ``families``."""
     f = np.array([c.f for c in problem.constraints], dtype=float)
     if not np.any(f < 0.0):
         return None

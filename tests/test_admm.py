@@ -833,6 +833,44 @@ def crowded_toy_problem(seed):
     return toy_problem(constraints, M, N)
 
 
+def one_floor_kind_problem(kind, M, seed):
+    """Floors of one kind only, passband or SINR rows (targets from 0.1 to 10),
+    under two sidelobe ceilings and antenna powers of at most 1 on a 3-antenna
+    array; some draws are infeasible and some are not."""
+    rng = np.random.default_rng(seed)
+    N = 3
+    geom = ArrayGeometry(N, 0.5)
+
+    def level(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    constraints = [StopbandConstraint(t, steering_vector(geom, t), level(-1.0, 0.5), M, N)
+                   for t in rng.uniform(-90.0, 90.0, size=2)]
+    constraints += [AntennaPowerConstraint(n, level(-1.0, 0.0), M, N) for n in range(N)]
+    if kind == "passband":
+        constraints += [PassbandConstraint(t, steering_vector(geom, t), level(-1.0, 1.0), M, N)
+                        for t in rng.uniform(-60.0, 60.0, size=2)]
+    else:
+        constraints += [SinrConstraint(m, random_stack(rng, 1, N), level(-1.0, 1.0), 1.0, M, N)
+                        for m in range(M)]
+    return toy_problem(constraints, M, N)
+
+
+def count_lp_runs(monkeypatch):
+    """A list that gains one entry per HiGHS ``run`` of the certificate from now on."""
+    import sparsebeam.certificate as certificate_module
+
+    runs = []
+
+    class Counted(certificate_module._Highs):
+        def run(self):
+            runs.append(1)
+            return super().run()
+
+    monkeypatch.setattr(certificate_module, "_Highs", Counted)
+    return runs
+
+
 class TestCertificate:
     """Lagrangian proofs of infeasibility, each re-checked densely."""
 
@@ -892,6 +930,31 @@ class TestCertificate:
             assert (certificate is None) == (certify_infeasible_cold(reduced) is None), support
             if certificate is not None:
                 assert certificate_holds(reduced, certificate.multipliers), support
+
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("kind", ["passband", "sinr"])
+    def test_one_kind_of_floor_as_the_cold_lp(self, kind, M):
+        # the first cuts are the generators of the floors' blocks: with one
+        # kind of floor they come from one kind of row
+        verdicts = []
+        for seed in range(25):
+            problem = one_floor_kind_problem(kind, M, seed)
+            certificate = certify_infeasible(problem)
+            verdicts.append(certificate is not None)
+            assert verdicts[-1] == (certify_infeasible_cold(problem) is not None), seed
+            if certificate is not None:
+                assert certificate_holds(problem, certificate.multipliers), seed
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("K, budget", [(4, 520), (6, 1150)])
+    def test_lp_rounds_over_every_paper_subarray(self, paper_problem, monkeypatch, K, budget):
+        # a timing-free guard on the search's cost: seeded with the negative
+        # blocks' generators it takes 449 (K=4) and 1,001 (K=6) LP rounds in
+        # all, against 861 and 1,634 from the coordinate directions
+        runs = count_lp_runs(monkeypatch)
+        for support in itertools.combinations(range(paper_problem.N), K):
+            assert certify_infeasible(paper_problem.restrict(support)) is not None, support
+        assert len(runs) <= budget
 
     def test_contradictory_thresholds_as_the_cold_lp(self):
         problem = contradictory_problem()

@@ -165,3 +165,12 @@ class TestGrids:
     def test_bad_step_rejected(self):
         with pytest.raises(ConfigurationError):
             build_grids((-5, 5), [(20, 30)], 0.0, 5.0)
+
+    @pytest.mark.parametrize("step", [1e-320, 1e-300, 9.99e-6])
+    def test_step_too_fine_rejected_before_sampling(self, step):
+        # (hi - lo)/step is inf at 1e-320 and 1e301 at 1e-300, and just over
+        # the 10**6 ceiling at 9.99e-6 on either 10-degree interval
+        with pytest.raises(ConfigurationError, match=r"over 10\*\*6 steps"):
+            build_grids((-5, 5), [(20, 30)], step, 5.0)
+        with pytest.raises(ConfigurationError, match=r"\[20, 30\] at step"):
+            build_grids((-5, 5), [(20, 30)], 2.0, step)

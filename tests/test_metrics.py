@@ -155,6 +155,9 @@ class TestBeampattern:
         for step in (0.0, -0.5, float("nan")):
             with pytest.raises(ConfigurationError, match="pattern step"):
                 beampattern(w, paper_problem, step)
+        for step in (1e-320, 1e-300):  # refused before any angle is built
+            with pytest.raises(ConfigurationError, match=r"over 10\*\*6 steps"):
+                beampattern(w, paper_problem, step)
 
     def test_matches_constraint_evaluations_on_grid(self, paper_problem):
         rng = np.random.default_rng(4)
