@@ -24,7 +24,6 @@ from .projections import KKT_GUARD, _sinr_row, check_stationarity, project_beams
 from .projections import project_powers, stationarity_error
 from .shrinkage import group_shrink
 
-_STALL_WINDOW = 25  # sweeps without progress before cyclic_projection gives up
 _RESTORE_TOL = 1e-9  # restore_feasibility's target, well inside the 1e-6 gate
 _SQP_OPTIONS = {"ftol": 1e-12, "maxiter": 200}  # the one SLSQP run of minimum_power
 _START_TOL = 1e-8  # find_feasible_point's default: the ADMM start's worst violation
@@ -180,27 +179,22 @@ def update_v(problem, w, u, eta, rho):
     return V.reshape(L, M * N)
 
 
-def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, *, on_stall=None):
+def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8):
     """Feasibility restoration by cyclic nearest-point projections.
 
     Sweeps the constraints in their fixed order (Bauschke & Borwein, SIAM
-    Review 1996), each row's one-point kernel from ``problem.sweep_plan``,
-    built once per problem instance, starting where the previous one left
-    the point, until the worst violation falls below ``tol``; gives up early
-    when ``_STALL_WINDOW`` consecutive sweeps fail to improve the best worst
-    violation by at least 0.1%.  A satisfied row leaves the point as it is; a
-    moved row that fails the KKT guard raises a ``ProjectionError`` naming
-    it.  ``on_stall(w, max_violation, sweep)``, the feasibility search's
-    hook, is called once, at the first sweep that fails to improve; it may
-    raise to end the sweeps, and if it returns they go on unchanged.
-    Returns (w, max_violation, converged), the violation being the last sweep's.
+    Review 1996) with each row's one-point kernel from ``problem.sweep_plan``
+    until the worst violation is at most ``tol``, a sweep fails to cut the
+    previous sweep's by 0.1%, or ``max_sweeps`` have run.  A satisfied row
+    leaves the point as it is; a moved row that fails the KKT guard raises a
+    ``ProjectionError`` naming it.  Returns (w, max_violation, converged),
+    the violation being the last sweep's.
     """
     W = np.array(w, dtype=complex).reshape(problem.M, problem.N)
     plan = problem.sweep_plan
     current = problem.max_violation(W.reshape(-1)) if max_sweeps < 1 else None
-    best = np.inf
-    stalled = 0
-    for sweep in range(1, max_sweeps + 1):
+    previous = np.inf
+    for _ in range(max_sweeps):
         for kernel, row, constraint in plan:
             moved = kernel(W, row)
             if moved is not None:
@@ -209,16 +203,9 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, *, on_stall=None):
         current = problem.max_violation(W.reshape(-1))
         if current <= tol:
             return W.reshape(-1), current, True
-        if current < best * (1.0 - 1e-3):
-            best = current
-            stalled = 0
-        else:
-            if on_stall is not None:
-                on_stall(W.reshape(-1), current, sweep)
-                on_stall = None
-            stalled += 1
-            if stalled >= _STALL_WINDOW:
-                break
+        if not current < previous * (1.0 - 1e-3):
+            break
+        previous = current
     return W.reshape(-1), current, False
 
 
@@ -283,8 +270,13 @@ def _mainlobe_boost(problem, w):
 
 
 def restore_feasibility(problem, w):
-    """Cyclic projections to within ``_RESTORE_TOL``: (w, max_violation, converged)."""
-    return cyclic_projection(problem, w, max_sweeps=300, tol=_RESTORE_TOL)
+    """Up to 300 sweeps of cyclic projections to within ``_RESTORE_TOL``,
+    with no stop for a sweep without progress: (w, max_violation, converged)."""
+    for _ in range(300):
+        w, violation, converged = cyclic_projection(problem, w, max_sweeps=1, tol=_RESTORE_TOL)
+        if converged:
+            break
+    return w, violation, converged
 
 
 def minimum_power(problem, w0):
@@ -315,54 +307,36 @@ def find_feasible_point(problem, tol=_START_TOL):
 
     Stage 1 builds zero-forcing user beams with doubled SINR targets, stage 2
     lifts the mainlobe floor with a steering injection, stage 3 runs cyclic
-    projections until the worst violation is at most ``tol``.  Stage 3 has
-    two roles: at the default 1e-8 it gives ADMM its consensus start, and at
-    ``refit``'s looser hand-off tolerance it tells near-feasible subarrays
-    from ones that stall.  At stage 3's first sweep without progress (or at
-    its end, if it runs out of sweeps without one), ``certify_infeasible``
-    looks for a Lagrangian proof that no feasible point exists by
-    warm-started linear programs; if it finds one the search stops with a
-    certified ``InfeasibleProblemError`` carrying that sweep's worst
-    violations.  It never finds one on a feasible problem, and finding none
-    leaves the sweeps as they were, so feasible results do not depend on it.
-    Otherwise stage 4 runs ``minimum_power`` from the stalled point, an SQP
-    solve that needs no feasible start; should its polish stall too, the
-    search gives up with an uncertified error carrying the worst violations
-    of the better point reached.  No stage draws random numbers, and ``tol``
-    only decides when stage 3 stops: the sweeps, the stall and the stages
-    after it do not depend on it.
+    projections until the worst violation is at most ``tol`` or a sweep
+    makes no progress: at the default 1e-8 it gives ADMM its consensus start,
+    and at ``refit``'s looser hand-off tolerance it tells near-feasible
+    subarrays from ones that stall.  Where stage 3 stops short of ``tol``,
+    ``certify_infeasible`` looks once for a Lagrangian proof that no feasible
+    point exists (never found on a feasible problem); with one, the search
+    stops with a certified ``InfeasibleProblemError`` carrying the worst
+    violations of that point.  Otherwise stage 4 runs ``minimum_power`` from
+    that point, an SQP solve that needs no feasible start; should its polish
+    fall short too, the search gives up with an uncertified error carrying
+    the worst violations of the better point reached.  No stage draws random
+    numbers, and ``tol`` only decides when stage 3 stops.
     """
-    if problem.L == 0:
-        return np.zeros(problem.size, dtype=complex)
-    asked = []
-
-    def certify(w, violation, sweep):
-        asked.append(sweep)
-        certificate = certify_infeasible(problem)
-        if certificate is not None:
-            where = f"sweep {sweep}, the first without progress" if sweep else "last sweep"
-            raise InfeasibleProblemError(
-                f"certified infeasible ({certificate.describe()}; "
-                f"max violation {violation:.3e} at stage 3's {where})",
-                problem.worst_violations(w),
-                certificate,
-            )
-
     w = _zero_forcing_start(problem)
     w = _mainlobe_boost(problem, w)
-    w, violation, ok = cyclic_projection(problem, w, tol=tol, on_stall=certify)
+    w, violation, ok = cyclic_projection(problem, w, tol=tol)
     if ok:
         return w
-    if not asked:
-        certify(w, violation, None)
-    stalled = (w, violation)
-    w, violation, ok = minimum_power(problem, w)
-    if ok:
-        return w
-    w, violation = min(stalled, (w, violation), key=lambda point: point[1])
+    certificate = certify_infeasible(problem)
+    if certificate is None:
+        stalled = (w, violation)
+        w, violation, ok = minimum_power(problem, w)
+        if ok:
+            return w
+        w, violation = min(stalled, (w, violation), key=lambda point: point[1])
+        verdict = "search gave up after an SQP run"
+    else:
+        verdict = f"certified infeasible ({certificate.describe()})"
     raise InfeasibleProblemError(
-        f"search gave up after an SQP run (best max violation {violation:.3e})",
-        problem.worst_violations(w),
+        f"{verdict}; max violation {violation:.3e}", problem.worst_violations(w), certificate
     )
 
 

@@ -22,9 +22,9 @@ value bounds min(lambda_min(S), -s) from above: once it is negative no
 certificate exists and the search ends.  One HiGHS model serves the whole
 search: each round appends its cuts as rows and re-solves from the previous
 optimal basis (a warm start), so a round costs a few dual simplex pivots
-rather than a fresh LP.  The feasibility search asks for a certificate at
-the first sweep of its cyclic projections that makes no progress.  Nothing
-is random: the same problem always gives the same answer.
+rather than a fresh LP.  The feasibility search asks for one certificate,
+where its cyclic projections stop short of their tolerance.  Nothing is
+random: the same problem always gives the same answer.
 """
 
 from dataclasses import dataclass
@@ -169,6 +169,14 @@ def certify_infeasible(problem):
         if t < 0.0 or not block.size:
             return None
     return None
+
+
+def zeroed_floor_certificate(problem, l):
+    """lambda_l = -1/f_l alone proves ``problem`` infeasible on a subarray that
+    zeroes the generator of floor row l: there F_l = 0, so S = 0 and s = -1."""
+    multipliers = np.zeros(problem.L)
+    multipliers[l] = -1.0 / problem.constraints[l].f
+    return Certificate(multipliers, -1.0, problem.L * np.finfo(float).eps, 0.0, 0.0, None)
 
 
 def _add_rows(lp, A, lower, upper):

@@ -31,7 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrays import build_grids, los_channel, rayleigh_channel, steering_vector
-from .errors import ConfigurationError
+from .certificate import zeroed_floor_certificate
+from .errors import ConfigurationError, InfeasibleProblemError
 
 
 def user_blocks(w, M, N):
@@ -253,10 +254,7 @@ class AntennaPowerConstraint:
         return self.limit
 
     def restrict(self, support):
-        support = list(support)
-        if self.antenna not in support:
-            return None
-        return replace(self, antenna=support.index(self.antenna), N=len(support))
+        return replace(self, antenna=list(support).index(self.antenna), N=len(support))
 
     def describe(self):
         return f"antenna_power(n={self.antenna})"
@@ -419,7 +417,10 @@ class ProblemInstance:
         return [(self.constraints[l].describe(), float(violations[l])) for l in order]
 
     def restrict(self, support):
-        """The same problem on the antenna subset ``support`` (sorted indices)."""
+        """The same problem on the antenna subset ``support`` (sorted indices);
+        a row whose generator the support zeroes reads 0 <= f_l, so it is
+        dropped when f_l > 0, and a floor (f_l < 0), violated by -f_l at every
+        point, raises a certified ``InfeasibleProblemError``."""
         support = tuple(sorted(set(int(n) for n in support)))
         if not support:
             raise ConfigurationError("empty antenna support")
@@ -427,9 +428,21 @@ class ProblemInstance:
             raise ConfigurationError(
                 f"support {support} outside antenna range 0..{self.N - 1}"
             )
-        reduced = (c.restrict(support) for c in self.constraints)
+        beams, powers, sinrs = self.families
+        zeroed = np.zeros(self.L, dtype=bool)
+        zeroed[beams.rows] = ~beams.steering[:, 0, list(support)].any(axis=1)
+        zeroed[powers.rows] = ~np.isin(powers.antenna, support)
+        zeroed[sinrs.rows] = ~sinrs.probe[:, list(support), 0].any(axis=1)
+        floors = [c for c, z in zip(self.constraints, zeroed) if z and c.f < 0.0]
+        if floors:
+            raise InfeasibleProblemError(
+                f"certified infeasible (support {support} zeroes {floors[0].describe()})",
+                [(c.describe(), float(-c.f)) for c in floors],
+                zeroed_floor_certificate(self, self.constraints.index(floors[0])),
+            )
+        kept = (c for c, z in zip(self.constraints, zeroed) if not z)
         return ProblemInstance(
-            constraints=tuple(c for c in reduced if c is not None),
+            constraints=tuple(c.restrict(support) for c in kept),
             M=self.M,
             N=len(support),
             support=support,

@@ -6,7 +6,7 @@ small QCQP min ||w||^2 s.t. w^H F_l w <= f_l on that subarray with one
 cyclic projections, has two roles: run to 1e-8 it gives ADMM its consensus
 start; stopped at a loose hand-off tolerance it is the refit's feasibility
 test, since feasible subarrays become near-feasible within a few sweeps and
-infeasible ones stall.
+infeasible ones stop at a sweep without progress.
 """
 
 from dataclasses import dataclass
@@ -55,17 +55,19 @@ def refit(problem, support, config):
     The feasibility search runs only until the subarray is near-feasible:
     stage 3 hands off once the worst violation is at most ``_handoff_tol``,
     and one ``minimum_power`` run starts from that point, as SLSQP needs no
-    feasible start.  A subarray on which stage 3 stalls goes through the
-    certificate and stage 4 as in ``find_feasible_point``.  Should the SQP
-    run fail, the search is run on to 1e-8 and its start returned.  A
-    hand-off point within 1e-8 is that start, bit for bit, and is returned
-    should the SQP design cost more.  ``config`` is no longer read.  Nothing
-    is random, so one support always refits to the same bytes.  The returned
-    stack is full-size with exact zeros off the support.
+    feasible start; where stage 3 stops above the hand-off, the certificate
+    and stage 4 of ``find_feasible_point`` come first and the SQP run starts
+    from stage 4's point.  Should it fail, the search is run on to 1e-8 and
+    its start returned.  A hand-off point within 1e-8 is that start, bit for
+    bit, and is returned should the SQP design cost more.  ``config`` is no
+    longer read.  Nothing is random, so one support always refits to the
+    same bytes.  The returned stack is full-size with exact zeros off the
+    support; a support that zeroes a floor's generator is certified
+    infeasible by ``restrict``.
     """
     support = tuple(sorted(set(int(n) for n in support)))
-    reduced = problem.restrict(support)
     try:
+        reduced = problem.restrict(support)
         start = find_feasible_point(reduced, tol=_handoff_tol(reduced))
         w_red, _, ok = minimum_power(reduced, start)
         if not ok:

@@ -38,13 +38,7 @@ import numpy as np
 
 from scipy.optimize import linprog, minimize
 
-from sparsebeam.admm import (
-    _STALL_WINDOW,
-    find_feasible_point,
-    minimum_power,
-    restore_feasibility,
-    solve,
-)
+from sparsebeam.admm import find_feasible_point, minimum_power, restore_feasibility, solve
 from sparsebeam.arrays import build_grids, los_channel, rayleigh_channel, steering_vector
 from sparsebeam.certificate import _MAX_ROUNDS, Certificate, _norm_bound
 from sparsebeam.errors import InfeasibleProblemError, ProjectionError
@@ -517,23 +511,20 @@ def project_reference(constraint, vbar):
 
 
 def cyclic_projection_loop(problem, w, max_sweeps=500, tol=1e-8):
-    """The projection sweep one ``project_reference`` call per constraint."""
+    """The projection sweep one ``project_reference`` call per constraint,
+    stopped at tol or at the first sweep that fails to cut the previous
+    sweep's worst violation by 0.1%."""
     w = np.asarray(w, dtype=complex).copy()
-    best = np.inf
-    stalled = 0
+    previous = np.inf
     for _ in range(max_sweeps):
         for c in problem.constraints:
             w = project_reference(c, w).v
         current = problem.max_violation(w)
         if current <= tol:
             return w, current, True
-        if current < best * (1.0 - 1e-3):
-            best = current
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= _STALL_WINDOW:
-                break
+        if not current < previous * (1.0 - 1e-3):
+            break
+        previous = current
     return w, problem.max_violation(w), False
 
 

@@ -3,13 +3,20 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeResult, minimize
 
 import sparsebeam.admm
 import sparsebeam.selection
 from sparsebeam import (
+    AntennaPowerConstraint,
     ConfigurationError,
     InfeasibleProblemError,
+    PassbandConstraint,
+    ProblemInstance,
+    SinrConstraint,
+    StopbandConstraint,
     feasibility_report,
     find_feasible_point,
     group_norms,
@@ -24,18 +31,58 @@ from sparsebeam import (
 from sparsebeam.admm import _SQP_OPTIONS
 from sparsebeam.selection import _handoff_tol, embed_support
 
-from helpers import certificate_holds, random_stack
+from helpers import certificate_holds, dense_constraint, random_stack
 from oracles import baseline_loop, refit_admm_reference, refit_from_start
 
 PAPER_K8 = (0, 2, 3, 4, 5, 6, 8, 9)
 # mirror images of each other under the scenario's symmetry
 MIRROR_K8 = ((0, 1, 2, 3, 4, 5, 7, 8), (1, 2, 4, 5, 6, 7, 8, 9))
-# every K=8 subarray, and every 42nd K=4 and K=6 one (all infeasible)
+# every K=8 subarray, every 42nd K=4 and K=6 one (all infeasible), and the
+# feasible K=7 ones whose stage 3 stops at a sweep without progress above the
+# hand-off, so that their refit starts from the stage-4 SQP point
 REGRESSION_SUPPORTS = [
     *itertools.combinations(range(10), 8),
     *list(itertools.combinations(range(10), 4))[::42],
     *list(itertools.combinations(range(10), 6))[::42],
+    (0, 1, 2, 3, 5, 7, 8), (0, 1, 3, 4, 6, 7, 9), (0, 1, 3, 5, 6, 7, 8), (1, 2, 4, 6, 7, 8, 9),
 ]
+
+
+@st.composite
+def sparse_generator_problems(draw):
+    """Hand-built problems of every kind whose steering vectors and channels
+    have zero entries, with a support to refit on: a support may zero some
+    generators, and a floor then holds nowhere."""
+    M, N = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def generator():
+        g = random_stack(rng, 1, N)
+        g[rng.permutation(N)[: rng.integers(0, N)]] = 0.0  # at least one entry stays
+        return g
+
+    def level():
+        return float(10.0 ** rng.uniform(-1.0, 1.0))
+
+    constraints = []
+    for cls in (PassbandConstraint, StopbandConstraint):
+        for _ in range(draw(st.integers(0, 2))):
+            constraints.append(cls(0.0, generator(), level(), M, N))
+    for n in range(N if draw(st.booleans()) else 0):
+        constraints.append(AntennaPowerConstraint(n, level(), M, N))
+    for m in range(draw(st.integers(0, M))):
+        constraints.append(SinrConstraint(m, generator(), level(), 1.0, M, N))
+    support = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N, unique=True))
+    return ProblemInstance(tuple(constraints), M, N), tuple(sorted(support))
+
+
+def zeroed_floors(problem, support):
+    """The rows with f_l < 0 whose dense F_l is zero on ``support``."""
+    cols = [m * problem.N + n for m in range(problem.M) for n in support]
+    return [
+        l for l, c in enumerate(problem.constraints)
+        if c.f < 0.0 and not dense_constraint(c)[0][np.ix_(cols, cols)].any()
+    ]
 
 
 class TestRankGroups:
@@ -202,6 +249,57 @@ class TestRefit:
         assert "(4,)" in str(err.value)
         certificate = err.value.certificate
         assert certificate_holds(paper_problem.restrict((4,)), certificate.multipliers)
+
+    def test_support_zeroing_a_channel_is_certified_infeasible(self, monkeypatch):
+        # the user's channel lives on antenna 0 alone: without it the SINR
+        # floor reads 0 >= 1, a one-row certificate with no search behind it
+        problem = ProblemInstance(
+            (SinrConstraint(0, [1, 0, 0], 1, 1, 1, 3), AntennaPowerConstraint(0, 1, 1, 3)), 1, 3
+        )
+        searches = []
+        monkeypatch.setattr(sparsebeam.admm, "certify_infeasible", searches.append)
+        with pytest.raises(InfeasibleProblemError) as err:
+            refit(problem, (1, 2), None)
+        assert "(1, 2)" in str(err.value) and "sinr(m=0)" in str(err.value)
+        assert err.value.worst_violations == [("sinr(m=0)", 1.0)]
+        certificate = err.value.certificate
+        assert certificate.excludes_every_point
+        assert certificate.multipliers.tolist() == [1.0, 0.0]
+        assert searches == []
+        base = random_selection_baseline(problem, 2, 3, 0, None)
+        assert base.infeasible_count == base.certified_count > 0
+
+    def test_support_zeroing_a_steering_vector(self):
+        # a passband it zeroes is a certified verdict; a stopband is vacuous
+        M, N = 1, 3
+        a = np.array([1.0, 0.0, 0.0])
+        powers = tuple(AntennaPowerConstraint(n, 1.0, M, N) for n in range(N))
+        floor = ProblemInstance((PassbandConstraint(0.0, a, 0.5, M, N),) + powers, M, N)
+        with pytest.raises(InfeasibleProblemError) as err:
+            refit(floor, (1, 2), None)
+        assert err.value.certificate.excludes_every_point
+        assert err.value.worst_violations == [("passband(theta=0 deg)", 0.5)]
+        ceiling = ProblemInstance((StopbandConstraint(0.0, a, 0.5, M, N),) + powers, M, N)
+        assert [c.kind for c in ceiling.restrict((1, 2)).constraints] == ["antenna_power"] * 2
+        assert np.array_equal(refit(ceiling, (1, 2), None).w, np.zeros(M * N))
+
+    @settings(max_examples=120, deadline=None)
+    @given(sparse_generator_problems())
+    def test_any_support_gets_a_design_or_a_verdict(self, case):
+        problem, support = case
+        floors = zeroed_floors(problem, support)
+        try:
+            stack = refit(problem, support, None)
+        except InfeasibleProblemError as err:
+            if floors:
+                certificate = err.certificate
+                assert certificate is not None and certificate.excludes_every_point
+                assert np.flatnonzero(certificate.multipliers).tolist() == floors[:1]
+            return
+        assert not floors
+        W = stack.w.reshape(problem.M, problem.N)
+        assert np.isfinite(W).all()
+        assert not W[:, sorted(set(range(problem.N)) - set(support))].any()
 
     def test_paper_k8_design_feasible_and_sparse(self, paper_problem, paper_scenario):
         state = solve(paper_problem, paper_scenario.admm)
