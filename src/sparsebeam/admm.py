@@ -187,26 +187,32 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8):
     until the worst violation is at most ``tol``, a sweep fails to cut the
     previous sweep's by 0.1%, or ``max_sweeps`` have run.  A satisfied row
     leaves the point as it is; a moved row that fails the KKT guard raises a
-    ``ProjectionError`` naming it.  Returns (w, max_violation, converged),
-    the violation being the last sweep's.
+    ``ProjectionError`` naming it.  Returns (w, max_violation, converged,
+    multipliers), the violation being the last sweep's and the multipliers
+    the KKT multipliers mu_l of its moves, 0 for rows that held, in
+    constraint order.  Where the sweeps stall their moves cancel,
+    sum_l mu_l F_l v_l ~ 0, so these are a candidate for the multipliers of
+    ``certify_infeasible``.
     """
     W = np.array(w, dtype=complex).reshape(problem.M, problem.N)
     plan = problem.sweep_plan
     current = problem.max_violation(W.reshape(-1)) if max_sweeps < 1 else None
+    multipliers = [0.0] * problem.L
     previous = np.inf
     for _ in range(max_sweeps):
-        for kernel, row, constraint in plan:
+        multipliers = [0.0] * problem.L
+        for l, (kernel, row, constraint) in enumerate(plan):
             moved = kernel(W, row)
             if moved is not None:
                 check_stationarity(constraint, W, moved[1], moved[2])
-                W = moved[0]
+                W, multipliers[l] = moved[0], moved[1]
         current = problem.max_violation(W.reshape(-1))
         if current <= tol:
-            return W.reshape(-1), current, True
+            return W.reshape(-1), current, True, multipliers
         if not current < previous * (1.0 - 1e-3):
             break
         previous = current
-    return W.reshape(-1), current, False
+    return W.reshape(-1), current, False, multipliers
 
 
 def _zero_forcing_start(problem):
@@ -273,7 +279,7 @@ def restore_feasibility(problem, w):
     """Up to 300 sweeps of cyclic projections to within ``_RESTORE_TOL``,
     with no stop for a sweep without progress: (w, max_violation, converged)."""
     for _ in range(300):
-        w, violation, converged = cyclic_projection(problem, w, max_sweeps=1, tol=_RESTORE_TOL)
+        w, violation, converged, _ = cyclic_projection(problem, w, max_sweeps=1, tol=_RESTORE_TOL)
         if converged:
             break
     return w, violation, converged
@@ -312,7 +318,8 @@ def find_feasible_point(problem, tol=_START_TOL):
     and at ``refit``'s looser hand-off tolerance it tells near-feasible
     subarrays from ones that stall.  Where stage 3 stops short of ``tol``,
     ``certify_infeasible`` looks once for a Lagrangian proof that no feasible
-    point exists (never found on a feasible problem); with one, the search
+    point exists (never found on a feasible problem), trying the multipliers
+    of stage 3's last sweep before its LP search; with one, the search
     stops with a certified ``InfeasibleProblemError`` carrying the worst
     violations of that point.  Otherwise stage 4 runs ``minimum_power`` from
     that point, an SQP solve that needs no feasible start; should its polish
@@ -322,10 +329,10 @@ def find_feasible_point(problem, tol=_START_TOL):
     """
     w = _zero_forcing_start(problem)
     w = _mainlobe_boost(problem, w)
-    w, violation, ok = cyclic_projection(problem, w, tol=tol)
+    w, violation, ok, multipliers = cyclic_projection(problem, w, tol=tol)
     if ok:
         return w
-    certificate = certify_infeasible(problem)
+    certificate = certify_infeasible(problem, multipliers)
     if certificate is None:
         stalled = (w, violation)
         w, violation, ok = minimum_power(problem, w)

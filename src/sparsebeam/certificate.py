@@ -10,7 +10,12 @@ relaxation (Luo et al., IEEE Signal Processing Magazine 2010).
 Every F_l is block-diagonal over users with blocks C[l, m] g_l g_l^H, read
 from ``problem.families``, so S is PSD exactly when each block S_m is (Huang
 & Palomar, IEEE Trans. Signal Processing 2010) and no MN x MN matrix is
-formed.  The multipliers come from Kelley's cutting-plane method.  A linear
+formed.  The first multipliers tried are the caller's: the feasibility search
+passes the KKT multipliers of the last sweep of its cyclic projections.  Where
+that sweep stalls, its moves v_l - vbar_l = -mu_l F_l v_l nearly cancel
+(sum_l mu_l F_l v_l ~ 0), and such multipliers, scaled onto the simplex,
+often pass the acceptance rule below at the cost of one ``eigh`` per block.
+Otherwise the multipliers come from Kelley's cutting-plane method.  A linear
 program over lambda on the unit simplex maximizes t subject to t <= -s and
 t <= y^H S_m y for every cut (m, y) gathered so far.  The first cuts are
 y = g_l/||g_l|| in each block m with C[l, m] < 0 (passband rows in every
@@ -22,9 +27,10 @@ value bounds min(lambda_min(S), -s) from above: once it is negative no
 certificate exists and the search ends.  One HiGHS model serves the whole
 search: each round appends its cuts as rows and re-solves from the previous
 optimal basis (a warm start), so a round costs a few dual simplex pivots
-rather than a fresh LP.  The feasibility search asks for one certificate,
-where its cyclic projections stop short of their tolerance.  Nothing is
-random: the same problem always gives the same answer.
+rather than a fresh LP.  Both sources of multipliers go through one
+acceptance test.  The feasibility search asks for one certificate, where its
+cyclic projections stop short of their tolerance.  Nothing is random: the
+same problem and multipliers always give the same answer.
 """
 
 from dataclasses import dataclass
@@ -34,6 +40,9 @@ from scipy.optimize._highspy._core import HighsModelStatus, ObjSense, _Highs
 
 # Kelley rounds before giving up on an undecided relaxation
 _MAX_ROUNDS = 200
+# HiGHS settings for LPs of a few dozen columns re-solved from a warm basis:
+# presolve and scaling cost more than they save there, and so do threads
+_LP_OPTIONS = {"output_flag": False, "presolve": "off", "threads": 1, "simplex_scale_strategy": 0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,12 +106,15 @@ def _norm_bound(powers, N):
     return float(sum(limits.tolist())) if np.all(limits < np.inf) else None
 
 
-def certify_infeasible(problem):
+def certify_infeasible(problem, multipliers=None):
     """A ``Certificate`` that ``problem`` is infeasible, or None.
 
-    None does not mean feasible: the relaxation may have a gap, or the
-    search may run out of rounds.  A returned certificate always satisfies
-    its own acceptance rule, so it is never found for a feasible problem.
+    ``multipliers``, aligned with ``problem.constraints``, are tried first
+    (negative and NaN entries count as 0, an infinite one voids them all);
+    the Kelley search runs only if they prove nothing.  None does not mean feasible: the relaxation may
+    have a gap, or the search may run out of rounds.  A returned
+    certificate always satisfies its own acceptance rule, so it is never
+    found for a feasible problem.
     """
     L, M, N = problem.L, problem.M, problem.N
     beams, powers, sinrs = problem.families
@@ -126,27 +138,9 @@ def certify_infeasible(problem):
     Cs, fs = C / scale[:, None], f / scale
     R = _norm_bound(powers, N)
 
-    # variables (lambda_1..lambda_L, t) with lambda on the unit simplex;
-    # maximize t <= y^H S_m y over the cuts (m, y) and t <= -s
-    lp = _Highs()
-    lp.setOptionValue("output_flag", False)
-    lp.addVars(L + 1, np.append(np.zeros(L), -np.inf), np.full(L + 1, np.inf))
-    lp.changeColCost(L, 1.0)
-    lp.changeObjectiveSense(ObjSense.kMaximize)
-    _add_rows(lp, np.append(np.ones(L), 0.0)[np.newaxis, :], 1.0, 1.0)
-    _add_rows(lp, np.append(fs, 1.0)[np.newaxis, :], -np.inf, 0.0)
-    row, block = np.nonzero(C < 0.0)  # first cuts: g_l/||g_l|| where C[l, m] < 0
-    cuts = G[row] / np.linalg.norm(G[row], axis=1, keepdims=True)
-    for _ in range(_MAX_ROUNDS):
-        values = Cs.T[block] * np.abs(cuts.conj() @ G.T) ** 2  # y^H (C g g^H) y
-        _add_rows(lp, np.hstack([-values, np.ones((values.shape[0], 1))]), -np.inf, 0.0)
-        lp.run()
-        if lp.getModelStatus() != HighsModelStatus.kOptimal:
-            return None
-        x = np.array(lp.getSolution().col_value)
-        # a basic multiplier may sit a rounding error below 0, which would
-        # void the proof; the certificate is formed from the clipped one
-        lam, t = np.maximum(x[:L], 0.0), x[L]
+    def judge(lam):
+        """The eigenpairs of every S_m for lambda on the simplex, and the
+        certificate lambda gives if it passes the acceptance rule."""
         S = np.einsum("lm,li,lj->mij", lam[:, None] * Cs, G, G.conj())
         eigvals, eigvecs = np.linalg.eigh(S)
         combined = float(lam @ fs)
@@ -163,7 +157,44 @@ def certify_infeasible(problem):
                 norm_bound=R,
             )
             if certificate.excludes_every_point:
+                return eigvals, eigvecs, certificate
+        return eigvals, eigvecs, None
+
+    if multipliers is not None:
+        lam = np.asarray(multipliers, dtype=float)
+        lam = np.where(lam > 0.0, lam, 0.0)
+        top = lam.max(initial=0.0)
+        if 0.0 < top < np.inf:
+            lam = lam / top * scale  # the max first: no sum overflows
+            certificate = judge(lam / lam.sum())[2]
+            if certificate is not None:
                 return certificate
+
+    # variables (lambda_1..lambda_L, t) with lambda on the unit simplex;
+    # maximize t <= y^H S_m y over the cuts (m, y) and t <= -s
+    lp = _Highs()
+    for option, value in _LP_OPTIONS.items():
+        lp.setOptionValue(option, value)
+    lp.addVars(L + 1, np.append(np.zeros(L), -np.inf), np.full(L + 1, np.inf))
+    lp.changeColCost(L, 1.0)
+    lp.changeObjectiveSense(ObjSense.kMaximize)
+    _add_rows(lp, np.append(np.ones(L), 0.0)[np.newaxis, :], 1.0, 1.0)
+    _add_rows(lp, np.append(fs, 1.0)[np.newaxis, :], -np.inf, 0.0)
+    row, block = np.nonzero(C < 0.0)  # first cuts: g_l/||g_l|| where C[l, m] < 0
+    cuts = G[row] / np.linalg.norm(G[row], axis=1, keepdims=True)
+    for _ in range(_MAX_ROUNDS):
+        values = Cs.T[block] * np.abs(cuts.conj() @ G.T) ** 2  # y^H (C g g^H) y
+        _add_rows(lp, np.hstack([-values, np.ones((values.shape[0], 1))]), -np.inf, 0.0)
+        lp.run()
+        if lp.getModelStatus() != HighsModelStatus.kOptimal:
+            return None
+        x = np.array(lp.getSolution().col_value)
+        # a basic multiplier may sit a rounding error below 0, which would
+        # void the proof; the certificate is formed from the clipped one
+        t = x[L]
+        eigvals, eigvecs, certificate = judge(np.maximum(x[:L], 0.0))
+        if certificate is not None:
+            return certificate
         block, column = np.nonzero(eigvals < t)
         cuts = eigvecs[block, :, column]
         if t < 0.0 or not block.size:

@@ -318,6 +318,8 @@ def _build_parser():
 
 def _apply_overrides(scenario, args):
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:  # the schema's "minimum": 0, which a loaded file meets
+            raise ConfigurationError(f"--seed must be an integer >= 0, got {args.seed}")
         scenario = replace(scenario, seed=args.seed)
     if getattr(args, "parallel", None) is not None:
         # validated, then dropped: it has no effect, so no artifact records it

@@ -421,7 +421,7 @@ def assert_sweep_matches_loop(problem):
     """``cyclic_projection`` from the feasibility search's stage-3 start returns
     the bytes of the per-constraint sweep ``cyclic_projection_loop``."""
     w0 = admm_module._mainlobe_boost(problem, admm_module._zero_forcing_start(problem))
-    w, violation, converged = admm_module.cyclic_projection(problem, w0)
+    w, violation, converged = admm_module.cyclic_projection(problem, w0)[:3]
     w_ref, violation_ref, converged_ref = cyclic_projection_loop(problem, w0)
     assert w.tobytes() == w_ref.tobytes()
     assert (violation, converged) == (violation_ref, converged_ref)
@@ -530,10 +530,25 @@ class TestProjectionSweep:
         for max_sweeps in (0, 3, 500):
             sweeps.clear()
             calls.clear()
-            w, violation, converged = admm_module.cyclic_projection(problem, start, max_sweeps)
+            w, violation, converged = admm_module.cyclic_projection(problem, start, max_sweeps)[:3]
             assert not converged and violation == max_violation(problem, w)
             assert len(calls) == max(len(sweeps), 1) and len(sweeps) <= max_sweeps
         assert 3 < len(sweeps) < 500  # the last run stopped at a sweep without progress
+
+    def test_multipliers_are_the_last_sweeps(self, paper_problem):
+        # an infeasible K=4 subarray that stalls: the fourth value holds the
+        # multipliers of the moves of the sweep that stopped, 0 for rows that
+        # held, as one sweep from the point before it returns them
+        problem = paper_problem.restrict((0, 2, 3, 4))
+        start = admm_module._mainlobe_boost(problem, admm_module._zero_forcing_start(problem))
+        assert admm_module.cyclic_projection(problem, start, max_sweeps=0)[3] == [0.0] * problem.L
+        w, _, _, multipliers = admm_module.cyclic_projection(problem, start)
+        n = 1
+        while not np.array_equal(admm_module.cyclic_projection(problem, start, n)[0], w):
+            n += 1
+        before = admm_module.cyclic_projection(problem, start, n - 1)[0]
+        assert admm_module.cyclic_projection(problem, before, 1)[3] == multipliers
+        assert len(multipliers) == problem.L and min(multipliers) == 0.0 < max(multipliers)
 
     def test_first_failing_row_is_named(self, monkeypatch):
         import sparsebeam.projections as projections_module
@@ -632,7 +647,7 @@ class TestFeasiblePoint:
         assert certificate_holds(problem, err.value.certificate.multipliers)
 
     def test_uncertified_verdict_says_search_gave_up(self, monkeypatch):
-        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem: None)
+        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem, multipliers: None)
         sqp_runs = count_calls(monkeypatch, "minimum_power")
         with pytest.raises(InfeasibleProblemError) as err:
             find_feasible_point(contradictory_problem())
@@ -646,7 +661,7 @@ class TestFeasiblePoint:
         # certificate search finds nothing, and one minimum-power SQP run
         # from the stalled point lets the projections finish
         problem = paper_problem.restrict((0, 1, 2, 3, 4, 5, 6, 8))
-        sweeps = count_calls(monkeypatch, "cyclic_projection")
+        sweeps = count_calls(monkeypatch, "cyclic_projection", lambda result: result[:3])
         certificates = count_calls(monkeypatch, "certify_infeasible")
         sqp_runs = count_calls(monkeypatch, "minimum_power")
         w0 = find_feasible_point(problem)
@@ -667,9 +682,9 @@ class TestFeasiblePoint:
             sweeps.append(None)  # one call per sweep
             return max_violation(self, w)
 
-        def counted_certify(problem):
+        def counted_certify(problem, multipliers):
             asked_after.append(len(sweeps))
-            return certify(problem)
+            return certify(problem, multipliers)
 
         monkeypatch.setattr(ProblemInstance, "max_violation", counted_max_violation)
         monkeypatch.setattr(admm_module, "certify_infeasible", counted_certify)
@@ -680,7 +695,7 @@ class TestFeasiblePoint:
         assert 1 < n < 500
         assert err.value.certificate is not None
         start = admm_module._mainlobe_boost(problem, admm_module._zero_forcing_start(problem))
-        w, violation, _ = admm_module.cyclic_projection(problem, start, max_sweeps=n)
+        w, violation = admm_module.cyclic_projection(problem, start, max_sweeps=n)[:2]
         assert str(err.value).endswith(f"; max violation {violation:.3e}")
         assert err.value.worst_violations == problem.worst_violations(w)
         previous = admm_module.cyclic_projection(problem, start, max_sweeps=n - 1)[1]
@@ -694,7 +709,7 @@ class TestFeasiblePoint:
         certificates = count_calls(monkeypatch, "certify_infeasible")
         w = find_feasible_point(problem)
         assert certificates == [None]
-        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem: None)
+        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem, multipliers: None)
         assert find_feasible_point(problem).tobytes() == w.tobytes()
 
     def test_fruitless_certificate_is_asked_once(self, paper_problem, monkeypatch):
@@ -702,7 +717,8 @@ class TestFeasiblePoint:
         # subarray sweeps on to its stall and hands that point to stage 4
         problem = paper_problem.restrict((0, 2, 3, 4))
         asked, sqp_starts = [], []
-        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem: asked.append(1))
+        monkeypatch.setattr(admm_module, "certify_infeasible",
+                            lambda problem, multipliers: asked.append(1))
         minimum_power = admm_module.minimum_power
         monkeypatch.setattr(admm_module, "minimum_power",
                             lambda problem, w: sqp_starts.append(w) or minimum_power(problem, w))
@@ -711,7 +727,7 @@ class TestFeasiblePoint:
         assert err.value.certificate is None
         assert len(asked) == 1 and len(sqp_starts) == 1
         start = admm_module._mainlobe_boost(problem, admm_module._zero_forcing_start(problem))
-        w, _, ok = admm_module.cyclic_projection(problem, start)
+        w, _, ok = admm_module.cyclic_projection(problem, start)[:3]
         assert not ok and sqp_starts[0].tobytes() == w.tobytes()
 
     def test_certificate_asked_once_when_stage_3_runs_out_of_sweeps(self, monkeypatch):
@@ -746,14 +762,16 @@ class TestFeasiblePoint:
         assert problem.max_violation(w) <= 1e-8
 
 
-def count_calls(monkeypatch, name):
-    """The results of every call to ``admm.<name>`` from now on, in order."""
+def count_calls(monkeypatch, name, keep=lambda result: result):
+    """The results of every call to ``admm.<name>`` from now on, in order,
+    each as ``keep`` reduces it."""
     results = []
     original = getattr(admm_module, name)
 
     def spy(*args, **kwargs):
-        results.append(original(*args, **kwargs))
-        return results[-1]
+        result = original(*args, **kwargs)
+        results.append(keep(result))
+        return result
 
     monkeypatch.setattr(admm_module, name, spy)
     return results
@@ -858,6 +876,17 @@ def one_floor_kind_problem(kind, M, seed):
     return toy_problem(constraints, M, N)
 
 
+def candidate_multipliers(L):
+    """Multipliers to offer ``certify_infeasible`` for L rows: all zero, one-hot,
+    or entries from 0, NaN, +-inf and +-1e-300 to +-1e300."""
+    entry = st.one_of(
+        st.sampled_from([0.0, np.nan, np.inf, -np.inf]),
+        st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),
+    )
+    one_hot = st.integers(0, max(L - 1, 0)).map(lambda l: [float(i == l) for i in range(L)])
+    return st.one_of(st.just([0.0] * L), one_hot, st.lists(entry, min_size=L, max_size=L))
+
+
 def count_lp_runs(monkeypatch):
     """A list that gains one entry per HiGHS ``run`` of the certificate from now on."""
     import sparsebeam.certificate as certificate_module
@@ -956,6 +985,52 @@ class TestCertificate:
         runs = count_lp_runs(monkeypatch)
         for support in itertools.combinations(range(paper_problem.N), K):
             assert certify_infeasible(paper_problem.restrict(support)) is not None, support
+        assert len(runs) <= budget
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_problems(), st.data())
+    def test_candidate_certificates_hold(self, case, data):
+        # whatever multipliers are offered, drawn or a stalled sweep's own,
+        # every certificate returned is checked densely; with no positive
+        # finite entry the candidate is skipped for the LP search
+        problem, w = case[:2]
+        offers = [data.draw(candidate_multipliers(problem.L))]
+        try:
+            offers.append(admm_module.cyclic_projection(problem, w)[3])
+        except ProjectionError:
+            pass
+        for multipliers in offers:
+            certificate = certify_infeasible(problem, multipliers)
+            if certificate is not None:
+                assert certificate_holds(problem, certificate.multipliers)
+            if not any(0.0 < x < np.inf for x in multipliers):
+                search = certify_infeasible(problem)
+                assert (certificate is None) == (search is None)
+                if search is not None:
+                    assert np.array_equal(certificate.multipliers, search.multipliers)
+
+    @settings(max_examples=40, deadline=None)
+    @given(feasible_toy_problems(), st.data())
+    def test_candidate_never_certifies_a_feasible_family(self, case, data):
+        problem, w0 = case
+        multipliers = data.draw(candidate_multipliers(problem.L))
+        assert certify_infeasible(problem, multipliers) is None
+
+    @pytest.mark.parametrize("K, budget", [(4, 0), (6, 120)])
+    def test_refit_certifies_from_the_sweeps_multipliers(
+        self, paper_problem, paper_scenario, monkeypatch, K, budget
+    ):
+        # a timing-free guard on the fast path: the stalled sweep's own
+        # multipliers prove all 210 K=4 and 196 of the 210 K=6 paper subarrays
+        # infeasible; the LP search runs 0 and 81 times, against 449 and 1,001
+        # times when every refit starts it cold
+        runs = count_lp_runs(monkeypatch)
+        for support in itertools.combinations(range(paper_problem.N), K):
+            with pytest.raises(InfeasibleProblemError) as err:
+                refit(paper_problem, support, paper_scenario.admm)
+            certificate = err.value.certificate
+            assert certificate is not None, support
+            assert certificate_holds(paper_problem.restrict(support), certificate.multipliers)
         assert len(runs) <= budget
 
     def test_contradictory_thresholds_as_the_cold_lp(self):

@@ -305,3 +305,17 @@ class TestSeedOverride:
             reports.append(json.loads((out / "report.json").read_text(encoding="utf-8")))
         assert reports[0]["support"] == reports[1]["support"]
         assert reports[0]["beamformers"] == reports[1]["beamformers"]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", []), ("sweep-k", ["--k", "4", "--trials", "2"]), ("sweep-m", ["--m", "1"]),
+    ])
+    def test_negative_seed_rejected_before_any_work(
+        self, fast_scenario_path, tmp_path, capsys, command, extra
+    ):
+        # the schema's "minimum": 0 holds for an override as for a file
+        out = tmp_path / "neg"
+        code = main([command, "--scenario", fast_scenario_path, "--out", str(out),
+                     "--seed", "-1"] + extra)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --seed must be an integer >= 0")
+        assert not out.exists()
