@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .certificate import certify_infeasible
+from .certificate import certify_infeasible, multiplier_certificate
 from .errors import ConfigurationError, InfeasibleProblemError, ProjectionError
 from .problem import beam_slacks, objective, sq_norms
 from .projections import KKT_GUARD, _sinr_row, check_stationarity, project_beams
@@ -179,7 +179,7 @@ def update_v(problem, w, u, eta, rho):
     return V.reshape(L, M * N)
 
 
-def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8):
+def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, certify=False):
     """Feasibility restoration by cyclic nearest-point projections.
 
     Sweeps the constraints in their fixed order (Bauschke & Borwein, SIAM
@@ -188,31 +188,45 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8):
     previous sweep's by 0.1%, or ``max_sweeps`` have run.  A satisfied row
     leaves the point as it is; a moved row that fails the KKT guard raises a
     ``ProjectionError`` naming it.  Returns (w, max_violation, converged,
-    multipliers), the violation being the last sweep's and the multipliers
-    the KKT multipliers mu_l of its moves, 0 for rows that held, in
-    constraint order.  Where the sweeps stall their moves cancel,
-    sum_l mu_l F_l v_l ~ 0, so these are a candidate for the multipliers of
-    ``certify_infeasible``.
+    multipliers, certificate), the violation being the last sweep's and the
+    multipliers the KKT multipliers mu_l of its moves, 0 for rows that held,
+    in constraint order.  Projections onto an empty intersection stall
+    rather than converge, and their moves nearly cancel,
+    sum_l mu_l F_l v_l ~ 0, so a sweep's multipliers often prove the problem
+    infeasible.  With ``certify``, every sweep that ends above ``tol`` with
+    s = sum_l mu_l f_l < 0 puts them through ``multiplier_certificate`` (the
+    test needs sum lambda_l f_l < 0, and lambda_l is a positive multiple of
+    mu_l, so no sweep with s >= 0 can pass), and the first certificate found
+    stops the sweeps; otherwise ``certificate`` is None.
     """
     W = np.array(w, dtype=complex).reshape(problem.M, problem.N)
     plan = problem.sweep_plan
+    # without ``certify`` every f_l reads 0, so s stays 0 and nothing is tried
+    f = problem.certificate_record.f.tolist() if certify else [0.0] * problem.L
     current = problem.max_violation(W.reshape(-1)) if max_sweeps < 1 else None
     multipliers = [0.0] * problem.L
     previous = np.inf
     for _ in range(max_sweeps):
         multipliers = [0.0] * problem.L
+        s = 0.0
         for l, (kernel, row, constraint) in enumerate(plan):
             moved = kernel(W, row)
             if moved is not None:
                 check_stationarity(constraint, W, moved[1], moved[2])
                 W, multipliers[l] = moved[0], moved[1]
+                if moved[1] > 0.0:
+                    s += moved[1] * f[l]
         current = problem.max_violation(W.reshape(-1))
         if current <= tol:
-            return W.reshape(-1), current, True, multipliers
+            return W.reshape(-1), current, True, multipliers, None
+        if s < 0.0:
+            certificate = multiplier_certificate(problem.certificate_record, multipliers)
+            if certificate is not None:
+                return W.reshape(-1), current, False, multipliers, certificate
         if not current < previous * (1.0 - 1e-3):
             break
         previous = current
-    return W.reshape(-1), current, False, multipliers
+    return W.reshape(-1), current, False, multipliers, None
 
 
 def _zero_forcing_start(problem):
@@ -279,7 +293,7 @@ def restore_feasibility(problem, w):
     """Up to 300 sweeps of cyclic projections to within ``_RESTORE_TOL``,
     with no stop for a sweep without progress: (w, max_violation, converged)."""
     for _ in range(300):
-        w, violation, converged, _ = cyclic_projection(problem, w, max_sweeps=1, tol=_RESTORE_TOL)
+        w, violation, converged = cyclic_projection(problem, w, max_sweeps=1, tol=_RESTORE_TOL)[:3]
         if converged:
             break
     return w, violation, converged
@@ -316,23 +330,27 @@ def find_feasible_point(problem, tol=_START_TOL):
     projections until the worst violation is at most ``tol`` or a sweep
     makes no progress: at the default 1e-8 it gives ADMM its consensus start,
     and at ``refit``'s looser hand-off tolerance it tells near-feasible
-    subarrays from ones that stall.  Where stage 3 stops short of ``tol``,
-    ``certify_infeasible`` looks once for a Lagrangian proof that no feasible
-    point exists (never found on a feasible problem), trying the multipliers
-    of stage 3's last sweep before its LP search; with one, the search
-    stops with a certified ``InfeasibleProblemError`` carrying the worst
-    violations of that point.  Otherwise stage 4 runs ``minimum_power`` from
-    that point, an SQP solve that needs no feasible start; should its polish
-    fall short too, the search gives up with an uncertified error carrying
-    the worst violations of the better point reached.  No stage draws random
-    numbers, and ``tol`` only decides when stage 3 stops.
+    subarrays from ones that stall.  Every stage-3 sweep that ends above
+    ``tol`` may prove that no feasible point exists: its multipliers go
+    through ``multiplier_certificate`` (see ``cyclic_projection``), and the
+    first that pass stop the search with a certified
+    ``InfeasibleProblemError`` carrying the worst violations of the point at
+    that sweep.  Where stage 3 stops short of ``tol`` without one, the
+    Kelley search of ``certify_infeasible`` looks once (never found on a
+    feasible problem), and with a certificate the search stops as above.
+    Otherwise stage 4 runs ``minimum_power`` from that point, an SQP solve
+    that needs no feasible start; should its polish fall short too, the
+    search gives up with an uncertified error carrying the worst violations
+    of the better point reached.  No stage draws random numbers, and ``tol``
+    only decides when stage 3 stops.
     """
     w = _zero_forcing_start(problem)
     w = _mainlobe_boost(problem, w)
-    w, violation, ok, multipliers = cyclic_projection(problem, w, tol=tol)
+    w, violation, ok, _, certificate = cyclic_projection(problem, w, tol=tol, certify=True)
     if ok:
         return w
-    certificate = certify_infeasible(problem, multipliers)
+    if certificate is None:
+        certificate = certify_infeasible(problem)
     if certificate is None:
         stalled = (w, violation)
         w, violation, ok = minimum_power(problem, w)

@@ -7,17 +7,21 @@ is the easy direction of the S-lemma (Polik & Terlaky, "A survey of the
 S-lemma", SIAM Review 2007); lambda is a dual point of the semidefinite
 relaxation (Luo et al., IEEE Signal Processing Magazine 2010).
 
-Every F_l is block-diagonal over users with blocks C[l, m] g_l g_l^H, read
-from ``problem.families``, so S is PSD exactly when each block S_m is (Huang
-& Palomar, IEEE Trans. Signal Processing 2010) and no MN x MN matrix is
-formed.  The first multipliers tried are the caller's: the feasibility search
-passes the KKT multipliers of the last sweep of its cyclic projections.  Where
-that sweep stalls, its moves v_l - vbar_l = -mu_l F_l v_l nearly cancel
-(sum_l mu_l F_l v_l ~ 0), and such multipliers, scaled onto the simplex,
-often pass the acceptance rule below at the cost of one ``eigh`` per block.
-Otherwise the multipliers come from Kelley's cutting-plane method.  A linear
-program over lambda on the unit simplex maximizes t subject to t <= -s and
-t <= y^H S_m y for every cut (m, y) gathered so far.  The first cuts are
+Every F_l is block-diagonal over users with blocks C[l, m] g_l g_l^H, held
+with f and the row scales in ``problem.certificate_record``, built once per
+problem, so S is PSD exactly when each block S_m is (Huang & Palomar, IEEE
+Trans. Signal Processing 2010) and no MN x MN matrix is formed.  The first
+multipliers tried are the feasibility search's own: after every sweep of its
+cyclic projections that ends above its tolerance with sum_l mu_l f_l < 0,
+``multiplier_certificate`` tries the KKT multipliers of that sweep's moves.
+On an empty intersection the sweeps stall, their moves
+v_l - vbar_l = -mu_l F_l v_l nearly cancel (sum_l mu_l F_l v_l ~ 0), and such
+multipliers, scaled onto the simplex, often pass the acceptance rule below
+many sweeps before the stall, at the cost of one ``eigh`` per block.  Where
+no sweep's multipliers pass, ``certify_infeasible`` takes them from Kelley's
+cutting-plane method.  A linear program over lambda on the unit simplex
+maximizes t subject to t <= -s and t <= y^H S_m y for every cut (m, y)
+gathered so far.  The first cuts are
 y = g_l/||g_l|| in each block m with C[l, m] < 0 (passband rows in every
 block, SINR rows in their served user's; constructors reject a zero g_l):
 only these blocks are negative semidefinite, so S_m can lose PSD-ness only
@@ -28,12 +32,14 @@ certificate exists and the search ends.  One HiGHS model serves the whole
 search: each round appends its cuts as rows and re-solves from the previous
 optimal basis (a warm start), so a round costs a few dual simplex pivots
 rather than a fresh LP.  Both sources of multipliers go through one
-acceptance test.  The feasibility search asks for one certificate, where its
-cyclic projections stop short of their tolerance.  Nothing is random: the
-same problem and multipliers always give the same answer.
+acceptance test.  The feasibility search asks for the LP search once, where
+its cyclic projections stop short of their tolerance without a certificate.
+Nothing is random: the same problem and multipliers always give the same
+answer.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize._highspy._core import HighsModelStatus, ObjSense, _Highs
@@ -99,32 +105,30 @@ class Certificate:
         )
 
 
-def _norm_bound(powers, N):
-    """R with ||w||^2 <= R on the feasible set, from per-antenna limits."""
-    limits = np.full(N, np.inf)
-    np.minimum.at(limits, powers.antenna, powers.limit)
-    return float(sum(limits.tolist())) if np.all(limits < np.inf) else None
+class CertificateRecord(NamedTuple):
+    """The per-row data of every certificate of one problem, in constraint
+    order: f (L,), the generators G (L, N) and block weights C (L, M), so
+    that block m of F_l is C[l, m] g_l g_l^H; ``scale`` = ||F_l||_2 (L,), 1
+    where F_l = 0; Cs = C / scale and fs = f / scale, the rows normalized to
+    ||F_l||_2 = 1; and ``norm_bound`` R (see ``Certificate``)."""
+
+    f: np.ndarray
+    G: np.ndarray
+    C: np.ndarray
+    scale: np.ndarray
+    Cs: np.ndarray
+    fs: np.ndarray
+    norm_bound: float
 
 
-def certify_infeasible(problem, multipliers=None):
-    """A ``Certificate`` that ``problem`` is infeasible, or None.
-
-    ``multipliers``, aligned with ``problem.constraints``, are tried first
-    (negative and NaN entries count as 0, an infinite one voids them all);
-    the Kelley search runs only if they prove nothing.  None does not mean feasible: the relaxation may
-    have a gap, or the search may run out of rounds.  A returned
-    certificate always satisfies its own acceptance rule, so it is never
-    found for a feasible problem.
-    """
+def certificate_record(problem):
+    """The ``CertificateRecord`` of ``problem``, from ``problem.families``."""
     L, M, N = problem.L, problem.M, problem.N
     beams, powers, sinrs = problem.families
     f = np.empty(L)
     f[beams.rows] = (beams.sign * beams.threshold).ravel()
     f[powers.rows] = powers.limit
     f[sinrs.rows] = sinrs.f
-    if not np.any(f < 0.0):
-        return None  # w = 0 meets every constraint
-    # block m of F_l is C[l, m] g_l g_l^H, with g_l row l of G
     G = np.zeros((L, N), dtype=complex)
     C = np.ones((L, M))
     G[beams.rows] = beams.steering[:, 0]
@@ -135,41 +139,73 @@ def certify_infeasible(problem, multipliers=None):
     # ||F_l||_2 = max_m |C[l, m]| ||g_l||^2
     scale = np.abs(C).max(axis=1) * (np.abs(G) ** 2).sum(axis=1)
     scale[scale == 0.0] = 1.0
-    Cs, fs = C / scale[:, None], f / scale
-    R = _norm_bound(powers, N)
+    # R bounds ||w||^2 on the feasible set when every antenna has a power limit
+    limits = np.full(N, np.inf)
+    np.minimum.at(limits, powers.antenna, powers.limit)
+    R = float(sum(limits.tolist())) if np.all(limits < np.inf) else None
+    return CertificateRecord(f, G, C, scale, C / scale[:, None], f / scale, R)
 
-    def judge(lam):
-        """The eigenpairs of every S_m for lambda on the simplex, and the
-        certificate lambda gives if it passes the acceptance rule."""
-        S = np.einsum("lm,li,lj->mij", lam[:, None] * Cs, G, G.conj())
-        eigvals, eigvecs = np.linalg.eigh(S)
-        combined = float(lam @ fs)
-        if combined < 0.0:
-            # the rule is invariant to scaling lambda; report s = -1
-            k = -1.0 / combined
-            eps = np.finfo(float).eps
-            certificate = Certificate(
-                multipliers=k * lam / scale,
-                combined_f=k * combined,
-                combined_rounding=k * L * eps * float(lam @ np.abs(fs)),
-                min_eigenvalue=k * float(eigvals.min()),
-                rounding=k * M * N * L * eps * float(lam.sum()),
-                norm_bound=R,
-            )
-            if certificate.excludes_every_point:
-                return eigvals, eigvecs, certificate
-        return eigvals, eigvecs, None
 
+def _judge(record, lam):
+    """The eigenpairs of every S_m for lambda on the simplex, and the
+    certificate lambda gives if it passes the acceptance rule, else None."""
+    L, N = record.G.shape
+    M = record.C.shape[1]
+    S = np.einsum("lm,li,lj->mij", lam[:, None] * record.Cs, record.G, record.G.conj())
+    eigvals, eigvecs = np.linalg.eigh(S)
+    combined = float(lam @ record.fs)
+    if combined < 0.0:
+        # the rule is invariant to scaling lambda; report s = -1
+        k = -1.0 / combined
+        eps = np.finfo(float).eps
+        certificate = Certificate(
+            multipliers=k * lam / record.scale,
+            combined_f=k * combined,
+            combined_rounding=k * L * eps * float(lam @ np.abs(record.fs)),
+            min_eigenvalue=k * float(eigvals.min()),
+            rounding=k * M * N * L * eps * float(lam.sum()),
+            norm_bound=record.norm_bound,
+        )
+        if certificate.excludes_every_point:
+            return eigvals, eigvecs, certificate
+    return eigvals, eigvecs, None
+
+
+def multiplier_certificate(record, multipliers):
+    """The certificate that ``multipliers``, aligned with the rows of
+    ``record``, give by themselves, or None: negative and NaN entries count
+    as 0 and an infinite one voids them all; the rest are scaled by
+    ||F_l||_2 onto the simplex and put through the acceptance rule, at the
+    cost of one ``eigh`` per user block."""
+    lam = np.asarray(multipliers, dtype=float)
+    lam = np.where(lam > 0.0, lam, 0.0)
+    top = lam.max(initial=0.0)
+    if not 0.0 < top < np.inf:
+        return None
+    lam = lam / top * record.scale  # the max first: no sum overflows
+    return _judge(record, lam / lam.sum())[2]
+
+
+def certify_infeasible(problem, multipliers=None):
+    """A ``Certificate`` that ``problem`` is infeasible, or None.
+
+    ``multipliers``, aligned with ``problem.constraints``, are tried first
+    through ``multiplier_certificate``; the Kelley search runs only if they
+    prove nothing.  None does not mean feasible: the relaxation may have a
+    gap, or the search may run out of rounds.  A returned certificate always
+    satisfies its own acceptance rule, so it is never found for a feasible
+    problem.
+    """
+    record = problem.certificate_record
+    if not np.any(record.f < 0.0):
+        return None  # w = 0 meets every constraint
     if multipliers is not None:
-        lam = np.asarray(multipliers, dtype=float)
-        lam = np.where(lam > 0.0, lam, 0.0)
-        top = lam.max(initial=0.0)
-        if 0.0 < top < np.inf:
-            lam = lam / top * scale  # the max first: no sum overflows
-            certificate = judge(lam / lam.sum())[2]
-            if certificate is not None:
-                return certificate
+        certificate = multiplier_certificate(record, multipliers)
+        if certificate is not None:
+            return certificate
 
+    L = problem.L
+    G, C, Cs = record.G, record.C, record.Cs
     # variables (lambda_1..lambda_L, t) with lambda on the unit simplex;
     # maximize t <= y^H S_m y over the cuts (m, y) and t <= -s
     lp = _Highs()
@@ -179,7 +215,7 @@ def certify_infeasible(problem, multipliers=None):
     lp.changeColCost(L, 1.0)
     lp.changeObjectiveSense(ObjSense.kMaximize)
     _add_rows(lp, np.append(np.ones(L), 0.0)[np.newaxis, :], 1.0, 1.0)
-    _add_rows(lp, np.append(fs, 1.0)[np.newaxis, :], -np.inf, 0.0)
+    _add_rows(lp, np.append(record.fs, 1.0)[np.newaxis, :], -np.inf, 0.0)
     row, block = np.nonzero(C < 0.0)  # first cuts: g_l/||g_l|| where C[l, m] < 0
     cuts = G[row] / np.linalg.norm(G[row], axis=1, keepdims=True)
     for _ in range(_MAX_ROUNDS):
@@ -192,7 +228,7 @@ def certify_infeasible(problem, multipliers=None):
         # a basic multiplier may sit a rounding error below 0, which would
         # void the proof; the certificate is formed from the clipped one
         t = x[L]
-        eigvals, eigvecs, certificate = judge(np.maximum(x[:L], 0.0))
+        eigvals, eigvecs, certificate = _judge(record, np.maximum(x[:L], 0.0))
         if certificate is not None:
             return certificate
         block, column = np.nonzero(eigvals < t)

@@ -20,8 +20,9 @@ floors.  ``ProblemInstance.families`` holds them as per-kind arrays, routed
 by ``isinstance`` (a subclass joins its kind; any other class is a
 ``ConfigurationError``), and every evaluation reads them: the slacks, the
 F_l w products, the SINRs of a design, the ADMM v-update, the feasible
-start, the MSRR, the infeasibility certificate and, one row each, the
-projection sweep's ``sweep_plan``.
+start, the MSRR and, one row each, the projection sweep's ``sweep_plan``.
+The infeasibility certificate reads them through ``certificate_record``, its
+per-row data built once per problem.
 """
 
 from dataclasses import dataclass, replace
@@ -31,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrays import build_grids, los_channel, rayleigh_channel, steering_vector
-from .certificate import zeroed_floor_certificate
+from .certificate import certificate_record, zeroed_floor_certificate
 from .errors import ConfigurationError, InfeasibleProblemError
 
 
@@ -377,6 +378,13 @@ class ProblemInstance:
         )
 
     @cached_property
+    def certificate_record(self):
+        """f, the generators and block weights of every row, their scales and
+        the norm bound, as ``certificate.CertificateRecord``: built once per
+        instance for the certificate, the hand-off tolerance and ``restrict``."""
+        return certificate_record(self)
+
+    @cached_property
     def sweep_plan(self):
         """(kernel, row data from ``families``, constraint) of every row in
         order, for the projection sweep and the v-update's SINR rows."""
@@ -428,11 +436,7 @@ class ProblemInstance:
             raise ConfigurationError(
                 f"support {support} outside antenna range 0..{self.N - 1}"
             )
-        beams, powers, sinrs = self.families
-        zeroed = np.zeros(self.L, dtype=bool)
-        zeroed[beams.rows] = ~beams.steering[:, 0, list(support)].any(axis=1)
-        zeroed[powers.rows] = ~np.isin(powers.antenna, support)
-        zeroed[sinrs.rows] = ~sinrs.probe[:, list(support), 0].any(axis=1)
+        zeroed = ~self.certificate_record.G[:, list(support)].any(axis=1)
         floors = [c for c, z in zip(self.constraints, zeroed) if z and c.f < 0.0]
         if floors:
             raise InfeasibleProblemError(

@@ -6,10 +6,11 @@ small QCQP min ||w||^2 s.t. w^H F_l w <= f_l on that subarray with one
 cyclic projections, has two roles: run to 1e-8 it gives ADMM its consensus
 start; stopped at a loose hand-off tolerance it is the refit's feasibility
 test, since feasible subarrays become near-feasible within a few sweeps and
-infeasible ones stop at a sweep without progress.  The multipliers of that
-last sweep's moves usually prove the subarray infeasible on their own (all
-K=4 and most K=6 paper subarrays), so most refits of the random baseline end
-with a certificate and no linear program.
+infeasible ones stall.  Stage 3 tries the multipliers of each sweep's moves
+as a certificate, and on an infeasible subarray they usually prove it
+infeasible a few sweeps in, long before the sweeps stall (all K=4 and most
+K=6 paper subarrays), so most refits of the random baseline end there, with
+a certificate and no linear program.
 """
 
 from dataclasses import dataclass
@@ -47,8 +48,7 @@ def embed_support(w_reduced, support, M, N):
 def _handoff_tol(problem):
     """Where a refit's stage 3 hands off: ``_HANDOFF_REL`` * max_l |f_l|,
     never below the ADMM start's 1e-8."""
-    beams, powers, sinrs = problem.families
-    f = np.concatenate([(beams.sign * beams.threshold).ravel(), powers.limit, sinrs.f])
+    f = problem.certificate_record.f
     return max(_HANDOFF_REL * float(np.abs(f).max(initial=0.0)), _START_TOL)
 
 

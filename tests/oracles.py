@@ -23,7 +23,9 @@ reach its verdicts and powers.  ``baseline_loop`` refits every trial, as the
 memoized baseline must reproduce.  ``certify_infeasible_cold`` solves every
 Kelley round's linear program from scratch with ``linprog``, from the
 coordinate directions; the warm-started ``certify_infeasible``, seeded
-otherwise, must reach its verdicts.
+otherwise, must reach its verdicts.  ``certificate_record_reference`` builds
+the certificate's per-row data as ``certify_infeasible`` did on every call;
+the cached ``ProblemInstance.certificate_record`` must hold its bytes.
 ``msrr_reference`` and ``zero_forcing_reference`` rebuild the MSRR and the
 stage-1 start from the scenario, cut to the problem's support, and
 ``mainlobe_boost_reference`` runs stage 2 constraint by constraint;
@@ -40,7 +42,7 @@ from scipy.optimize import linprog, minimize
 
 from sparsebeam.admm import find_feasible_point, minimum_power, restore_feasibility, solve
 from sparsebeam.arrays import build_grids, los_channel, rayleigh_channel, steering_vector
-from sparsebeam.certificate import _MAX_ROUNDS, Certificate, _norm_bound
+from sparsebeam.certificate import _MAX_ROUNDS, Certificate
 from sparsebeam.errors import InfeasibleProblemError, ProjectionError
 from sparsebeam.metrics import msrr, tx_power
 from sparsebeam.problem import (
@@ -620,6 +622,35 @@ def baseline_loop(problem, K, trials, seed, refit, config):
     )
 
 
+def _norm_bound(powers, N):
+    """R with ||w||^2 <= R on the feasible set, from per-antenna limits."""
+    limits = np.full(N, np.inf)
+    np.minimum.at(limits, powers.antenna, powers.limit)
+    return float(sum(limits.tolist())) if np.all(limits < np.inf) else None
+
+
+def certificate_record_reference(problem):
+    """(f, G, C, scale, Cs, fs, R) as ``certify_infeasible`` built them on
+    every call before ``ProblemInstance.certificate_record`` held them."""
+    L, M, N = problem.L, problem.M, problem.N
+    beams, powers, sinrs = problem.families
+    f = np.empty(L)
+    f[beams.rows] = (beams.sign * beams.threshold).ravel()
+    f[powers.rows] = powers.limit
+    f[sinrs.rows] = sinrs.f
+    G = np.zeros((L, N), dtype=complex)
+    C = np.ones((L, M))
+    G[beams.rows] = beams.steering[:, 0]
+    C[beams.rows] = beams.sign[:, 0]
+    G[powers.rows, powers.antenna] = 1.0
+    G[sinrs.rows] = np.conj(sinrs.probe[..., 0])
+    C[sinrs.rows] = sinrs.weights
+    scale = np.abs(C).max(axis=1) * (np.abs(G) ** 2).sum(axis=1)
+    scale[scale == 0.0] = 1.0
+    Cs, fs = C / scale[:, None], f / scale
+    return f, G, C, scale, Cs, fs, _norm_bound(powers, N)
+
+
 def certify_infeasible_cold(problem):
     """``certify_infeasible`` with one cold ``linprog`` call per Kelley round,
     each rebuilding the dense constraint matrix of every cut so far.
@@ -632,18 +663,8 @@ def certify_infeasible_cold(problem):
     if not np.any(f < 0.0):
         return None
     L, M, N = problem.L, problem.M, problem.N
-    beams, powers, sinrs = problem.families
-    G = np.zeros((L, N), dtype=complex)
-    C = np.ones((L, M))
-    G[beams.rows] = beams.steering[:, 0]
-    C[beams.rows] = beams.sign[:, 0]
-    G[powers.rows, powers.antenna] = 1.0
-    G[sinrs.rows] = np.conj(sinrs.probe[..., 0])
-    C[sinrs.rows] = sinrs.weights
-    scale = np.abs(C).max(axis=1) * (np.abs(G) ** 2).sum(axis=1)
-    scale[scale == 0.0] = 1.0
-    Cs, fs = C / scale[:, None], f / scale
-    R = _norm_bound(powers, N)
+    _, G, _, scale, Cs, _, R = certificate_record_reference(problem)
+    fs = f / scale
     cost = np.zeros(L + 1)
     cost[-1] = -1.0
     a_eq = np.append(np.ones(L), 0.0)[np.newaxis, :]

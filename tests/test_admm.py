@@ -32,12 +32,13 @@ from sparsebeam import (
     update_w,
 )
 import sparsebeam.admm as admm_module
-from sparsebeam.certificate import certify_infeasible
+from sparsebeam.certificate import certify_infeasible, multiplier_certificate
 from sparsebeam.problem import BeamConstraint
 from sparsebeam.selection import _handoff_tol
 
 from helpers import certificate_holds, dense_constraint, paper_variants, project, random_stack
 from oracles import (
+    certificate_record_reference,
     certify_infeasible_cold,
     cyclic_projection_loop,
     mainlobe_boost_reference,
@@ -542,7 +543,7 @@ class TestProjectionSweep:
         problem = paper_problem.restrict((0, 2, 3, 4))
         start = admm_module._mainlobe_boost(problem, admm_module._zero_forcing_start(problem))
         assert admm_module.cyclic_projection(problem, start, max_sweeps=0)[3] == [0.0] * problem.L
-        w, _, _, multipliers = admm_module.cyclic_projection(problem, start)
+        w, _, _, multipliers = admm_module.cyclic_projection(problem, start)[:4]
         n = 1
         while not np.array_equal(admm_module.cyclic_projection(problem, start, n)[0], w):
             n += 1
@@ -646,15 +647,26 @@ class TestFeasiblePoint:
         assert "certified infeasible" in str(err.value)
         assert certificate_holds(problem, err.value.certificate.multipliers)
 
-    def test_uncertified_verdict_says_search_gave_up(self, monkeypatch):
-        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem, multipliers: None)
-        sqp_runs = count_calls(monkeypatch, "minimum_power")
+    def test_uncertified_verdict_says_search_gave_up(self, paper_problem, monkeypatch):
+        # with no certificate to be found, neither in a sweep nor by the LP,
+        # stage 3 on an infeasible K=4 subarray sweeps on to its stall and
+        # hands that point to one stage-4 SQP run, which fails too
+        problem = paper_problem.restrict((0, 2, 3, 4))
+        monkeypatch.setattr(admm_module, "multiplier_certificate", lambda record, multipliers: None)
+        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem, multipliers=None: None)
+        sqp_starts = []
+        minimum_power = admm_module.minimum_power
+        monkeypatch.setattr(admm_module, "minimum_power",
+                            lambda problem, w: sqp_starts.append(w) or minimum_power(problem, w))
         with pytest.raises(InfeasibleProblemError) as err:
-            find_feasible_point(contradictory_problem())
+            find_feasible_point(problem)
         assert err.value.certificate is None
         assert "search gave up after" in str(err.value)
         assert err.value.worst_violations
-        assert len(sqp_runs) == 1
+        assert len(sqp_starts) == 1
+        start = stage_3_start(problem)
+        w, _, ok = admm_module.cyclic_projection(problem, start)[:3]
+        assert not ok and sqp_starts[0].tobytes() == w.tobytes()
 
     def test_stalled_subarray_needs_one_sqp_run(self, paper_problem, monkeypatch):
         # a feasible K=8 subarray on which the projections stall: the
@@ -670,36 +682,49 @@ class TestFeasiblePoint:
         assert certificates == [None]
         assert len(sqp_runs) == 1
 
-    def test_certificate_asked_at_the_first_stalled_sweep(self, paper_problem, monkeypatch):
-        # an infeasible K=4 subarray: stage 3 stops a few sweeps in, at its
-        # first sweep without progress, the certificate is asked there once,
-        # and the error carries the worst violations of the point at that sweep
-        problem = paper_problem.restrict((0, 2, 3, 4))
-        sweeps, asked_after = [], []
-        max_violation, certify = ProblemInstance.max_violation, admm_module.certify_infeasible
+    def test_stage_3_stops_at_the_first_sweep_that_certifies(self, paper_problem, monkeypatch):
+        # an infeasible K=6 subarray whose first two sweeps prove nothing and
+        # whose third does, 17 sweeps before the sweeps would stall: stage 3
+        # stops there, the LP is never asked, and the error carries that
+        # sweep's certificate and the worst violations of the point at it
+        problem = paper_problem.restrict((0, 1, 2, 3, 5, 7))
+        sweeps, tried, lp = [], [], []
+        max_violation = ProblemInstance.max_violation
+        judge = admm_module.multiplier_certificate
 
         def counted_max_violation(self, w):
             sweeps.append(None)  # one call per sweep
             return max_violation(self, w)
 
-        def counted_certify(problem, multipliers):
-            asked_after.append(len(sweeps))
-            return certify(problem, multipliers)
+        def counted_judge(record, multipliers):
+            tried.append((len(sweeps), judge(record, multipliers)))
+            return tried[-1][1]
 
         monkeypatch.setattr(ProblemInstance, "max_violation", counted_max_violation)
-        monkeypatch.setattr(admm_module, "certify_infeasible", counted_certify)
+        monkeypatch.setattr(admm_module, "multiplier_certificate", counted_judge)
+        monkeypatch.setattr(admm_module, "certify_infeasible", lambda *args: lp.append(args))
         with pytest.raises(InfeasibleProblemError) as err:
             find_feasible_point(problem)
         monkeypatch.undo()
-        [n] = asked_after
-        assert 1 < n < 500
-        assert err.value.certificate is not None
-        start = admm_module._mainlobe_boost(problem, admm_module._zero_forcing_start(problem))
-        w, violation = admm_module.cyclic_projection(problem, start, max_sweeps=n)[:2]
+        n = len(sweeps)
+        assert n == 3 and lp == []
+        assert [k for k, _ in tried][-1] == n and all(c is None for _, c in tried[:-1])
+        certificate = err.value.certificate
+        assert certificate is tried[-1][1] and str(err.value).startswith("certified infeasible")
+        assert certificate_holds(problem, certificate.multipliers)
+        start = stage_3_start(problem)
+        w, violation, _, multipliers = admm_module.cyclic_projection(problem, start, max_sweeps=n)[:4]
         assert str(err.value).endswith(f"; max violation {violation:.3e}")
         assert err.value.worst_violations == problem.worst_violations(w)
-        previous = admm_module.cyclic_projection(problem, start, max_sweeps=n - 1)[1]
-        assert not violation < previous * (1.0 - 1e-3)
+        record = problem.certificate_record
+        again = judge(record, multipliers)
+        assert again.multipliers.tobytes() == certificate.multipliers.tobytes()
+        for k in range(1, n):
+            assert judge(record, admm_module.cyclic_projection(problem, start, k)[3]) is None
+        stall = admm_module.cyclic_projection(problem, start)  # tries no multipliers
+        assert stall[2] is False and stall[4] is None
+        assert admm_module.cyclic_projection(problem, start, n + 17)[0].tobytes() == stall[0].tobytes()
+        assert admm_module.cyclic_projection(problem, start, n + 16)[0].tobytes() != stall[0].tobytes()
 
     def test_fruitless_certificate_leaves_the_search_unchanged(self, paper_problem, monkeypatch):
         # a feasible K=7 subarray whose fifth sweep makes no progress: the one
@@ -709,40 +734,62 @@ class TestFeasiblePoint:
         certificates = count_calls(monkeypatch, "certify_infeasible")
         w = find_feasible_point(problem)
         assert certificates == [None]
-        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem, multipliers: None)
+        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem, multipliers=None: None)
         assert find_feasible_point(problem).tobytes() == w.tobytes()
 
     def test_fruitless_certificate_is_asked_once(self, paper_problem, monkeypatch):
-        # with no certificate to be found, stage 3 on an infeasible K=4
-        # subarray sweeps on to its stall and hands that point to stage 4
-        problem = paper_problem.restrict((0, 2, 3, 4))
-        asked, sqp_starts = [], []
-        monkeypatch.setattr(admm_module, "certify_infeasible",
-                            lambda problem, multipliers: asked.append(1))
-        minimum_power = admm_module.minimum_power
-        monkeypatch.setattr(admm_module, "minimum_power",
-                            lambda problem, w: sqp_starts.append(w) or minimum_power(problem, w))
+        # an infeasible K=7 subarray whose sweeps stall at the 14th: the
+        # multipliers of none of them pass, so the LP is asked once, after
+        # the stall and without them, and its certificate ends the search
+        problem = paper_problem.restrict((0, 1, 2, 4, 5, 7, 9))
+        sweeps, tried, asked = [], [], []
+        max_violation = ProblemInstance.max_violation
+        judge, certify = admm_module.multiplier_certificate, admm_module.certify_infeasible
+
+        def counted_max_violation(self, w):
+            sweeps.append(None)  # one call per sweep
+            return max_violation(self, w)
+
+        def counted_judge(record, multipliers):
+            tried.append(judge(record, multipliers))
+            return tried[-1]
+
+        def counted_certify(*args):
+            asked.append((len(sweeps), args))
+            return certify(*args)
+
+        monkeypatch.setattr(ProblemInstance, "max_violation", counted_max_violation)
+        monkeypatch.setattr(admm_module, "multiplier_certificate", counted_judge)
+        monkeypatch.setattr(admm_module, "certify_infeasible", counted_certify)
+        sqp_runs = count_calls(monkeypatch, "minimum_power")
         with pytest.raises(InfeasibleProblemError) as err:
             find_feasible_point(problem)
-        assert err.value.certificate is None
-        assert len(asked) == 1 and len(sqp_starts) == 1
-        start = admm_module._mainlobe_boost(problem, admm_module._zero_forcing_start(problem))
-        w, _, ok = admm_module.cyclic_projection(problem, start)[:3]
-        assert not ok and sqp_starts[0].tobytes() == w.tobytes()
+        monkeypatch.undo()
+        [(n, args)] = asked
+        assert n == 14 and args == (problem,)
+        assert len(tried) == 13 and tried == [None] * 13 and sqp_runs == []
+        w, violation, ok = admm_module.cyclic_projection(problem, stage_3_start(problem))[:3]
+        assert not ok and str(err.value).endswith(f"; max violation {violation:.3e}")
+        assert err.value.worst_violations == problem.worst_violations(w)
+        assert certificate_holds(problem, err.value.certificate.multipliers)
 
     def test_certificate_asked_once_when_stage_3_runs_out_of_sweeps(self, monkeypatch):
         # a stage 3 that ends unconverged with no sweep short of progress
-        # (one sweep always improves on none) asks once, at its end
+        # (one sweep always improves on none): only the stopband moves in
+        # that sweep, so s = mu*f > 0 and its multipliers are not tried, and
+        # the LP is asked once, at its end
         sweeps = admm_module.cyclic_projection
 
-        def one_sweep(problem, w, max_sweeps=500, tol=1e-8):
-            return sweeps(problem, w, max_sweeps=1, tol=tol)
+        def one_sweep(problem, w, max_sweeps=500, tol=1e-8, certify=False):
+            return sweeps(problem, w, max_sweeps=1, tol=tol, certify=certify)
 
         monkeypatch.setattr(admm_module, "cyclic_projection", one_sweep)
+        tried = count_calls(monkeypatch, "multiplier_certificate")
         certificates = count_calls(monkeypatch, "certify_infeasible")
         with pytest.raises(InfeasibleProblemError) as err:
             find_feasible_point(contradictory_problem())
-        assert len(certificates) == 1 and certificates[0] is not None
+        assert tried == []
+        assert len(certificates) == 1 and certificates[0] is err.value.certificate is not None
         assert str(err.value).startswith("certified infeasible")
 
     def test_stalled_search_finishes_from_the_sqp_run(self):
@@ -760,6 +807,11 @@ class TestFeasiblePoint:
         assert problem.max_violation(w0) <= 0.0
         w = find_feasible_point(problem)
         assert problem.max_violation(w) <= 1e-8
+
+
+def stage_3_start(problem):
+    """The point stage 3 of the feasibility search starts from."""
+    return admm_module._mainlobe_boost(problem, admm_module._zero_forcing_start(problem))
 
 
 def count_calls(monkeypatch, name, keep=lambda result: result):
@@ -1020,9 +1072,9 @@ class TestCertificate:
     def test_refit_certifies_from_the_sweeps_multipliers(
         self, paper_problem, paper_scenario, monkeypatch, K, budget
     ):
-        # a timing-free guard on the fast path: the stalled sweep's own
-        # multipliers prove all 210 K=4 and 196 of the 210 K=6 paper subarrays
-        # infeasible; the LP search runs 0 and 81 times, against 449 and 1,001
+        # a timing-free guard on the fast path: stage 3's own sweep
+        # multipliers prove all 210 K=4 and 199 of the 210 K=6 paper subarrays
+        # infeasible; the LP search runs 0 and 64 times, against 449 and 1,001
         # times when every refit starts it cold
         runs = count_lp_runs(monkeypatch)
         for support in itertools.combinations(range(paper_problem.N), K):
@@ -1032,6 +1084,78 @@ class TestCertificate:
             assert certificate is not None, support
             assert certificate_holds(paper_problem.restrict(support), certificate.multipliers)
         assert len(runs) <= budget
+
+    def test_record_holds_the_per_call_bytes(self, paper_problem):
+        # the record built once per problem holds, field by field, the bytes
+        # ``certify_infeasible`` built on every call: on the paper problem,
+        # all 848 K>=4 subarrays and a family with no floor (w = 0 is
+        # feasible), for which the record is built and no certificate found
+        floorless = toy_problem(
+            [StopbandConstraint(0.0, np.ones(2), 1.0, 1, 2), AntennaPowerConstraint(1, 2.0, 1, 2)], 1, 2
+        )
+        problems = [paper_problem, floorless] + [
+            paper_problem.restrict(support)
+            for K in range(4, paper_problem.N + 1)
+            for support in itertools.combinations(range(paper_problem.N), K)
+        ]
+        assert len(problems) == 2 + 848
+        for problem in problems:
+            record = problem.certificate_record
+            assert problem.certificate_record is record
+            *want, bound = certificate_record_reference(problem)
+            for got, ref in zip(record[:-1], want):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+            assert record.norm_bound == bound and type(record.norm_bound) is type(bound)
+        assert certify_infeasible(floorless) is None
+        assert certify_infeasible(floorless, [1.0, 1.0]) is None
+
+    @pytest.mark.parametrize("K", [4, 5, 6, 7])
+    def test_gate_drops_no_certificate(self, paper_problem, K):
+        # each refit's stage 3 run sweep by sweep on to its stall, as if no
+        # certificate stopped it: wherever the ungated multiplier test passes,
+        # s = sum of mu_l f_l over the moves with mu_l > 0 is negative, so
+        # the sweep's gate lets the test run, and the gated stage 3 stops at
+        # the first such sweep
+        for support in itertools.combinations(range(paper_problem.N), K):
+            problem = paper_problem.restrict(support)
+            record, tol = problem.certificate_record, _handoff_tol(problem)
+            f = record.f.tolist()
+            w, previous, first = stage_3_start(problem), np.inf, None
+            for n in range(1, 501):
+                w, violation, ok, multipliers = admm_module.cyclic_projection(problem, w, 1, tol)[:4]
+                if ok:
+                    break
+                if multiplier_certificate(record, multipliers) is not None:
+                    assert sum(m * x for m, x in zip(multipliers, f) if m > 0.0) < 0.0, (support, n)
+                    first = w if first is None else first
+                if not violation < previous * (1.0 - 1e-3):
+                    break
+                previous = violation
+            got = admm_module.cyclic_projection(problem, stage_3_start(problem), tol=tol, certify=True)
+            assert (got[4] is None) == (first is None), support
+            if first is not None:
+                assert got[0].tobytes() == first.tobytes(), support
+
+    @settings(max_examples=60, deadline=None)
+    @given(feasible_toy_problems(), st.data())
+    def test_multiplier_test_never_certifies_a_feasible_family(self, case, data):
+        # nonnegative multipliers, drawn or each stage-3 sweep's own, prove
+        # nothing about a family with a known feasible point
+        problem = case[0]
+        record = problem.certificate_record
+        entry = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
+        drawn = data.draw(st.lists(entry, min_size=problem.L, max_size=problem.L))
+        assert multiplier_certificate(record, drawn) is None
+        w = stage_3_start(problem)
+        for _ in range(50):
+            try:
+                w, _, ok, multipliers = admm_module.cyclic_projection(problem, w, 1)[:4]
+            except ProjectionError:
+                break
+            assert multiplier_certificate(record, multipliers) is None
+            if ok:
+                break
 
     def test_contradictory_thresholds_as_the_cold_lp(self):
         problem = contradictory_problem()

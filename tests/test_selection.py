@@ -285,6 +285,28 @@ class TestRefit:
 
     @settings(max_examples=120, deadline=None)
     @given(sparse_generator_problems())
+    def test_restrict_drops_every_row_the_support_zeroes(self, case):
+        # one generator test for every kind, against the dense F_l: a row
+        # zero on the support is dropped, or raises if it is a floor, and
+        # every other row keeps its F_l restricted to the support
+        problem, support = case
+        cols = [m * problem.N + n for m in range(problem.M) for n in support]
+        restricted = [dense_constraint(c)[0][np.ix_(cols, cols)] for c in problem.constraints]
+        floors = zeroed_floors(problem, support)
+        try:
+            reduced = problem.restrict(support)
+        except InfeasibleProblemError as err:
+            assert np.flatnonzero(err.certificate.multipliers).tolist() == floors[:1]
+            return
+        assert not floors
+        kept = [(c, F) for c, F in zip(problem.constraints, restricted) if F.any()]
+        assert len(reduced.constraints) == len(kept)
+        for got, (c, F) in zip(reduced.constraints, kept):
+            assert type(got) is type(c) and got.f == c.f
+            assert np.array_equal(dense_constraint(got)[0], F)
+
+    @settings(max_examples=120, deadline=None)
+    @given(sparse_generator_problems())
     def test_any_support_gets_a_design_or_a_verdict(self, case):
         problem, support = case
         floors = zeroed_floors(problem, support)
