@@ -201,8 +201,7 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, certify=False):
     """
     W = np.array(w, dtype=complex).reshape(problem.M, problem.N)
     plan = problem.sweep_plan
-    # without ``certify`` every f_l reads 0, so s stays 0 and nothing is tried
-    f = problem.certificate_record.f.tolist() if certify else [0.0] * problem.L
+    f = problem.certificate_record.f.tolist() if certify else None
     current = problem.max_violation(W.reshape(-1)) if max_sweeps < 1 else None
     multipliers = [0.0] * problem.L
     previous = np.inf
@@ -214,7 +213,7 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, certify=False):
             if moved is not None:
                 check_stationarity(constraint, W, moved[1], moved[2])
                 W, multipliers[l] = moved[0], moved[1]
-                if moved[1] > 0.0:
+                if certify and moved[1] > 0.0:
                     s += moved[1] * f[l]
         current = problem.max_violation(W.reshape(-1))
         if current <= tol:

@@ -186,23 +186,17 @@ def multiplier_certificate(record, multipliers):
     return _judge(record, lam / lam.sum())[2]
 
 
-def certify_infeasible(problem, multipliers=None):
-    """A ``Certificate`` that ``problem`` is infeasible, or None.
+def certify_infeasible(problem):
+    """A ``Certificate`` that ``problem`` is infeasible, or None, by the
+    Kelley search.
 
-    ``multipliers``, aligned with ``problem.constraints``, are tried first
-    through ``multiplier_certificate``; the Kelley search runs only if they
-    prove nothing.  None does not mean feasible: the relaxation may have a
-    gap, or the search may run out of rounds.  A returned certificate always
-    satisfies its own acceptance rule, so it is never found for a feasible
-    problem.
+    None does not mean feasible: the relaxation may have a gap, or the
+    search may run out of rounds.  A returned certificate always satisfies
+    its own acceptance rule, so it is never found for a feasible problem.
     """
     record = problem.certificate_record
     if not np.any(record.f < 0.0):
         return None  # w = 0 meets every constraint
-    if multipliers is not None:
-        certificate = multiplier_certificate(record, multipliers)
-        if certificate is not None:
-            return certificate
 
     L = problem.L
     G, C, Cs = record.G, record.C, record.Cs

@@ -653,7 +653,7 @@ class TestFeasiblePoint:
         # hands that point to one stage-4 SQP run, which fails too
         problem = paper_problem.restrict((0, 2, 3, 4))
         monkeypatch.setattr(admm_module, "multiplier_certificate", lambda record, multipliers: None)
-        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem, multipliers=None: None)
+        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem: None)
         sqp_starts = []
         minimum_power = admm_module.minimum_power
         monkeypatch.setattr(admm_module, "minimum_power",
@@ -734,7 +734,7 @@ class TestFeasiblePoint:
         certificates = count_calls(monkeypatch, "certify_infeasible")
         w = find_feasible_point(problem)
         assert certificates == [None]
-        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem, multipliers=None: None)
+        monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem: None)
         assert find_feasible_point(problem).tobytes() == w.tobytes()
 
     def test_fruitless_certificate_is_asked_once(self, paper_problem, monkeypatch):
@@ -929,7 +929,7 @@ def one_floor_kind_problem(kind, M, seed):
 
 
 def candidate_multipliers(L):
-    """Multipliers to offer ``certify_infeasible`` for L rows: all zero, one-hot,
+    """Multipliers to offer ``multiplier_certificate`` for L rows: all zero, one-hot,
     or entries from 0, NaN, +-inf and +-1e-300 to +-1e300."""
     entry = st.one_of(
         st.sampled_from([0.0, np.nan, np.inf, -np.inf]),
@@ -1044,7 +1044,7 @@ class TestCertificate:
     def test_candidate_certificates_hold(self, case, data):
         # whatever multipliers are offered, drawn or a stalled sweep's own,
         # every certificate returned is checked densely; with no positive
-        # finite entry the candidate is skipped for the LP search
+        # finite entry the candidate proves nothing and the LP search decides
         problem, w = case[:2]
         offers = [data.draw(candidate_multipliers(problem.L))]
         try:
@@ -1052,7 +1052,8 @@ class TestCertificate:
         except ProjectionError:
             pass
         for multipliers in offers:
-            certificate = certify_infeasible(problem, multipliers)
+            certificate = (multiplier_certificate(problem.certificate_record, multipliers)
+                           or certify_infeasible(problem))
             if certificate is not None:
                 assert certificate_holds(problem, certificate.multipliers)
             if not any(0.0 < x < np.inf for x in multipliers):
@@ -1061,12 +1062,24 @@ class TestCertificate:
                 if search is not None:
                     assert np.array_equal(certificate.multipliers, search.multipliers)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(feasible_toy_problems(), st.data())
     def test_candidate_never_certifies_a_feasible_family(self, case, data):
-        problem, w0 = case
+        # multipliers, drawn or each stage-3 sweep's own, prove nothing about
+        # a family with a known feasible point
+        problem = case[0]
+        record = problem.certificate_record
         multipliers = data.draw(candidate_multipliers(problem.L))
-        assert certify_infeasible(problem, multipliers) is None
+        assert multiplier_certificate(record, multipliers) is None
+        w = stage_3_start(problem)
+        for _ in range(50):
+            try:
+                w, _, ok, multipliers = admm_module.cyclic_projection(problem, w, 1)[:4]
+            except ProjectionError:
+                break
+            assert multiplier_certificate(record, multipliers) is None
+            if ok:
+                break
 
     @pytest.mark.parametrize("K, budget", [(4, 0), (6, 120)])
     def test_refit_certifies_from_the_sweeps_multipliers(
@@ -1108,7 +1121,7 @@ class TestCertificate:
                 assert got.tobytes() == ref.tobytes()
             assert record.norm_bound == bound and type(record.norm_bound) is type(bound)
         assert certify_infeasible(floorless) is None
-        assert certify_infeasible(floorless, [1.0, 1.0]) is None
+        assert multiplier_certificate(floorless.certificate_record, [1.0, 1.0]) is None
 
     @pytest.mark.parametrize("K", [4, 5, 6, 7])
     def test_gate_drops_no_certificate(self, paper_problem, K):
@@ -1136,26 +1149,6 @@ class TestCertificate:
             assert (got[4] is None) == (first is None), support
             if first is not None:
                 assert got[0].tobytes() == first.tobytes(), support
-
-    @settings(max_examples=60, deadline=None)
-    @given(feasible_toy_problems(), st.data())
-    def test_multiplier_test_never_certifies_a_feasible_family(self, case, data):
-        # nonnegative multipliers, drawn or each stage-3 sweep's own, prove
-        # nothing about a family with a known feasible point
-        problem = case[0]
-        record = problem.certificate_record
-        entry = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
-        drawn = data.draw(st.lists(entry, min_size=problem.L, max_size=problem.L))
-        assert multiplier_certificate(record, drawn) is None
-        w = stage_3_start(problem)
-        for _ in range(50):
-            try:
-                w, _, ok, multipliers = admm_module.cyclic_projection(problem, w, 1)[:4]
-            except ProjectionError:
-                break
-            assert multiplier_certificate(record, multipliers) is None
-            if ok:
-                break
 
     def test_contradictory_thresholds_as_the_cold_lp(self):
         problem = contradictory_problem()
