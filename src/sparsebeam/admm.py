@@ -3,12 +3,12 @@
 Per iteration the consensus variable is the closed-form average
 w = rho/(2 + rho*L) * sum_l (v_l + u_l); each auxiliary copy then shrinks
 w - u_l groupwise and projects onto its own constraint set, and the scaled
-duals absorb the disagreement.  The v-update works per constraint kind: one
-shrinkage call for all L copies, one closed-form kernel call for the beam
-copies that violate their constraint and one for the antenna-power copies
-over their limit, then a one-point kernel per SINR copy, and one KKT guard
-over every copy that moved; a copy that already holds keeps its shrunk point.
-No copy depends on another and nothing is random, so runs repeat bit for bit.
+duals absorb the disagreement.  The v-update shrinks all L copies in one
+call, screens the beam and antenna-power copies as arrays, and gives each
+copy that may move, every SINR copy among them, one move of the projection
+sweep: its row's one-point kernel and KKT guard; a copy that already holds
+keeps its shrunk point.  No copy depends on another and nothing is random,
+so runs repeat bit for bit.
 """
 
 import warnings
@@ -20,8 +20,7 @@ from scipy.optimize import minimize
 from .certificate import certify_infeasible, multiplier_certificate
 from .errors import ConfigurationError, InfeasibleProblemError, ProjectionError
 from .problem import beam_slacks, objective, sq_norms
-from .projections import KKT_GUARD, _sinr_row, check_stationarity, project_beams
-from .projections import project_powers, stationarity_error
+from .projections import check_stationarity
 from .shrinkage import group_shrink
 
 _RESTORE_TOL = 1e-9  # restore_feasibility's target, well inside the 1e-6 gate
@@ -124,58 +123,37 @@ def _row_error(problem, l, err):
 def update_v(problem, w, u, eta, rho):
     """Shrink every auxiliary copy, then project each onto its own constraint.
 
-    C = w - u is shrunk as one (L, M*N) batch.  Only rows that violate their
-    constraint are projected: the beam rows of ``problem.families`` that fail
-    the ``beam_slacks`` pass-through test go through one ``project_beams``
-    call, the antenna groups over their limit through one ``project_powers``
-    call (neither runs when no row of its kind moves), and the SINR rows
-    through their one-point kernel on the row data of ``problem.sweep_plan``,
-    which has its own pass-through test, in constraint order.  Rows that hold
-    keep C's bytes with multiplier and residual 0, so the result equals the
-    per-constraint loop bit for bit.  One KKT stationarity guard
-    ||(v - vbar) + mu*F v|| <= 1e-6*(1 + ||vbar||) covers every moved row:
-    the first failing row in constraint order, or a SINR kernel that fails
-    before it, raises a ``ProjectionError`` naming it.
+    C = w - u is shrunk as one (L, M*N) batch.  Two screens pick the copies
+    that move: the beam rows of ``problem.families`` that fail the
+    ``beam_slacks`` pass-through test and the antenna groups over their
+    limit; every SINR row goes on to its kernel, which has its own
+    pass-through test.  Those rows, in constraint order, each take one move of
+    the projection sweep: the one-point kernel of ``problem.sweep_plan`` and
+    ``check_stationarity``'s guard ||(v - vbar) + mu*F v|| <= 1e-6*(1 +
+    ||vbar||).  Rows that hold keep C's bytes, so the result equals the
+    per-constraint loop bit for bit.  The first row in order whose kernel or
+    guard fails raises a ``ProjectionError`` naming it.
     """
     L, M, N = problem.L, problem.M, problem.N
     if L == 0:
         return np.empty((0, problem.size), dtype=complex)
-    beams, powers, sinrs = problem.families
+    beams, powers, _ = problem.families
     C = group_shrink(w[np.newaxis, :] - u, eta, rho, L, M, N)
-    bound = KKT_GUARD * (1.0 + np.sqrt(sq_norms(C[:, :, np.newaxis]).ravel()))
-    mu, residual = np.zeros(L), np.zeros(L)
     V = C.reshape(L, M, N)  # a view: each row of C is read before it is written
-    W = V[beams.rows]
-    active = np.flatnonzero(~(beam_slacks(W, beams) >= 0.0))
-    if active.size:
-        rows = beams.rows[active]
-        V[rows], mu[rows], residual[rows] = project_beams(
-            W[active], beams._make(x[active] for x in beams)
-        )
+    moves = np.ones(L, dtype=bool)  # SINR rows stay in: their kernel screens itself
+    moves[beams.rows] = ~(beam_slacks(V[beams.rows], beams) >= 0.0).ravel()
     G = V[powers.rows, :, powers.antenna]
-    active = np.flatnonzero(~(sq_norms(G[..., np.newaxis])[:, 0, 0] <= powers.limit))
-    if active.size:
-        rows, antenna = powers.rows[active], powers.antenna[active]
-        V[rows, :, antenna], mu[rows], residual[rows] = project_powers(
-            G[active], powers.limit[active]
-        )
-    error = None
-    for l in sinrs.rows.tolist():
+    moves[powers.rows] = ~(sq_norms(G[..., np.newaxis])[:, 0, 0] <= powers.limit)
+    plan = problem.sweep_plan
+    for l in np.flatnonzero(moves).tolist():
+        kernel, row, constraint = plan[l]
         try:
-            moved = _sinr_row(V[l], problem.sweep_plan[l][1])
+            moved = kernel(V[l], row)
+            if moved is not None:
+                check_stationarity(constraint, V[l], moved[1], moved[2])
+                V[l] = moved[0]
         except ProjectionError as err:
-            error = (l, err)
-            break
-        if moved is not None:
-            V[l], mu[l], residual[l] = moved
-    failed = np.flatnonzero(~np.isfinite(residual) | (residual > bound))
-    first = failed[0] if failed.size else L
-    if error is not None and error[0] < first:
-        raise _row_error(problem, *error) from error[1]
-    if failed.size:
-        c = problem.constraints[first]
-        err = stationarity_error(c, mu[first], residual[first], bound[first])
-        raise _row_error(problem, int(first), err)
+            raise _row_error(problem, l, err) from err
     return V.reshape(L, M * N)
 
 

@@ -179,6 +179,8 @@ def cmd_sweep_k(scenario, k_list, trials, out_dir):
     for K in k_list:
         if not 1 <= K <= scenario.N:
             raise ConfigurationError(f"K={K} outside 1..{scenario.N}")
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem = assemble(scenario)

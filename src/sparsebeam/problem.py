@@ -19,8 +19,9 @@ The family has four kinds: beam floors and ceilings, antenna powers and SINR
 floors.  ``ProblemInstance.families`` holds them as per-kind arrays, routed
 by ``isinstance`` (a subclass joins its kind; any other class is a
 ``ConfigurationError``), and every evaluation reads them: the slacks, the
-F_l w products, the SINRs of a design, the ADMM v-update, the feasible
-start, the MSRR and, one row each, the projection sweep's ``sweep_plan``.
+F_l w products, the SINRs of a design, the v-update's screens, the feasible
+start, the MSRR and, one row each, ``sweep_plan``: the one-point kernels that
+the projection sweep and the v-update both move their points with.
 The infeasibility certificate reads them through ``certificate_record``, its
 per-row data built once per problem.
 """
@@ -387,7 +388,7 @@ class ProblemInstance:
     @cached_property
     def sweep_plan(self):
         """(kernel, row data from ``families``, constraint) of every row in
-        order, for the projection sweep and the v-update's SINR rows."""
+        order, for the projection sweep and the v-update."""
         from .projections import sweep_plan  # projections imports this module
 
         return sweep_plan(self)

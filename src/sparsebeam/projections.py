@@ -4,17 +4,17 @@ Each ADMM constraint block needs  argmin ||v - vbar||^2  s.t.  v^H F v <= f.
 Stationarity gives (I + mu*F) v = vbar with a multiplier mu >= 0 on the
 interval where I + mu*F stays positive semidefinite.  For each of the four
 kinds F is diagonal or (block) rank-one, so only the coefficients along one
-generator direction move.  The antenna-power and beam equations are solved in
-closed form by batched kernels (``project_beams``, ``project_powers``), which
-the ADMM v-update calls once for all its copies.  Each kind also has a
-one-point kernel: a pass-through test, then the closed form on floats and
-row vectors, or the SINR secular equation by a safeguarded Newton loop on
-floats.  ``sweep_plan`` slices their row data once per problem from
-``families``; the one-point kernels read nothing else.  Where F is
-negative semidefinite (mainlobe floors) or indefinite (SINR floors) the set
-is nonconvex: a saturated multiplier with an injected critical-direction
-component handles the degenerate inputs, as in the trust-region "hard
-case".  A class outside the four kinds has no kernel.
+generator direction move.  Each kind has one kernel on one point W (M, N):
+a pass-through test, then the closed form on floats and row vectors
+(antenna powers, beams), or the SINR secular equation by a safeguarded
+Newton loop on floats.  ``sweep_plan`` slices their row data once per
+problem from ``families``; the kernels read nothing else.  The projection
+sweep and the ADMM v-update both call them through it, each move behind
+``check_stationarity``.  Where F is negative semidefinite (mainlobe floors)
+or indefinite (SINR floors) the set is nonconvex: a saturated multiplier
+with an injected critical-direction component handles the degenerate
+inputs, as in the trust-region "hard case".  A class outside the four kinds
+has no kernel.
 """
 
 import math
@@ -64,12 +64,10 @@ def _power_row(W, r):
     return V, float(mu), float(residual)
 
 
-def project_beams(W, beams):
-    """Closed-form projection of k stacked points onto their beam constraints.
+def _beam_point(W, r):
+    """Closed-form projection of one point W (M, N) onto the beam constraint
+    of one ``BeamRows.row`` r.
 
-    Row i of W (k, M, N) is projected onto row i of ``beams`` (a
-    ``BeamRows``); one point W (M, N) goes with one ``BeamRows.row``, whose
-    scalars are floats: the same formulas, evaluating only the branch taken.
     The steering-aligned coefficient of every block scales by 1/(1 +
     sign*mu*||a||^2), so the response S0 meets the threshold t in closed
     form: the coefficients scale by sqrt(t/S0) and
@@ -77,37 +75,11 @@ def project_beams(W, beams):
     passband (sign -1) amplifies them with mu in [0, 1/||a||^2).  A passband
     point orthogonal to a in every block (S0 <= 1e-300) saturates mu at
     1/||a||^2 and gets the missing response injected into user block 0 (a
-    deterministic tie-break; the cost does not depend on the split).  A row
+    deterministic tie-break; the cost does not depend on the split).  A point
     whose S0 already meets its threshold comes back unchanged, with mu = 0.
-    Returns the projected points, the multipliers and the stationarity
-    residuals ||(v - vbar) + mu*F v||.
+    Returns the projected point, the multiplier and the stationarity
+    residual ||(v - vbar) + mu*F v||.
     """
-    if W.ndim == 2:
-        return _beam_point(W, beams)
-    k, M, N = W.shape
-    sign, t, norm2 = beams.sign, beams.threshold, beams.norm2
-    alpha = W @ beams.unit_probe
-    S0 = norm2 * sq_norms(alpha)
-    holds = sign * S0 <= sign * t
-    degenerate = S0 <= _DEGENERATE_FLOOR
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sqrt(S0 / t)
-        beta = alpha / ratio
-    mu = sign * (ratio - 1.0) / norm2
-    if np.count_nonzero(degenerate):
-        degenerate &= (sign < 0) & ~holds
-        beta = np.where(degenerate, np.sqrt(t / norm2) * np.eye(M, 1), beta)
-        mu = np.where(degenerate, 1.0 / norm2, mu)
-    V = W + (beta - alpha) * beams.unit
-    if np.count_nonzero(holds):
-        V, mu = np.where(holds, W, V), np.where(holds, 0.0, mu)
-    D = (V - W) + (sign * mu) * (V @ beams.probe) * beams.steering
-    residual = np.sqrt(sq_norms(D.reshape(k, M * N, 1)))
-    return V, mu[..., 0, 0], residual[..., 0, 0]
-
-
-def _beam_point(W, r):
-    """``project_beams`` on one point W (M, N) and one ``BeamRows.row`` r."""
     sign, t, norm2 = r.sign, r.threshold, r.norm2
     alpha = W @ r.unit_probe
     S0 = norm2 * np.vdot(alpha, alpha).real

@@ -7,13 +7,15 @@ independent multistart penalty solver for the projections;
 ``project_generic`` (the projection onto any Hermitian F by a dense
 eigendecomposition, which the closed forms of the four constraint kinds
 must agree with); a bisection minimizer for the group shrinkage; the
-per-constraint loop of ``helpers.project`` that the batched ``update_v`` must
+per-constraint loop of ``helpers.project`` that the screened ``update_v`` must
 reproduce bit for bit; ``_secular_root`` with the SINR kernel that called it
 (``sinr_row_reference``), which the kernel with its loop written out must
-reproduce bit for bit; and the projection path the one-row kernels replaced
-(a ``quad`` test, then the batched kernels on a batch of one or the SINR
-secular equation through closures on numpy scalars), with the sweep built on
-it, which ``cyclic_projection`` must reproduce bit for bit.
+reproduce bit for bit; ``project_beams``, the batched beam closed form, which
+the one-point ``_beam_point`` must reproduce bit for bit; and the projection
+path the one-row kernels replaced (a ``quad`` test, then the batched closed
+forms on a batch of one or the SINR secular equation through closures on
+numpy scalars), with the sweep built on it, which ``cyclic_projection`` must
+reproduce bit for bit.
 ``refit_admm_reference`` is the consensus-ADMM refit that the SLSQP refit
 replaced; the refit must never end above it.  It polishes with the
 projections and the L-BFGS violation descent (``_violation_descent``) that
@@ -49,6 +51,7 @@ from sparsebeam.problem import (
     AntennaPowerConstraint,
     BeamConstraint,
     beam_rows,
+    sq_norms,
     user_blocks,
 )
 from sparsebeam.projections import (
@@ -57,7 +60,6 @@ from sparsebeam.projections import (
     KKT_GUARD,
     SECULAR_MAX_ITER,
     SECULAR_TOL,
-    project_beams,
     project_powers,
     stationarity_error,
 )
@@ -483,6 +485,34 @@ def project_sinr_reference(vbar, h, gamma, noise_variance, user, M, N):
         znew[user] = z[user] / (1.0 - nu)
     V = W + np.outer(znew - z, hhat)
     return V.reshape(-1), nu / A
+
+
+def project_beams(W, beams):
+    """The beam projection's closed form on k stacked points W (k, M, N):
+    row i projected onto row i of ``beams`` (a ``BeamRows``), every branch
+    evaluated as arrays and the one taken picked by ``np.where``.  Returns
+    the projected points, the multipliers and the stationarity residuals,
+    (k,) each, as ``_beam_point`` does for one point."""
+    k, M, N = W.shape
+    sign, t, norm2 = beams.sign, beams.threshold, beams.norm2
+    alpha = W @ beams.unit_probe
+    S0 = norm2 * sq_norms(alpha)
+    holds = sign * S0 <= sign * t
+    degenerate = S0 <= _DEGENERATE_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sqrt(S0 / t)
+        beta = alpha / ratio
+    mu = sign * (ratio - 1.0) / norm2
+    if np.count_nonzero(degenerate):
+        degenerate &= (sign < 0) & ~holds
+        beta = np.where(degenerate, np.sqrt(t / norm2) * np.eye(M, 1), beta)
+        mu = np.where(degenerate, 1.0 / norm2, mu)
+    V = W + (beta - alpha) * beams.unit
+    if np.count_nonzero(holds):
+        V, mu = np.where(holds, W, V), np.where(holds, 0.0, mu)
+    D = (V - W) + (sign * mu) * (V @ beams.probe) * beams.steering
+    residual = np.sqrt(sq_norms(D.reshape(k, M * N, 1)))
+    return V, mu[..., 0, 0], residual[..., 0, 0]
 
 
 def project_reference(constraint, vbar):

@@ -32,6 +32,7 @@ from sparsebeam import (
     update_w,
 )
 import sparsebeam.admm as admm_module
+import sparsebeam.projections as projections_module
 from sparsebeam.certificate import certify_infeasible, multiplier_certificate
 from sparsebeam.problem import BeamConstraint
 from sparsebeam.selection import _handoff_tol
@@ -346,18 +347,18 @@ class TestBatchedUpdateV:
         M, N = 1, 2
         rows = [StopbandConstraint(0.0, np.ones(N), 1.0, M, N)] * 2
         rows[scalar_row] = SinrConstraint(0, np.ones(N), 1.0, 1.0, M, N)
-        problem = toy_problem(rows, M, N)
-        kernel = admm_module.project_beams
+        kernel = projections_module._beam_row
 
-        def failing_kernel(W, beams):
-            V, mu, residual = kernel(W, beams)
-            return V, mu, np.full_like(residual, np.inf)
+        def failing_kernel(W, row):
+            moved = kernel(W, row)
+            return moved and (moved[0], moved[1], np.inf)
 
         def failing_project(W, row):
             raise ProjectionError("synthetic failure", {})
 
-        monkeypatch.setattr(admm_module, "project_beams", failing_kernel)
-        monkeypatch.setattr(admm_module, "_sinr_row", failing_project)
+        monkeypatch.setattr(projections_module, "_beam_row", failing_kernel)
+        monkeypatch.setattr(projections_module, "_sinr_row", failing_project)
+        problem = toy_problem(rows, M, N)  # its sweep_plan reads the patched kernels
         with pytest.raises(ProjectionError) as err:
             update_v(problem, np.ones(N, dtype=complex), np.zeros((2, N), complex), 0.0, 1.0)
         assert err.value.diagnostics["constraint_index"] == 0
@@ -365,17 +366,17 @@ class TestBatchedUpdateV:
 
     def test_power_guard_names_its_row(self, monkeypatch):
         M, N = 2, 2
+        kernel = projections_module._power_row
+
+        def failing_kernel(W, row):
+            moved = kernel(W, row)
+            return moved and (moved[0], moved[1], np.nan)
+
+        monkeypatch.setattr(projections_module, "_power_row", failing_kernel)
         problem = toy_problem(
             [StopbandConstraint(0.0, np.ones(N), 1.0, M, N), AntennaPowerConstraint(1, 1.0, M, N)],
             M, N,
         )
-        kernel = admm_module.project_powers
-
-        def failing_kernel(G, limit):
-            P, mu, residual = kernel(G, limit)
-            return P, mu, np.full_like(residual, np.nan)
-
-        monkeypatch.setattr(admm_module, "project_powers", failing_kernel)
         with pytest.raises(ProjectionError) as err:
             # antenna 1 carries power M = 2 > 1, so its row is projected
             update_v(problem, np.ones(M * N, complex), np.zeros((2, M * N), complex), 0.0, 1.0)
@@ -384,38 +385,56 @@ class TestBatchedUpdateV:
 
     def test_one_shrink_and_only_sinr_projections(self, paper_problem, monkeypatch):
         # "project" counts the SINR rows' one-point kernel, which update_v
-        # calls in place of ``project``
+        # calls through ``sweep_plan`` in place of ``project``
         counts = {"project": 0, "group_shrink": 0}
-        for name, target in (("project", "_sinr_row"), ("group_shrink", "group_shrink")):
-            original = getattr(admm_module, target)
+        for name, module, target in (
+            ("project", projections_module, "_sinr_row"),
+            ("group_shrink", admm_module, "group_shrink"),
+        ):
+            original = getattr(module, target)
 
             def counted(*args, _original=original, _name=name):
                 counts[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(admm_module, target, counted)
+            monkeypatch.setattr(module, target, counted)
+        problem = toy_problem(paper_problem.constraints, paper_problem.M, paper_problem.N)
         rng = np.random.default_rng(14)
-        w = random_stack(rng, paper_problem.M, paper_problem.N)
-        u = random_duals(rng, paper_problem.L, paper_problem.size, scale=0.1)
-        update_v(paper_problem, w, u, eta=0.1, rho=50.0)
+        w = random_stack(rng, problem.M, problem.N)
+        u = random_duals(rng, problem.L, problem.size, scale=0.1)
+        update_v(problem, w, u, eta=0.1, rho=50.0)
         assert counts == {"project": paper_problem.M, "group_shrink": 1}
 
     def test_no_beam_or_power_row_moves_on_the_reference_iterates(
         self, paper_problem, paper_scenario, monkeypatch
     ):
         # from the feasible start every beam and antenna-power copy meets its
-        # constraint in all 100 iterations, so neither batched kernel runs
-        counts = {"project_beams": 0, "project_powers": 0}
+        # constraint in all 100 iterations, so update_v runs neither kernel;
+        # the feasibility search before them sweeps with both, uncounted
+        counts = {"_beam_row": 0, "_power_row": 0, "_sinr_row": 0}
+        in_update_v = [False]
         for name in counts:
-            original = getattr(admm_module, name)
+            original = getattr(projections_module, name)
 
             def counted(*args, _original=original, _name=name):
-                counts[_name] += 1
+                counts[_name] += in_update_v[0]
                 return _original(*args)
 
-            monkeypatch.setattr(admm_module, name, counted)
-        assert solve(paper_problem, paper_scenario.admm).k == 100
-        assert counts == {"project_beams": 0, "project_powers": 0}
+            monkeypatch.setattr(projections_module, name, counted)
+        original_update_v = admm_module.update_v
+
+        def flagged(*args):
+            in_update_v[0] = True
+            try:
+                return original_update_v(*args)
+            finally:
+                in_update_v[0] = False
+
+        monkeypatch.setattr(admm_module, "update_v", flagged)
+        problem = toy_problem(paper_problem.constraints, paper_problem.M, paper_problem.N)
+        assert solve(problem, paper_scenario.admm).k == 100
+        assert counts.pop("_sinr_row") == 100 * problem.M  # the counting is live
+        assert counts == {"_beam_row": 0, "_power_row": 0}
 
 
 def assert_sweep_matches_loop(problem):
@@ -510,8 +529,6 @@ class TestProjectionSweep:
     def test_violation_computed_once_per_sweep(self, paper_problem, monkeypatch):
         # an infeasible K=4 subarray stalls; the sweeps return the worst
         # violation their last sweep computed instead of computing it again
-        import sparsebeam.projections as projections_module
-
         problem = paper_problem.restrict((0, 2, 3, 4))
         start = admm_module._mainlobe_boost(problem, admm_module._zero_forcing_start(problem))
         sweeps, calls = [], []
@@ -552,8 +569,6 @@ class TestProjectionSweep:
         assert len(multipliers) == problem.L and min(multipliers) == 0.0 < max(multipliers)
 
     def test_first_failing_row_is_named(self, monkeypatch):
-        import sparsebeam.projections as projections_module
-
         M, N = 2, 3
         a = steering_vector(ArrayGeometry(N, 0.5), 30.0)
         problem = toy_problem(
@@ -1174,8 +1189,6 @@ class TestCertificate:
 
 def count_plans(monkeypatch):
     """The problems whose sweep plan is built from now on, in order."""
-    import sparsebeam.projections as projections_module
-
     built = []
     original = projections_module.sweep_plan
 
@@ -1329,19 +1342,21 @@ class TestSolve:
             admm_module, "find_feasible_point", lambda problem: 0.5 * w0
         )
         calls = {"n": 0}
-        original = admm_module.project_beams
+        original = projections_module._beam_row
 
-        def flaky(W, beams):
-            calls["n"] += 1
-            V, mu, residual = original(W, beams)
-            if calls["n"] == 2:  # second iteration, second constraint
-                residual[1] = np.nan
-            return V, mu, residual
+        def flaky(W, row):
+            if row.rows == 0:  # the first beam row: once per iteration
+                calls["n"] += 1
+            moved = original(W, row)
+            if calls["n"] == 2 and row.rows == 1:  # second iteration, second constraint
+                return moved and (moved[0], moved[1], np.nan)
+            return moved
 
-        monkeypatch.setattr(admm_module, "project_beams", flaky)
+        monkeypatch.setattr(projections_module, "_beam_row", flaky)
+        problem = toy_problem(paper_problem.constraints, paper_problem.M, paper_problem.N)
         cfg = replace(paper_scenario.admm, k_max=5)
         with pytest.raises(ProjectionError) as err:
-            solve(paper_problem, cfg)
+            solve(problem, cfg)
         assert "iteration 2" in str(err.value)
         assert "l=1" in str(err.value)
         assert err.value.diagnostics.get("iteration") == 2

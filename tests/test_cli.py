@@ -110,6 +110,17 @@ class TestSweepK:
         with pytest.raises(ConfigurationError):
             cmd_sweep_k(scenario, [], trials=2, out_dir="unused")
 
+    def test_trials_checked_before_any_solve(self, fast_scenario_path, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran before trials=0 was rejected")
+
+        monkeypatch.setattr(sparsebeam.cli, "solve", no_solve)
+        scenario = load_scenario(fast_scenario_path)
+        out = tmp_path / "k0"
+        with pytest.raises(ConfigurationError, match="trials must be >= 1, got 0"):
+            cmd_sweep_k(scenario, [4], trials=0, out_dir=out)
+        assert not out.exists()
+
     def test_parallel_width_does_not_change_bytes(self, fast_scenario_path, tmp_path):
         out1, out4 = tmp_path / "p1", tmp_path / "p4"
         assert main([

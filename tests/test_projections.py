@@ -16,7 +16,7 @@ from sparsebeam import (
 )
 from sparsebeam.problem import beam_rows
 import sparsebeam.projections as projections_module
-from sparsebeam.projections import project_beams, project_powers
+from sparsebeam.projections import _beam_point, project_powers
 
 from helpers import dense_constraint, project, quad_form, random_stack, slack
 import oracles
@@ -354,8 +354,10 @@ class TestSinrKernel:
 
 
 class TestOnePointKernels:
-    """The batched closed forms on one point without the batch axis return
-    the bytes of the same call on a batch of one."""
+    """The one-point closed forms return the bytes of the batched closed
+    forms on a batch of one: ``_beam_point`` those of the independent
+    ``oracles.project_beams``, ``project_powers`` without the batch axis
+    those of the same call with it."""
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_project_beams(self, sign):
@@ -366,8 +368,8 @@ class TestOnePointKernels:
             for threshold in [0.05, 1.0, 20.0]:
                 rows = beam_rows([0], a, [sign], [threshold], N)
                 W = scale * random_stack(rng, M, N).reshape(1, M, N)
-                V, mu, residual = project_beams(W, rows)
-                V1, mu1, residual1 = project_beams(W[0], rows.row(0))
+                V, mu, residual = oracles.project_beams(W, rows)
+                V1, mu1, residual1 = _beam_point(W[0], rows.row(0))
                 assert V1.tobytes() == V[0].tobytes()
                 assert (mu1, residual1) == (mu[0], residual[0])
 
@@ -391,8 +393,8 @@ class TestOnePointKernels:
             alpha = W @ row.unit_probe
             threshold = row.norm2 * float(np.vdot(alpha, alpha).real)
         rows = beam_rows([0], a, [sign], [threshold], N)
-        V, mu, residual = project_beams(W, rows)
-        V1, mu1, residual1 = project_beams(W[0], rows.row(0))
+        V, mu, residual = oracles.project_beams(W, rows)
+        V1, mu1, residual1 = _beam_point(W[0], rows.row(0))
         assert V1.tobytes() == V[0].tobytes()
         assert type(mu1) is float and type(residual1) is float
         assert np.float64(mu1).tobytes() == mu[0].tobytes()
