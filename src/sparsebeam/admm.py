@@ -5,10 +5,10 @@ w = rho/(2 + rho*L) * sum_l (v_l + u_l); each auxiliary copy then shrinks
 w - u_l groupwise and projects onto its own constraint set, and the scaled
 duals absorb the disagreement.  The v-update shrinks all L copies in one
 call, screens the beam and antenna-power copies as arrays, and gives each
-copy that may move, every SINR copy among them, one move of the projection
-sweep: its row's one-point kernel and KKT guard; a copy that already holds
-keeps its shrunk point.  No copy depends on another and nothing is random,
-so runs repeat bit for bit.
+copy that may move, every SINR copy among them, one ``projections.move``,
+the projection sweep's step: its row's one-point kernel behind the KKT
+guard; a copy that already holds keeps its shrunk point.  No copy depends
+on another and nothing is random, so runs repeat bit for bit.
 """
 
 import warnings
@@ -20,7 +20,7 @@ from scipy.optimize import minimize
 from .certificate import certify_infeasible, multiplier_certificate
 from .errors import ConfigurationError, InfeasibleProblemError, ProjectionError
 from .problem import beam_slacks, objective, sq_norms
-from .projections import check_stationarity
+from .projections import move
 from .shrinkage import group_shrink
 
 _RESTORE_TOL = 1e-9  # restore_feasibility's target, well inside the 1e-6 gate
@@ -113,13 +113,6 @@ def update_u(u, v_new, w_new):
     return u + v_new - w_new[np.newaxis, :]
 
 
-def _row_error(problem, l, err):
-    return ProjectionError(
-        f"constraint l={l} ({problem.constraints[l].describe()}): {err}",
-        dict(err.diagnostics, constraint_index=l),
-    )
-
-
 def update_v(problem, w, u, eta, rho):
     """Shrink every auxiliary copy, then project each onto its own constraint.
 
@@ -127,12 +120,12 @@ def update_v(problem, w, u, eta, rho):
     that move: the beam rows of ``problem.families`` that fail the
     ``beam_slacks`` pass-through test and the antenna groups over their
     limit; every SINR row goes on to its kernel, which has its own
-    pass-through test.  Those rows, in constraint order, each take one move of
-    the projection sweep: the one-point kernel of ``problem.sweep_plan`` and
-    ``check_stationarity``'s guard ||(v - vbar) + mu*F v|| <= 1e-6*(1 +
-    ||vbar||).  Rows that hold keep C's bytes, so the result equals the
-    per-constraint loop bit for bit.  The first row in order whose kernel or
-    guard fails raises a ``ProjectionError`` naming it.
+    pass-through test.  Those rows, in constraint order, each take one
+    ``projections.move``, the projection sweep's step: the row's one-point
+    kernel behind the KKT guard.  Rows that hold keep C's bytes, so the
+    result equals the per-constraint loop bit for bit.  The first row in
+    order whose kernel or guard fails raises ``move``'s ``ProjectionError``,
+    which names it.
     """
     L, M, N = problem.L, problem.M, problem.N
     if L == 0:
@@ -144,16 +137,10 @@ def update_v(problem, w, u, eta, rho):
     moves[beams.rows] = ~(beam_slacks(V[beams.rows], beams) >= 0.0).ravel()
     G = V[powers.rows, :, powers.antenna]
     moves[powers.rows] = ~(sq_norms(G[..., np.newaxis])[:, 0, 0] <= powers.limit)
-    plan = problem.sweep_plan
     for l in np.flatnonzero(moves).tolist():
-        kernel, row, constraint = plan[l]
-        try:
-            moved = kernel(V[l], row)
-            if moved is not None:
-                check_stationarity(constraint, V[l], moved[1], moved[2])
-                V[l] = moved[0]
-        except ProjectionError as err:
-            raise _row_error(problem, l, err) from err
+        moved = move(problem, l, V[l])
+        if moved is not None:
+            V[l] = moved[0]
     return V.reshape(L, M * N)
 
 
@@ -161,11 +148,11 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, certify=False):
     """Feasibility restoration by cyclic nearest-point projections.
 
     Sweeps the constraints in their fixed order (Bauschke & Borwein, SIAM
-    Review 1996) with each row's one-point kernel from ``problem.sweep_plan``
-    until the worst violation is at most ``tol``, a sweep fails to cut the
-    previous sweep's by 0.1%, or ``max_sweeps`` have run.  A satisfied row
-    leaves the point as it is; a moved row that fails the KKT guard raises a
-    ``ProjectionError`` naming it.  Returns (w, max_violation, converged,
+    Review 1996), one ``projections.move`` per row, until the worst violation
+    is at most ``tol``, a sweep fails to cut the previous sweep's by 0.1%, or
+    ``max_sweeps`` have run.  A satisfied row leaves the point as it is; a
+    row whose kernel or KKT guard fails raises ``move``'s
+    ``ProjectionError``, which names it.  Returns (w, max_violation, converged,
     multipliers, certificate), the violation being the last sweep's and the
     multipliers the KKT multipliers mu_l of its moves, 0 for rows that held,
     in constraint order.  Projections onto an empty intersection stall
@@ -178,7 +165,6 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, certify=False):
     stops the sweeps; otherwise ``certificate`` is None.
     """
     W = np.array(w, dtype=complex).reshape(problem.M, problem.N)
-    plan = problem.sweep_plan
     f = problem.certificate_record.f.tolist() if certify else None
     current = problem.max_violation(W.reshape(-1)) if max_sweeps < 1 else None
     multipliers = [0.0] * problem.L
@@ -186,10 +172,9 @@ def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, certify=False):
     for _ in range(max_sweeps):
         multipliers = [0.0] * problem.L
         s = 0.0
-        for l, (kernel, row, constraint) in enumerate(plan):
-            moved = kernel(W, row)
+        for l in range(problem.L):
+            moved = move(problem, l, W)
             if moved is not None:
-                check_stationarity(constraint, W, moved[1], moved[2])
                 W, multipliers[l] = moved[0], moved[1]
                 if certify and moved[1] > 0.0:
                     s += moved[1] * f[l]

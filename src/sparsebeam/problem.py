@@ -21,7 +21,7 @@ by ``isinstance`` (a subclass joins its kind; any other class is a
 ``ConfigurationError``), and every evaluation reads them: the slacks, the
 F_l w products, the SINRs of a design, the v-update's screens, the feasible
 start, the MSRR and, one row each, ``sweep_plan``: the one-point kernels that
-the projection sweep and the v-update both move their points with.
+``projections.move`` runs for the projection sweep and the v-update.
 The infeasibility certificate reads them through ``certificate_record``, its
 per-row data built once per problem.
 """
@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import projections
 from .arrays import build_grids, los_channel, rayleigh_channel, steering_vector
 from .certificate import certificate_record, zeroed_floor_certificate
 from .errors import ConfigurationError, InfeasibleProblemError
@@ -147,6 +148,17 @@ class ConstraintFamilies(NamedTuple):
     beams: BeamRows
     powers: PowerRows
     sinrs: SinrRows
+
+
+def normalize_support(support):
+    """Antenna indices as a sorted tuple of ints without repeats; an index
+    that is not integral (1.5, not 2.0 or a numpy integer) is a
+    ``ConfigurationError`` naming the first one."""
+    support = tuple(support)
+    for n in support:
+        if not float(n).is_integer():
+            raise ConfigurationError(f"antenna index {n} is not an integer")
+    return tuple(sorted(set(int(n) for n in support)))
 
 
 def objective(w, eta, M, N):
@@ -387,11 +399,9 @@ class ProblemInstance:
 
     @cached_property
     def sweep_plan(self):
-        """(kernel, row data from ``families``, constraint) of every row in
-        order, for the projection sweep and the v-update."""
-        from .projections import sweep_plan  # projections imports this module
-
-        return sweep_plan(self)
+        """(kernel, row data from ``families``) of every row in order, the
+        plan ``projections.move`` reads for the sweep and the v-update."""
+        return projections.sweep_plan(self)
 
     def slacks(self, w):
         """f_l - w^H F_l w per constraint, nonnegative where it holds."""
@@ -430,7 +440,7 @@ class ProblemInstance:
         a row whose generator the support zeroes reads 0 <= f_l, so it is
         dropped when f_l > 0, and a floor (f_l < 0), violated by -f_l at every
         point, raises a certified ``InfeasibleProblemError``."""
-        support = tuple(sorted(set(int(n) for n in support)))
+        support = normalize_support(support)
         if not support:
             raise ConfigurationError("empty antenna support")
         if support[0] < 0 or support[-1] >= self.N:

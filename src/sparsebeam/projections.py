@@ -8,13 +8,14 @@ generator direction move.  Each kind has one kernel on one point W (M, N):
 a pass-through test, then the closed form on floats and row vectors
 (antenna powers, beams), or the SINR secular equation by a safeguarded
 Newton loop on floats.  ``sweep_plan`` slices their row data once per
-problem from ``families``; the kernels read nothing else.  The projection
-sweep and the ADMM v-update both call them through it, each move behind
-``check_stationarity``.  Where F is negative semidefinite (mainlobe floors)
-or indefinite (SINR floors) the set is nonconvex: a saturated multiplier
-with an injected critical-direction component handles the degenerate
-inputs, as in the trust-region "hard case".  A class outside the four kinds
-has no kernel.
+problem from ``families``, as (kernel, row) pairs; the kernels read nothing
+else.  ``move`` is one row's step: its kernel behind the KKT guard, any
+failure raised as a ``ProjectionError`` naming the row.  The projection
+sweep and the ADMM v-update both move their points with it.  Where F is
+negative semidefinite (mainlobe floors) or indefinite (SINR floors) the set
+is nonconvex: a saturated multiplier with an injected critical-direction
+component handles the degenerate inputs, as in the trust-region "hard
+case".  A class outside the four kinds has no kernel.
 """
 
 import math
@@ -22,7 +23,6 @@ import math
 import numpy as np
 
 from .errors import ProjectionError
-from .problem import sq_norms
 
 # absolute tolerance on the secular residual; max iterations of the
 # safeguarded Newton/bisection loop; machine epsilon, its narrowest bracket
@@ -36,32 +36,21 @@ KKT_GUARD = 1e-6
 _DEGENERATE_FLOOR = 1e-300
 
 
-def project_powers(G, limit):
-    """Radial projection of k antenna groups G (k, M) onto their power balls.
-
-    The leading axis may be omitted: one group G (M,) with a scalar limit.
-    Groups within their ``limit`` come back unchanged with multiplier 0.
-    Returns the projected groups, the KKT multipliers of the normalized
-    constraints and the stationarity residuals ||(g' - g) + mu*g'||.
-    """
-    power = sq_norms(G[..., np.newaxis])[..., 0]
-    limit = np.asarray(limit, dtype=float)[..., np.newaxis]
-    scale = np.sqrt(limit / np.maximum(power, limit))  # 1 within the limit
-    mu = 1.0 / scale - 1.0
-    P = np.where(power <= limit, G, G * scale)
-    D = (P - G) + mu * P
-    return P, mu[..., 0], np.sqrt(sq_norms(D[..., np.newaxis]))[..., 0, 0]
-
-
 def _power_row(W, r):
-    """``project_powers`` on antenna r.antenna of W (M, N), a ``PowerRows``
-    row, unless it is within r.limit."""
+    """Radial projection of antenna r.antenna of W (M, N), a ``PowerRows``
+    row, onto its power ball, unless it is within r.limit: the group scales
+    by sqrt(limit/power), with multiplier 1/scale - 1."""
     G = W[:, r.antenna]
-    if np.vdot(G, G).real <= r.limit:
+    power = np.vdot(G, G).real
+    if power <= r.limit:
         return None
+    # numpy scalars: an overflowed power gives mu = inf, not a ZeroDivisionError
+    scale = np.sqrt(r.limit / power)
+    mu = 1.0 / scale - 1.0
     V = W.copy()
-    V[:, r.antenna], mu, residual = project_powers(G, r.limit)
-    return V, float(mu), float(residual)
+    V[:, r.antenna] = P = G * scale
+    D = (P - G) + mu * P
+    return V, float(mu), math.sqrt(np.vdot(D, D).real)
 
 
 def _beam_point(W, r):
@@ -184,27 +173,36 @@ def _sinr_row(W, r):
 
 
 def sweep_plan(problem):
-    """``ProblemInstance.sweep_plan``: (kernel, row data, constraint) per
-    constraint in order, each row read once from ``problem.families``."""
+    """``ProblemInstance.sweep_plan``: (kernel, row data) per constraint in
+    order, each row read once from ``problem.families``."""
     plan = [None] * problem.L
     for kernel, family in zip((_beam_row, _power_row, _sinr_row), problem.families):
         for i, l in enumerate(family.rows.tolist()):
-            plan[l] = (kernel, family.row(i), problem.constraints[l])
+            plan[l] = (kernel, family.row(i))
     return tuple(plan)
 
 
-def stationarity_error(constraint, multiplier, residual, bound):
-    """The ProjectionError for a projection that fails the KKT guard."""
-    return ProjectionError(
-        f"projection onto {constraint.describe()} violates stationarity "
-        f"(residual {residual:g} > {bound:g})",
-        {"kind": constraint.kind, "multiplier": multiplier, "residual": residual},
-    )
-
-
-def check_stationarity(constraint, vbar, multiplier, residual):
-    """The loose production KKT guard, residual <= 1e-6*(1 + ||vbar||)."""
-    bound = KKT_GUARD * (1.0 + math.sqrt(np.vdot(vbar, vbar).real))
-    if not math.isfinite(residual) or residual > bound:
-        raise stationarity_error(constraint, multiplier, residual, bound)
-
+def move(problem, l, W):
+    """One step of the projection sweep: row l's kernel from
+    ``problem.sweep_plan`` on one point W (M, N), behind the KKT guard
+    ||(v - vbar) + mu*F v|| <= 1e-6*(1 + ||vbar||), a non-finite residual
+    failing it.  Returns (V, mu, residual), or None where W already holds;
+    a kernel or guard failure raises a ``ProjectionError`` naming row l."""
+    kernel, row = problem.sweep_plan[l]
+    try:
+        moved = kernel(W, row)
+        if moved is None:
+            return None
+        bound = KKT_GUARD * (1.0 + math.sqrt(np.vdot(W, W).real))
+        if not math.isfinite(moved[2]) or moved[2] > bound:
+            raise ProjectionError(
+                f"projection violates stationarity (residual {moved[2]:g} > {bound:g})",
+                {"multiplier": moved[1], "residual": moved[2]},
+            )
+    except ProjectionError as err:
+        constraint = problem.constraints[l]
+        raise ProjectionError(
+            f"constraint l={l} ({constraint.describe()}): {err}",
+            dict(err.diagnostics, constraint_index=l, kind=constraint.kind),
+        ) from err
+    return moved

@@ -20,7 +20,7 @@ import numpy as np
 from .admm import _START_TOL, find_feasible_point, minimum_power
 from .errors import ConfigurationError, InfeasibleProblemError
 from .metrics import msrr, tx_power
-from .problem import BeamformerStack, group_norms
+from .problem import BeamformerStack, group_norms, normalize_support
 
 _HANDOFF_REL = 1e-3  # refit's stage 3 stops at this fraction of max_l |f_l|
 
@@ -70,7 +70,7 @@ def refit(problem, support, config):
     support; a support that zeroes a floor's generator is certified
     infeasible by ``restrict``.
     """
-    support = tuple(sorted(set(int(n) for n in support)))
+    support = normalize_support(support)
     try:
         reduced = problem.restrict(support)
         start = find_feasible_point(reduced, tol=_handoff_tol(reduced))

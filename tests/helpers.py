@@ -11,7 +11,7 @@ import numpy as np
 
 from sparsebeam import ProblemInstance, assemble
 from sparsebeam.cli import scenario_with_users
-from sparsebeam.projections import check_stationarity
+from sparsebeam.projections import move
 
 
 def phi_matrix(m, M, N):
@@ -137,13 +137,12 @@ Projection = namedtuple("Projection", "v multiplier active kkt_residual")
 
 
 def project(c, vbar):
-    """One point's projection onto one constraint: the kernel of a one-constraint
-    problem's ``sweep_plan``, then ``check_stationarity``; a point that holds is copied."""
-    kernel, row, _ = ProblemInstance((c,), c.M, c.N).sweep_plan[0]
+    """One point's projection onto one constraint: ``projections.move``, the
+    kernel behind the KKT guard, on a one-constraint problem; a point that
+    holds is copied."""
     vbar = np.asarray(vbar, dtype=complex)
-    moved = kernel(vbar.reshape(c.M, c.N), row)
+    moved = move(ProblemInstance((c,), c.M, c.N), 0, vbar.reshape(c.M, c.N))
     if moved is None:
         return Projection(vbar.copy(), 0.0, False, 0.0)
     V, mu, residual = moved
-    check_stationarity(c, vbar, mu, residual)
     return Projection(V.reshape(-1), float(mu), float(mu) > 0.0, residual)

@@ -10,8 +10,9 @@ must agree with); a bisection minimizer for the group shrinkage; the
 per-constraint loop of ``helpers.project`` that the screened ``update_v`` must
 reproduce bit for bit; ``_secular_root`` with the SINR kernel that called it
 (``sinr_row_reference``), which the kernel with its loop written out must
-reproduce bit for bit; ``project_beams``, the batched beam closed form, which
-the one-point ``_beam_point`` must reproduce bit for bit; and the projection
+reproduce bit for bit; ``project_beams`` and ``project_powers``, the batched
+beam and antenna-power closed forms, which the one-point ``_beam_point`` and
+``_power_row`` must reproduce bit for bit; and the projection
 path the one-row kernels replaced (a ``quad`` test, then the batched closed
 forms on a batch of one or the SINR secular equation through closures on
 numpy scalars), with the sweep built on it, which ``cyclic_projection`` must
@@ -60,8 +61,6 @@ from sparsebeam.projections import (
     KKT_GUARD,
     SECULAR_MAX_ITER,
     SECULAR_TOL,
-    project_powers,
-    stationarity_error,
 )
 from sparsebeam.selection import BaselineResult, embed_support
 from sparsebeam.shrinkage import ZERO_GROUP_FLOOR, group_shrink
@@ -109,6 +108,14 @@ def f_action(c, w):
     return np.outer(c.weights * (user_blocks(w, c.M, c.N) @ np.conj(c.h)), c.h).reshape(-1)
 
 
+def row_error(l, constraint, err):
+    """``err`` raised by the projection onto row l, named as ``move`` names it."""
+    return ProjectionError(
+        f"constraint l={l} ({constraint.describe()}): {err}",
+        dict(err.diagnostics, constraint_index=l, kind=constraint.kind),
+    )
+
+
 def update_v_loop(problem, w, u, eta, rho):
     """The v-update one constraint at a time: shrink w - u_l, then project."""
     L = problem.L
@@ -118,10 +125,7 @@ def update_v_loop(problem, w, u, eta, rho):
         try:
             v[l] = project(constraint, vbar).v
         except ProjectionError as err:
-            raise ProjectionError(
-                f"constraint l={l} ({constraint.describe()}): {err}",
-                dict(err.diagnostics, constraint_index=l),
-            ) from err
+            raise row_error(l, constraint, err) from err
     return v
 
 
@@ -487,6 +491,32 @@ def project_sinr_reference(vbar, h, gamma, noise_variance, user, M, N):
     return V.reshape(-1), nu / A
 
 
+def project_powers(G, limit):
+    """Radial projection of k antenna groups G (k, M) onto their power balls.
+
+    The leading axis may be omitted: one group G (M,) with a scalar limit.
+    Groups within their ``limit`` come back unchanged with multiplier 0.
+    Returns the projected groups, the KKT multipliers of the normalized
+    constraints and the stationarity residuals ||(g' - g) + mu*g'||.
+    """
+    power = sq_norms(G[..., np.newaxis])[..., 0]
+    limit = np.asarray(limit, dtype=float)[..., np.newaxis]
+    scale = np.sqrt(limit / np.maximum(power, limit))  # 1 within the limit
+    mu = 1.0 / scale - 1.0
+    P = np.where(power <= limit, G, G * scale)
+    D = (P - G) + mu * P
+    return P, mu[..., 0], np.sqrt(sq_norms(D[..., np.newaxis]))[..., 0, 0]
+
+
+def stationarity_error(multiplier, residual, bound):
+    """The ProjectionError of a projection that fails the KKT guard, worded
+    as ``move`` words it before naming the row."""
+    return ProjectionError(
+        f"projection violates stationarity (residual {residual:g} > {bound:g})",
+        {"multiplier": multiplier, "residual": residual},
+    )
+
+
 def project_beams(W, beams):
     """The beam projection's closed form on k stacked points W (k, M, N):
     row i projected onto row i of ``beams`` (a ``BeamRows``), every branch
@@ -538,19 +568,22 @@ def project_reference(constraint, vbar):
         residual = float(np.linalg.norm((v - vbar) + mu * f_action(c, v)))
     bound = KKT_GUARD * (1.0 + math.sqrt(np.vdot(vbar, vbar).real))
     if not math.isfinite(residual) or residual > bound:
-        raise stationarity_error(constraint, mu, residual, bound)
+        raise stationarity_error(mu, residual, bound)
     return Projection(v, mu, mu > 0.0, residual)
 
 
 def cyclic_projection_loop(problem, w, max_sweeps=500, tol=1e-8):
     """The projection sweep one ``project_reference`` call per constraint,
     stopped at tol or at the first sweep that fails to cut the previous
-    sweep's worst violation by 0.1%."""
+    sweep's worst violation by 0.1%; a failing projection is named by its row."""
     w = np.asarray(w, dtype=complex).copy()
     previous = np.inf
     for _ in range(max_sweeps):
-        for c in problem.constraints:
-            w = project_reference(c, w).v
+        for l, c in enumerate(problem.constraints):
+            try:
+                w = project_reference(c, w).v
+            except ProjectionError as err:
+                raise row_error(l, c, err) from err
         current = problem.max_violation(w)
         if current <= tol:
             return w, current, True

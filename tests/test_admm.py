@@ -498,8 +498,7 @@ class TestProjectionSweep:
     def test_every_kind_matches_the_loop(self, case):
         problem, w = case
         assert len(problem.sweep_plan) == problem.L
-        for (kernel, row, c), constraint in zip(problem.sweep_plan, problem.constraints):
-            assert c is constraint
+        for (kernel, row), c in zip(problem.sweep_plan, problem.constraints):
             assert_same_row_data(row, ProblemInstance((c,), c.M, c.N).sweep_plan[0][1])
         try:
             want = cyclic_projection_loop(problem, w)
@@ -587,6 +586,24 @@ class TestProjectionSweep:
             admm_module.cyclic_projection(problem, 3.0 * np.ones(M * N, dtype=complex))
         assert "stopband(theta=30 deg)" in str(err.value)
         assert err.value.diagnostics["kind"] == "stopband"
+
+    def test_kernel_failure_names_its_row(self, monkeypatch):
+        # a kernel's own error reaches the caller with the row named and the
+        # kernel's diagnostics kept
+        def failing_kernel(W, row):
+            raise ProjectionError("synthetic failure", {"f_lo": 1.0})
+
+        monkeypatch.setattr(projections_module, "_sinr_row", failing_kernel)
+        M, N = 1, 2
+        problem = toy_problem(  # its sweep_plan reads the patched kernel
+            [StopbandConstraint(0.0, np.ones(N), 1.0, M, N),
+             SinrConstraint(0, np.ones(N), 1.0, 1.0, M, N)],
+            M, N,
+        )
+        with pytest.raises(ProjectionError) as err:
+            admm_module.cyclic_projection(problem, np.ones(N, dtype=complex))
+        assert "constraint l=1 (sinr(m=0)): synthetic failure" in str(err.value)
+        assert err.value.diagnostics == {"f_lo": 1.0, "constraint_index": 1, "kind": "sinr"}
 
 
 class TestFeasiblePoint:

@@ -305,6 +305,24 @@ class TestRestrict:
             )
 
 
+    def test_fractional_index_is_rejected(self, paper_problem):
+        # 1.5 and 2.7 once truncated silently to antennas 1 and 2
+        with pytest.raises(ConfigurationError, match="antenna index 1.5 is not an integer"):
+            paper_problem.restrict((1.5, 2.7, 3, 4, 5, 6, 7, 8))
+        with pytest.raises(ConfigurationError, match="antenna index 2.5 "):
+            paper_problem.restrict((1, 3, np.float64(2.5)))
+
+    def test_integral_floats_and_numpy_integers_are_indices(self, paper_problem):
+        want = paper_problem.restrict((1, 2, 3, 4))
+        for support in [(1.0, 2.0, 3, 4), np.arange(1, 5), (np.int64(4), 3, 2, 1, 1)]:
+            got = paper_problem.restrict(support)
+            assert got.support == (1, 2, 3, 4)
+            assert all(type(n) is int for n in got.support)
+            assert [c.describe() for c in got.constraints] == [
+                c.describe() for c in want.constraints
+            ]
+
+
 class TestBeamRowData:
     """One-point callers (a one-constraint problem's row, ``BeamRows.row``)
     and the batched v-update (``families.beams``) must read the same row data."""

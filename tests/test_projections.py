@@ -16,11 +16,13 @@ from sparsebeam import (
 )
 from sparsebeam.problem import beam_rows
 import sparsebeam.projections as projections_module
-from sparsebeam.projections import _beam_point, project_powers
+from sparsebeam.projections import _beam_point
 
 from helpers import dense_constraint, project, quad_form, random_stack, slack
 import oracles
-from oracles import penalty_oracle, project_generic, project_sinr_reference, quad, response
+from oracles import (
+    penalty_oracle, project_generic, project_powers, project_sinr_reference, quad, response,
+)
 
 
 def steering(N, theta=17.0):
@@ -356,8 +358,9 @@ class TestSinrKernel:
 class TestOnePointKernels:
     """The one-point closed forms return the bytes of the batched closed
     forms on a batch of one: ``_beam_point`` those of the independent
-    ``oracles.project_beams``, ``project_powers`` without the batch axis
-    those of the same call with it."""
+    ``oracles.project_beams`` and ``_power_row`` those of
+    ``oracles.project_powers``, which without the batch axis returns those
+    of the same call with it."""
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_project_beams(self, sign):
@@ -401,6 +404,59 @@ class TestOnePointKernels:
         assert np.float64(residual1).tobytes() == residual[0].tobytes()
         if boundary and scale > 0.0:
             assert V1.tobytes() == W[0].tobytes() and mu1 == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(-150.0, 150.0),
+        st.sampled_from(["below", "at", "above", "ratio"]), st.floats(-3.0, 3.0),
+    )
+    def test_power_row_matches_the_batch_form(self, seed, M, log_scale, limit_at, log_ratio):
+        # a limit one ulp either side of the group's power, at it, or a
+        # decade-scale ratio away from it
+        rng = np.random.default_rng(seed)
+        N = int(rng.integers(1, 4))
+        n = int(rng.integers(0, N))
+        W = 10.0**log_scale * random_stack(rng, M, N).reshape(M, N)
+        G = W[:, n]
+        power = float(np.vdot(G, G).real)
+        limit = {
+            "below": np.nextafter(power, 0.0), "at": power,
+            "above": np.nextafter(power, np.inf), "ratio": power * 10.0**log_ratio,
+        }[limit_at]
+        row = ProblemInstance((AntennaPowerConstraint(n, limit, M, N),), M, N).sweep_plan[0][1]
+        P, mu, residual = project_powers(G[np.newaxis], np.array([limit]))
+        got = projections_module._power_row(W, row)
+        if got is None:
+            assert mu[0] == 0.0 and P[0].tobytes() == G.tobytes()
+            return
+        V, mu1, residual1 = got
+        assert V[:, n].tobytes() == P[0].tobytes()
+        assert np.delete(V, n, axis=1).tobytes() == np.delete(W, n, axis=1).tobytes()
+        assert type(mu1) is float and type(residual1) is float
+        assert np.float64(mu1).tobytes() == mu[0].tobytes()
+        assert np.float64(residual1).tobytes() == residual[0].tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(155.0, 300.0), st.floats(-3.0, 3.0))
+    def test_overflowing_power_fails_the_guard_by_name(self, seed, log_scale, log_limit):
+        # the group's power overflows to inf (or NaN, as BLAS sums it): mu is
+        # inf or NaN and the residual NaN, which the guard rejects, naming the row
+        rng = np.random.default_rng(seed)
+        M, N = int(rng.integers(1, 4)), 3
+        W = 10.0**log_scale * random_stack(rng, M, N).reshape(M, N)
+        problem = ProblemInstance(
+            (StopbandConstraint(0.0, steering(N), 1e300, M, N),
+             AntennaPowerConstraint(1, 10.0**log_limit, M, N)),
+            M, N,
+        )
+        with np.errstate(all="ignore"), pytest.raises(ProjectionError) as err:
+            projections_module.move(problem, 1, W)
+        assert "constraint l=1 (antenna_power(n=1)): projection violates stationarity" in str(
+            err.value
+        )
+        assert err.value.diagnostics["constraint_index"] == 1
+        assert err.value.diagnostics["kind"] == "antenna_power"
+        assert not np.isfinite(err.value.diagnostics["multiplier"])
 
     def test_project_powers(self):
         rng = np.random.default_rng(zlib.crc32(b"project_powers"))

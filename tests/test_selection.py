@@ -161,6 +161,16 @@ class TestRefit:
         want = embed_support(w_direct, support, paper_problem.M, paper_problem.N)
         assert np.array_equal(stack.w, want)
 
+    def test_fractional_index_is_rejected_before_any_search(
+        self, paper_problem, paper_scenario, monkeypatch
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the feasibility search ran")
+
+        monkeypatch.setattr(sparsebeam.selection, "find_feasible_point", no_search)
+        with pytest.raises(ConfigurationError, match="antenna index 2.7 is not an integer"):
+            refit(paper_problem, (0, 1, 2.7, 3, 4, 5, 6, 7), paper_scenario.admm)
+
     @pytest.mark.parametrize("support", [
         tuple(range(10)), PAPER_K8, *MIRROR_K8, (2, 3, 4, 5, 6, 7, 8, 9),
         (0, 1, 2, 3, 5, 6, 8, 9), (0, 1, 4, 5, 6, 7, 8, 9), (0, 1, 2, 3, 4, 5, 6, 8),
