@@ -218,16 +218,15 @@ def _zero_forcing_start(problem):
 
 def _mainlobe_boost(problem, w):
     """Smallest tau so that block 0 plus tau*a(center) clears 1.2x each floor,
-    read from the passband rows of ``families``; the angles from the rows'
-    constraints."""
+    read from the passband rows of ``families``, angles included; a(center)
+    is the steering vector of the first passband angle nearest their mean."""
     beams = problem.families.beams
     passband = np.flatnonzero(beams.sign.ravel() < 0)
     if not passband.size:
         return w
-    angles = [problem.constraints[l].angle_deg for l in beams.rows[passband].tolist()]
-    center = np.mean(angles)
+    angles = beams.angle[passband]
     steering = beams.steering[passband, 0]
-    a_c = steering[min(range(len(angles)), key=lambda i: abs(angles[i] - center))]
+    a_c = steering[np.argmin(np.abs(angles - np.mean(angles)))]
     block0 = w[: problem.N]
     responses = sq_norms(w.reshape(problem.M, -1) @ beams.probe[passband]).ravel()
     tau = 0.0

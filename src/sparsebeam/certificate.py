@@ -136,6 +136,21 @@ def certificate_record(problem):
     G[powers.rows, powers.antenna] = 1.0
     G[sinrs.rows] = np.conj(sinrs.probe[..., 0])
     C[sinrs.rows] = sinrs.weights
+    return _record(f, G, C, powers, N)
+
+
+def sliced_record(record, kept, support, powers):
+    """The ``CertificateRecord`` of a subarray: ``record`` on the rows
+    ``kept`` (a mask) and the antennas ``support``, with the subarray's
+    antenna-power rows ``powers``."""
+    return _record(
+        record.f[kept], record.G[np.ix_(kept, support)], record.C[kept], powers, len(support)
+    )
+
+
+def _record(f, G, C, powers, N):
+    """The record of the rows f, G, C on N antennas, whose antenna-power rows
+    are ``powers``: their scales and the norm bound derived."""
     # ||F_l||_2 = max_m |C[l, m]| ||g_l||^2
     scale = np.abs(C).max(axis=1) * (np.abs(G) ** 2).sum(axis=1)
     scale[scale == 0.0] = 1.0
@@ -236,7 +251,7 @@ def zeroed_floor_certificate(problem, l):
     """lambda_l = -1/f_l alone proves ``problem`` infeasible on a subarray that
     zeroes the generator of floor row l: there F_l = 0, so S = 0 and s = -1."""
     multipliers = np.zeros(problem.L)
-    multipliers[l] = -1.0 / problem.constraints[l].f
+    multipliers[l] = -1.0 / problem.certificate_record.f[l]
     return Certificate(multipliers, -1.0, problem.L * np.finfo(float).eps, 0.0, 0.0, None)
 
 

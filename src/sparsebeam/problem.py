@@ -7,7 +7,12 @@ antenna group n gathers entries {n, n+N, ..., n+(M-1)*N}.
 A problem holds its constraints, the sizes M and N, the antenna support of a
 subarray and the scenario it was assembled from, and nothing else: the angle
 grids are the beam rows' angles, each user's channel, SINR target and noise
-are its SINR row, and every other quantity is derived from the constraints.
+are its SINR row, and every other quantity is derived from one record.  For
+a problem built from constraint objects (``assemble``, or by hand) that
+record is its constraints; for a subarray (``ProblemInstance.restrict``) it
+is its ``families`` and ``certificate_record``, sliced from the parent's
+arrays, and its constraint objects are derived from the parent's, one row at
+a time and only where a message or a caller asks for one.
 
 Every constraint is held in the normalized sense  w^H F w <= f.  F is never
 materialized: it is block-diagonal over users, with block m equal to
@@ -20,12 +25,13 @@ floors.  ``ProblemInstance.families`` holds them as per-kind arrays, routed
 by ``isinstance`` (a subclass joins its kind; any other class is a
 ``ConfigurationError``), and every evaluation reads them: the slacks, the
 F_l w products, the SINRs of a design, the v-update's screens, the feasible
-start, the MSRR and, one row each, ``sweep_plan``: the one-point kernels that
-``projections.move`` runs for the projection sweep and the v-update.
-The infeasibility certificate reads them through ``certificate_record``, its
-per-row data built once per problem.
+start, the MSRR and ``sweep_plan``: the one-point kernels that
+``projections.move`` runs for the projection sweep and the v-update, with
+each row's data.  The infeasibility certificate reads them through
+``certificate_record``, its per-row data built once per problem.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -34,7 +40,7 @@ import numpy as np
 
 from . import projections
 from .arrays import build_grids, los_channel, rayleigh_channel, steering_vector
-from .certificate import certificate_record, zeroed_floor_certificate
+from .certificate import certificate_record, sliced_record, zeroed_floor_certificate
 from .errors import ConfigurationError, InfeasibleProblemError
 
 
@@ -61,8 +67,9 @@ class BeamRows(NamedTuple):
     """Passband and stopband constraints as arrays shaped to broadcast against
     stacked points (k, M, N): rows l (k,); the steering vectors a and a/||a||
     as (k, 1, N) rows and their conjugates as (k, N, 1) columns; ||a||^2, the
-    sign (+1 stopband, -1 passband) and the threshold as (k, 1, 1), or floats
-    in one ``row`` for one point (M, N)."""
+    sign (+1 stopband, -1 passband) and the threshold as (k, 1, 1), and the
+    angle in degrees (k,); or, one row from ``each``, to broadcast against one
+    point (M, N), with ||a||^2, sign and threshold as floats."""
 
     rows: np.ndarray
     steering: np.ndarray
@@ -72,17 +79,23 @@ class BeamRows(NamedTuple):
     norm2: np.ndarray
     sign: np.ndarray
     threshold: np.ndarray
+    angle: np.ndarray
+
+    def each(self):
+        """Every row without the leading axis, in one pass over the fields."""
+        *vectors, norm2, sign, threshold, angle = self
+        scalars = (x.ravel().tolist() for x in (norm2, sign, threshold))
+        return (BeamRows(*row) for row in zip(*vectors, *scalars, angle))
 
     def row(self, i):
-        """Row i without the leading axis, to broadcast against one point (M, N);
-        ||a||^2, sign and threshold as floats."""
-        *vectors, norm2, sign, threshold = (field[i] for field in self)
-        return BeamRows(*vectors, norm2.item(), sign.item(), threshold.item())
+        """Row i, as ``each`` gives it."""
+        return next(BeamRows(*(field[i : i + 1] for field in self)).each())
 
 
-def beam_rows(rows, steering, sign, threshold, N):
-    """``BeamRows`` from the raw steering vectors, signs and thresholds, copied
-    to C order: a strided view would round ||a||^2 differently."""
+def beam_rows(rows, steering, sign, threshold, N, angle):
+    """``BeamRows`` from the raw steering vectors, signs, thresholds and
+    angles, copied to C order: a strided view would round ||a||^2
+    differently."""
     a = np.asarray(steering, dtype=complex, order="C").reshape(len(rows), 1, N)
     norm2 = np.array([np.vdot(x, x).real for x in a]).reshape(-1, 1, 1)
     unit = a / np.sqrt(norm2)
@@ -91,6 +104,7 @@ def beam_rows(rows, steering, sign, threshold, N):
         np.conj(a).transpose(0, 2, 1).copy(), np.conj(unit).transpose(0, 2, 1).copy(),
         norm2, np.reshape(sign, (-1, 1, 1)).astype(float),
         np.reshape(threshold, (-1, 1, 1)).astype(float),
+        np.asarray(angle, dtype=float),
     )
 
 
@@ -106,9 +120,9 @@ class PowerRows(NamedTuple):
     antenna: np.ndarray
     limit: np.ndarray
 
-    def row(self, i):
-        """Row i with Python scalars."""
-        return PowerRows(*(field[i].item() for field in self))
+    def each(self):
+        """Every row with Python scalars, in one pass over the fields."""
+        return (PowerRows(*row) for row in zip(*(field.tolist() for field in self)))
 
 
 class SinrRows(NamedTuple):
@@ -123,15 +137,18 @@ class SinrRows(NamedTuple):
     gamma: np.ndarray
     f: np.ndarray
 
-    def row(self, i):
-        """Row i as one SINR kernel reads it: conj(h), h/||h|| and its conjugate
-        as (N,) vectors, ||h||^2, the served user, gamma, the target -f =
-        gamma*sigma^2, F's block weights (M,) and h."""
-        h = np.conj(self.probe[i, :, 0])
-        norm2 = float(np.vdot(h, h).real)
-        unit = h / np.sqrt(norm2)
-        return (np.conj(h), unit, np.conj(unit), norm2, self.served[1][i].item(),
-                self.gamma[i].item(), -self.f[i].item(), self.weights[i], h)
+    def each(self):
+        """Every row as one SINR kernel reads it, in one pass over the fields:
+        conj(h), h/||h|| and its conjugate as (N,) vectors, ||h||^2, the
+        served user, gamma, the target -f = gamma*sigma^2, F's block weights
+        (M,) and h."""
+        for probe, user, gamma, f, weights in zip(
+            self.probe, self.served[1].tolist(), self.gamma.tolist(), self.f.tolist(), self.weights
+        ):
+            h = np.conj(probe[:, 0])
+            norm2 = float(np.vdot(h, h).real)
+            unit = h / np.sqrt(norm2)
+            yield np.conj(h), unit, np.conj(unit), norm2, user, gamma, -f, weights, h
 
 
 def sinr_powers(W, sinrs):
@@ -341,13 +358,19 @@ class ProblemInstance:
     of a subarray (None for the full array) and the ``scenario`` it was
     assembled from (None for a hand-built problem; no solver reads it).
 
-    The constraints are the only record of what the problem requires;
-    ``families`` and ``sweep_plan`` are derived from them.  Constraint order
-    is fixed (passband grid, stopband grid, antenna powers, SINRs) so that
-    run logs and dual variables are reproducible.
+    The record of what the problem requires is primary in one place and
+    derived everywhere else.  Built from constraint objects, the problem's
+    ``constraints`` (a tuple) are primary, and ``families``,
+    ``certificate_record`` and ``sweep_plan`` are derived from them.  A
+    subarray from ``restrict`` is primary in its ``families`` and
+    ``certificate_record``, sliced from its parent's, and its
+    ``constraints`` are a ``ReducedConstraints``, which derives each object
+    from the parent's on first use.  Constraint order is fixed (passband
+    grid, stopband grid, antenna powers, SINRs) so that run logs and dual
+    variables are reproducible.
     """
 
-    constraints: tuple
+    constraints: Sequence
     M: int
     N: int
     support: tuple = None
@@ -373,7 +396,7 @@ class ProblemInstance:
         return ConstraintFamilies(
             beam_rows(
                 beams, [cs[l].steering for l in beams], [cs[l].sign for l in beams],
-                [cs[l].threshold for l in beams], self.N,
+                [cs[l].threshold for l in beams], self.N, [cs[l].angle_deg for l in beams],
             ),
             PowerRows(
                 np.array(powers, dtype=int),
@@ -427,19 +450,29 @@ class ProblemInstance:
         )
         return out.reshape(self.L, self.size)
 
+    def violations(self, w):
+        """max(0, -slack) per constraint; a NaN slack is an infinite violation,
+        so that no non-finite point passes a tolerance."""
+        slacks = self.slacks(w)
+        return np.where(np.isnan(slacks), np.inf, np.fmax(0.0, -slacks))
+
     def max_violation(self, w):
-        return float(np.fmax(0.0, -self.slacks(w)).max(initial=0.0))
+        return float(self.violations(w).max(initial=0.0))
 
     def worst_violations(self, w, count=5):
-        violations = np.fmax(0.0, -self.slacks(w))
+        violations = self.violations(w)
         order = np.argsort(-violations, kind="stable")[:count]
         return [(self.constraints[l].describe(), float(violations[l])) for l in order]
 
     def restrict(self, support):
-        """The same problem on the antenna subset ``support`` (sorted indices);
-        a row whose generator the support zeroes reads 0 <= f_l, so it is
-        dropped when f_l > 0, and a floor (f_l < 0), violated by -f_l at every
-        point, raises a certified ``InfeasibleProblemError``."""
+        """The same problem on the antenna subset ``support``, sorted indices
+        into this problem's antennas: a subarray's own ``restrict`` takes, and
+        its ``support`` holds, indices into its parent's support.  A row whose
+        generator the support zeroes reads 0 <= f_l, so it is dropped when
+        f_l > 0, and a floor (f_l < 0), violated by -f_l at every point,
+        raises a certified ``InfeasibleProblemError``.  The subarray's
+        ``families`` and ``certificate_record`` are this problem's, sliced on
+        the kept rows and the support's antennas."""
         support = normalize_support(support)
         if not support:
             raise ConfigurationError("empty antenna support")
@@ -447,22 +480,69 @@ class ProblemInstance:
             raise ConfigurationError(
                 f"support {support} outside antenna range 0..{self.N - 1}"
             )
-        zeroed = ~self.certificate_record.G[:, list(support)].any(axis=1)
-        floors = [c for c, z in zip(self.constraints, zeroed) if z and c.f < 0.0]
+        cols, record = list(support), self.certificate_record
+        kept = record.G[:, cols].any(axis=1)
+        floors = np.flatnonzero(~kept & (record.f < 0.0)).tolist()
         if floors:
+            described = [self.constraints[l].describe() for l in floors]
             raise InfeasibleProblemError(
-                f"certified infeasible (support {support} zeroes {floors[0].describe()})",
-                [(c.describe(), float(-c.f)) for c in floors],
-                zeroed_floor_certificate(self, self.constraints.index(floors[0])),
+                f"certified infeasible (support {support} zeroes {described[0]})",
+                [(d, float(-record.f[l])) for d, l in zip(described, floors)],
+                zeroed_floor_certificate(self, floors[0]),
             )
-        kept = (c for c, z in zip(self.constraints, zeroed) if not z)
-        return ProblemInstance(
-            constraints=tuple(c.restrict(support) for c in kept),
-            M=self.M,
-            N=len(support),
-            support=support,
-            scenario=self.scenario,
+        families = restrict_families(self.families, kept, cols)
+        reduced = ProblemInstance(
+            ReducedConstraints(self.constraints, np.flatnonzero(kept).tolist(), support),
+            self.M, len(support), support, self.scenario,
         )
+        # the sliced arrays are the subarray's record: fill the cached properties
+        vars(reduced).update(
+            families=families,
+            certificate_record=sliced_record(record, kept, cols, families.powers),
+        )
+        return reduced
+
+
+class ReducedConstraints(Sequence):
+    """The constraint objects of a subarray, each made from its parent's on
+    first use and then kept: row l is the parent's row ``kept[l]``
+    restricted to ``support``."""
+
+    def __init__(self, parent, kept, support):
+        self._parent, self._kept, self._support = parent, kept, support
+        self._made = {}
+
+    def __len__(self):
+        return len(self._kept)
+
+    def __getitem__(self, l):
+        l = range(len(self))[l]  # an IndexError past the end stops iteration
+        if l not in self._made:
+            self._made[l] = self._parent[self._kept[l]].restrict(self._support)
+        return self._made[l]
+
+
+def restrict_families(families, kept, cols):
+    """``families`` on the rows ``kept`` (a mask over rows, renumbered in
+    order) and the antennas ``cols`` (a sorted list, renumbered from 0)."""
+    beams, powers, sinrs = families
+    row = np.cumsum(kept) - 1
+    b, p, s = kept[beams.rows], kept[powers.rows], kept[sinrs.rows]
+    return ConstraintFamilies(
+        beam_rows(
+            row[beams.rows[b]], beams.steering[b, 0][:, cols], beams.sign[b],
+            beams.threshold[b], len(cols), beams.angle[b],
+        ),
+        PowerRows(
+            row[powers.rows[p]], np.searchsorted(cols, powers.antenna[p]), powers.limit[p]
+        ),
+        SinrRows(
+            row[sinrs.rows[s]],
+            np.ascontiguousarray(sinrs.probe[s][:, cols]),
+            (np.arange(np.count_nonzero(s)), sinrs.served[1][s]),
+            sinrs.weights[s], sinrs.gamma[s], sinrs.f[s],
+        ),
+    )
 
 
 def assemble(scenario):

@@ -174,11 +174,11 @@ def _sinr_row(W, r):
 
 def sweep_plan(problem):
     """``ProblemInstance.sweep_plan``: (kernel, row data) per constraint in
-    order, each row read once from ``problem.families``."""
+    order, each family's rows read in one pass from ``problem.families``."""
     plan = [None] * problem.L
     for kernel, family in zip((_beam_row, _power_row, _sinr_row), problem.families):
-        for i, l in enumerate(family.rows.tolist()):
-            plan[l] = (kernel, family.row(i))
+        for l, row in zip(family.rows.tolist(), family.each()):
+            plan[l] = (kernel, row)
     return tuple(plan)
 
 

@@ -114,6 +114,24 @@ def certificate_holds(problem, multipliers, rel_tol=1e-12):
     return s + sum(limits.values()) * (max(0.0, -lam_min) + tol) < 0
 
 
+def assert_same_data(got, want, name="data"):
+    """Two records hold the same data: tuples (``NamedTuple`` records and
+    sweep plans included) of the same type and length, field by field;
+    arrays of the same dtype, shape and bytes; anything else (a scalar, None
+    or a kernel) of the same type and bytes, or the same object."""
+    if isinstance(want, tuple):
+        assert type(got) is type(want) and len(got) == len(want), name
+        for field, x, y in zip(getattr(want, "_fields", range(len(want))), got, want):
+            assert_same_data(x, y, f"{name}.{field}")
+    elif isinstance(want, np.ndarray):
+        assert type(got) is np.ndarray, name
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    else:
+        assert type(got) is type(want), name
+        assert got is want or np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
 def paper_variants(paper_problem):
     """The paper problem, its 45 K=8 subarrays, and the paper scenario with
     M = 1..4 users (``scenario_with_users``) under LoS and Rayleigh channels."""

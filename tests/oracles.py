@@ -559,7 +559,7 @@ def project_reference(constraint, vbar):
         v[sel], mu, residual = P[0], float(mu[0]), float(residual[0])
     elif isinstance(constraint, BeamConstraint):
         c = constraint
-        rows = beam_rows([0], c.steering, [c.sign], [c.threshold], c.N)
+        rows = beam_rows([0], c.steering, [c.sign], [c.threshold], c.N, [c.angle_deg])
         V, mu, residual = project_beams(vbar.reshape(1, c.M, c.N), rows)
         v, mu, residual = V.reshape(-1), float(mu[0]), float(residual[0])
     else:

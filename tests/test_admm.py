@@ -34,10 +34,17 @@ from sparsebeam import (
 import sparsebeam.admm as admm_module
 import sparsebeam.projections as projections_module
 from sparsebeam.certificate import certify_infeasible, multiplier_certificate
-from sparsebeam.problem import BeamConstraint
+from sparsebeam.problem import BeamConstraint, ReducedConstraints
 from sparsebeam.selection import _handoff_tol
 
-from helpers import certificate_holds, dense_constraint, paper_variants, project, random_stack
+from helpers import (
+    assert_same_data,
+    certificate_holds,
+    dense_constraint,
+    paper_variants,
+    project,
+    random_stack,
+)
 from oracles import (
     certificate_record_reference,
     certify_infeasible_cold,
@@ -1244,6 +1251,89 @@ class TestSweepPlan:
         refit(paper_problem, support, paper_scenario.admm)
         assert len(built) == 1 and built[0].support == support
         assert len(sweeps) >= 2 and all(problem is built[0] for problem in sweeps)
+
+
+@st.composite
+def subarray_cases(draw):
+    """A hand-built problem, a support and a support of that subarray: a
+    ``feasible_toy_problems`` or ``mixed_problems`` draw (a stopband subclass;
+    antenna-power rows on every antenna, on some or on none, so that the norm
+    bound may be None), its beam and SINR generators zero on some antennas
+    or not."""
+    problem = draw(st.one_of(feasible_toy_problems(), mixed_problems()))[0]
+    M, N = problem.M, problem.N
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+        def sparse(g):
+            g = g.copy()
+            g[rng.permutation(N)[: rng.integers(0, N)]] = 0.0  # at least one entry stays
+            return g
+
+        problem = toy_problem([
+            replace(c, steering=sparse(c.steering)) if isinstance(c, BeamConstraint)
+            else replace(c, h=sparse(c.h)) if isinstance(c, SinrConstraint) else c
+            for c in problem.constraints
+        ], M, N)
+
+    def support(n):
+        return tuple(sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                          unique=True))))
+
+    outer = support(N)
+    return problem, outer, support(len(outer))
+
+
+class TestSlicedSubarrays:
+    """A subarray's ``families`` and ``certificate_record`` are sliced from its
+    parent's arrays, and its constraint objects are derived on first use."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(subarray_cases())
+    def test_sliced_arrays_equal_the_rebuilt_ones(self, case):
+        problem, outer, inner = case
+        cols = [m * problem.N + n for m in range(problem.M) for n in outer]
+        zeroed = [l for l, c in enumerate(problem.constraints)
+                  if not dense_constraint(c)[0][np.ix_(cols, cols)].any()]
+        try:
+            reduced = problem.restrict(outer)
+        except InfeasibleProblemError:
+            assert any(problem.constraints[l].f < 0.0 for l in zeroed)
+            return
+        # the dropped rows are exactly the zeroed ones, each with f > 0
+        assert all(problem.constraints[l].f > 0.0 for l in zeroed)
+        kept = [c for l, c in enumerate(problem.constraints) if l not in zeroed]
+        assert [(type(c), c.f) for c in reduced.constraints] == [(type(c), c.f) for c in kept]
+        rebuilt = ProblemInstance(tuple(reduced.constraints), problem.M, len(outer))
+        for name in ("families", "certificate_record", "sweep_plan"):
+            assert_same_data(getattr(reduced, name), getattr(rebuilt, name), name)
+        # a subarray's own support indexes the subarray
+        try:
+            direct = problem.restrict(tuple(outer[i] for i in inner))
+        except InfeasibleProblemError:
+            with pytest.raises(InfeasibleProblemError):
+                reduced.restrict(inner)
+            return
+        nested = reduced.restrict(inner)
+        assert nested.support == inner and direct.support == tuple(outer[i] for i in inner)
+        for name in ("families", "certificate_record", "sweep_plan"):
+            assert_same_data(getattr(nested, name), getattr(direct, name), name)
+
+    def test_refit_makes_only_the_reported_constraints(self, paper_problem, paper_scenario,
+                                                       monkeypatch):
+        made = []
+        original = ReducedConstraints.__getitem__
+
+        def counted(self, l):
+            made.append(l)
+            return original(self, l)
+
+        monkeypatch.setattr(ReducedConstraints, "__getitem__", counted)
+        refit(paper_problem, (0, 2, 3, 4, 5, 6, 7, 9), paper_scenario.admm)
+        assert made == []
+        with pytest.raises(InfeasibleProblemError) as err:
+            refit(paper_problem, (0, 1, 2, 3), paper_scenario.admm)
+        assert len(made) == len(err.value.worst_violations) == 5
 
 
 class TestRefitHandOff:

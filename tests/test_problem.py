@@ -14,6 +14,8 @@ from sparsebeam import (
     SinrConstraint,
     StopbandConstraint,
     assemble,
+    cyclic_projection,
+    feasibility_report,
     find_feasible_point,
     group_norms,
     objective,
@@ -24,6 +26,7 @@ from sparsebeam import (
 from sparsebeam.problem import beam_rows
 
 from helpers import (
+    assert_same_data,
     dense_response_matrix,
     dense_selector_matrix,
     dense_sinr_matrix,
@@ -323,6 +326,22 @@ class TestRestrict:
             ]
 
 
+    @pytest.mark.parametrize("outer, inner", [
+        ((0, 2, 3, 5, 7, 8, 9), (0, 1, 4, 6)),
+        ((1, 2, 3, 4, 5, 6, 7, 8), (0, 2, 4, 5, 6, 7)),
+        (tuple(range(10)), (3,)),
+    ])
+    def test_nested_restriction_composes(self, paper_problem, outer, inner):
+        nested = paper_problem.restrict(outer).restrict(inner)
+        direct = paper_problem.restrict(tuple(outer[i] for i in inner))
+        assert nested.support == inner  # indices into its parent, the subarray
+        for name in ("families", "certificate_record", "sweep_plan"):
+            assert_same_data(getattr(nested, name), getattr(direct, name), name)
+        assert [c.describe() for c in nested.constraints] == [
+            c.describe() for c in direct.constraints
+        ]
+
+
 class TestBeamRowData:
     """One-point callers (a one-constraint problem's row, ``BeamRows.row``)
     and the batched v-update (``families.beams``) must read the same row data."""
@@ -352,11 +371,35 @@ class TestBeamRowData:
         beams = paper_problem.families.beams
         strided = beams.steering[:, 0, list(support)]
         assert not strided.flags.c_contiguous
-        args = (beams.sign.ravel(), beams.threshold.ravel(), len(support))
+        args = (beams.sign.ravel(), beams.threshold.ravel(), len(support), beams.angle)
         got = beam_rows(beams.rows, strided, *args)
         want = beam_rows(beams.rows, strided.copy(), *args)
         for name, x, y in zip(got._fields, got, want):
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+class TestNonFiniteViolations:
+    """A NaN slack is an infinite violation: no non-finite point passes a
+    tolerance, where ``np.fmax`` alone would report it as feasible."""
+
+    def test_nan_point(self, paper_problem):
+        w = np.full(paper_problem.size, np.nan, dtype=complex)
+        assert paper_problem.max_violation(w) == np.inf
+        assert [v for _, v in paper_problem.worst_violations(w)] == [np.inf] * 5
+        assert not feasibility_report(w, paper_problem, 1e-6).passed
+        point, violation, converged = cyclic_projection(paper_problem, w, max_sweeps=0)[:3]
+        assert violation == np.inf and not converged
+
+    def test_nan_antenna_violates_only_its_rows(self):
+        M, N = 1, 2
+        problem = ProblemInstance(
+            tuple(AntennaPowerConstraint(n, 1.0, M, N) for n in range(N)), M, N
+        )
+        w = np.array([0.5, np.nan], dtype=complex)
+        assert problem.max_violation(w) == np.inf
+        assert problem.worst_violations(w) == [
+            ("antenna_power(n=1)", np.inf), ("antenna_power(n=0)", 0.0)
+        ]
 
 
 class TestVectorizedSlacks:

@@ -369,7 +369,7 @@ class TestOnePointKernels:
         a = steering(N, 11.0)
         for scale in [1e-3, 0.1, 1.0, 10.0, 0.0]:
             for threshold in [0.05, 1.0, 20.0]:
-                rows = beam_rows([0], a, [sign], [threshold], N)
+                rows = beam_rows([0], a, [sign], [threshold], N, [11.0])
                 W = scale * random_stack(rng, M, N).reshape(1, M, N)
                 V, mu, residual = oracles.project_beams(W, rows)
                 V1, mu1, residual1 = _beam_point(W[0], rows.row(0))
@@ -392,10 +392,10 @@ class TestOnePointKernels:
         a = random_stack(rng, 1, N)
         threshold = 10.0**log_threshold
         if boundary and scale > 0.0:
-            row = beam_rows([0], a, [sign], [1.0], N).row(0)
+            row = beam_rows([0], a, [sign], [1.0], N, [0.0]).row(0)
             alpha = W @ row.unit_probe
             threshold = row.norm2 * float(np.vdot(alpha, alpha).real)
-        rows = beam_rows([0], a, [sign], [threshold], N)
+        rows = beam_rows([0], a, [sign], [threshold], N, [0.0])
         V, mu, residual = oracles.project_beams(W, rows)
         V1, mu1, residual1 = _beam_point(W[0], rows.row(0))
         assert V1.tobytes() == V[0].tobytes()
