@@ -11,6 +11,7 @@ guard; a copy that already holds keeps its shrunk point.  No copy depends
 on another and nothing is random, so runs repeat bit for bit.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -55,19 +56,19 @@ class AdmmConfig:
     parallel: int = 1
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ConfigurationError(f"eta must be >= 0, got {self.eta}")
-        if not self.rho > 0:
-            raise ConfigurationError(f"rho must be > 0, got {self.rho}")
-        if int(self.k_max) != self.k_max or self.k_max < 0:
-            raise ConfigurationError(f"k_max must be an integer >= 0, got {self.k_max}")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ConfigurationError(f"eta must be finite and >= 0, got {self.eta}")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ConfigurationError(f"rho must be finite and > 0, got {self.rho}")
+        for name, low in (("k_max", 0), ("parallel", 1)):
+            value = getattr(self, name)
+            if not math.isfinite(value) or int(value) != value or value < low:
+                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value}")
         object.__setattr__(self, "k_max", int(self.k_max))
         for name in ("primal_tol", "dual_tol"):
             tol = getattr(self, name)
             if tol is not None and not tol > 0:
                 raise ConfigurationError(f"{name} must be > 0 when set, got {tol}")
-        if int(self.parallel) != self.parallel or self.parallel < 1:
-            raise ConfigurationError(f"parallel must be an integer >= 1, got {self.parallel}")
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ relaxation (Luo et al., IEEE Signal Processing Magazine 2010).
 
 Every F_l is block-diagonal over users with blocks C[l, m] g_l g_l^H, held
 with f and the row scales in ``problem.certificate_record``, built once per
-problem, so S is PSD exactly when each block S_m is (Huang & Palomar, IEEE
-Trans. Signal Processing 2010) and no MN x MN matrix is formed.  The first
-multipliers tried are the feasibility search's own: after every sweep of its
+problem from its ``families``, a subarray's as any other's.  So S is PSD
+exactly when each block S_m is (Huang & Palomar, IEEE Trans. Signal
+Processing 2010), and no MN x MN matrix is formed.  The first multipliers
+tried are the feasibility search's own: after every sweep of its
 cyclic projections that ends above its tolerance with sum_l mu_l f_l < 0,
 ``multiplier_certificate`` tries the KKT multipliers of that sweep's moves.
 On an empty intersection the sweeps stall, their moves
@@ -136,21 +137,6 @@ def certificate_record(problem):
     G[powers.rows, powers.antenna] = 1.0
     G[sinrs.rows] = np.conj(sinrs.probe[..., 0])
     C[sinrs.rows] = sinrs.weights
-    return _record(f, G, C, powers, N)
-
-
-def sliced_record(record, kept, support, powers):
-    """The ``CertificateRecord`` of a subarray: ``record`` on the rows
-    ``kept`` (a mask) and the antennas ``support``, with the subarray's
-    antenna-power rows ``powers``."""
-    return _record(
-        record.f[kept], record.G[np.ix_(kept, support)], record.C[kept], powers, len(support)
-    )
-
-
-def _record(f, G, C, powers, N):
-    """The record of the rows f, G, C on N antennas, whose antenna-power rows
-    are ``powers``: their scales and the norm bound derived."""
     # ||F_l||_2 = max_m |C[l, m]| ||g_l||^2
     scale = np.abs(C).max(axis=1) * (np.abs(G) ** 2).sum(axis=1)
     scale[scale == 0.0] = 1.0

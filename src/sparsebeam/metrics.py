@@ -48,14 +48,17 @@ def beampattern(w, problem, step_deg=0.5):
     steps of ``step_deg`` > 0, the last one possibly shorter, with the steering
     vectors of the full array of ``problem.scenario``, built as one matrix by
     one ``steering_vector`` call.  Both are empty for a problem without a
-    scenario (one built by hand), which has no array geometry to steer.
+    scenario (one built by hand), which has no array geometry to steer, and
+    for a subarray (``support`` set): its scenario's geometry is the full
+    array's, and a nested subarray's support indexes its parent, not that
+    array.
 
     The display grid is finer than the constraint grid on purpose, so
     between-grid sidelobe excursions show up in reports.
     """
     if not step_deg > 0:
         raise ConfigurationError(f"pattern step must be > 0 deg, got {step_deg}")
-    if problem.scenario is None:
+    if problem.scenario is None or problem.support is not None:
         return np.empty(0), np.empty(0)
     angles = np.array(_sample_interval(-90.0, 90.0, step_deg))
     A = steering_vector(problem.scenario.geometry, angles)
@@ -81,7 +84,7 @@ class FeasibilityReport:
 def feasibility_report(w, problem, tol=1e-6):
     """Evaluate every constraint; a design passes when no violation exceeds tol."""
     slacks = problem.slacks(w)
-    violations = np.maximum(0.0, -slacks)
+    violations = problem.violations(w)
     beams, powers, sinrs = problem.families
     passband = beams.sign.ravel() < 0
     rows = (beams.rows[passband], beams.rows[~passband], powers.rows, sinrs.rows)

@@ -10,9 +10,9 @@ grids are the beam rows' angles, each user's channel, SINR target and noise
 are its SINR row, and every other quantity is derived from one record.  For
 a problem built from constraint objects (``assemble``, or by hand) that
 record is its constraints; for a subarray (``ProblemInstance.restrict``) it
-is its ``families`` and ``certificate_record``, sliced from the parent's
-arrays, and its constraint objects are derived from the parent's, one row at
-a time and only where a message or a caller asks for one.
+is its ``families`` alone, sliced from the parent's arrays, and its
+constraint objects are derived from the parent's, one row at a time and only
+where a message or a caller asks for one.
 
 Every constraint is held in the normalized sense  w^H F w <= f.  F is never
 materialized: it is block-diagonal over users, with block m equal to
@@ -28,7 +28,7 @@ F_l w products, the SINRs of a design, the v-update's screens, the feasible
 start, the MSRR and ``sweep_plan``: the one-point kernels that
 ``projections.move`` runs for the projection sweep and the v-update, with
 each row's data.  The infeasibility certificate reads them through
-``certificate_record``, its per-row data built once per problem.
+``certificate_record``, its per-row data built from them once per problem.
 """
 
 from collections.abc import Sequence
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import projections
 from .arrays import build_grids, los_channel, rayleigh_channel, steering_vector
-from .certificate import certificate_record, sliced_record, zeroed_floor_certificate
+from .certificate import certificate_record, zeroed_floor_certificate
 from .errors import ConfigurationError, InfeasibleProblemError
 
 
@@ -86,10 +86,6 @@ class BeamRows(NamedTuple):
         *vectors, norm2, sign, threshold, angle = self
         scalars = (x.ravel().tolist() for x in (norm2, sign, threshold))
         return (BeamRows(*row) for row in zip(*vectors, *scalars, angle))
-
-    def row(self, i):
-        """Row i, as ``each`` gives it."""
-        return next(BeamRows(*(field[i : i + 1] for field in self)).each())
 
 
 def beam_rows(rows, steering, sign, threshold, N, angle):
@@ -360,12 +356,12 @@ class ProblemInstance:
 
     The record of what the problem requires is primary in one place and
     derived everywhere else.  Built from constraint objects, the problem's
-    ``constraints`` (a tuple) are primary, and ``families``,
-    ``certificate_record`` and ``sweep_plan`` are derived from them.  A
-    subarray from ``restrict`` is primary in its ``families`` and
-    ``certificate_record``, sliced from its parent's, and its
-    ``constraints`` are a ``ReducedConstraints``, which derives each object
-    from the parent's on first use.  Constraint order is fixed (passband
+    ``constraints`` (a tuple) are primary, and ``families`` is derived from
+    them.  A subarray from ``restrict`` is primary in its ``families`` alone,
+    sliced from its parent's, and its ``constraints`` are a
+    ``ReducedConstraints``, which derives each object from the parent's on
+    first use.  On every problem ``certificate_record`` and ``sweep_plan``
+    are derived from ``families``.  Constraint order is fixed (passband
     grid, stopband grid, antenna powers, SINRs) so that run logs and dual
     variables are reproducible.
     """
@@ -416,8 +412,9 @@ class ProblemInstance:
     @cached_property
     def certificate_record(self):
         """f, the generators and block weights of every row, their scales and
-        the norm bound, as ``certificate.CertificateRecord``: built once per
-        instance for the certificate, the hand-off tolerance and ``restrict``."""
+        the norm bound, as ``certificate.CertificateRecord``: built from
+        ``families`` once per instance, for the certificate, the hand-off
+        tolerance and ``restrict``."""
         return certificate_record(self)
 
     @cached_property
@@ -471,8 +468,8 @@ class ProblemInstance:
         generator the support zeroes reads 0 <= f_l, so it is dropped when
         f_l > 0, and a floor (f_l < 0), violated by -f_l at every point,
         raises a certified ``InfeasibleProblemError``.  The subarray's
-        ``families`` and ``certificate_record`` are this problem's, sliced on
-        the kept rows and the support's antennas."""
+        ``families`` are this problem's, sliced on the kept rows and the
+        support's antennas; everything else it derives from them."""
         support = normalize_support(support)
         if not support:
             raise ConfigurationError("empty antenna support")
@@ -490,16 +487,12 @@ class ProblemInstance:
                 [(d, float(-record.f[l])) for d, l in zip(described, floors)],
                 zeroed_floor_certificate(self, floors[0]),
             )
-        families = restrict_families(self.families, kept, cols)
         reduced = ProblemInstance(
             ReducedConstraints(self.constraints, np.flatnonzero(kept).tolist(), support),
             self.M, len(support), support, self.scenario,
         )
-        # the sliced arrays are the subarray's record: fill the cached properties
-        vars(reduced).update(
-            families=families,
-            certificate_record=sliced_record(record, kept, cols, families.powers),
-        )
+        # the sliced arrays are the subarray's record: fill its cached families
+        vars(reduced)["families"] = restrict_families(self.families, kept, cols)
         return reduced
 
 

@@ -55,7 +55,7 @@ def _power_row(W, r):
 
 def _beam_point(W, r):
     """Closed-form projection of one point W (M, N) onto the beam constraint
-    of one ``BeamRows.row`` r.
+    of one row r, as ``BeamRows.each`` gives it.
 
     The steering-aligned coefficient of every block scales by 1/(1 +
     sign*mu*||a||^2), so the response S0 meets the threshold t in closed

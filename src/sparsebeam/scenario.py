@@ -9,6 +9,7 @@ loaded Scenario always carries linear units.
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -193,10 +194,19 @@ def scenario_from_dict(data):
 
 
 def load_scenario(path):
-    """Load and validate a scenario JSON file."""
+    """Load and validate a scenario JSON file.  A number that is not finite
+    is a ``ConfigurationError``: ``json`` reads the non-JSON NaN, Infinity
+    and -Infinity, and an overflowing literal such as 1e999 as inf."""
+
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{path}: {text} is not a finite number")
+        return value
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=finite, parse_float=finite)
         except json.JSONDecodeError as err:
             raise ConfigurationError(f"{path}: not valid JSON ({err})") from err
     return scenario_from_dict(data)

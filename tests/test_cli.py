@@ -10,6 +10,8 @@ import sparsebeam
 from sparsebeam import ConfigurationError, bundled_scenario_path, load_scenario
 from sparsebeam.cli import cmd_sweep_k, cmd_sweep_m, main, scenario_with_users
 
+from test_scenario import NON_FINITE_FIELDS, non_finite_id, write_with_literal
+
 
 def read_csv(path):
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
@@ -54,6 +56,14 @@ class TestCheckConfig:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("field, literal", NON_FINITE_FIELDS, ids=non_finite_id)
+    def test_non_finite_number_exits_one_before_any_work(self, tmp_path, capsys, field, literal):
+        path = write_with_literal(tmp_path / "bad.json", field, literal)
+        out = tmp_path / "run"
+        assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 1
+        assert "is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_artifacts_written(self, fast_scenario_path, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["solve", "--scenario", fast_scenario_path, "--out", str(out)])

@@ -214,6 +214,13 @@ class TestFeasibilityReport:
         assert report.max_violation_by_kind["stopband"] == 0.0
         assert report.max_violation_by_kind["antenna_power"] == 0.0
 
+    def test_nan_design_violates_every_kind_infinitely(self, paper_problem):
+        report = feasibility_report(np.full(paper_problem.size, np.nan, complex), paper_problem)
+        assert report.max_violation_by_kind == dict.fromkeys(
+            ("passband", "stopband", "antenna_power", "sinr"), float("inf")
+        )
+        assert not report.passed
+
     def test_slacks_match_dense_oracle(self, paper_problem):
         rng = np.random.default_rng(6)
         w = random_stack(rng, paper_problem.M, paper_problem.N)
@@ -233,6 +240,23 @@ class TestDesignReport:
         assert report.support == (0, 1, 2)
         assert np.isfinite(report.msrr_db)
         assert len(report.pattern_angles_deg) == len(report.pattern_response) == 361
+
+    @pytest.mark.parametrize("outer, inner", [
+        ((0, 2, 3, 4, 5, 6, 8, 9), None),  # the paper's K=8 support
+        ((0, 2, 3, 4, 5, 6, 7, 8, 9), (0, 1, 2, 3, 4, 5, 7, 8)),  # the same, nested
+    ])
+    def test_subarray_has_an_empty_pattern(self, paper_problem, outer, inner):
+        # a subarray's scenario holds the full array, which no support of a
+        # nested subarray indexes
+        problem = paper_problem.restrict(outer)
+        if inner is not None:
+            problem = problem.restrict(inner)
+        w = find_feasible_point(problem)
+        report = design_report(w, problem)
+        assert report.pattern_angles_deg.size == report.pattern_response.size == 0
+        assert report.tx_power_w == tx_power(w)
+        assert report.feasible == (problem.max_violation(w) <= 1e-6)
+        assert report.feasible
 
     def test_problem_without_scenario_has_an_empty_pattern(self):
         problem = hand_built("passband", "stopband", "antenna_power")

@@ -343,7 +343,7 @@ class TestRestrict:
 
 
 class TestBeamRowData:
-    """One-point callers (a one-constraint problem's row, ``BeamRows.row``)
+    """One-point callers (a one-constraint problem's row, ``BeamRows.each``)
     and the batched v-update (``families.beams``) must read the same row data."""
 
     @pytest.mark.parametrize("support", [None, (0, 2, 3, 4, 5, 6, 8, 9)])
@@ -351,10 +351,10 @@ class TestBeamRowData:
         problem = paper_problem if support is None else paper_problem.restrict(support)
         beams = problem.families.beams
         assert len(beams.rows) == sum(c.kind.endswith("band") for c in problem.constraints)
-        for i, l in enumerate(beams.rows):
-            assert beams.row(i).rows == l  # a constraint's own row is 0
+        for i, (l, row) in enumerate(zip(beams.rows, beams.each())):
+            assert row.rows == l  # a constraint's own row is 0
             c = problem.constraints[l]
-            for one in (ProblemInstance((c,), c.M, c.N).families.beams.row(0), beams.row(i)):
+            for one in (next(ProblemInstance((c,), c.M, c.N).families.beams.each()), row):
                 for name, got, want in zip(beams._fields[1:], one[1:], beams[1:]):
                     want = want[i]
                     if name in ("norm2", "sign", "threshold"):

@@ -372,7 +372,7 @@ class TestOnePointKernels:
                 rows = beam_rows([0], a, [sign], [threshold], N, [11.0])
                 W = scale * random_stack(rng, M, N).reshape(1, M, N)
                 V, mu, residual = oracles.project_beams(W, rows)
-                V1, mu1, residual1 = _beam_point(W[0], rows.row(0))
+                V1, mu1, residual1 = _beam_point(W[0], next(rows.each()))
                 assert V1.tobytes() == V[0].tobytes()
                 assert (mu1, residual1) == (mu[0], residual[0])
 
@@ -392,12 +392,12 @@ class TestOnePointKernels:
         a = random_stack(rng, 1, N)
         threshold = 10.0**log_threshold
         if boundary and scale > 0.0:
-            row = beam_rows([0], a, [sign], [1.0], N, [0.0]).row(0)
+            row = next(beam_rows([0], a, [sign], [1.0], N, [0.0]).each())
             alpha = W @ row.unit_probe
             threshold = row.norm2 * float(np.vdot(alpha, alpha).real)
         rows = beam_rows([0], a, [sign], [threshold], N, [0.0])
         V, mu, residual = oracles.project_beams(W, rows)
-        V1, mu1, residual1 = _beam_point(W[0], rows.row(0))
+        V1, mu1, residual1 = _beam_point(W[0], next(rows.each()))
         assert V1.tobytes() == V[0].tobytes()
         assert type(mu1) is float and type(residual1) is float
         assert np.float64(mu1).tobytes() == mu[0].tobytes()

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sparsebeam import (
+    AdmmConfig,
     ConfigurationError,
     Scenario,
     bundled_scenario_path,
@@ -96,6 +97,57 @@ class TestValidation:
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_scenario(tmp_path / "absent.json")
+
+
+# (path into the scenario dict, a literal that ``json`` reads as NaN or +-inf)
+NON_FINITE_FIELDS = [
+    (("admm", "eta"), "NaN"),
+    (("admm", "rho"), "Infinity"),
+    (("noise_variance",), "Infinity"),
+    (("sinr_target",), "Infinity"),
+    (("mainlobe_threshold",), "Infinity"),
+    (("users", "gain"), "Infinity"),
+    (("array", "element_spacing_wl"), "Infinity"),
+    (("antenna_power_limit",), "Infinity"),
+    (("stopband_threshold",), "Infinity"),
+    (("stopband_threshold",), "-Infinity"),
+    (("stopband_threshold",), "1e999"),
+]
+
+
+def non_finite_id(case):
+    """A field path as a test id, such as admm.eta; a literal as itself."""
+    return case if isinstance(case, str) else ".".join(case)
+
+
+def write_with_literal(path, field, literal):
+    """The bundled scenario with ``field`` set to the raw JSON ``literal``."""
+    data = paper_dict()
+    *parents, key = field
+    node = data
+    for name in parents:
+        node = node[name]
+    node[key] = "@literal@"
+    path.write_text(json.dumps(data).replace('"@literal@"', literal), encoding="utf-8")
+    return path
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("field, literal", NON_FINITE_FIELDS, ids=non_finite_id)
+    def test_load_rejects_non_finite_numbers(self, tmp_path, field, literal):
+        path = write_with_literal(tmp_path / "bad.json", field, literal)
+        with pytest.raises(ConfigurationError, match="is not a finite number"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("eta", float("nan")), ("eta", float("inf")),
+        ("rho", float("nan")), ("rho", float("inf")),
+        ("k_max", float("nan")), ("k_max", float("inf")),
+        ("parallel", float("nan")), ("parallel", float("inf")),
+    ])
+    def test_admm_config_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            AdmmConfig(**{"eta": 0.1, "rho": 50.0, field: value})
 
 
 class TestRoundTrip:
