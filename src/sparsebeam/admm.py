@@ -14,6 +14,7 @@ on another and nothing is random, so runs repeat bit for bit.
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize
@@ -67,8 +68,8 @@ class AdmmConfig:
         object.__setattr__(self, "k_max", int(self.k_max))
         for name in ("primal_tol", "dual_tol"):
             tol = getattr(self, name)
-            if tol is not None and not tol > 0:
-                raise ConfigurationError(f"{name} must be > 0 when set, got {tol}")
+            if tol is not None and not (math.isfinite(tol) and tol > 0):
+                raise ConfigurationError(f"{name} must be finite and > 0 when set, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -296,15 +297,18 @@ def find_feasible_point(problem, tol=_START_TOL):
     ``tol`` may prove that no feasible point exists: its multipliers go
     through ``multiplier_certificate`` (see ``cyclic_projection``), and the
     first that pass stop the search with a certified
-    ``InfeasibleProblemError`` carrying the worst violations of the point at
-    that sweep.  Where stage 3 stops short of ``tol`` without one, the
-    Kelley search of ``certify_infeasible`` looks once (never found on a
-    feasible problem), and with a certificate the search stops as above.
-    Otherwise stage 4 runs ``minimum_power`` from that point, an SQP solve
-    that needs no feasible start; should its polish fall short too, the
-    search gives up with an uncertified error carrying the worst violations
-    of the better point reached.  No stage draws random numbers, and ``tol``
-    only decides when stage 3 stops.
+    ``InfeasibleProblemError`` at the point of that sweep.  Where stage 3
+    stops short of ``tol`` without one, the Kelley search of
+    ``certify_infeasible`` looks once (never found on a feasible problem),
+    and with a certificate the search stops as above.  Otherwise stage 4
+    runs ``minimum_power`` from that point, an SQP solve that needs no
+    feasible start; should its polish fall short too, the search gives up
+    with an uncertified error at the better point reached.  The error's
+    message carries the verdict and that point's max violation; its
+    ``worst_violations`` are computed from the problem and that point when
+    first read, so a caller that wants only the verdict pays nothing for
+    them.  No stage draws random numbers, and ``tol`` only decides when
+    stage 3 stops.
     """
     w = _zero_forcing_start(problem)
     w = _mainlobe_boost(problem, w)
@@ -323,7 +327,8 @@ def find_feasible_point(problem, tol=_START_TOL):
     else:
         verdict = f"certified infeasible ({certificate.describe()})"
     raise InfeasibleProblemError(
-        f"{verdict}; max violation {violation:.3e}", problem.worst_violations(w), certificate
+        f"{verdict}; max violation {violation:.3e}", partial(problem.worst_violations, w),
+        certificate,
     )
 
 

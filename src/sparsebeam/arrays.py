@@ -5,6 +5,7 @@ Angles are degrees at every public boundary.  Powers and ratios are linear
 converted exactly once, at the configuration boundary.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +23,12 @@ class ArrayGeometry:
     element_spacing: float = 0.5
 
     def __post_init__(self):
-        if int(self.num_antennas) != self.num_antennas or self.num_antennas < 2:
+        n = self.num_antennas
+        if not math.isfinite(n) or int(n) != n or n < 2:
+            raise ConfigurationError(f"num_antennas must be an integer >= 2, got {n}")
+        if not (math.isfinite(self.element_spacing) and self.element_spacing > 0):
             raise ConfigurationError(
-                f"num_antennas must be an integer >= 2, got {self.num_antennas}"
-            )
-        if not self.element_spacing > 0:
-            raise ConfigurationError(
-                f"element_spacing must be > 0 wavelengths, got {self.element_spacing}"
+                f"element_spacing must be finite and > 0 wavelengths, got {self.element_spacing}"
             )
 
 

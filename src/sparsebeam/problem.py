@@ -91,9 +91,10 @@ class BeamRows(NamedTuple):
 def beam_rows(rows, steering, sign, threshold, N, angle):
     """``BeamRows`` from the raw steering vectors, signs, thresholds and
     angles, copied to C order: a strided view would round ||a||^2
-    differently."""
+    differently.  Every ||a||^2 comes from one ``sq_norms`` call, the bytes
+    of a per-row ``vdot(a, a).real`` wherever that is finite."""
     a = np.asarray(steering, dtype=complex, order="C").reshape(len(rows), 1, N)
-    norm2 = np.array([np.vdot(x, x).real for x in a]).reshape(-1, 1, 1)
+    norm2 = sq_norms(a.reshape(len(rows), N, 1))
     unit = a / np.sqrt(norm2)
     return BeamRows(
         np.asarray(rows, dtype=int), a, unit,

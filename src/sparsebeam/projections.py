@@ -186,19 +186,24 @@ def move(problem, l, W):
     """One step of the projection sweep: row l's kernel from
     ``problem.sweep_plan`` on one point W (M, N), behind the KKT guard
     ||(v - vbar) + mu*F v|| <= 1e-6*(1 + ||vbar||), a non-finite residual
-    failing it.  Returns (V, mu, residual), or None where W already holds;
-    a kernel or guard failure raises a ``ProjectionError`` naming row l."""
+    failing it.  The bound is never below 1e-6, so ||vbar|| is computed
+    only for a residual outside [0, 1e-6]; the guard decides as if it were
+    always computed.  Returns (V, mu, residual), or None where W
+    already holds; a kernel or guard failure raises a ``ProjectionError``
+    naming row l."""
     kernel, row = problem.sweep_plan[l]
     try:
         moved = kernel(W, row)
         if moved is None:
             return None
-        bound = KKT_GUARD * (1.0 + math.sqrt(np.vdot(W, W).real))
-        if not math.isfinite(moved[2]) or moved[2] > bound:
-            raise ProjectionError(
-                f"projection violates stationarity (residual {moved[2]:g} > {bound:g})",
-                {"multiplier": moved[1], "residual": moved[2]},
-            )
+        residual = moved[2]
+        if not 0.0 <= residual <= KKT_GUARD:  # NaN and +-inf go on to fail
+            bound = KKT_GUARD * (1.0 + math.sqrt(np.vdot(W, W).real))
+            if not math.isfinite(residual) or residual > bound:
+                raise ProjectionError(
+                    f"projection violates stationarity (residual {residual:g} > {bound:g})",
+                    {"multiplier": moved[1], "residual": residual},
+                )
     except ProjectionError as err:
         constraint = problem.constraints[l]
         raise ProjectionError(

@@ -10,7 +10,8 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import jsonschema
@@ -51,6 +52,8 @@ def _parse_units(value, field, units, expected):
             if text.endswith(suffix):
                 try:
                     return convert(float(text[: -len(suffix)]))
+                except OverflowError:
+                    raise ConfigurationError(f"{field}: {value!r} is not a finite number") from None
                 except ValueError:
                     break
     raise ConfigurationError(f"{field}: expected {expected}, got {value!r}")
@@ -65,6 +68,20 @@ def parse_power_watts(value, field):
 def parse_ratio_linear(value, field):
     """A ratio given as a linear number or a '<x> dB' string."""
     return _parse_units(value, field, {"db": db_to_linear}, "a linear ratio or '<x> dB'")
+
+
+def _non_finite(value, name):
+    """The first (name, number) in ``value``, a number or nested tuples of
+    them, that is NaN or infinite, with its position appended to ``name``;
+    None when there is none."""
+    if isinstance(value, tuple):
+        for i, item in enumerate(value):
+            found = _non_finite(item, f"{name}[{i}]")
+            if found:
+                return found
+    elif isinstance(value, numbers.Real) and not math.isfinite(value):
+        return name, value
+    return None
 
 
 def _per_item(value, count, parser, field):
@@ -101,6 +118,12 @@ class Scenario:
     sweep_user_span_deg: tuple = DEFAULT_SWEEP_SPAN_DEG
 
     def __post_init__(self):
+        # every number, so that no entry point (the loader, a dict, a replace)
+        # lets NaN or inf through; ``geometry`` and ``admm`` check their own
+        for f in fields(self):
+            found = _non_finite(getattr(self, f.name), f.name)
+            if found:
+                raise ConfigurationError(f"{found[0]}: {found[1]!r} is not a finite number")
         N = self.geometry.num_antennas
         M = len(self.user_angles_deg)
         if M < 1:

@@ -68,7 +68,9 @@ def refit(problem, support, config):
     longer read.  Nothing is random, so one support always refits to the
     same bytes.  The returned stack is full-size with exact zeros off the
     support; a support that zeroes a floor's generator is certified
-    infeasible by ``restrict``.
+    infeasible by ``restrict``.  An infeasible subarray's error is re-raised
+    with the support in its message and its evidence still unread:
+    ``worst_violations`` is computed only if someone reads it.
     """
     support = normalize_support(support)
     try:
@@ -80,9 +82,10 @@ def refit(problem, support, config):
         elif reduced.max_violation(start) <= _START_TOL:
             w_red = min(w_red, start, key=tx_power)
     except InfeasibleProblemError as err:
+        # the evidence stays unread until a reader asks this error for it
         raise InfeasibleProblemError(
             f"refit on support {support} is infeasible: {err}",
-            err.worst_violations,
+            lambda cause=err: cause.worst_violations,
             err.certificate,
         ) from err
     return BeamformerStack(

@@ -1285,8 +1285,9 @@ def subarray_cases(draw):
 
 
 class TestSlicedSubarrays:
-    """A subarray's ``families`` and ``certificate_record`` are sliced from its
-    parent's arrays, and its constraint objects are derived on first use."""
+    """A subarray's ``families`` are sliced from its parent's arrays, its
+    ``certificate_record`` and ``sweep_plan`` are derived from those sliced
+    ``families``, and its constraint objects are derived on first use."""
 
     @settings(max_examples=200, deadline=None)
     @given(subarray_cases())
@@ -1333,7 +1334,9 @@ class TestSlicedSubarrays:
         assert made == []
         with pytest.raises(InfeasibleProblemError) as err:
             refit(paper_problem, (0, 1, 2, 3), paper_scenario.admm)
-        assert len(made) == len(err.value.worst_violations) == 5
+        assert made == []  # the verdict alone describes no constraint
+        evidence = err.value.worst_violations
+        assert len(made) == len(evidence) == 5
 
 
 class TestRefitHandOff:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,29 @@ class TestSolve:
         meta, header, rows = read_csv(out / "history.csv")
         assert header == ["k", "objective", "primal_residual", "dual_residual"]
         assert len(rows) == 40
+
+    @pytest.mark.parametrize("change, verdict", [
+        ({"num_selected": 4}, "refit on support"),  # every K=4 subarray is infeasible
+        ({"antenna_power_limit": 0.01}, "certified infeasible"),  # so is the full array
+    ])
+    def test_infeasible_scenario_exits_two_with_its_evidence(self, tmp_path, capsys, change,
+                                                            verdict):
+        with open(bundled_scenario_path(), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        data.update(change)
+        data["admm"]["k_max"] = 0
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 2
+        first, *lines = capsys.readouterr().err.splitlines()
+        assert first.startswith(f"error: infeasible: {verdict}")
+        assert len(lines) == 5
+        pattern = r"  (passband|stopband|antenna_power|sinr)\(.+\): violation (\d\.\d{3}e[+-]\d\d)"
+        matches = [re.fullmatch(pattern, line) for line in lines]
+        assert all(matches), lines
+        violations = [float(m.group(2)) for m in matches]
+        assert violations == sorted(violations, reverse=True) and violations[0] > 0
+        assert first.endswith(f"max violation {matches[0].group(2)}")
 
     def test_zero_iterations_history_header_only(self, tmp_path):
         with open(bundled_scenario_path(), "r", encoding="utf-8") as fh:

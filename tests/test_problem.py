@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from sparsebeam import (
     AntennaPowerConstraint,
@@ -376,6 +377,26 @@ class TestBeamRowData:
         want = beam_rows(beams.rows, strided.copy(), *args)
         for name, x, y in zip(got._fields, got, want):
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 6),
+        st.floats(-160.0, 150.0), st.booleans(),
+    )
+    def test_norm2_has_the_bytes_of_the_per_row_dot(self, seed, N, k, log_scale, unit_modulus):
+        # steering-like rows (unit modulus, one scale) or entries spread over
+        # six decades, from subnormal squares to squares near overflow
+        rng = np.random.default_rng(seed)
+        if unit_modulus:
+            a = 10.0**log_scale * np.exp(2j * np.pi * rng.random((k, N)))
+        else:
+            exponents = np.clip(log_scale + rng.uniform(-3.0, 3.0, (k, N)), -160.0, 150.0)
+            a = 10.0**exponents * (rng.standard_normal((k, N)) + 1j * rng.standard_normal((k, N)))
+        rows = beam_rows(list(range(k)), a, [1.0] * k, [1.0] * k, N, [0.0] * k)
+        want = np.array([np.vdot(x, x).real for x in a], dtype=float).reshape(-1, 1, 1)
+        assert (rows.norm2.dtype, rows.norm2.shape) == (want.dtype, want.shape)
+        assert rows.norm2.tobytes() == want.tobytes()
 
 
 class TestNonFiniteViolations:

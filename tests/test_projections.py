@@ -458,6 +458,48 @@ class TestOnePointKernels:
         assert err.value.diagnostics["kind"] == "antenna_power"
         assert not np.isfinite(err.value.diagnostics["multiplier"])
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.one_of(st.floats(-300.0, 300.0), st.none()),
+        st.sampled_from(["zero", "below_guard", "guard", "above_guard", "between", "bound",
+                         "above_bound", "far", "inf", "nan"]),
+        st.floats(0.0, 1.0),
+    )
+    def test_guard_passes_exactly_finite_residuals_within_the_bound(
+        self, seed, log_scale, where, fraction
+    ):
+        # a stub kernel returns a chosen residual: at, one ulp either side of,
+        # or between 1e-6 and the bound 1e-6*(1 + ||W||), beyond it, or not
+        # finite; ||W|| itself overflows at the largest scales
+        rng = np.random.default_rng(seed)
+        M, N = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        scale = 0.0 if log_scale is None else 10.0**log_scale
+        W = scale * random_stack(rng, M, N).reshape(M, N)
+        guard = projections_module.KKT_GUARD
+        with np.errstate(all="ignore"):  # 0 * inf, where ||W|| overflows
+            bound = guard * (1.0 + np.sqrt(np.vdot(W, W).real))
+            residual = float({
+                "zero": 0.0, "below_guard": np.nextafter(guard, 0.0), "guard": guard,
+                "above_guard": np.nextafter(guard, np.inf),
+                "between": min(guard + fraction * (bound - guard), bound), "bound": bound,
+                "above_bound": np.nextafter(bound, np.inf), "far": bound * (2.0 + fraction),
+                "inf": np.inf, "nan": np.nan,
+            }[where])
+        moved = (W.copy(), 0.5, residual)
+        problem = ProblemInstance((StopbandConstraint(0.0, steering(N), 1.0, M, N),), M, N)
+        vars(problem)["sweep_plan"] = ((lambda point, row: moved, None),)
+        if np.isfinite(residual) and not residual > bound:
+            assert projections_module.move(problem, 0, W) is moved
+            return
+        with pytest.raises(ProjectionError) as err:
+            projections_module.move(problem, 0, W)
+        assert "constraint l=0 (stopband(theta=0 deg)): projection violates stationarity" in str(
+            err.value
+        )
+        assert err.value.diagnostics["constraint_index"] == 0
+        assert np.float64(err.value.diagnostics["residual"]).tobytes() == np.float64(
+            residual).tobytes()
+
     def test_project_powers(self):
         rng = np.random.default_rng(zlib.crc32(b"project_powers"))
         for limit in [0.01, 1.0, 100.0]:

@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import re
 
 import pytest
 
 from sparsebeam import (
     AdmmConfig,
+    ArrayGeometry,
     ConfigurationError,
     Scenario,
     bundled_scenario_path,
@@ -148,6 +151,85 @@ class TestNonFinite:
     def test_admm_config_rejects_non_finite_values(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             AdmmConfig(**{"eta": 0.1, "rho": 50.0, field: value})
+
+
+# (path into the scenario dict, a pattern for the field its error names, how
+# to set a number there); the schema's bounds reject -inf first on most
+# fields, and +inf on angles, naming the field by its path in the dict
+DICT_FIELDS = [
+    (("stopband_threshold",), "stopband_threshold", lambda x: x),
+    (("mainlobe_threshold",), "mainlobe_threshold", lambda x: x),
+    (("users", "gain"), "channel_gain", lambda x: x),
+    (("users", "angles_deg"), r"user_angles_deg\[1\]|users/angles_deg/1", lambda x: [-45.0, x]),
+    (("mainlobe", "step_deg"), "mainlobe_step_deg", lambda x: x),
+    (("mainlobe", "region_deg"), r"mainlobe_region\[0\]|mainlobe/region_deg/0", lambda x: [x, 10.0]),
+    (("stopband", "step_deg"), "stopband_step_deg", lambda x: x),
+    (("stopband", "regions_deg"), r"stopband_regions\[1\]\[1\]|stopband/regions_deg/1/1",
+     lambda x: [[-90.0, -30.0], [30.0, x]]),
+    (("sweep",), r"sweep_user_span_deg\[1\]|sweep/user_span_deg/1",
+     lambda x: {"user_span_deg": [-45.0, x]}),
+    (("noise_variance",), r"noise_variance\[1\]", lambda x: [1.0, x]),
+    (("sinr_target",), r"sinr_target\[0\]", lambda x: x),
+    (("antenna_power_limit",), r"antenna_power_limit_w\[0\]", lambda x: x),
+    (("array", "element_spacing_wl"), "element_spacing", lambda x: x),
+    (("admm", "primal_tol"), "primal_tol", lambda x: x),
+    (("admm", "eta"), "eta", lambda x: x),
+]
+
+
+class TestNonFiniteFromPython:
+    """``Scenario`` itself rejects every non-finite number, naming the field,
+    so a dict or ``dataclasses.replace`` agrees with ``load_scenario``."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("path, pattern, place", DICT_FIELDS,
+                             ids=[".".join(case[0]) for case in DICT_FIELDS])
+    def test_scenario_from_dict(self, path, pattern, place, value):
+        data = paper_dict()
+        *parents, key = path
+        node = data
+        for part in parents:
+            node = node[part]
+        node[key] = place(value)
+        with pytest.raises(ConfigurationError, match=pattern):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field, name, place", [
+        ("stopband_threshold", "stopband_threshold", lambda x: x),
+        ("channel_gain", "channel_gain", lambda x: x),
+        ("noise_variance", "noise_variance[1]", lambda x: (1.0, x)),
+        ("stopband_regions", "stopband_regions[0][0]", lambda x: ((x, -30.0),)),
+        ("sweep_user_span_deg", "sweep_user_span_deg[0]", lambda x: (x, 45.0)),
+        ("seed", "seed", lambda x: x),
+        ("num_selected", "num_selected", lambda x: x),
+    ])
+    def test_replace(self, paper_scenario, field, name, place, value):
+        with pytest.raises(ConfigurationError, match=re.escape(f"{name}: {value!r} is not a finite number")):
+            dataclasses.replace(paper_scenario, **{field: place(value)})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_geometry_and_solver_tolerances(self, value):
+        with pytest.raises(ConfigurationError, match="element_spacing"):
+            ArrayGeometry(10, value)
+        with pytest.raises(ConfigurationError, match="num_antennas"):
+            ArrayGeometry(value)
+        with pytest.raises(ConfigurationError, match="dual_tol"):
+            AdmmConfig(eta=0.1, rho=50.0, primal_tol=1e-3, dual_tol=value)
+
+    def test_overflowing_unit_string_is_rejected(self):
+        data = paper_dict()
+        data["antenna_power_limit"] = "4000 dBm"  # 1e397 W: the conversion overflows
+        with pytest.raises(ConfigurationError, match="antenna_power_limit: '4000 dBm' is not a finite number"):
+            scenario_from_dict(data)
+        data["antenna_power_limit"] = "1e999 dBm"  # float reads it as inf
+        with pytest.raises(ConfigurationError, match=re.escape("antenna_power_limit_w[0]: inf")):
+            scenario_from_dict(data)
+
+    def test_bundled_scenario_hash_unchanged(self, paper_scenario):
+        assert scenario_sha256(paper_scenario) == (
+            "7bfbe455574c3982b066d8363cd3c656928d1114cbb22c06843ec2ffbd820600"
+        )
 
 
 class TestRoundTrip:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from dataclasses import asdict
 
 import numpy as np
@@ -400,3 +401,58 @@ class TestRandomBaseline:
         )
         assert base.infeasible_count == base.certified_count == 3
         assert np.isnan(base.tx_power_mean) and np.isnan(base.msrr_mean)
+
+
+class TestEvidenceOnRead:
+    """An infeasible refit computes its ``worst_violations`` only when they
+    are read, from the subarray and the point its search stopped at."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Every ``ProblemInstance.worst_violations`` call, as (problem, point)."""
+        calls, original = [], ProblemInstance.worst_violations
+
+        def recording(self, w, count=5):
+            calls.append((self, np.array(w)))
+            return original(self, w, count)
+
+        monkeypatch.setattr(ProblemInstance, "worst_violations", recording)
+        return calls, original
+
+    def test_random_baseline_computes_no_evidence(self, paper_problem, paper_scenario, recorded):
+        calls, _ = recorded
+        base = random_selection_baseline(paper_problem, 4, 5, paper_scenario.seed, paper_scenario.admm)
+        assert base.infeasible_count == base.certified_count == 5
+        assert calls == []
+
+    @pytest.mark.parametrize("support", [(0, 1, 2, 3), (0, 2, 5, 7), (1, 3, 4, 6, 8, 9)])
+    def test_evidence_read_after_the_refit_equals_the_eager_list(
+        self, paper_problem, paper_scenario, recorded, support
+    ):
+        calls, original = recorded
+        with pytest.raises(InfeasibleProblemError) as err:
+            refit(paper_problem, support, paper_scenario.admm)
+        assert calls == []
+        evidence = err.value.worst_violations  # read after refit's except block
+        assert len(calls) == 1
+        reduced, point = calls[0]
+        assert reduced.support == support
+        assert evidence == original(paper_problem.restrict(support), point)
+        # the point is the one the verdict names: its max violation leads the list
+        assert f"max violation {evidence[0][1]:.3e}" in str(err.value)
+        assert [(type(d), type(v)) for d, v in evidence] == [(str, float)] * 5
+        assert err.value.worst_violations is evidence and len(calls) == 1
+
+    def test_a_pickled_error_carries_the_evidence(self, paper_problem, paper_scenario):
+        with pytest.raises(InfeasibleProblemError) as err:
+            refit(paper_problem, (0, 1, 2, 3), paper_scenario.admm)
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert str(copy) == str(err.value)
+        assert copy.worst_violations == err.value.worst_violations
+        assert copy.certificate.multipliers.tobytes() == err.value.certificate.multipliers.tobytes()
+
+    def test_an_eager_list_is_kept_as_given(self):
+        evidence = [("sinr(m=0)", 1.0)]
+        err = InfeasibleProblemError("no point", evidence)
+        assert err.worst_violations == evidence
+        assert InfeasibleProblemError("no point").worst_violations == []
