@@ -48,13 +48,14 @@ def _fmt(value):
 
 def _write_csv(path, header, rows, scenario, digest=None, **meta):
     """CSV led by '#'-comment lines: the scenario hash (``digest`` if the
-    caller has it), the seed, then ``meta``."""
+    caller has it), the seed, then ``meta``, in a directory made if missing."""
     meta = {"scenario_sha256": digest or scenario_sha256(scenario), "seed": scenario.seed,
             **meta}
     lines = [f"# {key}={value}" for key, value in meta.items()]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -99,8 +100,6 @@ def _json_ready(value):
 
 def cmd_solve(scenario, out_dir):
     """End-to-end: sparse solve, select K antennas, refit, report."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     problem = assemble(scenario)
     state = solve(problem, scenario.admm)
     support = select_support(state.w, scenario.num_selected, problem.M, problem.N)
@@ -133,6 +132,8 @@ def cmd_solve(scenario, out_dir):
             "final_dual_residual": last.dual_residual,
         },
     }
+    out = Path(out_dir)  # made only now: a failed run leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
         json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -181,8 +182,6 @@ def cmd_sweep_k(scenario, k_list, trials, out_dir):
             raise ConfigurationError(f"K={K} outside 1..{scenario.N}")
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     problem = assemble(scenario)
     state = solve(problem, scenario.admm)
     rows = []
@@ -198,7 +197,7 @@ def cmd_sweep_k(scenario, k_list, trials, out_dir):
         )
         certified[K] = base.certified_count
     _write_csv(
-        out / "sweep.csv",
+        Path(out_dir) / "sweep.csv",
         ["K", "method", "mean_tx_power_w", "mean_msrr", "infeasible_count"],
         rows,
         scenario,
@@ -246,8 +245,6 @@ def cmd_sweep_m(scenario, m_list, out_dir):
     for M in m_list:
         if M < 1:
             raise ConfigurationError(f"M={M} must be >= 1")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for M in m_list:
         sc = scenario_with_users(scenario, M)
@@ -260,7 +257,7 @@ def cmd_sweep_m(scenario, m_list, out_dir):
 
         rows.append(_proposed_row(M, problem, design))
     _write_csv(
-        out / "sweep.csv",
+        Path(out_dir) / "sweep.csv",
         ["M", "method", "tx_power_w", "msrr", "infeasible_count"],
         rows,
         scenario,

@@ -77,7 +77,6 @@ class FeasibilityReport:
     slacks: np.ndarray
     violations: np.ndarray
     max_violation_by_kind: dict
-    tolerance: float
     passed: bool
 
 
@@ -95,7 +94,6 @@ def feasibility_report(w, problem, tol=1e-6):
         slacks=slacks,
         violations=violations,
         max_violation_by_kind=by_kind,
-        tolerance=tol,
         passed=bool(violations.max(initial=0.0) <= tol),
     )
 
@@ -116,16 +114,16 @@ class DesignReport:
     support: tuple = None
 
 
-def design_report(w, problem, support=None, tol=1e-6, pattern_step_deg=0.5):
-    """Full metrics bundle for a stack evaluated against the full problem; the
-    SINRs are signal / (interference + noise variance), one per SINR row."""
+def design_report(w, problem, support=None):
+    """Metrics of a stack on the full problem, feasible within 1e-6, pattern in
+    0.5 deg steps; SINRs are signal / (interference + noise variance) per row."""
     w = np.asarray(w, dtype=complex)
     sinrs = problem.families.sinrs
     signal, interference = sinr_powers(user_blocks(w, problem.M, problem.N), sinrs)
     noise = np.array([problem.constraints[l].noise_variance for l in sinrs.rows.tolist()])
-    feas = feasibility_report(w, problem, tol)
+    feas = feasibility_report(w, problem)
     ratio = msrr(w, problem)
-    angles, pattern = beampattern(w, problem, pattern_step_deg)
+    angles, pattern = beampattern(w, problem)
     return DesignReport(
         tx_power_w=tx_power(w),
         msrr=ratio,

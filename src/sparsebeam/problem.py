@@ -124,8 +124,9 @@ class PowerRows(NamedTuple):
 
 class SinrRows(NamedTuple):
     """SINR constraints as arrays: rows l (s,); conj(h) as (s, N, 1) columns;
-    the (row, user) index of each served user; F's weight on each user block,
-    -1 served and gamma elsewhere (s, M); gamma and f (s,)."""
+    the (row, user) index of each served user; F's weights on the user blocks
+    (s, M), -1 served and gamma elsewhere, which no constraint holds; gamma and
+    f (s,)."""
 
     rows: np.ndarray
     probe: np.ndarray
@@ -293,8 +294,9 @@ class SinrConstraint:
     """Downlink SINR floor for one user.
 
     |h^H w_m|^2 - gamma * sum_{j != m} |h^H w_j|^2 >= gamma * sigma^2,
-    normalized with an indefinite F (negative on the served user's block,
-    +gamma on the interfering blocks, all along the channel direction).
+    normalized with f = -gamma*sigma^2 and an indefinite F (-1 on the served
+    user's block, +gamma on the others, along the channel), whose block
+    weights ``ProblemInstance.families`` builds from the user and gamma.
     """
 
     user: int
@@ -322,13 +324,6 @@ class SinrConstraint:
     @property
     def f(self):
         return -self.gamma * self.noise_variance
-
-    @cached_property
-    def weights(self):
-        """F's weight on each user block: -1 on block m, gamma elsewhere."""
-        scale = np.full(self.M, self.gamma)
-        scale[self.user] = -1.0
-        return scale
 
     def restrict(self, support):
         return replace(self, h=self.h[list(support)], N=len(support))
@@ -386,10 +381,13 @@ class ProblemInstance:
 
     @cached_property
     def families(self):
-        """The constraints by kind as arrays, built once per instance."""
+        """The constraints by kind as arrays, built once per instance from the
+        objects' fields and f; the SINR block weights from user and gamma."""
         cs = self.constraints
         kinds = [family_of(c) for c in cs]
         beams, powers, sinrs = ([l for l, k in enumerate(kinds) if k == i] for i in range(3))
+        users = np.array([cs[l].user for l in sinrs], dtype=int)
+        gamma = np.array([cs[l].gamma for l in sinrs], dtype=float)
         return ConstraintFamilies(
             beam_rows(
                 beams, [cs[l].steering for l in beams], [cs[l].sign for l in beams],
@@ -403,9 +401,9 @@ class ProblemInstance:
             SinrRows(
                 np.array(sinrs, dtype=int),
                 np.array([np.conj(cs[l].h) for l in sinrs]).reshape(-1, self.N, 1),
-                (np.arange(len(sinrs)), np.array([cs[l].user for l in sinrs], dtype=int)),
-                np.array([cs[l].weights for l in sinrs]).reshape(-1, self.M),
-                np.array([cs[l].gamma for l in sinrs], dtype=float),
+                (np.arange(len(sinrs)), users),
+                np.where(users[:, np.newaxis] == np.arange(self.M), -1.0, gamma[:, np.newaxis]),
+                gamma,
                 np.array([cs[l].f for l in sinrs], dtype=float),
             ),
         )
@@ -457,9 +455,10 @@ class ProblemInstance:
     def max_violation(self, w):
         return float(self.violations(w).max(initial=0.0))
 
-    def worst_violations(self, w, count=5):
+    def worst_violations(self, w):
+        """The 5 worst (description, violation) pairs at w, largest first."""
         violations = self.violations(w)
-        order = np.argsort(-violations, kind="stable")[:count]
+        order = np.argsort(-violations, kind="stable")[:5]
         return [(self.constraints[l].describe(), float(violations[l])) for l in order]
 
     def restrict(self, support):

@@ -113,7 +113,8 @@ def _sinr_row(W, r):
     power = np.abs(z) ** 2
     pm = float(power[m])
     pI = float(power.sum() - power[m])
-    if A * (pm - gamma * pI) >= target:
+    reached = A * (pm - gamma * pI)
+    if reached >= target:
         return None
     if pm <= _DEGENERATE_FLOOR or A * pm <= EPS * (target + gamma * A * pI):
         # znew[m] = z[m]/(1 - nu) keeps the served block stationary; from
@@ -127,22 +128,16 @@ def _sinr_row(W, r):
         phase = z[m] / abs(z[m]) if abs(z[m]) > 0 else 1.0
         znew[m] = t * phase
     else:
-        # the secular function rises on [0, hi] from below zero; at hi the
-        # served term alone reaches 2*(target + gamma*A*pI), which exceeds the
-        # worst-case interference deficit, closing the bracket
+        # the secular function rises on [0, hi] from the pass-through deficit,
+        # below zero (or NaN), to at least target + gamma*A*pI > 0, as the
+        # served term alone reaches 2*(target + gamma*A*pI) at hi
         lo, hi = 0.0, 1.0 - math.sqrt(A * pm / (2.0 * (target + gamma * A * pI)))
         tol = SECULAR_TOL * max(1.0, abs(target))
-        f_lo = A * (pm / (1.0 - lo) ** 2 - gamma * pI / (1.0 + lo * gamma) ** 2) - target
-        if abs(f_lo) <= tol:
+        if abs(reached - target) <= tol:
             nu = lo
-        elif abs(f_hi := A * (pm / (1.0 - hi) ** 2 - gamma * pI / (1.0 + hi * gamma) ** 2)
+        elif abs(A * (pm / (1.0 - hi) ** 2 - gamma * pI / (1.0 + hi * gamma) ** 2)
                  - target) <= tol:
             nu = hi
-        elif f_lo * f_hi > 0:
-            raise ProjectionError(
-                f"secular bracket [{lo:g}, {hi:g}] does not change sign (sinr)",
-                {"f_lo": f_lo, "f_hi": f_hi},
-            )
         else:
             nu = 0.5 * (lo + hi)
             for _ in range(SECULAR_MAX_ITER):
@@ -153,10 +148,10 @@ def _sinr_row(W, r):
                 if hi - lo <= 4.0 * EPS * max(1.0, abs(hi)):
                     nu = 0.5 * (lo + hi)
                     break
-                d = A * (2.0 * pm / (1.0 - nu) ** 3
+                d = A * (2.0 * pm / (1.0 - nu) ** 3  # >= 2*A*pm > 0, as 0 < 1 - nu <= 1
                          + 2.0 * gamma**2 * pI / (1.0 + nu * gamma) ** 3)
-                step = nu - f / d if d != 0.0 else None
-                nu = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+                step = nu - f / d
+                nu = step if lo < step < hi else 0.5 * (lo + hi)
             else:
                 nu = 0.5 * (lo + hi)
                 if hi - lo > 1e-9 * max(1.0, abs(hi)):

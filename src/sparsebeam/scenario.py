@@ -27,9 +27,9 @@ def _data_path(name):
     return resources.files("sparsebeam").joinpath("data", name)
 
 
-def bundled_scenario_path(name="paper_sec4"):
-    """Filesystem path of a scenario shipped with the package."""
-    return str(_data_path(f"{name}.json"))
+def bundled_scenario_path():
+    """Filesystem path of paper_sec4.json, the scenario shipped with the package."""
+    return str(_data_path("paper_sec4.json"))
 
 
 @functools.cache

@@ -101,7 +101,6 @@ class BaselineResult:
     infeasibility; the search merely gave up on the rest.
     """
 
-    K: int
     trials: int
     tx_power_mean: float
     msrr_mean: float
@@ -143,7 +142,6 @@ def random_selection_baseline(problem, K, trials, seed, config):
         tx_powers.append(outcome[0])
         msrrs.append(outcome[1])
     return BaselineResult(
-        K=K,
         trials=trials,
         tx_power_mean=float(np.mean(tx_powers)) if tx_powers else float("nan"),
         msrr_mean=float(np.mean(msrrs)) if msrrs else float("nan"),

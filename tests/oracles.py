@@ -105,7 +105,9 @@ def f_action(c, w):
     if isinstance(c, BeamConstraint):
         out = np.outer(user_blocks(w, c.M, c.N) @ np.conj(c.steering), c.steering).reshape(-1)
         return out if c.sign > 0 else -out  # negated: -1.0 * z flips signed zeros
-    return np.outer(c.weights * (user_blocks(w, c.M, c.N) @ np.conj(c.h)), c.h).reshape(-1)
+    weights = np.full(c.M, float(c.gamma))
+    weights[c.user] = -1.0  # F's block weights: -1 on the served block, gamma elsewhere
+    return np.outer(weights * (user_blocks(w, c.M, c.N) @ np.conj(c.h)), c.h).reshape(-1)
 
 
 def row_error(l, constraint, err):
@@ -674,7 +676,6 @@ def baseline_loop(problem, K, trials, seed, refit, config):
         tx_powers.append(tx_power(stack.w))
         msrrs.append(msrr(stack.w, problem))
     return BaselineResult(
-        K=K,
         trials=trials,
         tx_power_mean=float(np.mean(tx_powers)) if tx_powers else float("nan"),
         msrr_mean=float(np.mean(msrrs)) if msrrs else float("nan"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sparsebeam
-from sparsebeam import ConfigurationError, bundled_scenario_path, load_scenario
+from sparsebeam import ConfigurationError, ProjectionError, bundled_scenario_path, load_scenario
 from sparsebeam.cli import cmd_sweep_k, cmd_sweep_m, main, scenario_with_users
 
 from test_scenario import NON_FINITE_FIELDS, non_finite_id, write_with_literal
@@ -94,6 +94,7 @@ class TestSolve:
         path = tmp_path / "infeasible.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert not (tmp_path / "run").exists()  # made only when a run writes
         first, *lines = capsys.readouterr().err.splitlines()
         assert first.startswith(f"error: infeasible: {verdict}")
         assert len(lines) == 5
@@ -221,6 +222,23 @@ class TestSweepM:
         assert rows[2][4] == "1" and rows[2][2] == "nan"
         powers = [float(r[2]) for r in rows if r[4] == "0"]
         assert powers == sorted(powers)
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep-k", "--k", "4", "--trials", "1"], ["sweep-m", "--m", "2"],
+])
+def test_failed_sweep_exits_one_and_leaves_no_directory(
+    fast_scenario_path, tmp_path, monkeypatch, capsys, command
+):
+    def failing_solve(*args, **kwargs):
+        raise ProjectionError("secular root did not converge (sinr)")
+
+    monkeypatch.setattr(sparsebeam.cli, "solve", failing_solve)
+    out = tmp_path / "sweep"
+    argv = [command[0], "--scenario", fast_scenario_path, "--out", str(out), *command[1:]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: secular root did not converge (sinr)\n"
+    assert not out.exists()
 
 
 class TestCsvCells:

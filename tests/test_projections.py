@@ -16,7 +16,7 @@ from sparsebeam import (
 )
 from sparsebeam.problem import beam_rows
 import sparsebeam.projections as projections_module
-from sparsebeam.projections import _beam_point
+from sparsebeam.projections import EPS, _beam_point
 
 from helpers import dense_constraint, project, quad_form, random_stack, slack
 import oracles
@@ -289,6 +289,52 @@ def sinr_cases(draw):
     return W.reshape(-1), h, gamma, sigma2, user, M, N
 
 
+@st.composite
+def extreme_sinr_cases(draw):
+    """A SINR floor and a point at extreme scales: ||h|| from 1e-100 to
+    1e100, sigma^2 from 1e-15 to 1e3, gamma from 1e-3 to 1e6, and the
+    interference A*pI (A = ||h||^2) from 1e-8 to 1e8 times the target
+    gamma*sigma^2, or none.  The served response A*pm is a factor from 1e-3
+    to 1e3 off the hard-case threshold EPS*(target + gamma*A*pI), within a
+    relative 1e-15 to 1e-1 of it, or from 1e-14 to 10 times the target."""
+    M, N = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    user = draw(st.integers(0, M - 1))
+    norm = 10.0 ** draw(st.floats(-100.0, 100.0))
+    sigma2, gamma = 10.0 ** draw(st.floats(-15.0, 3.0)), 10.0 ** draw(st.floats(-3.0, 6.0))
+    h = random_stack(rng, 1, N)
+    h *= norm / np.linalg.norm(h)
+    A, target = norm**2, gamma * sigma2
+    W = random_stack(rng, M, N).reshape(M, N)
+    z = W @ np.conj(h) / norm
+    others = np.arange(M) != user
+    interference = 0.0
+    if others.any() and draw(st.booleans()):
+        interference = target * 10.0 ** draw(st.floats(-8.0, 8.0))  # A*pI
+        W[others] *= np.sqrt(interference / (A * np.sum(np.abs(z[others]) ** 2)))
+    else:
+        W[others] = 0.0
+    threshold = EPS * (target + gamma * interference)
+    mode = draw(st.sampled_from(["factor", "near", "secular"]))
+    if mode == "factor":
+        served = threshold * 10.0 ** draw(st.floats(-3.0, 3.0))
+    elif mode == "near":
+        served = threshold * (1.0 + draw(st.sampled_from([-1.0, 1.0]))
+                              * 10.0 ** draw(st.floats(-15.0, -1.0)))
+    else:
+        served = target * 10.0 ** draw(st.floats(-14.0, 1.0))
+    W[user] *= np.sqrt(served / A) / abs(z[user])
+    return W, h, gamma, sigma2, user, M, N
+
+
+def kernel_outcome(kernel, W, row):
+    """What ``kernel`` returns at W, or the exception it raises."""
+    try:
+        return kernel(W, row)
+    except Exception as err:  # compared with the other kernel's, type and all
+        return err
+
+
 class TestSinrKernel:
     """The plain-float SINR kernel against the closure-based reference."""
 
@@ -329,6 +375,28 @@ class TestSinrKernel:
         if want is not None:
             assert got[0].tobytes() == want[0].tobytes()
             assert (type(got[1]), got[1], got[2]) == (type(want[1]), want[1], want[2])
+
+    @settings(max_examples=400, deadline=None)
+    @given(extreme_sinr_cases())
+    def test_extreme_scales_match_secular_root(self, case):
+        # on either side of the hard-case threshold and far into the secular
+        # branch, the kernel's loop returns the root-finder's bytes or raises
+        # its error, and the root-finder's bracket always changes sign
+        W, h, gamma, sigma2, user, M, N = case
+        c = SinrConstraint(user, h, gamma, sigma2, M, N)
+        row = ProblemInstance((c,), M, N).sweep_plan[0][1]
+        want = kernel_outcome(oracles.sinr_row_reference, W, row)
+        got = kernel_outcome(projections_module._sinr_row, W, row)
+        if isinstance(want, Exception):
+            assert "does not change sign" not in str(want)
+            assert type(got) is type(want) and str(got) == str(want)
+            assert repr(vars(got)) == repr(vars(want))  # a ProjectionError's diagnostics
+            return
+        assert not isinstance(got, Exception) and (got is None) == (want is None)
+        if want is not None:
+            assert got[0].tobytes() == want[0].tobytes()
+            assert [type(x) for x in got[1:]] == [type(x) for x in want[1:]]
+            assert np.float64(got[1:]).tobytes() == np.float64(want[1:]).tobytes()
 
     def test_tiny_served_coefficient_reaches_the_pole(self):
         # a served coefficient with |h^H w_m|^2 from 1e-16 down to 1e-40

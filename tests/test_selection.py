@@ -412,9 +412,9 @@ class TestEvidenceOnRead:
         """Every ``ProblemInstance.worst_violations`` call, as (problem, point)."""
         calls, original = [], ProblemInstance.worst_violations
 
-        def recording(self, w, count=5):
+        def recording(self, w):
             calls.append((self, np.array(w)))
-            return original(self, w, count)
+            return original(self, w)
 
         monkeypatch.setattr(ProblemInstance, "worst_violations", recording)
         return calls, original
