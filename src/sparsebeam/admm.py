@@ -1,6 +1,8 @@
 """Consensus ADMM engine: one auxiliary beamformer copy per constraint.
 
-Per iteration the consensus variable is the closed-form average
+The iteration starts at consensus: every copy at the feasibility search's
+hand-off point, within ``handoff_tol`` of every constraint, and the duals
+zero.  Per iteration the consensus variable is the closed-form average
 w = rho/(2 + rho*L) * sum_l (v_l + u_l); each auxiliary copy then shrinks
 w - u_l groupwise and projects onto its own constraint set, and the scaled
 duals absorb the disagreement.  The v-update shrinks all L copies in one
@@ -27,7 +29,8 @@ from .shrinkage import group_shrink
 
 _RESTORE_TOL = 1e-9  # restore_feasibility's target, well inside the 1e-6 gate
 _SQP_OPTIONS = {"ftol": 1e-12, "maxiter": 200}  # the one SLSQP run of minimum_power
-_START_TOL = 1e-8  # find_feasible_point's default: the ADMM start's worst violation
+_START_TOL = 1e-8  # find_feasible_point's default worst violation
+_HANDOFF_REL = 1e-3  # the hand-off stops stage 3 at this fraction of max_l |f_l|
 
 
 class WeakPenaltyWarning(UserWarning):
@@ -82,13 +85,15 @@ class IterationRecord:
 
 @dataclass(eq=False)
 class AdmmState:
-    """Consensus variable, auxiliary copies, scaled duals, and the history."""
+    """Consensus variable, auxiliary copies, scaled duals, the history, and
+    why the iteration stopped: "tolerances met" or "iteration budget"."""
 
     w: np.ndarray
     v: np.ndarray  # (L, M*N)
     u: np.ndarray  # (L, M*N)
     k: int = 0
     history: list = field(default_factory=list)
+    stop_reason: str = "iteration budget"
 
 
 def check_penalty_ratio(config, L):
@@ -285,30 +290,38 @@ def minimum_power(problem, w0):
     return restore_feasibility(problem, x[:n] + 1j * x[n:])
 
 
+def handoff_tol(problem):
+    """Where stage 3 of the feasibility search hands off: ``_HANDOFF_REL`` *
+    max_l |f_l|, never below ``_START_TOL``.  ``initialize`` starts ADMM from
+    the point it reaches, and ``refit`` starts its SQP run from it."""
+    f = problem.certificate_record.f
+    return max(_HANDOFF_REL * float(np.abs(f).max(initial=0.0)), _START_TOL)
+
+
 def find_feasible_point(problem, tol=_START_TOL):
     """A point within ``tol`` of every constraint, or a verdict that none exists.
 
     Stage 1 builds zero-forcing user beams with doubled SINR targets, stage 2
     lifts the mainlobe floor with a steering injection, stage 3 runs cyclic
-    projections until the worst violation is at most ``tol`` or a sweep
-    makes no progress: at the default 1e-8 it gives ADMM its consensus start,
-    and at ``refit``'s looser hand-off tolerance it tells near-feasible
-    subarrays from ones that stall.  Every stage-3 sweep that ends above
-    ``tol`` may prove that no feasible point exists: its multipliers go
-    through ``multiplier_certificate`` (see ``cyclic_projection``), and the
-    first that pass stop the search with a certified
-    ``InfeasibleProblemError`` at the point of that sweep.  Where stage 3
-    stops short of ``tol`` without one, the Kelley search of
-    ``certify_infeasible`` looks once (never found on a feasible problem),
-    and with a certificate the search stops as above.  Otherwise stage 4
-    runs ``minimum_power`` from that point, an SQP solve that needs no
-    feasible start; should its polish fall short too, the search gives up
-    with an uncertified error at the better point reached.  The error's
-    message carries the verdict and that point's max violation; its
+    projections until the worst violation is at most ``tol`` or a sweep makes
+    no progress.  At ``handoff_tol`` it gives ADMM its consensus start and,
+    before a refit's SQP run, tells near-feasible subarrays from ones that
+    stall; at the default 1e-8 it is the refit's fallback should that run
+    fail.  Every stage-3 sweep that ends above ``tol`` may prove that no
+    feasible point exists: its multipliers go through
+    ``multiplier_certificate`` (see ``cyclic_projection``), and the first that
+    pass stop the search with a certified ``InfeasibleProblemError`` at the
+    point of that sweep.  Where stage 3 stops short of ``tol`` without one,
+    the Kelley search of ``certify_infeasible`` looks once (never found on a
+    feasible problem), and with a certificate the search stops as above.
+    Otherwise stage 4 runs ``minimum_power`` from that point, an SQP solve
+    that needs no feasible start; should its polish fall short too, the search
+    gives up with an uncertified error at the better point reached.  The
+    error's message carries the verdict and that point's max violation; its
     ``worst_violations`` are computed from the problem and that point when
-    first read, so a caller that wants only the verdict pays nothing for
-    them.  No stage draws random numbers, and ``tol`` only decides when
-    stage 3 stops.
+    first read, so a caller that wants only the verdict pays nothing for them.
+    No stage draws random numbers, and ``tol`` only decides when stage 3
+    stops.
     """
     w = _zero_forcing_start(problem)
     w = _mainlobe_boost(problem, w)
@@ -333,8 +346,11 @@ def find_feasible_point(problem, tol=_START_TOL):
 
 
 def initialize(problem):
-    """Feasible consensus start: every v_l at the feasible point, duals zero."""
-    w0 = find_feasible_point(problem)
+    """Consensus start: every v_l at the feasibility search's hand-off point,
+    within ``handoff_tol`` of every constraint, and the duals zero.  ADMM
+    needs only a start near the feasible set: the refit runs its own search
+    on the selected subarray."""
+    w0 = find_feasible_point(problem, tol=handoff_tol(problem))
     v = np.tile(w0, (problem.L, 1))
     u = np.zeros((problem.L, problem.size), dtype=complex)
     return AdmmState(w=w0.copy(), v=v, u=u)
@@ -343,6 +359,7 @@ def initialize(problem):
 def solve(problem, config):
     """Run the consensus iteration for k_max rounds (or to the tolerances).
 
+    The state's ``stop_reason`` says which of the two ended it.
     Deterministic for a fixed problem and configuration.  Projection
     failures abort with the iteration and constraint in the message:
     silently skipping a constraint would corrupt the consensus.
@@ -379,5 +396,6 @@ def solve(problem, config):
             and primal <= config.primal_tol
             and dual <= config.dual_tol
         ):
+            state.stop_reason = "tolerances met"
             break
     return state

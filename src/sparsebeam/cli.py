@@ -127,6 +127,7 @@ def cmd_solve(scenario, out_dir):
         },
         "solver": {
             "iterations": state.k,
+            "stop_reason": state.stop_reason,
             "final_objective": last.objective,
             "final_primal_residual": last.primal_residual,
             "final_dual_residual": last.dual_residual,

@@ -3,26 +3,24 @@
 ``select_support`` keeps the K strongest antenna groups; ``refit`` solves the
 small QCQP min ||w||^2 s.t. w^H F_l w <= f_l on that subarray with one
 ``admm.minimum_power`` (SLSQP) run.  Stage 3 of the feasibility search, the
-cyclic projections, has two roles: run to 1e-8 it gives ADMM its consensus
-start; stopped at a loose hand-off tolerance it is the refit's feasibility
-test, since feasible subarrays become near-feasible within a few sweeps and
-infeasible ones stall.  Stage 3 tries the multipliers of each sweep's moves
-as a certificate, and on an infeasible subarray they usually prove it
-infeasible a few sweeps in, long before the sweeps stall (all K=4 and most
-K=6 paper subarrays), so most refits of the random baseline end there, with
-a certificate and no linear program.
+cyclic projections, stops at ``admm.handoff_tol``: on the full array that
+point is ADMM's consensus start, and on a subarray it is the refit's
+feasibility test, since feasible subarrays become near-feasible within a few
+sweeps and infeasible ones stall.  Stage 3 tries the multipliers of each
+sweep's moves as a certificate, and on an infeasible subarray they usually
+prove it infeasible a few sweeps in, long before the sweeps stall (all K=4 and
+most K=6 paper subarrays), so most refits of the random baseline end there,
+with a certificate and no linear program.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import _START_TOL, find_feasible_point, minimum_power
+from .admm import _START_TOL, find_feasible_point, handoff_tol, minimum_power
 from .errors import ConfigurationError, InfeasibleProblemError
 from .metrics import msrr, tx_power
 from .problem import BeamformerStack, group_norms, normalize_support
-
-_HANDOFF_REL = 1e-3  # refit's stage 3 stops at this fraction of max_l |f_l|
 
 
 def rank_groups(w, M, N):
@@ -45,18 +43,11 @@ def embed_support(w_reduced, support, M, N):
     return w_full.reshape(M * N)
 
 
-def _handoff_tol(problem):
-    """Where a refit's stage 3 hands off: ``_HANDOFF_REL`` * max_l |f_l|,
-    never below the ADMM start's 1e-8."""
-    f = problem.certificate_record.f
-    return max(_HANDOFF_REL * float(np.abs(f).max(initial=0.0)), _START_TOL)
-
-
 def refit(problem, support, config):
     """Minimum-power design on the selected subarray, sparsity weight removed.
 
     The feasibility search runs only until the subarray is near-feasible:
-    stage 3 hands off once the worst violation is at most ``_handoff_tol``,
+    stage 3 hands off once the worst violation is at most ``handoff_tol``,
     and one ``minimum_power`` run starts from that point, as SLSQP needs no
     feasible start; where stage 3 stops above the hand-off, the certificate
     and stage 4 of ``find_feasible_point`` come first and the SQP run starts
@@ -75,7 +66,7 @@ def refit(problem, support, config):
     support = normalize_support(support)
     try:
         reduced = problem.restrict(support)
-        start = find_feasible_point(reduced, tol=_handoff_tol(reduced))
+        start = find_feasible_point(reduced, tol=handoff_tol(reduced))
         w_red, _, ok = minimum_power(reduced, start)
         if not ok:
             w_red = find_feasible_point(reduced)

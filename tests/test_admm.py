@@ -33,9 +33,9 @@ from sparsebeam import (
 )
 import sparsebeam.admm as admm_module
 import sparsebeam.projections as projections_module
+from sparsebeam.admm import handoff_tol
 from sparsebeam.certificate import certify_infeasible, multiplier_certificate
 from sparsebeam.problem import BeamConstraint, ReducedConstraints
-from sparsebeam.selection import _handoff_tol
 
 from helpers import (
     assert_same_data,
@@ -412,12 +412,13 @@ class TestBatchedUpdateV:
         update_v(problem, w, u, eta=0.1, rho=50.0)
         assert counts == {"project": paper_problem.M, "group_shrink": 1}
 
-    def test_no_beam_or_power_row_moves_on_the_reference_iterates(
+    def test_beam_power_and_sinr_rows_moved_on_the_reference_iterates(
         self, paper_problem, paper_scenario, monkeypatch
     ):
-        # from the feasible start every beam and antenna-power copy meets its
-        # constraint in all 100 iterations, so update_v runs neither kernel;
-        # the feasibility search before them sweeps with both, uncounted
+        # from the hand-off start, within 1e-2 of every constraint, the 100
+        # iterations project 18 beam copies and no antenna-power copy, and
+        # every SINR copy goes to its kernel; the feasibility search before
+        # them sweeps with all three, uncounted
         counts = {"_beam_row": 0, "_power_row": 0, "_sinr_row": 0}
         in_update_v = [False]
         for name in counts:
@@ -441,7 +442,7 @@ class TestBatchedUpdateV:
         problem = toy_problem(paper_problem.constraints, paper_problem.M, paper_problem.N)
         assert solve(problem, paper_scenario.admm).k == 100
         assert counts.pop("_sinr_row") == 100 * problem.M  # the counting is live
-        assert counts == {"_beam_row": 0, "_power_row": 0}
+        assert counts == {"_beam_row": 18, "_power_row": 0}
 
 
 def assert_sweep_matches_loop(problem):
@@ -1171,7 +1172,7 @@ class TestCertificate:
         # the first such sweep
         for support in itertools.combinations(range(paper_problem.N), K):
             problem = paper_problem.restrict(support)
-            record, tol = problem.certificate_record, _handoff_tol(problem)
+            record, tol = problem.certificate_record, handoff_tol(problem)
             f = record.f.tolist()
             w, previous, first = stage_3_start(problem), np.inf, None
             for n in range(1, 501):
@@ -1353,7 +1354,7 @@ class TestRefitHandOff:
         # a hand-off point within 1e-8 is the start itself, which the refit
         # returns should the SQP design cost more; from a looser hand-off
         # point SLSQP may settle in another local minimum, dearer or cheaper
-        handoff = find_feasible_point(problem, tol=_handoff_tol(problem))
+        handoff = find_feasible_point(problem, tol=handoff_tol(problem))
         if problem.max_violation(handoff) <= 1e-8:
             assert np.array_equal(handoff, start)
             assert tx_power(stack.w) <= tx_power(start)
@@ -1397,7 +1398,10 @@ class TestSolve:
         cfg = replace(paper_scenario.admm, k_max=0)
         state = solve(paper_problem, cfg)
         assert state.k == 0 and state.history == []
-        assert paper_problem.max_violation(state.w) <= 1e-6
+        # the start is the feasibility search's hand-off point, bit for bit
+        tol = handoff_tol(paper_problem)
+        assert np.array_equal(state.w, find_feasible_point(paper_problem, tol=tol))
+        assert paper_problem.max_violation(state.w) <= tol
 
     def test_inactive_constraint_gives_geometric_decay(self):
         # one never-active power cap: v = c every iteration, duals vanish,
@@ -1449,7 +1453,7 @@ class TestSolve:
         # each iteration projects beam rows 0-5; from w0 itself no beam row moves
         w0 = find_feasible_point(paper_problem)
         monkeypatch.setattr(
-            admm_module, "find_feasible_point", lambda problem: 0.5 * w0
+            admm_module, "find_feasible_point", lambda problem, tol=None: 0.5 * w0
         )
         calls = {"n": 0}
         original = projections_module._beam_row

@@ -105,6 +105,22 @@ class TestSolve:
         assert violations == sorted(violations, reverse=True) and violations[0] > 0
         assert first.endswith(f"max violation {matches[0].group(2)}")
 
+    @pytest.mark.parametrize("tolerances, iterations, reason", [
+        ({}, 100, "iteration budget"),  # the paper's dual residual is 0.12 at k_max=100
+        ({"primal_tol": 1e3, "dual_tol": 1e3}, 1, "tolerances met"),
+    ], ids=["budget", "tolerances"])
+    def test_report_says_why_admm_stopped(self, tmp_path, tolerances, iterations, reason):
+        with open(bundled_scenario_path(), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["admm"].update(tolerances)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 0
+        solver = json.loads((out / "report.json").read_text(encoding="utf-8"))["solver"]
+        assert solver["iterations"] == iterations
+        assert solver["stop_reason"] == reason
+
     def test_zero_iterations_history_header_only(self, tmp_path):
         with open(bundled_scenario_path(), "r", encoding="utf-8") as fh:
             data = json.load(fh)

@@ -1,6 +1,6 @@
 import itertools
 import pickle
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from sparsebeam import (
     ProblemInstance,
     SinrConstraint,
     StopbandConstraint,
+    assemble,
     feasibility_report,
     find_feasible_point,
     group_norms,
@@ -29,8 +30,9 @@ from sparsebeam import (
     solve,
     tx_power,
 )
-from sparsebeam.admm import _SQP_OPTIONS
-from sparsebeam.selection import _handoff_tol, embed_support
+from sparsebeam.admm import _SQP_OPTIONS, handoff_tol
+from sparsebeam.cli import scenario_with_users
+from sparsebeam.selection import embed_support
 
 from helpers import certificate_holds, dense_constraint, random_stack
 from oracles import baseline_loop, refit_admm_reference, refit_from_start
@@ -133,6 +135,46 @@ class TestSelectSupport:
             select_support(w, 3, 2, 2)
 
 
+class TestProposedSupport:
+    """The supports that ``solve`` then ``select_support`` propose, pinned: a
+    change to the ADMM start or loop must keep them."""
+
+    def test_paper_scenario_every_k(self, paper_problem, paper_scenario):
+        w = solve(paper_problem, paper_scenario.admm).w
+        supports = {
+            K: select_support(w, K, paper_problem.M, paper_problem.N) for K in range(4, 11)
+        }
+        assert supports == {
+            4: (0, 3, 6, 9),
+            5: (0, 3, 5, 6, 9),
+            6: (0, 3, 5, 6, 8, 9),
+            7: (0, 2, 3, 5, 6, 8, 9),
+            8: PAPER_K8,
+            9: (0, 1, 2, 3, 4, 5, 6, 8, 9),
+            10: tuple(range(10)),
+        }
+
+    @pytest.mark.parametrize("channel, seed, M, want", [  # LoS M=2 is the paper scenario
+        ("los", None, 1, (0, 1, 2, 3, 4, 5, 6, 9)),
+        ("los", None, 3, (2, 3, 4, 5, 6, 7, 8, 9)),
+        ("los", None, 4, (1, 2, 3, 4, 5, 6, 7, 8)),
+        ("rayleigh", 1, 1, (0, 1, 3, 4, 6, 7, 8, 9)),
+        ("rayleigh", 1, 2, (1, 3, 4, 5, 6, 7, 8, 9)),
+        ("rayleigh", 2, 1, (0, 1, 2, 3, 4, 6, 7, 9)),
+        ("rayleigh", 2, 2, (1, 2, 3, 4, 5, 6, 8, 9)),
+        ("rayleigh", 3, 1, (0, 2, 3, 4, 5, 6, 7, 8)),
+        ("rayleigh", 3, 2, (0, 1, 2, 3, 4, 5, 6, 8)),
+    ], ids=lambda value: "".join(map(str, value)) if isinstance(value, tuple) else str(value))
+    def test_user_counts_and_channels(self, paper_scenario, channel, seed, M, want):
+        scenario = paper_scenario
+        if channel == "rayleigh":
+            scenario = replace(scenario, channel_model="rayleigh", seed=seed)
+        scenario = scenario_with_users(scenario, M)
+        problem = assemble(scenario)
+        w = solve(problem, scenario.admm).w
+        assert select_support(w, scenario.num_selected, problem.M, problem.N) == want
+
+
 class TestRefit:
     @pytest.mark.parametrize("support", [tuple(range(10)), PAPER_K8], ids=["full", "paper"])
     def test_refit_is_one_sqp_run_from_the_hand_off_point(
@@ -149,8 +191,8 @@ class TestRefit:
             A = reduced.f_actions(complex_w(x))
             return -2.0 * np.hstack([A.real, A.imag])
 
-        start = find_feasible_point(reduced, tol=_handoff_tol(reduced))
-        assert 1e-8 < reduced.max_violation(start) <= _handoff_tol(reduced)
+        start = find_feasible_point(reduced, tol=handoff_tol(reduced))
+        assert 1e-8 < reduced.max_violation(start) <= handoff_tol(reduced)
         result = minimize(
             lambda x: (x @ x, 2.0 * x), np.concatenate([start.real, start.imag]),
             jac=True, method="SLSQP", options=_SQP_OPTIONS,
@@ -201,7 +243,7 @@ class TestRefit:
         far = 10.0 * np.concatenate([start.real, start.imag])
         assert reduced.max_violation(10.0 * start) > 1.0
         # the hand-off point is not the start: the fallback searches on to 1e-8
-        handoff = find_feasible_point(reduced, tol=_handoff_tol(reduced))
+        handoff = find_feasible_point(reduced, tol=handoff_tol(reduced))
         assert not np.array_equal(handoff, start)
 
         def not_converged(fun, x0, **kwargs):
