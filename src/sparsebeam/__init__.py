@@ -19,7 +19,6 @@ from .admm import (
     cyclic_projection,
     find_feasible_point,
     initialize,
-    restore_feasibility,
     solve,
     update_u,
     update_v,

@@ -27,7 +27,7 @@ from .problem import beam_slacks, objective, sq_norms
 from .projections import move
 from .shrinkage import group_shrink
 
-_RESTORE_TOL = 1e-9  # restore_feasibility's target, well inside the 1e-6 gate
+_POLISH_TOL = 1e-9  # minimum_power's polish target, well inside the 1e-6 gate
 _SQP_OPTIONS = {"ftol": 1e-12, "maxiter": 200}  # the one SLSQP run of minimum_power
 _START_TOL = 1e-8  # find_feasible_point's default worst violation
 _HANDOFF_REL = 1e-3  # the hand-off stops stage 3 at this fraction of max_l |f_l|
@@ -257,23 +257,13 @@ def _mainlobe_boost(problem, w):
     return w
 
 
-def restore_feasibility(problem, w):
-    """Up to 300 sweeps of cyclic projections to within ``_RESTORE_TOL``,
-    with no stop for a sweep without progress: (w, max_violation, converged)."""
-    for _ in range(300):
-        w, violation, converged = cyclic_projection(problem, w, max_sweeps=1, tol=_RESTORE_TOL)[:3]
-        if converged:
-            break
-    return w, violation, converged
-
-
 def minimum_power(problem, w0):
     """min ||w||^2 s.t. w^H F_l w <= f_l by one SLSQP run from w0, feasible or not.
 
     Runs over x = [Re w, Im w] with gradient 2x and constraint Jacobian
     -2[Re F_l w, Im F_l w] from ``problem.f_actions``, then polishes the
-    result with ``restore_feasibility``, whose (w, max_violation, converged)
-    it returns.
+    result with ``cyclic_projection`` to within ``_POLISH_TOL``, stopped as
+    stage 3 is, and returns its (w, max_violation, converged).
     """
     n = problem.size
 
@@ -287,7 +277,7 @@ def minimum_power(problem, w0):
         constraints={"type": "ineq", "jac": slacks_jac,
                      "fun": lambda x: problem.slacks(x[:n] + 1j * x[n:])},
     ).x
-    return restore_feasibility(problem, x[:n] + 1j * x[n:])
+    return cyclic_projection(problem, x[:n] + 1j * x[n:], tol=_POLISH_TOL)[:3]
 
 
 def handoff_tol(problem):

@@ -56,7 +56,7 @@ _LP_OPTIONS = {"output_flag": False, "presolve": "off", "threads": 1, "simplex_s
 class Certificate:
     """Multipliers proving that a constraint family has no feasible point.
 
-    ``multipliers`` are aligned with ``problem.constraints`` and scaled so
+    ``multipliers`` are aligned with the problem's rows and scaled so
     that ``combined_f`` = sum_l lambda_l f_l is -1; ``combined_rounding``
     bounds its floating-point error by L * eps * sum_l lambda_l |f_l|.
     ``min_eigenvalue`` is the computed lambda_min of S = sum_l lambda_l F_l

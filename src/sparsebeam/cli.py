@@ -104,7 +104,7 @@ def cmd_solve(scenario, out_dir):
     state = solve(problem, scenario.admm)
     support = select_support(state.w, scenario.num_selected, problem.M, problem.N)
     stack = refit(problem, support, scenario.admm)
-    report = design_report(stack.w, problem, support=support)
+    report = design_report(stack.w, problem)
     last = state.history[-1] if state.history else IterationRecord(0, None, None, None)
     digest = scenario_sha256(scenario)  # one hash for the report and both CSVs
     payload = {
@@ -274,7 +274,7 @@ def cmd_sweep_m(scenario, m_list, out_dir):
 def cmd_check_config(scenario):
     problem = assemble(scenario)
     counts = ", ".join(
-        f"{kind}={len(problem.constraints_of_kind(kind))}" for kind in CONSTRAINT_KINDS
+        f"{kind}={sum(k == kind for k, _ in problem.row_names)}" for kind in CONSTRAINT_KINDS
     )
     print(
         f"check-config: N={problem.N} M={problem.M} K={scenario.num_selected} "

@@ -72,9 +72,8 @@ def antenna_power(w, M, N):
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityReport:
-    """Signed slack per constraint plus per-kind worst violations."""
+    """Violation per constraint plus per-kind worst violations."""
 
-    slacks: np.ndarray
     violations: np.ndarray
     max_violation_by_kind: dict
     passed: bool
@@ -82,7 +81,6 @@ class FeasibilityReport:
 
 def feasibility_report(w, problem, tol=1e-6):
     """Evaluate every constraint; a design passes when no violation exceeds tol."""
-    slacks = problem.slacks(w)
     violations = problem.violations(w)
     beams, powers, sinrs = problem.families
     passband = beams.sign.ravel() < 0
@@ -91,7 +89,6 @@ def feasibility_report(w, problem, tol=1e-6):
         kind: float(violations[r].max()) for kind, r in zip(CONSTRAINT_KINDS, rows) if r.size
     }
     return FeasibilityReport(
-        slacks=slacks,
         violations=violations,
         max_violation_by_kind=by_kind,
         passed=bool(violations.max(initial=0.0) <= tol),
@@ -111,16 +108,14 @@ class DesignReport:
     feasible: bool
     pattern_angles_deg: np.ndarray
     pattern_response: np.ndarray
-    support: tuple = None
 
 
-def design_report(w, problem, support=None):
+def design_report(w, problem):
     """Metrics of a stack on the full problem, feasible within 1e-6, pattern in
     0.5 deg steps; SINRs are signal / (interference + noise variance) per row."""
     w = np.asarray(w, dtype=complex)
     sinrs = problem.families.sinrs
     signal, interference = sinr_powers(user_blocks(w, problem.M, problem.N), sinrs)
-    noise = np.array([problem.constraints[l].noise_variance for l in sinrs.rows.tolist()])
     feas = feasibility_report(w, problem)
     ratio = msrr(w, problem)
     angles, pattern = beampattern(w, problem)
@@ -128,11 +123,10 @@ def design_report(w, problem, support=None):
         tx_power_w=tx_power(w),
         msrr=ratio,
         msrr_db=linear_to_db(ratio) if np.isfinite(ratio) and ratio > 0 else float("nan"),
-        sinr=signal / (interference + noise),
+        sinr=signal / (interference + sinrs.noise),
         antenna_power_w=antenna_power(w, problem.M, problem.N),
         max_violation_by_kind=feas.max_violation_by_kind,
         feasible=feas.passed,
         pattern_angles_deg=angles,
         pattern_response=pattern,
-        support=tuple(support) if support is not None else None,
     )

@@ -4,35 +4,35 @@ The per-user weight vectors w_1..w_M are stacked into one complex vector of
 length M*N.  Block m (one user's weights) occupies entries [m*N, (m+1)*N);
 antenna group n gathers entries {n, n+N, ..., n+(M-1)*N}.
 
-A problem holds its constraints, the sizes M and N, the antenna support of a
-subarray and the scenario it was assembled from, and nothing else: the angle
-grids are the beam rows' angles, each user's channel, SINR target and noise
-are its SINR row, and every other quantity is derived from one record.  For
-a problem built from constraint objects (``assemble``, or by hand) that
-record is its constraints; for a subarray (``ProblemInstance.restrict``) it
-is its ``families`` alone, sliced from the parent's arrays, and its
-constraint objects are derived from the parent's, one row at a time and only
-where a message or a caller asks for one.
+A problem has one record of what it requires, ``ProblemInstance.families``,
+beside the sizes M and N, the antenna support of a subarray and the scenario
+it was assembled from: the angle grids are the beam rows' angles, each
+user's channel, SINR target and noise are its SINR row, and every other
+quantity, each row's name included, is derived from that record.  A problem
+built from constraint objects (``assemble``, or by hand) builds its
+``families`` from them once, and no other code reads an object; a subarray
+(``ProblemInstance.restrict``) holds no objects at all, only its
+``families``, sliced from the parent's arrays.
 
 Every constraint is held in the normalized sense  w^H F w <= f.  F is never
 materialized: it is block-diagonal over users, with block m equal to
 C[m] g g^H for one nonzero generator g (a steering vector, the selector e_n
 of one antenna, or a channel).  A constraint object is data: its fields,
-their validation, f, and its restriction to a subarray.
+their validation and f.
 
 The family has four kinds: beam floors and ceilings, antenna powers and SINR
 floors.  ``ProblemInstance.families`` holds them as per-kind arrays, routed
 by ``isinstance`` (a subclass joins its kind; any other class is a
-``ConfigurationError``), and every evaluation reads them: the slacks, the
-F_l w products, the SINRs of a design, the v-update's screens, the feasible
-start, the MSRR and ``sweep_plan``: the one-point kernels that
+``ConfigurationError``), and every evaluation reads them: the row names, the
+slacks, the F_l w products, the SINRs of a design, the v-update's screens,
+the feasible start, the MSRR and ``sweep_plan``: the one-point kernels that
 ``projections.move`` runs for the projection sweep and the v-update, with
 each row's data.  The infeasibility certificate reads them through
 ``certificate_record``, its per-row data built from them once per problem.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -125,8 +125,8 @@ class PowerRows(NamedTuple):
 class SinrRows(NamedTuple):
     """SINR constraints as arrays: rows l (s,); conj(h) as (s, N, 1) columns;
     the (row, user) index of each served user; F's weights on the user blocks
-    (s, M), -1 served and gamma elsewhere, which no constraint holds; gamma and
-    f (s,)."""
+    (s, M), -1 served and gamma elsewhere, which no constraint holds; gamma,
+    f and the noise variance sigma^2 (s,)."""
 
     rows: np.ndarray
     probe: np.ndarray
@@ -134,6 +134,7 @@ class SinrRows(NamedTuple):
     weights: np.ndarray
     gamma: np.ndarray
     f: np.ndarray
+    noise: np.ndarray
 
     def each(self):
         """Every row as one SINR kernel reads it, in one pass over the fields:
@@ -227,12 +228,6 @@ class BeamConstraint:
     def f(self):
         return self.sign * self.threshold
 
-    def restrict(self, support):
-        return replace(self, steering=self.steering[list(support)], N=len(support))
-
-    def describe(self):
-        return f"{self.kind}(theta={self.angle_deg:g} deg)"
-
 
 class PassbandConstraint(BeamConstraint):
     """Mainlobe floor at one angle: sum_m |a^H w_m|^2 >= threshold.
@@ -282,12 +277,6 @@ class AntennaPowerConstraint:
     def f(self):
         return self.limit
 
-    def restrict(self, support):
-        return replace(self, antenna=list(support).index(self.antenna), N=len(support))
-
-    def describe(self):
-        return f"antenna_power(n={self.antenna})"
-
 
 @dataclass(frozen=True, eq=False)
 class SinrConstraint:
@@ -325,18 +314,18 @@ class SinrConstraint:
     def f(self):
         return -self.gamma * self.noise_variance
 
-    def restrict(self, support):
-        return replace(self, h=self.h[list(support)], N=len(support))
 
-    def describe(self):
-        return f"sinr(m={self.user})"
-
-
-def family_of(constraint):
-    """The position in ``ConstraintFamilies`` of the constraint's kind (0 beams,
-    1 antenna powers, 2 SINRs); any other class is a ``ConfigurationError``."""
+def family_of(l, constraint, M, N):
+    """The position in ``ConstraintFamilies`` of row l's kind (0 beams, 1
+    antenna powers, 2 SINRs); any other class, or an object sized for other
+    M or N than its problem's, is a ``ConfigurationError``."""
     for i, cls in enumerate((BeamConstraint, AntennaPowerConstraint, SinrConstraint)):
         if isinstance(constraint, cls):
+            if (constraint.M, constraint.N) != (M, N):
+                raise ConfigurationError(
+                    f"constraint l={l} ({constraint.kind}) is sized M={constraint.M}, "
+                    f"N={constraint.N}, but its problem has M={M}, N={N}"
+                )
             return i
     raise ConfigurationError(
         f"unsupported constraint class {type(constraint).__name__}: a constraint "
@@ -346,20 +335,19 @@ def family_of(constraint):
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """One QCQP: its constraints, M users, N antennas, the antenna ``support``
-    of a subarray (None for the full array) and the ``scenario`` it was
-    assembled from (None for a hand-built problem; no solver reads it).
+    """One QCQP: its ``constraints``, M users, N antennas, the antenna
+    ``support`` of a subarray (None for the full array) and the ``scenario``
+    it was assembled from (None for a hand-built problem; no solver reads it).
 
-    The record of what the problem requires is primary in one place and
-    derived everywhere else.  Built from constraint objects, the problem's
-    ``constraints`` (a tuple) are primary, and ``families`` is derived from
-    them.  A subarray from ``restrict`` is primary in its ``families`` alone,
-    sliced from its parent's, and its ``constraints`` are a
-    ``ReducedConstraints``, which derives each object from the parent's on
-    first use.  On every problem ``certificate_record`` and ``sweep_plan``
-    are derived from ``families``.  Constraint order is fixed (passband
-    grid, stopband grid, antenna powers, SINRs) so that run logs and dual
-    variables are reproducible.
+    ``families`` is the problem's one record of what it requires, and
+    everything else is derived from it: L, the row names, the
+    ``certificate_record`` and the ``sweep_plan``.  Built from constraint
+    objects, a problem reads them once, into its ``families``, and nothing
+    else reads them.  A subarray from ``restrict`` has no objects
+    (``constraints`` is None), only its ``families``, sliced from its
+    parent's.  Constraint order is fixed (passband grid, stopband grid,
+    antenna powers, SINRs) so that run logs and dual variables are
+    reproducible.
     """
 
     constraints: Sequence
@@ -368,23 +356,21 @@ class ProblemInstance:
     support: tuple = None
     scenario: object = None
 
-    @property
+    @cached_property
     def L(self):
-        return len(self.constraints)
+        return sum(len(family.rows) for family in self.families)
 
     @property
     def size(self):
         return self.M * self.N
 
-    def constraints_of_kind(self, kind):
-        return [c for c in self.constraints if c.kind == kind]
-
     @cached_property
     def families(self):
         """The constraints by kind as arrays, built once per instance from the
-        objects' fields and f; the SINR block weights from user and gamma."""
+        objects' fields and f, the one place that reads them; the SINR block
+        weights from user and gamma."""
         cs = self.constraints
-        kinds = [family_of(c) for c in cs]
+        kinds = [family_of(l, c, self.M, self.N) for l, c in enumerate(cs)]
         beams, powers, sinrs = ([l for l, k in enumerate(kinds) if k == i] for i in range(3))
         users = np.array([cs[l].user for l in sinrs], dtype=int)
         gamma = np.array([cs[l].gamma for l in sinrs], dtype=float)
@@ -405,8 +391,26 @@ class ProblemInstance:
                 np.where(users[:, np.newaxis] == np.arange(self.M), -1.0, gamma[:, np.newaxis]),
                 gamma,
                 np.array([cs[l].f for l in sinrs], dtype=float),
+                np.array([cs[l].noise_variance for l in sinrs], dtype=float),
             ),
         )
+
+    @cached_property
+    def row_names(self):
+        """(kind, description) of every row in order, read in one pass over
+        ``families``: ``passband(theta=-5 deg)``, ``antenna_power(n=3)``
+        (this problem's own antenna index), ``sinr(m=1)``."""
+        beams, powers, sinrs = self.families
+        names = [None] * self.L
+        for l, sign, angle in zip(beams.rows.tolist(), beams.sign.ravel().tolist(),
+                                  beams.angle.tolist()):
+            kind = "passband" if sign < 0 else "stopband"
+            names[l] = (kind, f"{kind}(theta={angle:g} deg)")
+        for l, n in zip(powers.rows.tolist(), powers.antenna.tolist()):
+            names[l] = ("antenna_power", f"antenna_power(n={n})")
+        for l, m in zip(sinrs.rows.tolist(), sinrs.served[1].tolist()):
+            names[l] = ("sinr", f"sinr(m={m})")
+        return tuple(names)
 
     @cached_property
     def certificate_record(self):
@@ -459,7 +463,7 @@ class ProblemInstance:
         """The 5 worst (description, violation) pairs at w, largest first."""
         violations = self.violations(w)
         order = np.argsort(-violations, kind="stable")[:5]
-        return [(self.constraints[l].describe(), float(violations[l])) for l in order]
+        return [(self.row_names[l][1], float(violations[l])) for l in order]
 
     def restrict(self, support):
         """The same problem on the antenna subset ``support``, sorted indices
@@ -467,9 +471,10 @@ class ProblemInstance:
         its ``support`` holds, indices into its parent's support.  A row whose
         generator the support zeroes reads 0 <= f_l, so it is dropped when
         f_l > 0, and a floor (f_l < 0), violated by -f_l at every point,
-        raises a certified ``InfeasibleProblemError``.  The subarray's
-        ``families`` are this problem's, sliced on the kept rows and the
-        support's antennas; everything else it derives from them."""
+        raises a certified ``InfeasibleProblemError``.  The subarray holds no
+        constraint objects: its ``families`` are this problem's, sliced on
+        the kept rows and the support's antennas, and everything else it
+        derives from them."""
         support = normalize_support(support)
         if not support:
             raise ConfigurationError("empty antenna support")
@@ -481,38 +486,16 @@ class ProblemInstance:
         kept = record.G[:, cols].any(axis=1)
         floors = np.flatnonzero(~kept & (record.f < 0.0)).tolist()
         if floors:
-            described = [self.constraints[l].describe() for l in floors]
+            names = [self.row_names[l][1] for l in floors]
             raise InfeasibleProblemError(
-                f"certified infeasible (support {support} zeroes {described[0]})",
-                [(d, float(-record.f[l])) for d, l in zip(described, floors)],
+                f"certified infeasible (support {support} zeroes {names[0]})",
+                [(name, float(-record.f[l])) for name, l in zip(names, floors)],
                 zeroed_floor_certificate(self, floors[0]),
             )
-        reduced = ProblemInstance(
-            ReducedConstraints(self.constraints, np.flatnonzero(kept).tolist(), support),
-            self.M, len(support), support, self.scenario,
-        )
-        # the sliced arrays are the subarray's record: fill its cached families
+        reduced = ProblemInstance(None, self.M, len(support), support, self.scenario)
+        # the sliced arrays are the subarray's one record: fill its cached families
         vars(reduced)["families"] = restrict_families(self.families, kept, cols)
         return reduced
-
-
-class ReducedConstraints(Sequence):
-    """The constraint objects of a subarray, each made from its parent's on
-    first use and then kept: row l is the parent's row ``kept[l]``
-    restricted to ``support``."""
-
-    def __init__(self, parent, kept, support):
-        self._parent, self._kept, self._support = parent, kept, support
-        self._made = {}
-
-    def __len__(self):
-        return len(self._kept)
-
-    def __getitem__(self, l):
-        l = range(len(self))[l]  # an IndexError past the end stops iteration
-        if l not in self._made:
-            self._made[l] = self._parent[self._kept[l]].restrict(self._support)
-        return self._made[l]
 
 
 def restrict_families(families, kept, cols):
@@ -533,7 +516,7 @@ def restrict_families(families, kept, cols):
             row[sinrs.rows[s]],
             np.ascontiguousarray(sinrs.probe[s][:, cols]),
             (np.arange(np.count_nonzero(s)), sinrs.served[1][s]),
-            sinrs.weights[s], sinrs.gamma[s], sinrs.f[s],
+            sinrs.weights[s], sinrs.gamma[s], sinrs.f[s], sinrs.noise[s],
         ),
     )
 

@@ -10,8 +10,9 @@ a pass-through test, then the closed form on floats and row vectors
 Newton loop on floats.  ``sweep_plan`` slices their row data once per
 problem from ``families``, as (kernel, row) pairs; the kernels read nothing
 else.  ``move`` is one row's step: its kernel behind the KKT guard, any
-failure raised as a ``ProjectionError`` naming the row.  The projection
-sweep and the ADMM v-update both move their points with it.  Where F is
+failure raised as a ``ProjectionError`` naming the row as
+``ProblemInstance.row_names`` does.  The projection sweep and the ADMM
+v-update both move their points with it.  Where F is
 negative semidefinite (mainlobe floors) or indefinite (SINR floors) the set
 is nonconvex: a saturated multiplier with an injected critical-direction
 component handles the degenerate inputs, as in the trust-region "hard
@@ -200,9 +201,9 @@ def move(problem, l, W):
                     {"multiplier": moved[1], "residual": residual},
                 )
     except ProjectionError as err:
-        constraint = problem.constraints[l]
+        kind, name = problem.row_names[l]
         raise ProjectionError(
-            f"constraint l={l} ({constraint.describe()}): {err}",
-            dict(err.diagnostics, constraint_index=l, kind=constraint.kind),
+            f"constraint l={l} ({name}): {err}",
+            dict(err.diagnostics, constraint_index=l, kind=kind),
         ) from err
     return moved

@@ -1,7 +1,13 @@
 """Shared test oracles: dense constraint matrices built from the selection
 matrices Phi_m, independently of the package's structured evaluation paths,
 the paper-derived problems several tests check readers on, and the package's
-slack and projection of one constraint, through a one-constraint problem."""
+slack and projection of one constraint, through a one-constraint problem.
+
+A subarray of the package holds no constraint objects.  Its objects, for the
+tests that read them, come from one reference here: ``restrict_constraints``
+cuts the parent's objects to the support from their own fields, and
+``subarray`` gives the package's subarray those objects; ``describe`` names
+an object's row as the package's ``row_names`` must."""
 
 import itertools
 from collections import namedtuple
@@ -9,9 +15,56 @@ from dataclasses import replace
 
 import numpy as np
 
-from sparsebeam import ProblemInstance, assemble
+from sparsebeam import AntennaPowerConstraint, ProblemInstance, SinrConstraint, assemble
 from sparsebeam.cli import scenario_with_users
 from sparsebeam.projections import move
+
+
+def describe(c):
+    """The name of one constraint object's row, from its own fields:
+    ``passband(theta=-5 deg)``, ``antenna_power(n=3)``, ``sinr(m=1)``."""
+    if isinstance(c, AntennaPowerConstraint):
+        return f"antenna_power(n={c.antenna})"
+    if isinstance(c, SinrConstraint):
+        return f"sinr(m={c.user})"
+    return f"{c.kind}(theta={c.angle_deg:g} deg)"
+
+
+def of_kind(constraints, kind):
+    """The objects among ``constraints`` whose kind is ``kind``."""
+    return [c for c in constraints if c.kind == kind]
+
+
+def restrict_constraints(constraints, support):
+    """The objects of the subarray ``support`` (sorted antenna indices),
+    cut from the parent's objects without the package: a row is kept if and
+    only if its generator (the steering vector, antenna n's selector, or the
+    channel, read from the object's fields) is nonzero on the support; a kept
+    row keeps its class and has its generator cut to the support, antennas
+    renumbered from 0."""
+    cols = list(support)
+    kept = []
+    for c in constraints:
+        if isinstance(c, AntennaPowerConstraint):
+            if c.antenna in cols:
+                kept.append(replace(c, antenna=cols.index(c.antenna), N=len(cols)))
+        elif isinstance(c, SinrConstraint):
+            if c.h[cols].any():
+                kept.append(replace(c, h=c.h[cols], N=len(cols)))
+        elif c.steering[cols].any():
+            kept.append(replace(c, steering=c.steering[cols], N=len(cols)))
+    return tuple(kept)
+
+
+def subarray(problem, support):
+    """``problem.restrict(support)``, the package's subarray with its sliced
+    ``families``, given ``restrict_constraints``' objects of its parent's
+    objects as its ``constraints``, for the oracles that read objects;
+    ``problem`` is one built from objects or another ``subarray``."""
+    reduced = problem.restrict(support)
+    twin = replace(reduced, constraints=restrict_constraints(problem.constraints, reduced.support))
+    vars(twin)["families"] = reduced.families  # the package's slices, not rebuilt
+    return twin
 
 
 def phi_matrix(m, M, N):
@@ -133,10 +186,11 @@ def assert_same_data(got, want, name="data"):
 
 
 def paper_variants(paper_problem):
-    """The paper problem, its 45 K=8 subarrays, and the paper scenario with
-    M = 1..4 users (``scenario_with_users``) under LoS and Rayleigh channels."""
+    """The paper problem, its 45 K=8 subarrays (each a ``subarray``, with
+    its reference objects), and the paper scenario with M = 1..4 users
+    (``scenario_with_users``) under LoS and Rayleigh channels."""
     problems = [paper_problem] + [
-        paper_problem.restrict(support)
+        subarray(paper_problem, support)
         for support in itertools.combinations(range(paper_problem.N), 8)
     ]
     for model in ("los", "rayleigh"):

@@ -19,10 +19,11 @@ numpy scalars), with the sweep built on it, which ``cyclic_projection`` must
 reproduce bit for bit.
 ``refit_admm_reference`` is the consensus-ADMM refit that the SLSQP refit
 replaced; the refit must never end above it.  It polishes with the
-projections and the L-BFGS violation descent (``_violation_descent``) that
-the feasibility search used before ``minimum_power``.  ``refit_from_start``
-is the SLSQP refit started from the search run to 1e-8; the refit must
-reach its verdicts and powers.  ``baseline_loop`` refits every trial, as the
+projections, up to 300 sweeps without a stall rule (``restore_feasibility``,
+the polish ``minimum_power`` once ran), and the L-BFGS violation descent
+(``_violation_descent``) that the feasibility search used before
+``minimum_power``.  ``refit_from_start`` is the SLSQP refit started from
+the search run to 1e-8; the refit must reach its verdicts and powers.  ``baseline_loop`` refits every trial, as the
 memoized baseline must reproduce.  ``certify_infeasible_cold`` solves every
 Kelley round's linear program from scratch with ``linprog``, from the
 coordinate directions; the warm-started ``certify_infeasible``, seeded
@@ -43,7 +44,7 @@ import numpy as np
 
 from scipy.optimize import linprog, minimize
 
-from sparsebeam.admm import find_feasible_point, minimum_power, restore_feasibility, solve
+from sparsebeam.admm import cyclic_projection, find_feasible_point, minimum_power, solve
 from sparsebeam.arrays import build_grids, los_channel, rayleigh_channel, steering_vector
 from sparsebeam.certificate import _MAX_ROUNDS, Certificate
 from sparsebeam.errors import InfeasibleProblemError, ProjectionError
@@ -65,7 +66,7 @@ from sparsebeam.projections import (
 from sparsebeam.selection import BaselineResult, embed_support
 from sparsebeam.shrinkage import ZERO_GROUP_FLOOR, group_shrink
 
-from helpers import Projection, project
+from helpers import Projection, describe, of_kind, project, subarray
 
 
 def response(c, w):
@@ -113,7 +114,7 @@ def f_action(c, w):
 def row_error(l, constraint, err):
     """``err`` raised by the projection onto row l, named as ``move`` names it."""
     return ProjectionError(
-        f"constraint l={l} ({constraint.describe()}): {err}",
+        f"constraint l={l} ({describe(constraint)}): {err}",
         dict(err.diagnostics, constraint_index=l, kind=constraint.kind),
     )
 
@@ -625,6 +626,17 @@ def _violation_descent(problem, w0):
     return res.x[:n] + 1j * res.x[n:]
 
 
+def restore_feasibility(problem, w):
+    """Up to 300 sweeps of cyclic projections to within 1e-9, one
+    ``cyclic_projection`` call each, with no stop for a sweep without
+    progress: (w, max_violation, converged)."""
+    for _ in range(300):
+        w, violation, converged = cyclic_projection(problem, w, max_sweeps=1, tol=1e-9)[:3]
+        if converged:
+            break
+    return w, violation, converged
+
+
 def restore_with_rescue(problem, w):
     """Projections, then one violation-descent rescue and projections again
     should they stall: (w, max_violation, converged)."""
@@ -639,7 +651,7 @@ def refit_admm_reference(problem, support, config):
     on the subarray, polished by ``restore_with_rescue``, falling back to the
     feasible start should the polish fail or end above the start's power.
     Returns the full-size stack."""
-    reduced = problem.restrict(support)
+    reduced = subarray(problem, support)
     cfg = replace(config, eta=0.0, rho=5.0, k_max=max(config.k_max, 300))
     start = find_feasible_point(reduced)
     w, _, ok = restore_with_rescue(reduced, solve(reduced, cfg).w)
@@ -824,7 +836,7 @@ def mainlobe_boost_reference(problem, w):
     """Stage 2 constraint by constraint: the smallest tau so that block 0 plus
     tau*a(center) clears 1.2x each passband floor, each response and a^H w_0
     evaluated from the constraint's own steering vector."""
-    passbands = problem.constraints_of_kind("passband")
+    passbands = of_kind(problem.constraints, "passband")
     if not passbands:
         return w
     center = np.mean([c.angle_deg for c in passbands])

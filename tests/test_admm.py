@@ -35,15 +35,18 @@ import sparsebeam.admm as admm_module
 import sparsebeam.projections as projections_module
 from sparsebeam.admm import handoff_tol
 from sparsebeam.certificate import certify_infeasible, multiplier_certificate
-from sparsebeam.problem import BeamConstraint, ReducedConstraints
+from sparsebeam.problem import BeamConstraint
 
 from helpers import (
     assert_same_data,
     certificate_holds,
     dense_constraint,
+    describe,
     paper_variants,
     project,
     random_stack,
+    restrict_constraints,
+    subarray,
 )
 from oracles import (
     certificate_record_reference,
@@ -154,9 +157,6 @@ class Ball:
 class TaggedStopband(StopbandConstraint):
     """A stopband subclass: it joins the batched beam rows."""
 
-    def describe(self):
-        return "tagged " + super().describe()
-
 
 def record_update_v(monkeypatch, run):
     """(problem, w, u, eta, rho) of every ``update_v`` call made by ``run()``."""
@@ -240,7 +240,7 @@ class TestBatchedUpdateV:
         support = select_support(
             state.w, paper_scenario.num_selected, paper_problem.M, paper_problem.N
         )
-        reduced = paper_problem.restrict(support)
+        reduced = subarray(paper_problem, support)
         cfg = replace(paper_scenario.admm, eta=0.0, rho=5.0, k_max=300)
         calls = record_update_v(monkeypatch, lambda: solve(reduced, cfg))
         assert len(calls) == 300 and calls[0][0].N == paper_scenario.num_selected
@@ -342,7 +342,7 @@ class TestBatchedUpdateV:
 
     @pytest.mark.parametrize("antenna", [0, 4, 9])
     def test_single_antenna_supports(self, paper_problem, antenna):
-        reduced = paper_problem.restrict((antenna,))
+        reduced = subarray(paper_problem, (antenna,))
         rng = np.random.default_rng(13 + antenna)
         for scale in (0.1, 1.0, 10.0):
             w = random_stack(rng, reduced.M, reduced.N, scale=scale)
@@ -479,7 +479,7 @@ def sweep_cases(draw):
     W = w.reshape(M, N)
     if N > 1 and draw(st.booleans()):
         support = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N - 1, unique=True))
-        problem = problem.restrict(support)
+        problem = subarray(problem, support)
         W = W[:, sorted(support)]
     W = W.copy()
     start = draw(st.sampled_from(["random", "zero", "aligned", "served"]))
@@ -522,7 +522,7 @@ class TestProjectionSweep:
 
     def test_paper_problem_and_every_k8_support(self, paper_problem):
         supports = itertools.combinations(range(paper_problem.N), 8)
-        problems = [paper_problem] + [paper_problem.restrict(s) for s in supports]
+        problems = [paper_problem] + [subarray(paper_problem, s) for s in supports]
         converged = [assert_sweep_matches_loop(problem) for problem in problems]
         assert len(converged) == 46 and 0 < sum(converged) < 46  # stalls included
 
@@ -531,7 +531,7 @@ class TestProjectionSweep:
         supports = list(itertools.combinations(range(paper_problem.N), K))
         rng = np.random.default_rng(K)
         for i in rng.choice(len(supports), 6, replace=False):
-            assert_sweep_matches_loop(paper_problem.restrict(supports[i]))
+            assert_sweep_matches_loop(subarray(paper_problem, supports[i]))
 
     def test_violation_computed_once_per_sweep(self, paper_problem, monkeypatch):
         # an infeasible K=4 subarray stalls; the sweeps return the worst
@@ -727,7 +727,7 @@ class TestFeasiblePoint:
         # whose third does, 17 sweeps before the sweeps would stall: stage 3
         # stops there, the LP is never asked, and the error carries that
         # sweep's certificate and the worst violations of the point at it
-        problem = paper_problem.restrict((0, 1, 2, 3, 5, 7))
+        problem = subarray(paper_problem, (0, 1, 2, 3, 5, 7))
         sweeps, tried, lp = [], [], []
         max_violation = ProblemInstance.max_violation
         judge = admm_module.multiplier_certificate
@@ -781,7 +781,7 @@ class TestFeasiblePoint:
         # an infeasible K=7 subarray whose sweeps stall at the 14th: the
         # multipliers of none of them pass, so the LP is asked once, after
         # the stall and without them, and its certificate ends the search
-        problem = paper_problem.restrict((0, 1, 2, 4, 5, 7, 9))
+        problem = subarray(paper_problem, (0, 1, 2, 4, 5, 7, 9))
         sweeps, tried, asked = [], [], []
         max_violation = ProblemInstance.max_violation
         judge, certify = admm_module.multiplier_certificate, admm_module.certify_infeasible
@@ -1008,7 +1008,7 @@ class TestCertificate:
         # K=1 cannot serve M=2 users at gamma=10; no K=4 subarray meets the
         # sidelobe ceiling next to both user beams.  On (0, 1, 4, 6) the
         # simplex leaves a basic multiplier at -2e-15, which must not pass
-        reduced = paper_problem.restrict(support)
+        reduced = subarray(paper_problem, support)
         certificate = certify_infeasible(reduced)
         assert certificate is not None
         assert certificate.combined_f == pytest.approx(-1.0)
@@ -1048,7 +1048,7 @@ class TestCertificate:
         # every 5th K-subarray: the warm-started LP against one cold linprog
         # call per round
         for support in list(itertools.combinations(range(paper_problem.N), K))[::5]:
-            reduced = paper_problem.restrict(support)
+            reduced = subarray(paper_problem, support)
             certificate = certify_infeasible(reduced)
             assert (certificate is None) == (certify_infeasible_cold(reduced) is None), support
             if certificate is not None:
@@ -1135,7 +1135,7 @@ class TestCertificate:
                 refit(paper_problem, support, paper_scenario.admm)
             certificate = err.value.certificate
             assert certificate is not None, support
-            assert certificate_holds(paper_problem.restrict(support), certificate.multipliers)
+            assert certificate_holds(subarray(paper_problem, support), certificate.multipliers)
         assert len(runs) <= budget
 
     def test_record_holds_the_per_call_bytes(self, paper_problem):
@@ -1285,10 +1285,16 @@ def subarray_cases(draw):
     return problem, outer, support(len(outer))
 
 
+def names_of(constraints):
+    """The reference (kind, description) of every object, in order."""
+    return tuple((c.kind, describe(c)) for c in constraints)
+
+
 class TestSlicedSubarrays:
     """A subarray's ``families`` are sliced from its parent's arrays, its
-    ``certificate_record`` and ``sweep_plan`` are derived from those sliced
-    ``families``, and its constraint objects are derived on first use."""
+    ``certificate_record``, ``sweep_plan`` and ``row_names`` are derived from
+    those sliced ``families``, and all of them equal the ones rebuilt from
+    ``restrict_constraints``' objects."""
 
     @settings(max_examples=200, deadline=None)
     @given(subarray_cases())
@@ -1302,13 +1308,17 @@ class TestSlicedSubarrays:
         except InfeasibleProblemError:
             assert any(problem.constraints[l].f < 0.0 for l in zeroed)
             return
-        # the dropped rows are exactly the zeroed ones, each with f > 0
+        # the dropped rows are exactly the zeroed ones, each with f > 0, and
+        # the reference keeps the others
+        assert reduced.constraints is None
         assert all(problem.constraints[l].f > 0.0 for l in zeroed)
         kept = [c for l, c in enumerate(problem.constraints) if l not in zeroed]
-        assert [(type(c), c.f) for c in reduced.constraints] == [(type(c), c.f) for c in kept]
-        rebuilt = ProblemInstance(tuple(reduced.constraints), problem.M, len(outer))
-        for name in ("families", "certificate_record", "sweep_plan"):
+        objects = restrict_constraints(problem.constraints, outer)
+        assert [(type(c), c.f) for c in objects] == [(type(c), c.f) for c in kept]
+        rebuilt = ProblemInstance(objects, problem.M, len(outer))
+        for name in ("families", "certificate_record", "sweep_plan", "row_names"):
             assert_same_data(getattr(reduced, name), getattr(rebuilt, name), name)
+        assert reduced.L == rebuilt.L == len(objects)
         # a subarray's own support indexes the subarray
         try:
             direct = problem.restrict(tuple(outer[i] for i in inner))
@@ -1318,26 +1328,31 @@ class TestSlicedSubarrays:
             return
         nested = reduced.restrict(inner)
         assert nested.support == inner and direct.support == tuple(outer[i] for i in inner)
-        for name in ("families", "certificate_record", "sweep_plan"):
+        for name in ("families", "certificate_record", "sweep_plan", "row_names"):
             assert_same_data(getattr(nested, name), getattr(direct, name), name)
 
-    def test_refit_makes_only_the_reported_constraints(self, paper_problem, paper_scenario,
-                                                       monkeypatch):
-        made = []
-        original = ReducedConstraints.__getitem__
-
-        def counted(self, l):
-            made.append(l)
-            return original(self, l)
-
-        monkeypatch.setattr(ReducedConstraints, "__getitem__", counted)
-        refit(paper_problem, (0, 2, 3, 4, 5, 6, 7, 9), paper_scenario.admm)
-        assert made == []
-        with pytest.raises(InfeasibleProblemError) as err:
-            refit(paper_problem, (0, 1, 2, 3), paper_scenario.admm)
-        assert made == []  # the verdict alone describes no constraint
-        evidence = err.value.worst_violations
-        assert len(made) == len(evidence) == 5
+    @settings(max_examples=200, deadline=None)
+    @given(subarray_cases())
+    def test_rows_are_named_as_the_reference_names_them(self, case):
+        # on the subarray and on its own subarray: every row's name, and the
+        # name and kind a failing move reports (a NaN point fails the KKT
+        # guard of every kind), equal those of the reference objects
+        problem, outer, inner = case
+        try:
+            reduced = problem.restrict(outer)
+            nested = reduced.restrict(inner)
+        except InfeasibleProblemError:
+            return
+        objects = restrict_constraints(problem.constraints, outer)
+        for sub, cs in ((reduced, objects), (nested, restrict_constraints(objects, inner))):
+            assert sub.row_names == names_of(cs)
+            nan = np.full((sub.M, sub.N), np.nan, dtype=complex)
+            for l, c in enumerate(cs):
+                with np.errstate(invalid="ignore"), pytest.raises(ProjectionError) as err:
+                    projections_module.move(sub, l, nan)
+                assert str(err.value) == f"constraint l={l} ({describe(c)}): {err.value.__cause__}"
+                assert err.value.diagnostics["kind"] == c.kind
+                assert err.value.diagnostics["constraint_index"] == l
 
 
 class TestRefitHandOff:

@@ -37,7 +37,10 @@ class TestCheckConfig:
         code = main(["check-config", "--scenario", bundled_scenario_path()])
         assert code == 0
         out = capsys.readouterr().out
-        assert "L=38" in out
+        assert out == (
+            "check-config: N=10 M=2 K=8 L=38 constraints "
+            "(passband=6, stopband=20, antenna_power=10, sinr=2)\n"
+        )
 
     def test_invalid_path_exits_one(self, capsys):
         code = main(["check-config", "--scenario", "/nonexistent/file.json"])

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -31,9 +32,13 @@ from helpers import (
     dense_response_matrix,
     dense_selector_matrix,
     dense_sinr_matrix,
+    describe,
+    of_kind,
     quad_form,
     random_stack,
+    restrict_constraints,
     slack,
+    subarray,
 )
 from oracles import quad
 
@@ -258,13 +263,35 @@ class TestAssemble:
 
     def test_rayleigh_channels(self, paper_scenario):
         sc = replace(paper_scenario, channel_model="rayleigh")
-        sinrs = assemble(sc).constraints_of_kind("sinr")
+        sinrs = of_kind(assemble(sc).constraints, "sinr")
         assert [c.user for c in sinrs] == list(range(sc.M))
         for m, c in enumerate(sinrs):
             assert c.h.tobytes() == rayleigh_channel(sc.geometry, [sc.seed, 101, m]).tobytes()
-        reseeded = assemble(replace(sc, seed=sc.seed + 1)).constraints_of_kind("sinr")
+        reseeded = of_kind(assemble(replace(sc, seed=sc.seed + 1)).constraints, "sinr")
         for c, other in zip(sinrs, reseeded):
             assert not np.array_equal(c.h, other.h)
+
+
+class TestMissizedObjects:
+    """An object sized for other M or N than its problem's is a
+    ``ConfigurationError`` naming the row, its kind and both sizes, raised
+    when the problem builds its ``families``, before any array is indexed."""
+
+    @pytest.mark.parametrize("c, M, N, sizes", [
+        (AntennaPowerConstraint(5, 1.0, 1, 10), 1, 3, "M=1, N=10, but its problem has M=1, N=3"),
+        (StopbandConstraint(0.0, np.ones(3), 1.0, 1, 3), 1, 4,
+         "M=1, N=3, but its problem has M=1, N=4"),
+        (SinrConstraint(2, np.ones(3), 1.0, 1.0, 3, 3), 2, 3,
+         "M=3, N=3, but its problem has M=2, N=3"),
+    ], ids=["antenna_power", "stopband", "sinr"])
+    def test_rejected_naming_row_kind_and_sizes(self, c, M, N, sizes):
+        problem = ProblemInstance((AntennaPowerConstraint(0, 1.0, M, N), c), M, N)
+        message = re.escape(f"constraint l=1 ({c.kind}) is sized {sizes}")
+        w = np.ones(M * N, dtype=complex)
+        for run in (lambda: problem.slacks(w), lambda: problem.L,
+                    lambda: find_feasible_point(problem)):
+            with pytest.raises(ConfigurationError, match=message):
+                run()
 
 
 class TestZeroGenerators:
@@ -286,7 +313,7 @@ class TestRestrict:
     def test_reduced_quad_matches_embedded_full(self, paper_problem):
         rng = np.random.default_rng(11)
         support = (0, 2, 3, 5, 7, 8, 9)
-        reduced = paper_problem.restrict(support)
+        reduced = subarray(paper_problem, support)
         K = len(support)
         w_red = random_stack(rng, paper_problem.M, K)
         w_full = np.zeros(paper_problem.M * paper_problem.N, dtype=complex)
@@ -295,7 +322,7 @@ class TestRestrict:
                 m * K : (m + 1) * K
             ]
         dropped = {
-            c.antenna for c in paper_problem.constraints_of_kind("antenna_power")
+            c.antenna for c in of_kind(paper_problem.constraints, "antenna_power")
         } - set(support)
         kept_full = [
             c
@@ -322,9 +349,8 @@ class TestRestrict:
             got = paper_problem.restrict(support)
             assert got.support == (1, 2, 3, 4)
             assert all(type(n) is int for n in got.support)
-            assert [c.describe() for c in got.constraints] == [
-                c.describe() for c in want.constraints
-            ]
+            assert got.row_names == want.row_names
+            assert_same_data(got.families, want.families)
 
 
     @pytest.mark.parametrize("outer, inner", [
@@ -336,11 +362,10 @@ class TestRestrict:
         nested = paper_problem.restrict(outer).restrict(inner)
         direct = paper_problem.restrict(tuple(outer[i] for i in inner))
         assert nested.support == inner  # indices into its parent, the subarray
-        for name in ("families", "certificate_record", "sweep_plan"):
+        for name in ("families", "certificate_record", "sweep_plan", "row_names"):
             assert_same_data(getattr(nested, name), getattr(direct, name), name)
-        assert [c.describe() for c in nested.constraints] == [
-            c.describe() for c in direct.constraints
-        ]
+        objects = restrict_constraints(paper_problem.constraints, direct.support)
+        assert [name for _, name in nested.row_names] == [describe(c) for c in objects]
 
 
 class TestBeamRowData:
@@ -349,7 +374,7 @@ class TestBeamRowData:
 
     @pytest.mark.parametrize("support", [None, (0, 2, 3, 4, 5, 6, 8, 9)])
     def test_rows_match_families(self, paper_problem, support):
-        problem = paper_problem if support is None else paper_problem.restrict(support)
+        problem = paper_problem if support is None else subarray(paper_problem, support)
         beams = problem.families.beams
         assert len(beams.rows) == sum(c.kind.endswith("band") for c in problem.constraints)
         for i, (l, row) in enumerate(zip(beams.rows, beams.each())):
@@ -434,7 +459,7 @@ class TestVectorizedSlacks:
         violations = [max(0.0, -s) for s in want]
         assert problem.max_violation(w) == max(violations)
         pairs = sorted(
-            ((c.describe(), v) for c, v in zip(problem.constraints, violations)),
+            ((describe(c), v) for c, v in zip(problem.constraints, violations)),
             key=lambda p: -p[1],
         )
         assert problem.worst_violations(w) == pairs[:5]
@@ -450,6 +475,6 @@ class TestVectorizedSlacks:
         supports = list(itertools.combinations(range(paper_problem.N), 8))
         assert len(supports) == 45
         for support in supports:
-            reduced = paper_problem.restrict(support)
+            reduced = subarray(paper_problem, support)
             for scale in (0.3, 3.0):
                 self.check(reduced, random_stack(rng, reduced.M, reduced.N, scale))
