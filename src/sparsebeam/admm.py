@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 
 from .certificate import certify_infeasible, multiplier_certificate
 from .errors import ConfigurationError, InfeasibleProblemError, ProjectionError
-from .problem import beam_slacks, objective, sq_norms
+from .problem import beam_slacks, norms, objective, sq_norms
 from .projections import move
 from .shrinkage import group_shrink
 
@@ -110,14 +110,12 @@ def check_penalty_ratio(config, L):
 
 def update_w(v, u, rho):
     """Closed-form consensus update: rho/(2 + rho*L) * sum_l (v_l + u_l)."""
-    L = v.shape[0]
-    total = (v + u).sum(axis=0)
-    return (rho / (2.0 + rho * L)) * total
+    return (rho / (2.0 + rho * v.shape[0])) * np.add.reduce(v + u, axis=0)
 
 
 def update_u(u, v_new, w_new):
     """Scaled dual ascent: u_l + v_l - w."""
-    return u + v_new - w_new[np.newaxis, :]
+    return u + v_new - w_new
 
 
 def update_v(problem, w, u, eta, rho):
@@ -137,14 +135,15 @@ def update_v(problem, w, u, eta, rho):
     L, M, N = problem.L, problem.M, problem.N
     if L == 0:
         return np.empty((0, problem.size), dtype=complex)
-    beams, powers, _ = problem.families
-    C = group_shrink(w[np.newaxis, :] - u, eta, rho, L, M, N)
+    beams, powers, sinrs = problem.families
+    C = group_shrink(w - u, eta, rho, L, M, N)
     V = C.reshape(L, M, N)  # a view: each row of C is read before it is written
-    moves = np.ones(L, dtype=bool)  # SINR rows stay in: their kernel screens itself
-    moves[beams.rows] = ~(beam_slacks(V[beams.rows], beams) >= 0.0).ravel()
+    moves = np.empty(L, dtype=bool)  # filled below: the families partition the rows
+    moves[sinrs.rows] = True  # a SINR row's kernel screens itself
+    moves[beams.rows] = ~(beam_slacks(V.take(beams.rows, axis=0), beams) >= 0.0).ravel()
     G = V[powers.rows, :, powers.antenna]
     moves[powers.rows] = ~(sq_norms(G[..., np.newaxis])[:, 0, 0] <= powers.limit)
-    for l in np.flatnonzero(moves).tolist():
+    for l in moves.nonzero()[0].tolist():
         moved = move(problem, l, V[l])
         if moved is not None:
             V[l] = moved[0]
@@ -366,10 +365,10 @@ def solve(problem, config):
                 f"iteration {k + 1}: {err}", dict(err.diagnostics, iteration=k + 1)
             ) from err
         u_new = update_u(state.u, v_new, w_new)
-        primal = float(
-            np.max(np.linalg.norm(v_new - w_new[np.newaxis, :], axis=1))
-        ) if problem.L else 0.0
-        dual = rho * float(np.linalg.norm(w_new - state.w))
+        # np.linalg.norm's own formulas: along axis 1, and of the whole vector
+        primal = float(norms(v_new - w_new, 1).max()) if problem.L else 0.0
+        step = w_new - state.w
+        dual = rho * math.sqrt(step.real.dot(step.real) + step.imag.dot(step.imag))
         state.w, state.v, state.u = w_new, v_new, u_new
         state.k = k + 1
         state.history.append(

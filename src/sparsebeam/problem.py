@@ -54,7 +54,15 @@ def user_blocks(w, M, N):
 
 def group_norms(w, M, N):
     """Per-antenna l2 norms across users: the N group magnitudes."""
-    return np.linalg.norm(user_blocks(w, M, N), axis=0)
+    return norms(user_blocks(w, M, N), 0)
+
+
+def norms(X, axis):
+    """``np.linalg.norm(X, axis=axis)`` of a complex or float X along one
+    integer axis, by numpy's own formula for that case and so with its
+    bytes, without the argument handling that costs more than the
+    arithmetic on arrays this small."""
+    return np.sqrt(np.add.reduce((X.conj() * X).real, axis=axis))
 
 
 def sq_norms(X):
@@ -179,8 +187,8 @@ def normalize_support(support):
 
 def objective(w, eta, M, N):
     """||w||^2 plus eta times the sum of antenna-group norms."""
-    w = np.asarray(w)
-    return float(np.vdot(w, w).real + eta * group_norms(w, M, N).sum())
+    g = group_norms(w, M, N)  # checks the shape of w
+    return float(np.vdot(w, w).real) + eta * float(np.add.reduce(g))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,6 +225,11 @@ class BeamConstraint:
 
     def __post_init__(self):
         object.__setattr__(self, "steering", np.asarray(self.steering, dtype=complex))
+        if self.steering.shape != (self.N,):
+            raise ConfigurationError(
+                f"{self.kind} steering vector has shape {self.steering.shape}, "
+                f"but N={self.N} needs ({self.N},)"
+            )
         if not self.steering.any():
             raise ConfigurationError(f"{self.kind} steering vector is zero")
         if not self.threshold > 0:
@@ -301,6 +314,11 @@ class SinrConstraint:
         object.__setattr__(self, "h", np.asarray(self.h, dtype=complex))
         if not 0 <= self.user < self.M:
             raise ConfigurationError(f"user index {self.user} outside 0..{self.M - 1}")
+        if self.h.shape != (self.N,):
+            raise ConfigurationError(
+                f"sinr channel vector of user {self.user} has shape {self.h.shape}, "
+                f"but N={self.N} needs ({self.N},)"
+            )
         if not self.h.any():
             raise ConfigurationError(f"user {self.user}: channel vector is zero")
         if not self.gamma > 0:

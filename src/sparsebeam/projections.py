@@ -37,6 +37,15 @@ KKT_GUARD = 1e-6
 _DEGENERATE_FLOOR = 1e-300
 
 
+def _matvec(W, x):
+    """``W @ x`` for one C-contiguous point W (M, N), as every caller of
+    ``move`` passes it, and a column x, (N, 1) or (N,).  Where N > 1 it runs
+    as ``W.dot(x)``: the same BLAS gemv at half the call overhead, which the
+    tests pin byte for byte.  A single column keeps ``@``, whose loop for it
+    skips BLAS and rounds differently."""
+    return W.dot(x) if W.shape[1] > 1 else W @ x
+
+
 def _power_row(W, r):
     """Radial projection of antenna r.antenna of W (M, N), a ``PowerRows``
     row, onto its power ball, unless it is within r.limit: the group scales
@@ -68,11 +77,13 @@ def _beam_point(W, r):
     deterministic tie-break; the cost does not depend on the split).  A point
     whose S0 already meets its threshold comes back unchanged, with mu = 0.
     Returns the projected point, the multiplier and the stationarity
-    residual ||(v - vbar) + mu*F v||.
+    residual ||(v - vbar) + mu*F v||.  Products with a column run through
+    ``_matvec`` and scalars stay Python floats, which cuts call overhead
+    and leaves every rounding as it was.
     """
-    sign, t, norm2 = r.sign, r.threshold, r.norm2
-    alpha = W @ r.unit_probe
-    S0 = norm2 * np.vdot(alpha, alpha).real
+    _, steering, unit, probe, unit_probe, norm2, sign, t, _ = r
+    alpha = _matvec(W, unit_probe)
+    S0 = norm2 * float(np.vdot(alpha, alpha).real)
     if sign * S0 <= sign * t:
         V, mu = W.copy(), 0.0
     else:
@@ -81,16 +92,16 @@ def _beam_point(W, r):
         else:
             ratio = math.sqrt(S0 / t)
             beta, mu = alpha / ratio, sign * (ratio - 1.0) / norm2
-        V = W + (beta - alpha) * r.unit
-    D = (V - W) + (sign * mu) * (V @ r.probe) * r.steering
+        V = W + (beta - alpha) * unit
+    D = (V - W) + (sign * mu) * _matvec(V, probe) * steering
     return V, mu, math.sqrt(np.vdot(D, D).real)
 
 
 def _beam_row(W, r):
     """``_beam_point`` behind a pass-through test of the response along a:
     S0, along a/||a||, rounds differently; boundary points pass."""
-    coef = W @ r.probe
-    if r.sign * np.vdot(coef, coef).real <= r.sign * r.threshold:
+    coef = _matvec(W, r.probe)
+    if r.sign * float(np.vdot(coef, coef).real) <= r.sign * r.threshold:
         return None
     return _beam_point(W, r)
 
@@ -107,13 +118,13 @@ def _sinr_row(W, r):
     is the hard case: the smallest feasible served component is injected (the
     cost grows with its magnitude, so the boundary value is optimal), nu = 1 -
     |served|/|injected|, and the interference shrinks by 1/(1 + nu*gamma)
-    with that nu.
+    with that nu.  Products and scalars are as in ``_beam_point``.
     """
     probe, hhat, hhat_probe, A, m, gamma, target, weights, h = r
-    z = W @ hhat_probe
+    z = _matvec(W, hhat_probe)
     power = np.abs(z) ** 2
     pm = float(power[m])
-    pI = float(power.sum() - power[m])
+    pI = float(np.add.reduce(power)) - pm
     reached = A * (pm - gamma * pI)
     if reached >= target:
         return None
@@ -162,9 +173,9 @@ def _sinr_row(W, r):
                         {"bracket": (lo, hi), "residual": f})
         znew = z / (1.0 + nu * gamma)
         znew[m] = z[m] / (1.0 - nu)
-    V = W + np.outer(znew - z, hhat)
+    V = W + (znew - z)[:, np.newaxis] * hhat[np.newaxis, :]  # np.outer's multiply, as it shapes it
     mu = nu / A
-    D = (V - W) + (mu * weights * (V @ probe))[:, np.newaxis] * h
+    D = (V - W) + (mu * weights * _matvec(V, probe))[:, np.newaxis] * h
     return V, mu, math.sqrt(np.vdot(D, D).real)
 
 

@@ -13,6 +13,8 @@ produce a negative norm.
 
 import numpy as np
 
+from .problem import norms
+
 # groups at or below this magnitude are treated as exactly zero
 ZERO_GROUP_FLOOR = 1e-300
 
@@ -36,8 +38,11 @@ def group_shrink(c, eta, rho, L, M, N):
     if eta == 0:
         return c.copy()
     C = c.reshape(c.shape[:-1] + (M, N))
-    g = np.linalg.norm(C, axis=-2)
+    g = norms(C, -2)
     lam = eta / (rho * L)
-    nonzero = g > ZERO_GROUP_FLOOR
-    scale = np.where(nonzero, np.maximum(0.0, 1.0 - lam / np.where(nonzero, g, 1.0)), 0.0)
+    if g.min(initial=np.inf) > ZERO_GROUP_FLOOR:  # no zero or NaN group, as usual
+        scale = np.maximum(0.0, 1.0 - lam / g)  # what both np.where below pick
+    else:
+        nonzero = g > ZERO_GROUP_FLOOR
+        scale = np.where(nonzero, np.maximum(0.0, 1.0 - lam / np.where(nonzero, g, 1.0)), 0.0)
     return (C * scale[..., np.newaxis, :]).reshape(c.shape)

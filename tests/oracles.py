@@ -16,7 +16,10 @@ beam and antenna-power closed forms, which the one-point ``_beam_point`` and
 path the one-row kernels replaced (a ``quad`` test, then the batched closed
 forms on a batch of one or the SINR secular equation through closures on
 numpy scalars), with the sweep built on it, which ``cyclic_projection`` must
-reproduce bit for bit.
+reproduce bit for bit.  ``group_shrink_reference`` is the shrinkage on
+``np.linalg.norm`` that ``update_v_loop`` runs, and ``solve_reference`` the
+ADMM loop around it, built the same way; ``group_shrink`` and ``solve`` must
+return their bytes.
 ``refit_admm_reference`` is the consensus-ADMM refit that the SLSQP refit
 replaced; the refit must never end above it.  It polishes with the
 projections, up to 300 sweeps without a stall rule (``restore_feasibility``,
@@ -44,7 +47,14 @@ import numpy as np
 
 from scipy.optimize import linprog, minimize
 
-from sparsebeam.admm import cyclic_projection, find_feasible_point, minimum_power, solve
+from sparsebeam.admm import (
+    IterationRecord,
+    cyclic_projection,
+    find_feasible_point,
+    initialize,
+    minimum_power,
+    solve,
+)
 from sparsebeam.arrays import build_grids, los_channel, rayleigh_channel, steering_vector
 from sparsebeam.certificate import _MAX_ROUNDS, Certificate
 from sparsebeam.errors import InfeasibleProblemError, ProjectionError
@@ -64,7 +74,7 @@ from sparsebeam.projections import (
     SECULAR_TOL,
 )
 from sparsebeam.selection import BaselineResult, embed_support
-from sparsebeam.shrinkage import ZERO_GROUP_FLOOR, group_shrink
+from sparsebeam.shrinkage import ZERO_GROUP_FLOOR
 
 from helpers import Projection, describe, of_kind, project, subarray
 
@@ -119,17 +129,59 @@ def row_error(l, constraint, err):
     )
 
 
+def group_shrink_reference(c, eta, rho, L, M, N):
+    """The group shrinkage of one stack as ``group_shrink`` computed it with
+    ``np.linalg.norm`` and both ``np.where`` guards on every call, which the
+    package's, batched or not, must reproduce bit for bit."""
+    c = np.asarray(c, dtype=complex)
+    if eta == 0:
+        return c.copy()
+    C = c.reshape(c.shape[:-1] + (M, N))
+    g = np.linalg.norm(C, axis=-2)
+    lam = eta / (rho * L)
+    nonzero = g > ZERO_GROUP_FLOOR
+    scale = np.where(nonzero, np.maximum(0.0, 1.0 - lam / np.where(nonzero, g, 1.0)), 0.0)
+    return (C * scale[..., np.newaxis, :]).reshape(c.shape)
+
+
 def update_v_loop(problem, w, u, eta, rho):
-    """The v-update one constraint at a time: shrink w - u_l, then project."""
+    """The v-update one constraint at a time: shrink w - u_l by
+    ``group_shrink_reference``, then project."""
     L = problem.L
     v = np.empty((L, problem.size), dtype=complex)
     for l, constraint in enumerate(problem.constraints):
-        vbar = group_shrink(w - u[l], eta, rho, L, problem.M, problem.N)
+        vbar = group_shrink_reference(w - u[l], eta, rho, L, problem.M, problem.N)
         try:
             v[l] = project(constraint, vbar).v
         except ProjectionError as err:
             raise row_error(l, constraint, err) from err
     return v
+
+
+def solve_reference(problem, config):
+    """The consensus iteration from ``initialize``'s start as ``solve`` ran it
+    before its call overhead was cut: ``np.linalg.norm`` for both residuals
+    and the objective's group norms, every broadcast over an explicit new
+    axis and the v-update by ``update_v_loop``.  ``solve`` must return its
+    state bit for bit: w, v, u, k, the stop reason and every record."""
+    state = initialize(problem)
+    eta, rho, L, M, N = config.eta, config.rho, problem.L, problem.M, problem.N
+    for k in range(config.k_max):
+        w_new = (rho / (2.0 + rho * L)) * (state.v + state.u).sum(axis=0)
+        v_new = update_v_loop(problem, w_new, state.u, eta, rho)
+        u_new = state.u + v_new - w_new[np.newaxis, :]
+        primal = float(np.max(np.linalg.norm(v_new - w_new[np.newaxis, :], axis=1))) if L else 0.0
+        dual = rho * float(np.linalg.norm(w_new - state.w))
+        objective = float(
+            np.vdot(w_new, w_new).real + eta * np.linalg.norm(w_new.reshape(M, N), axis=0).sum()
+        )
+        state.w, state.v, state.u, state.k = w_new, v_new, u_new, k + 1
+        state.history.append(IterationRecord(k + 1, objective, primal, dual))
+        if (config.primal_tol is not None and config.dual_tol is not None
+                and primal <= config.primal_tol and dual <= config.dual_tol):
+            state.stop_reason = "tolerances met"
+            break
+    return state
 
 
 def realify_matrix(F):

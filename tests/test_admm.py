@@ -35,6 +35,7 @@ import sparsebeam.admm as admm_module
 import sparsebeam.projections as projections_module
 from sparsebeam.admm import handoff_tol
 from sparsebeam.certificate import certify_infeasible, multiplier_certificate
+from sparsebeam.cli import scenario_with_users
 from sparsebeam.problem import BeamConstraint
 
 from helpers import (
@@ -56,6 +57,7 @@ from oracles import (
     quad,
     response,
     sinr,
+    solve_reference,
     update_v_loop,
     zero_forcing_reference,
 )
@@ -1489,6 +1491,43 @@ class TestSolve:
         assert "iteration 2" in str(err.value)
         assert "l=1" in str(err.value)
         assert err.value.diagnostics.get("iteration") == 2
+
+
+def solve_cases(paper):
+    """(scenario, config) pairs of ``TestSolveMatchesReference``."""
+    rayleigh = scenario_with_users(replace(paper, channel_model="rayleigh", seed=1), 2)
+    return {
+        "paper": (paper, paper.admm),
+        "LoS M=4": (scenario_with_users(paper, 4), paper.admm),
+        "Rayleigh seed=1 M=2": (rayleigh, rayleigh.admm),
+        # both residuals first fall below these near iteration 56 of 100
+        "tolerances": (paper, replace(paper.admm, primal_tol=5e-4, dual_tol=0.13)),
+    }
+
+
+class TestSolveMatchesReference:
+    """``solve`` returns the bytes of ``oracles.solve_reference``, the loop
+    built on ``np.linalg.norm`` and the per-constraint ``update_v_loop``:
+    w, v, u, k, the stop reason and every ``IterationRecord``, on the paper
+    scenario, at M=4 and on Rayleigh channels, where many beam copies move,
+    and on a run stopped early by its tolerances."""
+
+    @pytest.mark.parametrize("case", ["paper", "LoS M=4", "Rayleigh seed=1 M=2", "tolerances"])
+    def test_same_state(self, case, paper_scenario):
+        scenario, config = solve_cases(paper_scenario)[case]
+        problem = assemble(scenario)
+        got, want = solve(problem, config), solve_reference(problem, config)
+        for name in ("w", "v", "u"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+        assert (got.k, got.stop_reason) == (want.k, want.stop_reason)
+        assert (got.stop_reason == "tolerances met") == (case == "tolerances")
+        assert len(got.history) == got.k and 0 < got.k <= config.k_max
+        for x, y in zip(got.history, want.history):
+            fields = [getattr(x, f) for f in ("k", "objective", "primal_residual", "dual_residual")]
+            refs = [getattr(y, f) for f in ("k", "objective", "primal_residual", "dual_residual")]
+            assert [type(f) for f in fields] == [type(f) for f in refs]
+            assert np.array(fields).tobytes() == np.array(refs).tobytes()
 
 
 class TestAdmmConfig:

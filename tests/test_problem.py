@@ -294,6 +294,22 @@ class TestMissizedObjects:
                 run()
 
 
+class TestGeneratorLength:
+    """A steering vector or channel whose length is not the object's own N
+    is a ``ConfigurationError`` at construction, naming the kind and both
+    lengths, not a numpy reshape error when a problem first reads it."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: StopbandConstraint(0.0, np.ones(3), 1.0, 1, 4),
+         "stopband steering vector has shape (3,), but N=4 needs (4,)"),
+        (lambda: SinrConstraint(0, np.ones(3), 1.0, 1.0, 1, 4),
+         "sinr channel vector of user 0 has shape (3,), but N=4 needs (4,)"),
+    ], ids=["stopband", "sinr"])
+    def test_rejected_naming_kind_and_lengths(self, build, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            build()
+
+
 class TestZeroGenerators:
     """A zero steering vector or channel is a ``ConfigurationError``: its
     passband or SINR floor can never hold and its stopband is vacuous."""

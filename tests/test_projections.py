@@ -578,6 +578,29 @@ class TestOnePointKernels:
             assert (mu1, residual1) == (mu[0], residual[0])
 
 
+class TestMatvec:
+    """The kernels' products with a column take ``W.dot(x)`` for ``W @ x``
+    wherever W has more than one column.  On every operand shape they use,
+    M = 1..4 users, N = 1..10 antennas and a (N, 1) or (N,) complex column,
+    both give the same bytes there, and ``_matvec`` gives those of ``@``
+    everywhere: a numpy or BLAS build that rounds them apart fails here,
+    naming the shape, before any sweep comparison does."""
+
+    @pytest.mark.parametrize("N", range(1, 11))
+    @pytest.mark.parametrize("M", range(1, 5))
+    def test_dot_gives_the_bytes_of_matmul(self, M, N):
+        rng = np.random.default_rng([M, N])
+        for column in [(N, 1), (N,)]:
+            for _ in range(50):
+                W = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+                x = rng.standard_normal(column) + 1j * rng.standard_normal(column)
+                want = W @ x
+                got = projections_module._matvec(W, x)
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+                if N > 1:
+                    assert W.dot(x).tobytes() == want.tobytes()
+
+
 def grid_oracle_2d_real(F, f, vbar, span=4.0, width=1201):
     """Plain 2-D grid search over real (x, y); coarse but unbiased."""
     xs = np.linspace(-span, span, width)

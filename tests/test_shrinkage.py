@@ -4,7 +4,7 @@ import pytest
 from sparsebeam import group_norms, group_shrink, objective
 
 from helpers import random_stack
-from oracles import prox_oracle
+from oracles import group_shrink_reference, prox_oracle
 
 
 def shrink_objective(v, c, eta, rho, L, M, N):
@@ -100,6 +100,37 @@ class TestGroupShrink:
             group_shrink(c, 0.1, 0.0, 1, 2, 1)
         with pytest.raises(ValueError):
             group_shrink(c, 0.1, 1.0, 0, 2, 1)
+
+
+class TestNumpyNormForms:
+    """``group_shrink``, ``group_norms`` and ``objective`` return the bytes of
+    their forms on ``np.linalg.norm``, on batches of stacks with zero, tiny
+    and NaN groups among ordinary ones, where the shrinkage keeps its
+    guards, and with eta = 0."""
+
+    def test_same_bytes(self):
+        rng = np.random.default_rng(31)
+        for i in range(300):
+            M, N, L, k = (int(rng.integers(1, n)) for n in (5, 11, 40, 5))
+            c = random_stack(rng, k, M * N, scale=10.0 ** rng.uniform(-3.0, 3.0)).reshape(k, -1)
+            C = c.reshape(k, M, N)
+            n = int(rng.integers(0, N))
+            if i % 3 == 0:
+                C[:, :, n] = 0.0
+            if i % 5 == 0:
+                C[0, :, n] = 1e-301
+            if i % 7 == 0:
+                C[-1, 0, n] = np.nan
+            eta = 0.0 if i % 11 == 0 else rng.uniform(0.0, 2.0)
+            rho = rng.uniform(0.5, 100.0)
+            got = group_shrink(c, eta, rho, L, M, N)
+            want = group_shrink_reference(c, eta, rho, L, M, N)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+            for w in c:
+                g = np.linalg.norm(w.reshape(M, N), axis=0)
+                assert group_norms(w, M, N).tobytes() == g.tobytes()
+                value = np.vdot(w, w).real + eta * g.sum()
+                assert np.float64(objective(w, eta, M, N)).tobytes() == value.tobytes()
 
 
 class TestProxOracle:
