@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
     # usage errors exit 1: exit code 2 is reserved for infeasible designs
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_FAILURE)
+        self.exit(EXIT_FAILURE, f"{self.prog}: error: {message}\n")
 
 
 def _fmt(value):
@@ -103,7 +103,7 @@ def cmd_solve(scenario, out_dir):
     problem = assemble(scenario)
     state = solve(problem, scenario.admm)
     support = select_support(state.w, scenario.num_selected, problem.M, problem.N)
-    stack = refit(problem, support, scenario.admm)
+    stack = refit(problem, support)
     report = design_report(stack.w, problem)
     last = state.history[-1] if state.history else IterationRecord(0, None, None, None)
     digest = scenario_sha256(scenario)  # one hash for the report and both CSVs
@@ -189,10 +189,8 @@ def cmd_sweep_k(scenario, k_list, trials, out_dir):
     certified = {}  # K -> certified random draws; stdout only, the CSV is fixed
     for K in k_list:
         support = select_support(state.w, K, problem.M, problem.N)
-        rows.append(_proposed_row(K, problem, lambda: refit(problem, support, scenario.admm)))
-        base = random_selection_baseline(
-            problem, K, trials, scenario.seed, scenario.admm
-        )
+        rows.append(_proposed_row(K, problem, lambda: refit(problem, support)))
+        base = random_selection_baseline(problem, K, trials, scenario.seed)
         rows.append(
             (K, "random", base.tx_power_mean, base.msrr_mean, base.infeasible_count)
         )
@@ -254,7 +252,7 @@ def cmd_sweep_m(scenario, m_list, out_dir):
         def design():
             state = solve(problem, sc.admm)
             support = select_support(state.w, sc.num_selected, problem.M, problem.N)
-            return refit(problem, support, sc.admm)
+            return refit(problem, support)
 
         rows.append(_proposed_row(M, problem, design))
     _write_csv(

@@ -85,12 +85,9 @@ def _non_finite(value, name):
 
 
 def _per_item(value, count, parser, field):
-    """Broadcast a scalar or validate a list of length ``count``."""
+    """Broadcast a scalar to ``count`` entries, or parse a list's entries;
+    ``Scenario`` checks the list's length."""
     if isinstance(value, list):
-        if len(value) != count:
-            raise ConfigurationError(
-                f"{field}: expected {count} entries, got {len(value)}"
-            )
         return tuple(parser(item, field) for item in value)
     return tuple(parser(value, field) for _ in range(count))
 
@@ -145,12 +142,12 @@ class Scenario:
             ("noise_variance", self.noise_variance, M),
             ("sinr_target", self.sinr_target, M),
         ):
-            if any(not value > 0 for value in values):
-                raise ConfigurationError(f"{name}: every entry must be > 0")
             if len(values) != count:
                 raise ConfigurationError(
                     f"{name}: expected {count} entries, got {len(values)}"
                 )
+            if any(not value > 0 for value in values):
+                raise ConfigurationError(f"{name}: every entry must be > 0")
 
     @property
     def M(self):

@@ -28,10 +28,25 @@ def rank_groups(w, M, N):
     return np.argsort(-group_norms(w, M, N), kind="stable")
 
 
+def _integer(name, value, low, high=None):
+    """``value`` as an int in ``low..high`` (unbounded above if ``high`` is
+    None); an integral value such as 8.0 passes.  Anything else is a
+    ``ConfigurationError`` naming the parameter."""
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ConfigurationError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
 def select_support(w, K, M, N):
     """The K strongest antenna groups, as a sorted index tuple."""
-    if not 1 <= K <= N:
-        raise ConfigurationError(f"K must be in 1..{N}, got {K}")
+    K = _integer("K", K, 1, N)
     order = rank_groups(w, M, N)
     return tuple(sorted(int(n) for n in order[:K]))
 
@@ -43,7 +58,7 @@ def embed_support(w_reduced, support, M, N):
     return w_full.reshape(M * N)
 
 
-def refit(problem, support, config):
+def refit(problem, support):
     """Minimum-power design on the selected subarray, sparsity weight removed.
 
     The feasibility search runs only until the subarray is near-feasible:
@@ -55,13 +70,13 @@ def refit(problem, support, config):
     power of stage 4's polished point by up to a factor 2.15 on random
     feasible toy problems.  Should it fail, the search is run on to 1e-8 and
     its start returned.  A hand-off point within 1e-8 is that start, bit for
-    bit, and is returned should the SQP design cost more.  ``config`` is no
-    longer read.  Nothing is random, so one support always refits to the
-    same bytes.  The returned stack is full-size with exact zeros off the
-    support; a support that zeroes a floor's generator is certified
-    infeasible by ``restrict``.  An infeasible subarray's error is re-raised
-    with the support in its message and its evidence still unread:
-    ``worst_violations`` is computed only if someone reads it.
+    bit, and is returned should the SQP design cost more.  Nothing is random,
+    so one support always refits to the same bytes.  The returned stack is
+    full-size with exact zeros off the support; a support that zeroes a
+    floor's generator is certified infeasible by ``restrict``.  An infeasible
+    subarray's error is re-raised with the support in its message and its
+    evidence still unread: ``worst_violations`` is computed only if someone
+    reads it.
     """
     support = normalize_support(support)
     try:
@@ -101,17 +116,18 @@ class BaselineResult:
     msrrs: tuple
 
 
-def random_selection_baseline(problem, K, trials, seed, config):
+def random_selection_baseline(problem, K, trials, seed, config=None):
     """Refit on uniformly drawn K-subsets; infeasible draws counted, excluded.
 
     Trial t draws its subset from default_rng([seed, K, t]); the refit draws
     no random numbers, so results are reproducible and independent of
     execution order, and each distinct support is refitted once per call.
+    ``config`` is not read: it stays, optional, only because
+    ``perfbench/run.py`` still passes it as a fifth argument (ROADMAP item 1).
     """
-    if not 1 <= K <= problem.N:
-        raise ConfigurationError(f"K must be in 1..{problem.N}, got {K}")
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    K = _integer("K", K, 1, problem.N)
+    trials = _integer("trials", trials, 1)
+    seed = _integer("seed", seed, 0)
     outcomes = {}  # support -> (tx power, MSRR), or whether its verdict is certified
     tx_powers, msrrs = [], []
     infeasible = certified = 0
@@ -120,7 +136,7 @@ def random_selection_baseline(problem, K, trials, seed, config):
         support = tuple(sorted(rng.choice(problem.N, size=K, replace=False).tolist()))
         if support not in outcomes:
             try:
-                stack = refit(problem, support, config)
+                stack = refit(problem, support)
             except InfeasibleProblemError as err:
                 outcomes[support] = err.certificate is not None
             else:

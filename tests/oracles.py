@@ -724,7 +724,7 @@ def refit_from_start(problem, support):
     return embed_support(w, reduced.support, problem.M, problem.N)
 
 
-def baseline_loop(problem, K, trials, seed, refit, config):
+def baseline_loop(problem, K, trials, seed, refit):
     """The random-subset baseline with one ``refit`` call per trial."""
     tx_powers, msrrs = [], []
     infeasible = certified = 0
@@ -732,7 +732,7 @@ def baseline_loop(problem, K, trials, seed, refit, config):
         rng = np.random.default_rng([seed, K, t])
         support = tuple(sorted(rng.choice(problem.N, size=K, replace=False).tolist()))
         try:
-            stack = refit(problem, support, config)
+            stack = refit(problem, support)
         except InfeasibleProblemError as err:
             infeasible += 1
             certified += err.certificate is not None

@@ -68,7 +68,7 @@ def _pipeline(scenario):
         support = sb.select_support(
             state.w, scenario.num_selected, problem.M, problem.N
         )
-        stack = sb.refit(problem, support, scenario.admm)
+        stack = sb.refit(problem, support)
         elapsed = time.perf_counter() - t0
         _cache["design"] = (problem, state, support, stack, elapsed)
     return _cache["design"]
@@ -149,14 +149,14 @@ def test_criterion_03_sweep_ordering(paper_scenario):
         support = sb.select_support(state.w, K, problem.M, problem.N)
         refit_error = None
         try:
-            stack = sb.refit(problem, support, paper_scenario.admm)
+            stack = sb.refit(problem, support)
             tx_prop = sb.tx_power(stack.w)
             msrr_prop = sb.msrr(stack.w, problem)
         except sb.InfeasibleProblemError as err:
             refit_error = err
             tx_prop = msrr_prop = float("nan")
         base = sb.random_selection_baseline(
-            problem, K, trials, paper_scenario.seed, paper_scenario.admm
+            problem, K, trials, paper_scenario.seed
         )
         verdict = "feasible" if refit_error is None else (
             "certified infeasible" if refit_error.certificate is not None

@@ -1134,7 +1134,7 @@ class TestCertificate:
         runs = count_lp_runs(monkeypatch)
         for support in itertools.combinations(range(paper_problem.N), K):
             with pytest.raises(InfeasibleProblemError) as err:
-                refit(paper_problem, support, paper_scenario.admm)
+                refit(paper_problem, support)
             certificate = err.value.certificate
             assert certificate is not None, support
             assert certificate_holds(subarray(paper_problem, support), certificate.multipliers)
@@ -1251,7 +1251,7 @@ class TestSweepPlan:
             return original(problem, *args, **kwargs)
 
         monkeypatch.setattr(admm_module, "cyclic_projection", counted)
-        refit(paper_problem, support, paper_scenario.admm)
+        refit(paper_problem, support)
         assert len(built) == 1 and built[0].support == support
         assert len(sweeps) >= 2 and all(problem is built[0] for problem in sweeps)
 
@@ -1366,7 +1366,7 @@ class TestRefitHandOff:
             start = find_feasible_point(problem)
         except InfeasibleProblemError:
             return  # the search gave up: no start to compare with
-        stack = refit(problem, range(problem.N), AdmmConfig(eta=0.0, rho=5.0))
+        stack = refit(problem, range(problem.N))
         assert feasibility_report(stack.w, problem, tol=1e-6).passed
         # a hand-off point within 1e-8 is the start itself, which the refit
         # returns should the SQP design cost more; from a looser hand-off

@@ -50,6 +50,17 @@ class TestCheckConfig:
     def test_usage_error_exits_one(self):
         assert main(["check-config"]) == 1
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["sweep-k", "--scenario", "s.json", "--k", "x"],
+         "sparsebeam sweep-k: error: argument --k: invalid int value: 'x'\n"),
+        (["solve"], "sparsebeam solve: error: the following arguments are required: --scenario\n"),
+        (["bogus"], "sparsebeam: error: argument command: invalid choice: 'bogus'"),
+    ], ids=["invalid-int", "missing-argument", "unknown-command"])
+    def test_usage_error_says_why_after_the_usage(self, capsys, argv, reason):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sparsebeam") and reason in err
+
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         with open(bundled_scenario_path(), "r", encoding="utf-8") as fh:
             data = json.load(fh)

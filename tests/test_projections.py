@@ -2,7 +2,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sparsebeam import (
     AntennaPowerConstraint,
@@ -512,6 +512,9 @@ class TestOnePointKernels:
         rng = np.random.default_rng(seed)
         M, N = int(rng.integers(1, 4)), 3
         W = 10.0**log_scale * random_stack(rng, M, N).reshape(M, N)
+        # near 10**155 a short group can stay just below the largest float
+        with np.errstate(all="ignore"):
+            assume(not np.isfinite(np.vdot(W[:, 1], W[:, 1]).real))
         problem = ProblemInstance(
             (StopbandConstraint(0.0, steering(N), 1e300, M, N),
              AntennaPowerConstraint(1, 10.0**log_limit, M, N)),

@@ -140,6 +140,12 @@ class TestSelectSupport:
         with pytest.raises(ConfigurationError):
             select_support(w, 3, 2, 2)
 
+    def test_k_must_be_integral(self):
+        w = np.array([1.0, 5.0, 2.0, 4.0], dtype=complex)
+        assert select_support(w, 2.0, 2, 2) == select_support(w, 2, 2, 2) == (0, 1)
+        with pytest.raises(ConfigurationError, match="K must be an integer, got 2.5"):
+            select_support(w, 2.5, 2, 2)
+
 
 class TestProposedSupport:
     """The supports that ``solve`` then ``select_support`` propose, pinned: a
@@ -186,7 +192,7 @@ class TestRefit:
     def test_refit_is_one_sqp_run_from_the_hand_off_point(
         self, paper_problem, paper_scenario, support
     ):
-        stack = refit(paper_problem, support, paper_scenario.admm)
+        stack = refit(paper_problem, support)
         reduced = paper_problem.restrict(support)
         n = reduced.size
 
@@ -218,14 +224,14 @@ class TestRefit:
 
         monkeypatch.setattr(sparsebeam.selection, "find_feasible_point", no_search)
         with pytest.raises(ConfigurationError, match="antenna index 2.7 is not an integer"):
-            refit(paper_problem, (0, 1, 2.7, 3, 4, 5, 6, 7), paper_scenario.admm)
+            refit(paper_problem, (0, 1, 2.7, 3, 4, 5, 6, 7))
 
     @pytest.mark.parametrize("support", [
         tuple(range(10)), PAPER_K8, *MIRROR_K8, (2, 3, 4, 5, 6, 7, 8, 9),
         (0, 1, 2, 3, 5, 6, 8, 9), (0, 1, 4, 5, 6, 7, 8, 9), (0, 1, 2, 3, 4, 5, 6, 8),
     ], ids=lambda support: "".join(map(str, support)))
     def test_no_worse_than_the_admm_refit(self, paper_problem, paper_scenario, support):
-        stack = refit(paper_problem, support, paper_scenario.admm)
+        stack = refit(paper_problem, support)
         oracle = refit_admm_reference(paper_problem, support, paper_scenario.admm)
         assert feasibility_report(stack.w, paper_problem, tol=1e-6).passed
         assert tx_power(stack.w) <= tx_power(oracle) * (1.0 + 1e-9)
@@ -234,7 +240,7 @@ class TestRefit:
         # the certified minimum powers of the supports: paper 3.76546 W,
         # full array 3.65853 W, both mirror supports 4.01947 W
         def power(support):
-            stack = refit(paper_problem, support, paper_scenario.admm)
+            stack = refit(paper_problem, support)
             assert feasibility_report(stack.w, paper_problem, tol=1e-6).passed
             return tx_power(stack.w)
 
@@ -254,7 +260,7 @@ class TestRefit:
         # point even at 1,000 times the start, so the failure is reported as is
         monkeypatch.setattr(sparsebeam.selection, "minimum_power",
                             lambda problem, w0: (10.0 * w0, problem.max_violation(10.0 * w0), False))
-        stack = refit(paper_problem, PAPER_K8, paper_scenario.admm)
+        stack = refit(paper_problem, PAPER_K8)
         want = embed_support(start, PAPER_K8, paper_problem.M, paper_problem.N)
         assert np.array_equal(stack.w, want)
 
@@ -274,7 +280,7 @@ class TestRefit:
         monkeypatch.setattr(sparsebeam.admm, "find_feasible_point", counted_search)
         monkeypatch.setattr(sparsebeam.selection, "find_feasible_point", counted_search)
         monkeypatch.setattr(sparsebeam.admm, "minimize", counted_sqp)
-        refit(paper_problem, PAPER_K8, paper_scenario.admm)
+        refit(paper_problem, PAPER_K8)
         # one search, stopped at 1e-3 of the largest threshold, then one SQP run
         assert searches == [(PAPER_K8, pytest.approx(0.01))]
         assert sqp_runs == ["SLSQP"]
@@ -291,7 +297,7 @@ class TestRefit:
             except InfeasibleProblemError as err:
                 return None, err.certificate is not None
 
-        power, certified = outcome(lambda: refit(paper_problem, support, paper_scenario.admm).w)
+        power, certified = outcome(lambda: refit(paper_problem, support).w)
         want_power, want_certified = outcome(lambda: refit_from_start(paper_problem, support))
         assert certified == want_certified
         if want_power is None:
@@ -302,7 +308,7 @@ class TestRefit:
     def test_too_few_antennas_for_users_is_infeasible(self, paper_problem, paper_scenario):
         # K=1 < M=2 with gamma=10: adding both SINR floors forces gamma < 1
         with pytest.raises(InfeasibleProblemError) as err:
-            refit(paper_problem, (4,), paper_scenario.admm)
+            refit(paper_problem, (4,))
         assert "(4,)" in str(err.value)
         certificate = err.value.certificate
         assert certificate_holds(subarray(paper_problem, (4,)), certificate.multipliers)
@@ -316,14 +322,14 @@ class TestRefit:
         searches = []
         monkeypatch.setattr(sparsebeam.admm, "certify_infeasible", searches.append)
         with pytest.raises(InfeasibleProblemError) as err:
-            refit(problem, (1, 2), None)
+            refit(problem, (1, 2))
         assert "(1, 2)" in str(err.value) and "sinr(m=0)" in str(err.value)
         assert err.value.worst_violations == [("sinr(m=0)", 1.0)]
         certificate = err.value.certificate
         assert certificate.excludes_every_point
         assert certificate.multipliers.tolist() == [1.0, 0.0]
         assert searches == []
-        base = random_selection_baseline(problem, 2, 3, 0, None)
+        base = random_selection_baseline(problem, 2, 3, 0)
         assert base.infeasible_count == base.certified_count > 0
 
     def test_support_zeroing_a_steering_vector(self):
@@ -333,12 +339,12 @@ class TestRefit:
         powers = tuple(AntennaPowerConstraint(n, 1.0, M, N) for n in range(N))
         floor = ProblemInstance((PassbandConstraint(0.0, a, 0.5, M, N),) + powers, M, N)
         with pytest.raises(InfeasibleProblemError) as err:
-            refit(floor, (1, 2), None)
+            refit(floor, (1, 2))
         assert err.value.certificate.excludes_every_point
         assert err.value.worst_violations == [("passband(theta=0 deg)", 0.5)]
         ceiling = ProblemInstance((StopbandConstraint(0.0, a, 0.5, M, N),) + powers, M, N)
         assert [kind for kind, _ in ceiling.restrict((1, 2)).row_names] == ["antenna_power"] * 2
-        assert np.array_equal(refit(ceiling, (1, 2), None).w, np.zeros(M * N))
+        assert np.array_equal(refit(ceiling, (1, 2)).w, np.zeros(M * N))
 
     @settings(max_examples=120, deadline=None)
     @given(sparse_generator_problems())
@@ -370,7 +376,7 @@ class TestRefit:
         problem, support = case
         floors = zeroed_floors(problem, support)
         try:
-            stack = refit(problem, support, None)
+            stack = refit(problem, support)
         except InfeasibleProblemError as err:
             if floors:
                 certificate = err.certificate
@@ -385,7 +391,7 @@ class TestRefit:
     def test_paper_k8_design_feasible_and_sparse(self, paper_problem, paper_scenario):
         state = solve(paper_problem, paper_scenario.admm)
         support = select_support(state.w, 8, paper_problem.M, paper_problem.N)
-        stack = refit(paper_problem, support, paper_scenario.admm)
+        stack = refit(paper_problem, support)
         report = feasibility_report(stack.w, paper_problem, tol=1e-6)
         assert report.passed
         off = sorted(set(range(paper_problem.N)) - set(support))
@@ -395,8 +401,8 @@ class TestRefit:
     def test_k8_within_five_percent_of_full_array(self, paper_problem, paper_scenario):
         state = solve(paper_problem, paper_scenario.admm)
         support = select_support(state.w, 8, paper_problem.M, paper_problem.N)
-        stack8 = refit(paper_problem, support, paper_scenario.admm)
-        stack10 = refit(paper_problem, tuple(range(10)), paper_scenario.admm)
+        stack8 = refit(paper_problem, support)
+        stack10 = refit(paper_problem, tuple(range(10)))
         tx8, tx10 = tx_power(stack8.w), tx_power(stack10.w)
         assert abs(tx8 - tx10) / tx10 <= 0.05
 
@@ -404,26 +410,61 @@ class TestRefit:
 class TestRandomBaseline:
     def test_full_array_has_zero_variance(self, paper_problem, paper_scenario):
         base = random_selection_baseline(
-            paper_problem, paper_problem.N, 3, paper_scenario.seed, paper_scenario.admm
+            paper_problem, paper_problem.N, 3, paper_scenario.seed
         )
         assert base.infeasible_count == 0
         assert np.ptp(base.tx_powers) == 0.0
         assert np.ptp(base.msrrs) == 0.0
 
     def test_single_trial_reproducible(self, paper_problem, paper_scenario):
-        a = random_selection_baseline(paper_problem, 8, 1, 123, paper_scenario.admm)
-        b = random_selection_baseline(paper_problem, 8, 1, 123, paper_scenario.admm)
+        a = random_selection_baseline(paper_problem, 8, 1, 123)
+        b = random_selection_baseline(paper_problem, 8, 1, 123)
         assert a.tx_powers == b.tx_powers and a.msrrs == b.msrrs
         assert a.infeasible_count == b.infeasible_count
 
     def test_trials_validated(self, paper_problem, paper_scenario):
         with pytest.raises(ConfigurationError):
-            random_selection_baseline(paper_problem, 8, 0, 1, paper_scenario.admm)
+            random_selection_baseline(paper_problem, 8, 0, 1)
 
     @pytest.mark.parametrize("K", [-1, 0, 11])
     def test_k_validated(self, paper_problem, paper_scenario, K):
         with pytest.raises(ConfigurationError, match=f"K must be in 1..10, got {K}"):
-            random_selection_baseline(paper_problem, K, 1, 1, paper_scenario.admm)
+            random_selection_baseline(paper_problem, K, 1, 1)
+
+    @pytest.mark.parametrize("K, trials, seed, message", [
+        (8, 2.5, 1, "trials must be an integer, got 2.5"),
+        (8, 2, -1, "seed must be >= 0, got -1"),
+        (8.5, 2, 1, "K must be an integer, got 8.5"),
+    ], ids=["trials", "seed", "K"])
+    def test_counts_named_when_not_integral(self, paper_problem, K, trials, seed, message):
+        with pytest.raises(ConfigurationError, match=message):
+            random_selection_baseline(paper_problem, K, trials, seed)
+
+    def test_integral_float_k_is_k(self, paper_problem):
+        got = random_selection_baseline(paper_problem, 8.0, 2, 1)
+        np.testing.assert_equal(asdict(got), asdict(random_selection_baseline(paper_problem, 8, 2, 1)))
+
+    @pytest.mark.parametrize("K", [4, 8])
+    def test_benchmark_calls_keep_their_fifth_argument(
+        self, paper_problem, paper_scenario, monkeypatch, K
+    ):
+        # the benchmark harness passes the scenario's AdmmConfig fifth and
+        # wraps the module's refit binding, which must see (problem, support)
+        refit_once = sparsebeam.selection.refit
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return refit_once(*args, **kwargs)
+
+        monkeypatch.setattr(sparsebeam.selection, "refit", spy)
+        seed = paper_scenario.seed
+        base = random_selection_baseline(paper_problem, K, 3, seed, paper_scenario.admm)
+        np.testing.assert_equal(asdict(base), asdict(random_selection_baseline(paper_problem, K, 3, seed)))
+        assert calls and all(
+            kwargs == {} and len(args) == 2 and args[0] is paper_problem and len(args[1]) == K
+            for args, kwargs in calls
+        )
 
     @pytest.mark.parametrize("K, trials", [(9, 15), (1, 12)])
     def test_each_support_refitted_once(self, paper_problem, paper_scenario, monkeypatch, K, trials):
@@ -431,21 +472,21 @@ class TestRandomBaseline:
         refit_once = sparsebeam.selection.refit
         calls = []
 
-        def counted(problem, support, config):
+        def counted(problem, support):
             calls.append(support)
-            return refit_once(problem, support, config)
+            return refit_once(problem, support)
 
         monkeypatch.setattr(sparsebeam.selection, "refit", counted)
-        seed, config = paper_scenario.seed, paper_scenario.admm
-        base = random_selection_baseline(paper_problem, K, trials, seed, config)
-        want = baseline_loop(paper_problem, K, trials, seed, refit_once, config)
+        seed = paper_scenario.seed
+        base = random_selection_baseline(paper_problem, K, trials, seed)
+        want = baseline_loop(paper_problem, K, trials, seed, refit_once)
         np.testing.assert_equal(asdict(base), asdict(want))
         assert len(set(calls)) == len(calls) < trials
 
     def test_infeasible_draws_counted_and_excluded(self, paper_problem, paper_scenario):
         # K=2 subsets are all provably infeasible on this scenario
         base = random_selection_baseline(
-            paper_problem, 2, 3, paper_scenario.seed, paper_scenario.admm
+            paper_problem, 2, 3, paper_scenario.seed
         )
         assert base.infeasible_count == base.certified_count == 3
         assert np.isnan(base.tx_power_mean) and np.isnan(base.msrr_mean)
@@ -469,7 +510,7 @@ class TestEvidenceOnRead:
 
     def test_random_baseline_computes_no_evidence(self, paper_problem, paper_scenario, recorded):
         calls, _ = recorded
-        base = random_selection_baseline(paper_problem, 4, 5, paper_scenario.seed, paper_scenario.admm)
+        base = random_selection_baseline(paper_problem, 4, 5, paper_scenario.seed)
         assert base.infeasible_count == base.certified_count == 5
         assert calls == []
 
@@ -479,7 +520,7 @@ class TestEvidenceOnRead:
     ):
         calls, original = recorded
         with pytest.raises(InfeasibleProblemError) as err:
-            refit(paper_problem, support, paper_scenario.admm)
+            refit(paper_problem, support)
         assert calls == []
         evidence = err.value.worst_violations  # read after refit's except block
         assert len(calls) == 1
@@ -493,7 +534,7 @@ class TestEvidenceOnRead:
 
     def test_a_pickled_error_carries_the_evidence(self, paper_problem, paper_scenario):
         with pytest.raises(InfeasibleProblemError) as err:
-            refit(paper_problem, (0, 1, 2, 3), paper_scenario.admm)
+            refit(paper_problem, (0, 1, 2, 3))
         copy = pickle.loads(pickle.dumps(err.value))
         assert str(copy) == str(err.value)
         assert copy.worst_violations == err.value.worst_violations
