@@ -22,7 +22,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .certificate import certify_infeasible, multiplier_certificate
-from .errors import ConfigurationError, InfeasibleProblemError, ProjectionError
+from .errors import (
+    ConfigurationError, InfeasibleProblemError, ProjectionError, check_integer,
+)
 from .problem import beam_slacks, norms, objective, sq_norms
 from .projections import move
 from .shrinkage import group_shrink
@@ -64,11 +66,8 @@ class AdmmConfig:
             raise ConfigurationError(f"eta must be finite and >= 0, got {self.eta}")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ConfigurationError(f"rho must be finite and > 0, got {self.rho}")
-        for name, low in (("k_max", 0), ("parallel", 1)):
-            value = getattr(self, name)
-            if not math.isfinite(value) or int(value) != value or value < low:
-                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value}")
-        object.__setattr__(self, "k_max", int(self.k_max))
+        object.__setattr__(self, "k_max", check_integer("k_max", self.k_max, 0))
+        check_integer("parallel", self.parallel, 1)
         for name in ("primal_tol", "dual_tol"):
             tol = getattr(self, name)
             if tol is not None and not (math.isfinite(tol) and tol > 0):
@@ -150,7 +149,7 @@ def update_v(problem, w, u, eta, rho):
     return V.reshape(L, M * N)
 
 
-def cyclic_projection(problem, w, max_sweeps=500, tol=1e-8, certify=False):
+def cyclic_projection(problem, w, max_sweeps=500, tol=_START_TOL, certify=False):
     """Feasibility restoration by cyclic nearest-point projections.
 
     Sweeps the constraints in their fixed order (Bauschke & Borwein, SIAM

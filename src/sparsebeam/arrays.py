@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 
 _GRID_TOL = 1e-9
 
@@ -23,9 +23,8 @@ class ArrayGeometry:
     element_spacing: float = 0.5
 
     def __post_init__(self):
-        n = self.num_antennas
-        if not math.isfinite(n) or int(n) != n or n < 2:
-            raise ConfigurationError(f"num_antennas must be an integer >= 2, got {n}")
+        n = check_integer("num_antennas", self.num_antennas, 2)
+        object.__setattr__(self, "num_antennas", n)  # range() and shapes take no 10.0
         if not (math.isfinite(self.element_spacing) and self.element_spacing > 0):
             raise ConfigurationError(
                 f"element_spacing must be finite and > 0 wavelengths, got {self.element_spacing}"

@@ -11,14 +11,16 @@ import functools
 import json
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .admm import IterationRecord, solve
-from .errors import ConfigurationError, InfeasibleProblemError, ProjectionError
+from .errors import (
+    ConfigurationError, InfeasibleProblemError, ProjectionError, check_integer,
+)
 from .metrics import CONSTRAINT_KINDS, design_report, msrr, tx_power
 from .problem import assemble
 from .scenario import load_scenario, scenario_sha256, scenario_to_dict
@@ -85,8 +87,6 @@ def _provenance(scenario, digest):
 def _json_ready(value):
     if isinstance(value, np.ndarray):
         return [_json_ready(x) for x in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     if isinstance(value, complex) or (
         isinstance(value, float) and not np.isfinite(value)
     ):
@@ -111,14 +111,9 @@ def cmd_solve(scenario, out_dir):
         "provenance": _provenance(scenario, digest),
         "scenario": scenario_to_dict(scenario),
         "support": list(support),
-        "metrics": {
-            "tx_power_w": report.tx_power_w,
-            "msrr": report.msrr,
-            "msrr_db": report.msrr_db,
-            "sinr": report.sinr,
-            "antenna_power_w": report.antenna_power_w,
-            "max_violation_by_kind": report.max_violation_by_kind,
-            "feasible": report.feasible,
+        "metrics": {  # every field but the pattern, which beampattern.csv holds
+            f.name: getattr(report, f.name)
+            for f in fields(report) if not f.name.startswith("pattern_")
         },
         "beamformers": {
             "stack": stack.w,
@@ -179,10 +174,8 @@ def cmd_sweep_k(scenario, k_list, trials, out_dir):
     if not k_list:
         raise ConfigurationError("sweep-k needs at least one K value")
     for K in k_list:
-        if not 1 <= K <= scenario.N:
-            raise ConfigurationError(f"K={K} outside 1..{scenario.N}")
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+        check_integer("K", K, 1, scenario.N)
+    check_integer("trials", trials, 1)
     problem = assemble(scenario)
     state = solve(problem, scenario.admm)
     rows = []

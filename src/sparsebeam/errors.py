@@ -7,6 +7,22 @@ class ConfigurationError(ValueError):
     """A scenario, grid, or solver configuration is invalid."""
 
 
+def check_integer(name, value, low, high=None):
+    """``value`` as an int in ``low..high`` (unbounded above if ``high`` is
+    None); an integral value such as 8.0 passes.  Anything else is a
+    ``ConfigurationError`` naming the parameter."""
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ConfigurationError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
 class ProjectionError(RuntimeError):
     """A constraint projection failed to converge.
 

@@ -18,7 +18,7 @@ import jsonschema
 
 from .admm import AdmmConfig
 from .arrays import ArrayGeometry, db_to_linear, dbm_to_watts
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 
 DEFAULT_SWEEP_SPAN_DEG = (-45.0, 45.0)
 
@@ -34,12 +34,11 @@ def bundled_scenario_path():
 
 @functools.cache
 def _validator():
-    """The schema's validator, checked against its metaschema once per process."""
+    """The bundled schema's validator, built once per process; the schema is
+    checked against its metaschema by the test suite, not here."""
     with _data_path("scenario.schema.json").open("r", encoding="utf-8") as fh:
         schema = json.load(fh)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _parse_units(value, field, units, expected):
@@ -125,10 +124,9 @@ class Scenario:
         M = len(self.user_angles_deg)
         if M < 1:
             raise ConfigurationError("at least one user is required")
-        if not 1 <= self.num_selected <= N:
-            raise ConfigurationError(
-                f"num_selected must be in 1..{N}, got {self.num_selected}"
-            )
+        # checked, not converted: a file's 8.0 stays 8.0, and so does its hash
+        check_integer("num_selected", self.num_selected, 1, N)
+        check_integer("seed", self.seed, 0)
         if self.channel_model not in ("los", "rayleigh"):
             raise ConfigurationError(
                 f"channel_model must be 'los' or 'rayleigh', got {self.channel_model!r}"
@@ -200,14 +198,8 @@ def scenario_from_dict(data):
         sinr_target=_per_item(
             data["sinr_target"], M, parse_ratio_linear, "sinr_target"
         ),
-        admm=AdmmConfig(
-            eta=float(admm["eta"]),
-            rho=float(admm["rho"]),
-            k_max=int(admm.get("k_max", 100)),
-            primal_tol=admm.get("primal_tol"),
-            dual_tol=admm.get("dual_tol"),
-            parallel=int(admm.get("parallel", 1)),
-        ),
+        # the file's keys only, so that AdmmConfig states every default
+        admm=AdmmConfig(**{**admm, "eta": float(admm["eta"]), "rho": float(admm["rho"])}),
         seed=int(data["seed"]),
         sweep_user_span_deg=tuple(float(x) for x in span),
     )

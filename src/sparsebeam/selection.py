@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import _START_TOL, find_feasible_point, handoff_tol, minimum_power
-from .errors import ConfigurationError, InfeasibleProblemError
+from .errors import InfeasibleProblemError, check_integer
 from .metrics import msrr, tx_power
 from .problem import BeamformerStack, group_norms, normalize_support
 
@@ -28,25 +28,9 @@ def rank_groups(w, M, N):
     return np.argsort(-group_norms(w, M, N), kind="stable")
 
 
-def _integer(name, value, low, high=None):
-    """``value`` as an int in ``low..high`` (unbounded above if ``high`` is
-    None); an integral value such as 8.0 passes.  Anything else is a
-    ``ConfigurationError`` naming the parameter."""
-    try:
-        integral = int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value < low or (high is not None and value > high):
-        bound = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ConfigurationError(f"{name} must be {bound}, got {value}")
-    return int(value)
-
-
 def select_support(w, K, M, N):
     """The K strongest antenna groups, as a sorted index tuple."""
-    K = _integer("K", K, 1, N)
+    K = check_integer("K", K, 1, N)
     order = rank_groups(w, M, N)
     return tuple(sorted(int(n) for n in order[:K]))
 
@@ -125,9 +109,9 @@ def random_selection_baseline(problem, K, trials, seed, config=None):
     ``config`` is not read: it stays, optional, only because
     ``perfbench/run.py`` still passes it as a fifth argument (ROADMAP item 1).
     """
-    K = _integer("K", K, 1, problem.N)
-    trials = _integer("trials", trials, 1)
-    seed = _integer("seed", seed, 0)
+    K = check_integer("K", K, 1, problem.N)
+    trials = check_integer("trials", trials, 1)
+    seed = check_integer("seed", seed, 0)
     outcomes = {}  # support -> (tx power, MSRR), or whether its verdict is certified
     tx_powers, msrrs = [], []
     infeasible = certified = 0

@@ -346,7 +346,7 @@ def test_criterion_08_parallel_determinism(tmp_path):
     _announce(8, True, "sweep-k CSVs byte-identical for --parallel 1 vs 4")
 
 
-def test_criterion_09_premise_guard(paper_problem):
+def test_criterion_09_premise_guard():
     weak = sb.AdmmConfig(eta=0.1, rho=0.05, k_max=1)
     with pytest.warns(sb.WeakPenaltyWarning):
         sb.check_penalty_ratio(weak, L=38)  # 0.025 < 10*0.1/38

@@ -617,7 +617,7 @@ class TestProjectionSweep:
 
 
 class TestFeasiblePoint:
-    def test_paper_scenario(self, paper_problem, paper_scenario):
+    def test_paper_scenario(self, paper_problem):
         w0 = find_feasible_point(paper_problem)
         assert paper_problem.max_violation(w0) <= 1e-6
 
@@ -1125,7 +1125,7 @@ class TestCertificate:
 
     @pytest.mark.parametrize("K, budget", [(4, 0), (6, 120)])
     def test_refit_certifies_from_the_sweeps_multipliers(
-        self, paper_problem, paper_scenario, monkeypatch, K, budget
+        self, paper_problem, monkeypatch, K, budget
     ):
         # a timing-free guard on the fast path: stage 3's own sweep
         # multipliers prove all 210 K=4 and 199 of the 210 K=6 paper subarrays
@@ -1238,7 +1238,7 @@ class TestSweepPlan:
         assert built == []
 
     @pytest.mark.parametrize("support", [(0, 2, 3, 4, 5, 6, 7, 9), tuple(range(8))])
-    def test_one_plan_per_refit(self, paper_problem, paper_scenario, monkeypatch, support):
+    def test_one_plan_per_refit(self, paper_problem, monkeypatch, support):
         # the paper support hands off to the SQP run, whose polish sweeps
         # again; 01234567 stalls, so stage 4's polish and the refit's own
         # sweep the same reduced problem too
@@ -1378,7 +1378,7 @@ class TestRefitHandOff:
 
 
 class TestInitialize:
-    def test_duals_zero_and_copies_equal(self, paper_problem, paper_scenario):
+    def test_duals_zero_and_copies_equal(self, paper_problem):
         state = initialize(paper_problem)
         assert np.all(state.u == 0)
         assert all(np.array_equal(state.v[l], state.w) for l in range(paper_problem.L))
@@ -1543,7 +1543,7 @@ class TestAdmmConfig:
         with pytest.raises(ConfigurationError):
             AdmmConfig(eta=0.0, rho=1.0, parallel=0)
 
-    def test_integral_float_k_max_runs_as_int(self, paper_problem, paper_scenario):
+    def test_integral_float_k_max_runs_as_int(self, paper_problem):
         cfg = AdmmConfig(eta=0.1, rho=50.0, k_max=3.0)
         assert type(cfg.k_max) is int
         state = solve(paper_problem, cfg)

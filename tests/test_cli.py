@@ -61,7 +61,7 @@ class TestCheckConfig:
         err = capsys.readouterr().err
         assert err.startswith("usage: sparsebeam") and reason in err
 
-    def test_unknown_key_exits_one(self, tmp_path, capsys):
+    def test_unknown_key_exits_one(self, tmp_path):
         with open(bundled_scenario_path(), "r", encoding="utf-8") as fh:
             data = json.load(fh)
         data["mystery"] = 1
@@ -79,7 +79,7 @@ class TestSolve:
         assert "is not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_artifacts_written(self, fast_scenario_path, tmp_path, capsys):
+    def test_artifacts_written(self, fast_scenario_path, tmp_path):
         out = tmp_path / "run"
         code = main(["solve", "--scenario", fast_scenario_path, "--out", str(out)])
         assert code == 0
@@ -147,7 +147,7 @@ class TestSolve:
         assert header == ["k", "objective", "primal_residual", "dual_residual"]
         assert rows == []
 
-    def test_entry_point_runs(self, tmp_path):
+    def test_entry_point_runs(self):
         out = subprocess.run(
             [sys.executable, "-m", "sparsebeam", "check-config",
              "--scenario", bundled_scenario_path()],

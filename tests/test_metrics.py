@@ -199,7 +199,7 @@ class TestSinrPerUser:
 
 
 class TestFeasibilityReport:
-    def test_feasible_point_passes(self, paper_problem, paper_scenario):
+    def test_feasible_point_passes(self, paper_problem):
         w0 = find_feasible_point(paper_problem)
         report = feasibility_report(w0, paper_problem)
         assert report.passed
@@ -233,7 +233,7 @@ class TestFeasibilityReport:
 
 
 class TestDesignReport:
-    def test_bundle_consistency(self, paper_problem, paper_scenario):
+    def test_bundle_consistency(self, paper_problem):
         w0 = find_feasible_point(paper_problem)
         report = design_report(w0, paper_problem)
         assert report.tx_power_w == pytest.approx(tx_power(w0))

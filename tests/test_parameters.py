@@ -1,9 +1,13 @@
-"""Every ``def`` parameter in ``src/sparsebeam`` is one its function reads.
+"""Every ``def`` parameter in ``src/sparsebeam`` is one its function reads,
+and every fixture a ``test_*`` function in ``tests/`` takes is one it reads.
 
 A parameter nothing reads is an interface that promises what the code does
 not do: callers keep building and passing a value that changes nothing.
 ``self`` and ``cls`` are exempt, and so are lambdas, whose shape an
-interface may fix (the scenario unit parsers take ``(value, field)``).
+interface may fix (the scenario unit parsers take ``(value, field)``).  In
+``tests/`` only the fixtures of ``test_*`` functions are held to it: a
+parametrize or ``given`` argument is the case's data, and stand-ins and
+callbacks (``*args, **kwargs``, ``W, row``) take what their caller passes.
 """
 
 import ast
@@ -93,3 +97,70 @@ def test_every_parameter_is_read():
     for path in sorted(Path(sparsebeam.__file__).parent.glob("*.py")):
         found |= _unread(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == set(ALLOWED)
+
+
+def _supplied(decorators, params):
+    """The parameters that ``parametrize`` or hypothesis's ``given`` fill,
+    not fixtures; ``given``'s positional strategies fill the last ones."""
+    names = set()
+    for deco in decorators:
+        if not isinstance(deco, ast.Call):
+            continue
+        called = ast.unparse(deco.func)
+        if called.endswith("parametrize"):
+            argnames = ast.literal_eval(deco.args[0])
+            if isinstance(argnames, str):
+                argnames = argnames.split(",")
+            names.update(name.strip() for name in argnames)
+        elif called.split(".")[-1] == "given":
+            names.update(kw.arg for kw in deco.keywords)
+            names.update(params[len(params) - len(deco.args):])
+    return names
+
+
+def _unread_fixtures(tree, module):
+    found = set()
+
+    def visit(node, prefix, inherited):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                supplied = inherited | _supplied(child.decorator_list, [])
+                visit(child, prefix + child.name + ".", supplied)
+            elif isinstance(child, ast.FunctionDef) and child.name.startswith("test_"):
+                params = _parameters(child)
+                supplied = inherited | _supplied(child.decorator_list, params) | {"self"}
+                found.update(
+                    (module, prefix + child.name, name)
+                    for name in params
+                    if name not in supplied and not _reads(ast.Module(child.body, []), name)
+                )
+
+    visit(tree, "", set())
+    return found
+
+
+def test_every_fixture_a_test_takes_is_read():
+    # the scan itself: parametrize and given arguments and stand-ins are exempt
+    toy = ast.parse(
+        "@pytest.mark.parametrize('a, b', [(1, 2)])\n"
+        "def test_parametrized(a, b, tmp_path):\n"
+        "    return tmp_path\n"
+        "@given(st.integers())\n"
+        "def test_given(capsys, x):\n"
+        "    return 0\n"
+        "@pytest.mark.parametrize(['c'], [(1,)])\n"
+        "class TestKind:\n"
+        "    def test_method(self, c, paper_scenario):\n"
+        "        def stand_in(*args, **kwargs):\n"
+        "            return None\n"
+        "        return stand_in\n"
+        "def helper(unused):\n"
+        "    return 0\n"
+    )
+    assert _unread_fixtures(toy, "m") == {
+        ("m", "test_given", "capsys"), ("m", "TestKind.test_method", "paper_scenario"),
+    }
+    found = set()
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        found |= _unread_fixtures(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == set()

@@ -325,7 +325,38 @@ class TestZeroGenerators:
         build(np.array([0.0, 1e-300j, 0.0]))  # one nonzero entry will do
 
 
+class TestConstructorRanges:
+    """Each constraint class's own threshold, limit and index checks, which
+    only a hand-built object reaches: ``assemble`` passes checked values."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PassbandConstraint(0.0, np.ones(3), 0.0, 1, 3),
+         "passband threshold must be > 0, got 0.0"),
+        (lambda: StopbandConstraint(0.0, np.ones(3), -1.0, 1, 3),
+         "stopband threshold must be > 0, got -1.0"),
+        (lambda: AntennaPowerConstraint(3, 1.0, 1, 3), "antenna index 3 outside 0..2"),
+        (lambda: AntennaPowerConstraint(-1, 1.0, 1, 3), "antenna index -1 outside 0..2"),
+        (lambda: AntennaPowerConstraint(0, 0.0, 1, 3),
+         "antenna power limit must be > 0, got 0.0"),
+        (lambda: SinrConstraint(2, np.ones(3), 1.0, 1.0, 2, 3), "user index 2 outside 0..1"),
+        (lambda: SinrConstraint(-1, np.ones(3), 1.0, 1.0, 2, 3), "user index -1 outside 0..1"),
+    ], ids=["passband-threshold", "stopband-threshold", "antenna-above", "antenna-below",
+            "power-limit", "user-above", "user-below"])
+    def test_rejected(self, build, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            build()
+
+
 class TestRestrict:
+    @pytest.mark.parametrize("support, message", [
+        ((), "empty antenna support"),
+        ((0, 10), "support (0, 10) outside antenna range 0..9"),
+        ((-1, 3), "support (-1, 3) outside antenna range 0..9"),
+    ], ids=["empty", "above", "below"])
+    def test_support_outside_the_array_is_rejected(self, paper_problem, support, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            paper_problem.restrict(support)
+
     def test_reduced_quad_matches_embedded_full(self, paper_problem):
         rng = np.random.default_rng(11)
         support = (0, 2, 3, 5, 7, 8, 9)
@@ -480,7 +511,7 @@ class TestVectorizedSlacks:
         )
         assert problem.worst_violations(w) == pairs[:5]
 
-    def test_paper_problem(self, paper_problem, paper_scenario):
+    def test_paper_problem(self, paper_problem):
         rng = np.random.default_rng(21)
         self.check(paper_problem, find_feasible_point(paper_problem))
         for scale in (0.1, 1.0, 10.0):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 
+import jsonschema
 import pytest
 
 from sparsebeam import (
@@ -9,13 +10,16 @@ from sparsebeam import (
     ArrayGeometry,
     ConfigurationError,
     Scenario,
+    assemble,
     bundled_scenario_path,
     load_scenario,
     scenario_sha256,
     scenario_to_dict,
     write_scenario,
 )
-from sparsebeam.scenario import parse_power_watts, parse_ratio_linear, scenario_from_dict
+from sparsebeam.scenario import (
+    _data_path, parse_power_watts, parse_ratio_linear, scenario_from_dict,
+)
 
 
 def paper_dict():
@@ -230,6 +234,104 @@ class TestNonFiniteFromPython:
         assert scenario_sha256(paper_scenario) == (
             "7bfbe455574c3982b066d8363cd3c656928d1114cbb22c06843ec2ffbd820600"
         )
+
+
+class TestIntegerCounts:
+    """Every count goes through the one integer-and-range rule, which names
+    the field: a ``replace`` or a hand-built config meets it as a file does."""
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": -1, "channel_model": "rayleigh"}, "seed must be >= 0, got -1"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"num_selected": 8.5}, "num_selected must be an integer, got 8.5"),
+    ], ids=["seed-negative", "seed-negative-rayleigh", "seed-fraction", "num_selected-fraction"])
+    def test_scenario_counts(self, paper_scenario, changes, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            dataclasses.replace(paper_scenario, **changes)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ArrayGeometry("10"), "num_antennas must be an integer, got '10'"),
+        (lambda: ArrayGeometry(1), "num_antennas must be >= 2, got 1"),
+        (lambda: AdmmConfig(eta=0.1, rho=50.0, k_max="5"), "k_max must be an integer, got '5'"),
+        (lambda: AdmmConfig(eta=0.1, rho=50.0, parallel=1.5),
+         "parallel must be an integer, got 1.5"),
+    ], ids=["num_antennas-string", "num_antennas-one", "k_max-string", "parallel-fraction"])
+    def test_geometry_and_solver_counts(self, build, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            build()
+
+    def test_integral_float_antenna_count_loads_as_an_int(self):
+        # the schema's "integer" admits 10.0, which once failed in range()
+        data = paper_dict()
+        data["array"]["num_antennas"] = 10.0
+        scenario = scenario_from_dict(data)
+        assert type(scenario.N) is int
+        assert scenario_sha256(scenario) == scenario_sha256(scenario_from_dict(paper_dict()))
+
+    def test_integral_float_is_kept_as_written(self):
+        # checked, not converted: the hash of a file that writes 8.0 is that file's
+        data = dict(paper_dict(), num_selected=8.0)
+        scenario = scenario_from_dict(data)
+        assert type(scenario.num_selected) is float and scenario.num_selected == 8.0
+        assert scenario_to_dict(scenario)["num_selected"] == 8.0
+
+
+class TestChecksBehindTheSchema:
+    """``Scenario``'s own checks, which the schema pre-empts on load, so that
+    only ``dataclasses.replace`` (or a hand-built ``Scenario``) reaches them."""
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"user_angles_deg": (), "noise_variance": (), "sinr_target": ()},
+         "at least one user is required"),
+        ({"channel_model": "nakagami"},
+         "channel_model must be 'los' or 'rayleigh', got 'nakagami'"),
+        ({"mainlobe_threshold": 0.0}, "mainlobe_threshold must be > 0"),
+        ({"stopband_threshold": -0.5}, "stopband_threshold must be > 0"),
+        ({"antenna_power_limit_w": (10.0,) * 9 + (0.0,)},
+         "antenna_power_limit: every entry must be > 0"),
+        ({"noise_variance": (1.0, -1.0)}, "noise_variance: every entry must be > 0"),
+        ({"sinr_target": (0.0, 10.0)}, "sinr_target: every entry must be > 0"),
+    ], ids=["no-user", "channel-model", "mainlobe-threshold", "stopband-threshold",
+            "antenna-power-limit", "noise-variance", "sinr-target"])
+    def test_replace_is_rejected(self, paper_scenario, changes, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            dataclasses.replace(paper_scenario, **changes)
+
+
+class TestFileChecksPastTheSchema:
+    """Values that match the schema's patterns but are still wrong."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("antenna_power_limit", "1.2.3 dBm",
+         "antenna_power_limit: expected watts, '<x> W', or '<x> dBm', got '1.2.3 dBm'"),
+        ("sinr_target", "1.2.3 dB",
+         "sinr_target: expected a linear ratio or '<x> dB', got '1.2.3 dB'"),
+    ], ids=["power", "ratio"])
+    def test_malformed_unit_number(self, field, value, message):
+        data = dict(paper_dict(), **{field: value})
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("section, regions, message", [
+        ("mainlobe", {"region_deg": [5, -5]}, "interval [5.0, -5.0] has hi < lo"),
+        ("stopband", {"regions_deg": [[-90, -60], [-20, -30]]},
+         "interval [-20.0, -30.0] has hi < lo"),
+    ], ids=["mainlobe", "stopband"])
+    def test_reversed_region(self, section, regions, message):
+        data = paper_dict()
+        data[section].update(regions)
+        scenario = scenario_from_dict(data)  # the grids are sampled at assembly
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            assemble(scenario)
+
+
+def test_bundled_schema_meets_its_metaschema():
+    # checked here once, not by every process that loads a scenario
+    schema = json.loads(_data_path("scenario.schema.json").read_text(encoding="utf-8"))
+    validator = jsonschema.validators.validator_for(schema)
+    assert validator is jsonschema.Draft202012Validator
+    validator.check_schema(schema)
 
 
 class TestRoundTrip:

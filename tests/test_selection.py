@@ -190,7 +190,7 @@ class TestProposedSupport:
 class TestRefit:
     @pytest.mark.parametrize("support", [tuple(range(10)), PAPER_K8], ids=["full", "paper"])
     def test_refit_is_one_sqp_run_from_the_hand_off_point(
-        self, paper_problem, paper_scenario, support
+        self, paper_problem, support
     ):
         stack = refit(paper_problem, support)
         reduced = paper_problem.restrict(support)
@@ -217,7 +217,7 @@ class TestRefit:
         assert np.array_equal(stack.w, want)
 
     def test_fractional_index_is_rejected_before_any_search(
-        self, paper_problem, paper_scenario, monkeypatch
+        self, paper_problem, monkeypatch
     ):
         def no_search(*args, **kwargs):
             raise AssertionError("the feasibility search ran")
@@ -236,7 +236,7 @@ class TestRefit:
         assert feasibility_report(stack.w, paper_problem, tol=1e-6).passed
         assert tx_power(stack.w) <= tx_power(oracle) * (1.0 + 1e-9)
 
-    def test_reaches_the_known_optima(self, paper_problem, paper_scenario):
+    def test_reaches_the_known_optima(self, paper_problem):
         # the certified minimum powers of the supports: paper 3.76546 W,
         # full array 3.65853 W, both mirror supports 4.01947 W
         def power(support):
@@ -249,7 +249,7 @@ class TestRefit:
         left, right = (power(support) for support in MIRROR_K8)
         assert right == pytest.approx(left, rel=1e-6)
 
-    def test_falls_back_to_the_start(self, paper_problem, paper_scenario, monkeypatch):
+    def test_falls_back_to_the_start(self, paper_problem, monkeypatch):
         reduced = paper_problem.restrict(PAPER_K8)
         start = find_feasible_point(reduced)
         assert reduced.max_violation(10.0 * start) > 1.0
@@ -264,7 +264,7 @@ class TestRefit:
         want = embed_support(start, PAPER_K8, paper_problem.M, paper_problem.N)
         assert np.array_equal(stack.w, want)
 
-    def test_feasible_start_searched_once(self, paper_problem, paper_scenario, monkeypatch):
+    def test_feasible_start_searched_once(self, paper_problem, monkeypatch):
         search, run_sqp = sparsebeam.admm.find_feasible_point, sparsebeam.admm.minimize
         searches, sqp_runs = [], []
 
@@ -289,7 +289,7 @@ class TestRefit:
         "support", REGRESSION_SUPPORTS, ids=lambda support: "".join(map(str, support))
     )
     def test_same_verdicts_and_powers_as_the_refit_from_the_start(
-        self, paper_problem, paper_scenario, support
+        self, paper_problem, support
     ):
         def outcome(design):
             try:
@@ -305,7 +305,7 @@ class TestRefit:
         else:
             assert power == pytest.approx(want_power, rel=1e-9, abs=0.0)
 
-    def test_too_few_antennas_for_users_is_infeasible(self, paper_problem, paper_scenario):
+    def test_too_few_antennas_for_users_is_infeasible(self, paper_problem):
         # K=1 < M=2 with gamma=10: adding both SINR floors forces gamma < 1
         with pytest.raises(InfeasibleProblemError) as err:
             refit(paper_problem, (4,))
@@ -416,18 +416,18 @@ class TestRandomBaseline:
         assert np.ptp(base.tx_powers) == 0.0
         assert np.ptp(base.msrrs) == 0.0
 
-    def test_single_trial_reproducible(self, paper_problem, paper_scenario):
+    def test_single_trial_reproducible(self, paper_problem):
         a = random_selection_baseline(paper_problem, 8, 1, 123)
         b = random_selection_baseline(paper_problem, 8, 1, 123)
         assert a.tx_powers == b.tx_powers and a.msrrs == b.msrrs
         assert a.infeasible_count == b.infeasible_count
 
-    def test_trials_validated(self, paper_problem, paper_scenario):
+    def test_trials_validated(self, paper_problem):
         with pytest.raises(ConfigurationError):
             random_selection_baseline(paper_problem, 8, 0, 1)
 
     @pytest.mark.parametrize("K", [-1, 0, 11])
-    def test_k_validated(self, paper_problem, paper_scenario, K):
+    def test_k_validated(self, paper_problem, K):
         with pytest.raises(ConfigurationError, match=f"K must be in 1..10, got {K}"):
             random_selection_baseline(paper_problem, K, 1, 1)
 
@@ -516,7 +516,7 @@ class TestEvidenceOnRead:
 
     @pytest.mark.parametrize("support", [(0, 1, 2, 3), (0, 2, 5, 7), (1, 3, 4, 6, 8, 9)])
     def test_evidence_read_after_the_refit_equals_the_eager_list(
-        self, paper_problem, paper_scenario, recorded, support
+        self, paper_problem, recorded, support
     ):
         calls, original = recorded
         with pytest.raises(InfeasibleProblemError) as err:
@@ -532,7 +532,7 @@ class TestEvidenceOnRead:
         assert [(type(d), type(v)) for d, v in evidence] == [(str, float)] * 5
         assert err.value.worst_violations is evidence and len(calls) == 1
 
-    def test_a_pickled_error_carries_the_evidence(self, paper_problem, paper_scenario):
+    def test_a_pickled_error_carries_the_evidence(self, paper_problem):
         with pytest.raises(InfeasibleProblemError) as err:
             refit(paper_problem, (0, 1, 2, 3))
         copy = pickle.loads(pickle.dumps(err.value))
