@@ -47,12 +47,8 @@ from .metrics import (
     tx_power,
 )
 from .problem import (
-    AntennaPowerConstraint,
     BeamformerStack,
-    PassbandConstraint,
     ProblemInstance,
-    SinrConstraint,
-    StopbandConstraint,
     assemble,
     group_norms,
     objective,

@@ -24,7 +24,8 @@ cutting-plane method.  A linear program over lambda on the unit simplex
 maximizes t subject to t <= -s and t <= y^H S_m y for every cut (m, y)
 gathered so far.  The first cuts are
 y = g_l/||g_l|| in each block m with C[l, m] < 0 (passband rows in every
-block, SINR rows in their served user's; constructors reject a zero g_l):
+block, SINR rows in their served user's; no assembled row has a zero g_l,
+and ``restrict`` drops those its support zeroes):
 only these blocks are negative semidefinite, so S_m can lose PSD-ness only
 along them.  Each round adds the eigenvectors of each S_m whose eigenvalues
 fall below t as new cuts.  The cuts only relax lambda_min(S), so the LP

@@ -4,34 +4,28 @@ The per-user weight vectors w_1..w_M are stacked into one complex vector of
 length M*N.  Block m (one user's weights) occupies entries [m*N, (m+1)*N);
 antenna group n gathers entries {n, n+N, ..., n+(M-1)*N}.
 
-A problem has one record of what it requires, ``ProblemInstance.families``,
-beside the sizes M and N, the antenna support of a subarray and the scenario
-it was assembled from: the angle grids are the beam rows' angles, each
-user's channel, SINR target and noise are its SINR row, and every other
-quantity, each row's name included, is derived from that record.  A problem
-built from constraint objects (``assemble``, or by hand) builds its
-``families`` from them once, and no other code reads an object; a subarray
-(``ProblemInstance.restrict``) holds no objects at all, only its
-``families``, sliced from the parent's arrays.
-
 Every constraint is held in the normalized sense  w^H F w <= f.  F is never
 materialized: it is block-diagonal over users, with block m equal to
 C[m] g g^H for one nonzero generator g (a steering vector, the selector e_n
-of one antenna, or a channel).  A constraint object is data: its fields,
-their validation and f.
+of one antenna, or a channel).  There are four kinds: beam floors and
+ceilings, antenna powers and SINR floors.
 
-The family has four kinds: beam floors and ceilings, antenna powers and SINR
-floors.  ``ProblemInstance.families`` holds them as per-kind arrays, routed
-by ``isinstance`` (a subclass joins its kind; any other class is a
-``ConfigurationError``), and every evaluation reads them: the row names, the
-slacks, the F_l w products, the SINRs of a design, the v-update's screens,
-the feasible start, the MSRR and ``sweep_plan``: the one-point kernels that
+A problem has one record of what it requires, ``ProblemInstance.families``:
+the constraints as per-kind arrays, one ``ConstraintFamilies`` of
+``beam_rows``, ``PowerRows`` and ``sinr_rows``, beside the sizes M and N,
+the antenna support of a subarray and the scenario it was assembled from.
+There is one way to build it.  ``assemble`` writes the arrays straight from
+a scenario's grids, limits and channels, and ``ProblemInstance.restrict``
+slices a parent's arrays for a subarray; a problem built by hand passes the
+same three constructors its own arrays, which nothing validates.  Every
+evaluation reads the arrays: the row names, the slacks, the F_l w
+products, the SINRs of a design, the v-update's screens, the feasible start,
+the MSRR and ``sweep_plan``, the one-point kernels that
 ``projections.move`` runs for the projection sweep and the v-update, with
 each row's data.  The infeasibility certificate reads them through
 ``certificate_record``, its per-row data built from them once per problem.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -158,6 +152,21 @@ class SinrRows(NamedTuple):
             yield np.conj(h), unit, np.conj(unit), norm2, user, gamma, -f, weights, h
 
 
+def sinr_rows(rows, channels, users, gamma, noise, M, N):
+    """``SinrRows`` from each row's channel h (N,), served user, gamma and
+    noise variance sigma^2: F's block weights are -1 on the served user's
+    block and gamma on the others, and f = -gamma*sigma^2."""
+    users = np.asarray(users, dtype=int)
+    gamma, noise = np.asarray(gamma, dtype=float), np.asarray(noise, dtype=float)
+    return SinrRows(
+        np.asarray(rows, dtype=int),
+        np.conj(np.asarray(channels, dtype=complex)).reshape(-1, N, 1),
+        (np.arange(len(users)), users),
+        np.where(users[:, np.newaxis] == np.arange(M), -1.0, gamma[:, np.newaxis]),
+        gamma, -gamma * noise, noise,
+    )
+
+
 def sinr_powers(W, sinrs):
     """|h^H w_m|^2 of each SINR row's served user and that summed over the
     other users (its interference), (s,) each, at one point W (M, N)."""
@@ -209,166 +218,21 @@ class BeamformerStack:
 
 
 @dataclass(frozen=True, eq=False)
-class BeamConstraint:
-    """A response sum_m |a^H w_m|^2 at one angle, held below (stopband,
-    ``sign`` +1) or above (passband, ``sign`` -1) a threshold.
-
-    Normalized as F = sign*(I_M (x) a a^H), f = sign*threshold; a subclass
-    sets only ``kind`` and ``sign``.
-    """
-
-    angle_deg: float
-    steering: np.ndarray
-    threshold: float
-    M: int
-    N: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "steering", np.asarray(self.steering, dtype=complex))
-        if self.steering.shape != (self.N,):
-            raise ConfigurationError(
-                f"{self.kind} steering vector has shape {self.steering.shape}, "
-                f"but N={self.N} needs ({self.N},)"
-            )
-        if not self.steering.any():
-            raise ConfigurationError(f"{self.kind} steering vector is zero")
-        if not self.threshold > 0:
-            raise ConfigurationError(
-                f"{self.kind} threshold must be > 0, got {self.threshold}"
-            )
-
-    @property
-    def f(self):
-        return self.sign * self.threshold
-
-
-class PassbandConstraint(BeamConstraint):
-    """Mainlobe floor at one angle: sum_m |a^H w_m|^2 >= threshold.
-
-    Normalized with F = -(I_M (x) a a^H), f = -threshold; F is NSD.
-    """
-
-    kind = "passband"
-    sign = -1.0
-
-
-class StopbandConstraint(BeamConstraint):
-    """Sidelobe ceiling at one angle: sum_m |a^H w_m|^2 <= threshold.
-
-    F = I_M (x) a a^H is PSD with rank M.
-    """
-
-    kind = "stopband"
-    sign = 1.0
-
-
-@dataclass(frozen=True, eq=False)
-class AntennaPowerConstraint:
-    """Per-antenna radiated power: sum_m |w_m(n)|^2 <= limit.
-
-    F is the 0/1 diagonal selector of antenna group n.
-    """
-
-    antenna: int
-    limit: float
-    M: int
-    N: int
-
-    kind = "antenna_power"
-
-    def __post_init__(self):
-        if not 0 <= self.antenna < self.N:
-            raise ConfigurationError(
-                f"antenna index {self.antenna} outside 0..{self.N - 1}"
-            )
-        if not self.limit > 0:
-            raise ConfigurationError(
-                f"antenna power limit must be > 0, got {self.limit}"
-            )
-
-    @property
-    def f(self):
-        return self.limit
-
-
-@dataclass(frozen=True, eq=False)
-class SinrConstraint:
-    """Downlink SINR floor for one user.
-
-    |h^H w_m|^2 - gamma * sum_{j != m} |h^H w_j|^2 >= gamma * sigma^2,
-    normalized with f = -gamma*sigma^2 and an indefinite F (-1 on the served
-    user's block, +gamma on the others, along the channel), whose block
-    weights ``ProblemInstance.families`` builds from the user and gamma.
-    """
-
-    user: int
-    h: np.ndarray
-    gamma: float
-    noise_variance: float
-    M: int
-    N: int
-
-    kind = "sinr"
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=complex))
-        if not 0 <= self.user < self.M:
-            raise ConfigurationError(f"user index {self.user} outside 0..{self.M - 1}")
-        if self.h.shape != (self.N,):
-            raise ConfigurationError(
-                f"sinr channel vector of user {self.user} has shape {self.h.shape}, "
-                f"but N={self.N} needs ({self.N},)"
-            )
-        if not self.h.any():
-            raise ConfigurationError(f"user {self.user}: channel vector is zero")
-        if not self.gamma > 0:
-            raise ConfigurationError(f"SINR target must be > 0, got {self.gamma}")
-        if not self.noise_variance > 0:
-            raise ConfigurationError(
-                f"noise variance must be > 0, got {self.noise_variance}"
-            )
-
-    @property
-    def f(self):
-        return -self.gamma * self.noise_variance
-
-
-def family_of(l, constraint, M, N):
-    """The position in ``ConstraintFamilies`` of row l's kind (0 beams, 1
-    antenna powers, 2 SINRs); any other class, or an object sized for other
-    M or N than its problem's, is a ``ConfigurationError``."""
-    for i, cls in enumerate((BeamConstraint, AntennaPowerConstraint, SinrConstraint)):
-        if isinstance(constraint, cls):
-            if (constraint.M, constraint.N) != (M, N):
-                raise ConfigurationError(
-                    f"constraint l={l} ({constraint.kind}) is sized M={constraint.M}, "
-                    f"N={constraint.N}, but its problem has M={M}, N={N}"
-                )
-            return i
-    raise ConfigurationError(
-        f"unsupported constraint class {type(constraint).__name__}: a constraint "
-        "must be a beam, antenna-power or SINR constraint"
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """One QCQP: its ``constraints``, M users, N antennas, the antenna
-    ``support`` of a subarray (None for the full array) and the ``scenario``
-    it was assembled from (None for a hand-built problem; no solver reads it).
+    """One QCQP: its constraint ``families``, M users, N antennas, the
+    antenna ``support`` of a subarray (None for the full array) and the
+    ``scenario`` it was assembled from (None for a hand-built problem; no
+    solver reads it).
 
     ``families`` is the problem's one record of what it requires, and
     everything else is derived from it: L, the row names, the
-    ``certificate_record`` and the ``sweep_plan``.  Built from constraint
-    objects, a problem reads them once, into its ``families``, and nothing
-    else reads them.  A subarray from ``restrict`` has no objects
-    (``constraints`` is None), only its ``families``, sliced from its
-    parent's.  Constraint order is fixed (passband grid, stopband grid,
-    antenna powers, SINRs) so that run logs and dual variables are
-    reproducible.
+    ``certificate_record`` and the ``sweep_plan``.  Each family's ``rows``
+    place its constraints in the problem's order; ``assemble`` fixes it
+    (passband grid, stopband grid, antenna powers, SINRs) so that run logs
+    and dual variables are reproducible.
     """
 
-    constraints: Sequence
+    families: ConstraintFamilies
     M: int
     N: int
     support: tuple = None
@@ -381,37 +245,6 @@ class ProblemInstance:
     @property
     def size(self):
         return self.M * self.N
-
-    @cached_property
-    def families(self):
-        """The constraints by kind as arrays, built once per instance from the
-        objects' fields and f, the one place that reads them; the SINR block
-        weights from user and gamma."""
-        cs = self.constraints
-        kinds = [family_of(l, c, self.M, self.N) for l, c in enumerate(cs)]
-        beams, powers, sinrs = ([l for l, k in enumerate(kinds) if k == i] for i in range(3))
-        users = np.array([cs[l].user for l in sinrs], dtype=int)
-        gamma = np.array([cs[l].gamma for l in sinrs], dtype=float)
-        return ConstraintFamilies(
-            beam_rows(
-                beams, [cs[l].steering for l in beams], [cs[l].sign for l in beams],
-                [cs[l].threshold for l in beams], self.N, [cs[l].angle_deg for l in beams],
-            ),
-            PowerRows(
-                np.array(powers, dtype=int),
-                np.array([cs[l].antenna for l in powers], dtype=int),
-                np.array([cs[l].limit for l in powers], dtype=float),
-            ),
-            SinrRows(
-                np.array(sinrs, dtype=int),
-                np.array([np.conj(cs[l].h) for l in sinrs]).reshape(-1, self.N, 1),
-                (np.arange(len(sinrs)), users),
-                np.where(users[:, np.newaxis] == np.arange(self.M), -1.0, gamma[:, np.newaxis]),
-                gamma,
-                np.array([cs[l].f for l in sinrs], dtype=float),
-                np.array([cs[l].noise_variance for l in sinrs], dtype=float),
-            ),
-        )
 
     @cached_property
     def row_names(self):
@@ -489,10 +322,9 @@ class ProblemInstance:
         its ``support`` holds, indices into its parent's support.  A row whose
         generator the support zeroes reads 0 <= f_l, so it is dropped when
         f_l > 0, and a floor (f_l < 0), violated by -f_l at every point,
-        raises a certified ``InfeasibleProblemError``.  The subarray holds no
-        constraint objects: its ``families`` are this problem's, sliced on
-        the kept rows and the support's antennas, and everything else it
-        derives from them."""
+        raises a certified ``InfeasibleProblemError``.  The subarray's
+        ``families`` are this problem's, sliced on the kept rows and the
+        support's antennas."""
         support = normalize_support(support)
         if not support:
             raise ConfigurationError("empty antenna support")
@@ -510,10 +342,10 @@ class ProblemInstance:
                 [(name, float(-record.f[l])) for name, l in zip(names, floors)],
                 zeroed_floor_certificate(self, floors[0]),
             )
-        reduced = ProblemInstance(None, self.M, len(support), support, self.scenario)
-        # the sliced arrays are the subarray's one record: fill its cached families
-        vars(reduced)["families"] = restrict_families(self.families, kept, cols)
-        return reduced
+        return ProblemInstance(
+            restrict_families(self.families, kept, cols), self.M, len(support), support,
+            self.scenario,
+        )
 
 
 def restrict_families(families, kept, cols):
@@ -540,41 +372,37 @@ def restrict_families(families, kept, cols):
 
 
 def assemble(scenario):
-    """Build the full constraint family from a scenario.
+    """The full problem of a scenario, its ``families`` built from it.
 
     Order: passband grid, stopband grid, antenna powers 0..N-1, SINRs 0..M-1.
     User m's SINR row carries its channel: LoS toward its angle, or Rayleigh
     drawn from default_rng([seed, 101, m]).
     """
     geometry = scenario.geometry
-    N = geometry.num_antennas
-    M = len(scenario.user_angles_deg)
+    N, M = geometry.num_antennas, scenario.M
     grids = build_grids(
         scenario.mainlobe_region,
         scenario.stopband_regions,
         scenario.mainlobe_step_deg,
         scenario.stopband_step_deg,
     )
-
-    constraints = []
-    for cls, angles, threshold in (
-        (PassbandConstraint, grids.mainlobe, scenario.mainlobe_threshold),
-        (StopbandConstraint, grids.stopband, scenario.stopband_threshold),
-    ):
-        for theta in angles:
-            constraints.append(
-                cls(theta, steering_vector(geometry, theta), threshold, M, N)
-            )
-    for n in range(N):
-        constraints.append(
-            AntennaPowerConstraint(n, scenario.antenna_power_limit_w[n], M, N)
-        )
-    for m, angle in enumerate(scenario.user_angles_deg):
-        if scenario.channel_model == "los":
-            h = los_channel(geometry, angle, scenario.channel_gain)
-        else:  # "rayleigh", the one other model a Scenario accepts
-            h = rayleigh_channel(geometry, seed=[scenario.seed, 101, m])
-        constraints.append(
-            SinrConstraint(m, h, scenario.sinr_target[m], scenario.noise_variance[m], M, N)
-        )
-    return ProblemInstance(constraints=tuple(constraints), M=M, N=N, scenario=scenario)
+    angles = grids.mainlobe + grids.stopband
+    P, B = len(grids.mainlobe), len(angles)
+    if scenario.channel_model == "los":
+        channels = [los_channel(geometry, angle, scenario.channel_gain)
+                    for angle in scenario.user_angles_deg]
+    else:  # "rayleigh", the one other model a Scenario accepts
+        channels = [rayleigh_channel(geometry, seed=[scenario.seed, 101, m]) for m in range(M)]
+    families = ConstraintFamilies(
+        beam_rows(
+            np.arange(B), [steering_vector(geometry, theta) for theta in angles],
+            [-1.0] * P + [1.0] * (B - P),
+            [scenario.mainlobe_threshold] * P + [scenario.stopband_threshold] * (B - P),
+            N, angles,
+        ),
+        PowerRows(np.arange(B, B + N), np.arange(N),
+                  np.array(scenario.antenna_power_limit_w, dtype=float)),
+        sinr_rows(np.arange(B + N, B + N + M), channels, np.arange(M),
+                  scenario.sinr_target, scenario.noise_variance, M, N),
+    )
+    return ProblemInstance(families, M, N, scenario=scenario)

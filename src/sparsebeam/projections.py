@@ -16,7 +16,7 @@ v-update both move their points with it.  Where F is
 negative semidefinite (mainlobe floors) or indefinite (SINR floors) the set
 is nonconvex: a saturated multiplier with an injected critical-direction
 component handles the degenerate inputs, as in the trust-region "hard
-case".  A class outside the four kinds has no kernel.
+case".
 """
 
 import math

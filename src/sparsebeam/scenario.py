@@ -17,7 +17,7 @@ from importlib import resources
 import jsonschema
 
 from .admm import AdmmConfig
-from .arrays import ArrayGeometry, db_to_linear, dbm_to_watts
+from .arrays import ArrayGeometry, build_grids, db_to_linear, dbm_to_watts, los_channel
 from .errors import ConfigurationError, check_integer
 
 DEFAULT_SWEEP_SPAN_DEG = (-45.0, 45.0)
@@ -146,6 +146,12 @@ class Scenario:
                 )
             if any(not value > 0 for value in values):
                 raise ConfigurationError(f"{name}: every entry must be > 0")
+        # what assemble builds, so that every Scenario assembles: the angle
+        # grids, and the LoS channels' gain and angles
+        build_grids(self.mainlobe_region, self.stopband_regions,
+                    self.mainlobe_step_deg, self.stopband_step_deg)
+        if self.channel_model == "los":
+            los_channel(self.geometry, self.user_angles_deg, self.channel_gain)
 
     @property
     def M(self):

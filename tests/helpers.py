@@ -1,23 +1,160 @@
-"""Shared test oracles: dense constraint matrices built from the selection
-matrices Phi_m, independently of the package's structured evaluation paths,
-the paper-derived problems several tests check readers on, and the package's
+"""Shared test oracles: the reference constraint objects and the problems
+built from them, dense constraint matrices built from the selection matrices
+Phi_m, independently of the package's structured evaluation paths, the
+paper-derived problems several tests check readers on, and the package's
 slack and projection of one constraint, through a one-constraint problem.
 
-A subarray of the package holds no constraint objects.  Its objects, for the
-tests that read them, come from one reference here: ``restrict_constraints``
-cuts the parent's objects to the support from their own fields, and
-``subarray`` gives the package's subarray those objects; ``describe`` names
-an object's row as the package's ``row_names`` must."""
+The package holds a problem's constraints only as per-kind arrays.  The
+records here hold one constraint each, in its own fields, for the oracles
+that evaluate one constraint at a time: ``constraints_of`` lists a
+scenario's in ``assemble``'s order, ``problem_of`` builds a problem from
+records through the package's row constructors, ``restrict_constraints``
+cuts a parent's records to a support on its own, ``subarray`` pairs the
+package's subarray with them, and ``describe`` names a record's row as the
+package's ``row_names`` must."""
 
 import itertools
 from collections import namedtuple
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from sparsebeam import AntennaPowerConstraint, ProblemInstance, SinrConstraint, assemble
+from sparsebeam import assemble, build_grids, los_channel, rayleigh_channel, steering_vector
 from sparsebeam.cli import scenario_with_users
+from sparsebeam.problem import (
+    ConstraintFamilies,
+    PowerRows,
+    ProblemInstance,
+    beam_rows,
+    sinr_rows,
+)
 from sparsebeam.projections import move
+
+
+@dataclass(frozen=True, eq=False)
+class BeamConstraint:
+    """A response sum_m |a^H w_m|^2 at one angle, held below (stopband,
+    ``sign`` +1) or above (passband, ``sign`` -1) a threshold: F =
+    sign*(I_M (x) a a^H), f = sign*threshold; a subclass sets only ``kind``
+    and ``sign``."""
+
+    angle_deg: float
+    steering: np.ndarray
+    threshold: float
+    M: int
+    N: int
+
+    @property
+    def f(self):
+        return self.sign * self.threshold
+
+
+class PassbandConstraint(BeamConstraint):
+    """Mainlobe floor at one angle: sum_m |a^H w_m|^2 >= threshold."""
+
+    kind = "passband"
+    sign = -1.0
+
+
+class StopbandConstraint(BeamConstraint):
+    """Sidelobe ceiling at one angle: sum_m |a^H w_m|^2 <= threshold."""
+
+    kind = "stopband"
+    sign = 1.0
+
+
+@dataclass(frozen=True, eq=False)
+class AntennaPowerConstraint:
+    """Per-antenna radiated power: sum_m |w_m(n)|^2 <= limit."""
+
+    antenna: int
+    limit: float
+    M: int
+    N: int
+
+    kind = "antenna_power"
+
+    @property
+    def f(self):
+        return self.limit
+
+
+@dataclass(frozen=True, eq=False)
+class SinrConstraint:
+    """Downlink SINR floor for one user,
+    |h^H w_m|^2 - gamma * sum_{j != m} |h^H w_j|^2 >= gamma * sigma^2,
+    with f = -gamma*sigma^2."""
+
+    user: int
+    h: np.ndarray
+    gamma: float
+    noise_variance: float
+    M: int
+    N: int
+
+    kind = "sinr"
+
+    @property
+    def f(self):
+        return -self.gamma * self.noise_variance
+
+
+def problem_of(constraints, M, N, scenario=None):
+    """The problem of the records ``constraints``, rows in their order, its
+    ``families`` built by the package's ``beam_rows``, ``PowerRows`` and
+    ``sinr_rows`` from the records' fields."""
+    cs = constraints
+    beams, powers, sinrs = (
+        [l for l, c in enumerate(cs) if isinstance(c, cls)]
+        for cls in (BeamConstraint, AntennaPowerConstraint, SinrConstraint)
+    )
+    families = ConstraintFamilies(
+        beam_rows(
+            beams, [cs[l].steering for l in beams], [cs[l].sign for l in beams],
+            [cs[l].threshold for l in beams], N, [cs[l].angle_deg for l in beams],
+        ),
+        PowerRows(
+            np.array(powers, dtype=int),
+            np.array([cs[l].antenna for l in powers], dtype=int),
+            np.array([cs[l].limit for l in powers], dtype=float),
+        ),
+        sinr_rows(
+            sinrs, [cs[l].h for l in sinrs], [cs[l].user for l in sinrs],
+            [cs[l].gamma for l in sinrs], [cs[l].noise_variance for l in sinrs], M, N,
+        ),
+    )
+    return ProblemInstance(families, M, N, scenario=scenario)
+
+
+def constraints_of(scenario):
+    """The records of ``scenario``'s constraints in ``assemble``'s order
+    (passband grid, stopband grid, antenna powers, SINRs), one steering
+    vector or channel per row."""
+    geometry, M, N = scenario.geometry, scenario.M, scenario.N
+    grids = build_grids(
+        scenario.mainlobe_region,
+        scenario.stopband_regions,
+        scenario.mainlobe_step_deg,
+        scenario.stopband_step_deg,
+    )
+    constraints = []
+    for cls, angles, threshold in (
+        (PassbandConstraint, grids.mainlobe, scenario.mainlobe_threshold),
+        (StopbandConstraint, grids.stopband, scenario.stopband_threshold),
+    ):
+        for theta in angles:
+            constraints.append(cls(theta, steering_vector(geometry, theta), threshold, M, N))
+    for n in range(N):
+        constraints.append(AntennaPowerConstraint(n, scenario.antenna_power_limit_w[n], M, N))
+    for m, angle in enumerate(scenario.user_angles_deg):
+        if scenario.channel_model == "los":
+            h = los_channel(geometry, angle, scenario.channel_gain)
+        else:
+            h = rayleigh_channel(geometry, seed=[scenario.seed, 101, m])
+        constraints.append(
+            SinrConstraint(m, h, scenario.sinr_target[m], scenario.noise_variance[m], M, N)
+        )
+    return tuple(constraints)
 
 
 def describe(c):
@@ -56,15 +193,12 @@ def restrict_constraints(constraints, support):
     return tuple(kept)
 
 
-def subarray(problem, support):
+def subarray(problem, constraints, support):
     """``problem.restrict(support)``, the package's subarray with its sliced
-    ``families``, given ``restrict_constraints``' objects of its parent's
-    objects as its ``constraints``, for the oracles that read objects;
-    ``problem`` is one built from objects or another ``subarray``."""
+    ``families``, and ``restrict_constraints``' objects of ``constraints``,
+    the parent's objects, for the oracles that read objects."""
     reduced = problem.restrict(support)
-    twin = replace(reduced, constraints=restrict_constraints(problem.constraints, reduced.support))
-    vars(twin)["families"] = reduced.families  # the package's slices, not rebuilt
-    return twin
+    return reduced, restrict_constraints(constraints, reduced.support)
 
 
 def phi_matrix(m, M, N):
@@ -137,8 +271,9 @@ def dense_constraint(c):
     raise ValueError(f"unknown constraint kind {c.kind!r}")
 
 
-def certificate_holds(problem, multipliers, rel_tol=1e-12):
-    """Does lambda prove ``problem`` infeasible?  Checked densely.
+def certificate_holds(constraints, multipliers, rel_tol=1e-12):
+    """Does lambda prove the problem of the objects ``constraints``
+    infeasible?  Checked densely.
 
     Needs lambda >= 0, s = sum lambda_l f_l below minus its rounding bound
     L * eps * sum lambda_l |f_l|, and S = sum lambda_l F_l PSD up to
@@ -148,21 +283,21 @@ def certificate_holds(problem, multipliers, rel_tol=1e-12):
     < 0.
     """
     lam = np.asarray(multipliers, dtype=float)
-    if lam.shape != (len(problem.constraints),) or np.any(lam < 0):
+    if lam.shape != (len(constraints),) or np.any(lam < 0):
         return False
-    pairs = [dense_constraint(c) for c in problem.constraints]
+    pairs = [dense_constraint(c) for c in constraints]
     S = sum(l * F for l, (F, _) in zip(lam, pairs))
     s = sum(l * f for l, (_, f) in zip(lam, pairs))
     s += len(lam) * np.finfo(float).eps * sum(l * abs(f) for l, (_, f) in zip(lam, pairs))
     tol = rel_tol * sum(l * np.linalg.norm(F, 2) for l, (F, _) in zip(lam, pairs))
     lam_min = np.linalg.eigvalsh(S)[0]
     limits = {}
-    for c in problem.constraints:
+    for c in constraints:
         if c.kind == "antenna_power":
             limits[c.antenna] = min(c.limit, limits.get(c.antenna, np.inf))
     if s >= 0:
         return False
-    if len(limits) < problem.N:
+    if len(limits) < constraints[0].N:
         return lam_min >= -tol
     return s + sum(limits.values()) * (max(0.0, -lam_min) + tol) < 0
 
@@ -185,24 +320,24 @@ def assert_same_data(got, want, name="data"):
         assert got is want or np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
 
-def paper_variants(paper_problem):
-    """The paper problem, its 45 K=8 subarrays (each a ``subarray``, with
-    its reference objects), and the paper scenario with M = 1..4 users
+def paper_variants(paper_problem, paper_constraints):
+    """(problem, its objects) of the paper problem, its 45 K=8 subarrays
+    (each a ``subarray``), and the paper scenario with M = 1..4 users
     (``scenario_with_users``) under LoS and Rayleigh channels."""
-    problems = [paper_problem] + [
-        subarray(paper_problem, support)
+    problems = [(paper_problem, paper_constraints)] + [
+        subarray(paper_problem, paper_constraints, support)
         for support in itertools.combinations(range(paper_problem.N), 8)
     ]
     for model in ("los", "rayleigh"):
         for M in range(1, 5):
-            sc = scenario_with_users(paper_problem.scenario, M)
-            problems.append(assemble(replace(sc, channel_model=model)))
+            sc = replace(scenario_with_users(paper_problem.scenario, M), channel_model=model)
+            problems.append((assemble(sc), constraints_of(sc)))
     return problems
 
 
 def slack(c, w):
     """f - w^H F w of one constraint, by ``ProblemInstance.slacks``."""
-    return ProblemInstance((c,), c.M, c.N).slacks(w)[0]
+    return problem_of((c,), c.M, c.N).slacks(w)[0]
 
 
 Projection = namedtuple("Projection", "v multiplier active kkt_residual")
@@ -213,7 +348,7 @@ def project(c, vbar):
     kernel behind the KKT guard, on a one-constraint problem; a point that
     holds is copied."""
     vbar = np.asarray(vbar, dtype=complex)
-    moved = move(ProblemInstance((c,), c.M, c.N), 0, vbar.reshape(c.M, c.N))
+    moved = move(problem_of((c,), c.M, c.N), 0, vbar.reshape(c.M, c.N))
     if moved is None:
         return Projection(vbar.copy(), 0.0, False, 0.0)
     V, mu, residual = moved

@@ -59,13 +59,7 @@ from sparsebeam.arrays import build_grids, los_channel, rayleigh_channel, steeri
 from sparsebeam.certificate import _MAX_ROUNDS, Certificate
 from sparsebeam.errors import InfeasibleProblemError, ProjectionError
 from sparsebeam.metrics import msrr, tx_power
-from sparsebeam.problem import (
-    AntennaPowerConstraint,
-    BeamConstraint,
-    beam_rows,
-    sq_norms,
-    user_blocks,
-)
+from sparsebeam.problem import beam_rows, sq_norms, user_blocks
 from sparsebeam.projections import (
     _DEGENERATE_FLOOR,
     EPS,
@@ -76,7 +70,9 @@ from sparsebeam.projections import (
 from sparsebeam.selection import BaselineResult, embed_support
 from sparsebeam.shrinkage import ZERO_GROUP_FLOOR
 
-from helpers import Projection, describe, of_kind, project, subarray
+from helpers import (
+    AntennaPowerConstraint, BeamConstraint, Projection, describe, of_kind, project, subarray,
+)
 
 
 def response(c, w):
@@ -144,12 +140,13 @@ def group_shrink_reference(c, eta, rho, L, M, N):
     return (C * scale[..., np.newaxis, :]).reshape(c.shape)
 
 
-def update_v_loop(problem, w, u, eta, rho):
-    """The v-update one constraint at a time: shrink w - u_l by
-    ``group_shrink_reference``, then project."""
+def update_v_loop(problem, constraints, w, u, eta, rho):
+    """The v-update one constraint at a time, over ``problem``'s objects
+    ``constraints``: shrink w - u_l by ``group_shrink_reference``, then
+    project."""
     L = problem.L
     v = np.empty((L, problem.size), dtype=complex)
-    for l, constraint in enumerate(problem.constraints):
+    for l, constraint in enumerate(constraints):
         vbar = group_shrink_reference(w - u[l], eta, rho, L, problem.M, problem.N)
         try:
             v[l] = project(constraint, vbar).v
@@ -158,17 +155,18 @@ def update_v_loop(problem, w, u, eta, rho):
     return v
 
 
-def solve_reference(problem, config):
+def solve_reference(problem, constraints, config):
     """The consensus iteration from ``initialize``'s start as ``solve`` ran it
     before its call overhead was cut: ``np.linalg.norm`` for both residuals
     and the objective's group norms, every broadcast over an explicit new
-    axis and the v-update by ``update_v_loop``.  ``solve`` must return its
-    state bit for bit: w, v, u, k, the stop reason and every record."""
+    axis and the v-update by ``update_v_loop`` over ``problem``'s objects
+    ``constraints``.  ``solve`` must return its state bit for bit: w, v, u,
+    k, the stop reason and every record."""
     state = initialize(problem)
     eta, rho, L, M, N = config.eta, config.rho, problem.L, problem.M, problem.N
     for k in range(config.k_max):
         w_new = (rho / (2.0 + rho * L)) * (state.v + state.u).sum(axis=0)
-        v_new = update_v_loop(problem, w_new, state.u, eta, rho)
+        v_new = update_v_loop(problem, constraints, w_new, state.u, eta, rho)
         u_new = state.u + v_new - w_new[np.newaxis, :]
         primal = float(np.max(np.linalg.norm(v_new - w_new[np.newaxis, :], axis=1))) if L else 0.0
         dual = rho * float(np.linalg.norm(w_new - state.w))
@@ -627,14 +625,15 @@ def project_reference(constraint, vbar):
     return Projection(v, mu, mu > 0.0, residual)
 
 
-def cyclic_projection_loop(problem, w, max_sweeps=500, tol=1e-8):
-    """The projection sweep one ``project_reference`` call per constraint,
-    stopped at tol or at the first sweep that fails to cut the previous
-    sweep's worst violation by 0.1%; a failing projection is named by its row."""
+def cyclic_projection_loop(problem, constraints, w, max_sweeps=500, tol=1e-8):
+    """The projection sweep one ``project_reference`` call per object of
+    ``constraints``, ``problem``'s, stopped at tol or at the first sweep that
+    fails to cut the previous sweep's worst violation by 0.1%; a failing
+    projection is named by its row."""
     w = np.asarray(w, dtype=complex).copy()
     previous = np.inf
     for _ in range(max_sweeps):
-        for l, c in enumerate(problem.constraints):
+        for l, c in enumerate(constraints):
             try:
                 w = project_reference(c, w).v
             except ProjectionError as err:
@@ -648,7 +647,7 @@ def cyclic_projection_loop(problem, w, max_sweeps=500, tol=1e-8):
     return w, problem.max_violation(w), False
 
 
-def _violation_descent(problem, w0):
+def _violation_descent(problem, constraints, w0):
     """L-BFGS on the smooth sum of squared constraint violations.
 
     Cyclic projections alone limit-cycle on roughly half the hard subarray
@@ -657,7 +656,6 @@ def _violation_descent(problem, w0):
     the projections finish the job.
     """
     n = problem.size
-    constraints = problem.constraints
 
     def fun(x):
         v = x[:n] + 1j * x[n:]
@@ -689,24 +687,24 @@ def restore_feasibility(problem, w):
     return w, violation, converged
 
 
-def restore_with_rescue(problem, w):
+def restore_with_rescue(problem, constraints, w):
     """Projections, then one violation-descent rescue and projections again
     should they stall: (w, max_violation, converged)."""
     w, violation, ok = restore_feasibility(problem, w)
     if not ok:
-        w, violation, ok = restore_feasibility(problem, _violation_descent(problem, w))
+        w, violation, ok = restore_feasibility(problem, _violation_descent(problem, constraints, w))
     return w, violation, ok
 
 
-def refit_admm_reference(problem, support, config):
+def refit_admm_reference(problem, constraints, support, config):
     """The refit as consensus ADMM: eta = 0, rho = 5, at least 300 iterations
     on the subarray, polished by ``restore_with_rescue``, falling back to the
     feasible start should the polish fail or end above the start's power.
     Returns the full-size stack."""
-    reduced = subarray(problem, support)
+    reduced, objects = subarray(problem, constraints, support)
     cfg = replace(config, eta=0.0, rho=5.0, k_max=max(config.k_max, 300))
     start = find_feasible_point(reduced)
-    w, _, ok = restore_with_rescue(reduced, solve(reduced, cfg).w)
+    w, _, ok = restore_with_rescue(reduced, objects, solve(reduced, cfg).w)
     if not ok or np.vdot(start, start).real < np.vdot(w, w).real:
         w = start
     return embed_support(w, reduced.support, problem.M, problem.N)
@@ -779,15 +777,15 @@ def certificate_record_reference(problem):
     return f, G, C, scale, Cs, fs, _norm_bound(powers, N)
 
 
-def certify_infeasible_cold(problem):
+def certify_infeasible_cold(problem, constraints):
     """``certify_infeasible`` with one cold ``linprog`` call per Kelley round,
     each rebuilding the dense constraint matrix of every cut so far.
 
     It keeps the coordinate directions of every block as its first cuts on
     purpose, where the package starts from the negative blocks' generators:
     an independent reference must not share the seed it checks.  The targets
-    f come from the constraint objects, not from ``families``."""
-    f = np.array([c.f for c in problem.constraints], dtype=float)
+    f come from ``problem``'s objects ``constraints``, not from ``families``."""
+    f = np.array([c.f for c in constraints], dtype=float)
     if not np.any(f < 0.0):
         return None
     L, M, N = problem.L, problem.M, problem.N
@@ -884,11 +882,11 @@ def zero_forcing_reference(problem):
     return w
 
 
-def mainlobe_boost_reference(problem, w):
+def mainlobe_boost_reference(problem, constraints, w):
     """Stage 2 constraint by constraint: the smallest tau so that block 0 plus
     tau*a(center) clears 1.2x each passband floor, each response and a^H w_0
     evaluated from the constraint's own steering vector."""
-    passbands = of_kind(problem.constraints, "passband")
+    passbands = of_kind(constraints, "passband")
     if not passbands:
         return w
     center = np.mean([c.angle_deg for c in passbands])

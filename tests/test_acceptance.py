@@ -37,6 +37,10 @@ import sparsebeam as sb
 from sparsebeam.cli import main as cli_main
 
 from helpers import (
+    AntennaPowerConstraint,
+    PassbandConstraint,
+    SinrConstraint,
+    StopbandConstraint,
     certificate_holds,
     dense_constraint,
     dense_response_matrix,
@@ -46,8 +50,8 @@ from helpers import (
     project,
     quad_form,
     random_stack,
+    restrict_constraints,
     slack,
-    subarray,
 )
 from oracles import penalty_oracle, prox_oracle, response
 
@@ -87,16 +91,16 @@ def test_criterion_01_scenario_fidelity(paper_scenario, paper_problem):
     _announce(1, True, f"L={paper_problem.L}, all parameter values as published")
 
 
-def test_criterion_02_end_to_end_design(paper_scenario):
+def test_criterion_02_end_to_end_design(paper_scenario, paper_constraints):
     problem, state, support, stack, elapsed = _pipeline(paper_scenario)
     w = stack.w
     assert len(support) == 8
     sc = paper_scenario
-    for c in of_kind(problem.constraints, "stopband"):
+    for c in of_kind(paper_constraints, "stopband"):
         assert response(c, w) <= sc.stopband_threshold * (1 + 1e-2)
-    for c in of_kind(problem.constraints, "passband"):
+    for c in of_kind(paper_constraints, "passband"):
         assert response(c, w) >= sc.mainlobe_threshold * (1 - 1e-2)
-    for c in of_kind(problem.constraints, "antenna_power"):
+    for c in of_kind(paper_constraints, "antenna_power"):
         assert c.f - slack(c, w) <= c.limit * (1 + 1e-6)
     sinr = sb.design_report(w, problem).sinr
     assert np.all(sinr >= np.array(sc.sinr_target) * (1 - 1e-2))
@@ -108,14 +112,16 @@ def test_criterion_02_end_to_end_design(paper_scenario):
     )
 
 
-def _ordering_failure(problem, support, refit_error, tx_prop, msrr_prop, base):
-    """Why criterion 3 fails at one K, or None when it holds."""
+def _ordering_failure(constraints, support, refit_error, tx_prop, msrr_prop, base):
+    """Why criterion 3 fails at one K, or None when it holds; ``constraints``
+    are the full problem's objects."""
     if base.infeasible_count == base.trials:
         if refit_error is None:
             return None  # a feasible design where random selection finds none
         if refit_error.certificate is None:
             return "proposed refit infeasible without a certificate"
-        if not certificate_holds(subarray(problem, support), refit_error.certificate.multipliers):
+        objects = restrict_constraints(constraints, support)
+        if not certificate_holds(objects, refit_error.certificate.multipliers):
             return "proposed refit's certificate fails the dense check"
         if base.certified_count != base.trials:
             return (
@@ -141,7 +147,7 @@ def _ordering_failure(problem, support, refit_error, tx_prop, msrr_prop, base):
     return None
 
 
-def test_criterion_03_sweep_ordering(paper_scenario):
+def test_criterion_03_sweep_ordering(paper_scenario, paper_constraints):
     problem, state, _, _, _ = _pipeline(paper_scenario)
     trials = 100
     lines, failures = [], []
@@ -174,7 +180,9 @@ def test_criterion_03_sweep_ordering(paper_scenario):
         if above:
             line += f", {len(above)} draws above mean MSRR from {min(above):.4f} W"
         lines.append(line)
-        failure = _ordering_failure(problem, support, refit_error, tx_prop, msrr_prop, base)
+        failure = _ordering_failure(
+            paper_constraints, support, refit_error, tx_prop, msrr_prop, base
+        )
         if failure is not None:
             failures.append(f"K={K}: {failure}")
     detail = "; ".join(lines)
@@ -189,7 +197,7 @@ def test_criterion_03_sweep_ordering(paper_scenario):
     _announce(3, True, detail)
 
 
-def test_criterion_04_beampattern_shape(paper_scenario):
+def test_criterion_04_beampattern_shape(paper_scenario, paper_constraints):
     problem, _, _, stack, _ = _pipeline(paper_scenario)
     angles, pattern = sb.beampattern(stack.w, problem)
     peaks = [
@@ -207,7 +215,7 @@ def test_criterion_04_beampattern_shape(paper_scenario):
         distance = min(abs(p - target) for p in peaks)
         nearest[name] = distance
         assert distance <= 3.0, f"no local maximum within 3 deg of {name}"
-    for c in of_kind(problem.constraints, "stopband"):
+    for c in of_kind(paper_constraints, "stopband"):
         assert response(c, stack.w) <= paper_scenario.stopband_threshold * (1 + 1e-2)
     _announce(
         4, True,
@@ -249,23 +257,23 @@ def _random_infeasible_case(kind, rng):
     N = int(rng.integers(2, 5))  # dimension M*N in 4..8
     geom = sb.ArrayGeometry(N, 0.5)
     if kind == "antenna_power":
-        c = sb.AntennaPowerConstraint(
+        c = AntennaPowerConstraint(
             int(rng.integers(0, N)), float(rng.uniform(0.05, 0.6)), M, N
         )
         vbar = random_stack(rng, M, N)
     elif kind == "stopband":
-        c = sb.StopbandConstraint(
+        c = StopbandConstraint(
             25.0, sb.steering_vector(geom, 25.0), float(rng.uniform(0.1, 1.0)), M, N
         )
         vbar = random_stack(rng, M, N)
     elif kind == "passband":
-        c = sb.PassbandConstraint(
+        c = PassbandConstraint(
             3.0, sb.steering_vector(geom, 3.0), float(rng.uniform(2.0, 12.0)), M, N
         )
         vbar = 0.25 * random_stack(rng, M, N)
     else:
         h = random_stack(rng, 1, N)
-        c = sb.SinrConstraint(
+        c = SinrConstraint(
             int(rng.integers(0, M)), h, float(rng.uniform(0.5, 8.0)),
             float(rng.uniform(0.3, 2.0)), M, N,
         )
@@ -369,10 +377,10 @@ def test_criterion_10_dense_oracle_equivalence():
         h = random_stack(rng, 1, N)
         gamma = float(rng.uniform(0.5, 8.0))
         structured = [
-            sb.PassbandConstraint(theta, a, 1.0, M, N),
-            sb.StopbandConstraint(theta, a, 1.0, M, N),
-            sb.AntennaPowerConstraint(int(rng.integers(0, N)), 1.0, M, N),
-            sb.SinrConstraint(int(rng.integers(0, M)), h, gamma, 1.0, M, N),
+            PassbandConstraint(theta, a, 1.0, M, N),
+            StopbandConstraint(theta, a, 1.0, M, N),
+            AntennaPowerConstraint(int(rng.integers(0, N)), 1.0, M, N),
+            SinrConstraint(int(rng.integers(0, M)), h, gamma, 1.0, M, N),
         ]
         dense = [
             -dense_response_matrix(a, M, N),

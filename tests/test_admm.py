@@ -7,15 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from sparsebeam import (
     AdmmConfig,
-    AntennaPowerConstraint,
     ArrayGeometry,
     ConfigurationError,
     InfeasibleProblemError,
-    PassbandConstraint,
     ProblemInstance,
     ProjectionError,
-    SinrConstraint,
-    StopbandConstraint,
     WeakPenaltyWarning,
     assemble,
     check_penalty_ratio,
@@ -36,15 +32,20 @@ import sparsebeam.projections as projections_module
 from sparsebeam.admm import handoff_tol
 from sparsebeam.certificate import certify_infeasible, multiplier_certificate
 from sparsebeam.cli import scenario_with_users
-from sparsebeam.problem import BeamConstraint
 
 from helpers import (
+    AntennaPowerConstraint,
+    BeamConstraint,
+    PassbandConstraint,
+    SinrConstraint,
+    StopbandConstraint,
     assert_same_data,
     certificate_holds,
+    constraints_of,
     dense_constraint,
     describe,
     paper_variants,
-    project,
+    problem_of,
     random_stack,
     restrict_constraints,
     subarray,
@@ -61,10 +62,6 @@ from oracles import (
     update_v_loop,
     zero_forcing_reference,
 )
-
-
-def toy_problem(constraints, M, N):
-    return ProblemInstance(constraints=tuple(constraints), M=M, N=N)
 
 
 class TestUpdateW:
@@ -130,7 +127,7 @@ class TestUpdateV:
     def test_zero_center_stays_zero_for_relaxable_constraints(self):
         M, N = 2, 2
         c = StopbandConstraint(30.0, steering_vector(ArrayGeometry(N, 0.5), 30.0), 0.5, M, N)
-        problem = toy_problem([c], M, N)
+        problem = problem_of([c], M, N)
         w = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
         u = w[np.newaxis, :].copy()  # c_l = w - u_l = 0
         v = update_v(problem, w, u, eta=0.5, rho=1.0)
@@ -139,21 +136,12 @@ class TestUpdateV:
     def test_feasible_shrunk_point_passes_through(self):
         M, N = 2, 3
         c = AntennaPowerConstraint(0, 100.0, M, N)
-        problem = toy_problem([c], M, N)
+        problem = problem_of([c], M, N)
         rng = np.random.default_rng(4)
         w = random_stack(rng, M, N)
         u = np.zeros((1, M * N), dtype=complex)
         v = update_v(problem, w, u, eta=0.0, rho=1.0)
         assert np.array_equal(v[0], w)  # eta=0 shrink is identity, constraint loose
-
-
-class Ball:
-    """||w||^2 <= radius: a constraint class outside the four kinds."""
-
-    kind = "ball"
-
-    def __init__(self, radius, M, N):
-        self.radius, self.M, self.N = radius, M, N
 
 
 class TaggedStopband(StopbandConstraint):
@@ -175,11 +163,11 @@ def record_update_v(monkeypatch, run):
     return calls
 
 
-def assert_matches_loop(problem, w, u, eta, rho):
-    """Batched ``update_v`` equals the per-constraint loop bit for bit, or
-    both fail on the same constraint."""
+def assert_matches_loop(problem, w, u, eta, rho, constraints):
+    """Batched ``update_v`` equals the loop over ``problem``'s objects
+    ``constraints`` bit for bit, or both fail on the same constraint."""
     try:
-        want = update_v_loop(problem, w, u, eta, rho)
+        want = update_v_loop(problem, constraints, w, u, eta, rho)
     except ProjectionError as err:
         with pytest.raises(ProjectionError) as got:
             update_v(problem, w, u, eta, rho)
@@ -196,7 +184,7 @@ def random_duals(rng, L, size, scale=0.3):
 @st.composite
 def mixed_problems(draw):
     """Every constraint kind and a subclass, thresholds over four decades, in
-    shuffled order."""
+    shuffled order: (problem, w, u, eta, rho, the problem's objects)."""
     M = draw(st.integers(1, 3))
     N = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -216,38 +204,40 @@ def mixed_problems(draw):
             SinrConstraint(m, h, rng.uniform(0.5, 4.0), rng.uniform(0.3, 2.0), M, N)
         )
     constraints = [constraints[i] for i in rng.permutation(len(constraints))]
-    problem = toy_problem(constraints, M, N)
+    problem = problem_of(constraints, M, N)
     w = random_stack(rng, M, N, scale=draw(st.sampled_from([0.1, 1.0, 5.0])))
     u = random_duals(rng, problem.L, problem.size)
     eta = draw(st.sampled_from([0.0, 0.05, 1.0]))
-    return problem, w, u, eta, draw(st.floats(0.5, 60.0))
+    return problem, w, u, eta, draw(st.floats(0.5, 60.0)), constraints
 
 
 class TestBatchedUpdateV:
     """The batched v-update against ``update_v_loop``, the per-constraint loop."""
 
-    def test_reference_solve_iterates(self, paper_problem, paper_scenario, monkeypatch):
+    def test_reference_solve_iterates(
+        self, paper_problem, paper_constraints, paper_scenario, monkeypatch
+    ):
         calls = record_update_v(
             monkeypatch,
             lambda: solve(paper_problem, paper_scenario.admm),
         )
         assert len(calls) == 100
         for call in calls:
-            assert_matches_loop(*call)
+            assert_matches_loop(*call, paper_constraints)
 
-    def test_refit_iterates(self, paper_problem, paper_scenario, monkeypatch):
+    def test_refit_iterates(self, paper_problem, paper_constraints, paper_scenario, monkeypatch):
         # the eta = 0 run on the selected subarray, as in
         # oracles.refit_admm_reference: light penalty, longer budget
         state = solve(paper_problem, paper_scenario.admm)
         support = select_support(
             state.w, paper_scenario.num_selected, paper_problem.M, paper_problem.N
         )
-        reduced = subarray(paper_problem, support)
+        reduced, objects = subarray(paper_problem, paper_constraints, support)
         cfg = replace(paper_scenario.admm, eta=0.0, rho=5.0, k_max=300)
         calls = record_update_v(monkeypatch, lambda: solve(reduced, cfg))
         assert len(calls) == 300 and calls[0][0].N == paper_scenario.num_selected
         for call in calls:
-            assert_matches_loop(*call)
+            assert_matches_loop(*call, objects)
 
     @settings(max_examples=150, deadline=None)
     @given(mixed_problems())
@@ -257,8 +247,8 @@ class TestBatchedUpdateV:
     @settings(max_examples=50, deadline=None)
     @given(mixed_problems())
     def test_slacks_match_per_constraint(self, case):
-        problem, w = case[0], case[1]
-        want = np.array([c.f - quad(c, w) for c in problem.constraints])
+        problem, w, constraints = case[0], case[1], case[-1]
+        want = np.array([c.f - quad(c, w) for c in constraints])
         assert np.array_equal(problem.slacks(w), want)
         if problem.L:
             assert problem.max_violation(w) == max(max(0.0, -s) for s in want)
@@ -268,10 +258,10 @@ class TestBatchedUpdateV:
     def test_f_actions_match_dense_matrices(self, case):
         # row for row, within 1e-12 of ||F_l|| ||w||, the scale of a rounding
         # error in F_l w
-        problem, w = case[0], case[1]
+        problem, w, constraints = case[0], case[1], case[-1]
         got = problem.f_actions(w)
         assert got.shape == (problem.L, problem.size)
-        for l, c in enumerate(problem.constraints):
+        for l, c in enumerate(constraints):
             F = dense_constraint(c)[0]
             scale = np.linalg.norm(F, 2) * np.linalg.norm(w)
             assert np.linalg.norm(got[l] - F @ w) <= 1e-12 * scale
@@ -287,20 +277,12 @@ class TestBatchedUpdateV:
             AntennaPowerConstraint(2, 1.0, M, N),
             PassbandConstraint(30.0, a, 1.0, M, N),
         ]
-        beams, powers, sinrs = toy_problem(constraints, M, N).families
+        beams, powers, sinrs = problem_of(constraints, M, N).families
         assert beams.rows.tolist() == [0, 1, 4]
         assert beams.sign.ravel().tolist() == [1.0, 1.0, -1.0]
         assert beams.threshold.ravel().tolist() == [1.0, 2.0, 1.0]
         assert powers.rows.tolist() == [3] and powers.antenna.tolist() == [2]
         assert sinrs.rows.tolist() == [2] and sinrs.weights.tolist() == [[3.0, -1.0]]
-        rejected = toy_problem(constraints + [Ball(1.0, M, N)], M, N)
-        for run in (
-            lambda: rejected.families,
-            lambda: find_feasible_point(rejected),
-            lambda: project(Ball(1.0, M, N), np.ones(M * N, dtype=complex)),
-        ):
-            with pytest.raises(ConfigurationError, match="Ball"):
-                run()
 
     @pytest.mark.parametrize("eta", [0.0, 0.3])
     def test_zero_aligned_coefficients(self, eta):
@@ -309,9 +291,8 @@ class TestBatchedUpdateV:
         M, N = 2, 4
         a = np.array([1.0, 1.0j, 0.0, 0.0])
         passband = PassbandConstraint(0.0, a, 2.0, M, N)
-        problem = toy_problem(
-            [StopbandConstraint(0.0, a, 50.0, M, N), passband, passband], M, N
-        )
+        problem_constraints = [StopbandConstraint(0.0, a, 50.0, M, N), passband, passband]
+        problem = problem_of(problem_constraints, M, N)
         rng = np.random.default_rng(11)
         w = random_stack(rng, M, N)
         u = random_duals(rng, problem.L, problem.size)
@@ -319,14 +300,14 @@ class TestBatchedUpdateV:
         orthogonal[:, :2] = 0.0
         u[1] = w - orthogonal.reshape(-1)  # copy 1 sees a point orthogonal to a
         u[2] = w  # copy 2 sees the zero point
-        assert_matches_loop(problem, w, u, eta, 2.0)
+        assert_matches_loop(problem, w, u, eta, 2.0, problem_constraints)
         v = update_v(problem, w, u, eta, 2.0)
         assert response(passband, v[1]) == pytest.approx(2.0, rel=1e-12)
         assert response(passband, v[2]) == pytest.approx(2.0, rel=1e-12)
         assert np.all(v[2].reshape(M, N)[1] == 0)  # the injection goes to block 0
 
     @pytest.mark.parametrize("ratio", [1e-8, 1.0, 1e8])
-    def test_extreme_response_to_threshold_ratios(self, paper_problem, ratio):
+    def test_extreme_response_to_threshold_ratios(self, paper_problem, paper_constraints, ratio):
         # response/threshold = 1e8 puts every stopband copy far above its
         # ceiling, 1e-8 every passband copy far below its floor; at 1 every
         # copy sits on its boundary, where a rounding-level move must not
@@ -337,19 +318,19 @@ class TestBatchedUpdateV:
         constraints = [
             replace(c, threshold=response(c, w - u[l]) / ratio)
             if c.kind in ("passband", "stopband") else c
-            for l, c in enumerate(paper_problem.constraints)
+            for l, c in enumerate(paper_constraints)
         ]
-        scaled = replace(paper_problem, constraints=tuple(constraints))
-        assert_matches_loop(scaled, w, u, 0.0, 50.0)
+        scaled = problem_of(constraints, paper_problem.M, paper_problem.N, paper_problem.scenario)
+        assert_matches_loop(scaled, w, u, 0.0, 50.0, constraints)
 
     @pytest.mark.parametrize("antenna", [0, 4, 9])
-    def test_single_antenna_supports(self, paper_problem, antenna):
-        reduced = subarray(paper_problem, (antenna,))
+    def test_single_antenna_supports(self, paper_problem, paper_constraints, antenna):
+        reduced, objects = subarray(paper_problem, paper_constraints, (antenna,))
         rng = np.random.default_rng(13 + antenna)
         for scale in (0.1, 1.0, 10.0):
             w = random_stack(rng, reduced.M, reduced.N, scale=scale)
             u = random_duals(rng, reduced.L, reduced.size, scale=scale)
-            assert_matches_loop(reduced, w, u, 0.1, 50.0)
+            assert_matches_loop(reduced, w, u, 0.1, 50.0, objects)
 
     @pytest.mark.parametrize("beam_row, scalar_row", [(0, 1), (1, 0)])
     def test_first_failing_row_is_named(self, monkeypatch, beam_row, scalar_row):
@@ -367,7 +348,7 @@ class TestBatchedUpdateV:
 
         monkeypatch.setattr(projections_module, "_beam_row", failing_kernel)
         monkeypatch.setattr(projections_module, "_sinr_row", failing_project)
-        problem = toy_problem(rows, M, N)  # its sweep_plan reads the patched kernels
+        problem = problem_of(rows, M, N)  # its sweep_plan reads the patched kernels
         with pytest.raises(ProjectionError) as err:
             update_v(problem, np.ones(N, dtype=complex), np.zeros((2, N), complex), 0.0, 1.0)
         assert err.value.diagnostics["constraint_index"] == 0
@@ -382,7 +363,7 @@ class TestBatchedUpdateV:
             return moved and (moved[0], moved[1], np.nan)
 
         monkeypatch.setattr(projections_module, "_power_row", failing_kernel)
-        problem = toy_problem(
+        problem = problem_of(
             [StopbandConstraint(0.0, np.ones(N), 1.0, M, N), AntennaPowerConstraint(1, 1.0, M, N)],
             M, N,
         )
@@ -392,7 +373,9 @@ class TestBatchedUpdateV:
         assert err.value.diagnostics["constraint_index"] == 1
         assert "l=1 (antenna_power(n=1))" in str(err.value)
 
-    def test_one_shrink_and_only_sinr_projections(self, paper_problem, monkeypatch):
+    def test_one_shrink_and_only_sinr_projections(
+        self, paper_problem, paper_constraints, monkeypatch
+    ):
         # "project" counts the SINR rows' one-point kernel, which update_v
         # calls through ``sweep_plan`` in place of ``project``
         counts = {"project": 0, "group_shrink": 0}
@@ -407,7 +390,7 @@ class TestBatchedUpdateV:
                 return _original(*args)
 
             monkeypatch.setattr(module, target, counted)
-        problem = toy_problem(paper_problem.constraints, paper_problem.M, paper_problem.N)
+        problem = problem_of(paper_constraints, paper_problem.M, paper_problem.N)
         rng = np.random.default_rng(14)
         w = random_stack(rng, problem.M, problem.N)
         u = random_duals(rng, problem.L, problem.size, scale=0.1)
@@ -415,7 +398,7 @@ class TestBatchedUpdateV:
         assert counts == {"project": paper_problem.M, "group_shrink": 1}
 
     def test_beam_power_and_sinr_rows_moved_on_the_reference_iterates(
-        self, paper_problem, paper_scenario, monkeypatch
+        self, paper_problem, paper_constraints, paper_scenario, monkeypatch
     ):
         # from the hand-off start, within 1e-2 of every constraint, the 100
         # iterations project 18 beam copies and no antenna-power copy, and
@@ -441,18 +424,19 @@ class TestBatchedUpdateV:
                 in_update_v[0] = False
 
         monkeypatch.setattr(admm_module, "update_v", flagged)
-        problem = toy_problem(paper_problem.constraints, paper_problem.M, paper_problem.N)
+        problem = problem_of(paper_constraints, paper_problem.M, paper_problem.N)
         assert solve(problem, paper_scenario.admm).k == 100
         assert counts.pop("_sinr_row") == 100 * problem.M  # the counting is live
         assert counts == {"_beam_row": 18, "_power_row": 0}
 
 
-def assert_sweep_matches_loop(problem):
+def assert_sweep_matches_loop(problem, constraints):
     """``cyclic_projection`` from the feasibility search's stage-3 start returns
-    the bytes of the per-constraint sweep ``cyclic_projection_loop``."""
+    the bytes of the sweep ``cyclic_projection_loop`` over ``problem``'s
+    objects ``constraints``."""
     w0 = admm_module._mainlobe_boost(problem, admm_module._zero_forcing_start(problem))
     w, violation, converged = admm_module.cyclic_projection(problem, w0)[:3]
-    w_ref, violation_ref, converged_ref = cyclic_projection_loop(problem, w0)
+    w_ref, violation_ref, converged_ref = cyclic_projection_loop(problem, constraints, w0)
     assert w.tobytes() == w_ref.tobytes()
     assert (violation, converged) == (violation_ref, converged_ref)
     return converged
@@ -475,19 +459,20 @@ def sweep_cases(draw):
     it from: the mixed rows (with a stopband subclass) on all antennas or on
     a subset (``restrict``), started from a random point, from zero, with no
     component along one beam row's steering vector (zero aligned
-    coefficients), or with one SINR row's served block zero (its hard case)."""
-    problem, w = draw(mixed_problems())[:2]
+    coefficients), or with one SINR row's served block zero (its hard case):
+    (problem, point, the problem's objects)."""
+    problem, w, *_, constraints = draw(mixed_problems())
     M, N = problem.M, problem.N
     W = w.reshape(M, N)
     if N > 1 and draw(st.booleans()):
         support = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N - 1, unique=True))
-        problem = subarray(problem, support)
+        problem, constraints = subarray(problem, constraints, support)
         W = W[:, sorted(support)]
     W = W.copy()
     start = draw(st.sampled_from(["random", "zero", "aligned", "served"]))
     rows = {
-        "aligned": [c for c in problem.constraints if isinstance(c, BeamConstraint)],
-        "served": [c for c in problem.constraints if isinstance(c, SinrConstraint)],
+        "aligned": [c for c in constraints if isinstance(c, BeamConstraint)],
+        "served": [c for c in constraints if isinstance(c, SinrConstraint)],
     }.get(start, [None])
     c = rows[draw(st.integers(0, len(rows) - 1))] if rows else None
     if start == "zero":
@@ -497,7 +482,7 @@ def sweep_cases(draw):
         W -= np.outer(W @ np.conj(a), a) / np.vdot(a, a).real
     elif start == "served" and c is not None:
         W[c.user] = 0.0
-    return problem, W.reshape(-1)
+    return problem, W.reshape(-1), constraints
 
 
 class TestProjectionSweep:
@@ -506,12 +491,12 @@ class TestProjectionSweep:
     @settings(max_examples=150, deadline=None)
     @given(sweep_cases())
     def test_every_kind_matches_the_loop(self, case):
-        problem, w = case
+        problem, w, constraints = case
         assert len(problem.sweep_plan) == problem.L
-        for (kernel, row), c in zip(problem.sweep_plan, problem.constraints):
-            assert_same_row_data(row, ProblemInstance((c,), c.M, c.N).sweep_plan[0][1])
+        for (kernel, row), c in zip(problem.sweep_plan, constraints):
+            assert_same_row_data(row, problem_of((c,), c.M, c.N).sweep_plan[0][1])
         try:
-            want = cyclic_projection_loop(problem, w)
+            want = cyclic_projection_loop(problem, constraints, w)
         except ProjectionError as err:
             with pytest.raises(ProjectionError) as got:
                 admm_module.cyclic_projection(problem, w)
@@ -522,18 +507,20 @@ class TestProjectionSweep:
         assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
         assert got[2] == want[2]
 
-    def test_paper_problem_and_every_k8_support(self, paper_problem):
+    def test_paper_problem_and_every_k8_support(self, paper_problem, paper_constraints):
         supports = itertools.combinations(range(paper_problem.N), 8)
-        problems = [paper_problem] + [subarray(paper_problem, s) for s in supports]
-        converged = [assert_sweep_matches_loop(problem) for problem in problems]
+        problems = [(paper_problem, paper_constraints)] + [
+            subarray(paper_problem, paper_constraints, s) for s in supports
+        ]
+        converged = [assert_sweep_matches_loop(*problem) for problem in problems]
         assert len(converged) == 46 and 0 < sum(converged) < 46  # stalls included
 
     @pytest.mark.parametrize("K", [4, 6])
-    def test_sample_of_small_supports(self, paper_problem, K):
+    def test_sample_of_small_supports(self, paper_problem, paper_constraints, K):
         supports = list(itertools.combinations(range(paper_problem.N), K))
         rng = np.random.default_rng(K)
         for i in rng.choice(len(supports), 6, replace=False):
-            assert_sweep_matches_loop(subarray(paper_problem, supports[i]))
+            assert_sweep_matches_loop(*subarray(paper_problem, paper_constraints, supports[i]))
 
     def test_violation_computed_once_per_sweep(self, paper_problem, monkeypatch):
         # an infeasible K=4 subarray stalls; the sweeps return the worst
@@ -580,7 +567,7 @@ class TestProjectionSweep:
     def test_first_failing_row_is_named(self, monkeypatch):
         M, N = 2, 3
         a = steering_vector(ArrayGeometry(N, 0.5), 30.0)
-        problem = toy_problem(
+        problem = problem_of(
             [AntennaPowerConstraint(0, 0.5, M, N), StopbandConstraint(30.0, a, 0.1, M, N),
              StopbandConstraint(-30.0, a, 0.1, M, N)],
             M, N,
@@ -605,7 +592,7 @@ class TestProjectionSweep:
 
         monkeypatch.setattr(projections_module, "_sinr_row", failing_kernel)
         M, N = 1, 2
-        problem = toy_problem(  # its sweep_plan reads the patched kernel
+        problem = problem_of(  # its sweep_plan reads the patched kernel
             [StopbandConstraint(0.0, np.ones(N), 1.0, M, N),
              SinrConstraint(0, np.ones(N), 1.0, 1.0, M, N)],
             M, N,
@@ -633,12 +620,14 @@ class TestFeasiblePoint:
             AntennaPowerConstraint(1, 10.0, M, N),
             SinrConstraint(0, h, 2.0, 1.0, M, N),
         ]
-        problem = ProblemInstance(constraints=tuple(constraints), M=M, N=N)
+        problem = problem_of(constraints, M, N)
         w0 = find_feasible_point(problem)
         assert problem.max_violation(w0) <= 1e-8
 
-    def test_zero_forcing_start_matches_the_channel_reference(self, paper_problem):
-        for problem in paper_variants(paper_problem):
+    def test_zero_forcing_start_matches_the_channel_reference(
+        self, paper_problem, paper_constraints
+    ):
+        for problem, _ in paper_variants(paper_problem, paper_constraints):
             got = admm_module._zero_forcing_start(problem)
             assert got.tobytes() == zero_forcing_reference(problem).tobytes()
 
@@ -650,44 +639,44 @@ class TestFeasiblePoint:
             SinrConstraint(0, np.array([1.0, 0.0, 0.0]), 1.5, 0.5, M, N),
             SinrConstraint(1, np.array([0.0, 2.0j, 0.0]), 4.0, 2.0, M, N),
         ]
-        w = admm_module._zero_forcing_start(toy_problem(sinrs, M, N))
+        w = admm_module._zero_forcing_start(problem_of(sinrs, M, N))
         for c in sinrs:
             assert sinr(c, w) == pytest.approx(2.0 * c.gamma, rel=1e-12)
 
-    def test_mainlobe_boost_matches_the_constraint_loop(self, paper_problem):
-        for problem in paper_variants(paper_problem):
+    def test_mainlobe_boost_matches_the_constraint_loop(self, paper_problem, paper_constraints):
+        for problem, constraints in paper_variants(paper_problem, paper_constraints):
             w = admm_module._zero_forcing_start(problem)
             got = admm_module._mainlobe_boost(problem, w)
-            assert got.tobytes() == mainlobe_boost_reference(problem, w).tobytes()
+            assert got.tobytes() == mainlobe_boost_reference(problem, constraints, w).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(mixed_problems())
     def test_mainlobe_boost_of_mixed_problems(self, case):
-        problem, w = case[:2]
+        problem, w, constraints = case[0], case[1], case[-1]
         for start in (w, 0.01 * w, admm_module._zero_forcing_start(problem)):
             got = admm_module._mainlobe_boost(problem, start)
-            assert got.tobytes() == mainlobe_boost_reference(problem, start).tobytes()
+            assert got.tobytes() == mainlobe_boost_reference(problem, constraints, start).tobytes()
 
     def test_contradictory_thresholds_reported(self):
-        problem = contradictory_problem()
+        problem, _ = contradictory_problem()
         with pytest.raises(InfeasibleProblemError) as err:
             find_feasible_point(problem)
         assert err.value.worst_violations
         assert any(v > 0 for _, v in err.value.worst_violations)
 
     def test_no_constraints_gives_zero(self):
-        problem = toy_problem([], 2, 3)
+        problem = problem_of([], 2, 3)
         state = initialize(problem)
         assert np.all(state.w == 0)
         assert state.v.shape == (0, 6)
 
 
     def test_certified_verdict_stops_the_search(self):
-        problem = contradictory_problem()
+        problem, constraints = contradictory_problem()
         with pytest.raises(InfeasibleProblemError) as err:
             find_feasible_point(problem)
         assert "certified infeasible" in str(err.value)
-        assert certificate_holds(problem, err.value.certificate.multipliers)
+        assert certificate_holds(constraints, err.value.certificate.multipliers)
 
     def test_uncertified_verdict_says_search_gave_up(self, paper_problem, monkeypatch):
         # with no certificate to be found, neither in a sweep nor by the LP,
@@ -724,12 +713,14 @@ class TestFeasiblePoint:
         assert certificates == [None]
         assert len(sqp_runs) == 1
 
-    def test_stage_3_stops_at_the_first_sweep_that_certifies(self, paper_problem, monkeypatch):
+    def test_stage_3_stops_at_the_first_sweep_that_certifies(
+        self, paper_problem, paper_constraints, monkeypatch
+    ):
         # an infeasible K=6 subarray whose first two sweeps prove nothing and
         # whose third does, 17 sweeps before the sweeps would stall: stage 3
         # stops there, the LP is never asked, and the error carries that
         # sweep's certificate and the worst violations of the point at it
-        problem = subarray(paper_problem, (0, 1, 2, 3, 5, 7))
+        problem, objects = subarray(paper_problem, paper_constraints, (0, 1, 2, 3, 5, 7))
         sweeps, tried, lp = [], [], []
         max_violation = ProblemInstance.max_violation
         judge = admm_module.multiplier_certificate
@@ -753,7 +744,7 @@ class TestFeasiblePoint:
         assert [k for k, _ in tried][-1] == n and all(c is None for _, c in tried[:-1])
         certificate = err.value.certificate
         assert certificate is tried[-1][1] and str(err.value).startswith("certified infeasible")
-        assert certificate_holds(problem, certificate.multipliers)
+        assert certificate_holds(objects, certificate.multipliers)
         start = stage_3_start(problem)
         w, violation, _, multipliers = admm_module.cyclic_projection(problem, start, max_sweeps=n)[:4]
         assert str(err.value).endswith(f"; max violation {violation:.3e}")
@@ -779,11 +770,11 @@ class TestFeasiblePoint:
         monkeypatch.setattr(admm_module, "certify_infeasible", lambda problem: None)
         assert find_feasible_point(problem).tobytes() == w.tobytes()
 
-    def test_fruitless_certificate_is_asked_once(self, paper_problem, monkeypatch):
+    def test_fruitless_certificate_is_asked_once(self, paper_problem, paper_constraints, monkeypatch):
         # an infeasible K=7 subarray whose sweeps stall at the 14th: the
         # multipliers of none of them pass, so the LP is asked once, after
         # the stall and without them, and its certificate ends the search
-        problem = subarray(paper_problem, (0, 1, 2, 4, 5, 7, 9))
+        problem, objects = subarray(paper_problem, paper_constraints, (0, 1, 2, 4, 5, 7, 9))
         sweeps, tried, asked = [], [], []
         max_violation = ProblemInstance.max_violation
         judge, certify = admm_module.multiplier_certificate, admm_module.certify_infeasible
@@ -813,7 +804,7 @@ class TestFeasiblePoint:
         w, violation, ok = admm_module.cyclic_projection(problem, stage_3_start(problem))[:3]
         assert not ok and str(err.value).endswith(f"; max violation {violation:.3e}")
         assert err.value.worst_violations == problem.worst_violations(w)
-        assert certificate_holds(problem, err.value.certificate.multipliers)
+        assert certificate_holds(objects, err.value.certificate.multipliers)
 
     def test_certificate_asked_once_when_stage_3_runs_out_of_sweeps(self, monkeypatch):
         # a stage 3 that ends unconverged with no sweep short of progress
@@ -829,7 +820,7 @@ class TestFeasiblePoint:
         tried = count_calls(monkeypatch, "multiplier_certificate")
         certificates = count_calls(monkeypatch, "certify_infeasible")
         with pytest.raises(InfeasibleProblemError) as err:
-            find_feasible_point(contradictory_problem())
+            find_feasible_point(contradictory_problem()[0])
         assert tried == []
         assert len(certificates) == 1 and certificates[0] is err.value.certificate is not None
         assert str(err.value).startswith("certified infeasible")
@@ -872,7 +863,8 @@ def count_calls(monkeypatch, name, keep=lambda result: result):
 
 
 def contradictory_problem():
-    # same steering direction forced above 1.0 and below ~0: no solution
+    """(problem, objects): the same steering direction forced above 1.0 and
+    below ~0, so no solution."""
     geom = ArrayGeometry(3, 0.5)
     M, N = 1, 3
     a = steering_vector(geom, 10.0)
@@ -880,7 +872,7 @@ def contradictory_problem():
         PassbandConstraint(10.0, a, 1.0, M, N),
         StopbandConstraint(10.0, a.copy(), 1e-12, M, N),
     ]
-    return toy_problem(constraints, M, N)
+    return problem_of(constraints, M, N), constraints
 
 
 def beam_problem(M, N, passbands, stopbands, w0):
@@ -891,7 +883,7 @@ def beam_problem(M, N, passbands, stopbands, w0):
     ] + [
         StopbandConstraint(theta, steering_vector(geom, theta), f, M, N) for theta, f in stopbands
     ]
-    return toy_problem(constraints, M, N), np.array(w0)
+    return problem_of(constraints, M, N), np.array(w0)
 
 
 @st.composite
@@ -899,7 +891,8 @@ def feasible_toy_problems(draw):
     """A random constraint family built around a known feasible point w0.
 
     Every threshold is w0's own value loosened by a factor in [1, 2]; the
-    factor 1 puts w0 exactly on the boundary.
+    factor 1 puts w0 exactly on the boundary.  Returns (problem, w0, the
+    problem's objects).
     """
     M = draw(st.integers(1, 2))
     N = draw(st.integers(2, 4))
@@ -923,13 +916,14 @@ def feasible_toy_problems(draw):
         h = random_stack(rng, 1, N)
         level = sinr(SinrConstraint(m, h, 1.0, 1.0, M, N), w0)
         constraints.append(SinrConstraint(m, h, level / draw(loosen), 1.0, M, N))
-    return toy_problem(constraints, M, N), w0
+    return problem_of(constraints, M, N), w0, constraints
 
 
 def crowded_toy_problem(seed):
     """Every kind, M >= 2 users: two mainlobe floors up to 10, two sidelobe
     ceilings from 0.1, antenna powers of at most 1 and SINR targets up to 10
-    on a 2-4 antenna array, so that most draws are infeasible."""
+    on a 2-4 antenna array, so that most draws are infeasible: (problem,
+    objects)."""
     rng = np.random.default_rng(seed)
     M, N = int(rng.integers(2, 4)), int(rng.integers(2, 5))
     geom = ArrayGeometry(N, 0.5)
@@ -944,13 +938,13 @@ def crowded_toy_problem(seed):
     for m in range(M):
         h = random_stack(rng, 1, N)
         constraints.append(SinrConstraint(m, h, float(10.0 ** rng.uniform(0.0, 1.0)), 1.0, M, N))
-    return toy_problem(constraints, M, N)
+    return problem_of(constraints, M, N), constraints
 
 
 def one_floor_kind_problem(kind, M, seed):
     """Floors of one kind only, passband or SINR rows (targets from 0.1 to 10),
     under two sidelobe ceilings and antenna powers of at most 1 on a 3-antenna
-    array; some draws are infeasible and some are not."""
+    array; some draws are infeasible and some are not: (problem, objects)."""
     rng = np.random.default_rng(seed)
     N = 3
     geom = ArrayGeometry(N, 0.5)
@@ -967,7 +961,7 @@ def one_floor_kind_problem(kind, M, seed):
     else:
         constraints += [SinrConstraint(m, random_stack(rng, 1, N), level(-1.0, 1.0), 1.0, M, N)
                         for m in range(M)]
-    return toy_problem(constraints, M, N)
+    return problem_of(constraints, M, N), constraints
 
 
 def candidate_multipliers(L):
@@ -1000,21 +994,21 @@ class TestCertificate:
     """Lagrangian proofs of infeasibility, each re-checked densely."""
 
     def test_contradictory_thresholds(self):
-        problem = contradictory_problem()
+        problem, constraints = contradictory_problem()
         certificate = certify_infeasible(problem)
         assert certificate is not None and certificate.norm_bound is None
-        assert certificate_holds(problem, certificate.multipliers)
+        assert certificate_holds(constraints, certificate.multipliers)
 
     @pytest.mark.parametrize("support", [(4,), (0, 2, 3, 4), (0, 1, 4, 6)])
-    def test_paper_subarrays(self, paper_problem, support):
+    def test_paper_subarrays(self, paper_problem, paper_constraints, support):
         # K=1 cannot serve M=2 users at gamma=10; no K=4 subarray meets the
         # sidelobe ceiling next to both user beams.  On (0, 1, 4, 6) the
         # simplex leaves a basic multiplier at -2e-15, which must not pass
-        reduced = subarray(paper_problem, support)
+        reduced, objects = subarray(paper_problem, paper_constraints, support)
         certificate = certify_infeasible(reduced)
         assert certificate is not None
         assert certificate.combined_f == pytest.approx(-1.0)
-        assert certificate_holds(reduced, certificate.multipliers)
+        assert certificate_holds(objects, certificate.multipliers)
 
     @pytest.mark.parametrize("support", [None, (0, 2, 3, 4, 5, 6, 8, 9)])
     def test_never_found_for_feasible_paper_problems(self, paper_problem, support):
@@ -1024,37 +1018,38 @@ class TestCertificate:
     @settings(max_examples=60, deadline=None)
     @given(feasible_toy_problems())
     def test_never_found_with_a_known_feasible_point(self, case):
-        problem, w0 = case
+        problem, w0, constraints = case
         assert problem.max_violation(w0) <= 1e-9 * (1 + np.vdot(w0, w0).real)
         assert certify_infeasible(problem) is None
-        assert certify_infeasible_cold(problem) is None
+        assert certify_infeasible_cold(problem, constraints) is None
 
     def test_random_problems_of_every_kind(self):
         # the per-user blocks against the dense check, with every kind and
         # more than one user; across the certificates, every kind carries weight
         certified, kinds = 0, set()
         for seed in range(40):
-            problem = crowded_toy_problem(seed)
+            problem, constraints = crowded_toy_problem(seed)
             certificate = certify_infeasible(problem)
             if certificate is None:
                 continue
             certified += 1
             lam = certificate.multipliers
-            assert certificate_holds(problem, lam)
-            kinds |= {problem.constraints[l].kind for l in np.flatnonzero(lam > 0.0)}
+            assert certificate_holds(constraints, lam)
+            kinds |= {constraints[l].kind for l in np.flatnonzero(lam > 0.0)}
         assert certified >= 20
         assert kinds == {"passband", "stopband", "antenna_power", "sinr"}
 
     @pytest.mark.parametrize("K", [4, 5, 6, 7])
-    def test_same_verdicts_as_the_cold_lp(self, paper_problem, K):
+    def test_same_verdicts_as_the_cold_lp(self, paper_problem, paper_constraints, K):
         # every 5th K-subarray: the warm-started LP against one cold linprog
         # call per round
         for support in list(itertools.combinations(range(paper_problem.N), K))[::5]:
-            reduced = subarray(paper_problem, support)
+            reduced, objects = subarray(paper_problem, paper_constraints, support)
             certificate = certify_infeasible(reduced)
-            assert (certificate is None) == (certify_infeasible_cold(reduced) is None), support
+            cold = certify_infeasible_cold(reduced, objects)
+            assert (certificate is None) == (cold is None), support
             if certificate is not None:
-                assert certificate_holds(reduced, certificate.multipliers), support
+                assert certificate_holds(objects, certificate.multipliers), support
 
     @pytest.mark.parametrize("M", [1, 3])
     @pytest.mark.parametrize("kind", ["passband", "sinr"])
@@ -1063,12 +1058,12 @@ class TestCertificate:
         # kind of floor they come from one kind of row
         verdicts = []
         for seed in range(25):
-            problem = one_floor_kind_problem(kind, M, seed)
+            problem, constraints = one_floor_kind_problem(kind, M, seed)
             certificate = certify_infeasible(problem)
             verdicts.append(certificate is not None)
-            assert verdicts[-1] == (certify_infeasible_cold(problem) is not None), seed
+            assert verdicts[-1] == (certify_infeasible_cold(problem, constraints) is not None), seed
             if certificate is not None:
-                assert certificate_holds(problem, certificate.multipliers), seed
+                assert certificate_holds(constraints, certificate.multipliers), seed
         assert any(verdicts) and not all(verdicts)
 
     @pytest.mark.parametrize("K, budget", [(4, 520), (6, 1150)])
@@ -1087,7 +1082,7 @@ class TestCertificate:
         # whatever multipliers are offered, drawn or a stalled sweep's own,
         # every certificate returned is checked densely; with no positive
         # finite entry the candidate proves nothing and the LP search decides
-        problem, w = case[:2]
+        problem, w, constraints = case[0], case[1], case[-1]
         offers = [data.draw(candidate_multipliers(problem.L))]
         try:
             offers.append(admm_module.cyclic_projection(problem, w)[3])
@@ -1097,7 +1092,7 @@ class TestCertificate:
             certificate = (multiplier_certificate(problem.certificate_record, multipliers)
                            or certify_infeasible(problem))
             if certificate is not None:
-                assert certificate_holds(problem, certificate.multipliers)
+                assert certificate_holds(constraints, certificate.multipliers)
             if not any(0.0 < x < np.inf for x in multipliers):
                 search = certify_infeasible(problem)
                 assert (certificate is None) == (search is None)
@@ -1125,7 +1120,7 @@ class TestCertificate:
 
     @pytest.mark.parametrize("K, budget", [(4, 0), (6, 120)])
     def test_refit_certifies_from_the_sweeps_multipliers(
-        self, paper_problem, monkeypatch, K, budget
+        self, paper_problem, paper_constraints, monkeypatch, K, budget
     ):
         # a timing-free guard on the fast path: stage 3's own sweep
         # multipliers prove all 210 K=4 and 199 of the 210 K=6 paper subarrays
@@ -1137,7 +1132,8 @@ class TestCertificate:
                 refit(paper_problem, support)
             certificate = err.value.certificate
             assert certificate is not None, support
-            assert certificate_holds(subarray(paper_problem, support), certificate.multipliers)
+            objects = restrict_constraints(paper_constraints, support)
+            assert certificate_holds(objects, certificate.multipliers)
         assert len(runs) <= budget
 
     def test_record_holds_the_per_call_bytes(self, paper_problem):
@@ -1145,7 +1141,7 @@ class TestCertificate:
         # ``certify_infeasible`` built on every call: on the paper problem,
         # all 848 K>=4 subarrays and a family with no floor (w = 0 is
         # feasible), for which the record is built and no certificate found
-        floorless = toy_problem(
+        floorless = problem_of(
             [StopbandConstraint(0.0, np.ones(2), 1.0, 1, 2), AntennaPowerConstraint(1, 2.0, 1, 2)], 1, 2
         )
         problems = [paper_problem, floorless] + [
@@ -1193,9 +1189,9 @@ class TestCertificate:
                 assert got[0].tobytes() == first.tobytes(), support
 
     def test_contradictory_thresholds_as_the_cold_lp(self):
-        problem = contradictory_problem()
-        assert certify_infeasible_cold(problem) is not None
-        assert certificate_holds(problem, certify_infeasible(problem).multipliers)
+        problem, constraints = contradictory_problem()
+        assert certify_infeasible_cold(problem, constraints) is not None
+        assert certificate_holds(constraints, certify_infeasible(problem).multipliers)
 
     def test_rounding_level_sum_is_no_proof(self):
         # a feasible draw with no antenna-power limit on which the cutting
@@ -1262,8 +1258,9 @@ def subarray_cases(draw):
     ``feasible_toy_problems`` or ``mixed_problems`` draw (a stopband subclass;
     antenna-power rows on every antenna, on some or on none, so that the norm
     bound may be None), its beam and SINR generators zero on some antennas
-    or not."""
-    problem = draw(st.one_of(feasible_toy_problems(), mixed_problems()))[0]
+    or not: (problem, its objects, support, support of the subarray)."""
+    case = draw(st.one_of(feasible_toy_problems(), mixed_problems()))
+    problem, constraints = case[0], case[-1]
     M, N = problem.M, problem.N
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1273,18 +1270,19 @@ def subarray_cases(draw):
             g[rng.permutation(N)[: rng.integers(0, N)]] = 0.0  # at least one entry stays
             return g
 
-        problem = toy_problem([
+        constraints = [
             replace(c, steering=sparse(c.steering)) if isinstance(c, BeamConstraint)
             else replace(c, h=sparse(c.h)) if isinstance(c, SinrConstraint) else c
-            for c in problem.constraints
-        ], M, N)
+            for c in constraints
+        ]
+        problem = problem_of(constraints, M, N)
 
     def support(n):
         return tuple(sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                                           unique=True))))
 
     outer = support(N)
-    return problem, outer, support(len(outer))
+    return problem, constraints, outer, support(len(outer))
 
 
 def names_of(constraints):
@@ -1301,23 +1299,22 @@ class TestSlicedSubarrays:
     @settings(max_examples=200, deadline=None)
     @given(subarray_cases())
     def test_sliced_arrays_equal_the_rebuilt_ones(self, case):
-        problem, outer, inner = case
+        problem, constraints, outer, inner = case
         cols = [m * problem.N + n for m in range(problem.M) for n in outer]
-        zeroed = [l for l, c in enumerate(problem.constraints)
+        zeroed = [l for l, c in enumerate(constraints)
                   if not dense_constraint(c)[0][np.ix_(cols, cols)].any()]
         try:
             reduced = problem.restrict(outer)
         except InfeasibleProblemError:
-            assert any(problem.constraints[l].f < 0.0 for l in zeroed)
+            assert any(constraints[l].f < 0.0 for l in zeroed)
             return
         # the dropped rows are exactly the zeroed ones, each with f > 0, and
         # the reference keeps the others
-        assert reduced.constraints is None
-        assert all(problem.constraints[l].f > 0.0 for l in zeroed)
-        kept = [c for l, c in enumerate(problem.constraints) if l not in zeroed]
-        objects = restrict_constraints(problem.constraints, outer)
+        assert all(constraints[l].f > 0.0 for l in zeroed)
+        kept = [c for l, c in enumerate(constraints) if l not in zeroed]
+        objects = restrict_constraints(constraints, outer)
         assert [(type(c), c.f) for c in objects] == [(type(c), c.f) for c in kept]
-        rebuilt = ProblemInstance(objects, problem.M, len(outer))
+        rebuilt = problem_of(objects, problem.M, len(outer))
         for name in ("families", "certificate_record", "sweep_plan", "row_names"):
             assert_same_data(getattr(reduced, name), getattr(rebuilt, name), name)
         assert reduced.L == rebuilt.L == len(objects)
@@ -1339,13 +1336,13 @@ class TestSlicedSubarrays:
         # on the subarray and on its own subarray: every row's name, and the
         # name and kind a failing move reports (a NaN point fails the KKT
         # guard of every kind), equal those of the reference objects
-        problem, outer, inner = case
+        problem, constraints, outer, inner = case
         try:
             reduced = problem.restrict(outer)
             nested = reduced.restrict(inner)
         except InfeasibleProblemError:
             return
-        objects = restrict_constraints(problem.constraints, outer)
+        objects = restrict_constraints(constraints, outer)
         for sub, cs in ((reduced, objects), (nested, restrict_constraints(objects, inner))):
             assert sub.row_names == names_of(cs)
             nan = np.full((sub.M, sub.N), np.nan, dtype=complex)
@@ -1361,7 +1358,7 @@ class TestRefitHandOff:
     @settings(max_examples=60, deadline=None)
     @given(feasible_toy_problems())
     def test_refit_passes_the_gate_wherever_the_search_succeeds(self, case):
-        problem, _ = case
+        problem = case[0]
         try:
             start = find_feasible_point(problem)
         except InfeasibleProblemError:
@@ -1424,7 +1421,7 @@ class TestSolve:
         # one never-active power cap: v = c every iteration, duals vanish,
         # and w contracts by exactly rho/(2 + rho) per step
         M, N = 1, 2
-        problem = toy_problem([AntennaPowerConstraint(0, 1e12, M, N)], M, N)
+        problem = problem_of([AntennaPowerConstraint(0, 1e12, M, N)], M, N)
         cfg = AdmmConfig(eta=0.0, rho=2.0, k_max=12)
         state = solve(problem, cfg)
         # w0 = 0 for this problem (no channels, no passband), so drive it by hand
@@ -1465,7 +1462,9 @@ class TestSolve:
         state = solve(paper_problem, cfg)
         assert state.k == 1  # both residuals trivially below huge tolerances
 
-    def test_projection_failure_aborts_with_context(self, paper_problem, paper_scenario, monkeypatch):
+    def test_projection_failure_aborts_with_context(
+        self, paper_problem, paper_constraints, paper_scenario, monkeypatch
+    ):
         # half the feasible point puts every passband copy below its floor, so
         # each iteration projects beam rows 0-5; from w0 itself no beam row moves
         w0 = find_feasible_point(paper_problem)
@@ -1484,7 +1483,7 @@ class TestSolve:
             return moved
 
         monkeypatch.setattr(projections_module, "_beam_row", flaky)
-        problem = toy_problem(paper_problem.constraints, paper_problem.M, paper_problem.N)
+        problem = problem_of(paper_constraints, paper_problem.M, paper_problem.N)
         cfg = replace(paper_scenario.admm, k_max=5)
         with pytest.raises(ProjectionError) as err:
             solve(problem, cfg)
@@ -1516,7 +1515,7 @@ class TestSolveMatchesReference:
     def test_same_state(self, case, paper_scenario):
         scenario, config = solve_cases(paper_scenario)[case]
         problem = assemble(scenario)
-        got, want = solve(problem, config), solve_reference(problem, config)
+        got, want = solve(problem, config), solve_reference(problem, constraints_of(scenario), config)
         for name in ("w", "v", "u"):
             x, y = getattr(got, name), getattr(want, name)
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,6 @@ from sparsebeam import (
     AngleGrids,
     ArrayGeometry,
     ConfigurationError,
-    SinrConstraint,
     build_grids,
     db_to_linear,
     dbm_to_watts,
@@ -103,13 +103,15 @@ class TestChannels:
         )
         assert abs(np.mean(np.abs(draws) ** 2) - 1.0) <= 0.02
 
-    def test_user_channel_invariants(self):
+    def test_user_channel_invariants(self, paper_scenario):
+        # checked where a problem's input is validated, by the Scenario: a
+        # noise variance, an SINR target and a LoS channel (its gain)
         with pytest.raises(ConfigurationError):
-            SinrConstraint(0, np.ones(3), gamma=1.0, noise_variance=0.0, M=1, N=3)
+            replace(paper_scenario, noise_variance=(0.0, 1.0))
         with pytest.raises(ConfigurationError):
-            SinrConstraint(0, np.ones(3), gamma=-1.0, noise_variance=1.0, M=1, N=3)
+            replace(paper_scenario, sinr_target=(-1.0, 10.0))
         with pytest.raises(ConfigurationError):
-            SinrConstraint(0, np.zeros(3), gamma=1.0, noise_variance=1.0, M=1, N=3)
+            replace(paper_scenario, channel_gain=0.0)
 
 
 class TestConversions:

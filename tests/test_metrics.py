@@ -4,13 +4,8 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from sparsebeam import (
-    AntennaPowerConstraint,
     ArrayGeometry,
     ConfigurationError,
-    PassbandConstraint,
-    ProblemInstance,
-    SinrConstraint,
-    StopbandConstraint,
     beampattern,
     design_report,
     feasibility_report,
@@ -21,7 +16,10 @@ from sparsebeam import (
 )
 from sparsebeam.metrics import _responses
 
-from helpers import dense_constraint, of_kind, paper_variants, quad_form, random_stack, slack
+from helpers import (
+    AntennaPowerConstraint, PassbandConstraint, SinrConstraint, StopbandConstraint,
+    dense_constraint, of_kind, paper_variants, problem_of, quad_form, random_stack, slack,
+)
 from oracles import msrr_reference, sinr, zero_forcing_reference
 from test_admm import feasible_toy_problems, mixed_problems
 
@@ -33,12 +31,13 @@ def responses(w, geometry, angles_deg, M):
 
 def row_angles(problem, kind):
     """The angles of the problem's passband or stopband rows."""
-    return [c.angle_deg for c in of_kind(problem.constraints, kind)]
+    beams = problem.families.beams
+    return beams.angle[(beams.sign.ravel() < 0) == (kind == "passband")].tolist()
 
 
 def sinr_per_user(w, sinrs):
     """Achieved SINR of every user, as ``design_report`` reports it."""
-    return design_report(w, ProblemInstance(tuple(sinrs), sinrs[0].M, sinrs[0].N)).sinr
+    return design_report(w, problem_of(sinrs, sinrs[0].M, sinrs[0].N)).sinr
 
 
 def hand_built(*kinds, N=3):
@@ -51,7 +50,7 @@ def hand_built(*kinds, N=3):
         "stopband": StopbandConstraint(20.0, a, 1.0, 1, N),
         "antenna_power": AntennaPowerConstraint(0, 1.0, 1, N),
     }
-    return ProblemInstance(tuple(rows[k] for k in kinds), M=1, N=N)
+    return problem_of([rows[k] for k in kinds], 1, N)
 
 
 class TestTxPower:
@@ -109,9 +108,9 @@ class TestMsrr:
         r2 = responses(c * w, geometry, mainlobe, paper_problem.M)
         assert np.allclose(r2, abs(c) ** 2 * r1, rtol=1e-10)
 
-    def test_beam_rows_give_the_grid_reference_bit_for_bit(self, paper_problem):
+    def test_beam_rows_give_the_grid_reference_bit_for_bit(self, paper_problem, paper_constraints):
         rng = np.random.default_rng(7)
-        for problem in paper_variants(paper_problem):
+        for problem, _ in paper_variants(paper_problem, paper_constraints):
             for w in (random_stack(rng, problem.M, problem.N), zero_forcing_reference(problem)):
                 assert msrr(w, problem) == msrr_reference(w, problem)
 
@@ -159,13 +158,13 @@ class TestBeampattern:
             with pytest.raises(ConfigurationError, match=r"over 10\*\*6 steps"):
                 beampattern(w, paper_problem, step)
 
-    def test_matches_constraint_evaluations_on_grid(self, paper_problem):
+    def test_matches_constraint_evaluations_on_grid(self, paper_problem, paper_constraints):
         rng = np.random.default_rng(4)
         w = random_stack(rng, paper_problem.M, paper_problem.N)
-        for c in of_kind(paper_problem.constraints, "stopband")[:5]:
+        for c in of_kind(paper_constraints, "stopband")[:5]:
             r = responses(w, paper_problem.scenario.geometry, [c.angle_deg], paper_problem.M)
             assert r[0] == pytest.approx(c.f - slack(c, w), rel=1e-12)
-        for c in of_kind(paper_problem.constraints, "passband")[:3]:
+        for c in of_kind(paper_constraints, "passband")[:3]:
             r = responses(w, paper_problem.scenario.geometry, [c.angle_deg], paper_problem.M)
             assert r[0] == pytest.approx(slack(c, w) - c.f, rel=1e-12)
 
@@ -188,11 +187,11 @@ class TestSinrPerUser:
         assert got[0] == pytest.approx(4.0)
         assert got[1] == pytest.approx(9.0)
 
-    def test_consistent_with_quadratic_form(self, paper_problem):
+    def test_consistent_with_quadratic_form(self, paper_problem, paper_constraints):
         rng = np.random.default_rng(5)
         w = random_stack(rng, paper_problem.M, paper_problem.N)
-        got = sinr_per_user(w, of_kind(paper_problem.constraints, "sinr"))
-        for c in of_kind(paper_problem.constraints, "sinr"):
+        got = sinr_per_user(w, of_kind(paper_constraints, "sinr"))
+        for c in of_kind(paper_constraints, "sinr"):
             # quad form slack sign agrees with the ratio within rounding
             satisfied = got[c.user] >= c.gamma
             assert satisfied == (slack(c, w) >= 0) or abs(slack(c, w)) < 1e-9
@@ -221,11 +220,11 @@ class TestFeasibilityReport:
         )
         assert not report.passed
 
-    def test_slacks_match_dense_oracle(self, paper_problem):
+    def test_slacks_match_dense_oracle(self, paper_problem, paper_constraints):
         rng = np.random.default_rng(6)
         w = random_stack(rng, paper_problem.M, paper_problem.N)
         slacks = paper_problem.slacks(w)
-        for l, c in enumerate(paper_problem.constraints):
+        for l, c in enumerate(paper_constraints):
             dense = c.f - quad_form(dense_constraint(c)[0], w)
             assert slacks[l] == pytest.approx(dense, rel=1e-10, abs=1e-10)
         report = feasibility_report(w, paper_problem)
@@ -270,7 +269,7 @@ class TestDesignReport:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(mixed_problems(), feasible_toy_problems()))
     def test_any_hand_built_problem_reports_each_sinr_row(self, case):
-        problem, w = case[:2]
+        problem, w, constraints = case[0], case[1], case[-1]
         report = design_report(w, problem)
-        want = [sinr(c, w) for c in problem.constraints if isinstance(c, SinrConstraint)]
+        want = [sinr(c, w) for c in constraints if isinstance(c, SinrConstraint)]
         assert report.sinr.tobytes() == np.array(want, dtype=float).tobytes()

@@ -1,5 +1,6 @@
 """Every ``def`` parameter in ``src/sparsebeam`` is one its function reads,
-and every fixture a ``test_*`` function in ``tests/`` takes is one it reads.
+every fixture a ``test_*`` function in ``tests/`` takes is one it reads, and
+so is every parameter of a module-level helper in ``tests/``.
 
 A parameter nothing reads is an interface that promises what the code does
 not do: callers keep building and passing a value that changes nothing.
@@ -8,6 +9,7 @@ interface may fix (the scenario unit parsers take ``(value, field)``).  In
 ``tests/`` only the fixtures of ``test_*`` functions are held to it: a
 parametrize or ``given`` argument is the case's data, and stand-ins and
 callbacks (``*args, **kwargs``, ``W, row``) take what their caller passes.
+A module-level helper is held to it like the package's functions.
 """
 
 import ast
@@ -19,6 +21,11 @@ import sparsebeam
 ALLOWED = {
     ("selection", "random_selection_baseline", "config"):
         "perfbench/run.py still passes it as a fifth argument (ROADMAP item 1)",
+}
+# (test module, helper, parameter) -> why it stays unread
+ALLOWED_HELPERS = {
+    ("oracles", "_sinr_slope", "target"):
+        "a callback: _secular_root passes the slope the secular function's args",
 }
 
 
@@ -164,3 +171,35 @@ def test_every_fixture_a_test_takes_is_read():
     for path in sorted(Path(__file__).parent.glob("test_*.py")):
         found |= _unread_fixtures(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == set()
+
+
+def _unread_helpers(tree, module):
+    """The unread parameters of the module-level functions not named test_*."""
+    return {
+        (module, fn.name, name)
+        for fn in tree.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("test_")
+        for name in _parameters(fn)
+        if not _reads(ast.Module(fn.body, []), name)
+    }
+
+
+def test_every_parameter_a_test_helper_takes_is_read():
+    # the scan itself: tests, methods and nested stand-ins are exempt
+    toy = ast.parse(
+        "def helper(a, b):\n"
+        "    def stand_in(*args):\n"
+        "        return None\n"
+        "    return a\n"
+        "def test_case(paper_scenario):\n"
+        "    return 0\n"
+        "class Kind:\n"
+        "    def method(self, c):\n"
+        "        return 0\n"
+    )
+    assert _unread_helpers(toy, "m") == {("m", "helper", "b")}
+    found = set()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        found |= _unread_helpers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == set(ALLOWED_HELPERS)

@@ -7,14 +7,9 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from sparsebeam import (
-    AntennaPowerConstraint,
     ArrayGeometry,
     BeamformerStack,
     ConfigurationError,
-    PassbandConstraint,
-    ProblemInstance,
-    SinrConstraint,
-    StopbandConstraint,
     assemble,
     cyclic_projection,
     feasibility_report,
@@ -27,13 +22,21 @@ from sparsebeam import (
 )
 from sparsebeam.problem import beam_rows
 
+from sparsebeam.cli import scenario_with_users
+
 from helpers import (
+    AntennaPowerConstraint,
+    PassbandConstraint,
+    SinrConstraint,
+    StopbandConstraint,
     assert_same_data,
+    constraints_of,
     dense_response_matrix,
     dense_selector_matrix,
     dense_sinr_matrix,
     describe,
     of_kind,
+    problem_of,
     quad_form,
     random_stack,
     restrict_constraints,
@@ -43,7 +46,7 @@ from helpers import (
 from oracles import quad
 
 
-def steering(M, N, theta=17.0):
+def steering(N, theta=17.0):
     return steering_vector(ArrayGeometry(N, 0.5), theta)
 
 
@@ -66,7 +69,7 @@ class TestPassband:
     def test_tight_construction(self):
         rng = np.random.default_rng(2)
         M, N = 2, 4
-        a = steering(M, N)
+        a = steering(N)
         eps = 3.7
         w = np.zeros(M * N, dtype=complex)
         w[:N] = np.sqrt(eps) * a / np.vdot(a, a).real
@@ -77,24 +80,24 @@ class TestPassband:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
         for M, N in [(1, 3), (2, 4), (3, 5)]:
-            a = steering(M, N, theta=-33.0)
+            a = steering(N, theta=-33.0)
             c = PassbandConstraint(-33.0, a, 1.0, M, N)
             F = -dense_response_matrix(a, M, N)
             for _ in range(10):
                 w = random_stack(rng, M, N)
                 assert c.f - slack(c, w) == pytest.approx(quad_form(F, w), rel=1e-10)
-                assert np.allclose(ProblemInstance((c,), M, N).f_actions(w)[0], F @ w, atol=1e-12)
+                assert np.allclose(problem_of((c,), M, N).f_actions(w)[0], F @ w, atol=1e-12)
 
 
 class TestStopband:
     def test_zero_weights_satisfy(self):
-        a = steering(2, 3)
+        a = steering(3)
         c = StopbandConstraint(17.0, a, 0.25, 2, 3)
         assert slack(c, np.zeros(6, dtype=complex)) == pytest.approx(0.25)
 
     def test_tight_construction(self):
         M, N = 2, 4
-        a = steering(M, N)
+        a = steering(N)
         eps = 0.6
         w = np.zeros(M * N, dtype=complex)
         w[:N] = np.sqrt(eps) * a / np.vdot(a, a).real
@@ -104,7 +107,7 @@ class TestStopband:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(4)
         M, N = 2, 4
-        a = steering(M, N, theta=62.0)
+        a = steering(N, theta=62.0)
         c = StopbandConstraint(62.0, a, 1.0, M, N)
         F = dense_response_matrix(a, M, N)
         for _ in range(10):
@@ -181,14 +184,14 @@ class TestSinr:
         for _ in range(10):
             w = random_stack(rng, M, N)
             assert c.f - slack(c, w) == pytest.approx(quad_form(F, w), rel=1e-10, abs=1e-12)
-            assert np.allclose(ProblemInstance((c,), M, N).f_actions(w)[0], F @ w, atol=1e-12)
+            assert np.allclose(problem_of((c,), M, N).f_actions(w)[0], F @ w, atol=1e-12)
 
 
 class TestMatrixStructure:
     def test_hermitian_and_definiteness(self):
         rng = np.random.default_rng(8)
         M, N = 2, 5
-        a = steering(M, N, theta=25.0)
+        a = steering(N, theta=25.0)
         h = random_stack(rng, 1, N)
         A = dense_response_matrix(a, M, N)
         B = dense_selector_matrix(2, M, N)
@@ -235,7 +238,7 @@ class TestObjective:
 class TestAssemble:
     def test_paper_scenario_has_38_constraints(self, paper_problem):
         assert paper_problem.L == 38
-        kinds = [c.kind for c in paper_problem.constraints]
+        kinds = [kind for kind, _ in paper_problem.row_names]
         assert kinds == ["passband"] * 6 + ["stopband"] * 20 + [
             "antenna_power"
         ] * 10 + ["sinr"] * 2
@@ -257,94 +260,31 @@ class TestAssemble:
         assert problem.L == 1 + 1 + 2 + 1
 
     def test_empty_stopband_rejected(self, paper_scenario):
-        sc = replace(paper_scenario, stopband_regions=())
+        # by the Scenario itself, so that no Scenario fails to assemble
         with pytest.raises(ConfigurationError):
-            assemble(sc)
+            assemble(replace(paper_scenario, stopband_regions=()))
 
     def test_rayleigh_channels(self, paper_scenario):
         sc = replace(paper_scenario, channel_model="rayleigh")
-        sinrs = of_kind(assemble(sc).constraints, "sinr")
-        assert [c.user for c in sinrs] == list(range(sc.M))
-        for m, c in enumerate(sinrs):
-            assert c.h.tobytes() == rayleigh_channel(sc.geometry, [sc.seed, 101, m]).tobytes()
-        reseeded = of_kind(assemble(replace(sc, seed=sc.seed + 1)).constraints, "sinr")
-        for c, other in zip(sinrs, reseeded):
-            assert not np.array_equal(c.h, other.h)
+        sinrs = assemble(sc).families.sinrs
+        assert sinrs.served[1].tolist() == list(range(sc.M))
+        for m, probe in enumerate(sinrs.probe):
+            h = np.conj(probe[:, 0])
+            assert h.tobytes() == rayleigh_channel(sc.geometry, [sc.seed, 101, m]).tobytes()
+        reseeded = assemble(replace(sc, seed=sc.seed + 1)).families.sinrs
+        for probe, other in zip(sinrs.probe, reseeded.probe):
+            assert not np.array_equal(probe, other)
 
-
-class TestMissizedObjects:
-    """An object sized for other M or N than its problem's is a
-    ``ConfigurationError`` naming the row, its kind and both sizes, raised
-    when the problem builds its ``families``, before any array is indexed."""
-
-    @pytest.mark.parametrize("c, M, N, sizes", [
-        (AntennaPowerConstraint(5, 1.0, 1, 10), 1, 3, "M=1, N=10, but its problem has M=1, N=3"),
-        (StopbandConstraint(0.0, np.ones(3), 1.0, 1, 3), 1, 4,
-         "M=1, N=3, but its problem has M=1, N=4"),
-        (SinrConstraint(2, np.ones(3), 1.0, 1.0, 3, 3), 2, 3,
-         "M=3, N=3, but its problem has M=2, N=3"),
-    ], ids=["antenna_power", "stopband", "sinr"])
-    def test_rejected_naming_row_kind_and_sizes(self, c, M, N, sizes):
-        problem = ProblemInstance((AntennaPowerConstraint(0, 1.0, M, N), c), M, N)
-        message = re.escape(f"constraint l=1 ({c.kind}) is sized {sizes}")
-        w = np.ones(M * N, dtype=complex)
-        for run in (lambda: problem.slacks(w), lambda: problem.L,
-                    lambda: find_feasible_point(problem)):
-            with pytest.raises(ConfigurationError, match=message):
-                run()
-
-
-class TestGeneratorLength:
-    """A steering vector or channel whose length is not the object's own N
-    is a ``ConfigurationError`` at construction, naming the kind and both
-    lengths, not a numpy reshape error when a problem first reads it."""
-
-    @pytest.mark.parametrize("build, message", [
-        (lambda: StopbandConstraint(0.0, np.ones(3), 1.0, 1, 4),
-         "stopband steering vector has shape (3,), but N=4 needs (4,)"),
-        (lambda: SinrConstraint(0, np.ones(3), 1.0, 1.0, 1, 4),
-         "sinr channel vector of user 0 has shape (3,), but N=4 needs (4,)"),
-    ], ids=["stopband", "sinr"])
-    def test_rejected_naming_kind_and_lengths(self, build, message):
-        with pytest.raises(ConfigurationError, match=re.escape(message)):
-            build()
-
-
-class TestZeroGenerators:
-    """A zero steering vector or channel is a ``ConfigurationError``: its
-    passband or SINR floor can never hold and its stopband is vacuous."""
-
-    @pytest.mark.parametrize("build", [
-        lambda g: PassbandConstraint(0.0, g, 1.0, 1, 3),
-        lambda g: StopbandConstraint(0.0, g, 1.0, 1, 3),
-        lambda g: SinrConstraint(0, g, 1.0, 1.0, 1, 3),
-    ], ids=["passband", "stopband", "sinr"])
-    def test_rejected(self, build):
-        with pytest.raises(ConfigurationError, match="is zero"):
-            build(np.zeros(3))
-        build(np.array([0.0, 1e-300j, 0.0]))  # one nonzero entry will do
-
-
-class TestConstructorRanges:
-    """Each constraint class's own threshold, limit and index checks, which
-    only a hand-built object reaches: ``assemble`` passes checked values."""
-
-    @pytest.mark.parametrize("build, message", [
-        (lambda: PassbandConstraint(0.0, np.ones(3), 0.0, 1, 3),
-         "passband threshold must be > 0, got 0.0"),
-        (lambda: StopbandConstraint(0.0, np.ones(3), -1.0, 1, 3),
-         "stopband threshold must be > 0, got -1.0"),
-        (lambda: AntennaPowerConstraint(3, 1.0, 1, 3), "antenna index 3 outside 0..2"),
-        (lambda: AntennaPowerConstraint(-1, 1.0, 1, 3), "antenna index -1 outside 0..2"),
-        (lambda: AntennaPowerConstraint(0, 0.0, 1, 3),
-         "antenna power limit must be > 0, got 0.0"),
-        (lambda: SinrConstraint(2, np.ones(3), 1.0, 1.0, 2, 3), "user index 2 outside 0..1"),
-        (lambda: SinrConstraint(-1, np.ones(3), 1.0, 1.0, 2, 3), "user index -1 outside 0..1"),
-    ], ids=["passband-threshold", "stopband-threshold", "antenna-above", "antenna-below",
-            "power-limit", "user-above", "user-below"])
-    def test_rejected(self, build, message):
-        with pytest.raises(ConfigurationError, match=re.escape(message)):
-            build()
+    @pytest.mark.parametrize("changes, M", [({}, M) for M in (1, 2, 3, 4)] + [
+        ({"channel_model": "rayleigh", "seed": seed}, M) for seed in (1, 2, 3) for M in (1, 2, 3)
+    ])
+    def test_arrays_match_the_reference_objects(self, paper_scenario, changes, M):
+        # assemble writes the arrays; problem_of reads them from the objects
+        # of constraints_of, one per row
+        sc = scenario_with_users(replace(paper_scenario, **changes), M)
+        got, want = assemble(sc), problem_of(constraints_of(sc), sc.M, sc.N, sc)
+        for name in ("families", "certificate_record", "sweep_plan", "row_names"):
+            assert_same_data(getattr(got, name), getattr(want, name), name)
 
 
 class TestRestrict:
@@ -357,10 +297,10 @@ class TestRestrict:
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             paper_problem.restrict(support)
 
-    def test_reduced_quad_matches_embedded_full(self, paper_problem):
+    def test_reduced_quad_matches_embedded_full(self, paper_problem, paper_constraints):
         rng = np.random.default_rng(11)
         support = (0, 2, 3, 5, 7, 8, 9)
-        reduced = subarray(paper_problem, support)
+        reduced, objects = subarray(paper_problem, paper_constraints, support)
         K = len(support)
         w_red = random_stack(rng, paper_problem.M, K)
         w_full = np.zeros(paper_problem.M * paper_problem.N, dtype=complex)
@@ -369,15 +309,15 @@ class TestRestrict:
                 m * K : (m + 1) * K
             ]
         dropped = {
-            c.antenna for c in of_kind(paper_problem.constraints, "antenna_power")
+            c.antenna for c in of_kind(paper_constraints, "antenna_power")
         } - set(support)
         kept_full = [
             c
-            for c in paper_problem.constraints
+            for c in paper_constraints
             if not (c.kind == "antenna_power" and c.antenna in dropped)
         ]
         assert len(kept_full) == reduced.L
-        for c_full, c_red in zip(kept_full, reduced.constraints):
+        for c_full, c_red in zip(kept_full, objects):
             assert quad(c_red, w_red) == pytest.approx(
                 quad(c_full, w_full), rel=1e-12, abs=1e-12
             )
@@ -405,13 +345,13 @@ class TestRestrict:
         ((1, 2, 3, 4, 5, 6, 7, 8), (0, 2, 4, 5, 6, 7)),
         (tuple(range(10)), (3,)),
     ])
-    def test_nested_restriction_composes(self, paper_problem, outer, inner):
+    def test_nested_restriction_composes(self, paper_problem, paper_constraints, outer, inner):
         nested = paper_problem.restrict(outer).restrict(inner)
         direct = paper_problem.restrict(tuple(outer[i] for i in inner))
         assert nested.support == inner  # indices into its parent, the subarray
         for name in ("families", "certificate_record", "sweep_plan", "row_names"):
             assert_same_data(getattr(nested, name), getattr(direct, name), name)
-        objects = restrict_constraints(paper_problem.constraints, direct.support)
+        objects = restrict_constraints(paper_constraints, direct.support)
         assert [name for _, name in nested.row_names] == [describe(c) for c in objects]
 
 
@@ -420,14 +360,17 @@ class TestBeamRowData:
     and the batched v-update (``families.beams``) must read the same row data."""
 
     @pytest.mark.parametrize("support", [None, (0, 2, 3, 4, 5, 6, 8, 9)])
-    def test_rows_match_families(self, paper_problem, support):
-        problem = paper_problem if support is None else subarray(paper_problem, support)
+    def test_rows_match_families(self, paper_problem, paper_constraints, support):
+        problem, constraints = (
+            (paper_problem, paper_constraints) if support is None
+            else subarray(paper_problem, paper_constraints, support)
+        )
         beams = problem.families.beams
-        assert len(beams.rows) == sum(c.kind.endswith("band") for c in problem.constraints)
+        assert len(beams.rows) == sum(c.kind.endswith("band") for c in constraints)
         for i, (l, row) in enumerate(zip(beams.rows, beams.each())):
             assert row.rows == l  # a constraint's own row is 0
-            c = problem.constraints[l]
-            for one in (next(ProblemInstance((c,), c.M, c.N).families.beams.each()), row):
+            c = constraints[l]
+            for one in (next(problem_of((c,), c.M, c.N).families.beams.each()), row):
                 for name, got, want in zip(beams._fields[1:], one[1:], beams[1:]):
                     want = want[i]
                     if name in ("norm2", "sign", "threshold"):
@@ -485,9 +428,7 @@ class TestNonFiniteViolations:
 
     def test_nan_antenna_violates_only_its_rows(self):
         M, N = 1, 2
-        problem = ProblemInstance(
-            tuple(AntennaPowerConstraint(n, 1.0, M, N) for n in range(N)), M, N
-        )
+        problem = problem_of(tuple(AntennaPowerConstraint(n, 1.0, M, N) for n in range(N)), M, N)
         w = np.array([0.5, np.nan], dtype=complex)
         assert problem.max_violation(w) == np.inf
         assert problem.worst_violations(w) == [
@@ -500,28 +441,29 @@ class TestVectorizedSlacks:
     arrays; they must equal the per-constraint values bit for bit."""
 
     @staticmethod
-    def check(problem, w):
-        want = np.array([c.f - quad(c, w) for c in problem.constraints])
+    def check(problem, constraints, w):
+        want = np.array([c.f - quad(c, w) for c in constraints])
         assert np.array_equal(problem.slacks(w), want)
         violations = [max(0.0, -s) for s in want]
         assert problem.max_violation(w) == max(violations)
         pairs = sorted(
-            ((describe(c), v) for c, v in zip(problem.constraints, violations)),
+            ((describe(c), v) for c, v in zip(constraints, violations)),
             key=lambda p: -p[1],
         )
         assert problem.worst_violations(w) == pairs[:5]
 
-    def test_paper_problem(self, paper_problem):
+    def test_paper_problem(self, paper_problem, paper_constraints):
         rng = np.random.default_rng(21)
-        self.check(paper_problem, find_feasible_point(paper_problem))
+        self.check(paper_problem, paper_constraints, find_feasible_point(paper_problem))
         for scale in (0.1, 1.0, 10.0):
-            self.check(paper_problem, random_stack(rng, paper_problem.M, paper_problem.N, scale))
+            w = random_stack(rng, paper_problem.M, paper_problem.N, scale)
+            self.check(paper_problem, paper_constraints, w)
 
-    def test_all_eight_antenna_supports(self, paper_problem):
+    def test_all_eight_antenna_supports(self, paper_problem, paper_constraints):
         rng = np.random.default_rng(22)
         supports = list(itertools.combinations(range(paper_problem.N), 8))
         assert len(supports) == 45
         for support in supports:
-            reduced = subarray(paper_problem, support)
+            reduced, objects = subarray(paper_problem, paper_constraints, support)
             for scale in (0.3, 3.0):
-                self.check(reduced, random_stack(rng, reduced.M, reduced.N, scale))
+                self.check(reduced, objects, random_stack(rng, reduced.M, reduced.N, scale))

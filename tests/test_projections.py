@@ -4,21 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sparsebeam import (
-    AntennaPowerConstraint,
-    ArrayGeometry,
-    PassbandConstraint,
-    ProblemInstance,
-    ProjectionError,
-    SinrConstraint,
-    StopbandConstraint,
-    steering_vector,
-)
+from sparsebeam import ArrayGeometry, ProjectionError, steering_vector
 from sparsebeam.problem import beam_rows
 import sparsebeam.projections as projections_module
 from sparsebeam.projections import EPS, _beam_point
 
-from helpers import dense_constraint, project, quad_form, random_stack, slack
+from helpers import (
+    AntennaPowerConstraint, PassbandConstraint, SinrConstraint, StopbandConstraint,
+    dense_constraint, problem_of, project, quad_form, random_stack, slack,
+)
 import oracles
 from oracles import (
     penalty_oracle, project_generic, project_powers, project_sinr_reference, quad, response,
@@ -356,7 +350,7 @@ class TestSinrKernel:
         # replaced, also when an iteration budget cut short makes both fail
         vbar, h, gamma, sigma2, user, M, N = case
         c = SinrConstraint(user, h, gamma, sigma2, M, N)
-        row = ProblemInstance((c,), M, N).sweep_plan[0][1]
+        row = problem_of((c,), M, N).sweep_plan[0][1]
         W = vbar.reshape(M, N)
         with pytest.MonkeyPatch.context() as patch:
             if max_iter is not None:
@@ -384,7 +378,7 @@ class TestSinrKernel:
         # its error, and the root-finder's bracket always changes sign
         W, h, gamma, sigma2, user, M, N = case
         c = SinrConstraint(user, h, gamma, sigma2, M, N)
-        row = ProblemInstance((c,), M, N).sweep_plan[0][1]
+        row = problem_of((c,), M, N).sweep_plan[0][1]
         want = kernel_outcome(oracles.sinr_row_reference, W, row)
         got = kernel_outcome(projections_module._sinr_row, W, row)
         if isinstance(want, Exception):
@@ -491,7 +485,7 @@ class TestOnePointKernels:
             "below": np.nextafter(power, 0.0), "at": power,
             "above": np.nextafter(power, np.inf), "ratio": power * 10.0**log_ratio,
         }[limit_at]
-        row = ProblemInstance((AntennaPowerConstraint(n, limit, M, N),), M, N).sweep_plan[0][1]
+        row = problem_of((AntennaPowerConstraint(n, limit, M, N),), M, N).sweep_plan[0][1]
         P, mu, residual = project_powers(G[np.newaxis], np.array([limit]))
         got = projections_module._power_row(W, row)
         if got is None:
@@ -515,7 +509,7 @@ class TestOnePointKernels:
         # near 10**155 a short group can stay just below the largest float
         with np.errstate(all="ignore"):
             assume(not np.isfinite(np.vdot(W[:, 1], W[:, 1]).real))
-        problem = ProblemInstance(
+        problem = problem_of(
             (StopbandConstraint(0.0, steering(N), 1e300, M, N),
              AntennaPowerConstraint(1, 10.0**log_limit, M, N)),
             M, N,
@@ -557,7 +551,7 @@ class TestOnePointKernels:
                 "inf": np.inf, "nan": np.nan,
             }[where])
         moved = (W.copy(), 0.5, residual)
-        problem = ProblemInstance((StopbandConstraint(0.0, steering(N), 1.0, M, N),), M, N)
+        problem = problem_of((StopbandConstraint(0.0, steering(N), 1.0, M, N),), M, N)
         vars(problem)["sweep_plan"] = ((lambda point, row: moved, None),)
         if np.isfinite(residual) and not residual > bound:
             assert projections_module.move(problem, 0, W) is moved

@@ -10,7 +10,6 @@ from sparsebeam import (
     ArrayGeometry,
     ConfigurationError,
     Scenario,
-    assemble,
     bundled_scenario_path,
     load_scenario,
     scenario_sha256,
@@ -292,8 +291,9 @@ class TestChecksBehindTheSchema:
          "antenna_power_limit: every entry must be > 0"),
         ({"noise_variance": (1.0, -1.0)}, "noise_variance: every entry must be > 0"),
         ({"sinr_target": (0.0, 10.0)}, "sinr_target: every entry must be > 0"),
+        ({"user_angles_deg": (-45.0, 100.0)}, "angle 100.0 deg outside [-90, 90]"),
     ], ids=["no-user", "channel-model", "mainlobe-threshold", "stopband-threshold",
-            "antenna-power-limit", "noise-variance", "sinr-target"])
+            "antenna-power-limit", "noise-variance", "sinr-target", "los-user-angle"])
     def test_replace_is_rejected(self, paper_scenario, changes, message):
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             dataclasses.replace(paper_scenario, **changes)
@@ -321,9 +321,23 @@ class TestFileChecksPastTheSchema:
     def test_reversed_region(self, section, regions, message):
         data = paper_dict()
         data[section].update(regions)
-        scenario = scenario_from_dict(data)  # the grids are sampled at assembly
         with pytest.raises(ConfigurationError, match=re.escape(message)):
-            assemble(scenario)
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("section, changes, message", [
+        ("stopband", {"regions_deg": [[-90, -60], [-70, -20]]},
+         "angle regions [-90.0, -60.0] and [-70.0, -20.0] overlap"),
+        ("stopband", {"regions_deg": [[5, 30]]},
+         "mainlobe and stopband grids share the angle 5.0 deg"),
+        ("mainlobe", {"step_deg": 1e-6}, "interval [-5.0, 5.0] at step 1e-06: over 10**6 steps"),
+        ("users", {"gain": 0}, "channel gain must be nonzero, got 0.0"),
+    ], ids=["overlap", "shared-angle", "too-fine", "zero-gain"])
+    def test_rejected_before_assembly(self, section, changes, message):
+        # past the schema, each once made a Scenario that only assemble refused
+        data = paper_dict()
+        data[section].update(changes)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            scenario_from_dict(data)
 
 
 def test_bundled_schema_meets_its_metaschema():

@@ -11,13 +11,9 @@ from scipy.optimize import minimize
 import sparsebeam.admm
 import sparsebeam.selection
 from sparsebeam import (
-    AntennaPowerConstraint,
     ConfigurationError,
     InfeasibleProblemError,
-    PassbandConstraint,
     ProblemInstance,
-    SinrConstraint,
-    StopbandConstraint,
     assemble,
     feasibility_report,
     find_feasible_point,
@@ -34,12 +30,16 @@ from sparsebeam.cli import scenario_with_users
 from sparsebeam.selection import embed_support
 
 from helpers import (
+    AntennaPowerConstraint,
+    PassbandConstraint,
+    SinrConstraint,
+    StopbandConstraint,
     assert_same_data,
     certificate_holds,
     dense_constraint,
+    problem_of,
     random_stack,
     restrict_constraints,
-    subarray,
 )
 from oracles import baseline_loop, refit_admm_reference, refit_from_start
 
@@ -61,7 +61,8 @@ REGRESSION_SUPPORTS = [
 def sparse_generator_problems(draw):
     """Hand-built problems of every kind whose steering vectors and channels
     have zero entries, with a support to refit on: a support may zero some
-    generators, and a floor then holds nowhere."""
+    generators, and a floor then holds nowhere.  Returns (problem, support,
+    the problem's objects)."""
     M, N = draw(st.integers(1, 2)), draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -82,14 +83,15 @@ def sparse_generator_problems(draw):
     for m in range(draw(st.integers(0, M))):
         constraints.append(SinrConstraint(m, generator(), level(), 1.0, M, N))
     support = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=N, unique=True))
-    return ProblemInstance(tuple(constraints), M, N), tuple(sorted(support))
+    return problem_of(constraints, M, N), tuple(sorted(support)), constraints
 
 
-def zeroed_floors(problem, support):
-    """The rows with f_l < 0 whose dense F_l is zero on ``support``."""
+def zeroed_floors(problem, constraints, support):
+    """The rows, of ``problem``'s objects ``constraints``, with f_l < 0 whose
+    dense F_l is zero on ``support``."""
     cols = [m * problem.N + n for m in range(problem.M) for n in support]
     return [
-        l for l, c in enumerate(problem.constraints)
+        l for l, c in enumerate(constraints)
         if c.f < 0.0 and not dense_constraint(c)[0][np.ix_(cols, cols)].any()
     ]
 
@@ -230,9 +232,11 @@ class TestRefit:
         tuple(range(10)), PAPER_K8, *MIRROR_K8, (2, 3, 4, 5, 6, 7, 8, 9),
         (0, 1, 2, 3, 5, 6, 8, 9), (0, 1, 4, 5, 6, 7, 8, 9), (0, 1, 2, 3, 4, 5, 6, 8),
     ], ids=lambda support: "".join(map(str, support)))
-    def test_no_worse_than_the_admm_refit(self, paper_problem, paper_scenario, support):
+    def test_no_worse_than_the_admm_refit(
+        self, paper_problem, paper_constraints, paper_scenario, support
+    ):
         stack = refit(paper_problem, support)
-        oracle = refit_admm_reference(paper_problem, support, paper_scenario.admm)
+        oracle = refit_admm_reference(paper_problem, paper_constraints, support, paper_scenario.admm)
         assert feasibility_report(stack.w, paper_problem, tol=1e-6).passed
         assert tx_power(stack.w) <= tx_power(oracle) * (1.0 + 1e-9)
 
@@ -305,18 +309,19 @@ class TestRefit:
         else:
             assert power == pytest.approx(want_power, rel=1e-9, abs=0.0)
 
-    def test_too_few_antennas_for_users_is_infeasible(self, paper_problem):
+    def test_too_few_antennas_for_users_is_infeasible(self, paper_problem, paper_constraints):
         # K=1 < M=2 with gamma=10: adding both SINR floors forces gamma < 1
         with pytest.raises(InfeasibleProblemError) as err:
             refit(paper_problem, (4,))
         assert "(4,)" in str(err.value)
         certificate = err.value.certificate
-        assert certificate_holds(subarray(paper_problem, (4,)), certificate.multipliers)
+        objects = restrict_constraints(paper_constraints, (4,))
+        assert certificate_holds(objects, certificate.multipliers)
 
     def test_support_zeroing_a_channel_is_certified_infeasible(self, monkeypatch):
         # the user's channel lives on antenna 0 alone: without it the SINR
         # floor reads 0 >= 1, a one-row certificate with no search behind it
-        problem = ProblemInstance(
+        problem = problem_of(
             (SinrConstraint(0, [1, 0, 0], 1, 1, 1, 3), AntennaPowerConstraint(0, 1, 1, 3)), 1, 3
         )
         searches = []
@@ -337,12 +342,12 @@ class TestRefit:
         M, N = 1, 3
         a = np.array([1.0, 0.0, 0.0])
         powers = tuple(AntennaPowerConstraint(n, 1.0, M, N) for n in range(N))
-        floor = ProblemInstance((PassbandConstraint(0.0, a, 0.5, M, N),) + powers, M, N)
+        floor = problem_of((PassbandConstraint(0.0, a, 0.5, M, N),) + powers, M, N)
         with pytest.raises(InfeasibleProblemError) as err:
             refit(floor, (1, 2))
         assert err.value.certificate.excludes_every_point
         assert err.value.worst_violations == [("passband(theta=0 deg)", 0.5)]
-        ceiling = ProblemInstance((StopbandConstraint(0.0, a, 0.5, M, N),) + powers, M, N)
+        ceiling = problem_of((StopbandConstraint(0.0, a, 0.5, M, N),) + powers, M, N)
         assert [kind for kind, _ in ceiling.restrict((1, 2)).row_names] == ["antenna_power"] * 2
         assert np.array_equal(refit(ceiling, (1, 2)).w, np.zeros(M * N))
 
@@ -352,29 +357,29 @@ class TestRefit:
         # one generator test for every kind, against the dense F_l: a row
         # zero on the support is dropped, or raises if it is a floor, and
         # every other row keeps its F_l restricted to the support
-        problem, support = case
+        problem, support, constraints = case
         cols = [m * problem.N + n for m in range(problem.M) for n in support]
-        restricted = [dense_constraint(c)[0][np.ix_(cols, cols)] for c in problem.constraints]
-        floors = zeroed_floors(problem, support)
+        restricted = [dense_constraint(c)[0][np.ix_(cols, cols)] for c in constraints]
+        floors = zeroed_floors(problem, constraints, support)
         try:
             reduced = problem.restrict(support)
         except InfeasibleProblemError as err:
             assert np.flatnonzero(err.certificate.multipliers).tolist() == floors[:1]
             return
         assert not floors
-        kept = [(c, F) for c, F in zip(problem.constraints, restricted) if F.any()]
-        objects = restrict_constraints(problem.constraints, support)
+        kept = [(c, F) for c, F in zip(constraints, restricted) if F.any()]
+        objects = restrict_constraints(constraints, support)
         assert reduced.L == len(objects) == len(kept)
         for got, (c, F) in zip(objects, kept):
             assert type(got) is type(c) and got.f == c.f
             assert np.array_equal(dense_constraint(got)[0], F)
-        assert_same_data(reduced.families, ProblemInstance(objects, problem.M, len(support)).families)
+        assert_same_data(reduced.families, problem_of(objects, problem.M, len(support)).families)
 
     @settings(max_examples=120, deadline=None)
     @given(sparse_generator_problems())
     def test_any_support_gets_a_design_or_a_verdict(self, case):
-        problem, support = case
-        floors = zeroed_floors(problem, support)
+        problem, support, constraints = case
+        floors = zeroed_floors(problem, constraints, support)
         try:
             stack = refit(problem, support)
         except InfeasibleProblemError as err:
